@@ -18,13 +18,13 @@ Every hot operation — smoother sweeps, the fused restriction,
 prolongation — dispatches through :mod:`repro.backends`, which resolves
 precision-specific kernels per level; cross-precision level boundaries
 cast once, at the grid transfer.  All per-level iterate and
-coarse-defect buffers are preallocated, so one V-cycle performs zero
-array allocations after warmup.
+coarse-defect panels are pooled in the workspace arena, so one V-cycle
+performs zero array allocations after warmup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +34,12 @@ from repro.fp.precision import Precision
 from repro.geometry.partition import Subdomain
 from repro.mg.restriction import (
     coarse_to_fine_map,
-    exchange_and_fused_restrict,
     exchange_and_fused_restrict_panel,
     prolong_correct,
 )
 from repro.mg.smoothers import (
     Smoother,
     make_smoother,
-    smooth_distributed,
     smooth_distributed_panel,
 )
 from repro.parallel.comm import Communicator
@@ -97,8 +95,6 @@ class MGLevel:
     #: coarser level's rung — the historical behaviour — unless the
     #: precision control plane schedules the transfer ingredient apart.
     transfer_precision: Precision | None = None
-    zfull: np.ndarray = field(repr=False, default=None)  # iterate workspace
-    r_c: np.ndarray = field(repr=False, default=None)  # coarse-defect buffer
 
     @property
     def nlocal(self) -> int:
@@ -282,16 +278,6 @@ class MultigridPreconditioner:
                     transfers[lvl] if lvl < len(transfers) else None
                 ),
             )
-            level.zfull = np.zeros(
-                level.nlocal + level.halo_ex.n_ghost, dtype=prec.dtype
-            )
-            if coarse_sub is not None:
-                # The defect buffer crosses the boundary at the
-                # transfer rung (historically the coarser level's
-                # rung); the fused restriction casts on the store.
-                level.r_c = np.zeros(
-                    coarse_sub.nlocal, dtype=level.transfer_precision.dtype
-                )
             levels.append(level)
             if f_c is not None:
                 sub = coarse_sub
@@ -330,40 +316,33 @@ class MultigridPreconditioner:
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """z = M^{-1} r: one V-cycle from a zero initial guess.
 
-        ``r`` is cast to the preconditioner precision on entry; the
-        result is returned in that precision.  With a caller-provided
-        ``out`` buffer the whole V-cycle is allocation-free (the hot
-        path the solvers use); without one a fresh copy is returned.
+        The width-1 case of :meth:`apply_panel`.  With a
+        caller-provided ``out`` buffer the whole V-cycle is
+        allocation-free (the hot path the solvers use); without one a
+        fresh vector in the preconditioner precision is returned.
         """
-        dtype = self.precision.dtype
-        if r.dtype == dtype:
-            r_prec = r
-        else:
-            r_prec = self.ws.get("mg.rcast", r.shape, dtype)
-            np.copyto(r_prec, r)
-        z = self._vcycle(0, r_prec)
-        if out is not None:
-            out[:] = z
-            return out
-        return z.copy()
+        if out is None:
+            out = np.empty(r.shape[0], dtype=self.precision.dtype)
+        self.apply_panel(r[:, None], out=out[:, None])
+        return out
 
     def apply_panel(
         self, R: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """``Z[:, j] = M^{-1} R[:, j]`` for a column-major panel.
 
-        The panel-native V-cycle: every level's smoother sweeps, the
-        restriction and the prolongation serve all N columns per
+        ``R`` is cast to the preconditioner precision on entry; the
+        result is in that precision.  Every level's smoother sweeps,
+        the restriction and the prolongation serve all N columns per
         recursion step, and each level boundary's halo crossing is
         **one wide exchange** (one message per neighbor for the whole
-        panel) — message count O(1) in the panel width, where the
-        scalar recursion paid N× per sweep.  Per column the kernels
-        compose in exactly the single-RHS order (the panel sweeps and
-        restriction are per-column compositions under the reference
-        backend; single-pass backends stream each level's matrix once
-        for the panel), so column ``j`` stays bitwise-equal to
-        ``apply(R[:, j])`` — the contract the panel solver's parity
-        tests pin.
+        panel) — message count O(1) in the panel width.  Per column
+        the kernels compose in the same order at every width (the
+        panel sweeps and restriction are per-column compositions under
+        the reference backend; single-pass backends stream each level's
+        matrix once for the panel), so column ``j`` does not depend on
+        its panel-mates — the contract the panel solver's parity tests
+        pin.
         """
         ncol = R.shape[1]
         dtype = self.precision.dtype
@@ -382,14 +361,14 @@ class MultigridPreconditioner:
         return Z
 
     def _vcycle_panel(self, lvl: int, R: np.ndarray) -> np.ndarray:
-        """One panel V-cycle level: all N columns per kernel dispatch.
+        """One V-cycle level: all N columns per kernel dispatch.
 
-        Mirrors :meth:`_vcycle` with panel buffers: the level iterate
-        is a pooled ``(nlocal + n_ghost, N)`` panel (keyed per level,
-        so the recursion never clobbers a finer level's state), the
-        coarse defect a pooled ``(n_c, N)`` panel at the transfer rung.
-        Every smoother sweep and the restriction cross the halo in one
-        wide exchange for the whole panel.
+        The level iterate is a pooled ``(nlocal + n_ghost, N)`` panel
+        (keyed per level, so the recursion never clobbers a finer
+        level's state), the coarse defect a pooled ``(n_c, N)`` panel
+        at the transfer rung (the fused restriction casts once on the
+        store).  Every smoother sweep and the restriction cross the
+        halo in one wide exchange for the whole panel.
         """
         level = self.levels[lvl]
         cfg = self.config
@@ -403,28 +382,10 @@ class MultigridPreconditioner:
         ZF[:] = 0.0
 
         if lvl == len(self.levels) - 1:
-            with self.timers.section("gs"):
-                for _ in range(cfg.coarse_sweeps):
-                    smooth_distributed_panel(
-                        level.smoother,
-                        level.halo_ex,
-                        R,
-                        ZF,
-                        cfg.sweep,
-                        overlap=self.overlap,
-                    )
+            self._smooth(level, R, ZF, cfg.coarse_sweeps)
             return ZF[: level.nlocal, :]
 
-        with self.timers.section("gs"):
-            for _ in range(cfg.npre):
-                smooth_distributed_panel(
-                    level.smoother,
-                    level.halo_ex,
-                    R,
-                    ZF,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
+        self._smooth(level, R, ZF, cfg.npre)
 
         with self.timers.section("restrict"):
             R_c = self.ws.get_panel(
@@ -444,86 +405,31 @@ class MultigridPreconditioner:
                 ws=self.ws,
             )
 
+        # Recursion reuses deeper workspaces only, so ZF is intact;
+        # Z_c is the deeper level's iterate view, consumed immediately.
         Z_c = self._vcycle_panel(lvl + 1, R_c)
 
         with self.timers.section("prolong"):
             for j in range(ncol):
                 prolong_correct(ZF[:, j], Z_c[:, j], level.f_c, ws=self.ws)
 
+        self._smooth(level, R, ZF, cfg.npost)
+        return ZF[: level.nlocal, :]
+
+    def _smooth(
+        self, level: MGLevel, R: np.ndarray, ZF: np.ndarray, sweeps: int
+    ) -> None:
+        """``sweeps`` distributed smoother sweeps on one level's panel."""
         with self.timers.section("gs"):
-            for _ in range(cfg.npost):
+            for _ in range(sweeps):
                 smooth_distributed_panel(
                     level.smoother,
                     level.halo_ex,
                     R,
                     ZF,
-                    cfg.sweep,
+                    self.config.sweep,
                     overlap=self.overlap,
                 )
-
-        return ZF[: level.nlocal, :]
-
-    def _vcycle(self, lvl: int, r: np.ndarray) -> np.ndarray:
-        level = self.levels[lvl]
-        cfg = self.config
-        zfull = level.zfull
-        zfull[:] = 0.0
-
-        if lvl == len(self.levels) - 1:
-            with self.timers.section("gs"):
-                for _ in range(cfg.coarse_sweeps):
-                    smooth_distributed(
-                        level.smoother,
-                        level.halo_ex,
-                        r,
-                        zfull,
-                        cfg.sweep,
-                        overlap=self.overlap,
-                    )
-            return zfull[: level.nlocal]
-
-        with self.timers.section("gs"):
-            for _ in range(cfg.npre):
-                smooth_distributed(
-                    level.smoother,
-                    level.halo_ex,
-                    r,
-                    zfull,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
-        with self.timers.section("restrict"):
-            r_c = exchange_and_fused_restrict(
-                level.halo_ex,
-                level.A,
-                r,
-                zfull,
-                level.f_c,
-                fused=cfg.fused_restrict,
-                out=level.r_c,
-                ws=self.ws,
-            )
-
-        z_c = self._vcycle(lvl + 1, r_c)
-        # Recursion reuses deeper workspaces only, so zfull is intact;
-        # z_c is the deeper level's iterate view, consumed immediately.
-
-        with self.timers.section("prolong"):
-            prolong_correct(zfull, z_c, level.f_c, ws=self.ws)
-
-        with self.timers.section("gs"):
-            for _ in range(cfg.npost):
-                smooth_distributed(
-                    level.smoother,
-                    level.halo_ex,
-                    r,
-                    zfull,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
-        return zfull[: level.nlocal]
 
     # ------------------------------------------------------------------
     # Introspection (flop/byte models)

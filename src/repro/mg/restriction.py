@@ -89,30 +89,6 @@ def restrict_vector(v_f: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return v_f[f_c].copy()
 
 
-def exchange_and_fused_restrict(
-    halo_ex: HaloExchange,
-    A_f,
-    r_f: np.ndarray,
-    xfull_f: np.ndarray,
-    f_c: np.ndarray,
-    fused: bool = True,
-    out: np.ndarray | None = None,
-    ws=None,
-) -> np.ndarray:
-    """Distributed coarse-defect computation.
-
-    The smoothed iterate's ghost values are stale after a sweep (local
-    entries moved), so the residual evaluation is preceded by a halo
-    exchange — the same communication the paper overlaps with interior
-    work in its fused kernel.  ``out`` may be the coarser level's
-    buffer in a different precision (per-level ladder schedules).
-    """
-    halo_ex.exchange(xfull_f)
-    if fused:
-        return fused_residual_restrict(A_f, r_f, xfull_f, f_c, out=out, ws=ws)
-    return unfused_residual_restrict(A_f, r_f, xfull_f, f_c, out=out, ws=ws)
-
-
 def exchange_and_fused_restrict_panel(
     halo_ex: HaloExchange,
     A_f,
@@ -123,14 +99,15 @@ def exchange_and_fused_restrict_panel(
     out: np.ndarray | None = None,
     ws=None,
 ) -> np.ndarray:
-    """Panel coarse-defect computation behind one wide exchange.
+    """Distributed coarse-defect computation behind one wide exchange.
 
-    The panel-native counterpart of :func:`exchange_and_fused_restrict`:
-    the smoothed panel's stale ghosts refresh in **one** wide exchange
-    (one message per neighbor for all N columns), then each column's
-    restriction runs through the same fused/unfused kernel as the
-    single-RHS path — bitwise-per-column equal to looping the scalar
-    function.  ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
+    The smoothed iterate's ghost values are stale after a sweep (local
+    entries moved), so the residual evaluation is preceded by a halo
+    exchange — the same communication the paper overlaps with interior
+    work in its fused kernel.  The whole panel's ghosts refresh in
+    **one** wide exchange (one message per neighbor for all N columns),
+    then each column's restriction runs through the fused/unfused
+    kernel.  ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
     possibly in a different precision (per-level ladder schedules).
     """
     halo_ex.exchange_panel(Xfull_f)
@@ -140,12 +117,24 @@ def exchange_and_fused_restrict_panel(
         )
     restrict = fused_residual_restrict if fused else unfused_residual_restrict
     for j in range(R_f.shape[1]):
-        restrict(
-            A_f,
-            R_f[:, j],
-            Xfull_f[:, j],
-            f_c,
-            out=None if out is None else out[:, j],
-            ws=ws,
-        )
+        restrict(A_f, R_f[:, j], Xfull_f[:, j], f_c, out=out[:, j], ws=ws)
+    return out
+
+
+def exchange_and_fused_restrict(
+    halo_ex: HaloExchange,
+    A_f,
+    r_f: np.ndarray,
+    xfull_f: np.ndarray,
+    f_c: np.ndarray,
+    fused: bool = True,
+    out: np.ndarray | None = None,
+    ws=None,
+) -> np.ndarray:
+    """Single-vector entry point: the width-1 panel restriction."""
+    if out is None:
+        out = np.empty(len(f_c), dtype=xfull_f.dtype)
+    exchange_and_fused_restrict_panel(
+        halo_ex, A_f, r_f[:, None], xfull_f[:, None], f_c, fused, out[:, None], ws
+    )
     return out

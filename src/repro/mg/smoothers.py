@@ -34,9 +34,7 @@ import numpy as np
 
 from repro.backends.dispatch import (
     spmv,
-    symgs_boundary,
     symgs_boundary_multi,
-    symgs_interior,
     symgs_interior_multi,
     symgs_sweep,
     symgs_sweep_multi,
@@ -95,31 +93,10 @@ class Smoother(abc.ABC):
         for j in range(R.shape[1]):
             self.backward(R[:, j], Xfull[:, j])
 
-    #: Whether :meth:`sweep_overlapped` actually hides the exchange
-    #: (smoothers without a color partition fall back to the blocking
-    #: exchange-then-sweep schedule).
+    #: Whether :meth:`sweep_overlapped_panel` actually hides the
+    #: exchange (smoothers without a color partition fall back to the
+    #: blocking exchange-then-sweep schedule).
     supports_overlap = False
-
-    def sweep_overlapped(
-        self,
-        halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """One distributed sweep with the exchange as early as possible.
-
-        Base implementation: the sequential schedule (full exchange,
-        then the sweep) — smoothers that can split their passes
-        override this with the begin/interior/finish/boundary pipeline.
-        """
-        halo_ex.exchange(xfull)
-        if direction == "forward":
-            self.forward(r, xfull)
-        elif direction == "backward":
-            self.backward(r, xfull)
-        else:
-            raise ValueError(f"unknown sweep direction {direction!r}")
 
     def sweep_overlapped_panel(
         self,
@@ -128,14 +105,14 @@ class Smoother(abc.ABC):
         Xfull: np.ndarray,
         direction: str = "forward",
     ) -> None:
-        """One distributed panel sweep behind a single wide exchange.
+        """One distributed panel sweep with the exchange as early as
+        possible.
 
-        Base implementation: one blocking wide exchange (every column's
-        ghosts in one message per neighbor), then the panel sweep —
-        already O(1) messages in the panel width.  Partitioned
-        smoothers override with the begin/interior/finish/boundary
-        pipeline so the whole panel's interior compute hides the wide
-        exchange.
+        Base implementation: the sequential schedule — one blocking
+        wide exchange (every column's ghosts in one message per
+        neighbor), then the panel sweep.  Partitioned smoothers
+        override with the begin/interior/finish/boundary pipeline so
+        the whole panel's interior compute hides the wide exchange.
         """
         halo_ex.exchange_panel(Xfull)
         if direction == "forward":
@@ -144,6 +121,18 @@ class Smoother(abc.ABC):
             self.backward_panel(R, Xfull)
         else:
             raise ValueError(f"unknown sweep direction {direction!r}")
+
+    def sweep_overlapped(
+        self,
+        halo_ex: HaloExchange,
+        r: np.ndarray,
+        xfull: np.ndarray,
+        direction: str = "forward",
+    ) -> None:
+        """Single-vector entry point: the width-1 panel sweep."""
+        self.sweep_overlapped_panel(
+            halo_ex, r[:, None], xfull[:, None], direction
+        )
 
 
 class MulticolorGS(Smoother):
@@ -202,35 +191,6 @@ class MulticolorGS(Smoother):
             self.A, R, Xfull, self.sets, self.diag_sets, "backward", ws=self.ws
         )
 
-    def sweep_overlapped(
-        self,
-        halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """One distributed sweep with the exchange behind the interior.
-
-        The paper's §3.2.3 schedule applied to the smoother (the
-        ROADMAP's "overlap the smoother's halo exchange with its first
-        color pass", extended to the dependency-closed interior of
-        *every* color): post the halo, relax each color's interior
-        block, land the ghosts in the vector tail, relax each color's
-        boundary block.  Without a partition this degrades to the
-        sequential exchange-then-sweep schedule.
-        """
-        if self.partition is None:
-            super().sweep_overlapped(halo_ex, r, xfull, direction)
-            return
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"unknown sweep direction {direction!r}")
-        pending = halo_ex.exchange_begin(xfull)
-        # Interior colors compute while the messages are in transit ...
-        symgs_interior(self.partition, r, xfull, direction, ws=self.ws)
-        # ... land the ghosts, then finish every color's boundary rows.
-        halo_ex.exchange_finish(pending, xfull)
-        symgs_boundary(self.partition, r, xfull, direction, ws=self.ws)
-
     def sweep_overlapped_panel(
         self,
         halo_ex: HaloExchange,
@@ -240,13 +200,15 @@ class MulticolorGS(Smoother):
     ) -> None:
         """Panel sweep behind one wide exchange, interior compute first.
 
-        The §3.2.3 split at panel width: post **one** wide exchange
-        (all columns, one message per neighbor), relax every column's
-        interior color blocks while it flies, land all ghosts at once,
-        finish every column's boundary blocks.  Per column this
-        executes the same block kernels in the same order as
-        :meth:`sweep_overlapped`, so the panel schedule is bitwise-
-        per-column equal to the looped one.
+        The paper's §3.2.3 schedule applied to the smoother, extended
+        to the dependency-closed interior of *every* color: post
+        **one** wide exchange (all columns, one message per neighbor),
+        relax every column's interior color blocks while it flies,
+        land all ghosts at once, finish every column's boundary
+        blocks.  Per column the block kernels run in the same order at
+        every width, so a column's sweep does not depend on its
+        panel-mates.  Without a partition this degrades to the
+        sequential exchange-then-sweep schedule.
         """
         if self.partition is None:
             super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
@@ -254,7 +216,9 @@ class MulticolorGS(Smoother):
         if direction not in ("forward", "backward"):
             raise ValueError(f"unknown sweep direction {direction!r}")
         pending = halo_ex.exchange_begin_panel(Xfull)
+        # Interior colors compute while the messages are in transit ...
         symgs_interior_multi(self.partition, R, Xfull, direction, ws=self.ws)
+        # ... land the ghosts, then finish every color's boundary rows.
         halo_ex.exchange_finish_panel(pending, Xfull)
         symgs_boundary_multi(self.partition, R, Xfull, direction, ws=self.ws)
 
@@ -326,43 +290,6 @@ def make_smoother(
     raise ValueError(f"unknown smoother kind {kind!r}")
 
 
-def smooth_distributed(
-    smoother: Smoother,
-    halo_ex: HaloExchange,
-    r: np.ndarray,
-    xfull: np.ndarray,
-    direction: str = "forward",
-    overlap: bool = False,
-) -> None:
-    """One distributed sweep: halo exchange, then the local sweep.
-
-    With ``overlap=True`` each directional sweep runs through
-    :meth:`Smoother.sweep_overlapped` — the exchange posts first and
-    the smoother's interior color blocks hide it (bitwise-equal to the
-    sequential schedule; smoothers without a partition fall back to
-    it).  A symmetric sweep overlaps each direction's exchange
-    independently, exactly mirroring the sequential pair.
-    """
-    if overlap:
-        if direction == "symmetric":
-            smoother.sweep_overlapped(halo_ex, r, xfull, "forward")
-            smoother.sweep_overlapped(halo_ex, r, xfull, "backward")
-        else:
-            smoother.sweep_overlapped(halo_ex, r, xfull, direction)
-        return
-    halo_ex.exchange(xfull)
-    if direction == "forward":
-        smoother.forward(r, xfull)
-    elif direction == "backward":
-        smoother.backward(r, xfull)
-    elif direction == "symmetric":
-        smoother.forward(r, xfull)
-        halo_ex.exchange(xfull)
-        smoother.backward(r, xfull)
-    else:
-        raise ValueError(f"unknown sweep direction {direction!r}")
-
-
 def smooth_distributed_panel(
     smoother: Smoother,
     halo_ex: HaloExchange,
@@ -371,18 +298,18 @@ def smooth_distributed_panel(
     direction: str = "forward",
     overlap: bool = False,
 ) -> None:
-    """One distributed *panel* sweep: one wide exchange per sweep.
+    """One distributed panel sweep: one wide exchange per sweep.
 
-    The panel-native counterpart of :func:`smooth_distributed`: the
-    halo crossing before each directional sweep ships every column in
-    one wide message per neighbor, so the smoother's message count is
-    O(1) in the panel width.  With ``overlap=True`` the wide exchange
-    hides behind the whole panel's interior color blocks
-    (:meth:`Smoother.sweep_overlapped_panel`); the symmetric sweep
-    overlaps each direction's exchange independently, mirroring the
-    single-RHS pair.  Per column the schedule composes the same kernels
-    in the same order as looping :func:`smooth_distributed` over the
-    columns — bitwise-per-column equal.
+    The halo crossing before each directional sweep ships every column
+    in one wide message per neighbor, so the smoother's message count
+    is O(1) in the panel width.  With ``overlap=True`` each directional
+    sweep runs through :meth:`Smoother.sweep_overlapped_panel` — the
+    wide exchange posts first and the whole panel's interior color
+    blocks hide it (bitwise-equal to the sequential schedule; smoothers
+    without a partition fall back to it).  A symmetric sweep overlaps
+    each direction's exchange independently, exactly mirroring the
+    sequential pair.  Per column the schedule composes the same kernels
+    in the same order at every panel width.
     """
     if overlap:
         if direction == "symmetric":
@@ -402,3 +329,17 @@ def smooth_distributed_panel(
         smoother.backward_panel(R, Xfull)
     else:
         raise ValueError(f"unknown sweep direction {direction!r}")
+
+
+def smooth_distributed(
+    smoother: Smoother,
+    halo_ex: HaloExchange,
+    r: np.ndarray,
+    xfull: np.ndarray,
+    direction: str = "forward",
+    overlap: bool = False,
+) -> None:
+    """Single-vector entry point: the width-1 panel sweep."""
+    smooth_distributed_panel(
+        smoother, halo_ex, r[:, None], xfull[:, None], direction, overlap
+    )

@@ -123,29 +123,44 @@ class HaloExchange:
         xfull[: self.nlocal] = x_local
         return xfull
 
-    def exchange(self, xfull: np.ndarray) -> None:
-        """Fill the ghost segment of ``xfull`` from neighbor ranks.
+    # Wide (panel) exchange -------------------------------------------
+    # One implementation serves every width: ``XF`` is a column-major
+    # (nlocal + n_ghost, N) panel whose owned rows hold current values,
+    # and each exchange ships **one message per neighbor** carrying all
+    # N columns — the latency term is paid once per panel, not once per
+    # column.  Each neighbor's (len(send_idx), N) block lands directly
+    # in the panel's ghost-tail rows via ``recv_into``.  The transport
+    # free-lists key on shape+dtype, so every width recycles its own
+    # buffer species and the loop is zero-allocation after warmup.  One
+    # wide round counts as **one** exchange (not N), while
+    # :attr:`messages` / :attr:`sent_bytes` record the true wire
+    # traffic.  The single-vector entry points below are the width-1
+    # case: they view the vector as an ``(n, 1)`` panel and forward.
 
-        The owned segment ``xfull[:nlocal]`` must already hold current
+    def exchange_panel(self, XF: np.ndarray) -> None:
+        """Fill every column's ghost rows from neighbor ranks.
+
+        The owned rows ``XF[:nlocal]`` must already hold current
         values.  No-op on a serial communicator (no neighbors exist).
         Fully exposed: nothing computes while the messages fly.
         """
         if not self._plan:
             return
         t0 = time.perf_counter()
-        self._finish(self._begin(xfull), xfull)
+        self._finish(self._begin(XF), XF)
         dt = time.perf_counter() - t0
         self.seconds += dt
         self.exposed_seconds += dt
         self.exchanges += 1
 
-    def exchange_begin(self, xfull: np.ndarray) -> list:
-        """Pack and post every send; return the pending receive plan.
+    def exchange_begin_panel(self, XF: np.ndarray) -> list:
+        """Pack and post one wide send per neighbor; return the pending
+        receive plan.
 
         This is the paper's asynchronous structure (§3.2.3): the halo
         is put in flight, the caller computes interior rows, and
-        :meth:`exchange_finish` lands the ghosts before boundary rows.
-        Sends are buffered (the transport copies into a recycled
+        :meth:`exchange_finish_panel` lands the ghosts before boundary
+        rows.  Sends are buffered (the transport copies into a recycled
         message buffer before returning), so the pooled staging buffers
         are immediately reusable and the whole begin/finish pair
         allocates nothing after warmup.
@@ -153,10 +168,38 @@ class HaloExchange:
         if not self._plan:
             return []
         t0 = time.perf_counter()
-        pending = self._begin(xfull)
+        pending = self._begin(XF)
         self.seconds += time.perf_counter() - t0
         self.exchanges += 1
         return pending
+
+    def exchange_finish_panel(self, pending: list, XF: np.ndarray) -> None:
+        """Land each neighbor's wide message in the panel's ghost rows.
+
+        The ghost-tail layout *is* the receive buffer: each message is
+        received straight into its ``XF`` rows (``recv_into``), with no
+        unpack staging.
+        """
+        if not pending:
+            return
+        t0 = time.perf_counter()
+        self._finish(pending, XF)
+        dt = time.perf_counter() - t0
+        self.seconds += dt
+        self.exposed_seconds += dt
+
+    def exchange(self, xfull: np.ndarray) -> None:
+        """Blocking exchange of one full vector (the width-1 panel)."""
+        self.exchange_panel(xfull[:, None])
+
+    def exchange_begin(self, xfull: np.ndarray) -> list:
+        """Post one vector's halo (the width-1 panel); see
+        :meth:`exchange_begin_panel`."""
+        return self.exchange_begin_panel(xfull[:, None])
+
+    def exchange_finish(self, pending: list, xfull: np.ndarray) -> None:
+        """Land one vector's ghosts (the width-1 panel)."""
+        self.exchange_finish_panel(pending, xfull[:, None])
 
     def _seq_offset(self) -> int:
         """Advance the exchange round; return its tag offset."""
@@ -164,79 +207,7 @@ class HaloExchange:
         self._seq += 1
         return off
 
-    def _begin(self, xfull: np.ndarray) -> list:
-        comm = self.comm
-        seq = self._seq_offset()
-        pending = []
-        for i, (nb, send_idx, send_tag, recv_tag, ghost_slice) in enumerate(
-            self._plan
-        ):
-            buf = self.ws.get(("halo.send", i), (len(send_idx),), xfull.dtype)
-            np.take(xfull, send_idx, out=buf, mode="clip")
-            comm.isend(buf, nb, send_tag + seq)
-            self.messages += 1
-            self.sent_bytes += buf.nbytes
-            pending.append((nb, recv_tag + seq, ghost_slice))
-        return pending
-
-    def exchange_finish(self, pending: list, xfull: np.ndarray) -> None:
-        """Land each neighbor's message directly in the ghost tail.
-
-        The ghost-tail layout *is* the receive buffer: each message is
-        received straight into its ``xfull`` segment (``recv_into``),
-        with no unpack staging.
-        """
-        if not pending:
-            return
-        t0 = time.perf_counter()
-        self._finish(pending, xfull)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-
-    def _finish(self, pending: list, xfull: np.ndarray) -> None:
-        comm = self.comm
-        for nb, recv_tag, ghost_slice in pending:
-            comm.recv_into(
-                nb, recv_tag, xfull[ghost_slice], timeout=self.deadline
-            )
-
-    # Wide (panel) exchange -------------------------------------------
-    # One message per neighbor per exchange, N columns coalesced: the
-    # latency term is paid once per panel instead of once per column.
-    # ``XF`` is a column-major (nlocal + n_ghost, N) panel whose owned
-    # rows hold current values; each neighbor's (len(send_idx), N)
-    # block lands directly in the panel's ghost-tail rows via
-    # ``recv_into``.  The per-channel transport free-lists already key
-    # on shape+dtype, so wide messages recycle their own buffer species
-    # and the loop is zero-allocation after warmup.  Counter semantics
-    # mirror the single-vector methods: one wide round is **one**
-    # exchange (not N), while :attr:`messages`/:attr:`sent_bytes`
-    # record the true wire traffic.
-
-    def exchange_panel(self, XF: np.ndarray) -> None:
-        """Blocking wide exchange: fill every column's ghost rows."""
-        if not self._plan:
-            return
-        t0 = time.perf_counter()
-        self._finish_panel(self._begin_panel(XF), XF)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-        self.exchanges += 1
-
-    def exchange_begin_panel(self, XF: np.ndarray) -> list:
-        """Pack and post one wide message per neighbor; return the
-        pending receive plan (the §3.2.3 split, panel-wide)."""
-        if not self._plan:
-            return []
-        t0 = time.perf_counter()
-        pending = self._begin_panel(XF)
-        self.seconds += time.perf_counter() - t0
-        self.exchanges += 1
-        return pending
-
-    def _begin_panel(self, XF: np.ndarray) -> list:
+    def _begin(self, XF: np.ndarray) -> list:
         comm = self.comm
         ncol = XF.shape[1]
         seq = self._seq_offset()
@@ -244,9 +215,7 @@ class HaloExchange:
         for i, (nb, send_idx, send_tag, recv_tag, ghost_slice) in enumerate(
             self._plan
         ):
-            buf = self.ws.get(
-                ("halo.send.panel", i), (len(send_idx), ncol), XF.dtype
-            )
+            buf = self.ws.get(("halo.send", i), (len(send_idx), ncol), XF.dtype)
             np.take(XF, send_idx, axis=0, out=buf, mode="clip")
             comm.isend(buf, nb, send_tag + seq)
             self.messages += 1
@@ -254,17 +223,7 @@ class HaloExchange:
             pending.append((nb, recv_tag + seq, ghost_slice))
         return pending
 
-    def exchange_finish_panel(self, pending: list, XF: np.ndarray) -> None:
-        """Land each neighbor's wide message in the panel's ghost rows."""
-        if not pending:
-            return
-        t0 = time.perf_counter()
-        self._finish_panel(pending, XF)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-
-    def _finish_panel(self, pending: list, XF: np.ndarray) -> None:
+    def _finish(self, pending: list, XF: np.ndarray) -> None:
         comm = self.comm
         for nb, recv_tag, ghost_slice in pending:
             comm.recv_into(

@@ -30,10 +30,12 @@ step; the true double-precision residual is recomputed at every outer
 (restart) boundary and has final say.  Iteration counts — the quantity
 the validation phase penalizes — count inner Arnoldi steps.
 
-Every hot operation dispatches through :mod:`repro.backends`, and all
-O(n) temporaries live in a solver-owned workspace arena: after the
-first (warmup) restart cycle the inner Arnoldi loop performs zero
-array allocations, which the allocation regression test asserts.
+There is one restart-cycle loop, :meth:`GMRESIRSolver.solve_panel`;
+``solve(b)`` is its width-1 case.  Every hot operation dispatches
+through :mod:`repro.backends`, and all O(n) temporaries (Krylov bases
+included) are leased from a solver-owned workspace arena: after warmup
+the loop allocates nothing at any panel width, which the allocation
+regression tests assert.
 """
 
 from __future__ import annotations
@@ -136,9 +138,10 @@ class GMRESIRSolver:
     Construction performs the benchmark's setup work: the double
     operator, the low-precision matrix copy (when the policy needs
     one), the multigrid hierarchy on the policy's per-level precision
-    schedule, and the preallocated workspace buffers the hot loop runs
-    in.  ``solve`` may then be called repeatedly (the timed benchmark
-    phase re-solves from a zero guess until its time budget is spent).
+    schedule.  ``solve`` / ``solve_panel`` may then be called
+    repeatedly (the timed benchmark phase re-solves from a zero guess
+    until its time budget is spent); the hot loop's buffers are leased
+    from the workspace arena on first use and kept.
 
     ``escalation`` configures the stall/floor detector; pass ``False``
     (or :data:`repro.fp.ladder.NO_ESCALATION`) to pin the policy for
@@ -209,18 +212,12 @@ class GMRESIRSolver:
             self.overlap_symgs = self.overlap
         else:
             self.overlap_symgs = bool(overlap_symgs)
-        # Fused-motif kernels (spmv_dot / waxpby_dot): the residual
-        # check's subtraction and dot ride the SpMV's memory pass.
+        # Fused-motif kernels (waxpby_dot / gemv_sub_dot): the residual
+        # check's subtraction and dot share one vector pass.
         # Numerically identical to the unfused sequence (bitwise under
         # the reference backend); off for ablation (--no-fusion).
         self.fusion = bool(fusion)
         self._orthogonalize = ORTHO_METHODS[ortho]
-        # Fused CGS2: the second projection's GEMV, subtraction and
-        # the norm's local reduction share one registry motif
-        # (bitwise-identical composition under the reference backend).
-        self._ortho_fused = (
-            cgs2_fused if (self.fusion and ortho == "cgs2") else None
-        )
         self.timers = timers if timers is not None else NullTimers()
         # Leased-pool integration: a caller (the batched benchmark, a
         # service front end) may hand in an already-warm arena from a
@@ -255,9 +252,12 @@ class GMRESIRSolver:
                 self.matrix_format = plan.solver_format()
                 self.format_params = dict(plan.solver_format_params())
                 self.fusion = plan.solver_fusion()
-                self._ortho_fused = (
-                    cgs2_fused if (self.fusion and ortho == "cgs2") else None
-                )
+        # Fused CGS2: the second projection's GEMV, subtraction and
+        # the norm's local reduction share one registry motif
+        # (bitwise-identical composition under the reference backend).
+        self._ortho_fused = (
+            cgs2_fused if (self.fusion and ortho == "cgs2") else None
+        )
         self._format_key = (
             self.matrix_format,
             tuple(sorted(self.format_params.items())),
@@ -303,9 +303,9 @@ class GMRESIRSolver:
             ),
         )
 
-        # Double-precision operator for outer residuals, and the outer
-        # residual buffer — both policy-independent (always fp64), so
-        # they survive ladder promotions unchanged.
+        # Double-precision operator for outer residuals:
+        # policy-independent (always fp64), so it survives ladder
+        # promotions unchanged.
         self.op64 = DistributedOperator(
             self.A64,
             problem.halo,
@@ -314,7 +314,6 @@ class GMRESIRSolver:
             overlap=self.overlap,
             partition=self._setup_partition(self.A64, "fp64"),
         )
-        self._r64 = np.zeros(problem.nlocal, dtype=np.float64)
 
         # Resilience: ABFT column-sum checksums, computed ONCE in fp64
         # from A64 and cached with the other setup products.  Scaled
@@ -332,11 +331,11 @@ class GMRESIRSolver:
             self.op64.attach_abft(
                 ABFTCheck(c, cabs, self._abft_tol(np.float64))
             )
-        # Givens QR state and the Hessenberg-column staging buffer are
-        # policy-independent (always fp64) and fully reset per restart
-        # cycle, so one allocation serves every solve — repeated
-        # ``solve`` calls on a reused solver perform no setup allocs.
-        self._qr = GivensQR(restart)
+        # Givens QR state (one per panel column slot, grown on demand
+        # by ``_slot``) and the Hessenberg-column staging buffer are
+        # always fp64 and fully reset per restart cycle, so one
+        # allocation serves every solve on a reused solver.
+        self._qrs: list[GivensQR] = []
         self._hcol = np.zeros(restart + 1, dtype=np.float64)
 
         self.mg_config = mg_config or MGConfig()
@@ -383,9 +382,10 @@ class GMRESIRSolver:
         """(Re)build every precision-dependent piece for ``policy``.
 
         Called at construction and again by the escalation controller
-        after each promotion: the inner operator, the multigrid
-        hierarchy (on the policy's per-level schedule), the Krylov
-        basis and the hot-loop buffers all change dtype with the rung.
+        after each promotion: the inner operator and the multigrid
+        hierarchy (on the policy's per-level schedule) are rebuilt; the
+        Krylov bases and hot-loop panels are arena leases keyed by
+        dtype, so they follow the rung on their next lease.
         """
         self.policy = policy
 
@@ -471,28 +471,10 @@ class GMRESIRSolver:
             )
             self.M.timers = self.timers
 
-        # Krylov basis and hot-loop vector buffers, preallocated once
-        # per rung.
-        n = self.problem.nlocal
-        restart = self.restart
-        basis_dtype = policy.krylov_basis.dtype
-        self.Q = np.zeros((n, restart + 1), dtype=basis_dtype)
-        self._w_op = np.zeros(n, dtype=self.op_inner.dtype)
-        self._u = np.zeros(n, dtype=basis_dtype)
-        if self.op_inner.dtype != basis_dtype:
-            self._w_basis = np.zeros(n, dtype=basis_dtype)
-        else:
-            self._w_basis = self._w_op
-        prec_dtype = self.M.precision.dtype
-        self._z_prec = np.zeros(n, dtype=prec_dtype)
-        if prec_dtype != self.op_inner.dtype:
-            self._z_op = np.zeros(n, dtype=self.op_inner.dtype)
-        else:
-            self._z_op = None  # preconditioner output feeds SpMV directly
         # Basis-precision staging for the least-squares solution (the
-        # update's ``y`` cast), sliced per cycle length — no per-cycle
-        # allocation on a reused solver.
-        self._ycast = np.zeros(restart, dtype=basis_dtype)
+        # update's ``y`` cast), sliced per cycle length.  Everything
+        # O(n) is leased from the arena per rung (``_slot``/``get_panel``).
+        self._ycast = np.zeros(self.restart, dtype=policy.krylov_basis.dtype)
 
     # ------------------------------------------------------------------
     def _halo_exchanges(self) -> list:
@@ -555,72 +537,120 @@ class GMRESIRSolver:
             ex.reset_counters()
 
     # ------------------------------------------------------------------
-    def _relres(self, rho: float) -> float:
-        return rho / self._rho0 if self._rho0 else np.inf
-
-    def _export_setup_stats(self, *stats: SolverStats) -> None:
-        """Snapshot the setup cache's counters into the stats records."""
-        hits = self.setup_cache.hits if self.setup_cache is not None else 0
-        misses = self.setup_cache.misses if self.setup_cache is not None else 0
-        for s in stats:
-            s.setup_cache_hits = hits
-            s.setup_cache_misses = misses
-
-    def _apply_events(self, stats: SolverStats, events: list[PrecisionEvent]) -> None:
-        """Record the plane's rung changes and rebuild the inner stage.
+    def _apply_events(
+        self, stats: list[SolverStats], events: list[PrecisionEvent]
+    ) -> None:
+        """Record the plane's rung changes (on every column still in
+        the panel: one schedule serves them all) and rebuild the inner
+        stage.
 
         A caller-supplied preconditioner is abandoned here: it sits on
         the old schedule — often containing the very component whose
         roundoff floor triggered the change — so the rebuild constructs
         a fresh hierarchy on the plane's live schedule instead.
         """
-        stats.promotions.extend(events)
+        for s in stats:
+            s.promotions.extend(events)
         self._shared_precond = None
         self._bind_policy(self.plane.live_policy())
 
-    def _replay_fault(
-        self,
-        fault: Exception,
-        stats: SolverStats,
-        x: np.ndarray,
-        x_ckpt: np.ndarray | None,
-    ) -> bool:
-        """Recover from a fault detected inside a restart cycle.
+    def _replay_fault(self, fault: Exception, live: list[SolverStats]) -> bool:
+        """Judge a fault detected inside the restart cycle of ``live``.
 
-        Returns ``True`` after restoring the restart-boundary
-        checkpoint, charging the replay budget and promoting the
-        binding ingredient one rung through the control plane's
-        breakdown path (a corrupted low-precision unit retries with
-        more headroom); ``False`` tells the caller to re-raise —
+        The lockstep cycle is shared, so every active column records
+        the fault and the replay.  ``True`` tells the caller to restore
+        the restart-boundary checkpoint and go again: the replay budget
+        is charged and the binding ingredient promoted one rung through
+        the control plane's breakdown path (a corrupted low-precision
+        unit retries with more headroom).  ``False`` means re-raise —
         resilience off, finite guards off for a breakdown, or the
         replay budget spent (the persistent-fault escape hatch).
         """
-        res, rstats = self.resilience, stats.resilience
-        if res is None or rstats is None or x_ckpt is None:
+        res = self.resilience
+        if res is None:
             return False
-        if isinstance(fault, FaultDetectedError):
-            rstats.detected += 1
-        else:
-            if not res.finite_guards:
-                return False
-            rstats.breakdowns += 1
-        if rstats.replays >= res.max_replays:
+        detected = isinstance(fault, FaultDetectedError)
+        if not detected and not res.finite_guards:
             return False
-        rstats.replays += 1
-        np.copyto(x, x_ckpt)
+        for s in live:
+            if detected:
+                s.resilience.detected += 1
+            else:
+                s.resilience.breakdowns += 1
+        # Columns only ever leave the panel, so every active column has
+        # been through every replay so far: any of them holds the count.
+        if live[0].resilience.replays >= res.max_replays:
+            return False
+        for s in live:
+            s.resilience.replays += 1
         events = self.plane.observe_fault(
-            stats.final_relres, stats.iterations, stats.restarts
+            max(s.final_relres for s in live),
+            max(s.iterations for s in live),
+            max(s.restarts for s in live),
         )
         if events:
-            self._apply_events(stats, events)
+            self._apply_events(live, events)
         return True
 
-    @staticmethod
-    def _note_recovery(stats: SolverStats) -> None:
-        """Mark a converged solve that needed at least one replay."""
-        rs = stats.resilience
-        if rs is not None and rs.replays and stats.converged:
-            rs.recovered = 1
+    def _slot(self, j: int) -> tuple[np.ndarray, GivensQR]:
+        """Column slot ``j``'s Krylov basis (live rung) and Givens QR.
+
+        Leased, not allocated per solve — the basis from the workspace
+        arena (zeroed when first leased), the rung-independent QR from
+        a solver-owned list — so repeated solves re-warm nothing.
+        """
+        shape = (self.problem.nlocal, self.restart + 1)
+        misses = self.ws.misses
+        Q = self.ws.get(("gmres.basis", j), shape, self.policy.krylov_basis.dtype)
+        if self.ws.misses != misses:
+            Q[:] = 0
+        while len(self._qrs) <= j:
+            self._qrs.append(GivensQR(self.restart))
+        return Q, self._qrs[j]
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The Krylov basis of column slot 0 (a solo solve's basis)."""
+        return self._slot(0)[0]
+
+    def _outer_residuals(
+        self, B: np.ndarray, X: np.ndarray, cols: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Line 7 for columns ``cols``: the fp64 residual panel and its
+        global norms, in one matrix pass.
+
+        Fused, each column's subtraction and local dot share a vector
+        pass (``waxpby_dot_multi``) — bitwise-identical to the unfused
+        sequence under the reference backend; either way the norms
+        cross ranks in ONE vector all-reduce.
+        """
+        n, ncol = self.problem.nlocal, len(cols)
+        Bact = self.ws.get_panel("panel.b", n, ncol, np.float64)
+        Xact = self.ws.get_panel("panel.x", n, ncol, np.float64)
+        Ract = self.ws.get_panel("panel.r", n, ncol, np.float64)
+        for i, j in enumerate(cols):
+            np.copyto(Bact[:, i], B[:, j])
+            np.copyto(Xact[:, i], X[:, j])
+        with self.timers.section("spmv"):
+            if self.fusion:
+                locals_sq = self.op64.residual_panel_norm2_local(
+                    Bact, Xact, out=Ract
+                )
+            else:
+                self.op64.residual_panel(Bact, Xact, out=Ract)
+        with self.timers.section("dot"):
+            if not self.fusion:
+                locals_sq = dot_multi(Ract, Ract)
+            rhos = dnorm2_panel_from_local(self.comm, locals_sq)
+        if not np.all(np.isfinite(rhos)):
+            # NaN/inf never compares <= abs_tol: unguarded, the solver
+            # burns to maxiter on poisoned state.  Typed abort (or,
+            # with resilience enabled, a checkpoint replay).
+            bad = int(np.flatnonzero(~np.isfinite(rhos))[0])
+            raise NumericalBreakdownError(
+                f"outer residual norm (column {cols[bad]})", float(rhos[bad])
+            )
+        return Ract, rhos
 
     # ------------------------------------------------------------------
     def solve(
@@ -632,223 +662,21 @@ class GMRESIRSolver:
         target_residual: float | None = None,
         cancel=None,
     ) -> tuple[np.ndarray, SolverStats]:
-        """Solve ``A x = b``.
+        """Solve ``A x = b``: the width-1 :meth:`solve_panel`.
 
-        Parameters
-        ----------
-        tol:
-            Relative-residual convergence tolerance (vs ``||b||``).
-        maxiter:
-            Cap on total inner iterations.
-        target_residual:
-            Optional *absolute* residual-norm target overriding ``tol``
-            (the full-scale validation mode converges GMRES-IR to the
-            residual the double solver achieved).
-        cancel:
-            Optional zero-argument callable polled at every restart
-            boundary; returning ``True`` stops the solve there (the
-            partial iterate and a true final residual are still
-            returned, with ``stats.cancelled`` set).  Restart-boundary
-            granularity keeps the workspace and setup cache consistent
-            — a cycle either runs whole or not at all — and ``None``
-            (the default) is bitwise-identical to the historical path.
+        Same parameters, except that ``cancel`` is a *zero-argument*
+        callable; returns the iterate and its one :class:`SolverStats`.
         """
-        comm, timers = self.comm, self.timers
-        n = self.problem.nlocal
-        m = self.restart
+        X, stats = self.solve_panel(
+            b[:, None],
+            None if x0 is None else x0[:, None],
+            tol=tol,
+            maxiter=maxiter,
+            target_residual=target_residual,
+            cancel=None if cancel is None else lambda j: cancel(),
+        )
+        return X[:, 0], stats[0]
 
-        x = np.zeros(n, dtype=np.float64) if x0 is None else x0.astype(np.float64)
-        stats = SolverStats()
-        self._export_setup_stats(stats)
-        self.plane.reset_observation()
-
-        with timers.section("dot"):
-            rho0 = dnorm2(comm, b)
-        stats.rho0 = rho0
-        self._rho0 = rho0
-        if rho0 == 0.0:
-            stats.converged = True
-            stats.final_relres = 0.0
-            return x, stats
-        abs_tol = target_residual if target_residual is not None else tol * rho0
-
-        r64 = self._r64
-        qr = self._qr
-
-        # Resilience: checkpoint buffer + per-solve counters.  ``None``
-        # (the default) skips both the copy and the stats block — the
-        # hot loop pays one ``is None`` test per restart boundary.
-        x_ckpt = None
-        if self.resilience is not None:
-            stats.resilience = ResilienceStats()
-            x_ckpt = self.ws.get("gmres.ckpt", (n,), np.float64)
-
-        while stats.iterations < maxiter:
-            if x_ckpt is not None:
-                # Restart-boundary checkpoint: a fault detected inside
-                # this cycle discards it and replays from here.  The
-                # copy reads state only, so a fault-free run is bitwise
-                # identical with or without it.
-                np.copyto(x_ckpt, x)
-            try:
-                # --- outer (iterative-refinement) step: double precision ---
-                # Fused: the residual subtraction and its local dot ride
-                # the SpMV's memory pass (spmv_dot / waxpby_dot); only the
-                # scalar reduction crosses ranks.  Bitwise-identical to
-                # the unfused sequence under the reference backend.
-                if self.fusion:
-                    with timers.section("spmv"):
-                        local = self.op64.residual_norm2_local(b, x, out=r64)
-                    with timers.section("dot"):
-                        rho = dnorm2_from_local(comm, local)
-                else:
-                    with timers.section("spmv"):
-                        self.op64.residual(b, x, out=r64)  # line 7, fp64
-                    with timers.section("dot"):
-                        rho = dnorm2(comm, r64)
-                stats.final_relres = rho / rho0
-                if not np.isfinite(rho):
-                    # NaN/inf never compares <= abs_tol: without this
-                    # guard the solver silently burns iterations to
-                    # maxiter on poisoned state.  Typed abort (or, with
-                    # resilience enabled, a checkpoint replay).
-                    raise NumericalBreakdownError("outer residual norm", rho)
-                if rho <= abs_tol:
-                    stats.converged = True
-                    self._note_recovery(stats)
-                    self._export_setup_stats(stats)
-                    return x, stats
-
-                # --- cancellation checkpoint (restart-boundary granularity) ---
-                if cancel is not None and cancel():
-                    stats.cancelled = True
-                    break
-
-                # --- precision control plane: judge the restart boundary ---
-                # Stagnation promotes the binding rung (whole policy in
-                # "policy" mode, the lowest-rung controllers otherwise);
-                # sustained recovery demotes per-ingredient controllers
-                # after the hysteresis window.
-                events = self.plane.observe_restart(
-                    rho, self._relres(rho), stats.iterations, stats.restarts
-                )
-                if events:
-                    self._apply_events(stats, events)
-
-                # Per-rung bindings (a promotion above replaces these).
-                Q = self.Q
-                basis_dtype = self.policy.krylov_basis.dtype
-
-                # Start a restart cycle (lines 11-13).
-                qr.start(rho)
-                np.divide(r64, rho, out=Q[:, 0])  # casts to the basis dtype
-                stats.restarts += 1
-
-                k = 0
-                rho_implicit = rho
-                while k < m and stats.iterations < maxiter:
-                    # --- inner Arnoldi step, low precision allowed ---
-                    qk = Q[:, k]
-                    z = self.M.apply(qk, out=self._z_prec)  # line 18: MG precond
-                    if self._z_op is not None:
-                        np.copyto(self._z_op, z)  # precision cast, no alloc
-                        z = self._z_op
-                    with timers.section("spmv"):
-                        self.op_inner.matvec(z, out=self._w_op)  # line 19
-                    w = self._w_basis
-                    if w is not self._w_op:
-                        np.copyto(w, self._w_op)
-
-                    with timers.section("ortho"):
-                        if self._ortho_fused is not None:
-                            # lines 20-27 with the norm's local reduction
-                            # fused into the second projection pass.
-                            h, local = self._ortho_fused(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2_from_local(comm, local)
-                        else:
-                            h = self._orthogonalize(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )  # lines 20-27
-                            beta = dnorm2(comm, w)
-
-                    stats.iterations += 1
-                    # (Near-)breakdown: the new direction is numerically
-                    # dependent on the basis at this precision.  End the
-                    # cycle without the degenerate column; the IR outer loop
-                    # restarts from a fresh double-precision residual.
-                    pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
-                    if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
-                        pre_ortho_norm, 1e-300
-                    ):
-                        stats.breakdown = True
-                        break
-
-                    np.divide(
-                        w, np.asarray(beta, dtype=basis_dtype), out=Q[:, k + 1]
-                    )  # lines 28-30
-                    with timers.section("qr_host"):
-                        # Stage the Hessenberg column in the preallocated
-                        # buffer (add_column copies, so the view is safe).
-                        col = self._hcol[: k + 2]
-                        col[: k + 1] = h
-                        col[k + 1] = beta
-                        rho_implicit = qr.add_column(col)  # lines 31-43
-                    k += 1
-                    stats.implicit_history.append(rho_implicit / rho0)
-                    if rho_implicit <= abs_tol:
-                        break  # lines 15-17: implicit convergence
-                self.plane.cycle_completed()
-
-                stats.cycle_lengths.append(k)
-                if k > 0:
-                    # --- solution update (lines 45-47) ---
-                    with timers.section("qr_host"):
-                        y = qr.solve(k)  # t <- H^{-1} t
-                    with timers.section("ortho"):
-                        yc = self._ycast[:k]
-                        np.copyto(yc, y)  # basis-precision cast, no alloc
-                        gemv(Q, k, yc, out=self._u)  # r <- Q t
-                    z = self.M.apply(self._u, out=self._z_prec)  # M^{-1} r
-                    with timers.section("waxpby"):
-                        np.add(x, z, out=x)  # fp64 update mandated
-                elif stats.breakdown:
-                    # Breakdown with an empty cycle: this precision cannot
-                    # extend the basis at all.  With rungs left on the
-                    # ladder, promote and retry; otherwise further restarts
-                    # would spin.
-                    events = self.plane.observe_breakdown(
-                        rho, self._relres(rho), stats.iterations, stats.restarts
-                    )
-                    if events:
-                        self._apply_events(stats, events)
-                        stats.breakdown = False
-                        continue
-                    break
-            except (FaultDetectedError, NumericalBreakdownError) as fault:
-                if not self._replay_fault(fault, stats, x, x_ckpt):
-                    raise
-                continue
-
-        # Final true residual (covers the maxiter and breakdown exits).
-        if self.fusion:
-            with timers.section("spmv"):
-                local = self.op64.residual_norm2_local(b, x, out=r64)
-            with timers.section("dot"):
-                rho = dnorm2_from_local(comm, local)
-        else:
-            with timers.section("spmv"):
-                self.op64.residual(b, x, out=r64)
-            with timers.section("dot"):
-                rho = dnorm2(comm, r64)
-        stats.final_relres = rho / rho0
-        stats.converged = rho <= abs_tol
-        self._note_recovery(stats)
-        self._export_setup_stats(stats)
-        return x, stats
-
-    # ------------------------------------------------------------------
     def solve_panel(
         self,
         B: np.ndarray,
@@ -860,58 +688,67 @@ class GMRESIRSolver:
     ) -> tuple[np.ndarray, list[SolverStats]]:
         """Solve ``A X = B`` for a panel of right-hand sides at once.
 
-        ``B`` is ``(nlocal, N)`` (any layout; consumed column-major).
-        All active columns advance in lockstep restart cycles so the
-        operator applications become *panel* kernels: one
-        ``matvec_panel`` / ``apply_panel`` / fused panel residual per
-        step, with the matrix block charged **once** per panel (the
-        amortization ``DistributedOperator.matrix_passes`` /
-        ``rhs_columns`` records).  Per column the arithmetic sequence —
-        residuals, projections, Givens rotations, convergence tests —
-        is exactly the single-RHS :meth:`solve` sequence, so every
-        column's result is bitwise-equal to solving it alone (the
-        acceptance test for the batched pipeline).
+        The solver's one restart-cycle loop (:meth:`solve` is its
+        width-1 case).  ``B`` is ``(nlocal, N)`` (any layout; consumed
+        column-major).  All active columns advance in lockstep restart
+        cycles so the operator applications are *panel* kernels: one
+        ``matvec_panel`` / ``apply_panel`` / panel residual per step,
+        the matrix block charged **once** per panel (the amortization
+        ``DistributedOperator.matrix_passes`` / ``rhs_columns``
+        records).  Per column the arithmetic sequence does not depend
+        on the panel-mates, so every column's result is bitwise-equal
+        to solving it alone (the batched pipeline's acceptance test).
 
-        Columns **deflate**: a column that converges at a restart
-        boundary (or exhausts ``maxiter``) leaves the panel and later
-        cycles run narrower.  The precision control plane is consulted
-        once per panel boundary (on the worst active column) — a rung
-        change rebinds the whole panel, exactly one schedule for all
-        columns.
+        Parameters
+        ----------
+        tol:
+            Relative-residual convergence tolerance (vs ``||b||``, per
+            column).
+        maxiter:
+            Cap on each column's total inner iterations.
+        target_residual:
+            Optional *absolute* residual-norm target overriding ``tol``
+            (the full-scale validation mode converges GMRES-IR to the
+            residual the double solver achieved).
+        cancel:
+            Optional one-argument callable polled per column
+            (``cancel(j) -> bool``) at every restart boundary; ``True``
+            stops column ``j`` there (its partial iterate and true
+            boundary residual are still returned, with
+            ``stats[j].cancelled`` set).  Restart-boundary granularity
+            keeps the workspace and setup cache consistent — a cycle
+            either runs whole or not at all.
 
-        ``cancel``, when given, is a one-argument callable polled per
-        column (``cancel(j) -> bool``) at every panel boundary: a
-        ``True`` deflates column ``j`` exactly like convergence would
-        — it leaves the panel mid-solve with ``stats[j].cancelled``
-        set and its boundary residual recorded — while the surviving
-        columns' arithmetic is untouched (deflation is already the
-        panel's contract).  ``None`` (the default) is bitwise-identical
-        to the historical path.
+        Columns **deflate**: one that converges, is cancelled, or
+        exhausts ``maxiter`` leaves the panel at the restart boundary
+        that recorded its final true residual, and later cycles run
+        narrower.  The precision control plane is consulted once per
+        boundary (on the worst active column); a rung change rebinds
+        the whole panel — one schedule for all columns.  With a
+        :class:`~repro.resilience.config.ResilienceConfig` the active
+        columns are checkpointed at every boundary, and a fault
+        detected inside the cycle (ABFT mismatch, non-finite residual)
+        discards it and replays from there, within ``max_replays``.
 
-        Returns ``(X, stats)`` with one :class:`SolverStats` per
-        column.
+        Returns ``(X, stats)``, one :class:`SolverStats` per column.
         """
         comm, timers = self.comm, self.timers
-        n = self.problem.nlocal
-        m = self.restart
+        n, m = self.problem.nlocal, self.restart
 
         B = np.asarray(B)
         if B.ndim != 2 or B.shape[0] != n:
-            raise ValueError(
-                f"B must be (nlocal, N) = ({n}, *), got {B.shape}"
-            )
+            raise ValueError(f"B must be (nlocal, N) = ({n}, *), got {B.shape}")
         ncol = B.shape[1]
         X = np.zeros((n, ncol), dtype=np.float64, order="F")
         if X0 is not None:
             X[:] = X0
         stats = [SolverStats() for _ in range(ncol)]
-        self._export_setup_stats(*stats)
         self.plane.reset_observation()
 
         with timers.section("dot"):
             # Batched: N local dots, then ONE vector all-reduce — each
-            # entry bitwise-equal to the per-column dnorm2 it replaces
-            # (same local kernel, same fixed-rank-order reduction).
+            # entry bitwise-equal to a per-column dnorm2 (same local
+            # kernel, same fixed-rank-order reduction).
             rho0 = dnorm2_panel_from_local(comm, dot_multi(B, B))
         for j in range(ncol):
             stats[j].rho0 = rho0[j]
@@ -924,268 +761,213 @@ class GMRESIRSolver:
             abs_tol = tol * rho0
         active = [j for j in range(ncol) if rho0[j] != 0.0]
 
-        # Per-column Krylov state (basis + QR); the basis reallocates
-        # on a rung change, the QR factorizations are rung-independent.
-        basis_dtype = self.policy.krylov_basis.dtype
-        Qs = {j: np.zeros((n, m + 1), dtype=basis_dtype) for j in active}
-        qrs = {j: GivensQR(m) for j in active}
+        # Resilience: checkpoint panel + per-column counters.  ``None``
+        # (the default) skips both — the loop pays one ``is None`` test
+        # per restart boundary.
+        ckpt = None
+        if self.resilience is not None:
+            for s in stats:
+                s.resilience = ResilienceStats()
+            ckpt = self.ws.get_panel("gmres.ckpt", n, ncol, np.float64)
         # Columns stopped for good by an empty-cycle breakdown with no
-        # rung left to promote (the solo solver's `break` exit).  A
-        # breakdown with k > 0 does NOT halt a column — like the solo
-        # solver it updates and keeps restarting (the flag stays in
-        # its stats).
+        # rung left to promote (a breakdown with k > 0 does NOT halt a
+        # column: it updates and keeps restarting).
         halted: set[int] = set()
 
         while active:
-            nact = len(active)
-            # --- panel outer (IR) step: one fp64 matrix pass for all
-            # active columns; per-column local dots ride the fused
-            # waxpby passes (bitwise-equal to the solo sequence) ---
-            Bact = self.ws.get_panel("panel.b", n, nact, np.float64)
-            Xact = self.ws.get_panel("panel.x", n, nact, np.float64)
-            Ract = self.ws.get_panel("panel.r", n, nact, np.float64)
-            for i, j in enumerate(active):
-                np.copyto(Bact[:, i], B[:, j])
-                np.copyto(Xact[:, i], X[:, j])
-            with timers.section("spmv"):
-                locals_sq = self.op64.residual_panel_norm2_local(
-                    Bact, Xact, out=Ract
-                )
-            with timers.section("dot"):
-                # One vector all-reduce for the whole panel's norms
-                # (O(1) collectives in the panel width).
-                rhos = dnorm2_panel_from_local(comm, locals_sq)
-            if not np.all(np.isfinite(rhos)):
-                # Typed abort instead of burning every column to
-                # maxiter on poisoned state.  The panel path has no
-                # per-cycle replay (lockstep columns share one
-                # schedule); the service's retry path re-runs the
-                # whole batch instead.
-                bad = int(np.flatnonzero(~np.isfinite(rhos))[0])
-                raise NumericalBreakdownError(
-                    f"panel outer residual norm (column {active[bad]})",
-                    float(rhos[bad]),
-                )
+            if ckpt is not None:
+                # Restart-boundary checkpoint: a fault detected inside
+                # this cycle discards it and replays from here.  Reads
+                # state only: a fault-free run is bitwise identical.
+                for j in active:
+                    np.copyto(ckpt[:, j], X[:, j])
+            try:
+                # --- outer (iterative-refinement) step: double precision ---
+                Ract, rhos = self._outer_residuals(B, X, active)
 
-            # --- convergence + deflation at the panel boundary ---
-            cycle_cols: list[tuple[int, int]] = []
-            worst: tuple[float, float] | None = None
-            for i, j in enumerate(active):
-                stats[j].final_relres = rhos[i] / rho0[j]
-                if rhos[i] <= abs_tol[j]:
-                    stats[j].converged = True
-                elif cancel is not None and cancel(j):
-                    # Cancellation deflates the column at the boundary
-                    # — the panel's normal narrowing path, so the other
-                    # columns' lockstep arithmetic is unaffected.
-                    stats[j].cancelled = True
-                elif stats[j].iterations < maxiter and j not in halted:
-                    cycle_cols.append((i, j))
-                    relres = rhos[i] / rho0[j] if rho0[j] else np.inf
-                    if worst is None or relres > worst[1]:
-                        worst = (rhos[i], relres)
-            if not cycle_cols:
-                break
-
-            # --- precision control plane: one verdict per panel ---
-            events = self.plane.observe_restart(
-                worst[0],
-                worst[1],
-                max(stats[j].iterations for _, j in cycle_cols),
-                max(stats[j].restarts for _, j in cycle_cols),
-            )
-            if events:
-                for _, j in cycle_cols:
-                    stats[j].promotions.extend(events)
-                self._shared_precond = None
-                self._bind_policy(self.plane.live_policy())
-                basis_dtype = self.policy.krylov_basis.dtype
-                for _, j in cycle_cols:
-                    Qs[j] = np.zeros((n, m + 1), dtype=basis_dtype)
-
-            # --- start a lockstep restart cycle (lines 11-13) ---
-            klast: dict[int, int] = {}
-            for i, j in cycle_cols:
-                qrs[j].start(rhos[i])
-                np.divide(Ract[:, i], rhos[i], out=Qs[j][:, 0])
-                stats[j].restarts += 1
-                klast[j] = 0
-
-            cols = list(cycle_cols)
-            k = 0
-            while k < m and cols:
-                cols = [
-                    (i, j) for i, j in cols if stats[j].iterations < maxiter
-                ]
-                if not cols:
+                # --- convergence + deflation at the panel boundary ---
+                cycle_cols: list[tuple[int, int]] = []
+                worst: tuple[float, float] | None = None
+                for i, j in enumerate(active):
+                    st = stats[j]
+                    st.final_relres = rhos[i] / rho0[j]
+                    if rhos[i] <= abs_tol[j]:
+                        st.converged = True
+                        if st.resilience is not None and st.resilience.replays:
+                            st.resilience.recovered = 1  # converged after replay
+                    elif st.iterations >= maxiter or j in halted:
+                        pass  # out of budget: that residual was its last
+                    elif cancel is not None and cancel(j):
+                        # Cancellation deflates the column at the
+                        # boundary — the panel's normal narrowing path.
+                        st.cancelled = True
+                    else:
+                        cycle_cols.append((i, j))
+                        if worst is None or st.final_relres > worst[1]:
+                            worst = (rhos[i], st.final_relres)
+                # The rest have left the panel; a replay restores (and
+                # the next boundary re-judges) the cycling columns only.
+                active = [j for _, j in cycle_cols]
+                if not active:
                     break
-                nw = len(cols)
-                # --- panel inner Arnoldi step (one matrix pass) ---
-                Qk = self.ws.get_panel("panel.qk", n, nw, basis_dtype)
-                for idx, (_, j) in enumerate(cols):
-                    np.copyto(Qk[:, idx], Qs[j][:, k])
-                prec_dtype = self.M.precision.dtype
-                Zp = self.ws.get_panel("panel.z", n, nw, prec_dtype)
-                self.M.apply_panel(Qk, out=Zp)  # line 18: MG precond
-                if prec_dtype != self.op_inner.dtype:
-                    Zin = self.ws.get_panel(
-                        "panel.zop", n, nw, self.op_inner.dtype
-                    )
-                    np.copyto(Zin, Zp)  # precision cast, no alloc
-                else:
-                    Zin = Zp
-                Wp = self.ws.get_panel("panel.w", n, nw, self.op_inner.dtype)
-                with timers.section("spmv"):
-                    self.op_inner.matvec_panel(Zin, out=Wp)  # line 19
-                if self.op_inner.dtype != basis_dtype:
-                    Wb = self.ws.get_panel("panel.wb", n, nw, basis_dtype)
-                    np.copyto(Wb, Wp)
-                else:
-                    Wb = Wp
+                cycling = [stats[j] for j in active]
 
-                # --- per-column orthogonalization + Givens update ---
-                still: list[tuple[int, int]] = []
-                for idx, (i, j) in enumerate(cols):
-                    Q = Qs[j]
-                    w = Wb[:, idx]
-                    with timers.section("ortho"):
-                        if self._ortho_fused is not None:
-                            h, local = self._ortho_fused(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2_from_local(comm, local)
-                        else:
-                            h = self._orthogonalize(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2(comm, w)
-                    stats[j].iterations += 1
-                    pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
-                    if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
-                        pre_ortho_norm, 1e-300
-                    ):
-                        stats[j].breakdown = True
-                        continue  # column leaves the cycle
-                    np.divide(
-                        w, np.asarray(beta, dtype=basis_dtype), out=Q[:, k + 1]
-                    )
-                    with timers.section("qr_host"):
-                        col = self._hcol[: k + 2]
-                        col[: k + 1] = h
-                        col[k + 1] = beta
-                        rho_j = qrs[j].add_column(col)
-                    klast[j] = k + 1
-                    stats[j].implicit_history.append(rho_j / rho0[j])
-                    if rho_j > abs_tol[j]:
-                        still.append((i, j))
-                    # else: implicit convergence — deflate from the
-                    # cycle (lines 15-17); the panel boundary's true
-                    # residual has final say.
-                cols = still
-                k += 1
-            self.plane.cycle_completed()
-
-            # --- solution update (lines 45-47): per-column host QR
-            # back-solves and basis GEMVs feed ONE panel V-cycle, so
-            # the update's preconditioner communication rides wide
-            # exchanges like every other panel application.  Column
-            # ``j``'s correction is the exact per-column arithmetic of
-            # the solo update (the panel V-cycle composes the same
-            # per-column kernels in column order).
-            upd_cols = []
-            for _, j in cycle_cols:
-                kj = klast[j]
-                stats[j].cycle_lengths.append(kj)
-                if kj:
-                    upd_cols.append(j)
-            if upd_cols:
-                nupd = len(upd_cols)
-                Up = self.ws.get_panel("panel.u", n, nupd, basis_dtype)
-                for idx, j in enumerate(upd_cols):
-                    kj = klast[j]
-                    with timers.section("qr_host"):
-                        y = qrs[j].solve(kj)
-                    with timers.section("ortho"):
-                        yc = self._ycast[:kj]
-                        np.copyto(yc, y)
-                        gemv(Qs[j], kj, yc, out=Up[:, idx])
-                Zup = self.ws.get_panel(
-                    "panel.zup", n, nupd, self.M.precision.dtype
-                )
-                self.M.apply_panel(Up, out=Zup)  # M^{-1}, one wide pass
-                with timers.section("waxpby"):
-                    for idx, j in enumerate(upd_cols):
-                        xj = X[:, j]
-                        np.add(xj, Zup[:, idx], out=xj)  # fp64 mandated
-
-            # Empty-cycle breakdown columns: this precision cannot
-            # extend their basis at all.  With rungs left on the
-            # ladder, one panel-wide promotion retries them next
-            # boundary (their breakdown flag resets, like the solo
-            # promote-continue path); on a fixed plane they halt for
-            # good (the solo `break` exit).
-            stuck = [
-                j
-                for _, j in cycle_cols
-                if klast[j] == 0 and stats[j].breakdown
-            ]
-            if stuck:
-                events = self.plane.observe_breakdown(
+                # --- precision control plane: one verdict per panel.
+                # Stagnation promotes the binding rung (whole policy in
+                # "policy" mode, the lowest-rung controllers otherwise);
+                # sustained recovery demotes after the hysteresis window.
+                events = self.plane.observe_restart(
                     worst[0],
                     worst[1],
-                    max(stats[j].iterations for j in stuck),
-                    max(stats[j].restarts for j in stuck),
+                    max(s.iterations for s in cycling),
+                    max(s.restarts for s in cycling),
                 )
                 if events:
-                    for _, j in cycle_cols:
-                        stats[j].promotions.extend(events)
-                    self._shared_precond = None
-                    self._bind_policy(self.plane.live_policy())
-                    basis_dtype = self.policy.krylov_basis.dtype
-                    for _, j in cycle_cols:
-                        Qs[j] = np.zeros((n, m + 1), dtype=basis_dtype)
-                    for j in stuck:
-                        stats[j].breakdown = False
-                else:
-                    halted.update(stuck)
+                    self._apply_events(cycling, events)
 
-            active = [
-                j
-                for _, j in cycle_cols
-                if not stats[j].converged
-                and stats[j].iterations < maxiter
-                and j not in halted
-            ]
+                # Per-rung bindings (a promotion above replaces these).
+                basis_dtype = self.policy.krylov_basis.dtype
+                op_dtype = self.op_inner.dtype
+                prec_dtype = self.M.precision.dtype
+                slots = {j: self._slot(j) for j in active}
 
-        # --- final true residuals for columns that exited mid-state ---
-        # Cancelled columns are excluded: their boundary residual is
-        # already recorded, and charging a matrix pass for abandoned
-        # work would bill the surviving requests for it.
-        pending = [
-            j
-            for j in range(ncol)
-            if rho0[j] != 0.0
-            and not stats[j].converged
-            and not stats[j].cancelled
-        ]
-        if pending:
-            npend = len(pending)
-            Bact = self.ws.get_panel("panel.b", n, npend, np.float64)
-            Xact = self.ws.get_panel("panel.x", n, npend, np.float64)
-            Ract = self.ws.get_panel("panel.r", n, npend, np.float64)
-            for i, j in enumerate(pending):
-                np.copyto(Bact[:, i], B[:, j])
-                np.copyto(Xact[:, i], X[:, j])
-            with timers.section("spmv"):
-                locals_sq = self.op64.residual_panel_norm2_local(
-                    Bact, Xact, out=Ract
-                )
-            with timers.section("dot"):
-                rhos = dnorm2_panel_from_local(comm, locals_sq)
-                for i, j in enumerate(pending):
-                    stats[j].final_relres = rhos[i] / rho0[j]
-                    stats[j].converged = rhos[i] <= abs_tol[j]
-        self._export_setup_stats(*stats)
+                # --- start a lockstep restart cycle (lines 11-13) ---
+                klast = dict.fromkeys(active, 0)  # cycle length per column
+                for i, j in cycle_cols:
+                    Q, qr = slots[j]
+                    qr.start(rhos[i])
+                    np.divide(Ract[:, i], rhos[i], out=Q[:, 0])  # casts to basis dtype
+                    stats[j].restarts += 1
+
+                cols = active
+                k = 0
+                while k < m and cols:
+                    cols = [j for j in cols if stats[j].iterations < maxiter]
+                    if not cols:
+                        break
+                    nw = len(cols)
+                    # --- inner Arnoldi step, low precision allowed.
+                    # Basis columns are staged contiguous: the V-cycle
+                    # never sees the basis' row stride. ---
+                    Qk = self.ws.get_panel("panel.qk", n, nw, basis_dtype)
+                    for idx, j in enumerate(cols):
+                        np.copyto(Qk[:, idx], slots[j][0][:, k])
+                    Zp = self.ws.get_panel("panel.z", n, nw, prec_dtype)
+                    self.M.apply_panel(Qk, out=Zp)  # line 18: MG precond
+                    if prec_dtype != op_dtype:
+                        Zin = self.ws.get_panel("panel.zop", n, nw, op_dtype)
+                        np.copyto(Zin, Zp)  # precision cast, no alloc
+                    else:
+                        Zin = Zp  # preconditioner output feeds SpMV directly
+                    Wp = self.ws.get_panel("panel.w", n, nw, op_dtype)
+                    with timers.section("spmv"):
+                        self.op_inner.matvec_panel(Zin, out=Wp)  # line 19
+                    if op_dtype != basis_dtype:
+                        Wb = self.ws.get_panel("panel.wb", n, nw, basis_dtype)
+                        np.copyto(Wb, Wp)
+                    else:
+                        Wb = Wp
+
+                    # --- per-column orthogonalization + Givens update ---
+                    still: list[int] = []
+                    for idx, j in enumerate(cols):
+                        Q, qr = slots[j]
+                        w = Wb[:, idx]
+                        with timers.section("ortho"):
+                            if self._ortho_fused is not None:
+                                # lines 20-27, the norm's local dot
+                                # fused into the second projection.
+                                h, local = self._ortho_fused(
+                                    comm, Q, k + 1, w, ws=self.ws
+                                )
+                                beta = dnorm2_from_local(comm, local)
+                            else:
+                                h = self._orthogonalize(
+                                    comm, Q, k + 1, w, ws=self.ws
+                                )  # lines 20-27
+                                beta = dnorm2(comm, w)
+                        stats[j].iterations += 1
+                        # (Near-)breakdown: the new direction depends
+                        # numerically on the basis at this precision.
+                        # The column leaves the cycle without it; the
+                        # outer loop restarts from a fresh fp64 residual.
+                        pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
+                        if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
+                            pre_ortho_norm, 1e-300
+                        ):
+                            stats[j].breakdown = True
+                            continue
+                        np.divide(
+                            w, np.asarray(beta, dtype=basis_dtype), out=Q[:, k + 1]
+                        )  # lines 28-30
+                        with timers.section("qr_host"):
+                            # Staged in the preallocated buffer
+                            # (add_column copies: the view is safe).
+                            col = self._hcol[: k + 2]
+                            col[: k + 1] = h
+                            col[k + 1] = beta
+                            rho_j = qr.add_column(col)  # lines 31-43
+                        klast[j] = k + 1
+                        stats[j].implicit_history.append(rho_j / rho0[j])
+                        if rho_j > abs_tol[j]:
+                            still.append(j)
+                        # else: implicit convergence (lines 15-17);
+                        # the boundary's true residual has final say.
+                    cols = still
+                    k += 1
+                self.plane.cycle_completed()
+
+                # --- solution update (lines 45-47): per-column host QR
+                # back-solves and basis GEMVs feed ONE panel V-cycle ---
+                for j in active:
+                    stats[j].cycle_lengths.append(klast[j])
+                upd_cols = [j for j in active if klast[j]]
+                if upd_cols:
+                    nupd = len(upd_cols)
+                    Up = self.ws.get_panel("panel.u", n, nupd, basis_dtype)
+                    for idx, j in enumerate(upd_cols):
+                        Q, qr = slots[j]
+                        kj = klast[j]
+                        with timers.section("qr_host"):
+                            y = qr.solve(kj)  # t <- H^{-1} t
+                        with timers.section("ortho"):
+                            yc = self._ycast[:kj]
+                            np.copyto(yc, y)  # basis-precision cast, no alloc
+                            gemv(Q, kj, yc, out=Up[:, idx])  # r <- Q t
+                    Zup = self.ws.get_panel("panel.zup", n, nupd, prec_dtype)
+                    self.M.apply_panel(Up, out=Zup)  # M^{-1} r, one wide pass
+                    with timers.section("waxpby"):
+                        for idx, j in enumerate(upd_cols):
+                            xj = X[:, j]
+                            np.add(xj, Zup[:, idx], out=xj)  # fp64 mandated
+
+                # Empty-cycle breakdown: this precision cannot extend
+                # the column's basis at all.  With rungs left, one
+                # panel-wide promotion retries it next boundary; on a
+                # fixed plane it halts (further restarts would spin).
+                stuck = [j for j in active if not klast[j] and stats[j].breakdown]
+                if stuck:
+                    events = self.plane.observe_breakdown(
+                        worst[0],
+                        worst[1],
+                        max(stats[j].iterations for j in stuck),
+                        max(stats[j].restarts for j in stuck),
+                    )
+                    if events:
+                        self._apply_events(cycling, events)
+                        for j in stuck:
+                            stats[j].breakdown = False
+                    else:
+                        halted.update(stuck)
+            except (FaultDetectedError, NumericalBreakdownError) as fault:
+                if not self._replay_fault(fault, [stats[j] for j in active]):
+                    raise
+                for j in active:
+                    np.copyto(X[:, j], ckpt[:, j])
+        if self.setup_cache is not None:
+            for st in stats:
+                st.setup_cache_hits = self.setup_cache.hits
+                st.setup_cache_misses = self.setup_cache.misses
         return X, stats
 
 

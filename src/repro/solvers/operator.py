@@ -28,13 +28,10 @@ from repro.backends.dispatch import (
     spmv,
     spmv_boundary,
     spmv_boundary_multi,
-    spmv_dot,
-    spmv_dot_multi,
-    spmv_interior,
     spmv_interior_multi,
     spmv_multi,
     spmv_rows,
-    waxpby_dot,
+    waxpby_dot_multi,
 )
 from repro.backends.workspace import Workspace
 from repro.geometry.halo import HaloPattern
@@ -87,10 +84,10 @@ class DistributedOperator:
         self.matrix_passes = 0
         self.rhs_columns = 0
         #: Optional :class:`~repro.resilience.abft.ABFTCheck` verifying
-        #: every single-vector matvec output against the cached
-        #: column-sum checksum.  ``None`` (the default) adds nothing to
-        #: the hot path; the check itself is read-only, so attaching
-        #: one never changes results on fault-free runs.
+        #: every matvec output column against the cached column-sum
+        #: checksum.  ``None`` (the default) adds nothing to the hot
+        #: path; the check itself is read-only, so attaching one never
+        #: changes results on fault-free runs.
         self.abft = None
 
     def attach_abft(self, check) -> None:
@@ -102,54 +99,18 @@ class DistributedOperator:
         return self._xfull.dtype
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply the operator; overlapped when the layout allows it."""
-        if self.P is not None:
-            return self.matvec_overlapped(x, out=out)
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        self.halo_ex.exchange(xf)
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        if self.abft is None:
-            return spmv(self.A, xf, out=out, ws=self.ws)
-        # The scope marker tells a covered-site fault injector this
-        # dispatch's output is checksum-verified; it reads state only,
-        # so the fault-free path stays bitwise identical.
-        with abft_scope():
-            y = spmv(self.A, xf, out=out, ws=self.ws)
-        self.abft.verify(xf, y)
+        """Apply the operator to one vector (the width-1 panel)."""
+        y = out if out is not None else np.empty(self.nlocal, dtype=self.dtype)
+        self.matvec_panel(x[:, None], out=y[:, None])
         return y
 
     def matvec_overlapped(
         self, x: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Two-stream schedule: interior block SpMV hides the halo.
-
-        Requires ``overlap=True`` construction.  Bitwise-equal to
-        :meth:`matvec_sequential` (same block kernels, same order).
-        """
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        y = out if out is not None else np.empty(self.nlocal, dtype=self.dtype)
-        self._apply_overlapped(x, y)
-        return y
-
-    def _apply_overlapped(self, x: np.ndarray, y: np.ndarray) -> None:
-        """The overlap schedule proper (no reuse accounting)."""
-        P = self._require_partition()
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        pending = self.halo_ex.exchange_begin(xf)
-        # Interior block computes while messages are in transit ...
-        spmv_interior(P, xf, out=y, ws=self.ws)
-        # ... land the ghosts in the vector tail, then the boundary block.
-        self.halo_ex.exchange_finish(pending, xf)
-        if self.abft is None:
-            spmv_boundary(P, xf, out=y, ws=self.ws)
-            return
-        with abft_scope():
-            spmv_boundary(P, xf, out=y, ws=self.ws)
-        self.abft.verify(xf, y)
+        """:meth:`matvec`, insisting on the two-stream schedule
+        (raises unless built with ``overlap=True``)."""
+        self._require_partition()
+        return self.matvec(x, out=out)
 
     def matvec_panel(
         self, X: np.ndarray, out: np.ndarray | None = None
@@ -157,16 +118,20 @@ class DistributedOperator:
         """Panel matvec: one operator application serving every column.
 
         ``X`` is a column-major ``(nlocal, N)`` panel; column ``j`` of
-        the result is bitwise-equal to ``matvec(X[:, j])``.  The halo
-        is panel-native: **one wide exchange** per application ships
+        the result does not depend on its panel-mates.  The halo is
+        panel-native: **one wide exchange** per application ships
         every column's boundary values in one message per neighbor
         (message count is O(1) in the panel width; bytes scale with
-        it).  On the overlapped schedule the whole panel's interior
-        compute hides that single wide exchange
-        (``spmv_interior_multi`` / ``spmv_boundary_multi``); on the
-        sequential schedule the wide exchange precedes one
-        ``spmv_multi`` — the registry seam a single-pass backend serves
-        with one matrix stream for the whole panel.  Either way the
+        it).  On the overlapped schedule (the paper's §3.2.3 two-stream
+        structure) the whole panel's interior compute hides that single
+        wide exchange (``spmv_interior_multi``), and the boundary rows
+        run after the ghosts land in the panel tail
+        (``spmv_boundary_multi``); on the sequential schedule the wide
+        exchange precedes one ``spmv_multi`` — the registry seam a
+        single-pass backend serves with one matrix stream for the whole
+        panel.  Both schedules execute identical block kernels in
+        identical order per column, so they are bitwise-equal
+        (:meth:`matvec_sequential` is the reference).  Either way the
         panel is booked as **one** matrix pass serving N columns, which
         is what the measured ``rhs_columns / matrix_passes``
         amortization records.
@@ -182,18 +147,40 @@ class DistributedOperator:
         nfull = self._xfull.shape[0]
         XF = self.ws.get_panel("op.panel.xfull", nfull, ncol, self.dtype)
         XF[: self.nlocal, :] = X
-        if self.P is not None:
-            pending = self.halo_ex.exchange_begin_panel(XF)
-            # Every column's interior rows compute while the single
-            # wide exchange is in flight ...
-            spmv_interior_multi(self.P, XF, out=Y, ws=self.ws)
-            # ... land all ghosts at once, then the boundary rows.
-            self.halo_ex.exchange_finish_panel(pending, XF)
-            spmv_boundary_multi(self.P, XF, out=Y, ws=self.ws)
+        if self.P is None:
+            self.halo_ex.exchange_panel(XF)
+            if self.abft is None:
+                spmv_multi(self.A, XF, out=Y, ws=self.ws)
+            else:
+                self._verified_columns(spmv, self.A, XF, Y)
             return Y
-        self.halo_ex.exchange_panel(XF)
-        spmv_multi(self.A, XF, out=Y, ws=self.ws)
+        pending = self.halo_ex.exchange_begin_panel(XF)
+        # Every column's interior rows compute while the single wide
+        # exchange is in flight ...
+        spmv_interior_multi(self.P, XF, out=Y, ws=self.ws)
+        # ... land all ghosts at once, then the boundary rows.
+        self.halo_ex.exchange_finish_panel(pending, XF)
+        if self.abft is None:
+            spmv_boundary_multi(self.P, XF, out=Y, ws=self.ws)
+        else:
+            self._verified_columns(spmv_boundary, self.P, XF, Y)
         return Y
+
+    def _verified_columns(self, kernel, M, XF: np.ndarray, Y: np.ndarray) -> None:
+        """The ABFT-covered write of a matvec, one column at a time.
+
+        Each column runs through the single-vector ``kernel`` (the
+        primitive the panel op composes, so the bits are the panel
+        op's) inside the scope marker that tells a covered-site fault
+        injector this dispatch's output is checksum-verified, and is
+        verified before the next column starts — a corrupted column
+        raises at once, on every backend.  Reads state only: the
+        fault-free path stays bitwise identical.
+        """
+        for j in range(XF.shape[1]):
+            with abft_scope():
+                kernel(M, XF[:, j], out=Y[:, j], ws=self.ws)
+            self.abft.verify(XF[:, j], Y[:, j])
 
     def matvec_sequential(
         self, x: np.ndarray, out: np.ndarray | None = None
@@ -246,41 +233,31 @@ class DistributedOperator:
     def residual(
         self, b: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``b - A x`` in this operator's precision."""
-        ax = self.ws.get("op.residual.ax", (self.nlocal,), self.dtype)
-        self.matvec(x, out=ax)
+        """``b - A x`` in this operator's precision (the width-1 panel)."""
         if out is None:
-            return b - ax
-        np.subtract(b, ax, out=out)
+            out = np.empty(self.nlocal, dtype=np.result_type(b, self.dtype))
+        self.residual_panel(b[:, None], x[:, None], out=out[:, None])
+        return out
+
+    def residual_panel(
+        self, B: np.ndarray, X: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """``out[:, j] = B[:, j] - A X[:, j]``: matvec, then subtract."""
+        ncol = X.shape[1]
+        AX = self.ws.get_panel("op.panel.ax", self.nlocal, ncol, self.dtype)
+        self.matvec_panel(X, out=AX)
+        np.subtract(B, AX, out=out)
         return out
 
     def residual_norm2_local(
         self, b: np.ndarray, x: np.ndarray, out: np.ndarray
     ) -> float:
-        """``out = b - A x`` plus the *local* ``out . out``, fused.
-
-        GMRES-IR's residual check through the fused-motif pipeline: on
-        the sequential schedule the whole evaluation is one
-        ``spmv_dot`` matrix pass; on the overlapped schedule the SpMV
-        keeps its two-stream halo overlap and the subtraction + dot
-        fuse into one vector pass (``waxpby_dot``).  Both compose the
-        registry's kernels operation-for-operation under the reference
-        backend, so the result is bitwise-identical to the unfused
-        ``residual`` + ``dot`` sequence; the caller still owns the
-        cross-rank reduction.
-        """
-        if self.P is not None:
-            ax = self.ws.get("op.residual.ax", (self.nlocal,), self.dtype)
-            self.matvec_overlapped(x, out=ax)
-            _, local = waxpby_dot(1.0, b, -1.0, ax, out=out, ws=self.ws)
-            return local
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        self.halo_ex.exchange(xf)
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        _, local = spmv_dot(self.A, xf, b, out=out, ws=self.ws)
-        return local
+        """``out = b - A x`` plus the *local* ``out . out``, fused (the
+        width-1 case of :meth:`residual_panel_norm2_local`)."""
+        locals_sq = self.residual_panel_norm2_local(
+            b[:, None], x[:, None], out[:, None]
+        )
+        return float(locals_sq[0])
 
     def residual_panel_norm2_local(
         self, B: np.ndarray, X: np.ndarray, out: np.ndarray
@@ -288,14 +265,17 @@ class DistributedOperator:
         """Panel residual + per-column local ``r . r``, fused.
 
         ``out[:, j] = B[:, j] - A X[:, j]``; returns the float64 array
-        of local squared norms.  Column ``j`` is bitwise-equal to the
-        single-RHS :meth:`residual_norm2_local` (the panel matvec and
-        the fused per-column waxpby+dot compose the same kernels
-        operation-for-operation); the matrix pass is charged once for
-        the whole panel.
+        of local squared norms — GMRES-IR's residual check through the
+        fused-motif pipeline.  The panel matvec keeps its schedule
+        (two-stream halo overlap when partitioned) and the subtraction
+        + dot fuse into one vector pass per column
+        (``waxpby_dot_multi``).  The registry's kernels compose
+        operation-for-operation under the reference backend, so the
+        result is bitwise-identical to the unfused
+        :meth:`residual_panel` + ``dot_multi`` sequence; the caller
+        still owns the cross-rank reduction.  The matrix pass is
+        charged once for the whole panel.
         """
-        from repro.backends.dispatch import waxpby_dot_multi
-
         ncol = X.shape[1]
         AX = self.ws.get_panel("op.panel.ax", self.nlocal, ncol, self.dtype)
         self.matvec_panel(X, out=AX)

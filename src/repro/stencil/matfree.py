@@ -10,8 +10,9 @@ the two stencil coefficient values, without storing the ELL value
 block in the operator precision.
 
 It plugs into :class:`~repro.solvers.gmres_ir.GMRESIRSolver` through
-the same ``matvec`` interface as :class:`DistributedOperator` and is
-exercised by the memory-equalized benchmark.
+the same ``matvec`` / ``matvec_panel`` interface as
+:class:`DistributedOperator` and is exercised by the memory-equalized
+benchmark.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ class MatrixFreeStencilOperator:
             out[:] = y
             return out
         return y
+
+    def matvec_panel(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`matvec` per column — the panel interface the GMRES-IR
+        restart loop drives its inner operator through."""
+        for j in range(X.shape[1]):
+            self.matvec(X[:, j], out=out[:, j])
+        return out
 
     def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``b - A x`` in the operator precision."""

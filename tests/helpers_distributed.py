@@ -1,4 +1,4 @@
-"""Shared helpers for the partitioned-format / overlap test suites."""
+"""Shared helpers for the partitioned-format / overlap / multigrid test suites."""
 
 import numpy as np
 
@@ -16,3 +16,19 @@ def smooth_vector(sub) -> np.ndarray:
     gx, gy, gz = sub.global_coords()
     gg = sub.global_grid
     return 0.5 + (gx + 2.0 * gy + 3.0 * gz) / (gg.nx + 2 * gg.ny + 3 * gg.nz)
+
+
+def scaled_rhs_panel(b: np.ndarray, ncol: int) -> np.ndarray:
+    """Column-major panel of scaled copies of ``b`` (fp64-exact scales)."""
+    B = np.empty((b.shape[0], ncol), order="F")
+    for j in range(ncol):
+        np.multiply(b, 1.0 + 0.5 * j, out=B[:, j])
+    return B
+
+
+def defect_panel_pooled(mg, lvl: int, dtype) -> bool:
+    """Whether an already-applied V-cycle pooled level ``lvl``'s
+    coarse-defect panel at ``dtype`` (the transfer rung's storage)."""
+    misses = mg.ws.misses
+    mg.ws.get_panel(("mg.panel.rc", lvl), len(mg.levels[lvl].f_c), 1, dtype)
+    return mg.ws.misses == misses

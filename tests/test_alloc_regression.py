@@ -70,35 +70,68 @@ class TestInnerLoopAllocations:
 
     def test_no_double_warmup_across_solves(self, warm_solver, problem16):
         """PR 6 satellite: per-solve state (Givens QR, Hessenberg
-        column, precision-cast scratch) is hoisted to construction, so
-        a *second* solve re-warms nothing — same QR object, zero new
-        arena buffers, and the buffer count is flat."""
-        qr0 = warm_solver._qr
+        column, precision-cast scratch) outlives the solve, so a
+        *second* solve re-warms nothing — same slot-0 QR object and
+        basis, zero new arena buffers, and the buffer count is flat."""
+        Q0, qr0 = warm_solver._slot(0)
         nbuf0 = warm_solver.ws.nbuffers
         misses0 = warm_solver.ws.misses
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
-        assert warm_solver._qr is qr0
+        assert warm_solver._slot(0)[1] is qr0
+        assert warm_solver.Q is Q0
         assert warm_solver.ws.nbuffers == nbuf0
         assert warm_solver.ws.misses == misses0
 
     def test_solve_panel_arena_stable_after_warmup(self, problem16):
-        """Repeated batched solves at one panel width re-warm nothing."""
-        from repro.fp import MIXED_DS_POLICY
-        from repro.solvers import GMRESIRSolver
-
-        solver = GMRESIRSolver(problem16, SerialComm(), policy=MIXED_DS_POLICY)
+        """Repeated batched solves at one panel width re-warm nothing:
+        the arena is flat, and no allocation site grows by more than
+        one vector — the per-column Krylov bases and Givens QRs are
+        leased per column slot, not rebuilt per call."""
+        solver = GMRESIRSolver(
+            problem16, SerialComm(), policy=MIXED_DS_POLICY, restart=5
+        )
         B = np.empty((problem16.nlocal, 4), order="F")
         for j in range(4):
             np.multiply(problem16.b, 1.0 + 0.5 * j, out=B[:, j])
         solver.solve_panel(B, tol=0.0, maxiter=10)  # warmup
         misses0 = solver.ws.misses
+        nbuf0 = solver.ws.nbuffers
         hits0 = solver.ws.hits
-        solver.solve_panel(B, tol=0.0, maxiter=10)
+        # Per-call state is freed again by the time the call returns,
+        # so the second snapshot is taken *inside* the solve, from the
+        # cancel poll at its second restart boundary.
+        snaps = []
+
+        def snapshot_at_boundary(j):
+            if j == 0:
+                snaps.append(tracemalloc.take_snapshot())
+            return False
+
+        gc.collect()
+        tracemalloc.start(5)
+        try:
+            snap1 = tracemalloc.take_snapshot()
+            solver.solve_panel(B, tol=0.0, maxiter=10, cancel=snapshot_at_boundary)
+        finally:
+            tracemalloc.stop()
         assert solver.ws.misses == misses0, (
             "batched hot path allocated new arena buffers after warmup"
         )
+        assert solver.ws.nbuffers == nbuf0
         assert solver.ws.hits > hits0
+        # Mid-solve the (n, 4) solution panel is live — one vector per
+        # column, the panel's per-solve iterate; nothing may exceed it
+        # by more than one vector.
+        offenders = [
+            d
+            for d in snaps[1].compare_to(snap1, "traceback")
+            if d.size_diff > (4 + 1) * VECTOR_BYTES
+        ]
+        assert not offenders, "panel solve grew vector-sized sites:\n" + "\n".join(
+            f"{d.size_diff / 1024:.1f} KB at " + " <- ".join(d.traceback.format()[-2:])
+            for d in offenders
+        )
 
     def test_vcycle_is_allocation_free_with_out(self, problem16):
         """The preconditioner alone: apply(out=...) reuses its arena."""

@@ -193,6 +193,11 @@ class TestDroppedHalo:
         def fn(comm):
             injector = plan.injector(comm.rank)
             fcomm = FaultyComm(comm, injector)
+            # Start every rank's clock together (on the undecorated
+            # communicator: a barrier is itself a straggle site) — a
+            # rank thread scheduled late would otherwise wait out less
+            # than the full sleep.
+            comm.barrier()
             t0 = time.perf_counter()
             total = fcomm.allreduce(1.0)
             return total, time.perf_counter() - t0

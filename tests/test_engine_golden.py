@@ -1,0 +1,332 @@
+"""Engine golden: the one restart-cycle engine vs the parent's two loops.
+
+``tests/golden/gmres_ir_digests.json`` was captured by running this
+file as a script at commit ``9d6f01d`` — *before* ``solve`` and
+``solve_panel`` were collapsed into one engine — so a green run proves
+the surviving loop is bitwise-equal to the parent's ``solve`` **and**
+the parent's ``solve_panel``, not merely to itself.
+
+Every case records, for ``solve`` and for a 4-column ``solve_panel``
+(column 0 all-zero, column 2 converging a restart cycle early, so
+deflation is pinned): a blake2b digest of the iterate, the iteration /
+restart counts, the cycle lengths, a digest of the implicit-residual
+history, the precision events and ``final_relres.hex()``.
+
+The digests are a function of the floating-point environment, so the
+file records a fingerprint (NumPy version, BLAS build, SIMD level,
+kernel backend).  On a matching fingerprint records must be equal; on a
+different NumPy/BLAS/SIMD the test compares decisions (iterations,
+restarts, cycle lengths, events, exit flags) exactly and
+``final_relres`` to 1e-12, and emits a warning naming the mismatch so a
+CI/local divergence is visible rather than silent.  Under another
+kernel backend (the CI Numba leg) it skips.
+
+Regenerate (only from a commit whose loops are trusted)::
+
+    PYTHONPATH=src python tests/test_engine_golden.py
+"""
+
+import hashlib
+import json
+import math
+import platform
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.backends.registry import registry
+from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
+from repro.geometry import BoxGrid, ProcessGrid, Subdomain
+from repro.mg import MGConfig
+from repro.parallel import SerialComm, run_spmd
+from repro.solvers import GMRESIRSolver
+from repro.stencil import generate_problem
+
+GOLDEN = Path(__file__).parent / "golden" / "gmres_ir_digests.json"
+
+#: Short cycles: more restart boundaries per solve (where deflation,
+#: the control plane, cancellation and the checkpoint live), and the
+#: stencil column of the panel converges a whole cycle early.
+RESTART = 8
+TOL = 1e-11
+MAXITER = 300
+
+POLICIES = {
+    "double": (DOUBLE_POLICY, {}),
+    "mixed": (MIXED_DS_POLICY, {}),
+    "ladder-policy": (HALF_LADDER_POLICY, {"control": "policy"}),
+    "ladder-per-ingredient": (HALF_LADDER_POLICY, {"control": "per-ingredient"}),
+}
+SERIAL_CASES = [
+    f"{policy}-{fmt}-{fusion}"
+    for policy in POLICIES
+    for fmt in ("csr", "ell", "sellcs")
+    for fusion in ("fused", "unfused")
+]
+SPMD_CASES = ["spmd2-overlap", "spmd2-sequential"]
+EXIT_CASES = ["x0", "target-residual", "maxiter", "cancel"]
+
+
+def fingerprint() -> dict:
+    """What the recorded bits depend on besides the code under test."""
+    cfg = np.show_config(mode="dicts")
+    blas = cfg.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "simd": sorted(cfg.get("SIMD Extensions", {}).get("found", [])),
+        "machine": platform.machine(),
+        "backend": registry.active_backend,
+    }
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.blake2b(
+        np.ascontiguousarray(a).tobytes(), digest_size=16
+    ).hexdigest()
+
+
+def _record(x: np.ndarray, st) -> dict:
+    return {
+        "x": _digest(x),
+        "iterations": st.iterations,
+        "restarts": st.restarts,
+        "cycle_lengths": list(st.cycle_lengths),
+        "implicit_history": _digest(np.asarray(st.implicit_history, dtype=np.float64)),
+        "events": [
+            [
+                e.iteration,
+                e.restart,
+                e.reason,
+                e.from_low.short_name,
+                e.to_low.short_name,
+                e.ingredient,
+                e.level,
+                e.direction,
+                float(e.relres).hex(),
+            ]
+            for e in st.promotions
+        ],
+        "final_relres": float(st.final_relres).hex(),
+        "converged": bool(st.converged),
+        "cancelled": bool(st.cancelled),
+        "breakdown": bool(st.breakdown),
+    }
+
+
+def _rhs(prob, seed) -> tuple[np.ndarray, np.ndarray]:
+    """One random RHS, and the deflating 4-column panel around it."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(prob.nlocal)
+    B = np.zeros((prob.nlocal, 4), order="F")
+    B[:, 1] = b
+    B[:, 2] = prob.b  # smooth stencil RHS: converges a cycle early
+    B[:, 3] = 0.5 * rng.standard_normal(prob.nlocal)
+    return b, B
+
+
+def _solve_and_panel(make_solver, b, B, solve_kw=None, panel_kw=None) -> dict:
+    """Fresh solver per call: a promoted solver stays promoted."""
+    x, st = make_solver().solve(b, **(solve_kw or {}))
+    X, sts = make_solver().solve_panel(B, **(panel_kw or solve_kw or {}))
+    return {
+        "solve": _record(x, st),
+        "panel": [_record(X[:, j], sts[j]) for j in range(B.shape[1])],
+    }
+
+
+def run_serial(case: str, prob) -> dict:
+    policy_name, fmt, fusion = case.rsplit("-", 2)
+    policy, kw = POLICIES[policy_name]
+    b, B = _rhs(prob, 7)
+
+    def make():
+        return GMRESIRSolver(
+            prob,
+            SerialComm(),
+            policy=policy,
+            matrix_format=fmt,
+            restart=RESTART,
+            fusion=(fusion == "fused"),
+            **kw,
+        )
+
+    return _solve_and_panel(make, b, B, dict(tol=TOL, maxiter=MAXITER))
+
+
+def run_spmd2(case: str) -> list[dict]:
+    """Two thread-ranks, 8^3 each, mixed ladder; one record per rank."""
+    overlap = case.endswith("overlap")
+
+    def fn(comm):
+        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid.from_size(comm.size), comm.rank)
+        prob = generate_problem(sub)
+        b, B = _rhs(prob, [7, comm.rank])
+
+        def make():
+            return GMRESIRSolver(
+                prob,
+                comm,
+                policy=MIXED_DS_POLICY,
+                mg_config=MGConfig(nlevels=2),
+                restart=RESTART,
+                overlap=overlap,
+            )
+
+        return _solve_and_panel(make, b, B, dict(tol=TOL, maxiter=MAXITER))
+
+    return run_spmd(2, fn)
+
+
+def _cancel_after(polls: int):
+    """Zero-argument cancel that fires on its ``polls``-th poll."""
+    seen = []
+
+    def cancel():
+        seen.append(1)
+        return len(seen) >= polls
+
+    return cancel
+
+
+def _cancel_column(col: int, polls: int):
+    """Per-column cancel: column ``col`` stops on its ``polls``-th poll."""
+    seen = []
+
+    def cancel(j):
+        if j != col:
+            return False
+        seen.append(1)
+        return len(seen) >= polls
+
+    return cancel
+
+
+def run_exit(case: str, prob) -> dict:
+    """The other ways out of (and into) the loop: mixed policy, ELL."""
+    b, B = _rhs(prob, 7)
+    n = prob.nlocal
+
+    def make():
+        return GMRESIRSolver(
+            prob, SerialComm(), policy=MIXED_DS_POLICY, restart=RESTART
+        )
+
+    if case == "x0":
+        X0 = np.outer(np.linspace(0.0, 1.0, n), [0.0, 0.25, 0.5, 0.75])
+        return _solve_and_panel(
+            make,
+            b,
+            B,
+            dict(x0=np.full(n, 0.5), tol=TOL, maxiter=MAXITER),
+            dict(X0=X0, tol=TOL, maxiter=MAXITER),
+        )
+    if case == "target-residual":
+        return _solve_and_panel(
+            make, b, B, dict(target_residual=1e-6, maxiter=MAXITER)
+        )
+    if case == "maxiter":
+        # 13 = one full cycle + a truncated one; tol=0 never converges.
+        return _solve_and_panel(make, b, B, dict(tol=0.0, maxiter=13))
+    if case == "cancel":
+        return _solve_and_panel(
+            make,
+            b,
+            B,
+            dict(tol=TOL, maxiter=MAXITER, cancel=_cancel_after(3)),
+            dict(tol=TOL, maxiter=MAXITER, cancel=_cancel_column(1, 2)),
+        )
+    raise ValueError(case)
+
+
+def capture() -> dict:
+    prob = generate_problem(Subdomain.serial(16, 16, 16))
+    cases = {c: run_serial(c, prob) for c in SERIAL_CASES}
+    cases.update({c: run_spmd2(c) for c in SPMD_CASES})
+    cases.update({c: run_exit(c, prob) for c in EXIT_CASES})
+    return {"fingerprint": fingerprint(), "cases": cases}
+
+
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def golden():
+    data = json.loads(GOLDEN.read_text())
+    here = fingerprint()
+    if data["fingerprint"]["backend"] != here["backend"]:
+        # Another backend's kernels are different arithmetic, not a
+        # drifted copy of the recorded one; the loop under test is
+        # backend-independent and the reference-backend legs pin it.
+        pytest.skip(f"golden recorded on {data['fingerprint']['backend']} kernels")
+    data["exact"] = data["fingerprint"] == here
+    if not data["exact"]:
+        warnings.warn(
+            "engine golden fingerprint mismatch — recorded "
+            f"{data['fingerprint']}, running {here}; comparing decisions "
+            "exactly and final_relres to 1e-12 instead of bitwise",
+            stacklevel=1,
+        )
+    return data
+
+
+def _decisions(rec: dict) -> dict:
+    out = {
+        k: rec[k]
+        for k in (
+            "iterations",
+            "restarts",
+            "cycle_lengths",
+            "converged",
+            "cancelled",
+            "breakdown",
+        )
+    }
+    out["events"] = [e[:-1] for e in rec["events"]]
+    return out
+
+
+def _records(result):
+    """The per-solve records of a case result (per rank on SPMD
+    cases), each with a path for failure messages."""
+    ranks = result if isinstance(result, list) else [result]
+    for rank, res in enumerate(ranks):
+        yield f"[rank {rank}].solve", res["solve"]
+        for j, rec in enumerate(res["panel"]):
+            yield f"[rank {rank}].panel[{j}]", rec
+
+
+def _check(case: str, got, golden: dict) -> None:
+    want = golden["cases"][case]
+    if golden["exact"]:
+        assert got == want, f"{case}: engine diverged bitwise from the parent"
+        return
+    note = f"{case} (fingerprint mismatch: recorded {golden['fingerprint']})"
+    for (path, g), (_, w) in zip(_records(got), _records(want), strict=True):
+        assert _decisions(g) == _decisions(w), f"{note}{path}"
+        gr = float.fromhex(g["final_relres"])
+        wr = float.fromhex(w["final_relres"])
+        # relres is already relative to ||b||; a converged ~1e-11 value
+        # carries amplified roundoff, hence the absolute floor.
+        assert math.isclose(gr, wr, rel_tol=1e-12, abs_tol=1e-12), f"{note}{path}"
+
+
+@pytest.mark.parametrize("case", SERIAL_CASES)
+def test_serial_grid_matches_parent(case, problem16, golden):
+    _check(case, run_serial(case, problem16), golden)
+
+
+@pytest.mark.parametrize("case", SPMD_CASES)
+def test_two_ranks_match_parent(case, golden):
+    _check(case, run_spmd2(case), golden)
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_paths_match_parent(case, problem16, golden):
+    _check(case, run_exit(case, problem16), golden)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(capture(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

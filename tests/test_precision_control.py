@@ -11,6 +11,7 @@ and the config/CLI wiring.
 
 import numpy as np
 import pytest
+from helpers_distributed import defect_panel_pooled
 
 from repro.fp import (
     ControlConfig,
@@ -595,7 +596,8 @@ class TestTransferScheduledHierarchy:
             Precision.DOUBLE,
             Precision.DOUBLE,
         )
-        assert mg.levels[0].r_c.dtype == np.float32
+        mg.apply(problem16.b)
+        assert defect_panel_pooled(mg, 0, np.float32)
         assert mg.levels[-1].transfer_precision is None
 
     def test_explicit_transfer_schedule_sets_buffer_dtypes(
@@ -611,7 +613,11 @@ class TestTransferScheduledHierarchy:
             transfer_precision="fp64",
         )
         assert mg.transfer_schedule == (Precision.DOUBLE,) * 3
-        assert all(lv.r_c.dtype == np.float64 for lv in mg.levels[:-1])
+        mg.apply(problem16.b)
+        assert all(
+            defect_panel_pooled(mg, lvl, np.float64)
+            for lvl in range(len(mg.levels) - 1)
+        )
         dims = mg.level_dims()
         assert dims[0]["transfer_precision"] == "fp64"
         assert dims[-1]["transfer_precision"] is None

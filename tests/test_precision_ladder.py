@@ -10,6 +10,7 @@ ill-conditioned solve), and the per-level byte-traffic model.
 
 import numpy as np
 import pytest
+from helpers_distributed import defect_panel_pooled
 
 from repro.fp import (
     DOUBLE_POLICY,
@@ -152,9 +153,11 @@ class TestLadderHierarchy:
         ]
         assert mg.describe_schedule() == "fp16:fp32:fp64:fp64"
         assert mg.precision is Precision.HALF
-        # The defect buffer of each level lives on the *coarser* rung.
-        assert mg.levels[0].r_c.dtype == np.float32
-        assert mg.levels[1].r_c.dtype == np.float64
+        # The defect of each level crosses to the *coarser* rung: the
+        # V-cycle pools its coarse-defect panels at exactly those dtypes.
+        mg.apply(problem16.b)
+        assert defect_panel_pooled(mg, 0, np.float32)
+        assert defect_panel_pooled(mg, 1, np.float64)
         dims = mg.level_dims()
         assert [d["value_bytes"] for d in dims] == [2, 4, 8, 8]
 

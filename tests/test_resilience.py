@@ -8,6 +8,9 @@ Acceptance contracts under test:
   a resilience-off solve, serially and on the SPMD runtime;
 - non-finite residual state raises a typed
   ``NumericalBreakdownError`` instead of burning to ``maxiter``;
+- all of the above hold at panel width: ``solve`` is the width-1
+  ``solve_panel``, so the service's batched path carries the same
+  detection, checkpoint replay and budget;
 - the service absorbs injected transient faults through its
   retry/degradation path, and ``solve_with_retry`` backs off on
   admission-control rejections.
@@ -22,6 +25,7 @@ import random
 
 import numpy as np
 import pytest
+from helpers_distributed import scaled_rhs_panel
 
 from repro.backends.registry import registry
 from repro.backends.workspace import WorkspacePool
@@ -333,6 +337,113 @@ class TestFiniteGuards:
         )
         with pytest.raises(NumericalBreakdownError):
             solver.solve(self._poisoned(problem16), tol=1e-8, maxiter=50)
+
+
+class TestPanelResilience:
+    """The restart loop is one engine, so everything the width-1
+    ``solve`` detects and replays, a wider ``solve_panel`` must too."""
+
+    @pytest.mark.parametrize(
+        "policy", [DOUBLE_POLICY, MIXED_DS_POLICY], ids=["double", "mixed"]
+    )
+    def test_campaign_detects_and_replays_on_a_panel(self, problem16, policy):
+        injector = parse_fault_spec("spmv:bitflip:2;seed=7").injector()
+        injector.cover()
+        solver = GMRESIRSolver(
+            problem16, SerialComm(), policy, resilience=ResilienceConfig()
+        )
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            _, stats = solver.solve_panel(
+                scaled_rhs_panel(problem16.b, 2), tol=1e-8, maxiter=400
+            )
+        finally:
+            registry.set_wrapper(None)
+        assert injector.exhausted  # both faults fired in this one call
+        for st in stats:
+            assert st.converged
+            rs = st.resilience
+            # The lockstep cycle is shared: each column saw both faults.
+            assert rs.detected == 2  # detection rate exactly 1.0
+            assert rs.replays >= 2
+            assert rs.recovered == 1
+
+    def test_replay_budget_escape_hatch_on_a_panel(self, problem16):
+        injector = parse_fault_spec("spmv:bitflip;seed=1").injector()
+        injector.cover()
+        solver = GMRESIRSolver(
+            problem16,
+            SerialComm(),
+            MIXED_DS_POLICY,
+            resilience=ResilienceConfig(max_replays=0),
+        )
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            with pytest.raises(FaultDetectedError):
+                solver.solve_panel(
+                    scaled_rhs_panel(problem16.b, 2), tol=1e-8, maxiter=400
+                )
+        finally:
+            registry.set_wrapper(None)
+
+    @pytest.mark.parametrize("resilient", [True, False], ids=["on", "off"])
+    def test_transient_nonfinite_residual_replays_or_raises(
+        self, problem16, resilient
+    ):
+        # ABFT off, so the NaN an (uncovered) injector plants in the
+        # first outer-residual matvec reaches the finite guard: with
+        # resilience on the boundary replays clean; with it off the
+        # typed error still escapes.
+        injector = parse_fault_spec("spmv:nan;seed=3").injector()
+        solver = GMRESIRSolver(
+            problem16,
+            SerialComm(),
+            MIXED_DS_POLICY,
+            resilience=ResilienceConfig(abft=False) if resilient else None,
+        )
+        B = scaled_rhs_panel(problem16.b, 2)
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            if not resilient:
+                with pytest.raises(NumericalBreakdownError):
+                    solver.solve_panel(B, tol=1e-8, maxiter=400)
+                return
+            _, stats = solver.solve_panel(B, tol=1e-8, maxiter=400)
+        finally:
+            registry.set_wrapper(None)
+        assert injector.exhausted
+        for st in stats:
+            assert st.converged
+            rs = st.resilience
+            assert (rs.breakdowns, rs.replays, rs.detected) == (1, 1, 0)
+
+    @pytest.mark.parametrize("nranks", sorted({1, *RANKS}))
+    def test_clean_panel_bitwise_parity(self, nranks):
+        """Resilience on + zero faults == off, bitwise, at width 4."""
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
+            prob = generate_problem(sub)
+            mg = MGConfig(nlevels=2)
+            B = scaled_rhs_panel(prob.b, 4)
+            X_off, _ = GMRESIRSolver(
+                prob, comm, MIXED_DS_POLICY, mg_config=mg
+            ).solve_panel(B, tol=1e-8, maxiter=300)
+            X_on, stats = GMRESIRSolver(
+                prob,
+                comm,
+                MIXED_DS_POLICY,
+                mg_config=mg,
+                resilience=ResilienceConfig(),
+            ).solve_panel(B, tol=1e-8, maxiter=300)
+            return bool(np.array_equal(X_off, X_on)) and all(
+                st.converged
+                and (st.resilience.detected, st.resilience.replays) == (0, 0)
+                for st in stats
+            )
+
+        assert all(run_ranks(nranks, fn))
 
 
 class TestServiceResilience:

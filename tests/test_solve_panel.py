@@ -12,7 +12,9 @@ import os
 
 import numpy as np
 import pytest
+from helpers_distributed import scaled_rhs_panel as make_rhs_panel
 
+from repro.backends.registry import registry
 from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
@@ -35,14 +37,6 @@ def run_ranks(nranks: int, fn) -> list:
     if nranks == 1:
         return [fn(SerialComm())]
     return run_spmd(nranks, fn)
-
-
-def make_rhs_panel(b: np.ndarray, ncol: int) -> np.ndarray:
-    """Panel of scaled copies of the stencil RHS (fp64-exact scales)."""
-    B = np.empty((b.shape[0], ncol), order="F")
-    for j in range(ncol):
-        np.multiply(b, 1.0 + 0.5 * j, out=B[:, j])
-    return B
 
 
 def _solver(prob, comm, policy, **kw):
@@ -106,6 +100,47 @@ class TestPanelParitySerial:
             pan.solve_panel(np.zeros((7, 2)))
         with pytest.raises(ValueError, match="nlocal"):
             pan.solve_panel(problem16.b)  # 1-D is not a panel
+
+
+class TestFusionSwitch:
+    """``fusion=False`` (the --no-fusion ablation) reaches the one
+    engine's outer residual as well as its orthogonalization."""
+
+    @pytest.mark.parametrize("entry", ["solve", "solve_panel"])
+    def test_fusion_off_dispatches_no_fused_motif(self, problem16, entry):
+        fused_ops = ("spmv_dot", "waxpby_dot", "gemv_sub_dot")  # and *_multi
+
+        def run(fusion):
+            solver = GMRESIRSolver(
+                problem16, SerialComm(), policy=MIXED_DS_POLICY, fusion=fusion
+            )
+            counts = {}
+
+            def counting(op, fn):
+                def counted(*args, **kwargs):
+                    counts[op] = counts.get(op, 0) + 1
+                    return fn(*args, **kwargs)
+
+                return counted
+
+            registry.set_wrapper(counting)
+            try:
+                if entry == "solve":
+                    x, _ = solver.solve(problem16.b, tol=1e-9)
+                else:
+                    x, _ = solver.solve_panel(
+                        make_rhs_panel(problem16.b, 3), tol=1e-9
+                    )
+            finally:
+                registry.set_wrapper(None)
+            return x, sum(n for op, n in counts.items() if op.startswith(fused_ops))
+
+        x_on, fused_on = run(True)
+        x_off, fused_off = run(False)
+        assert fused_on > 0
+        assert fused_off == 0
+        if registry.active_backend == "numpy":
+            assert np.array_equal(x_on, x_off)  # fused == unfused, bitwise
 
 
 class TestPanelParityDistributed:
