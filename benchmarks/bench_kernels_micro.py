@@ -90,6 +90,24 @@ class TestSpMV:
         spmv(A, vectors["x64"], out=out, ws=ws)  # warmup the arena
         benchmark(lambda: spmv(A, vectors["x64"], out=out, ws=ws))
 
+    def test_spmv_multi_ell_fp32(self, benchmark, mats, vectors):
+        """Panel of 8 through the chunked single-pass ELL kernel — 14
+        chunks at this size, which tier-1 operators never reach — with
+        every column checked against its solo product."""
+        from repro.backends import Workspace, spmv, spmv_multi
+
+        A = mats["ell32"]
+        rng = np.random.default_rng(5)
+        X = np.asfortranarray(
+            rng.standard_normal((A.ncols, 8)).astype(np.float32)
+        )
+        Y = np.empty((A.nrows, 8), dtype=np.float32, order="F")
+        ws = Workspace()
+        spmv_multi(A, X, out=Y, ws=ws)  # warmup the arena
+        benchmark(lambda: spmv_multi(A, X, out=Y, ws=ws))
+        for j in range(8):
+            assert np.array_equal(Y[:, j], spmv(A, X[:, j]))
+
 
 class TestGaussSeidel:
     @pytest.fixture(scope="class")
@@ -120,6 +138,40 @@ class TestGaussSeidel:
         x = np.zeros(prob.nlocal)
         gs.forward(r, x)  # warmup the arena
         benchmark(lambda: gs.forward(r, x))
+
+    def test_gs_sweep_fp32_blocks(self, benchmark, prob, mats):
+        """The sweep a solve runs: the level-0 smoother of a built
+        hierarchy, packed color blocks of 13 824 rows (two chunks
+        each), on a panel of 8 — checked bitwise against the index-set
+        reference kernel."""
+        from repro.backends import symgs_sweep
+        from repro.mg import MGConfig, MultigridPreconditioner
+
+        mg = MultigridPreconditioner.build(
+            prob,
+            SerialComm(),
+            MGConfig(),
+            precision="fp32",
+            fine_matrix=mats["ell32"],
+        )
+        gs = mg.levels[0].smoother
+        rng = np.random.default_rng(6)
+        R = np.asfortranarray(
+            rng.standard_normal((prob.nlocal, 8)).astype(np.float32)
+        )
+        X = np.zeros((prob.A.ncols, 8), dtype=np.float32, order="F")
+        gs.forward_panel(R, X)  # warmup the arena
+        benchmark(lambda: gs.forward_panel(R, X))
+
+        A = mats["ell32"]
+        diag = A.diagonal()
+        diag_sets = [diag[rows] for rows in gs.sets]
+        X[:] = 0.0
+        gs.forward_panel(R, X)
+        for j in range(8):
+            ref = np.zeros(A.ncols, dtype=np.float32)
+            symgs_sweep(A, R[:, j], ref, gs.sets, diag_sets, "forward")
+            assert np.array_equal(X[:, j], ref)
 
 
 class TestOrtho:

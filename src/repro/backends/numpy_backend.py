@@ -7,14 +7,21 @@ honors two contracts the solver hot path depends on:
 - ``out=`` — results land in a caller-provided buffer end-to-end (no
   hidden allocate-then-copy, including CSR's empty-row fixup path);
 - ``ws=`` — an optional :class:`~repro.backends.workspace.Workspace`
-  supplies pooled scratch.  Full-matrix kernels and the ELL row-subset
-  kernel are allocation-free after their first (warmup) call; the
-  CSR/SELL-C-σ row-subset kernels pool all floating-point traffic but
-  still build O(rows) integer index scratch per call (the price of
-  their indirected layouts).
+  supplies pooled scratch.  The ELL kernels (full, row-subset, panel,
+  every rung) run through one chunked body, :func:`_ell_chunked`: their
+  scratch is ``(CHUNK_ROWS, width)`` whatever the matrix size, and they
+  allocate nothing after their first (warmup) call — not even
+  transiently: the int32 column block is widened into pooled ``intp``
+  scratch per chunk, because ``np.take`` with int32 indices allocates
+  an intp copy of the whole index array on every call.  The CSR and
+  SELL-C-σ full-matrix kernels pool O(nnz) gathers and still pay that
+  hidden index copy; their row-subset kernels pool all floating-point
+  traffic but build O(rows) integer index scratch per call (the price
+  of their indirected layouts).
 
 Without ``ws`` the kernels fall back to plain allocating NumPy, which
-keeps them usable from tests and one-shot diagnostics.
+keeps them usable from tests and one-shot diagnostics — and is the
+reference the chunked bodies are tested bitwise against.
 
 The kernels are duck-typed on the matrix attributes (``indptr`` /
 ``cols`` / ``blocks`` ...), not the classes, so this module has no
@@ -144,18 +151,119 @@ def spmv_rows_csr(A, rows, x, out=None, ws=None):
 # ----------------------------------------------------------------------
 # ELL
 # ----------------------------------------------------------------------
+#: Rows per gather -> multiply -> row-reduce chunk of the ELL kernels.
+#: What the chunking buys at this size is bounded scratch — nothing
+#: scales with nnz, a 48^3 solver arena drops from 65 MB to 30 MB and
+#: the O(nnz) temporaries stop evicting the vectors between kernels —
+#: not cache blocking: a chunk's scratch (intp indices + gathered
+#: values, 16 B per slot at fp64) is 3.5 MB, above the 2 MiB L2 of the
+#: box that sized it.  There a bare 48^3 fp64 SpMV reads 8.3 ms as one
+#: chunk, 8.8 ms at 8192 rows, 8.0 at 4096, 6.4 at 2048, 6.0 at 1024
+#: (fp32: 7.9 / 7.6 / 7.0 / 6.0 / 6.6; medians of 25, best of three
+#: interleaved rounds).  It stays coarse because each chunk is four
+#: more GIL-releasing NumPy calls under thread-SPMD ranks and service
+#: workers (``service16`` ``rhs_per_s`` 24.5 at 8192, 21.9 at 2048,
+#: 21.3 at 1024; the parent reads 17-18) and because at 8192 every 16^3
+#: operand and every color block up to 32^3 is a single chunk, which
+#: the small-operator fast path below relies on.  Lowering it towards
+#: 2048 is ROADMAP item 3b's next measurement (over four pairs
+#: ``solve48`` ``tts_s`` read 8 % and ``panel32`` 10 % lower there,
+#: inside their spread); CHANGES.md (PR 16) has the runs.
+CHUNK_ROWS = 8192
+
+#: ``dtype == np.float16`` builds a dtype from the type on every call
+#: (~1 us — a coarse-level kernel's whole arithmetic); comparing two
+#: dtype instances does not.
+_HALF = np.dtype(np.float16)
+
+
+def _ell_chunked(A, rows, X, Y, ws) -> None:
+    """``Y[:, j] = (A @ X[:, j])[rows]`` for every column of a panel.
+
+    THE ELL kernel body: full-matrix and row-subset, single vector
+    (an ``(n, 1)`` view) and panel, fp32/fp64 and fp16 storage all run
+    through it.  Rows are processed :data:`CHUNK_ROWS` at a time, so
+    all scratch is ``(chunk, width)`` — nothing scales with nnz.
+    Per chunk the int32 column block is widened **once** into pooled
+    ``intp`` scratch (``np.take`` would otherwise allocate that copy on
+    every call) and then serves every column, so a panel streams each
+    matrix chunk once.  Each row's reduction is one contiguous
+    ``sum(axis=1)`` over its ``width`` slots whatever the chunking or
+    panel width, which keeps every column bitwise-equal to its solo,
+    unchunked product.
+
+    ``rows=None`` means all rows.  fp16 storage accumulates in fp32 and
+    folds ``A.row_scale`` back in; the store into ``Y`` casts.
+    """
+    w = A.cols.shape[1]
+    m = A.cols.shape[0] if rows is None else len(rows)
+    if m == 0:
+        return
+    c = min(CHUNK_ROWS, m)
+    half = A.vals.dtype == _HALF
+    scale = getattr(A, "row_scale", None) if half else None
+    idx = ws.get("ell.chunk.idx", (c, w), np.intp)
+    gather = ws.get("ell.chunk.gather", (c, w), X.dtype)
+    if half:
+        prod = ws.get("ell.chunk.prod", (c, w), np.float32)
+        rowsum = ws.get("ell.chunk.sum", (c,), np.float32)
+    if rows is not None:
+        vbuf = ws.get("ell.chunk.vals", (c, w), A.vals.dtype)
+        cbuf = ws.get("ell.chunk.cols", (c, w), A.cols.dtype)
+        if scale is not None:
+            sbuf = ws.get("ell.chunk.scale", (c,), np.float32)
+    # A view object costs as much as the arithmetic on a coarse level,
+    # so operands that are one chunk (every level of a 16^3 hierarchy)
+    # are used whole and only a ragged last chunk slices the scratch.
+    single = c == m
+    for lo in range(0, m, c):
+        hi = min(lo + c, m)
+        k = hi - lo
+        ix, g = (idx, gather) if k == c else (idx[:k], gather[:k])
+        if rows is not None:
+            sel = rows if single else rows[lo:hi]
+            v = np.take(A.vals, sel, axis=0, out=vbuf[:k], mode="clip")
+            cols = np.take(A.cols, sel, axis=0, out=cbuf[:k], mode="clip")
+            if scale is not None:
+                s = np.take(scale, sel, out=sbuf[:k], mode="clip")
+        elif single:
+            v, cols, s = A.vals, A.cols, scale
+        else:
+            v, cols = A.vals[lo:hi], A.cols[lo:hi]
+            s = scale[lo:hi] if scale is not None else None
+        if half:
+            p, acc = prod[:k], rowsum[:k]
+        np.copyto(ix, cols)
+        for j in range(X.shape[1]):
+            np.take(X[:, j], ix, out=g, mode="clip")
+            y = Y[:, j] if single else Y[lo:hi, j]
+            if not half:
+                np.multiply(v, g, out=g)
+                g.sum(axis=1, dtype=v.dtype, out=y)
+                continue
+            np.multiply(v, g, out=p, dtype=np.float32)
+            p.sum(axis=1, dtype=np.float32, out=acc)
+            if scale is not None:
+                np.multiply(acc, s, out=acc)
+            y[:] = acc
+
+
+def _ell_vector(A, rows, x, out, ws) -> np.ndarray:
+    """The single-vector entry to :func:`_ell_chunked`: ``x`` and the
+    result are viewed as width-1 panels."""
+    m = A.cols.shape[0] if rows is None else len(rows)
+    y = out if out is not None else np.empty(m, dtype=A.vals.dtype)
+    _ell_chunked(A, rows, x[:, None], y[:, None], ws)
+    return y
+
+
 @register("spmv", fmt="ell")
 def spmv_ell(A, x, out=None, ws=None):
-    """y = A @ x: one gather of ``x`` through the padded column block,
-    elementwise multiply, and a row reduction."""
+    """y = A @ x: gather ``x`` through the padded column block,
+    multiply, reduce each row (chunked and pooled with ``ws``)."""
     _check_cols(A, x)
     if ws is not None and A.vals.dtype == x.dtype:
-        g = ws.get("ell.spmv.gather", A.cols.shape, x.dtype)
-        np.take(x, A.cols, out=g, mode="clip")
-        np.multiply(A.vals, g, out=g)
-        y = out if out is not None else np.empty(A.nrows, dtype=A.vals.dtype)
-        g.sum(axis=1, dtype=A.vals.dtype, out=y)
-        return y
+        return _ell_vector(A, None, x, out, ws)
     acc = A.vals * x[A.cols]
     y = acc.sum(axis=1, dtype=A.vals.dtype)
     if out is not None:
@@ -167,21 +275,9 @@ def spmv_ell(A, x, out=None, ws=None):
 @register("spmv_rows", fmt="ell")
 def spmv_rows_ell(A, rows, x, out=None, ws=None):
     """(A @ x) on a row subset — the building block for the fused
-    SpMV-restriction (§3.2.4), the interior/boundary overlap split
-    (§3.2.3) and the multicolor GS color passes (§3.2.1)."""
-    m = len(rows)
-    w = A.width
-    if ws is not None and A.vals.dtype == x.dtype and m:
-        vb = ws.get("ell.rows.vals", (m, w), A.vals.dtype)
-        cb = ws.get("ell.rows.cols", (m, w), A.cols.dtype)
-        np.take(A.vals, rows, axis=0, out=vb, mode="clip")
-        np.take(A.cols, rows, axis=0, out=cb, mode="clip")
-        g = ws.get("ell.rows.gather", (m, w), x.dtype)
-        np.take(x, cb, out=g, mode="clip")
-        np.multiply(vb, g, out=g)
-        y = out if out is not None else np.empty(m, dtype=A.vals.dtype)
-        g.sum(axis=1, dtype=A.vals.dtype, out=y)
-        return y
+    SpMV-restriction (§3.2.4) and the index-set reference sweep."""
+    if ws is not None and A.vals.dtype == x.dtype:
+        return _ell_vector(A, rows, x, out, ws)
     acc = A.vals[rows] * x[A.cols[rows]]
     y = acc.sum(axis=1, dtype=A.vals.dtype)
     if out is not None:
@@ -265,13 +361,17 @@ def spmv_rows_sellcs(A, rows, x, out=None, ws=None):
 # ----------------------------------------------------------------------
 @register("symgs_sweep")
 def symgs_sweep(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
-    """One multicolor Gauss-Seidel sweep over all color sets.
+    """One multicolor Gauss-Seidel sweep over all color index sets.
 
     Rows of a color are mutually independent, so each pass is one
     vectorized relaxation ``x[c] += (r[c] - (A x)[c]) / diag[c]``;
     colors run sequentially (later colors see earlier updates).
-    ``diag_sets[i]`` is the diagonal restricted to ``sets[i]``,
-    precomputed once by the smoother.
+    ``diag_sets[i]`` is the diagonal restricted to ``sets[i]``.
+
+    The format-generic *reference*: every pass copies its color's rows
+    out of ``A`` (``spmv_rows``).  Smoothers sweep the packed
+    ``color_partitioned`` layout instead (``partitioned_ops``), which
+    tests pin bitwise to this kernel; the tuner still probes this one.
     """
     from repro.backends.dispatch import spmv_rows
 
@@ -348,17 +448,19 @@ def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
 # Panel (multi-RHS) motifs
 # ----------------------------------------------------------------------
 # A panel is a column-major (n, N) array: one RHS per contiguous
-# column.  The reference registrations apply the single-RHS kernel to
-# each column — NumPy's axis reductions use pairwise summation only on
-# the contiguous fast axis, so a "vectorized" 3-D panel reduction would
-# silently change each column's rounding; composing per column keeps
-# every column bitwise-equal to the looped single-RHS calls, which is
-# the contract the panel solver's parity tests pin.  All pooled
-# scratch is *shared across the panel's columns* (same workspace keys),
-# so an N-wide panel warms exactly the buffers one RHS does.  The
-# single-pass layouts — one matrix stream serving all N columns —
-# belong to the JIT/GPU backends (the Numba backend registers CSR/ELL
-# ``spmv_multi`` against this same key).
+# column.  NumPy's axis reductions use pairwise summation only on the
+# contiguous fast axis, so a "vectorized" 3-D panel reduction would
+# silently change each column's rounding; every registration below
+# therefore reduces column by column and keeps each column
+# bitwise-equal to the looped single-RHS calls, which is the contract
+# the panel solver's parity tests pin.  ELL ``spmv_multi`` is
+# nevertheless single-pass over the matrix: the chunk helper widens
+# and holds one chunk of the matrix while it serves every column.  The
+# other registrations apply the single-RHS kernel to each column, with
+# pooled scratch *shared across the panel's columns* (same workspace
+# keys), so an N-wide panel warms exactly the buffers one RHS does;
+# their single-pass layouts belong to the JIT/GPU backends (the Numba
+# backend registers CSR/ELL ``spmv_multi`` against this same key).
 
 
 def _check_panel(X, out):
@@ -370,35 +472,54 @@ def _check_panel(X, out):
         )
 
 
+def _spmv_columns(fmt, A, X, Y, ws) -> None:
+    """``Y[:, j] = A @ X[:, j]`` through the format's single-RHS kernel
+    (fp16 included: the lookup resolves the precision-specific kernel,
+    fp32 accumulation and row-equilibration scales intact)."""
+    from repro.backends import dispatch
+
+    fn = registry.lookup(
+        "spmv", fmt, dispatch._prec(A.dtype),
+        fmt_params=dispatch.matrix_format_params(A),
+    )
+    for j in range(X.shape[1]):
+        fn(A, X[:, j], out=Y[:, j], ws=ws)
+
+
+def _panel_out(A, X, out):
+    _check_panel(X, out)
+    if out is not None:
+        return out
+    return np.empty((A.nrows, X.shape[1]), dtype=A.dtype, order="F")
+
+
 def _register_spmv_multi(fmt):
     @register("spmv_multi", fmt=fmt)
     def spmv_multi_fmt(A, X, out=None, ws=None):
-        from repro.backends import dispatch
-
-        _check_panel(X, out)
-        ncol = X.shape[1]
-        fn = registry.lookup(
-            "spmv", fmt, dispatch._prec(A.dtype),
-            fmt_params=dispatch.matrix_format_params(A),
-        )
-        Y = (
-            out
-            if out is not None
-            else np.empty((A.nrows, ncol), dtype=A.dtype, order="F")
-        )
-        for j in range(ncol):
-            fn(A, X[:, j], out=Y[:, j], ws=ws)
+        Y = _panel_out(A, X, out)
+        _spmv_columns(fmt, A, X, Y, ws)
         return Y
 
     return spmv_multi_fmt
 
 
-# One registration per storage format (fp16 included: the inner lookup
-# resolves the precision-specific single-RHS kernel, fp32 accumulation
-# and row-equilibration scales intact).
-for _fmt in ("csr", "ell", "sellcs"):
+for _fmt in ("csr", "sellcs"):
     _register_spmv_multi(_fmt)
 del _fmt
+
+
+@register("spmv_multi", fmt="ell")
+def spmv_multi_ell(A, X, out=None, ws=None):
+    """Panel ELL SpMV, every rung: with ``ws`` each matrix chunk is
+    streamed once for all N columns; without, the allocating per-column
+    reference."""
+    Y = _panel_out(A, X, out)
+    if ws is not None and (A.vals.dtype == X.dtype or A.vals.dtype == _HALF):
+        _check_cols(A, X)
+        _ell_chunked(A, None, X, Y, ws)
+    else:
+        _spmv_columns("ell", A, X, Y, ws)
+    return Y
 
 
 @register("spmv_multi")
@@ -675,17 +796,11 @@ def _store(acc: np.ndarray, out, dtype) -> np.ndarray:
 def spmv_ell_fp16(A, x, out=None, ws=None):
     """ELL SpMV: fp16 streaming, fp32 accumulation, optional row scale."""
     _check_cols(A, x)
-    scale = getattr(A, "row_scale", None)
     if ws is not None:
-        g = ws.get("ell.spmv16.gather", A.cols.shape, x.dtype)
-        np.take(x, A.cols, out=g, mode="clip")
-        acc = ws.get("ell.spmv16.acc", A.cols.shape, np.float32)
-        np.multiply(A.vals, g, out=acc, dtype=np.float32)
-        y = ws.get("ell.spmv16.sum", (A.nrows,), np.float32)
-        acc.sum(axis=1, dtype=np.float32, out=y)
-    else:
-        acc = np.multiply(A.vals, x[A.cols], dtype=np.float32)
-        y = acc.sum(axis=1, dtype=np.float32)
+        return _ell_vector(A, None, x, out, ws)
+    acc = np.multiply(A.vals, x[A.cols], dtype=np.float32)
+    y = acc.sum(axis=1, dtype=np.float32)
+    scale = getattr(A, "row_scale", None)
     if scale is not None:
         np.multiply(y, scale, out=y)
     return _store(y, out, A.vals.dtype)
@@ -693,32 +808,15 @@ def spmv_ell_fp16(A, x, out=None, ws=None):
 
 @register("spmv_rows", fmt="ell", precision="fp16")
 def spmv_rows_ell_fp16(A, rows, x, out=None, ws=None):
-    """ELL row-subset SpMV with fp32 accumulation (GS / fused restrict)."""
-    m = len(rows)
-    w = A.width
-    scale = getattr(A, "row_scale", None)
-    if m == 0:
-        return out if out is not None else np.zeros(0, dtype=A.vals.dtype)
+    """ELL row-subset SpMV with fp32 accumulation (fused restrict and
+    the index-set reference sweep)."""
     if ws is not None:
-        vb = ws.get("ell.rows16.vals", (m, w), A.vals.dtype)
-        cb = ws.get("ell.rows16.cols", (m, w), A.cols.dtype)
-        np.take(A.vals, rows, axis=0, out=vb, mode="clip")
-        np.take(A.cols, rows, axis=0, out=cb, mode="clip")
-        g = ws.get("ell.rows16.gather", (m, w), x.dtype)
-        np.take(x, cb, out=g, mode="clip")
-        acc = ws.get("ell.rows16.acc", (m, w), np.float32)
-        np.multiply(vb, g, out=acc, dtype=np.float32)
-        y = ws.get("ell.rows16.sum", (m,), np.float32)
-        acc.sum(axis=1, dtype=np.float32, out=y)
-        if scale is not None:
-            sb = ws.get("ell.rows16.scale", (m,), np.float32)
-            np.take(scale, rows, out=sb, mode="clip")
-            np.multiply(y, sb, out=y)
-    else:
-        acc = np.multiply(A.vals[rows], x[A.cols[rows]], dtype=np.float32)
-        y = acc.sum(axis=1, dtype=np.float32)
-        if scale is not None:
-            y *= scale[rows]
+        return _ell_vector(A, rows, x, out, ws)
+    acc = np.multiply(A.vals[rows], x[A.cols[rows]], dtype=np.float32)
+    y = acc.sum(axis=1, dtype=np.float32)
+    scale = getattr(A, "row_scale", None)
+    if scale is not None:
+        y *= scale[rows]
     return _store(y, out, A.vals.dtype)
 
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends.dispatch import spmv, spmv_multi
 from repro.backends.registry import register
 
 
 def _block_spmv_into(P, region: str, xfull, y, ws) -> None:
     """Run one region's block SpMV and scatter into the full result."""
-    from repro.backends.dispatch import spmv
-
     blk = P.interior if region == "interior" else P.boundary
     rows = P.interior_rows if region == "interior" else P.boundary_rows
     m = len(rows)
@@ -123,79 +122,110 @@ def spmv_partitioned(P, xfull, out=None, ws=None):
 
 
 # ----------------------------------------------------------------------
-# Color-partitioned SymGS: the overlapped smoother's two halves
+# Color-partitioned SymGS: packed color blocks under every sweep
 # ----------------------------------------------------------------------
+# Every multicolor smoother sweeps this layout — serial, blocking SPMD
+# and overlapped SPMD alike.  ``symgs_sweep`` is the interleaved
+# schedule (interior block, then boundary block, per color; serial
+# layouts have one block per color and no boundary blocks);
 # ``symgs_interior`` sweeps every color's dependency-closed interior
-# block (in sweep order) while the halo is in flight; ``symgs_boundary``
-# finishes every color's boundary block after the ghosts land.  Each
-# block relaxation is ``x[rows] += (r[rows] - (A_blk x)) / diag_blk``
-# through a *full-matrix* block kernel, so the inner ``spmv`` lookup
+# block while the halo is in flight and ``symgs_boundary`` finishes
+# every color's boundary block after the ghosts land.  Each block
+# relaxation is ``x[rows] += (r[rows] - (A_blk x)) / diag_blk`` through
+# a *full-matrix* block kernel, so the inner ``spmv_multi`` lookup
 # re-dispatches on the block's own (format, precision) key — every
-# storage layout, every ladder rung and every backend (NumPy, Numba)
-# is served by these registrations without per-format code.
+# storage layout, every ladder rung and every backend is served by
+# these registrations without per-format code.
 #
-# The interleaved ``symgs_sweep`` (interior block, then boundary block,
-# per color) and the overlapped split (all interiors, then all
-# boundaries) execute identical reads and writes thanks to the
-# dependency closure (see ``repro.sparse.partitioned``), and both are
-# bitwise-equal at fp64 to the historical index-set sweep.
+# The interleaved and the split schedules execute identical reads and
+# writes thanks to the dependency closure (see
+# ``repro.sparse.partitioned``), and both are bitwise-equal to the
+# format-generic index-set ``symgs_sweep`` (blocks keep each row's slot
+# layout, so a block row sum is the unpartitioned row sum).
+#
+# One relaxation body per arithmetic class, taking ``(n, N)`` panels:
+# the block SpMV is one ``spmv_multi`` (ELL streams each matrix chunk
+# once for all N columns), the update runs column by column, and a
+# column's bits do not depend on its panel-mates.  The ``_multi`` ops
+# and their single-vector twins are the same functions; a 1-D vector
+# is viewed as an ``(n, 1)`` panel on entry to the body.
 
 
-def _relax_block(blk, r, xfull, ws, key) -> None:
-    """One block's relaxation pass, fp32/fp64 arithmetic."""
-    from repro.backends.dispatch import spmv
+def _as_panels(r, xfull):
+    if r.ndim == 1:
+        return r[:, None], xfull[:, None]
+    return r, xfull
 
+
+def _relax_block(blk, R, Xfull, ws, key) -> None:
+    """One block's relaxation pass, fp32/fp64 arithmetic.
+
+    ``key`` (direction, region, pass) is part of the block-relaxation
+    signature the sweep drivers call — backends may keep per-pass
+    state under it.  This body does not: pooled scratch is keyed by
+    shape alone, so equal-sized blocks and both sweep directions share
+    one set of block vectors.
+    """
     rows = blk.rows
     m = len(rows)
     if m == 0:
         return
+    R, Xfull = _as_panels(R, Xfull)
+    ncol = R.shape[1]
     if ws is None:
-        ax = spmv(blk.A, xfull)
-        xfull[rows] += (r[rows] - ax) / blk.diag
+        AX = spmv_multi(blk.A, Xfull)
+        for j in range(ncol):
+            Xfull[rows, j] += (R[rows, j] - AX[:, j]) / blk.diag
         return
-    ax = ws.get(("cgs.ax", key), (m,), blk.A.dtype)
-    spmv(blk.A, xfull, out=ax, ws=ws)
-    rb = ws.get(("cgs.rhs", key), (m,), r.dtype)
-    np.take(r, rows, out=rb, mode="clip")
-    np.subtract(rb, ax, out=rb)
-    np.divide(rb, blk.diag, out=rb)
-    xb = ws.get(("cgs.x", key), (m,), xfull.dtype)
-    np.take(xfull, rows, out=xb, mode="clip")
-    np.add(xb, rb, out=xb)
-    xfull[rows] = xb
+    AX = ws.get_panel("cgs.ax", m, ncol, blk.A.dtype)
+    spmv_multi(blk.A, Xfull, out=AX, ws=ws)
+    rb = ws.get("cgs.rhs", (m,), R.dtype)
+    xb = ws.get("cgs.x", (m,), Xfull.dtype)
+    for j in range(ncol):
+        x = Xfull[:, j]
+        np.take(R[:, j], rows, out=rb, mode="clip")
+        np.subtract(rb, AX[:, j], out=rb)
+        np.divide(rb, blk.diag, out=rb)
+        np.take(x, rows, out=xb, mode="clip")
+        np.add(xb, rb, out=xb)
+        x[rows] = xb
 
 
-def _relax_block_fp16(blk, r, xfull, ws, key) -> None:
+def _relax_block_fp16(blk, R, Xfull, ws, key) -> None:
     """One block's relaxation pass at fp16 storage, fp32 arithmetic.
 
-    Mirrors the fp16 ``symgs_sweep`` kernel: the block SpMV already
-    accumulates in fp32 (and folds the row-equilibration scale), the
-    near-cancelling update runs in fp32, and only the scatter back
-    into the fp16 iterate rounds.
+    Mirrors the fp16 index-set ``symgs_sweep`` kernel: the block SpMV
+    already accumulates in fp32 (and folds the row-equilibration
+    scale), the near-cancelling update runs in fp32, and only the
+    scatter back into the fp16 iterate rounds.
     """
-    from repro.backends.dispatch import spmv
-
     rows = blk.rows
     m = len(rows)
     if m == 0:
         return
+    R, Xfull = _as_panels(R, Xfull)
+    ncol = R.shape[1]
     if ws is None:
-        ax = np.empty(m, dtype=np.float32)
-        spmv(blk.A, xfull, out=ax)
-        upd = (r[rows] - ax) / np.asarray(blk.diag, dtype=np.float32)
-        xfull[rows] = xfull[rows] + upd.astype(np.float32)
+        AX = np.empty((m, ncol), dtype=np.float32, order="F")
+        spmv_multi(blk.A, Xfull, out=AX)
+        diag = np.asarray(blk.diag, dtype=np.float32)
+        for j in range(ncol):
+            upd = (R[rows, j] - AX[:, j]) / diag
+            Xfull[rows, j] = Xfull[rows, j] + upd.astype(np.float32)
         return
-    ax = ws.get(("cgs16.ax", key), (m,), np.float32)
-    spmv(blk.A, xfull, out=ax, ws=ws)
-    rb = ws.get(("cgs16.r", key), (m,), r.dtype)
-    np.take(r, rows, out=rb, mode="clip")
-    acc = ws.get(("cgs16.acc", key), (m,), np.float32)
-    np.subtract(rb, ax, out=acc)
-    np.divide(acc, blk.diag, out=acc)
-    xb = ws.get(("cgs16.x", key), (m,), xfull.dtype)
-    np.take(xfull, rows, out=xb, mode="clip")
-    np.add(acc, xb, out=acc)
-    xfull[rows] = acc
+    AX = ws.get_panel("cgs16.ax", m, ncol, np.float32)
+    spmv_multi(blk.A, Xfull, out=AX, ws=ws)
+    rb = ws.get("cgs16.r", (m,), R.dtype)
+    acc = ws.get("cgs16.acc", (m,), np.float32)
+    xb = ws.get("cgs16.x", (m,), Xfull.dtype)
+    for j in range(ncol):
+        x = Xfull[:, j]
+        np.take(R[:, j], rows, out=rb, mode="clip")
+        np.subtract(rb, AX[:, j], out=acc)
+        np.divide(acc, blk.diag, out=acc)
+        np.take(x, rows, out=xb, mode="clip")
+        np.add(acc, xb, out=acc)
+        x[rows] = acc
 
 
 def _sweep_region(P, r, xfull, direction, region, ws, relax) -> None:
@@ -203,86 +233,6 @@ def _sweep_region(P, r, xfull, direction, region, ws, relax) -> None:
     idx = 0 if region == "interior" else 1
     for p, blocks in enumerate(sched.passes):
         relax(blocks[idx], r, xfull, ws, (direction, region, p))
-
-
-@register("symgs_interior", fmt="color_partitioned")
-def symgs_interior_cp(P, r, xfull, direction="forward", ws=None):
-    """Interior half of the overlapped sweep (no ghost columns read)."""
-    _sweep_region(P, r, xfull, direction, "interior", ws, _relax_block)
-
-
-@register("symgs_boundary", fmt="color_partitioned")
-def symgs_boundary_cp(P, r, xfull, direction="forward", ws=None):
-    """Boundary half of the overlapped sweep (requires landed ghosts)."""
-    _sweep_region(P, r, xfull, direction, "boundary", ws, _relax_block)
-
-
-@register("symgs_interior", fmt="color_partitioned", precision="fp16")
-def symgs_interior_cp_fp16(P, r, xfull, direction="forward", ws=None):
-    """fp16 interior half: fp32 relaxation arithmetic per block."""
-    _sweep_region(P, r, xfull, direction, "interior", ws, _relax_block_fp16)
-
-
-@register("symgs_boundary", fmt="color_partitioned", precision="fp16")
-def symgs_boundary_cp_fp16(P, r, xfull, direction="forward", ws=None):
-    """fp16 boundary half: fp32 relaxation arithmetic per block."""
-    _sweep_region(P, r, xfull, direction, "boundary", ws, _relax_block_fp16)
-
-
-# Panel halves of the overlapped sweep: every column's interior blocks
-# relax while one wide exchange is in flight, every column's boundary
-# blocks after the ghosts land.  Columns are mutually independent, so
-# the column loop composes the single-RHS region kernels bitwise-per-
-# column; the fp16 registrations swap in the fp32-relaxation block
-# pass, mirroring the single-RHS precision split.
-
-
-@register("symgs_interior_multi", fmt="color_partitioned")
-def symgs_interior_multi_cp(P, R, Xfull, direction="forward", ws=None):
-    """Interior half of the overlapped panel sweep (all columns)."""
-    for j in range(R.shape[1]):
-        _sweep_region(
-            P, R[:, j], Xfull[:, j], direction, "interior", ws, _relax_block
-        )
-
-
-@register("symgs_boundary_multi", fmt="color_partitioned")
-def symgs_boundary_multi_cp(P, R, Xfull, direction="forward", ws=None):
-    """Boundary half of the overlapped panel sweep (all columns)."""
-    for j in range(R.shape[1]):
-        _sweep_region(
-            P, R[:, j], Xfull[:, j], direction, "boundary", ws, _relax_block
-        )
-
-
-@register("symgs_interior_multi", fmt="color_partitioned", precision="fp16")
-def symgs_interior_multi_cp_fp16(P, R, Xfull, direction="forward", ws=None):
-    """fp16 interior panel half: fp32 relaxation arithmetic per block."""
-    for j in range(R.shape[1]):
-        _sweep_region(
-            P,
-            R[:, j],
-            Xfull[:, j],
-            direction,
-            "interior",
-            ws,
-            _relax_block_fp16,
-        )
-
-
-@register("symgs_boundary_multi", fmt="color_partitioned", precision="fp16")
-def symgs_boundary_multi_cp_fp16(P, R, Xfull, direction="forward", ws=None):
-    """fp16 boundary panel half: fp32 relaxation arithmetic per block."""
-    for j in range(R.shape[1]):
-        _sweep_region(
-            P,
-            R[:, j],
-            Xfull[:, j],
-            direction,
-            "boundary",
-            ws,
-            _relax_block_fp16,
-        )
 
 
 def _symgs_sweep_cp(P, r, xfull, direction, ws, relax) -> None:
@@ -293,17 +243,37 @@ def _symgs_sweep_cp(P, r, xfull, direction, ws, relax) -> None:
         relax(boundary, r, xfull, ws, (direction, "boundary", p))
 
 
-@register("symgs_sweep", fmt="color_partitioned")
-def symgs_sweep_cp(
-    P, r, xfull, sets=None, diag_sets=None, direction="forward", ws=None
-):
-    """Sequential reference on the partitioned layout (block order)."""
-    _symgs_sweep_cp(P, r, xfull, direction, ws, _relax_block)
+def _register_sweeps(precision, relax) -> None:
+    """Register the sweep entry points of one arithmetic class.
+
+    ``relax`` takes a vector or a panel, so each op and its ``_multi``
+    twin are one function.
+    """
+
+    def interior(P, R, Xfull, direction="forward", ws=None):
+        """Interior half of the overlapped sweep (no ghost columns read)."""
+        _sweep_region(P, R, Xfull, direction, "interior", ws, relax)
+
+    def boundary(P, R, Xfull, direction="forward", ws=None):
+        """Boundary half of the overlapped sweep (requires landed ghosts)."""
+        _sweep_region(P, R, Xfull, direction, "boundary", ws, relax)
+
+    def sweep(
+        P, R, Xfull, sets=None, diag_sets=None, direction="forward", ws=None
+    ):
+        """Interleaved schedule: what every non-overlapped smoother
+        sweep runs (the color sets live in the partition; ``sets`` /
+        ``diag_sets`` only mirror the index-set kernel's signature)."""
+        _symgs_sweep_cp(P, R, Xfull, direction, ws, relax)
+
+    for op, fn in (
+        ("symgs_interior", interior),
+        ("symgs_boundary", boundary),
+        ("symgs_sweep", sweep),
+    ):
+        for name in (op, op + "_multi"):
+            register(name, fmt="color_partitioned", precision=precision)(fn)
 
 
-@register("symgs_sweep", fmt="color_partitioned", precision="fp16")
-def symgs_sweep_cp_fp16(
-    P, r, xfull, sets=None, diag_sets=None, direction="forward", ws=None
-):
-    """fp16 sequential reference on the partitioned layout."""
-    _symgs_sweep_cp(P, r, xfull, direction, ws, _relax_block_fp16)
+_register_sweeps(None, _relax_block)
+_register_sweeps("fp16", _relax_block_fp16)

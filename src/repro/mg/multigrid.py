@@ -46,6 +46,7 @@ from repro.parallel.comm import Communicator
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.formats import matrix_format_of, to_format
+from repro.sparse.partitioned import partition_colors
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem, generate_problem
 from repro.util.timers import NullTimers
@@ -128,8 +129,9 @@ class MultigridPreconditioner:
         self.timers = timers if timers is not None else NullTimers()
         self.ws = workspace if workspace is not None else Workspace("mg")
         #: Overlap each smoother sweep's halo exchange with its
-        #: interior color blocks (requires color-partitioned
-        #: smoothers, built by :meth:`build` with ``overlap=True``).
+        #: interior color blocks (requires smoothers whose color
+        #: blocks are split along the halo, built by :meth:`build`
+        #: with ``overlap=True``).
         self.overlap = overlap
 
     @property
@@ -201,13 +203,16 @@ class MultigridPreconditioner:
         rung.  This is the seam the per-ingredient precision control
         plane drives.
 
-        ``overlap=True`` builds each multicolor smoother on a
-        color-partitioned layout
-        (:func:`repro.sparse.partitioned.partition_colors`) so every
-        sweep posts its halo exchange first and hides it behind the
-        dependency-closed interior color blocks — bitwise-equal to the
-        sequential schedule at fp64.  The level-scheduled smoother has
-        no split and silently keeps the blocking exchange.
+        Every multicolor smoother sweeps a color-packed copy of its
+        level matrix (:func:`repro.sparse.partitioned.partition_colors`).
+        ``overlap=True`` additionally splits each color along the
+        level's halo, so every sweep posts its halo exchange first and
+        hides it behind the dependency-closed interior color blocks —
+        bitwise-equal to the sequential schedule.  Without it (serial,
+        or SPMD behind a blocking exchange) each color is one whole
+        block and the O(nnz) closure pass is skipped.  The
+        level-scheduled smoother has no split and silently keeps the
+        blocking exchange.
         """
         config = config or MGConfig()
         format_params = dict(format_params or {})
@@ -296,15 +301,14 @@ class MultigridPreconditioner:
         halo=None,
     ) -> Smoother:
         if config.smoother == "multicolor":
-            colors = structured_coloring8(sub)
-            sets = color_sets(colors)
-            partition = None
-            if halo is not None:
-                from repro.sparse.partitioned import partition_colors
-
-                partition = partition_colors(A, halo, sets, diag=diag)
+            sets = color_sets(structured_coloring8(sub))
             return make_smoother(
-                A, "multicolor", diag=diag, sets=sets, ws=ws, partition=partition
+                A,
+                "multicolor",
+                diag=diag,
+                sets=sets,
+                ws=ws,
+                partition=partition_colors(A, halo, sets, diag=diag),
             )
         # build() stores levelsched hierarchies in ELL, so A is the
         # matrix the triangular machinery splits — no duplicate copy.

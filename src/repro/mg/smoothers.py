@@ -7,8 +7,10 @@ Two parallelization strategies, matching the paper's contrast (§2,
   into independent sets; each color is one fully-vectorized relaxation
   pass ``x[c] += (r[c] - (A x)[c]) / diag[c]``.  Within a color no two
   rows couple, so the pass is embarrassingly parallel (this is the GPU
-  kernel of the paper; here it is one ``symgs_sweep`` dispatch through
-  the kernel registry, format-generic over CSR/ELL/SELL-C-σ).
+  kernel of the paper; here it is one ``symgs_sweep_multi`` dispatch
+  through the kernel registry on a color-packed copy of the matrix —
+  the paper's independent-set reordering applied to the matrix rows —
+  format-generic over CSR/ELL/SELL-C-σ).
 - :class:`LevelScheduledGS` — the reference path: an upper-triangle
   SpMV followed by a level-scheduled lower-triangular substitution,
   bit-identical to sequential lexicographic Gauss-Seidel but with far
@@ -19,7 +21,7 @@ sweep (block-Jacobi coupling), exchanging the halo once per sweep —
 exactly the benchmark's behaviour, where each subdomain is reordered
 and swept independently.
 
-Precision rides on the kernel registry: ``symgs_sweep`` resolves a
+Precision rides on the kernel registry: the sweep op resolves a
 precision-specific kernel from the matrix dtype, so an fp16 ladder
 level transparently gets the fp32-accumulating sweep (and its
 row-equilibrated diagonal, reported unscaled by the matrix class).
@@ -36,12 +38,12 @@ from repro.backends.dispatch import (
     spmv,
     symgs_boundary_multi,
     symgs_interior_multi,
-    symgs_sweep,
     symgs_sweep_multi,
 )
 from repro.backends.workspace import Workspace
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.ell import ELLMatrix
+from repro.sparse.partitioned import partition_colors
 from repro.sparse.triangular import (
     level_sets,
     lower_levels,
@@ -140,8 +142,15 @@ class MulticolorGS(Smoother):
 
     Because rows of a color are mutually independent, the relaxation
     update over a color equals the classic triangular-solve form of GS
-    restricted to that color — the whole sweep touches the matrix once.
-    Works with any matrix format that registers a ``spmv_rows`` kernel.
+    restricted to that color.  Every sweep reads the color-packed
+    layout (:class:`~repro.sparse.partitioned.ColorPartitionedMatrix`):
+    each color's rows were copied into one contiguous block at setup,
+    so a sweep streams every block — the whole matrix — exactly once
+    and copies no matrix rows.  The blocks cost one extra copy of the
+    matrix beside ``A`` (which the grid transfers and, on the fine
+    level, the Krylov operator keep using).  Works with any format the
+    partition can extract rows of (CSR, ELL, SELL-C-σ, row-equilibrated
+    fp16 ELL).
     """
 
     def __init__(
@@ -155,40 +164,39 @@ class MulticolorGS(Smoother):
         self.A = A
         self.diag = diag
         self.sets = sets
-        # Diagonal restricted to each color, gathered once: the sweep
-        # kernel then runs without per-pass fancy-index allocations.
-        self.diag_sets = [diag[rows] for rows in sets]
         self.ws = ws
         self.num_passes = len(sets)
-        #: Optional :class:`~repro.sparse.partitioned.ColorPartitionedMatrix`
-        #: enabling the overlapped sweep: every color split into a
-        #: dependency-closed interior block (runs while the halo is in
-        #: flight) and a boundary block (runs after the ghosts land) —
-        #: bitwise-equal to the sequential sweep at fp64.
-        self.partition = partition
+        #: The color-packed layout every sweep dispatches on.  Built
+        #: here without the halo split unless the caller hands in a
+        #: split one (:func:`~repro.sparse.partitioned.partition_colors`
+        #: with the level's halo), which adds the overlapped sweep:
+        #: every color's dependency-closed interior block runs while
+        #: the halo is in flight, its boundary block after the ghosts
+        #: land — bitwise-equal to the sequential sweep.
+        self.partition = (
+            partition
+            if partition is not None
+            else partition_colors(A, None, sets, diag=diag)
+        )
 
     @property
     def supports_overlap(self) -> bool:
-        return self.partition is not None
+        return self.partition.interior_mask is not None
 
     def forward(self, r: np.ndarray, xfull: np.ndarray) -> None:
-        symgs_sweep(
-            self.A, r, xfull, self.sets, self.diag_sets, "forward", ws=self.ws
-        )
+        self.forward_panel(r[:, None], xfull[:, None])
 
     def backward(self, r: np.ndarray, xfull: np.ndarray) -> None:
-        symgs_sweep(
-            self.A, r, xfull, self.sets, self.diag_sets, "backward", ws=self.ws
-        )
+        self.backward_panel(r[:, None], xfull[:, None])
 
     def forward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
         symgs_sweep_multi(
-            self.A, R, Xfull, self.sets, self.diag_sets, "forward", ws=self.ws
+            self.partition, R, Xfull, None, None, "forward", ws=self.ws
         )
 
     def backward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
         symgs_sweep_multi(
-            self.A, R, Xfull, self.sets, self.diag_sets, "backward", ws=self.ws
+            self.partition, R, Xfull, None, None, "backward", ws=self.ws
         )
 
     def sweep_overlapped_panel(
@@ -207,10 +215,10 @@ class MulticolorGS(Smoother):
         land all ghosts at once, finish every column's boundary
         blocks.  Per column the block kernels run in the same order at
         every width, so a column's sweep does not depend on its
-        panel-mates.  Without a partition this degrades to the
-        sequential exchange-then-sweep schedule.
+        panel-mates.  On a layout without the halo split this degrades
+        to the sequential exchange-then-sweep schedule.
         """
-        if self.partition is None:
+        if not self.supports_overlap:
             super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
             return
         if direction not in ("forward", "backward"):

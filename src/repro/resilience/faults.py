@@ -49,11 +49,17 @@ import numpy as np
 from repro.resilience.errors import TransientFaultError
 from repro.resilience.stats import ResilienceStats
 
-#: Registry ops the kernel fault site corrupts.  These are the
-#: ABFT-covered SpMV outputs: the plain full matvec and the boundary
-#: half of an overlapped one (the final write on that path, so the
-#: corruption always survives to the checksum verification).
-KERNEL_FAULT_OPS = ("spmv", "spmv_boundary")
+#: Registry ops the kernel fault site corrupts.  ``spmv`` and
+#: ``spmv_boundary`` are the ABFT-covered SpMV outputs: the plain full
+#: matvec and the boundary half of an overlapped one (the final write
+#: on that path, so the corruption always survives to the checksum
+#: verification).  ``spmv_multi`` is the panel product an unverified
+#: operator application dispatches: a backend may serve it in one
+#: matrix pass without ever calling the single-vector kernel (NumPy's
+#: ELL kernel does), so the panel op is a site of its own — uncovered
+#: campaigns only, since verified applications run column by column
+#: through ``spmv``.
+KERNEL_FAULT_OPS = ("spmv", "spmv_multi", "spmv_boundary")
 
 _SITES = {
     "spmv": ("bitflip", "nan"),
@@ -256,18 +262,20 @@ class FaultInjector:
         return wrap
 
     def corrupt_value(self, out: np.ndarray, mode: str) -> None:
-        """Corrupt one element of ``out`` in place."""
-        flat = out.reshape(-1)
+        """Corrupt one element of ``out`` in place (a vector, or a
+        panel in any memory layout: the element is addressed by index,
+        never through a flattened view that might be a copy)."""
         if mode == "nan":
-            idx = int(self._rng.integers(flat.size))
-            flat[idx] = np.nan
+            pos = np.unravel_index(int(self._rng.integers(out.size)), out.shape)
+            out[pos] = np.nan
             return
         # bitflip: hit the largest-magnitude element (an exponent-field
         # upset there can never hide under the checksum's roundoff
         # tolerance), setting its highest clear exponent bit.
-        mags = np.abs(flat)
-        idx = int(np.nanargmax(mags)) if np.isfinite(mags).any() else 0
-        flat[idx] = _set_high_exponent_bit(flat[idx : idx + 1])[0]
+        mags = np.abs(out)
+        flat = int(np.nanargmax(mags)) if np.isfinite(mags).any() else 0
+        pos = np.unravel_index(flat, out.shape)
+        out[pos] = _set_high_exponent_bit(np.array([out[pos]]))[0]
 
     # ------------------------------------------------------------------
     # Message corruption (FaultyComm)

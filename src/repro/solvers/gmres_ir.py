@@ -443,7 +443,12 @@ class GMRESIRSolver:
                     fine_matrix=shared,
                     matrix_format=self.matrix_format,
                     format_params=self.format_params,
-                    workspace=self.ws,
+                    # A cached hierarchy outlives this solver and is
+                    # acquired by later ones holding *other* arenas
+                    # (the service leases one per batch, and hands this
+                    # solver's to another operator's batch on another
+                    # thread): it owns its arena, never the solver's.
+                    workspace=self.ws if self.setup_cache is None else None,
                     # Per-ingredient mode schedules the grid transfers
                     # apart from the levels; None preserves the
                     # historical coarse-rung coupling (the
@@ -453,8 +458,8 @@ class GMRESIRSolver:
                 )
 
             # The cached hierarchy carries its colorings, partitioned
-            # smoother layouts and warm workspace with it; only the
-            # timers rebind to the acquiring solver.
+            # smoother layouts and its own warm workspace with it; only
+            # the timers rebind to the acquiring solver.
             self.M = self._setup(
                 "mg",
                 (

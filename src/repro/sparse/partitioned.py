@@ -24,10 +24,13 @@ dense blocks.  No per-call row-subset index arithmetic remains on the
 hot path, which is what makes the distributed loop allocation-free
 after warmup.
 
-**SELL-C-σ seam discipline.**  When the blocks are SELL-C-σ, the σ-sort
-runs *within* each region independently (each block is chunked on its
-own), so chunk membership never crosses the interior/boundary seam and
-the overlap split never has to break a chunk apart.
+**SELL-C-σ seam discipline.**  When the blocks are SELL-C-σ, each
+region gets its own width slabs (the source's slabs sliced to the
+region's rows, renumbered region-locally), so no chunk holds rows from
+both sides of the interior/boundary seam and the overlap split never
+has to break a chunk apart.  Every row keeps the padded width it had
+in the source, so a block's row sums are bitwise those of the
+unpartitioned kernel — as they are for CSR and ELL.
 
 **Precision.**  Row-equilibrated fp16 storage
 (:class:`~repro.sparse.scaled.ScaledELLMatrix`) partitions with its
@@ -35,8 +38,13 @@ the overlap split never has to break a chunk apart.
 exchanged at the level's ladder rung while the equilibration scales are
 carried across the partition unchanged.
 
-**Color-partitioned SymGS (PR 5).**  The multicolor Gauss-Seidel sweep
-gets the same treatment via :func:`partition_colors`: every color set
+**Color-partitioned SymGS (PR 5, PR 16).**  The multicolor Gauss-Seidel
+sweep reads the same kind of layout via :func:`partition_colors`: every
+color's rows are packed into contiguous blocks once, so a color pass
+streams its block instead of copying rows out of the matrix — the
+paper's independent-set reordering (§3.2.1).  Every smoother sweeps
+this layout; without a halo pattern (serial, or SPMD behind a blocking
+exchange) each color is one whole block.  With one, every color set
 is split into an *interior* and a *boundary* row block.  Unlike SpMV,
 a Gauss-Seidel color pass reads values written by earlier passes, so
 the interior set must be **dependency-closed**, not merely
@@ -47,7 +55,7 @@ overlapped schedule — post the halo, sweep every color's interior
 block, land the ghosts, sweep every color's boundary block — executes
 *exactly* the reads and writes of the sequential per-color sweep and
 is therefore bitwise-equal to it (the property the cross-rank parity
-suite asserts at fp64).  The closure erodes roughly one layer per
+suite asserts).  The closure erodes roughly one layer per
 earlier color from the subdomain faces, so fine levels hide almost
 the whole sweep behind the exchange while tiny coarse boxes may
 degenerate to an empty interior (the Fig. 9b coarse-level exposure) —
@@ -63,7 +71,7 @@ from repro.geometry.halo import HaloPattern
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
 from repro.sparse.scaled import ScaledELLMatrix
-from repro.sparse.sellcs import SELLCSMatrix
+from repro.sparse.sellcs import SELLCSMatrix, _WidthBlock
 
 
 class PartitionedMatrix:
@@ -179,14 +187,60 @@ def _csr_rows(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
     return CSRMatrix(indptr=indptr, indices=indices, data=data, ncols=csr.ncols)
 
 
+def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray) -> SELLCSMatrix:
+    """Row-subset SELL-C-σ block that keeps every row in its width slab.
+
+    Re-chunking the subset would pad a row to a different width than
+    the source did, and NumPy's pairwise row sum groups its terms by
+    position — so the block's row sums would drift from the source
+    kernel's in the last bit.  Slicing each source slab instead keeps a
+    row's slots (padding included) exactly as the unpartitioned kernel
+    sees them.  The block is region-local: rows are renumbered
+    ``0..len(rows)``, a slab's rows stay in ascending block order, and
+    ``chunk_width`` books ``ceil(slab rows / C)`` chunks per slab.
+    """
+    owner = A.row_block[rows]
+    blocks = []
+    for bid, src in enumerate(A.blocks):
+        sel = np.nonzero(owner == bid)[0]
+        if len(sel) == 0:
+            continue
+        slots = A.row_slot[rows[sel]]
+        blocks.append(
+            _WidthBlock(
+                width=src.width,
+                rows=sel,
+                cols=src.cols[slots],
+                vals=src.vals[slots],
+            )
+        )
+    chunk_width = np.array(
+        [b.width for b in blocks for _ in range(-(-len(b.rows) // A.C))],
+        dtype=np.int32,
+    )
+    perm = (
+        np.concatenate([b.rows for b in blocks])
+        if blocks
+        else np.zeros(0, dtype=np.int64)
+    )
+    return SELLCSMatrix(
+        blocks,
+        chunk_width,
+        perm,
+        nrows=len(rows),
+        ncols=A.ncols,
+        chunk=A.C,
+        sigma=A.sigma,
+    )
+
+
 def _extract_rows(A, rows: np.ndarray):
     """Row-subset block in A's own format, values and scales preserved.
 
-    ELL-family matrices slice their dense arrays directly (each row's
-    slot layout is preserved, so block row sums are bitwise-identical
-    to the unpartitioned kernel's); CSR slices its ranges; SELL-C-σ
-    re-chunks the region on its own, which is exactly the
-    region-confined σ-sort the distributed layout requires.
+    Every format keeps each row's slot layout, so block row sums are
+    bitwise-identical to the unpartitioned kernel's: ELL-family
+    matrices slice their dense arrays, CSR slices its ranges (entry
+    order kept), SELL-C-σ slices its width slabs (:func:`_sellcs_rows`).
     """
     if isinstance(A, ScaledELLMatrix):
         return ScaledELLMatrix(
@@ -200,10 +254,7 @@ def _extract_rows(A, rows: np.ndarray):
     if isinstance(A, CSRMatrix):
         return _csr_rows(A, rows)
     if isinstance(A, SELLCSMatrix):
-        # Dtype-preserving CSR detour, then region-local chunking with
-        # the source matrix's (C, σ) parameters.
-        csr = A.to_csr()
-        return SELLCSMatrix.from_csr(_csr_rows(csr, rows), chunk=A.C, sigma=A.sigma)
+        return _sellcs_rows(A, rows)
     raise TypeError(
         f"cannot partition {type(A).__name__}; expected a CSR/ELL/SELL-C-σ "
         "local matrix"
@@ -349,15 +400,24 @@ class SweepSchedule:
 
 
 class ColorPartitionedMatrix:
-    """A local matrix pre-split per color for the overlapped SymGS.
+    """A local matrix packed per color: the layout every multicolor
+    Gauss-Seidel sweep reads.
 
-    Dispatches through the registry ops ``symgs_interior`` /
-    ``symgs_boundary`` (and ``symgs_sweep`` for the interleaved
-    non-overlapped schedule).  Schedules are built lazily per sweep
-    direction (the benchmark's default sweep is forward-only) and
-    cached; block extraction reuses the SpMV partition's row-subset
-    machinery, so every format — including re-chunked SELL-C-σ and
-    row-equilibrated fp16 with per-block scales — is covered.
+    Dispatches through the registry ops ``symgs_sweep`` (the
+    interleaved schedule every non-overlapped sweep runs) and
+    ``symgs_interior`` / ``symgs_boundary`` (the overlapped halves).
+    Schedules are built lazily per sweep direction (the benchmark's
+    default sweep is forward-only) and cached; block extraction reuses
+    the SpMV partition's row-subset machinery, so every format —
+    including SELL-C-σ and row-equilibrated fp16 with per-block scales
+    — is covered.
+
+    ``interior_mask=None`` builds the layout without the halo split:
+    every color is one whole block (its boundary block empty) and no
+    dependency closure is computed.  That is the serial layout, and the
+    layout of an SPMD smoother that exchanges before it sweeps — its
+    "interior" blocks do read ghost columns, so it cannot run the
+    overlapped halves.
     """
 
     format_name = "color_partitioned"
@@ -366,7 +426,7 @@ class ColorPartitionedMatrix:
         self,
         A,
         sets: list[np.ndarray],
-        interior_mask: np.ndarray,
+        interior_mask: np.ndarray | None,
         diag: np.ndarray,
         nlocal: int,
         ncols: int,
@@ -381,6 +441,7 @@ class ColorPartitionedMatrix:
 
         self.block_format = matrix_format(A)
         self._schedules: dict[str, SweepSchedule] = {}
+        self._whole: list[tuple[_ColorBlock, _ColorBlock]] | None = None
 
     @property
     def dtype(self) -> np.dtype:
@@ -416,6 +477,15 @@ class ColorPartitionedMatrix:
             order = list(reversed(range(ncolors)))
         else:
             raise ValueError(f"unknown sweep direction {direction!r}")
+        if self.interior_mask is None:
+            # Without the split a color's block is the same in both
+            # directions: extract once, reverse the order.
+            if self._whole is None:
+                self._whole = [
+                    (self._block(rows), self._block(rows[:0]))
+                    for rows in self.sets
+                ]
+            return SweepSchedule(direction, [self._whole[c] for c in order])
         split = sweep_overlap_split(self.A, self.sets, self.interior_mask, order)
         passes = []
         for c in order:
@@ -438,25 +508,33 @@ class ColorPartitionedMatrix:
 
 def partition_colors(
     A,
-    halo: HaloPattern,
+    halo: HaloPattern | None,
     sets: list[np.ndarray],
     diag: np.ndarray | None = None,
 ) -> ColorPartitionedMatrix:
-    """Split a local matrix per color set for the overlapped SymGS.
+    """Pack a local matrix per color set for the multicolor SymGS.
 
     ``sets`` are the multicolor Gauss-Seidel color sets (ascending row
     order within each color, as :func:`repro.sparse.coloring.color_sets`
     returns them); ``diag`` is the *unscaled* diagonal the relaxation
     divides by (defaults to ``A.diagonal()``, which row-equilibrated
     storage already reports unscaled).
+
+    With a ``halo`` every color is split into its dependency-closed
+    interior block and its boundary block (the overlapped schedule);
+    ``halo=None`` packs each color whole and skips the O(nnz)
+    adjacency/closure pass (serial sweeps, and SPMD sweeps behind a
+    blocking exchange).
     """
-    if A.nrows != halo.nlocal or A.ncols != halo.ncols:
-        raise ValueError(
-            f"matrix shape ({A.nrows} rows, {A.ncols} cols) does not match "
-            f"the halo pattern ({halo.nlocal} owned + {halo.n_ghost} ghost)"
-        )
-    interior_mask = np.zeros(halo.nlocal, dtype=bool)
-    interior_mask[halo.interior_rows] = True
+    interior_mask = None
+    if halo is not None:
+        if A.nrows != halo.nlocal or A.ncols != halo.ncols:
+            raise ValueError(
+                f"matrix shape ({A.nrows} rows, {A.ncols} cols) does not match "
+                f"the halo pattern ({halo.nlocal} owned + {halo.n_ghost} ghost)"
+            )
+        interior_mask = np.zeros(halo.nlocal, dtype=bool)
+        interior_mask[halo.interior_rows] = True
     if diag is None:
         diag = A.diagonal()
     return ColorPartitionedMatrix(
@@ -464,8 +542,8 @@ def partition_colors(
         sets=[np.ascontiguousarray(s, dtype=np.int64) for s in sets],
         interior_mask=interior_mask,
         diag=diag,
-        nlocal=halo.nlocal,
-        ncols=halo.ncols,
+        nlocal=A.nrows,
+        ncols=A.ncols,
     )
 
 

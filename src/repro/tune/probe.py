@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from repro.backends.registry import KernelNotFoundError, registry
+from repro.backends.workspace import Workspace
 from repro.fp.precision import Precision
 from repro.sparse.coloring import color_sets, greedy_coloring
 from repro.sparse.csr import CSRMatrix
@@ -130,6 +131,11 @@ class OperatorProber:
         self.repeats = repeats
         self.rng = np.random.default_rng(seed)
         self.baseline_backend = registry.active_backend
+        #: Arena every probed kernel runs in: solves always pass one,
+        #: and the pooled and allocating branches of a kernel are
+        #: different code — timing ``ws=None`` would time a path no
+        #: solve takes.
+        self.ws = Workspace("tune-probe")
 
         # Format variants: every plain format plus the SELL-C-σ grid
         # (the baseline's own parameters always included).
@@ -196,16 +202,17 @@ class OperatorProber:
         x, b, X, B = self._vectors(prec)
         sets = self.sets
         fmt = M.format_name
+        ws = self.ws
 
         def k(name):
             return registry.lookup(name, fmt, prec, backend=self._backend)
 
         if op == "spmv":
             fn = k("spmv")
-            return lambda: fn(M, x)
+            return lambda: fn(M, x, ws=ws)
         if op == "spmv_multi":
             fn = k("spmv_multi")
-            return lambda: fn(M, X)
+            return lambda: fn(M, X, ws=ws)
         if op == "symgs_sweep":
             fn = k("symgs_sweep")
             diag = M.diagonal()
@@ -213,7 +220,7 @@ class OperatorProber:
 
             def run_symgs():
                 xw = x.copy()
-                fn(M, b, xw, sets, diag_sets, direction="forward")
+                fn(M, b, xw, sets, diag_sets, direction="forward", ws=ws)
                 return xw
 
             return run_symgs
@@ -224,31 +231,31 @@ class OperatorProber:
 
             def run_symgs_multi():
                 Xw = X.copy(order="F")
-                fn(M, B, Xw, sets, diag_sets, direction="forward")
+                fn(M, B, Xw, sets, diag_sets, direction="forward", ws=ws)
                 return Xw
 
             return run_symgs_multi
         if op == "spmv_dot":
             if fused:
                 fn = k("spmv_dot")
-                return lambda: fn(M, x, b)
+                return lambda: fn(M, x, b, ws=ws)
             spmv = k("spmv")
             dot = k("dot")
 
             def run_unfused():
-                r = np.subtract(b, spmv(M, x))
+                r = np.subtract(b, spmv(M, x, ws=ws))
                 return r, dot(r, r)
 
             return run_unfused
         if op == "spmv_dot_multi":
             if fused:
                 fn = k("spmv_dot_multi")
-                return lambda: fn(M, X, B)
+                return lambda: fn(M, X, B, ws=ws)
             spmv_multi = k("spmv_multi")
             dot = k("dot")
 
             def run_unfused_multi():
-                R = np.subtract(B, spmv_multi(M, X), order="F")
+                R = np.subtract(B, spmv_multi(M, X, ws=ws), order="F")
                 return R, np.array(
                     [dot(R[:, j], R[:, j]) for j in range(R.shape[1])]
                 )
@@ -259,14 +266,14 @@ class OperatorProber:
                 fn = registry.lookup(
                     op, None, prec, backend=self._backend
                 )
-                return lambda: fn(1.0, x, -0.5, b)
+                return lambda: fn(1.0, x, -0.5, b, ws=ws)
             waxpby = registry.lookup(
                 "waxpby", None, prec, backend=self._backend
             )
             dot = registry.lookup("dot", None, prec, backend=self._backend)
 
             def run_wd_unfused():
-                w = waxpby(1.0, x, -0.5, b)
+                w = waxpby(1.0, x, -0.5, b, ws=ws)
                 return w, dot(w, w)
 
             return run_wd_unfused
@@ -275,14 +282,14 @@ class OperatorProber:
                 fn = registry.lookup(
                     op, None, prec, backend=self._backend
                 )
-                return lambda: fn(1.0, X, -0.5, B)
+                return lambda: fn(1.0, X, -0.5, B, ws=ws)
             waxpby_multi = registry.lookup(
                 "waxpby_multi", None, prec, backend=self._backend
             )
             dot = registry.lookup("dot", None, prec, backend=self._backend)
 
             def run_wdm_unfused():
-                W = waxpby_multi(1.0, X, -0.5, B)
+                W = waxpby_multi(1.0, X, -0.5, B, ws=ws)
                 return W, np.array(
                     [dot(W[:, j], W[:, j]) for j in range(W.shape[1])]
                 )

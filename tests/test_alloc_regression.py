@@ -182,6 +182,82 @@ class TestInnerLoopAllocations:
         assert op.ws.misses == misses0
 
 
+def transient_peak(call) -> int:
+    """Bytes ``call`` allocates *while it runs* (peak over the call
+    minus what was live before it), warmed first.  The snapshot diffs
+    above are taken after a call returns, so a temporary NumPy
+    allocates and frees inside one kernel is invisible to them."""
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()  # once traced, so one-time tracing state is not counted
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientAllocations:
+    """PR 16: no hidden per-call temporaries in the warmed ELL hot path.
+
+    ``np.take(x, A.cols)`` with int32 columns silently allocates an
+    intp copy of the whole index block on every call (885 832 B for one
+    16^3 SpMV before the chunk helper widened indices into pooled
+    scratch).  64 KiB admits NumPy's fixed-size ufunc cast buffers and
+    nothing that scales with the operand.
+    """
+
+    LIMIT = 64 * 1024
+
+    @pytest.fixture(scope="class", params=["fp64", "fp32"])
+    def operands(self, request, problem16):
+        from repro.backends import Workspace
+        from repro.mg import MGConfig, MultigridPreconditioner
+
+        A = problem16.A.astype(request.param)
+        rng = np.random.default_rng(0)
+        ws = Workspace()
+        mg = MultigridPreconditioner.build(
+            problem16,
+            SerialComm(),
+            MGConfig(),
+            precision=request.param,
+            workspace=ws,
+        )
+        X = np.asfortranarray(rng.standard_normal((A.ncols, 4)).astype(A.dtype))
+        return A, ws, mg, X
+
+    def test_spmv(self, operands):
+        from repro.backends import spmv
+
+        A, ws, _, X = operands
+        y = np.empty(A.nrows, dtype=A.dtype)
+        assert transient_peak(lambda: spmv(A, X[:, 0], out=y, ws=ws)) < self.LIMIT
+
+    def test_spmv_multi(self, operands):
+        from repro.backends import spmv_multi
+
+        A, ws, _, X = operands
+        Y = np.empty((A.nrows, 4), dtype=A.dtype, order="F")
+        assert transient_peak(lambda: spmv_multi(A, X, out=Y, ws=ws)) < self.LIMIT
+
+    def test_smoother_sweep(self, operands):
+        A, _, mg, X = operands
+        r = X[: A.nrows, 1].copy()
+        xfull = np.zeros(A.ncols, dtype=A.dtype)
+        gs = mg.levels[0].smoother
+        assert transient_peak(lambda: gs.forward(r, xfull)) < self.LIMIT
+
+    def test_vcycle(self, operands):
+        A, _, mg, X = operands
+        r = X[: A.nrows, 2].copy()
+        out = np.empty(A.nrows, dtype=A.dtype)
+        assert transient_peak(lambda: mg.apply(r, out=out)) < self.LIMIT
+
+
 #: One fp64 vector at 8^3 (the per-rank size of the distributed test).
 VECTOR_BYTES_8 = 512 * 8
 

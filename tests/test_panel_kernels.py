@@ -127,6 +127,31 @@ class TestSerialPanelParity:
                 assert np.array_equal(Xp[:, j], x1), (direction, j)
 
 
+class TestPanelFaultSite:
+    """A single-pass ``spmv_multi`` never calls the single-vector
+    kernel, so the panel op is an injector site of its own — and the
+    corruption must land in a column-major panel, not in a flattened
+    copy of it."""
+
+    @pytest.mark.parametrize("mode", ["nan", "bitflip"])
+    def test_uncovered_fault_lands_in_the_panel(self, problem16, mode):
+        from repro.backends.registry import registry
+        from repro.resilience import parse_fault_spec
+
+        A = problem16.A
+        X = make_panel(A.ncols, NCOL, A.dtype)
+        ws = Workspace()
+        clean = spmv_multi(A, X, ws=ws)
+        injector = parse_fault_spec(f"spmv:{mode};seed=5").injector()
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            Y = spmv_multi(A, X, out=ws.get_panel("y", A.nrows, NCOL, A.dtype), ws=ws)
+        finally:
+            registry.set_wrapper(None)
+        assert injector.exhausted
+        assert np.count_nonzero(~(Y == clean)) == 1  # exactly one element hit
+
+
 @pytest.mark.parametrize("prec", PRECISIONS)
 class TestVectorPanelParity:
     """Format-free panel ops (vector motifs) across the rungs."""

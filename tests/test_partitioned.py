@@ -86,8 +86,9 @@ class TestPartitionStructure:
             partition_matrix(other.A, prob.halo)
 
     def test_sellcs_chunks_never_cross_the_seam(self):
-        """σ-sorting runs within each region: every chunk's rows are
-        entirely interior or entirely boundary."""
+        """Each region gets its own slabs: every chunk's rows are
+        entirely interior or entirely boundary, and the block round-
+        trips to the region's rows of the source."""
         prob = rank_problem(8, rank=0, dims=(8, 8, 8))
         A = to_format(prob.A, "sellcs")
         P = partition_matrix(A, prob.halo)
@@ -96,8 +97,11 @@ class TestPartitionStructure:
         # ids never index into the other region.
         assert P.interior.nrows == len(P.interior_rows)
         assert P.boundary.nrows == len(P.boundary_rows)
-        for blk in (P.interior, P.boundary):
+        for blk, rows in ((P.interior, P.interior_rows), (P.boundary, P.boundary_rows)):
             assert blk.perm.max(initial=-1) < blk.nrows
+            assert np.array_equal(np.sort(blk.perm), np.arange(blk.nrows))
+            assert blk.nchunks * blk.C >= blk.nrows
+            assert np.array_equal(blk.to_dense(), A.to_dense()[rows])
 
     def test_interior_fraction(self):
         prob = rank_problem(8, rank=0, dims=(8, 8, 8))
@@ -132,27 +136,18 @@ class TestPartitionedParity:
             y.astype(np.float64), ref, rtol=rtol, atol=atol
         )
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_fp64_bitwise_vs_unpartitioned(self, fmt):
-        """ELL/CSR blocks preserve within-row slot order, so the
-        partitioned product is bitwise-equal to the block-format SpMV."""
+        """Blocks preserve each row's slot layout — ELL/CSR their
+        within-row order, SELL-C-σ also each row's padded slab width
+        (re-chunking a region would regroup NumPy's pairwise row sum)
+        — so the partitioned product is bitwise-equal to the
+        unpartitioned SpMV in every format."""
         prob = rank_problem(8, rank=0)
         xfull = full_vector_with_ghosts(prob)
         A = to_format(prob.A, fmt)
         P = partition_matrix(A, prob.halo)
         assert np.array_equal(P.spmv(xfull), A.spmv(xfull))
-
-    def test_sellcs_tight_parity_vs_unpartitioned(self):
-        """SELL-C-σ re-chunks each region, so padding (and with it the
-        pairwise-summation grouping) may differ from the unpartitioned
-        layout — last-ulp tolerance, not bitwise."""
-        prob = rank_problem(8, rank=0)
-        xfull = full_vector_with_ghosts(prob)
-        A = to_format(prob.A, "sellcs")
-        P = partition_matrix(A, prob.halo)
-        np.testing.assert_allclose(
-            P.spmv(xfull), A.spmv(xfull), rtol=1e-14, atol=1e-13
-        )
 
     def test_fp16_scales_carried_across_partition(self):
         """Row-equilibration scales are sliced per block, so the fp16

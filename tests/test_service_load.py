@@ -13,6 +13,7 @@ and an idle pool.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import numpy as np
 import pytest
@@ -222,4 +223,64 @@ def test_sustained_rounds_reuse_warm_arena(problem16):
     assert svc.pool.acquires == rounds
     assert svc.pool.reuses == rounds - 1
     assert m.setup_cache_hit_rate == pytest.approx((rounds - 1) / rounds)
+    assert_conserved(svc)
+
+
+def test_two_operators_overlapping_on_workers_stay_bitwise(problem8, problem16):
+    """An 8^3 and a 16^3 operator solved concurrently on the service's
+    worker threads, arrival order alternating so each batch leases the
+    arena the other operator's batch held last: every response stays
+    bitwise-equal to its solo solve.  The small operator's SpMV and the
+    large one's color-block / restriction kernels request the same
+    ``(512, 27)`` ELL chunk scratch, so a cached hierarchy that kept
+    the pool arena of the batch that built it would share those
+    buffers with whichever batch leases the arena next — on another
+    thread (first seen as non-converged ``service16`` answers under
+    1024-row chunks)."""
+    problems = (problem8, problem16)
+    widths = (6, 1)  # the small operator's panel lasts as long as the big solve
+    rounds = 6
+
+    async def drive():
+        async with make_service(max_arenas=2, batch_window=0.01) as svc:
+            fps = [svc.register_operator(p) for p in problems]
+            out = []
+            for r in range(rounds):
+                order = (0, 1) if r % 2 == 0 else (1, 0)
+                requests = [
+                    (k, j)
+                    for k in order
+                    for j in range(r, r + widths[k])
+                ]
+                resps = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            svc.solve(
+                                SolveRequest(
+                                    operator=fps[k],
+                                    b=rhs(problems[k].b, j),
+                                    tol=0.0,
+                                    maxiter=20,
+                                )
+                            )
+                            for k, j in requests
+                        )
+                    ),
+                    timeout=60,
+                )
+                out.extend(zip(requests, resps))
+            return svc, out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over inside every kernel
+    try:
+        svc, out = asyncio.run(drive())
+    finally:
+        sys.setswitchinterval(interval)
+    assert svc.pool.peak_leased == 2  # the two operators did overlap
+    solo = {}
+    for (k, j), resp in out:
+        if (k, j) not in solo:
+            solo[k, j], _ = solo_solve(problems[k], rhs(problems[k].b, j))
+        assert np.array_equal(resp.x, solo[k, j]), (k, j)
     assert_conserved(svc)

@@ -120,6 +120,30 @@ class TestSolverIntegration:
         xp, _ = plain.solve(problem.b, tol=0.0, maxiter=10)
         assert np.array_equal(xc, xp)
 
+    def test_cached_hierarchy_owns_its_arena(self, problem):
+        """The cached hierarchy outlives the solver that built it and is
+        acquired by solvers holding other arenas; had it kept the
+        builder's (pool-leased) arena, the next lease of that arena
+        would share scratch with it across threads."""
+        from repro.backends.workspace import Workspace
+
+        kw = dict(policy=MIXED_DS_POLICY, mg_config=MGConfig(nlevels=2), restart=10)
+        cache = SetupCache()
+        lease1, lease2 = Workspace("lease-1"), Workspace("lease-2")
+        s1 = GMRESIRSolver(
+            problem, SerialComm(), setup_cache=cache, workspace=lease1, **kw
+        )
+        s2 = GMRESIRSolver(
+            problem, SerialComm(), setup_cache=cache, workspace=lease2, **kw
+        )
+        assert s2.M is s1.M
+        assert s1.M.ws is not lease1 and s1.M.ws is not lease2
+        assert all(lv.smoother.ws is s1.M.ws for lv in s1.M.levels)
+        # Without a cache nothing outlives the solver: one arena serves
+        # the Krylov loop and the hierarchy.
+        plain = GMRESIRSolver(problem, SerialComm(), workspace=lease1, **kw)
+        assert plain.M.ws is lease1
+
     def test_mutated_operator_misses(self, problem):
         cache = SetupCache()
         kw = dict(policy=MIXED_DS_POLICY, mg_config=MGConfig(nlevels=2), restart=10)

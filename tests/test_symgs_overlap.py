@@ -35,7 +35,7 @@ from repro.fp import MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.mg.reordered_gs import ReorderedMulticolorGS
-from repro.mg.smoothers import MulticolorGS, smooth_distributed
+from repro.mg.smoothers import MulticolorGS, make_smoother, smooth_distributed
 from repro.parallel import HaloExchange, SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
 from repro.sparse import to_format, to_precision
@@ -249,6 +249,174 @@ class TestOverlappedSymGS:
             return ok
 
         assert all(run_ranks(nranks, fn))
+
+
+#: Every (format, rung) pair the suite builds color partitions for.
+LAYOUT_PAIRS = [
+    (fmt, prec) for fmt in ("csr", "ell", "sellcs") for prec in ("fp64", "fp32")
+] + [("ell", "fp16")]  # row-equilibrated storage
+
+
+class TestOneSweepLayout:
+    """PR 16: every multicolor sweep reads packed color blocks — serial
+    smoothers included — and stays bitwise-equal to the format-generic
+    index-set ``symgs_sweep`` it replaced on the hot path."""
+
+    @staticmethod
+    def build(fmt, prec, ws=None):
+        prob = generate_problem(Subdomain.serial(8, 8, 8))
+        A = to_precision(to_format(prob.A, fmt), prec)
+        diag = A.diagonal()
+        sets = color_sets(structured_coloring8(prob.sub))
+        gs = make_smoother(A, "multicolor", diag=diag, sets=sets, ws=ws)
+        return prob, A, diag, sets, gs
+
+    @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
+    @pytest.mark.parametrize("direction", ["forward", "backward", "symmetric"])
+    @pytest.mark.parametrize("ncol", [1, 4])
+    @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
+    def test_block_sweep_equals_index_set_reference(
+        self, fmt, prec, direction, ncol, pooled
+    ):
+        prob, A, diag, sets, gs = self.build(
+            fmt, prec, Workspace() if pooled else None
+        )
+        rng = np.random.default_rng(21)
+        R = np.asfortranarray(
+            rng.standard_normal((prob.nlocal, ncol)).astype(A.dtype)
+        )
+        X = np.asfortranarray(rng.standard_normal((A.ncols, ncol)).astype(A.dtype))
+        X_ref = X.copy(order="F")
+        steps = {"symmetric": ("forward", "backward")}.get(direction, (direction,))
+        for d in steps:
+            if ncol == 1:  # the single-vector entry points
+                getattr(gs, d)(R[:, 0], X[:, 0])
+            else:
+                getattr(gs, d + "_panel")(R, X)
+        diag_sets = [diag[rows] for rows in sets]
+        for j in range(ncol):
+            for d in steps:
+                symgs_sweep(A, R[:, j], X_ref[:, j], sets, diag_sets, d)
+        assert np.array_equal(X, X_ref)
+
+    @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
+    def test_one_whole_block_per_color(self, fmt, prec):
+        _, A, _, sets, gs = self.build(fmt, prec)
+        P = gs.partition
+        assert P is not None and P.interior_mask is None
+        assert not gs.supports_overlap  # whole blocks may read ghosts
+        fwd, bwd = P.schedule("forward"), P.schedule("backward")
+        assert len(fwd.passes) == len(sets)
+        for (interior, boundary), rows in zip(fwd.passes, sets):
+            assert np.array_equal(interior.rows, rows)
+            assert interior.A.nrows == len(rows) and interior.A.ncols == A.ncols
+            assert len(boundary.rows) == 0 and boundary.A is None
+        # One extraction serves both directions (no second matrix copy).
+        assert [i for i, _ in bwd.passes] == [i for i, _ in reversed(fwd.passes)]
+
+    def test_gs_sections_dispatch_no_spmv_rows(self):
+        """One V-cycle under a counting dispatch wrapper: the smoother
+        sections issue block sweeps only; ``spmv_rows`` (the row-copying
+        kernel) is left to the fused restriction."""
+        import contextlib
+        from collections import Counter
+
+        from repro.backends.registry import registry
+        from repro.mg import MultigridPreconditioner
+
+        class Sections:
+            current = None
+
+            @contextlib.contextmanager
+            def section(self, name):
+                prev, self.current = self.current, name
+                try:
+                    yield
+                finally:
+                    self.current = prev
+
+        sections = Sections()
+        counts = Counter()
+
+        def counting(op, fn):
+            def counted(*args, **kwargs):
+                counts[sections.current, op] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        prob = generate_problem(Subdomain.serial(16, 16, 16))
+        mg = MultigridPreconditioner.build(
+            prob, SerialComm(), MGConfig(), precision="fp32", timers=sections
+        )
+        r = prob.b.astype(np.float32)
+        out = np.empty_like(r)
+        registry.set_wrapper(counting)
+        try:
+            mg.apply(r, out=out)
+        finally:
+            registry.set_wrapper(None)
+        assert counts["gs", "spmv_rows"] == 0
+        assert counts["gs", "symgs_sweep"] == 0  # nor the index-set kernel's op
+        assert counts["gs", "symgs_sweep_multi"] == 7  # 3 pre + coarse + 3 post
+        assert counts["gs", "spmv_multi"] == 7 * 8  # one block SpMV per color
+        assert counts["restrict", "spmv_rows"] == 3
+
+    def test_unsplit_build_skips_the_closure_pass(self, monkeypatch):
+        """Serial and blocking-SPMD hierarchies never pay the O(nnz)
+        adjacency/closure pass of the overlap split."""
+        import repro.sparse.partitioned as partitioned
+
+        def boom(*args, **kwargs):
+            raise AssertionError("overlap split entered on an unsplit build")
+
+        monkeypatch.setattr(partitioned, "sweep_overlap_split", boom)
+        monkeypatch.setattr(partitioned, "_local_adjacency_csr", boom)
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
+            prob = generate_problem(sub)
+            solver = GMRESIRSolver(
+                prob,
+                comm,
+                policy=MIXED_DS_POLICY,
+                mg_config=MGConfig(nlevels=2, sweep="symmetric"),
+                overlap=False,
+            )
+            _, st = solver.solve(prob.b, tol=1e-9, maxiter=200)
+            return st.converged and all(
+                lv.smoother.partition.interior_mask is None
+                for lv in solver.M.levels
+            )
+
+        assert all(run_ranks(1, fn))
+        assert all(run_ranks(2, fn))
+
+    def test_two_ranks_blocking_equals_overlapped(self):
+        """The unsplit and the halo-split layouts are the same sweep:
+        a 2-rank solve is bitwise-identical with overlap on or off."""
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
+            prob = generate_problem(sub)
+            xs, split = [], []
+            for overlap in (False, True):
+                solver = GMRESIRSolver(
+                    prob,
+                    comm,
+                    policy=MIXED_DS_POLICY,
+                    mg_config=MGConfig(nlevels=2),
+                    overlap=overlap,
+                )
+                x, st = solver.solve(prob.b, tol=1e-9, maxiter=300)
+                assert st.converged
+                xs.append(x)
+                split.append(solver.M.levels[0].smoother.supports_overlap)
+            return split == [False, True] and bool(np.array_equal(*xs))
+
+        assert all(run_spmd(2, fn))
 
 
 class TestOverlappedSolver:

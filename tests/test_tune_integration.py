@@ -67,6 +67,34 @@ class TestProbe:
                 r.parity for r in records if (r.op, r.rung) == (op, rung)
             )
 
+    def test_probed_kernels_run_in_the_probers_arena(self, problem8):
+        """Solves always hand kernels a workspace, and a kernel's
+        pooled branch is different code from its allocating one — so
+        the prober must time the pooled branch: every probed motif
+        requests scratch from the prober's own arena."""
+        from repro.backends.workspace import Workspace
+
+        class Recording(Workspace):
+            def __init__(self):
+                super().__init__("recording")
+                self.tags = []
+
+            def get(self, tag, shape, dtype):
+                self.tags.append(tag[0] if isinstance(tag, tuple) else tag)
+                return super().get(tag, shape, dtype)
+
+        prober = OperatorProber(
+            problem8.A, baseline_format="ell", rungs=("fp64",), repeats=1
+        )
+        assert isinstance(prober.ws, Workspace)
+        prober.ws = rec = Recording()
+        prober.probe_all()
+        tags = set(rec.tags)
+        # ELL chunk scratch, the CSR gather, the index-set sweep's
+        # block vectors and the fused residual's product buffer.
+        for tag in ("ell.chunk.idx", "csr.spmv.gather", "gs.ax", "spmv_dot.ax"):
+            assert tag in tags, tag
+
 
 class TestPlanFromProbe:
     def test_entries_cover_fp64(self, plan8):
