@@ -9,7 +9,7 @@ the optimized configuration at the official 320^3/GCD, 1 node:
 - fused -> unfused SpMV-restriction (§3.2.4),
 - overlap -> no compute-communication overlap (§3.2.3),
 - overlapped SymGS -> blocking smoother exchanges (PR 5),
-- fused motifs (spmv_dot / waxpby_dot) -> separate passes (PR 5),
+- fused motifs (waxpby_dot / gemv_sub_dot) -> separate passes (PR 5),
 - device -> host-staged mixed-precision kernels (§3.2.5).
 
 Each configuration also reports an fp16 column ("mxp-half": the §5
@@ -33,6 +33,7 @@ from repro.mg.restriction import (
 )
 from repro.perf.scaling import ABLATION_CONFIGS as ABLATIONS
 from repro.perf.scaling import ScalingModel
+from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
 
 
@@ -241,11 +242,12 @@ def test_ablation_fused_restrict_real(benchmark):
     r = rng.standard_normal(prob.nlocal)
     xfull = rng.standard_normal(prob.A.ncols)
 
-    # Correctness first.
-    np.testing.assert_allclose(
-        fused_residual_restrict(prob.A, r, xfull, f_c),
+    A_c = extract_rows(prob.A, f_c)  # the coarse rows, packed once (MG setup)
+
+    # Correctness first: the two paths are bitwise-equal.
+    assert np.array_equal(
+        fused_residual_restrict(A_c, r, xfull, f_c),
         unfused_residual_restrict(prob.A, r, xfull, f_c),
-        rtol=1e-12,
     )
 
     def timeit(fn, n=5):
@@ -256,10 +258,10 @@ def test_ablation_fused_restrict_real(benchmark):
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_fused = timeit(lambda: fused_residual_restrict(prob.A, r, xfull, f_c))
+    t_fused = timeit(lambda: fused_residual_restrict(A_c, r, xfull, f_c))
     t_unfused = timeit(lambda: unfused_residual_restrict(prob.A, r, xfull, f_c))
     print(f"\nfused {t_fused * 1e3:.2f} ms vs unfused {t_unfused * 1e3:.2f} ms "
           f"({t_unfused / t_fused:.1f}x) at 48^3")
     assert t_fused < t_unfused
 
-    benchmark(lambda: fused_residual_restrict(prob.A, r, xfull, f_c))
+    benchmark(lambda: fused_residual_restrict(A_c, r, xfull, f_c))

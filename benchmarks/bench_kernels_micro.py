@@ -219,10 +219,49 @@ class TestVectorOps:
 
 class TestRestriction:
     def test_fused_restrict_fp64(self, benchmark, prob, vectors):
+        from repro.sparse.partitioned import extract_rows
+
         coarse = prob.sub.coarsen()
         f_c = coarse_to_fine_map(prob.sub, coarse)
+        A_c = extract_rows(prob.A, f_c)  # packed once, as MG setup does
         r = np.random.default_rng(3).standard_normal(prob.nlocal)
-        benchmark(lambda: fused_residual_restrict(prob.A, r, vectors["x64"], f_c))
+        benchmark(lambda: fused_residual_restrict(A_c, r, vectors["x64"], f_c))
+
+    def test_restrict_fp32_block(self, benchmark, prob, mats):
+        """The restriction a solve runs: the level-0 block of a built
+        hierarchy, 13 824 coarse-mapped rows (two chunks), on a panel
+        of 8 — checked bitwise against the full product's coarse rows."""
+        from repro.backends import Workspace, spmv
+        from repro.mg import MGConfig, MultigridPreconditioner
+
+        ws = Workspace()
+        mg = MultigridPreconditioner.build(
+            prob,
+            SerialComm(),
+            MGConfig(),
+            precision="fp32",
+            fine_matrix=mats["ell32"],
+            workspace=ws,
+        )
+        lv = mg.levels[0]
+        assert lv.A_c.nrows == len(lv.f_c) == 13824
+        rng = np.random.default_rng(7)
+        R = np.asfortranarray(
+            rng.standard_normal((prob.nlocal, 8)).astype(np.float32)
+        )
+        X = np.asfortranarray(
+            rng.standard_normal((prob.A.ncols, 8)).astype(np.float32)
+        )
+        out = np.empty((len(lv.f_c), 8), dtype=np.float32, order="F")
+
+        def restrict():
+            return fused_residual_restrict(lv.A_c, R, X, lv.f_c, out=out, ws=ws)
+
+        restrict()  # warmup the arena
+        benchmark(restrict)
+        for j in range(8):
+            ax = spmv(lv.A, X[:, j])
+            assert np.array_equal(out[:, j], R[lv.f_c, j] - ax[lv.f_c])
 
 
 class TestEndToEnd:

@@ -51,6 +51,10 @@ from repro.backends import numba_backend  # noqa: E402,F401
 
 registry.autoselect_backend()
 
+# The unfused restriction is a reference, not an op: its product goes
+# through ``spmv_multi`` and its tail is the NumPy ``fused_restrict``'s.
+from repro.backends.numpy_backend import unfused_restrict  # noqa: E402
+
 from repro.backends.dispatch import (  # noqa: E402
     dot,
     dot_multi,
@@ -67,7 +71,6 @@ from repro.backends.dispatch import (  # noqa: E402
     symgs_sweep,
     symgs_sweep_multi,
     waxpby,
-    waxpby_multi,
 )
 
 __all__ = [
@@ -97,6 +100,6 @@ __all__ = [
     "spmv_rows",
     "symgs_sweep",
     "symgs_sweep_multi",
+    "unfused_restrict",
     "waxpby",
-    "waxpby_multi",
 ]

@@ -61,7 +61,8 @@ def spmv(A, x: np.ndarray, out: np.ndarray | None = None, ws=None):
 
 
 def spmv_rows(A, rows: np.ndarray, x: np.ndarray, out=None, ws=None):
-    """``(A @ x)`` restricted to a row subset."""
+    """``(A @ x)`` restricted to a row subset (ELL has a row-subset
+    kernel; every other format takes the full product's rows)."""
     fn = registry.lookup("spmv_rows", matrix_format(A), _prec(A.dtype))
     return fn(A, rows, x, out=out, ws=ws)
 
@@ -87,7 +88,8 @@ def symgs_sweep(
     direction: str = "forward",
     ws=None,
 ) -> None:
-    """One multicolor Gauss-Seidel sweep (all color passes)."""
+    """One multicolor Gauss-Seidel sweep (all color passes): on a
+    plain matrix, the index-set reference the block sweep is pinned to."""
     fn = registry.lookup(
         "symgs_sweep", matrix_format(A), _prec(A.dtype),
         fmt_params=matrix_format_params(A),
@@ -115,44 +117,30 @@ def symgs_boundary(
     return fn(P, r, xfull, direction=direction, ws=ws)
 
 
-def fused_restrict(A, r, xfull, f_c, out=None, ws=None):
-    """Fused residual + injection restriction (eq. 6)."""
-    fn = registry.lookup("fused_restrict", matrix_format(A), _prec(A.dtype))
-    return fn(A, r, xfull, f_c, out=out, ws=ws)
+def fused_restrict(A_c, R, Xfull, f_c, out=None, ws=None):
+    """Fused residual + injection restriction (eq. 6) of a panel (or a
+    vector): ``A_c`` is the level's coarse-mapped rows, packed at setup."""
+    fn = registry.lookup("fused_restrict", matrix_format(A_c), _prec(A_c.dtype))
+    return fn(A_c, R, Xfull, f_c, out=out, ws=ws)
 
 
-def prolong(xfull: np.ndarray, z_c: np.ndarray, f_c: np.ndarray, ws=None):
-    """Transpose-injection prolongation ``x[f_c] += z_c``."""
-    fn = registry.lookup("prolong", None, _prec(xfull.dtype))
-    return fn(xfull, z_c, f_c, ws=ws)
+def prolong(Xfull: np.ndarray, Z_c: np.ndarray, f_c: np.ndarray, ws=None):
+    """Transpose-injection prolongation ``X[f_c] += Z_c``, per column."""
+    fn = registry.lookup("prolong", None, _prec(Xfull.dtype))
+    return fn(Xfull, Z_c, f_c, ws=ws)
 
 
 # ----------------------------------------------------------------------
 # Fused motifs (one memory pass where the backend registers one)
 # ----------------------------------------------------------------------
-def spmv_dot(A, x: np.ndarray, b: np.ndarray, out=None, ws=None):
-    """``r = b - A x`` plus the *local* ``r . r``, fused.
-
-    Returns ``(r, local_sq)``.  Backends that register a fused kernel
-    (Numba) evaluate the residual in the SpMV's matrix pass; every
-    other (format, precision) resolves to the NumPy wildcard
-    registration, which composes the registry's ``spmv``/``dot``
-    kernels operation-for-operation — bitwise-identical to the
-    unfused call sequence.
-    """
-    fn = registry.lookup(
-        "spmv_dot", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
-    )
-    return fn(A, x, b, out=out, ws=ws)
-
-
 def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
     """``w = alpha x + beta y`` plus the *local* ``w . w``, fused.
 
-    Returns ``(w, local_sq)``; same wildcard-fallback contract as
-    :func:`spmv_dot` (the composition is bitwise-identical to the
-    separate ``waxpby`` + ``dot`` calls).
+    Returns ``(w, local_sq)``.  Backends that register a fused kernel
+    (Numba) produce both in one pass; every other precision resolves
+    to the NumPy wildcard registration, which composes the registry's
+    ``waxpby`` / ``dot`` kernels operation-for-operation —
+    bitwise-identical to the separate calls.
     """
     fn = registry.lookup("waxpby_dot", None, _prec(y.dtype))
     return fn(alpha, x, beta, y, out=out, ws=ws)
@@ -173,12 +161,12 @@ def gemv_sub_dot(Q, k: int, coef, w, ws=None) -> float:
 # Panel (multi-RHS) motifs
 # ----------------------------------------------------------------------
 # A *panel* is a column-major (order='F') 2-D array of shape (n, N):
-# one RHS per column, every column contiguous.  The panel ops apply
-# their single-vector counterpart to each column with the matrix
-# traffic amortized over the panel — the reference backend composes
-# the single-RHS kernels per column (bitwise-equal per column to the
-# looped calls), while JIT/GPU backends register genuinely single-pass
-# kernels that stream the matrix block once for the whole panel.
+# one RHS per column, every column contiguous.  The panel ops are what
+# the engine dispatches at every width (a solo solve is the (n, 1)
+# panel); each column is bitwise-equal to the single-vector op on it,
+# with the matrix traffic amortized over the panel wherever the layout
+# allows (ELL SpMV, the color-block sweep, the restriction block; the
+# JIT/GPU backends for the rest).
 
 
 def spmv_multi(A, X: np.ndarray, out: np.ndarray | None = None, ws=None):
@@ -232,52 +220,27 @@ def symgs_boundary_multi(
 
 
 def symgs_sweep_multi(
-    A,
-    R: np.ndarray,
-    Xfull: np.ndarray,
-    sets,
-    diag_sets,
-    direction: str = "forward",
-    ws=None,
+    P, R: np.ndarray, Xfull: np.ndarray, direction: str = "forward", ws=None
 ) -> None:
     """One multicolor GS sweep over every column of a panel.
 
+    ``P`` is the color-packed layout every smoother sweeps
+    (:func:`repro.sparse.partitioned.partition_colors`) — a plain
+    matrix has no panel sweep and raises :class:`KernelNotFoundError`.
     Columns are mutually independent (each column's relaxation reads
-    only its own vectors), so any column/color interleaving yields the
-    same per-column result — which is what lets single-pass backends
-    stream each color's matrix rows once across the panel while
-    staying bitwise-equal per column to the looped sweep.
+    only its own vectors), so each color block streams once across the
+    panel while every column stays bitwise-equal to the looped sweep.
     """
     fn = registry.lookup(
-        "symgs_sweep_multi", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
+        "symgs_sweep_multi", matrix_format(P), _prec(P.dtype),
+        fmt_params=matrix_format_params(P),
     )
-    return fn(A, R, Xfull, sets, diag_sets, direction=direction, ws=ws)
-
-
-def waxpby_multi(alpha, X, beta, Y, out=None, ws=None):
-    """``W[:, j] = alpha X[:, j] + beta Y[:, j]`` per panel column."""
-    fn = registry.lookup("waxpby_multi", None, _prec(Y.dtype))
-    return fn(alpha, X, beta, Y, out=out, ws=ws)
+    return fn(P, R, Xfull, direction=direction, ws=ws)
 
 
 def dot_multi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per-column local dots ``[X[:, j] . Y[:, j]]`` (float64 array)."""
     return registry.lookup("dot_multi", None, _prec(X.dtype))(X, Y)
-
-
-def spmv_dot_multi(A, X, B, out=None, ws=None):
-    """Panel variant of :func:`spmv_dot`.
-
-    Returns ``(R, locals)``: ``R[:, j] = B[:, j] - A X[:, j]`` and
-    ``locals[j]`` the local ``R[:, j] . R[:, j]`` — each column
-    bitwise-equal to the single-RHS fused motif.
-    """
-    fn = registry.lookup(
-        "spmv_dot_multi", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
-    )
-    return fn(A, X, B, out=out, ws=ws)
 
 
 def waxpby_dot_multi(alpha, X, beta, Y, out=None, ws=None):

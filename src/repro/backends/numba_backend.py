@@ -211,315 +211,13 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
             return _finish_fp16(A, y, out)
 
     # ------------------------------------------------------------------
-    # SymGS sweep: the dominant motif, row-parallel per color pass
+    # Fused motif: waxpby + dot
     # ------------------------------------------------------------------
-    # One jitted relaxation pass per color: rows of a color are
-    # mutually independent, so the in-place update is race-free under
-    # prange (no thread reads another's row).  Accumulation follows
-    # the backend's convention: the matrix precision for fp32/fp64,
-    # fp32 for fp16 storage (with the row-equilibration scale folded
-    # before the near-cancelling update) — the same split the NumPy
-    # fp16 kernels implement, so an fp16 rung's dominant motif is now
-    # JIT-covered end to end.
-
-    def _make_ell_gs_pass(zero):
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, x, r, rows, diag):
-            width = cols.shape[1]
-            for k in numba.prange(len(rows)):
-                i = rows[k]
-                acc = zero
-                for j in range(width):
-                    acc += vals[i, j] * x[cols[i, j]]
-                x[i] = x[i] + (r[i] - acc) / diag[k]
-
-        return kernel
-
-    def _make_ell_gs_pass_fp16():
-        """fp16-storage color pass: fp32 products, scale-aware, and
-        only the final store back into the fp16 iterate rounds."""
-
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, x, r, rows, diag, scale):
-            width = cols.shape[1]
-            for k in numba.prange(len(rows)):
-                i = rows[k]
-                acc = np.float32(0.0)
-                for j in range(width):
-                    acc += np.float32(vals[i, j]) * np.float32(x[cols[i, j]])
-                acc *= scale[i]
-                upd = (np.float32(r[i]) - acc) / diag[k]
-                x[i] = np.float32(x[i]) + upd
-
-        return kernel
-
-    _GS_PASS = {
-        "fp32": _make_ell_gs_pass(np.float32(0.0)),
-        "fp64": _make_ell_gs_pass(np.float64(0.0)),
-    }
-
-    def _register_numba_gs(prec: str) -> None:
-        pass_kernel = _GS_PASS[prec]
-
-        @register("symgs_sweep", fmt="ell", precision=prec, backend="numba")
-        def symgs_sweep_ell_numba(
-            A, r, xfull, sets, diag_sets, direction="forward", ws=None
-        ):
-            order = range(len(sets))
-            if direction == "backward":
-                order = reversed(order)
-            elif direction != "forward":
-                raise ValueError(f"unknown sweep direction {direction!r}")
-            for i in order:
-                if len(sets[i]):
-                    pass_kernel(A.cols, A.vals, xfull, r, sets[i], diag_sets[i])
-
-    for _prec in ("fp32", "fp64"):
-        _register_numba_gs(_prec)
-
-    _GS_PASS_FP16 = _probe_fp16(
-        _make_ell_gs_pass_fp16,
-        (
-            np.zeros((1, 1), dtype=np.int32),
-            np.ones((1, 1), dtype=np.float16),
-            np.ones(2, dtype=np.float16),
-            np.ones(1, dtype=np.float16),
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.float32),
-            np.ones(1, dtype=np.float32),
-        ),
-    )
-
-    if _GS_PASS_FP16 is not None:  # pragma: no cover - numba-with-fp16 only
-
-        @register("symgs_sweep", fmt="ell", precision="fp16", backend="numba")
-        def symgs_sweep_ell_numba_fp16(
-            A, r, xfull, sets, diag_sets, direction="forward", ws=None
-        ):
-            scale = getattr(A, "row_scale", None)
-            if scale is None:
-                # Plain (unequilibrated) fp16 ELL storage: defer to the
-                # reference kernel rather than carry a second variant.
-                fn = registry.lookup("symgs_sweep", "ell", "fp16", backend="numpy")
-                return fn(A, r, xfull, sets, diag_sets, direction=direction, ws=ws)
-            order = range(len(sets))
-            if direction == "backward":
-                order = reversed(order)
-            elif direction != "forward":
-                raise ValueError(f"unknown sweep direction {direction!r}")
-            for i in order:
-                if len(sets[i]):
-                    # Row-equilibrated matrices report their diagonal in
-                    # float32 already, so this is a no-op view on the
-                    # hot path (no per-sweep allocation); the cast only
-                    # fires for an unconventional caller-built diag.
-                    diag = diag_sets[i]
-                    if diag.dtype != np.float32:
-                        diag = diag.astype(np.float32)
-                    _GS_PASS_FP16(A.cols, A.vals, xfull, r, sets[i], diag, scale)
-
-    # ------------------------------------------------------------------
-    # Panel SymGS sweep: one matrix stream per color pass for N columns
-    # ------------------------------------------------------------------
-    # The panel smoother's dominant motif as a genuinely single-pass
-    # kernel: each color row's indices and values are read *once* and
-    # the relaxation runs per column from registers, so the sweep's
-    # matrix traffic is amortized N× (the NumPy reference composes N
-    # single-RHS sweeps).  Per column the accumulation order matches
-    # the single-RHS color pass exactly (sequential over the row's
-    # nonzeros), keeping panel-vs-looped parity bitwise within this
-    # backend.  Rows of a color are mutually independent, so the
-    # in-place panel update is race-free under prange.
-
-    def _make_ell_gs_pass_multi(zero):
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, X, R, rows, diag):
-            width = cols.shape[1]
-            ncol = X.shape[1]
-            for k in numba.prange(len(rows)):
-                i = rows[k]
-                for c in range(ncol):
-                    acc = zero
-                    for j in range(width):
-                        acc += vals[i, j] * X[cols[i, j], c]
-                    X[i, c] = X[i, c] + (R[i, c] - acc) / diag[k]
-
-        return kernel
-
-    def _make_ell_gs_pass_multi_fp16():
-        """fp16-storage panel color pass: fp32 products, scale-aware,
-        only the final store back into the fp16 panel rounds."""
-
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, X, R, rows, diag, scale):
-            width = cols.shape[1]
-            ncol = X.shape[1]
-            for k in numba.prange(len(rows)):
-                i = rows[k]
-                for c in range(ncol):
-                    acc = np.float32(0.0)
-                    for j in range(width):
-                        acc += np.float32(vals[i, j]) * np.float32(
-                            X[cols[i, j], c]
-                        )
-                    acc *= scale[i]
-                    upd = (np.float32(R[i, c]) - acc) / diag[k]
-                    X[i, c] = np.float32(X[i, c]) + upd
-
-        return kernel
-
-    _GS_PASS_MULTI = {
-        "fp32": _make_ell_gs_pass_multi(np.float32(0.0)),
-        "fp64": _make_ell_gs_pass_multi(np.float64(0.0)),
-    }
-
-    def _register_numba_gs_multi(prec: str) -> None:
-        pass_kernel = _GS_PASS_MULTI[prec]
-
-        @register("symgs_sweep_multi", fmt="ell", precision=prec, backend="numba")
-        def symgs_sweep_multi_ell_numba(
-            A, R, Xfull, sets, diag_sets, direction="forward", ws=None
-        ):
-            order = range(len(sets))
-            if direction == "backward":
-                order = reversed(order)
-            elif direction != "forward":
-                raise ValueError(f"unknown sweep direction {direction!r}")
-            for i in order:
-                if len(sets[i]):
-                    pass_kernel(A.cols, A.vals, Xfull, R, sets[i], diag_sets[i])
-
-    for _prec in ("fp32", "fp64"):
-        _register_numba_gs_multi(_prec)
-
-    _GS_PASS_MULTI_FP16 = _probe_fp16(
-        _make_ell_gs_pass_multi_fp16,
-        (
-            np.zeros((1, 1), dtype=np.int32),
-            np.ones((1, 1), dtype=np.float16),
-            np.ones((2, 1), dtype=np.float16),
-            np.ones((1, 1), dtype=np.float16),
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.float32),
-            np.ones(1, dtype=np.float32),
-        ),
-    )
-
-    if _GS_PASS_MULTI_FP16 is not None:  # pragma: no cover - numba-with-fp16
-
-        @register(
-            "symgs_sweep_multi", fmt="ell", precision="fp16", backend="numba"
-        )
-        def symgs_sweep_multi_ell_numba_fp16(
-            A, R, Xfull, sets, diag_sets, direction="forward", ws=None
-        ):
-            scale = getattr(A, "row_scale", None)
-            if scale is None:
-                # Plain (unequilibrated) fp16 ELL storage: defer to the
-                # reference composition rather than carry a variant.
-                fn = registry.lookup(
-                    "symgs_sweep_multi", "ell", "fp16", backend="numpy"
-                )
-                return fn(
-                    A, R, Xfull, sets, diag_sets, direction=direction, ws=ws
-                )
-            order = range(len(sets))
-            if direction == "backward":
-                order = reversed(order)
-            elif direction != "forward":
-                raise ValueError(f"unknown sweep direction {direction!r}")
-            for i in order:
-                if len(sets[i]):
-                    diag = diag_sets[i]
-                    if diag.dtype != np.float32:
-                        diag = diag.astype(np.float32)
-                    _GS_PASS_MULTI_FP16(
-                        A.cols, A.vals, Xfull, R, sets[i], diag, scale
-                    )
-
-    # ------------------------------------------------------------------
-    # Fused restriction: residual at coarse-mapped rows only (eq. 6)
-    # ------------------------------------------------------------------
-    def _make_ell_fused_restrict(zero):
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, x, r, f_c, out):
-            width = cols.shape[1]
-            for k in numba.prange(len(f_c)):
-                i = f_c[k]
-                acc = zero
-                for j in range(width):
-                    acc += vals[i, j] * x[cols[i, j]]
-                out[k] = r[i] - acc
-
-        return kernel
-
-    _FUSED_RESTRICT = {
-        "fp32": _make_ell_fused_restrict(np.float32(0.0)),
-        "fp64": _make_ell_fused_restrict(np.float64(0.0)),
-    }
-
-    def _register_numba_restrict(prec: str) -> None:
-        kernel = _FUSED_RESTRICT[prec]
-
-        @register("fused_restrict", fmt="ell", precision=prec, backend="numba")
-        def fused_restrict_ell_numba(A, r, xfull, f_c, out=None, ws=None):
-            if out is None:
-                out = np.empty(len(f_c), dtype=xfull.dtype)
-            # The store casts per element, so a cross-precision coarse
-            # buffer (ladder schedules) is written directly.
-            kernel(A.cols, A.vals, xfull, r, f_c, out)
-            return out
-
-    for _prec in ("fp32", "fp64"):
-        _register_numba_restrict(_prec)
-
-    # ------------------------------------------------------------------
-    # Fused motifs: residual + dot, waxpby + dot
-    # ------------------------------------------------------------------
-    # The jitted kernels fuse the *streaming* passes (the residual
-    # subtraction rides the SpMV's matrix pass; the update's store
+    # The jitted kernel fuses the *streaming* pass (the update's store
     # feeds no extra read), while the scalar reduction stays a
     # deterministic np.dot over the result: a prange-reduced scalar
     # would make run-to-run bit reproducibility hostage to the thread
     # schedule, which the solver's bitwise tests forbid.
-
-    def _make_ell_residual(zero):
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, x, b, r):
-            width = cols.shape[1]
-            for i in numba.prange(len(r)):
-                acc = zero
-                for j in range(width):
-                    acc += vals[i, j] * x[cols[i, j]]
-                r[i] = b[i] - acc
-
-        return kernel
-
-    def _make_csr_residual(zero):
-        @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(indptr, indices, data, x, b, r):
-            for i in numba.prange(len(indptr) - 1):
-                acc = zero
-                for j in range(indptr[i], indptr[i + 1]):
-                    acc += data[j] * x[indices[j]]
-                r[i] = b[i] - acc
-
-        return kernel
-
-    _ELL_RESIDUAL = _make_ell_residual(np.float64(0.0))
-    _CSR_RESIDUAL = _make_csr_residual(np.float64(0.0))
-
-    @register("spmv_dot", fmt="ell", precision="fp64", backend="numba")
-    def spmv_dot_ell_numba(A, x, b, out=None, ws=None):
-        r = out if out is not None else np.empty(A.nrows, dtype=b.dtype)
-        _ELL_RESIDUAL(A.cols, A.vals, x, b, r)
-        return r, float(np.dot(r, r))
-
-    @register("spmv_dot", fmt="csr", precision="fp64", backend="numba")
-    def spmv_dot_csr_numba(A, x, b, out=None, ws=None):
-        r = out if out is not None else np.empty(A.nrows, dtype=b.dtype)
-        _CSR_RESIDUAL(A.indptr, A.indices, A.data, x, b, r)
-        return r, float(np.dot(r, r))
 
     @numba.njit(parallel=True, fastmath=False, cache=True)
     def _waxpby_kernel(alpha, x, beta, y, w):  # pragma: no cover

@@ -14,10 +14,9 @@ honors two contracts the solver hot path depends on:
   transiently: the int32 column block is widened into pooled ``intp``
   scratch per chunk, because ``np.take`` with int32 indices allocates
   an intp copy of the whole index array on every call.  The CSR and
-  SELL-C-σ full-matrix kernels pool O(nnz) gathers and still pay that
-  hidden index copy; their row-subset kernels pool all floating-point
-  traffic but build O(rows) integer index scratch per call (the price
-  of their indirected layouts).
+  SELL-C-σ kernels pool O(nnz) gathers and still pay that hidden index
+  copy; they have no row-subset kernel (``spmv_rows`` off ELL is the
+  format-generic reference: the full product, then the rows).
 
 Without ``ws`` the kernels fall back to plain allocating NumPy, which
 keeps them usable from tests and one-shot diagnostics — and is the
@@ -46,6 +45,51 @@ def _check_cols(A, x) -> None:
         raise ValueError(
             f"x has {x.shape[0]} entries, matrix has {A.ncols} columns"
         )
+
+
+def _scratch(ws, key, shape, dtype) -> np.ndarray:
+    """Pooled scratch, or a fresh array for workspace-less callers."""
+    if ws is None:
+        return np.empty(shape, dtype=dtype)
+    return ws.get(key, shape, dtype)
+
+
+def _panel_out(A, X, out):
+    if X.ndim != 2:
+        raise ValueError(f"panel must be 2-D (n, N), got shape {X.shape}")
+    if out is None:
+        return np.empty((A.nrows, X.shape[1]), dtype=A.dtype, order="F")
+    if out.shape[1] != X.shape[1]:
+        raise ValueError(
+            f"panel out has {out.shape[1]} columns, X has {X.shape[1]}"
+        )
+    return out
+
+
+def _each_column(kernel, A, X, Y, ws) -> None:
+    """``Y[:, j] = kernel(A, X[:, j])``: the panel product of a layout
+    with no single-pass kernel.  The kernel is *called*, not looked up
+    again, so one panel dispatch is one dispatch, and its pooled
+    scratch is shared across the columns (an N-wide panel warms exactly
+    the buffers one vector does)."""
+    for j in range(X.shape[1]):
+        kernel(A, X[:, j], out=Y[:, j], ws=ws)
+
+
+def _register_spmv(fmt, precision=None):
+    """Register a single-vector SpMV together with its panel twin, the
+    same function applied to each column (CSR and SELL-C-σ)."""
+
+    def deco(kernel):
+        def spmv_multi(A, X, out=None, ws=None):
+            Y = _panel_out(A, X, out)
+            _each_column(kernel, A, X, Y, ws)
+            return Y
+
+        register("spmv_multi", fmt=fmt, precision=precision)(spmv_multi)
+        return register("spmv", fmt=fmt, precision=precision)(kernel)
+
+    return deco
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +122,7 @@ def _csr_plan(A) -> _CSRPlan:
     return plan
 
 
-@register("spmv", fmt="csr")
+@_register_spmv("csr")
 def spmv_csr(A, x, out=None, ws=None):
     """y = A @ x via ``np.add.reduceat`` over row-pointer boundaries."""
     _check_cols(A, x)
@@ -107,44 +151,6 @@ def spmv_csr(A, x, out=None, ws=None):
     else:
         y[:] = 0
         y[plan.nonempty_rows] = sums
-    return y
-
-
-@register("spmv_rows", fmt="csr")
-def spmv_rows_csr(A, rows, x, out=None, ws=None):
-    """(A @ x) restricted to a subset of rows (overlap split).
-
-    The concatenated-range index construction allocates integer
-    scratch; with ``ws`` all floating-point gathers/products are
-    pooled.
-    """
-    m = len(rows)
-    y = out if out is not None else np.zeros(m, dtype=A.data.dtype)
-    if m == 0:
-        return y
-    lens = (A.indptr[rows + 1] - A.indptr[rows]).astype(np.int64)
-    total = int(lens.sum())
-    y[:] = 0
-    if total:
-        # Gather the concatenated nnz ranges of the selected rows.
-        flat = np.repeat(A.indptr[rows], lens) + (
-            np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        )
-        if ws is not None and A.data.dtype == x.dtype:
-            db = ws.get("csr.rows.data", (total,), A.data.dtype)
-            np.take(A.data, flat, out=db, mode="clip")
-            ib = ws.get("csr.rows.idx", (total,), A.indices.dtype)
-            np.take(A.indices, flat, out=ib, mode="clip")
-            products = ws.get("csr.rows.prod", (total,), x.dtype)
-            np.take(x, ib, out=products, mode="clip")
-            np.multiply(db, products, out=products)
-        else:
-            products = A.data[flat] * x[A.indices[flat]]
-        starts = np.cumsum(lens) - lens
-        nonempty = lens > 0
-        # Boundaries at nonempty segments only (see _CSRPlan).
-        sums = np.add.reduceat(products, starts[nonempty])
-        y[nonempty] = sums
     return y
 
 
@@ -274,8 +280,9 @@ def spmv_ell(A, x, out=None, ws=None):
 
 @register("spmv_rows", fmt="ell")
 def spmv_rows_ell(A, rows, x, out=None, ws=None):
-    """(A @ x) on a row subset — the building block for the fused
-    SpMV-restriction (§3.2.4) and the index-set reference sweep."""
+    """(A @ x) on a row subset: one wavefront of the level-scheduled
+    smoother's triangular solves, one color of the index-set reference
+    sweep."""
     if ws is not None and A.vals.dtype == x.dtype:
         return _ell_vector(A, rows, x, out, ws)
     acc = A.vals[rows] * x[A.cols[rows]]
@@ -289,7 +296,7 @@ def spmv_rows_ell(A, rows, x, out=None, ws=None):
 # ----------------------------------------------------------------------
 # SELL-C-σ
 # ----------------------------------------------------------------------
-@register("spmv", fmt="sellcs")
+@_register_spmv("sellcs")
 def spmv_sellcs(A, x, out=None, ws=None):
     """y = A @ x: one ELL-style gather-multiply-reduce per width slab.
 
@@ -315,45 +322,24 @@ def spmv_sellcs(A, x, out=None, ws=None):
     return y
 
 
-@register("spmv_rows", fmt="sellcs")
-def spmv_rows_sellcs(A, rows, x, out=None, ws=None):
-    """(A @ x) on a row subset, resolved through the per-row slab map.
+@register("spmv_rows")
+def spmv_rows_reference(A, rows, x, out=None, ws=None):
+    """(A @ x) on a row subset, format-generic: the full product, then
+    the rows.  Nothing hot runs it — only ELL, which the level-scheduled
+    smoother sweeps per wavefront, has a row-subset kernel; this serves
+    the references (``matvec_split``, the index-set sweep on CSR /
+    SELL-C-σ).  The product lands in ``out``'s dtype before the rows
+    are taken, so an fp16 matrix hands its fp32 row sums to an fp32
+    ``out`` unrounded, as a row-subset kernel would."""
+    from repro.backends.dispatch import spmv
 
-    With ``ws`` the O(rows × width) slab gathers are pooled; the
-    per-slab selection index vectors (O(rows)) still allocate — the
-    price of the permuted layout's indirection.
-    """
-    m = len(rows)
-    dtype = A.dtype
-    y = out if out is not None else np.empty(m, dtype=dtype)
-    if m == 0:
-        return y
-    owner = A.row_block[rows]
-    for bid, blk in enumerate(A.blocks):
-        sel = np.nonzero(owner == bid)[0]
-        n_sel = len(sel)
-        if n_sel == 0:
-            continue
-        if blk.width == 0:
-            y[sel] = 0
-            continue
-        slots = A.row_slot[rows[sel]]
-        if ws is not None and blk.vals.dtype == x.dtype:
-            shape = (n_sel, blk.width)
-            vb = ws.get(("sellcs.rows.vals", bid), shape, blk.vals.dtype)
-            cb = ws.get(("sellcs.rows.cols", bid), shape, blk.cols.dtype)
-            np.take(blk.vals, slots, axis=0, out=vb, mode="clip")
-            np.take(blk.cols, slots, axis=0, out=cb, mode="clip")
-            g = ws.get(("sellcs.rows.gather", bid), shape, x.dtype)
-            np.take(x, cb, out=g, mode="clip")
-            np.multiply(vb, g, out=g)
-            s = ws.get(("sellcs.rows.sum", bid), (n_sel,), dtype)
-            g.sum(axis=1, dtype=dtype, out=s)
-            y[sel] = s
-        else:
-            acc = blk.vals[slots] * x[blk.cols[slots]]
-            y[sel] = acc.sum(axis=1, dtype=dtype)
-    return y
+    dtype = A.dtype if out is None else out.dtype
+    full = _scratch(ws, "spmv_rows.full", (A.nrows,), dtype)
+    spmv(A, x, out=full, ws=ws)
+    if out is None:
+        return full[rows]
+    np.take(full, rows, out=out, mode="clip")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +357,7 @@ def symgs_sweep(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
     The format-generic *reference*: every pass copies its color's rows
     out of ``A`` (``spmv_rows``).  Smoothers sweep the packed
     ``color_partitioned`` layout instead (``partitioned_ops``), which
-    tests pin bitwise to this kernel; the tuner still probes this one.
+    tests pin bitwise to this kernel; nothing else dispatches it.
     """
     from repro.backends.dispatch import spmv_rows
 
@@ -406,33 +392,14 @@ def symgs_sweep(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
 # ----------------------------------------------------------------------
 # NumPy cannot truly fuse two passes into one loop, so these reference
 # registrations compose the registry's own kernels operation for
-# operation — bitwise-identical to the historical unfused call
-# sequences (the property the solver's golden tests pin), with every
-# temporary pooled.  Their value is the *seam*: the byte model charges
-# the fused pass once, and a JIT backend (Numba here, a GPU later)
-# registers a genuinely single-pass kernel against the same key.
-
-
-@register("spmv_dot")
-def spmv_dot(A, x, b, out=None, ws=None):
-    """``r = b - A x`` and local ``r . r`` (GMRES-IR's residual check).
-
-    The inner ``spmv``/``dot`` lookups re-dispatch on (format,
-    precision), so every storage layout and ladder rung — including
-    the partitioned distributed format — is served by this one
-    registration.
-    """
-    from repro.backends import dispatch
-
-    r = out if out is not None else np.empty(A.nrows, dtype=b.dtype)
-    ax = (
-        ws.get("spmv_dot.ax", (A.nrows,), A.dtype)
-        if ws is not None
-        else np.empty(A.nrows, dtype=A.dtype)
-    )
-    dispatch.spmv(A, x, out=ax, ws=ws)
-    np.subtract(b, ax, out=r)
-    return r, dispatch.dot(r, r)
+# operation — bitwise-identical to the unfused call sequences (the
+# property the solver's golden tests pin), with every temporary
+# pooled.  Their value is the *seam*: the byte model charges the fused
+# pass once, and a JIT backend (Numba here, a GPU later) registers a
+# genuinely single-pass kernel against the same key.  GMRES-IR's
+# residual check fuses at the vector pass (``waxpby_dot`` on ``b`` and
+# ``A x``), so the SpMV in front of it keeps its own schedule (halo
+# overlap, ABFT).
 
 
 @register("waxpby_dot")
@@ -450,62 +417,15 @@ def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
 # A panel is a column-major (n, N) array: one RHS per contiguous
 # column.  NumPy's axis reductions use pairwise summation only on the
 # contiguous fast axis, so a "vectorized" 3-D panel reduction would
-# silently change each column's rounding; every registration below
-# therefore reduces column by column and keeps each column
-# bitwise-equal to the looped single-RHS calls, which is the contract
-# the panel solver's parity tests pin.  ELL ``spmv_multi`` is
-# nevertheless single-pass over the matrix: the chunk helper widens
-# and holds one chunk of the matrix while it serves every column.  The
-# other registrations apply the single-RHS kernel to each column, with
-# pooled scratch *shared across the panel's columns* (same workspace
-# keys), so an N-wide panel warms exactly the buffers one RHS does;
-# their single-pass layouts belong to the JIT/GPU backends (the Numba
-# backend registers CSR/ELL ``spmv_multi`` against this same key).
-
-
-def _check_panel(X, out):
-    if X.ndim != 2:
-        raise ValueError(f"panel must be 2-D (n, N), got shape {X.shape}")
-    if out is not None and out.shape[1] != X.shape[1]:
-        raise ValueError(
-            f"panel out has {out.shape[1]} columns, X has {X.shape[1]}"
-        )
-
-
-def _spmv_columns(fmt, A, X, Y, ws) -> None:
-    """``Y[:, j] = A @ X[:, j]`` through the format's single-RHS kernel
-    (fp16 included: the lookup resolves the precision-specific kernel,
-    fp32 accumulation and row-equilibration scales intact)."""
-    from repro.backends import dispatch
-
-    fn = registry.lookup(
-        "spmv", fmt, dispatch._prec(A.dtype),
-        fmt_params=dispatch.matrix_format_params(A),
-    )
-    for j in range(X.shape[1]):
-        fn(A, X[:, j], out=Y[:, j], ws=ws)
-
-
-def _panel_out(A, X, out):
-    _check_panel(X, out)
-    if out is not None:
-        return out
-    return np.empty((A.nrows, X.shape[1]), dtype=A.dtype, order="F")
-
-
-def _register_spmv_multi(fmt):
-    @register("spmv_multi", fmt=fmt)
-    def spmv_multi_fmt(A, X, out=None, ws=None):
-        Y = _panel_out(A, X, out)
-        _spmv_columns(fmt, A, X, Y, ws)
-        return Y
-
-    return spmv_multi_fmt
-
-
-for _fmt in ("csr", "sellcs"):
-    _register_spmv_multi(_fmt)
-del _fmt
+# silently change each column's rounding; every panel kernel therefore
+# reduces column by column and keeps each column bitwise-equal to the
+# looped single-RHS calls, which is the contract the panel solver's
+# parity tests pin.  ELL ``spmv_multi`` is nevertheless single-pass
+# over the matrix: the chunk helper widens and holds one chunk of the
+# matrix while it serves every column.  CSR and SELL-C-σ apply their
+# single-RHS kernel to each column (:func:`_register_spmv`); their
+# single-pass layouts belong to the JIT/GPU backends (the Numba backend
+# registers CSR/ELL ``spmv_multi`` against this same key).
 
 
 @register("spmv_multi", fmt="ell")
@@ -514,67 +434,13 @@ def spmv_multi_ell(A, X, out=None, ws=None):
     streamed once for all N columns; without, the allocating per-column
     reference."""
     Y = _panel_out(A, X, out)
-    if ws is not None and (A.vals.dtype == X.dtype or A.vals.dtype == _HALF):
+    half = A.vals.dtype == _HALF
+    if ws is not None and (half or A.vals.dtype == X.dtype):
         _check_cols(A, X)
         _ell_chunked(A, None, X, Y, ws)
     else:
-        _spmv_columns("ell", A, X, Y, ws)
+        _each_column(spmv_ell_fp16 if half else spmv_ell, A, X, Y, ws)
     return Y
-
-
-@register("spmv_multi")
-def spmv_multi_generic(A, X, out=None, ws=None):
-    """Wildcard panel SpMV: covers the partitioned distributed format
-    (and any future layout) through the full ``spmv`` re-dispatch."""
-    from repro.backends import dispatch
-
-    _check_panel(X, out)
-    ncol = X.shape[1]
-    Y = (
-        out
-        if out is not None
-        else np.empty((A.nrows, ncol), dtype=A.dtype, order="F")
-    )
-    for j in range(ncol):
-        dispatch.spmv(A, X[:, j], out=Y[:, j], ws=ws)
-    return Y
-
-
-@register("symgs_sweep_multi")
-def symgs_sweep_multi(
-    A, R, Xfull, sets, diag_sets, direction="forward", ws=None
-):
-    """Multicolor GS sweep over every panel column.
-
-    Columns are mutually independent, so the per-column composition is
-    bitwise-equal to looped single-RHS sweeps under any column/color
-    interleaving; the inner ``symgs_sweep`` lookup re-dispatches per
-    (format, precision), covering the color-partitioned layout and the
-    fp16 fp32-relaxation kernels with this one registration.
-    """
-    from repro.backends import dispatch
-
-    _check_panel(Xfull, None)
-    for j in range(R.shape[1]):
-        dispatch.symgs_sweep(
-            A, R[:, j], Xfull[:, j], sets, diag_sets, direction=direction, ws=ws
-        )
-
-
-@register("waxpby_multi")
-def waxpby_multi(alpha, X, beta, Y, out=None, ws=None):
-    """Per-column ``alpha X[:, j] + beta Y[:, j]`` (aliasing-safe)."""
-    from repro.backends import dispatch
-
-    _check_panel(Y, out)
-    W = (
-        out
-        if out is not None
-        else np.empty(Y.shape, dtype=Y.dtype, order="F")
-    )
-    for j in range(Y.shape[1]):
-        dispatch.waxpby(alpha, X[:, j], beta, Y[:, j], out=W[:, j], ws=ws)
-    return W
 
 
 @register("dot_multi")
@@ -588,32 +454,11 @@ def dot_multi(X, Y) -> np.ndarray:
     )
 
 
-@register("spmv_dot_multi")
-def spmv_dot_multi(A, X, B, out=None, ws=None):
-    """Panel residual + per-column local dots (fused motif, per column)."""
-    from repro.backends import dispatch
-
-    _check_panel(X, out)
-    ncol = X.shape[1]
-    R = (
-        out
-        if out is not None
-        else np.empty((A.nrows, ncol), dtype=B.dtype, order="F")
-    )
-    locals_sq = np.empty(ncol, dtype=np.float64)
-    for j in range(ncol):
-        _, locals_sq[j] = dispatch.spmv_dot(
-            A, X[:, j], B[:, j], out=R[:, j], ws=ws
-        )
-    return R, locals_sq
-
-
 @register("waxpby_dot_multi")
 def waxpby_dot_multi(alpha, X, beta, Y, out=None, ws=None):
     """Panel waxpby + per-column local dots (fused motif, per column)."""
     from repro.backends import dispatch
 
-    _check_panel(Y, out)
     ncol = Y.shape[1]
     W = (
         out
@@ -719,50 +564,98 @@ def gemvT(Q, k, w, out=None):
 # ----------------------------------------------------------------------
 # Grid transfers
 # ----------------------------------------------------------------------
-@register("fused_restrict")
-def fused_restrict(A, r, xfull, f_c, out=None, ws=None):
-    """Coarse defect without the full residual (eq. 6):
-    ``r_c[i] = r[f_c(i)] - (A x)[f_c(i)]`` at coarse-mapped rows only.
+# Panel ops (a vector is its ``(n, 1)`` view), one body each for every
+# rung.  fp32 / fp64 levels multiply in the matrix precision and
+# subtract in the defect's; fp16 storage does both in fp32 — in half
+# precision the near-cancelling ``r - A x`` loses every digit once the
+# residual is small — and only the store rounds.
 
-    ``out`` may be the next level's buffer in a *different* precision
-    (ladder schedules): the subtraction then runs in the fine level's
-    precision and only the final store casts.
-    """
-    from repro.backends.dispatch import spmv_rows
 
+def _restrict_product(A, Xfull, ws) -> np.ndarray:
+    """``A X`` as an ``(A.nrows, N)`` accumulator panel (fp32 for fp16
+    storage, the matrix precision otherwise): one ``spmv_multi``."""
+    from repro.backends.dispatch import spmv_multi
+
+    if Xfull.ndim == 1:
+        Xfull = Xfull[:, None]
+    acc = np.float32 if A.dtype == _HALF else A.dtype
+    # Column-major, as ``Workspace.get_panel`` lays panels out.
+    AX = _scratch(ws, "restrict.ax", (Xfull.shape[1], A.nrows), acc).T
+    return spmv_multi(A, Xfull, out=AX, ws=ws)
+
+
+def _restrict_store(R, AX, f_c, out, dtype, ws):
+    """``out[:, j] = R[f_c, j] - AX[:, j]``: subtracted in the wider of
+    the defect's and the product's precision, one cast on the store
+    into ``out`` (which may be the next level's buffer at another
+    rung).  The tail both restrictions share, which keeps the fused op
+    and the unfused reference bitwise-equal."""
+    m, ncol = AX.shape
+    if R.ndim == 1:
+        if out is None:
+            out = np.empty(m, dtype=dtype)
+        _restrict_store(R[:, None], AX, f_c, out[:, None], dtype, ws)
+        return out
     if out is None:
-        ax = spmv_rows(A, f_c, xfull, ws=ws)
-        return (r[f_c] - ax).astype(xfull.dtype)
-    m = len(f_c)
-    if ws is None:
-        ax = spmv_rows(A, f_c, xfull)
-    else:
-        ax = ws.get("restrict.ax", (m,), A.dtype)
-        spmv_rows(A, f_c, xfull, out=ax, ws=ws)
-    if out.dtype == r.dtype:
-        np.take(r, f_c, out=out, mode="clip")
-        np.subtract(out, ax, out=out)
-        return out
-    if ws is None:
-        out[:] = r[f_c] - ax
-        return out
-    rb = ws.get("restrict.rfine", (m,), r.dtype)
-    np.take(r, f_c, out=rb, mode="clip")
-    np.subtract(rb, ax, out=rb)
-    out[:] = rb
+        out = np.empty((m, ncol), dtype=dtype, order="F")
+    acc_dtype = np.result_type(R.dtype, AX.dtype)
+    direct = out.dtype == R.dtype == acc_dtype
+    if not direct:
+        rb = _scratch(ws, "restrict.r", (m,), R.dtype)
+        acc = (
+            rb
+            if R.dtype == acc_dtype
+            else _scratch(ws, "restrict.acc", (m,), acc_dtype)
+        )
+    for j in range(ncol):
+        o = out[:, j]
+        if direct:
+            np.take(R[:, j], f_c, out=o, mode="clip")
+            np.subtract(o, AX[:, j], out=o)
+            continue
+        np.take(R[:, j], f_c, out=rb, mode="clip")
+        np.subtract(rb, AX[:, j], out=acc)
+        o[:] = acc
     return out
 
 
+@register("fused_restrict")
+def fused_restrict(A_c, R, Xfull, f_c, out=None, ws=None):
+    """Coarse defect without the full residual (eq. 6):
+    ``R_c[i, j] = R[f_c(i), j] - (A X[:, j])[f_c(i)]``.
+
+    ``A_c`` is the level's coarse-mapped rows packed once at setup
+    (``extract_rows(A, f_c)``, one eighth of the level), so the product
+    is ONE ``spmv_multi`` on the block — no matrix row is copied per
+    call, and a panel streams the block once.
+    """
+    AX = _restrict_product(A_c, Xfull, ws)
+    return _restrict_store(R, AX, f_c, out, Xfull.dtype, ws)
+
+
+def unfused_restrict(A, R, Xfull, f_c, out=None, ws=None):
+    """Reference (eqs. 4-5), not a registered op: the full product of
+    the level matrix, its coarse rows taken, then the fused op's store
+    — bitwise-equal to it at every rung."""
+    AX = _restrict_product(A, Xfull, ws)[f_c]
+    return _restrict_store(R, AX, f_c, out, Xfull.dtype, ws)
+
+
 @register("prolong")
-def prolong(xfull, z_c, f_c, ws=None):
-    """Transpose-injection prolongation ``x[f_c(i)] += z_c[i]``."""
-    if ws is None:
-        xfull[f_c] += z_c
-        return
-    b = ws.get("prolong.buf", (len(f_c),), xfull.dtype)
-    np.take(xfull, f_c, out=b, mode="clip")
-    np.add(b, z_c, out=b)
-    xfull[f_c] = b
+def prolong(Xfull, Z_c, f_c, ws=None):
+    """Transpose-injection prolongation ``X[f_c(i), j] += Z_c[i, j]``;
+    into an fp16 iterate the correction is added in fp32."""
+    if Xfull.ndim == 1:
+        Xfull, Z_c = Xfull[:, None], Z_c[:, None]
+    m = len(f_c)
+    wide = np.float32 if Xfull.dtype == _HALF else None
+    b = _scratch(ws, "prolong.buf", (m,), Xfull.dtype)
+    acc = b if wide is None else _scratch(ws, "prolong.acc", (m,), wide)
+    for j in range(Xfull.shape[1]):
+        x = Xfull[:, j]
+        np.take(x, f_c, out=b, mode="clip")
+        np.add(b, Z_c[:, j], out=acc, dtype=wide)
+        x[f_c] = acc
 
 
 # ----------------------------------------------------------------------
@@ -820,7 +713,7 @@ def spmv_rows_ell_fp16(A, rows, x, out=None, ws=None):
     return _store(y, out, A.vals.dtype)
 
 
-@register("spmv", fmt="csr", precision="fp16")
+@_register_spmv("csr", precision="fp16")
 def spmv_csr_fp16(A, x, out=None, ws=None):
     """CSR SpMV with fp32 products and segmented fp32 reduction.
 
@@ -863,40 +756,7 @@ def spmv_csr_fp16(A, x, out=None, ws=None):
     return _store(y, out, A.data.dtype)
 
 
-@register("spmv_rows", fmt="csr", precision="fp16")
-def spmv_rows_csr_fp16(A, rows, x, out=None, ws=None):
-    """CSR row-subset SpMV, fp32 accumulation.
-
-    As with the generic CSR kernel, the concatenated-range index
-    construction is O(rows) integer scratch per call (the layout's
-    indirection price); with ``ws`` the fp32 result vector is pooled.
-    """
-    m = len(rows)
-    scale = getattr(A, "row_scale", None)
-    y = (
-        ws.zeros("csr.rows16.sum", (m,), np.float32)
-        if ws is not None
-        else np.zeros(m, dtype=np.float32)
-    )
-    if m:
-        lens = (A.indptr[rows + 1] - A.indptr[rows]).astype(np.int64)
-        total = int(lens.sum())
-        if total:
-            flat = np.repeat(A.indptr[rows], lens) + (
-                np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            )
-            products = np.multiply(
-                A.data[flat], x[A.indices[flat]], dtype=np.float32
-            )
-            starts = np.cumsum(lens) - lens
-            nonempty = lens > 0
-            y[nonempty] = np.add.reduceat(products, starts[nonempty])
-        if scale is not None:
-            y *= scale[rows]
-    return _store(y, out, A.data.dtype)
-
-
-@register("spmv", fmt="sellcs", precision="fp16")
+@_register_spmv("sellcs", precision="fp16")
 def spmv_sellcs_fp16(A, x, out=None, ws=None):
     """SELL-C-σ SpMV: per-slab fp16 streaming, fp32 reduction.
 
@@ -927,37 +787,6 @@ def spmv_sellcs_fp16(A, x, out=None, ws=None):
             y[blk.rows] = acc.sum(axis=1, dtype=np.float32)
     if scale is not None:
         np.multiply(y, scale, out=y)
-    return _store(y, out, A.dtype)
-
-
-@register("spmv_rows", fmt="sellcs", precision="fp16")
-def spmv_rows_sellcs_fp16(A, rows, x, out=None, ws=None):
-    """SELL-C-σ row-subset SpMV through the slab map, fp32 accumulation.
-
-    The per-slab selection indices allocate O(rows) per call (the
-    permuted layout's indirection price, as in the generic kernel);
-    with ``ws`` the fp32 result vector is pooled.
-    """
-    m = len(rows)
-    scale = getattr(A, "row_scale", None)
-    y = (
-        ws.zeros("sellcs.rows16.sum", (m,), np.float32)
-        if ws is not None
-        else np.zeros(m, dtype=np.float32)
-    )
-    if m:
-        owner = A.row_block[rows]
-        for bid, blk in enumerate(A.blocks):
-            sel = np.nonzero(owner == bid)[0]
-            if len(sel) == 0 or blk.width == 0:
-                continue
-            slots = A.row_slot[rows[sel]]
-            acc = np.multiply(
-                blk.vals[slots], x[blk.cols[slots]], dtype=np.float32
-            )
-            y[sel] = acc.sum(axis=1, dtype=np.float32)
-        if scale is not None:
-            y *= scale[rows]
     return _store(y, out, A.dtype)
 
 
@@ -1044,41 +873,3 @@ def gemvT_fp16(Q, k, w, out=None):
         return h
     out[:] = h
     return out
-
-
-@register("fused_restrict", precision="fp16")
-def fused_restrict_fp16(A, r, xfull, f_c, out=None, ws=None):
-    """Coarse defect at fp16 levels, accumulated in fp32.
-
-    ``out`` may be the next level's buffer in *any* precision — ladder
-    schedules hand an fp32 coarse buffer to an fp16 fine level, and the
-    cast happens on the store (after the fp32 subtraction).
-    """
-    from repro.backends.dispatch import spmv_rows
-
-    m = len(f_c)
-    if ws is None:
-        ax = np.empty(m, dtype=np.float32)
-        spmv_rows(A, f_c, xfull, out=ax)
-        res = r[f_c] - ax
-    else:
-        ax = ws.get("restrict16.ax", (m,), np.float32)
-        spmv_rows(A, f_c, xfull, out=ax, ws=ws)
-        rb = ws.get("restrict16.r", (m,), r.dtype)
-        np.take(r, f_c, out=rb, mode="clip")
-        res = ws.get("restrict16.res", (m,), np.float32)
-        np.subtract(rb, ax, out=res)
-    return _store(res, out, xfull.dtype)
-
-
-@register("prolong", precision="fp16")
-def prolong_fp16(xfull, z_c, f_c, ws=None):
-    """Prolongation into an fp16 iterate, correction added in fp32."""
-    if ws is None:
-        xfull[f_c] = np.add(xfull[f_c], z_c, dtype=np.float32)
-        return
-    b = ws.get("prolong16.buf", (len(f_c),), xfull.dtype)
-    np.take(xfull, f_c, out=b, mode="clip")
-    acc = ws.get("prolong16.acc", (len(f_c),), np.float32)
-    np.add(b, z_c, out=acc, dtype=np.float32)
-    xfull[f_c] = acc

@@ -4,11 +4,12 @@
 distributed overlap schedule (§3.2.3): interior rows touch no ghost
 column and compute while the halo is in flight; boundary rows run
 after the ghosts land in the vector tail.  Each half is one
-*full-matrix* kernel on the corresponding row block — the inner
-``spmv`` lookup re-dispatches on the block's own (format, precision)
-key, so every storage layout and every ladder rung (including the
-row-equilibrated fp16 kernels) is served by these three registrations
-without further per-format code.
+*full-matrix* panel kernel on the corresponding row block — the inner
+``spmv_multi`` lookup re-dispatches on the block's own (format,
+precision) key, so every storage layout and every ladder rung
+(including the row-equilibrated fp16 kernels) is served by these
+registrations without further per-format code, and an ELL block is
+streamed once for the whole panel.
 
 The non-overlapped ``spmv`` on a partitioned matrix is, by
 construction, the same two block kernels run back to back: the
@@ -16,9 +17,13 @@ overlapped and sequential schedules execute identical arithmetic in
 identical order and are therefore bitwise-equal — the property the
 overlap-correctness tests assert.
 
-Contract: ``out`` (when given) is the full owned-length result vector;
-each half scatters only its own rows.  With ``ws`` the block results
-land in pooled buffers keyed by region, so the distributed SpMV is
+One body serves vectors and panels: each op and its ``_multi`` twin
+are the same function (a 1-D vector is viewed as an ``(n, 1)`` panel
+on entry), and a column's bits do not depend on its panel-mates.
+
+Contract: ``out`` (when given) is the full owned-length result; each
+half scatters only its own rows.  With ``ws`` the block results land
+in pooled buffers keyed by region, so the distributed SpMV is
 allocation-free after warmup.
 """
 
@@ -26,58 +31,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.dispatch import spmv, spmv_multi
+from repro.backends.dispatch import spmv_multi
 from repro.backends.registry import register
 
 
-def _block_spmv_into(P, region: str, xfull, y, ws) -> None:
+def _as_panels(r, xfull):
+    if r.ndim == 1:
+        return r[:, None], xfull[:, None]
+    return r, xfull
+
+
+def _block_spmv_into(P, region: str, X, Y, ws) -> None:
     """Run one region's block SpMV and scatter into the full result."""
     blk = P.interior if region == "interior" else P.boundary
     rows = P.interior_rows if region == "interior" else P.boundary_rows
     m = len(rows)
     if m == 0:
         return
+    X, Y = _as_panels(X, Y)
+    ncol = X.shape[1]
     if ws is None:
-        y[rows] = spmv(blk, xfull)
-        return
-    s = ws.get(("part.spmv", region), (m,), blk.dtype)
-    spmv(blk, xfull, out=s, ws=ws)
-    y[rows] = s
-
-
-def _result_buffer(P, out, ws):
-    if out is not None:
-        return out
-    if ws is not None:
-        return ws.get("part.spmv.y", (P.nlocal,), P.dtype)
-    return np.empty(P.nlocal, dtype=P.dtype)
-
-
-@register("spmv_interior", fmt="partitioned")
-def spmv_interior_partitioned(P, xfull, out=None, ws=None):
-    """Interior-rows half of the product (no ghost columns touched)."""
-    y = _result_buffer(P, out, ws)
-    _block_spmv_into(P, "interior", xfull, y, ws)
-    return y
-
-
-@register("spmv_boundary", fmt="partitioned")
-def spmv_boundary_partitioned(P, xfull, out=None, ws=None):
-    """Boundary-rows half of the product (requires landed ghosts)."""
-    y = _result_buffer(P, out, ws)
-    _block_spmv_into(P, "boundary", xfull, y, ws)
-    return y
-
-
-# ----------------------------------------------------------------------
-# Panel halves: whole-panel interior/boundary compute for the wide
-# halo exchange.  The reference registrations loop the panel's columns
-# through the single-RHS region kernels above — bitwise-per-column
-# equal to the looped PR 6 schedule (identical block kernels in
-# identical order per column), with the pooled region scratch shared
-# across columns so an N-wide panel warms exactly the buffers one RHS
-# does.  Single-pass backends (JIT/GPU) re-register these keys with one
-# matrix stream per region serving all N columns.
+        S = spmv_multi(blk, X)
+    else:
+        S = ws.get_panel(("part.spmv", region), m, ncol, blk.dtype)
+        spmv_multi(blk, X, out=S, ws=ws)
+    for j in range(ncol):
+        Y[:, j][rows] = S[:, j]
 
 
 def _panel_result_buffer(P, out, ws, ncol):
@@ -88,37 +67,45 @@ def _panel_result_buffer(P, out, ws, ncol):
     return np.empty((P.nlocal, ncol), dtype=P.dtype, order="F")
 
 
-@register("spmv_interior_multi", fmt="partitioned")
-def spmv_interior_multi_partitioned(P, X, out=None, ws=None):
-    """Interior-rows half of the panel product (no ghost columns)."""
-    ncol = X.shape[1]
-    Y = _panel_result_buffer(P, out, ws, ncol)
-    for j in range(ncol):
-        _block_spmv_into(P, "interior", X[:, j], Y[:, j], ws)
+def _product(P, X, out, ws, regions):
+    if out is not None:
+        Y = out
+    elif X.ndim == 1:
+        Y = _panel_result_buffer(P, None, ws, 1)[:, 0]
+    else:
+        Y = _panel_result_buffer(P, None, ws, X.shape[1])
+    for region in regions:
+        _block_spmv_into(P, region, X, Y, ws)
     return Y
 
 
-@register("spmv_boundary_multi", fmt="partitioned")
-def spmv_boundary_multi_partitioned(P, X, out=None, ws=None):
-    """Boundary-rows half of the panel product (requires landed ghosts)."""
-    ncol = X.shape[1]
-    Y = _panel_result_buffer(P, out, ws, ncol)
-    for j in range(ncol):
-        _block_spmv_into(P, "boundary", X[:, j], Y[:, j], ws)
-    return Y
+def spmv_interior(P, X, out=None, ws=None):
+    """Interior-rows half of the product (no ghost columns touched)."""
+    return _product(P, X, out, ws, ("interior",))
 
 
-@register("spmv", fmt="partitioned")
-def spmv_partitioned(P, xfull, out=None, ws=None):
+def spmv_boundary(P, X, out=None, ws=None):
+    """Boundary-rows half of the product (requires landed ghosts)."""
+    return _product(P, X, out, ws, ("boundary",))
+
+
+def spmv_partitioned(P, X, out=None, ws=None):
     """Full product: the two region kernels back to back."""
-    if xfull.shape[0] != P.ncols:
+    if X.shape[0] != P.ncols:
         raise ValueError(
-            f"x has {xfull.shape[0]} entries, matrix has {P.ncols} columns"
+            f"x has {X.shape[0]} entries, matrix has {P.ncols} columns"
         )
-    y = _result_buffer(P, out, ws)
-    _block_spmv_into(P, "interior", xfull, y, ws)
-    _block_spmv_into(P, "boundary", xfull, y, ws)
-    return y
+    return _product(P, X, out, ws, ("interior", "boundary"))
+
+
+for _op, _fn in (
+    ("spmv_interior", spmv_interior),
+    ("spmv_boundary", spmv_boundary),
+    ("spmv", spmv_partitioned),
+):
+    for _name in (_op, _op + "_multi"):
+        register(_name, fmt="partitioned")(_fn)
+del _op, _fn, _name
 
 
 # ----------------------------------------------------------------------
@@ -149,12 +136,6 @@ def spmv_partitioned(P, xfull, out=None, ws=None):
 # column's bits do not depend on its panel-mates.  The ``_multi`` ops
 # and their single-vector twins are the same functions; a 1-D vector
 # is viewed as an ``(n, 1)`` panel on entry to the body.
-
-
-def _as_panels(r, xfull):
-    if r.ndim == 1:
-        return r[:, None], xfull[:, None]
-    return r, xfull
 
 
 def _relax_block(blk, R, Xfull, ws, key) -> None:

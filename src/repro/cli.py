@@ -125,8 +125,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--no-fusion",
         action="store_true",
-        help="disable the fused-motif kernels (spmv_dot / waxpby_dot); "
-        "the residual check runs as separate SpMV, waxpby and dot "
+        help="disable the fused-motif kernels (waxpby_dot / gemv_sub_dot); "
+        "the residual check runs as separate SpMV, subtraction and dot "
         "passes",
     )
     p.add_argument(

@@ -145,10 +145,10 @@ class BenchmarkConfig:
     #: explicit bool decouples the two for ablation
     #: (``--no-overlap-symgs``).
     overlap_symgs: "bool | str" = "auto"
-    #: Fused-motif kernels (``spmv_dot`` / ``waxpby_dot``): the
-    #: residual check's subtraction and dot ride the SpMV's memory
-    #: pass.  Numerically identical to the unfused sequence; off for
-    #: ablation (``--no-fusion``).
+    #: Fused-motif kernels (``waxpby_dot`` / ``gemv_sub_dot``): the
+    #: residual check's subtraction and dot share one vector pass, as
+    #: do CGS2's second projection and norm.  Numerically identical to
+    #: the unfused sequence; off for ablation (``--no-fusion``).
     fusion: bool = True
     #: Optional ``"PXxPYxPZ"`` process grid for the distributed phase:
     #: a weak-scaling-shaped run (same local box per rank) on the

@@ -46,7 +46,7 @@ from repro.parallel.comm import Communicator
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.formats import matrix_format_of, to_format
-from repro.sparse.partitioned import partition_colors
+from repro.sparse.partitioned import extract_rows, partition_colors
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem, generate_problem
 from repro.util.timers import NullTimers
@@ -89,6 +89,10 @@ class MGLevel:
     halo_ex: HaloExchange
     smoother: Smoother
     f_c: np.ndarray | None  # map to next-coarser level (None on coarsest)
+    #: The coarse-mapped rows ``A[f_c]`` packed into one block in ``A``'s
+    #: format — what the fused restriction multiplies (``None`` on the
+    #: coarsest level and in unfused hierarchies).
+    A_c: object = None
     precision: Precision = Precision.DOUBLE  # this level's ladder rung
     #: Rung of the grid transfer *out of* this level: the coarse-defect
     #: vector crossing the boundary to ``lvl+1`` is stored at this
@@ -204,7 +208,10 @@ class MultigridPreconditioner:
         plane drives.
 
         Every multicolor smoother sweeps a color-packed copy of its
-        level matrix (:func:`repro.sparse.partitioned.partition_colors`).
+        level matrix (:func:`repro.sparse.partitioned.partition_colors`),
+        and the fused restriction multiplies a packed copy of the
+        level's coarse-mapped rows (``MGLevel.A_c``, one eighth of the
+        level) — whatever the smoother kind.
         ``overlap=True`` additionally splits each color along the
         level's halo, so every sweep posts its halo exchange first and
         hides it behind the dependency-closed interior color blocks —
@@ -266,11 +273,13 @@ class MultigridPreconditioner:
             smoother = cls._build_smoother(
                 A, diag, sub, config, ws, level_problem.halo if overlap else None
             )
-            f_c = None
+            f_c = A_c = None
             coarse_sub = None
             if lvl < config.nlevels - 1:
                 coarse_sub = sub.coarsen(2)
                 f_c = coarse_to_fine_map(sub, coarse_sub)
+                if config.fused_restrict:
+                    A_c = extract_rows(A, f_c)
             level = MGLevel(
                 sub=sub,
                 A=A,
@@ -278,6 +287,7 @@ class MultigridPreconditioner:
                 halo_ex=halo_ex,
                 smoother=smoother,
                 f_c=f_c,
+                A_c=A_c,
                 precision=prec,
                 transfer_precision=(
                     transfers[lvl] if lvl < len(transfers) else None
@@ -341,10 +351,9 @@ class MultigridPreconditioner:
         recursion step, and each level boundary's halo crossing is
         **one wide exchange** (one message per neighbor for the whole
         panel) — message count O(1) in the panel width.  Per column
-        the kernels compose in the same order at every width (the
-        panel sweeps and restriction are per-column compositions under
-        the reference backend; single-pass backends stream each level's
-        matrix once for the panel), so column ``j`` does not depend on
+        the kernels compose in the same order at every width (sweeps,
+        restriction and prolongation update column by column behind one
+        block product per panel), so column ``j`` does not depend on
         its panel-mates — the contract the panel solver's parity tests
         pin.
         """
@@ -400,7 +409,7 @@ class MultigridPreconditioner:
             )
             exchange_and_fused_restrict_panel(
                 level.halo_ex,
-                level.A,
+                level.A_c if cfg.fused_restrict else level.A,
                 R,
                 ZF,
                 level.f_c,
@@ -414,8 +423,7 @@ class MultigridPreconditioner:
         Z_c = self._vcycle_panel(lvl + 1, R_c)
 
         with self.timers.section("prolong"):
-            for j in range(ncol):
-                prolong_correct(ZF[:, j], Z_c[:, j], level.f_c, ws=self.ws)
+            prolong_correct(ZF, Z_c, level.f_c, ws=self.ws)
 
         self._smooth(level, R, ZF, cfg.npost)
         return ZF[: level.nlocal, :]

@@ -5,11 +5,13 @@ HPG-MxP's restriction is plain injection from every second fine point
 injected points).  The reference implementation computes the full fine
 residual with an SpMV and then injects; the optimized implementation
 fuses the two, evaluating the residual *only at coarse points*
-(eq. 6) — implemented through the kernel registry's ``fused_restrict``
-op (a row-subset SpMV at coarse-mapped rows).
+(eq. 6) — the kernel registry's ``fused_restrict`` op on the level's
+coarse-mapped rows, packed into one block at setup like the smoother's
+color blocks.
 
-All entry points accept an ``out=`` coarse buffer and a workspace, so
-the V-cycle's transfers are allocation-free after warmup.  The coarse
+The transfers are panel ops (a vector is its ``(n, 1)`` view): every
+entry point takes an ``out=`` coarse buffer and a workspace, so the
+V-cycle's transfers are allocation-free after warmup.  The coarse
 buffer may live in a *different precision* than the fine level (ladder
 schedules assign each multigrid level its own rung): the defect is
 accumulated in the fine level's compute precision and cast once on the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import dispatch
+from repro.backends import dispatch, unfused_restrict
 from repro.geometry.partition import Subdomain
 from repro.parallel.halo_exchange import HaloExchange
 
@@ -39,49 +41,46 @@ def coarse_to_fine_map(fine_sub: Subdomain, coarse_sub: Subdomain) -> np.ndarray
 
 
 def fused_residual_restrict(
-    A_f,
-    r_f: np.ndarray,
-    xfull_f: np.ndarray,
+    A_c,
+    R_f: np.ndarray,
+    Xfull_f: np.ndarray,
     f_c: np.ndarray,
     out: np.ndarray | None = None,
     ws=None,
 ) -> np.ndarray:
     """Optimized path (eq. 6): coarse defect without the full residual.
 
-    ``r_c[i] = r_f[f_c(i)] - (A_f x_f)[f_c(i)]`` evaluated only at the
-    coarse-mapped rows.  ``xfull_f`` must have current ghost values.
+    ``R_c[i] = R_f[f_c(i)] - (A_f X_f)[f_c(i)]`` evaluated only at the
+    coarse-mapped rows: ``A_c`` is ``extract_rows(A_f, f_c)``, built
+    once per level.  ``Xfull_f`` must have current ghost values.
     """
-    return dispatch.fused_restrict(A_f, r_f, xfull_f, f_c, out=out, ws=ws)
+    return dispatch.fused_restrict(A_c, R_f, Xfull_f, f_c, out=out, ws=ws)
 
 
 def unfused_residual_restrict(
     A_f,
-    r_f: np.ndarray,
-    xfull_f: np.ndarray,
+    R_f: np.ndarray,
+    Xfull_f: np.ndarray,
     f_c: np.ndarray,
     out: np.ndarray | None = None,
     ws=None,
 ) -> np.ndarray:
     """Reference path (eqs. 4-5): full residual SpMV, then injection.
 
-    Numerically identical to the fused kernel; it exists so ablation
-    benchmarks can charge the extra full-grid work the paper removes.
+    Bitwise-equal to the fused op at every rung — the full product
+    lands in the same accumulator precision (fp32 for fp16 storage) and
+    the coarse rows go through the same subtract-and-store body; it
+    exists so ablation benchmarks can charge the extra full-grid work
+    the paper removes.
     """
-    n = A_f.nrows
-    ax = dispatch.spmv(A_f, xfull_f, ws=ws)
-    residual = r_f - ax[:n] if len(ax) >= n else r_f - ax
-    r_c = residual[f_c].astype(xfull_f.dtype)
-    if out is not None:
-        out[:] = r_c
-        return out
-    return r_c
+    return unfused_restrict(A_f, R_f, Xfull_f, f_c, out=out, ws=ws)
 
 
 def prolong_correct(
-    xfull_f: np.ndarray, z_c: np.ndarray, f_c: np.ndarray, ws=None
+    Xfull_f: np.ndarray, Z_c: np.ndarray, f_c: np.ndarray, ws=None
 ) -> None:
-    """Transpose-injection prolongation: ``x_f[f_c(i)] += z_c[i]``."""
-    dispatch.prolong(xfull_f, z_c, f_c, ws=ws)
+    """Transpose-injection prolongation: ``X_f[f_c(i)] += Z_c[i]``."""
+    dispatch.prolong(Xfull_f, Z_c, f_c, ws=ws)
 
 
 def restrict_vector(v_f: np.ndarray, f_c: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ def restrict_vector(v_f: np.ndarray, f_c: np.ndarray) -> np.ndarray:
 
 def exchange_and_fused_restrict_panel(
     halo_ex: HaloExchange,
-    A_f,
+    A,
     R_f: np.ndarray,
     Xfull_f: np.ndarray,
     f_c: np.ndarray,
@@ -106,35 +105,11 @@ def exchange_and_fused_restrict_panel(
     exchange — the same communication the paper overlaps with interior
     work in its fused kernel.  The whole panel's ghosts refresh in
     **one** wide exchange (one message per neighbor for all N columns),
-    then each column's restriction runs through the fused/unfused
-    kernel.  ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
+    then ONE restriction dispatch serves every column.  ``A`` is the
+    level's restriction block when ``fused``, the level matrix
+    otherwise; ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
     possibly in a different precision (per-level ladder schedules).
     """
     halo_ex.exchange_panel(Xfull_f)
-    if out is None:
-        out = np.empty(
-            (len(f_c), R_f.shape[1]), dtype=Xfull_f.dtype, order="F"
-        )
     restrict = fused_residual_restrict if fused else unfused_residual_restrict
-    for j in range(R_f.shape[1]):
-        restrict(A_f, R_f[:, j], Xfull_f[:, j], f_c, out=out[:, j], ws=ws)
-    return out
-
-
-def exchange_and_fused_restrict(
-    halo_ex: HaloExchange,
-    A_f,
-    r_f: np.ndarray,
-    xfull_f: np.ndarray,
-    f_c: np.ndarray,
-    fused: bool = True,
-    out: np.ndarray | None = None,
-    ws=None,
-) -> np.ndarray:
-    """Single-vector entry point: the width-1 panel restriction."""
-    if out is None:
-        out = np.empty(len(f_c), dtype=xfull_f.dtype)
-    exchange_and_fused_restrict_panel(
-        halo_ex, A_f, r_f[:, None], xfull_f[:, None], f_c, fused, out[:, None], ws
-    )
-    return out
+    return restrict(A, R_f, Xfull_f, f_c, out=out, ws=ws)

@@ -147,8 +147,9 @@ class MulticolorGS(Smoother):
     each color's rows were copied into one contiguous block at setup,
     so a sweep streams every block — the whole matrix — exactly once
     and copies no matrix rows.  The blocks cost one extra copy of the
-    matrix beside ``A`` (which the grid transfers and, on the fine
-    level, the Krylov operator keep using).  Works with any format the
+    matrix beside ``A`` (which the fine level's Krylov operator and the
+    unfused reference restriction keep using; the fused restriction
+    multiplies a block of its own).  Works with any format the
     partition can extract rows of (CSR, ELL, SELL-C-σ, row-equilibrated
     fp16 ELL).
     """
@@ -190,14 +191,10 @@ class MulticolorGS(Smoother):
         self.backward_panel(r[:, None], xfull[:, None])
 
     def forward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        symgs_sweep_multi(
-            self.partition, R, Xfull, None, None, "forward", ws=self.ws
-        )
+        symgs_sweep_multi(self.partition, R, Xfull, direction="forward", ws=self.ws)
 
     def backward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        symgs_sweep_multi(
-            self.partition, R, Xfull, None, None, "backward", ws=self.ws
-        )
+        symgs_sweep_multi(self.partition, R, Xfull, direction="backward", ws=self.ws)
 
     def sweep_overlapped_panel(
         self,

@@ -39,7 +39,7 @@ def dnorm2_from_local(comm: Communicator, local_sq: float) -> float:
     """Global 2-norm from an already-computed local squared sum.
 
     The reduction half of :func:`dnorm2` for fused kernels
-    (``spmv_dot`` / ``waxpby_dot``) that produce the local partial sum
+    (``waxpby_dot`` / ``gemv_sub_dot``) that produce the local partial sum
     inside their memory pass: same fixed-order double all-reduce, same
     clamping — bitwise-identical to ``dnorm2`` fed the same vector.
     """

@@ -208,14 +208,15 @@ class DistributedOperator:
         return self.P
 
     def matvec_split(self, x: np.ndarray) -> np.ndarray:
-        """Overlapped SpMV through the row-subset kernels.
+        """Overlapped SpMV through the row-subset op.
 
         The original (pre-partitioned-format) overlap path: receives
         and sends are posted first, ``spmv_rows`` computes the interior
         subset while messages are in transit, and the boundary subset
-        runs after the ghosts land.  Kept as an independent
-        implementation of the same schedule — tests cross-check it
-        against :meth:`matvec`.
+        runs after the ghosts land.  Kept as an independent reference
+        of the same schedule — tests cross-check it against
+        :meth:`matvec`; only ELL has a row-subset kernel, the other
+        formats take the rows of a full product.
         """
         xf = self._xfull
         xf[: self.nlocal] = x

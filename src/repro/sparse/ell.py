@@ -100,12 +100,10 @@ class ELLMatrix:
         return spmv(self, x, out=out)
 
     def spmv_rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(A @ x) restricted to a subset of rows.
-
-        This is the building block for the fused SpMV-restriction
-        (evaluate the residual only at coarse-grid points, §3.2.4) and
-        for the interior/boundary overlap split (§3.2.3).
-        """
+        """(A @ x) restricted to a subset of rows: one wavefront of a
+        level-scheduled triangular solve.  (The fused restriction and
+        the overlap split multiply packed row *blocks* instead —
+        :func:`repro.sparse.partitioned.extract_rows`.)"""
         from repro.backends.dispatch import spmv_rows
 
         return spmv_rows(self, rows, x)

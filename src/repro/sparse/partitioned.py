@@ -234,10 +234,13 @@ def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray) -> SELLCSMatrix:
     )
 
 
-def _extract_rows(A, rows: np.ndarray):
+def extract_rows(A, rows: np.ndarray):
     """Row-subset block in A's own format, values and scales preserved.
 
-    Every format keeps each row's slot layout, so block row sums are
+    The one packing every block layout is built from: the SpMV
+    partition's interior/boundary blocks, the color blocks, and the
+    multigrid restriction block (the coarse-mapped rows).  Every format
+    keeps each row's slot layout, so block row sums are
     bitwise-identical to the unpartitioned kernel's: ELL-family
     matrices slice their dense arrays, CSR slices its ranges (entry
     order kept), SELL-C-σ slices its width slabs (:func:`_sellcs_rows`).
@@ -496,7 +499,7 @@ class ColorPartitionedMatrix:
     def _block(self, rows: np.ndarray) -> _ColorBlock:
         if len(rows) == 0:
             return _ColorBlock(rows, None, self.diag[rows])
-        return _ColorBlock(rows, _extract_rows(self.A, rows), self.diag[rows])
+        return _ColorBlock(rows, extract_rows(self.A, rows), self.diag[rows])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -565,8 +568,8 @@ def partition_matrix(A, halo: HaloPattern) -> PartitionedMatrix:
     interior_rows = halo.interior_rows
     boundary_rows = halo.boundary_rows
     return PartitionedMatrix(
-        interior=_extract_rows(A, interior_rows),
-        boundary=_extract_rows(A, boundary_rows),
+        interior=extract_rows(A, interior_rows),
+        boundary=extract_rows(A, boundary_rows),
         interior_rows=interior_rows,
         boundary_rows=boundary_rows,
         nlocal=halo.nlocal,

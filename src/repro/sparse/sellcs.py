@@ -140,7 +140,8 @@ class SELLCSMatrix:
         return spmv(self, x, out=out)
 
     def spmv_rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(A @ x) restricted to a subset of rows."""
+        """(A @ x) restricted to a subset of rows (reference: the full
+        product's rows)."""
         from repro.backends.dispatch import spmv_rows
 
         return spmv_rows(self, rows, x)

@@ -25,9 +25,12 @@ from dataclasses import dataclass, field
 
 from repro.fp.precision import Precision
 
-#: Plan-dict schema version (bump on incompatible layout changes; the
-#: cache treats unknown versions as misses).
-PLAN_VERSION = 1
+#: Plan-dict schema version (bump on incompatible layout changes and
+#: whenever a probed op is retired or changes meaning; the cache treats
+#: other versions as misses).  Version 1 plans may name ``spmv_dot*`` /
+#: ``symgs_sweep``, and their ``symgs_sweep_multi`` timed the index-set
+#: kernel, not the block sweep.
+PLAN_VERSION = 2
 
 
 class PlanParityError(AssertionError):
@@ -130,20 +133,15 @@ class PlanChoice:
 
 #: Ops whose plan entries carry a fused/unfused axis (the solver's
 #: fusion knob); format-only ops leave ``fused`` at the baseline value.
-FUSED_OPS = frozenset({"spmv_dot", "waxpby_dot", "spmv_dot_multi", "waxpby_dot_multi"})
+FUSED_OPS = frozenset({"waxpby_dot", "waxpby_dot_multi"})
 
 #: Ops whose format choice follows the operator's storage format (the
-#: solver-wide ``matrix_format`` consensus below).
-MATRIX_OPS = frozenset(
-    {
-        "spmv",
-        "symgs_sweep",
-        "spmv_dot",
-        "spmv_multi",
-        "symgs_sweep_multi",
-        "spmv_dot_multi",
-    }
-)
+#: solver-wide ``matrix_format`` consensus below).  The sweep's entry
+#: votes on the format only: smoothers dispatch it on the
+#: ``color_partitioned`` layout, which never matches a choice's block
+#: format, so :meth:`DispatchPlan.backend_for` leaves it untuned (its
+#: block products are steered through ``spmv_multi``).
+MATRIX_OPS = frozenset({"spmv", "spmv_multi", "symgs_sweep_multi"})
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,9 @@ class DispatchPlan:
 
     def solver_fusion(self) -> bool:
         """Whether the solver should keep fused motifs enabled —
-        unanimous across the fused-op entries, else the baseline."""
+        unanimous across the fused-op entries, else the baseline.  The
+        prober times the non-baseline setting only on a backend with a
+        fused kernel of its own, so a NumPy-only plan never flips it."""
         fused = {
             c.fused for (op, _), c in self.entries.items() if op in FUSED_OPS
         }

@@ -24,12 +24,17 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backends.registry import KernelNotFoundError, registry
+from repro.backends.registry import (
+    NUMPY_BACKEND,
+    KernelNotFoundError,
+    registry,
+)
 from repro.backends.workspace import Workspace
 from repro.fp.precision import Precision
 from repro.sparse.coloring import color_sets, greedy_coloring
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.formats import to_format
+from repro.sparse.partitioned import partition_colors
 from repro.sparse.scaled import to_precision
 from repro.tune.plan import FUSED_OPS, PlanChoice, ProbeRecord
 
@@ -39,15 +44,13 @@ SELL_GRID: tuple[tuple[int, int], ...] = ((16, 64), (32, 128), (64, 256))
 #: Panel width used for the ``_multi`` motif probes.
 PROBE_PANEL = 4
 
-#: Ops the tuner probes: the solver's hot motifs.
-MATRIX_PROBE_OPS = (
-    "spmv",
-    "symgs_sweep",
-    "spmv_dot",
-    "spmv_multi",
-    "symgs_sweep_multi",
-    "spmv_dot_multi",
-)
+#: Ops the tuner probes: hot motifs the engine dispatches, under the
+#: names and on the layouts it dispatches them (``tests/test_op_census``
+#: holds these tuples to that).  The sweep is ONE op at every width —
+#: smoothers dispatch ``symgs_sweep_multi`` on their packed color blocks
+#: for a solo solve's ``(n, 1)`` panel too — so its probe times the
+#: block sweep at width 1 and at :data:`PROBE_PANEL`.
+MATRIX_PROBE_OPS = ("spmv", "spmv_multi", "symgs_sweep_multi")
 VECTOR_PROBE_OPS = ("waxpby_dot", "waxpby_dot_multi")
 
 
@@ -164,13 +167,17 @@ class OperatorProber:
         ell = to_format(self.slice, "ell")
         self.sets = color_sets(greedy_coloring(ell))
 
-        # Materialize each (format, params, rung) matrix once.
+        # Materialize each (format, params, rung) matrix once, and
+        # beside it the color-packed layout a smoother sweeps.
         self._mats: dict[tuple, object] = {}
+        self._packed: dict[tuple, object] = {}
         for fmt, params in variants:
             base = to_format(self.slice, fmt, **params)
             for prec in self.rungs:
-                self._mats[(fmt, _params_tuple(fmt, params), prec)] = (
-                    to_precision(base, prec)
+                key = (fmt, _params_tuple(fmt, params), prec)
+                M = self._mats[key] = to_precision(base, prec)
+                self._packed[key] = partition_colors(
+                    M, None, self.sets, diag=M.diagonal()
                 )
 
     # ------------------------------------------------------------------
@@ -200,7 +207,6 @@ class OperatorProber:
         motif from its unfused kernels exactly as the solver's
         ``fusion=False`` path does."""
         x, b, X, B = self._vectors(prec)
-        sets = self.sets
         fmt = M.format_name
         ws = self.ws
 
@@ -213,54 +219,17 @@ class OperatorProber:
         if op == "spmv_multi":
             fn = k("spmv_multi")
             return lambda: fn(M, X, ws=ws)
-        if op == "symgs_sweep":
-            fn = k("symgs_sweep")
-            diag = M.diagonal()
-            diag_sets = [diag[rows] for rows in sets]
-
-            def run_symgs():
-                xw = x.copy()
-                fn(M, b, xw, sets, diag_sets, direction="forward", ws=ws)
-                return xw
-
-            return run_symgs
         if op == "symgs_sweep_multi":
-            fn = k("symgs_sweep_multi")
-            diag = M.diagonal()
-            diag_sets = [diag[rows] for rows in sets]
+            fn = k("symgs_sweep_multi")  # M is the color-packed layout
 
-            def run_symgs_multi():
+            def run_sweeps():
+                xw = x.copy()
                 Xw = X.copy(order="F")
-                fn(M, B, Xw, sets, diag_sets, direction="forward", ws=ws)
-                return Xw
+                fn(M, b[:, None], xw[:, None], direction="forward", ws=ws)
+                fn(M, B, Xw, direction="forward", ws=ws)
+                return xw, Xw
 
-            return run_symgs_multi
-        if op == "spmv_dot":
-            if fused:
-                fn = k("spmv_dot")
-                return lambda: fn(M, x, b, ws=ws)
-            spmv = k("spmv")
-            dot = k("dot")
-
-            def run_unfused():
-                r = np.subtract(b, spmv(M, x, ws=ws))
-                return r, dot(r, r)
-
-            return run_unfused
-        if op == "spmv_dot_multi":
-            if fused:
-                fn = k("spmv_dot_multi")
-                return lambda: fn(M, X, B, ws=ws)
-            spmv_multi = k("spmv_multi")
-            dot = k("dot")
-
-            def run_unfused_multi():
-                R = np.subtract(B, spmv_multi(M, X, ws=ws), order="F")
-                return R, np.array(
-                    [dot(R[:, j], R[:, j]) for j in range(R.shape[1])]
-                )
-
-            return run_unfused_multi
+            return run_sweeps
         if op == "waxpby_dot":
             if fused:
                 fn = registry.lookup(
@@ -283,37 +252,47 @@ class OperatorProber:
                     op, None, prec, backend=self._backend
                 )
                 return lambda: fn(1.0, X, -0.5, B, ws=ws)
-            waxpby_multi = registry.lookup(
-                "waxpby_multi", None, prec, backend=self._backend
+            waxpby = registry.lookup(
+                "waxpby", None, prec, backend=self._backend
             )
-            dot = registry.lookup("dot", None, prec, backend=self._backend)
+            dot_multi = registry.lookup(
+                "dot_multi", None, prec, backend=self._backend
+            )
 
             def run_wdm_unfused():
-                W = waxpby_multi(1.0, X, -0.5, B, ws=ws)
-                return W, np.array(
-                    [dot(W[:, j], W[:, j]) for j in range(W.shape[1])]
-                )
+                W = np.empty_like(B)
+                for j in range(B.shape[1]):
+                    waxpby(1.0, X[:, j], -0.5, B[:, j], out=W[:, j], ws=ws)
+                return W, dot_multi(W, W)
 
             return run_wdm_unfused
         raise ValueError(f"unknown probe op {op!r}")
 
     # ------------------------------------------------------------------
-    def _candidates(self, op: str):
-        """Yield ``(fmt, params_tuple, backend, fused)`` candidates."""
-        is_matrix = op in MATRIX_PROBE_OPS
-        fused_axis = (
-            (True, False) if op in FUSED_OPS else (self.fusion,)
+    def _fused_axis(self, op: str, prec: Precision, backend: str) -> tuple:
+        """The fusion settings worth timing for ``backend``.  Both, only
+        where it registers a fused kernel of its own for ``(op, prec)``:
+        the NumPy registrations of the fused motifs compose the unfused
+        kernels call for call, so a backend that falls back to them
+        runs the same computation either way and timing both would let
+        dispatch noise cast the solver-wide fusion vote."""
+        own = backend != NUMPY_BACKEND and any(
+            b == backend and p in (None, prec.short_name)
+            for _, p, b in registry.available_variants(op)
         )
+        return (True, False) if own else (self.fusion,)
+
+    def _candidates(self, op: str, prec: Precision):
+        """Yield ``(fmt, params_tuple, backend, fused)`` candidates."""
         backends = registry.backends()
-        if is_matrix:
+        if op in MATRIX_PROBE_OPS:
             for fmt, params in self.format_variants:
                 pt = _params_tuple(fmt, params)
                 for backend in backends:
-                    for fused in fused_axis:
-                        yield fmt, pt, backend, fused
+                    yield fmt, pt, backend, self.fusion
         else:
             for backend in backends:
-                for fused in fused_axis:
+                for fused in self._fused_axis(op, prec, backend):
                     yield self.baseline_format, _params_tuple(
                         self.baseline_format, self.baseline_params
                     ), backend, fused
@@ -326,20 +305,15 @@ class OperatorProber:
             self.fusion,
         )
 
-    def _primary_kernel(self, op: str, fmt: str, prec, fused: bool):
+    def _primary_kernel(self, op: str, M, prec, fused: bool):
         """The registration a candidate's numerics hinge on — used to
         dedupe backends that merely fall back to the same kernel."""
         if op in FUSED_OPS and not fused:
-            name = {
-                "spmv_dot": "spmv",
-                "spmv_dot_multi": "spmv_multi",
-                "waxpby_dot": "waxpby",
-                "waxpby_dot_multi": "waxpby_multi",
-            }[op]
+            name = "waxpby"  # what both unfused vector motifs compose
         else:
             name = op
-        lookup_fmt = fmt if op in MATRIX_PROBE_OPS else None
-        return registry.lookup(name, lookup_fmt, prec, backend=self._backend)
+        fmt = M.format_name if op in MATRIX_PROBE_OPS else None
+        return registry.lookup(name, fmt, prec, backend=self._backend)
 
     # ------------------------------------------------------------------
     def probe_op(self, op: str, prec: Precision):
@@ -354,16 +328,20 @@ class OperatorProber:
         baseline_key = self._baseline_key(op)
         seen_fns: dict[tuple, tuple] = {}
 
-        for fmt, pt, backend, fused in self._candidates(op):
+        for fmt, pt, backend, fused in self._candidates(op, prec):
             key = (fmt, pt, backend, fused)
-            M = None
+            M = self.slice
             if op in MATRIX_PROBE_OPS:
-                M = self._mats.get((fmt, pt, prec))
+                # The layout the engine dispatches the op on.
+                layouts = (
+                    self._packed if op == "symgs_sweep_multi" else self._mats
+                )
+                M = layouts.get((fmt, pt, prec))
                 if M is None:
                     continue
             self._backend = backend
             try:
-                primary = self._primary_kernel(op, fmt, prec, fused)
+                primary = self._primary_kernel(op, M, prec, fused)
                 # Dedupe: a backend with no registration of its own
                 # resolves to the same kernel as the fallback —
                 # measuring it twice only adds noise (the baseline key
@@ -372,9 +350,7 @@ class OperatorProber:
                 if key != baseline_key and fn_id in seen_fns:
                     continue
                 seen_fns[fn_id] = key
-                run = self._runner(
-                    op, M if M is not None else self.slice, prec, fused
-                )
+                run = self._runner(op, M, prec, fused)
             except KernelNotFoundError:
                 continue
             out = run()

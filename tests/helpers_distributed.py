@@ -1,6 +1,11 @@
 """Shared helpers for the partitioned-format / overlap / multigrid test suites."""
 
+import contextlib
+from collections import Counter
+
 import numpy as np
+
+from repro.backends.registry import registry
 
 #: Rung-appropriate comparison tolerances (relative, absolute) for
 #: checking low-precision distributed SpMV against the fp64 reference.
@@ -32,3 +37,37 @@ def defect_panel_pooled(mg, lvl: int, dtype) -> bool:
     misses = mg.ws.misses
     mg.ws.get_panel(("mg.panel.rc", lvl), len(mg.levels[lvl].f_c), 1, dtype)
     return mg.ws.misses == misses
+
+
+class SectionTimers:
+    """A ``timers`` stand-in that only remembers the open section."""
+
+    current = None
+
+    @contextlib.contextmanager
+    def section(self, name):
+        prev, self.current = self.current, name
+        try:
+            yield
+        finally:
+            self.current = prev
+
+
+@contextlib.contextmanager
+def counted_dispatch(sections=None):
+    """``Counter`` of ``(open section, op)`` for every kernel dispatch
+    inside the block (section ``None`` without ``sections``)."""
+    counts = Counter()
+
+    def wrap(op, fn):
+        def counted(*args, **kwargs):
+            counts[sections.current if sections else None, op] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    registry.set_wrapper(wrap)
+    try:
+        yield counts
+    finally:
+        registry.set_wrapper(None)

@@ -173,17 +173,35 @@ class TestRegistry:
         assert active_backend() in available_backends()
 
     def test_panel_ops_resolve_for_every_format(self):
-        """PR 6: every panel motif resolves from the process registry
-        for every storage format at every rung (reference fallback)."""
+        """Every panel motif resolves from the process registry at
+        every rung, on the layouts the engine dispatches it on: the
+        products on the storage formats, the sweep on the color-packed
+        layout only — a plain matrix has no panel sweep."""
         from repro.backends.registry import registry as proc_reg
 
-        for op in ("spmv_multi", "symgs_sweep_multi", "spmv_dot_multi"):
+        for prec in ("fp64", "fp32", "fp16"):
             for fmt in ("csr", "ell", "sellcs"):
-                for prec in ("fp64", "fp32", "fp16"):
-                    assert proc_reg.lookup(op, fmt, prec) is not None
-        for op in ("waxpby_multi", "dot_multi", "waxpby_dot_multi", "gemv_sub_dot"):
-            for prec in ("fp64", "fp32", "fp16"):
+                assert proc_reg.lookup("spmv_multi", fmt, prec) is not None
+                assert proc_reg.lookup("fused_restrict", fmt, prec) is not None
+                with pytest.raises(KernelNotFoundError):
+                    proc_reg.lookup("symgs_sweep_multi", fmt, prec)
+            assert proc_reg.lookup("symgs_sweep_multi", "color_partitioned", prec)
+            for op in ("dot_multi", "waxpby_dot_multi", "gemv_sub_dot", "prolong"):
                 assert proc_reg.lookup(op, None, prec) is not None
+
+    def test_registry_holds_only_dispatched_ops(self):
+        """ISSUE 17: the ops nothing dispatched are gone, not kept
+        beside, and the row-subset family is ELL plus one reference."""
+        from repro.backends.registry import registry as proc_reg
+
+        ops = proc_reg.ops()
+        assert len(ops) == 23
+        for retired in ("spmv_dot", "spmv_dot_multi", "waxpby_multi"):
+            assert retired not in ops and not hasattr(dispatch, retired)
+        assert [v for v in proc_reg.available_variants("spmv_rows")
+                if v[2] == "numpy"] == [
+            (None, None, "numpy"), ("ell", None, "numpy"), ("ell", "fp16", "numpy"),
+        ]
 
     def test_numba_panel_registrations_gated(self):
         """The JIT panel and overlapped-smoother kernels register iff
@@ -303,6 +321,25 @@ class TestDispatch:
         dispatch.prolong(xfull, z_c, f_c, ws=ws)
         np.testing.assert_allclose(xfull, expect)
 
+    @pytest.mark.parametrize("use_ws", [False, True])
+    @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
+    def test_prolong_panel_columns_equal_solo(self, use_ws, prec):
+        """One dispatch prolongs the whole panel; each column is
+        bitwise the single-vector op on it."""
+        rng = np.random.default_rng(11)
+        ws = Workspace() if use_ws else None
+        dtype = np.dtype(prec.replace("fp", "float"))
+        X = np.asfortranarray(rng.standard_normal((40, 3)).astype(dtype))
+        Z = np.asfortranarray(rng.standard_normal((5, 3)).astype(dtype))
+        f_c = np.array([3, 9, 14, 22, 37])
+        before = X.copy(order="F")
+        solo = X.copy(order="F")
+        for j in range(3):
+            dispatch.prolong(solo[:, j], Z[:, j], f_c, ws=ws)
+        dispatch.prolong(X, Z, f_c, ws=ws)
+        assert np.array_equal(X, solo)
+        assert not np.array_equal(X, before)
+
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
     def test_fused_restrict_out_ws(self, problem16, rng, fmt):
         from repro.sparse import to_format
@@ -312,10 +349,16 @@ class TestDispatch:
         r = rng.standard_normal(A.nrows)
         f_c = np.arange(0, A.nrows, 8)
         expect = r[f_c] - (problem16.A.to_csr().to_scipy() @ xfull)[f_c]
+        from repro.sparse.partitioned import extract_rows
+
+        A_c = extract_rows(A, f_c)  # packed once, as MG setup does
         ws = Workspace()
         out = np.empty(len(f_c))
-        dispatch.fused_restrict(A, r, xfull, f_c, out=out, ws=ws)
+        dispatch.fused_restrict(A_c, r, xfull, f_c, out=out, ws=ws)
         np.testing.assert_allclose(out, expect, rtol=1e-12)
         np.testing.assert_allclose(
-            dispatch.fused_restrict(A, r, xfull, f_c), expect, rtol=1e-12
+            dispatch.fused_restrict(A_c, r, xfull, f_c), expect, rtol=1e-12
         )
+        misses = ws.misses
+        dispatch.fused_restrict(A_c, r, xfull, f_c, out=out, ws=ws)
+        assert ws.misses == misses  # scratch is pooled

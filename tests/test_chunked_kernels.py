@@ -1,9 +1,10 @@
 """Chunk-size independence of the ELL kernels (PR 16 satellite).
 
-The ELL ``spmv`` / ``spmv_rows`` / ``spmv_multi`` kernels and the
-color-block sweep run gather -> multiply -> row-reduce over fixed row
-chunks (``numpy_backend.CHUNK_ROWS``).  Tier-1 operators have at most
-4096 rows, so at the shipped constant they never leave one chunk; here
+The ELL ``spmv`` / ``spmv_rows`` / ``spmv_multi`` kernels, the
+color-block sweep and the restriction block run gather -> multiply ->
+row-reduce over fixed row chunks (``numpy_backend.CHUNK_ROWS``).  Tier-1
+operators have at most 4096 rows, so at the shipped constant they never
+leave one chunk (a restriction block first does at 48^3); here
 the constant is patched to 97 rows (many chunks, a ragged tail) and to
 10^9 (one chunk) and every result must be ``np.array_equal`` across the
 two settings *and* to the allocating ``ws=None`` reference path — for
@@ -19,9 +20,11 @@ from test_engine_golden import _check, golden, run_serial  # noqa: F401
 
 from repro.backends import Workspace, numpy_backend, spmv, spmv_multi, spmv_rows
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
+from repro.mg import coarse_to_fine_map, fused_residual_restrict
 from repro.mg.smoothers import MulticolorGS
 from repro.sparse import to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
+from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
 
 CHUNKS = (97, 10**9)
@@ -49,6 +52,13 @@ def rank_box():
     prob = generate_problem(sub)
     assert prob.A.ncols > prob.A.nrows
     return prob
+
+
+@pytest.fixture(scope="module")
+def rank_box16():
+    """Rank 0 of a 2x1x1 grid, 16^3 local: its restriction block has
+    512 rows (six 97-row chunks) and reads ghost columns."""
+    return generate_problem(Subdomain(BoxGrid(16, 16, 16), ProcessGrid(2, 1, 1), 0))
 
 
 def per_chunk(monkeypatch, call):
@@ -158,6 +168,32 @@ class TestChunkEdges:
         many, one = per_chunk(monkeypatch, sweep)
         assert np.array_equal(many, one)
         assert np.array_equal(many, sweep(None))
+
+
+    @pytest.mark.parametrize("ncol", [1, 4])
+    def test_restriction_block(self, monkeypatch, rank_box16, rung, ncol):
+        """The packed coarse-row block leaves a single chunk (as it does
+        at 48^3 with the shipped constant): same bits per chunking, as
+        the allocating path, and as the full product's coarse rows."""
+        prob = rank_box16
+        A = cast(prob.A, rung)
+        f_c = coarse_to_fine_map(prob.sub, prob.sub.coarsen())
+        A_c = extract_rows(A, f_c)
+        assert A_c.nrows == 512 > 97 and A_c.ncols == A.ncols > A.nrows
+        X = vectors(A, 9, ncol)  # ghost tail populated
+        R = vectors(A, 10, ncol)[: A.nrows]
+
+        def restrict(ws):
+            return fused_residual_restrict(A_c, R, X, f_c, ws=ws)
+
+        many, one = per_chunk(monkeypatch, restrict)
+        assert many.shape == (512, ncol) and many.dtype == A.dtype
+        assert np.array_equal(many, one)
+        assert np.array_equal(many, restrict(None))
+        acc = np.float32 if A.dtype == np.float16 else A.dtype
+        for j in range(ncol):
+            ax = spmv(A, X[:, j], out=np.empty(A.nrows, dtype=acc))
+            assert np.array_equal(many[:, j], (R[f_c, j] - ax[f_c]).astype(A.dtype))
 
 
 def test_engine_golden_does_not_depend_on_the_chunk(

@@ -18,6 +18,7 @@ from repro.sparse import (
     to_format,
     to_precision,
 )
+from repro.sparse.partitioned import extract_rows
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ class TestFp16Transfers:
         f_c = np.arange(0, A16.nrows, 8)
         out = np.empty(len(f_c), dtype=np.float32)
         ws = Workspace()
-        dispatch.fused_restrict(A16, r, xfull, f_c, out=out, ws=ws)
+        dispatch.fused_restrict(extract_rows(A16, f_c), r, xfull, f_c, out=out, ws=ws)
         ref = (
             r.astype(np.float64)
             - problem16.A.spmv(xfull.astype(np.float64))
@@ -204,7 +205,7 @@ class TestFp16Transfers:
         f_c = np.arange(0, A.nrows, 8)
         out = np.empty(len(f_c), dtype=np.float64)
         ws = Workspace()
-        dispatch.fused_restrict(A, r, xfull, f_c, out=out, ws=ws)
+        dispatch.fused_restrict(extract_rows(A, f_c), r, xfull, f_c, out=out, ws=ws)
         ref = (
             r.astype(np.float64)
             - problem16.A.spmv(xfull.astype(np.float64))

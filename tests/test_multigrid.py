@@ -12,9 +12,14 @@ from repro.mg import (
     prolong_correct,
     unfused_residual_restrict,
 )
+from repro.backends import Workspace, spmv_rows
 from repro.mg.restriction import restrict_vector
 from repro.parallel import SerialComm, run_spmd
+from repro.sparse import to_format, to_precision
+from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
+
+RUNGS = ("fp64", "fp32", "fp16")  # fp16 ELL is row-equilibrated
 
 
 class TestCoarseFineMap:
@@ -40,16 +45,58 @@ class TestCoarseFineMap:
 
 
 class TestRestriction:
-    def test_fused_equals_unfused(self, problem16, rng):
-        """The paper's optimization must be numerically identical."""
-        A = problem16.A
-        coarse = problem16.sub.coarsen()
-        f_c = coarse_to_fine_map(problem16.sub, coarse)
-        r = rng.standard_normal(A.nrows)
-        xfull = rng.standard_normal(A.ncols)
-        fused = fused_residual_restrict(A, r, xfull, f_c)
-        unfused = unfused_residual_restrict(A, r, xfull, f_c)
-        np.testing.assert_allclose(fused, unfused, rtol=1e-13)
+    @staticmethod
+    def operands(problem, fmt, rung, ncol):
+        A = to_precision(to_format(problem.A, fmt), rung)
+        f_c = coarse_to_fine_map(problem.sub, problem.sub.coarsen())
+        rng = np.random.default_rng(5)
+        R = rng.standard_normal((A.nrows, ncol)).astype(A.dtype)
+        X = rng.standard_normal((A.ncols, ncol)).astype(A.dtype)
+        return A, f_c, np.asfortranarray(R), np.asfortranarray(X)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("ncol", [1, 4])
+    @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
+    def test_block_restriction_equals_row_subset_reference(
+        self, problem16, fmt, rung, ncol, pooled
+    ):
+        """The fused op on the packed block is, bitwise, the defect the
+        row-copying kernel it replaced computed per column:
+        ``r[f_c] - (A x)[f_c]`` with the row sums left in the
+        accumulator precision (fp32 for fp16 storage)."""
+        A, f_c, R, X = self.operands(problem16, fmt, rung, ncol)
+        A_c = extract_rows(A, f_c)
+        ws = Workspace() if pooled else None
+        got = fused_residual_restrict(A_c, R, X, f_c, ws=ws)
+        assert got.shape == (len(f_c), ncol) and got.dtype == A.dtype
+        acc = np.float32 if rung == "fp16" else A.dtype
+        for j in range(ncol):
+            ax = spmv_rows(A, f_c, X[:, j], out=np.empty(len(f_c), dtype=acc))
+            expect = (R[f_c, j] - ax).astype(A.dtype)
+            assert np.array_equal(got[:, j], expect)
+            # ... and the single-vector entry is the width-1 panel.
+            solo = fused_residual_restrict(A_c, R[:, j], X[:, j], f_c, ws=ws)
+            assert solo.shape == (len(f_c),)
+            assert np.array_equal(solo, expect)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize("ncol", [1, 4])
+    def test_fused_equals_unfused_bitwise(self, problem16, fmt, rung, ncol):
+        """The paper's optimization must be numerically identical — at
+        fp16 too, where the unfused path used to round ``A x`` to half
+        and subtract natively (a coarse defect off by its own size)."""
+        A, f_c, R, X = self.operands(problem16, fmt, rung, ncol)
+        for out_dtype in (A.dtype, np.float32, np.float64):  # ladder stores
+            fused = np.empty((len(f_c), ncol), dtype=out_dtype, order="F")
+            unfused = np.empty_like(fused)
+            ws = Workspace()
+            fused_residual_restrict(extract_rows(A, f_c), R, X, f_c, out=fused, ws=ws)
+            unfused_residual_restrict(A, R, X, f_c, out=unfused, ws=ws)
+            assert np.array_equal(fused, unfused)
+        plain = unfused_residual_restrict(A, R[:, 0], X[:, 0], f_c)
+        assert np.array_equal(plain, fused[:, 0].astype(A.dtype))
 
     def test_restrict_vector_is_injection(self, problem16, rng):
         coarse = problem16.sub.coarsen()
@@ -170,7 +217,32 @@ class TestMultigridPreconditioner:
         )
         z_f = mg_f.apply(problem16.b)
         z_u = mg_u.apply(problem16.b)
-        np.testing.assert_allclose(z_f, z_u, rtol=1e-12)
+        assert np.array_equal(z_f, z_u)
+        assert mg_u.levels[0].A_c is None  # no block built for nothing
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize(
+        "ladder", ["fp32", "fp16", "fp16:fp32:fp64", "fp64:fp32:fp16"]
+    )
+    def test_unfused_cycle_is_bitwise_the_fused_one(
+        self, problem16, comm, fmt, ladder
+    ):
+        """``MGConfig(fused_restrict=False)`` is the fused V-cycle bit
+        for bit at every rung and across precision boundaries."""
+        R = np.asfortranarray(
+            np.random.default_rng(2).standard_normal((problem16.nlocal, 3))
+        )
+        Z = [
+            MultigridPreconditioner.build(
+                problem16,
+                comm,
+                MGConfig(fused_restrict=fused),
+                precision=ladder,
+                matrix_format=fmt,
+            ).apply_panel(R).copy()
+            for fused in (True, False)
+        ]
+        assert np.array_equal(*Z)
 
     def test_build_requires_divisible_dims(self, comm):
         prob = generate_problem(Subdomain.serial(12, 12, 12))  # 12 % 8 != 0

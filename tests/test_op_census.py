@@ -1,0 +1,165 @@
+"""Op census: the registry holds what the engine dispatches (ISSUE 17).
+
+A counting ``registry.set_wrapper`` runs under a grid of solver
+configurations — every precision policy, panel width, storage format,
+smoother, orthogonalization, fusion / resilience / overlap setting and
+the PCG cross-benchmark — and the set of ops it sees must be exactly
+``registry.ops()`` minus the short allow-list below.  A new op that no
+path dispatches, or a hot path that stops dispatching one the tuner
+still probes, fails here rather than surviving as dead weight.
+"""
+
+import numpy as np
+import pytest
+from helpers_distributed import SectionTimers, counted_dispatch
+
+from repro.backends.registry import registry
+from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
+from repro.geometry import BoxGrid, ProcessGrid, Subdomain
+from repro.mg import MGConfig, MultigridPreconditioner
+from repro.parallel import SerialComm, run_spmd
+from repro.resilience import ResilienceConfig
+from repro.solvers import GMRESIRSolver
+from repro.solvers.cg import pcg_solve
+from repro.stencil import generate_problem
+from repro.tune.probe import MATRIX_PROBE_OPS, VECTOR_PROBE_OPS
+
+#: Registered ops no engine path dispatches under that name, and why
+#: each is kept.
+NOT_DISPATCHED = {
+    # The index-set sweep on a plain matrix: the format-generic
+    # reference TestOneSweepLayout pins the block sweep to.  (On the
+    # color-packed layout the name is an alias of ``symgs_sweep_multi``,
+    # which smoothers dispatch at every width.)
+    "symgs_sweep",
+    # Single-vector names of ops the engine dispatches under their
+    # ``_multi`` name at every width — the same function objects
+    # (asserted below), kept so a vector call needs no ``[:, None]``.
+    "symgs_interior",
+    "symgs_boundary",
+    # ... and this one is what ``benchmarks/suite`` times
+    # (``backends.spmv_split_overhead``).
+    "spmv_interior",
+}
+
+
+def _solve(prob, comm, width=1, **kw):
+    kw.setdefault("mg_config", MGConfig(nlevels=2))
+    solver = GMRESIRSolver(prob, comm, restart=4, **kw)
+    if width == 1:
+        solver.solve(prob.b, tol=0.0, maxiter=6)
+    else:
+        B = np.asfortranarray(np.outer(prob.b, 1.0 + np.arange(width)))
+        solver.solve_panel(B, tol=0.0, maxiter=6)
+
+
+def _spmd2(**kw):
+    def rank(comm):
+        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid(2, 1, 1), comm.rank)
+        _solve(generate_problem(sub), comm, **kw)
+
+    run_spmd(2, rank)
+
+
+#: name -> run(problem16): the configuration grid of the census.
+GRID = {
+    **{
+        f"{name}-w{width}": (
+            lambda p, policy=policy, width=width: _solve(
+                p, SerialComm(), width, policy=policy
+            )
+        )
+        for name, policy in (
+            ("double", DOUBLE_POLICY),
+            ("mixed", MIXED_DS_POLICY),
+            ("fp16-ladder", HALF_LADDER_POLICY),
+        )
+        for width in (1, 4)
+    },
+    "csr": lambda p: _solve(
+        p, SerialComm(), policy=MIXED_DS_POLICY, matrix_format="csr"
+    ),
+    "sellcs": lambda p: _solve(p, SerialComm(), 4, matrix_format="sellcs"),
+    "levelsched": lambda p: _solve(
+        p, SerialComm(), mg_config=MGConfig(nlevels=2, smoother="levelsched")
+    ),
+    "symmetric-unfused-restrict": lambda p: _solve(
+        p,
+        SerialComm(),
+        mg_config=MGConfig(nlevels=4, sweep="symmetric", fused_restrict=False),
+    ),
+    "per-ingredient": lambda p: _solve(
+        p, SerialComm(), policy=HALF_LADDER_POLICY, control="per-ingredient"
+    ),
+    "mgs": lambda p: _solve(p, SerialComm(), ortho="mgs"),
+    "cgs": lambda p: _solve(p, SerialComm(), 4, ortho="cgs"),
+    "fusion-off": lambda p: _solve(p, SerialComm(), 4, fusion=False),
+    "resilience": lambda p: _solve(p, SerialComm(), resilience=ResilienceConfig()),
+    "spmd2-overlap": lambda p: _spmd2(policy=MIXED_DS_POLICY, overlap=True),
+    "spmd2-sequential": lambda p: _spmd2(overlap=False),
+    "spmd2-overlap-abft-panel": lambda p: _spmd2(
+        width=4, overlap=True, resilience=ResilienceConfig()
+    ),
+    "pcg": lambda p: pcg_solve(p, SerialComm(), tol=0.0, maxiter=3),
+}
+
+
+@pytest.fixture(scope="module")
+def census(problem16):
+    """op -> the configurations that dispatched it."""
+    seen: dict[str, list[str]] = {}
+    for name, run in GRID.items():
+        with counted_dispatch() as counts:
+            run(problem16)
+        for _, op in counts:
+            seen.setdefault(op, []).append(name)
+    return seen
+
+
+def test_registered_ops_are_the_dispatched_ops(census):
+    registered = set(registry.ops())
+    assert NOT_DISPATCHED <= registered
+    assert set(census) == registered - NOT_DISPATCHED, {
+        "dispatched but unregistered?": set(census) - registered,
+        "registered, never dispatched": registered - NOT_DISPATCHED - set(census),
+        "allow-listed but dispatched": NOT_DISPATCHED & set(census),
+    }
+
+
+def test_single_vector_aliases_are_their_multi_twins():
+    for fmt, ops in (
+        ("color_partitioned", ("symgs_sweep", "symgs_interior", "symgs_boundary")),
+        ("partitioned", ("spmv", "spmv_interior", "spmv_boundary")),
+    ):
+        for op in ops:
+            for prec in ("fp64", "fp16"):
+                assert registry.lookup(
+                    op, fmt, prec, backend="numpy"
+                ) is registry.lookup(op + "_multi", fmt, prec, backend="numpy")
+
+
+def test_tuner_probes_only_dispatched_ops(census):
+    for op in MATRIX_PROBE_OPS + VECTOR_PROBE_OPS:
+        assert op in census, f"the tuner times {op!r}, which no solve runs"
+
+
+@pytest.mark.parametrize("ncol", [1, 4])
+def test_transfers_are_one_dispatch_per_level(problem16, ncol):
+    """Per V-cycle the restriction is 3 ops on 3 packed blocks and the
+    prolongation 3 ops, at any panel width — no row-copying kernel."""
+    sections = SectionTimers()
+    mg = MultigridPreconditioner.build(
+        problem16, SerialComm(), MGConfig(), precision="fp32", timers=sections
+    )
+    R = np.asfortranarray(
+        np.repeat(problem16.b.astype(np.float32)[:, None], ncol, axis=1)
+    )
+    with counted_dispatch(sections) as counts:
+        mg.apply_panel(R)
+    by_section = {
+        sec: {op: n for (s, op), n in counts.items() if s == sec}
+        for sec in ("restrict", "prolong")
+    }
+    assert by_section["restrict"] == {"fused_restrict": 3, "spmv_multi": 3}
+    assert by_section["prolong"] == {"prolong": 3}
+    assert not any(op == "spmv_rows" for _, op in counts)

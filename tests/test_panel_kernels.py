@@ -14,28 +14,27 @@ import os
 
 import numpy as np
 import pytest
-from helpers_distributed import smooth_vector
+from helpers_distributed import counted_dispatch, smooth_vector
 
 from repro.backends.dispatch import (
     dot,
     dot_multi,
     spmv,
-    spmv_dot,
-    spmv_dot_multi,
     spmv_multi,
     symgs_sweep,
     symgs_sweep_multi,
     waxpby,
     waxpby_dot,
     waxpby_dot_multi,
-    waxpby_multi,
 )
+from repro.backends.registry import KernelNotFoundError, registry
 from repro.backends.workspace import Workspace
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.parallel import SerialComm, run_spmd
 from repro.solvers.operator import DistributedOperator
 from repro.sparse import to_format, to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
+from repro.sparse.partitioned import partition_colors
 from repro.stencil import generate_problem
 
 FORMATS = ("csr", "ell", "sellcs")
@@ -94,26 +93,31 @@ class TestSerialPanelParity:
         for j in range(NCOL):
             assert np.array_equal(Y[:, j], spmv(A, X[:, j].copy()))
 
-    def test_spmv_dot_multi_matches_fused_single(self, matrix):
+    @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
+    def test_spmv_multi_is_one_dispatch(self, matrix, pooled):
+        """A panel product resolves one kernel: formats without a
+        single-pass body *call* their single-vector function per column
+        instead of looking it up again, so dispatch wrappers (fault
+        injector, tracer, census) see one ``spmv_multi`` and nothing
+        nested under it."""
         A = matrix
         X = make_panel(A.ncols, NCOL, A.dtype)
-        B = make_panel(A.nrows, NCOL, A.dtype, seed=1)
-        R, locals_sq = spmv_dot_multi(A, X, B)
-        assert locals_sq.dtype == np.float64
-        for j in range(NCOL):
-            r1, l1 = spmv_dot(A, X[:, j].copy(), B[:, j].copy())
-            assert np.array_equal(R[:, j], r1)
-            assert locals_sq[j] == l1
+        with counted_dispatch() as counts:
+            spmv_multi(A, X, ws=Workspace() if pooled else None)
+        assert counts == {(None, "spmv_multi"): 1}
 
     def test_symgs_sweep_multi_matches_looped_sweep(self, problem16, matrix):
+        """The panel sweep lives on the color-packed layout only; each
+        column is the index-set reference sweep of that column."""
         A = matrix
         sets = color_sets(structured_coloring8(problem16.sub))
         diag = A.diagonal()
         diag_sets = [diag[rows] for rows in sets]
+        P = partition_colors(A, None, sets, diag=diag)
         R = make_panel(A.nrows, NCOL, A.dtype)
         for direction in ("forward", "backward"):
             Xp = np.zeros((A.ncols, NCOL), dtype=A.dtype, order="F")
-            symgs_sweep_multi(A, R, Xp, sets, diag_sets, direction=direction)
+            symgs_sweep_multi(P, R, Xp, direction=direction)
             for j in range(NCOL):
                 x1 = np.zeros(A.ncols, dtype=A.dtype)
                 symgs_sweep(
@@ -125,6 +129,8 @@ class TestSerialPanelParity:
                     direction=direction,
                 )
                 assert np.array_equal(Xp[:, j], x1), (direction, j)
+        with pytest.raises(KernelNotFoundError):
+            symgs_sweep_multi(A, R, Xp)
 
 
 class TestPanelFaultSite:
@@ -135,7 +141,6 @@ class TestPanelFaultSite:
 
     @pytest.mark.parametrize("mode", ["nan", "bitflip"])
     def test_uncovered_fault_lands_in_the_panel(self, problem16, mode):
-        from repro.backends.registry import registry
         from repro.resilience import parse_fault_spec
 
         A = problem16.A
@@ -161,15 +166,20 @@ class TestVectorPanelParity:
             prec
         ]
 
-    def test_waxpby_multi(self, prec):
+    def test_waxpby_dot_multi_columns_are_the_unfused_pair(self, prec):
+        """The fused panel motif is, per column, ``waxpby`` then
+        ``dot`` (what ``fusion=False`` and the tuner's unfused variant
+        compose) — into ``out`` too."""
         dt = self.dtype(prec)
         X = make_panel(512, NCOL, dt)
         Y = make_panel(512, NCOL, dt, seed=1)
-        W = waxpby_multi(0.5, X, -0.25, Y)
+        out = np.empty_like(Y)
+        W, locals_sq = waxpby_dot_multi(0.5, X, -0.25, Y, out=out, ws=Workspace())
+        assert W is out
         for j in range(NCOL):
-            assert np.array_equal(
-                W[:, j], waxpby(0.5, X[:, j].copy(), -0.25, Y[:, j].copy())
-            )
+            w = waxpby(0.5, X[:, j].copy(), -0.25, Y[:, j].copy())
+            assert np.array_equal(W[:, j], w)
+            assert locals_sq[j] == dot(w, w)
 
     def test_dot_multi(self, prec):
         dt = self.dtype(prec)

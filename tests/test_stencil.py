@@ -96,10 +96,13 @@ class TestNonsymmetricMatrix:
         off = vals[(vals != 0) & (vals != 26.0)]
         assert set(np.round(np.unique(off), 10)) == {-1.3, -0.7}
 
-    def test_matches_matrix_free(self, rng):
+    def test_matches_matrix_free(self):
         spec = ProblemSpec(kind="nonsymmetric", nonsym_delta=0.25)
         prob = generate_problem(Subdomain.serial(6, 5, 4), spec=spec)
-        x = rng.standard_normal(prob.nlocal)
+        # Test-local stream: the rtol-only bound below fails on ~1 % of
+        # draws (a row that cancels to ~1e-3), so the session ``rng``
+        # made this test depend on which tests ran before it.
+        x = np.random.default_rng(12345).standard_normal(prob.nlocal)
         np.testing.assert_allclose(
             prob.A.spmv(x),
             stencil_apply_dense(prob.sub.global_grid, x, spec=spec),

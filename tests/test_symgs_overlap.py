@@ -5,9 +5,9 @@ color's dependency-closed interior block swept, ghosts landed, every
 color's boundary block finished — is bitwise-equal to the sequential
 sweep at fp64 and rung-tolerance-equal at fp16/fp32, for all three
 storage formats at 1/2/8 ranks; the overlapped smoother path is
-zero-allocation after warmup; and the fused ``spmv_dot`` /
-``waxpby_dot`` motifs are bitwise-identical to their unfused call
-sequences end to end.
+zero-allocation after warmup; and the fused residual check
+(``waxpby_dot`` behind the operator's matvec) is bitwise-identical to
+its unfused call sequence end to end.
 
 Rank counts come from ``REPRO_RANKS`` (the CI distributed matrix legs
 set 1, 2 and 8), defaulting to ``1,2,4`` locally.
@@ -18,12 +18,11 @@ import os
 import numpy as np
 import pytest
 from helpers_distributed import RUNG_TOLS as TOLS
-from helpers_distributed import smooth_vector
+from helpers_distributed import SectionTimers, counted_dispatch, smooth_vector
 
 from repro.backends.dispatch import (
     dot,
     spmv,
-    spmv_dot,
     symgs_boundary,
     symgs_interior,
     symgs_sweep,
@@ -38,6 +37,7 @@ from repro.mg.reordered_gs import ReorderedMulticolorGS
 from repro.mg.smoothers import MulticolorGS, make_smoother, smooth_distributed
 from repro.parallel import HaloExchange, SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
+from repro.solvers.operator import DistributedOperator
 from repro.sparse import to_format, to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.partitioned import (
@@ -316,51 +316,26 @@ class TestOneSweepLayout:
 
     def test_gs_sections_dispatch_no_spmv_rows(self):
         """One V-cycle under a counting dispatch wrapper: the smoother
-        sections issue block sweeps only; ``spmv_rows`` (the row-copying
-        kernel) is left to the fused restriction."""
-        import contextlib
-        from collections import Counter
-
-        from repro.backends.registry import registry
+        sections issue block sweeps only, and ``spmv_rows`` (the
+        row-copying kernel) runs nowhere — the restriction multiplies
+        a packed block too (``tests/test_op_census.py`` has the
+        transfer counts at width 1 and 4)."""
         from repro.mg import MultigridPreconditioner
 
-        class Sections:
-            current = None
-
-            @contextlib.contextmanager
-            def section(self, name):
-                prev, self.current = self.current, name
-                try:
-                    yield
-                finally:
-                    self.current = prev
-
-        sections = Sections()
-        counts = Counter()
-
-        def counting(op, fn):
-            def counted(*args, **kwargs):
-                counts[sections.current, op] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
+        sections = SectionTimers()
         prob = generate_problem(Subdomain.serial(16, 16, 16))
         mg = MultigridPreconditioner.build(
             prob, SerialComm(), MGConfig(), precision="fp32", timers=sections
         )
         r = prob.b.astype(np.float32)
-        out = np.empty_like(r)
-        registry.set_wrapper(counting)
-        try:
-            mg.apply(r, out=out)
-        finally:
-            registry.set_wrapper(None)
-        assert counts["gs", "spmv_rows"] == 0
+        with counted_dispatch(sections) as counts:
+            mg.apply(r, out=np.empty_like(r))
+        assert not any(op == "spmv_rows" for _, op in counts)
         assert counts["gs", "symgs_sweep"] == 0  # nor the index-set kernel's op
         assert counts["gs", "symgs_sweep_multi"] == 7  # 3 pre + coarse + 3 post
         assert counts["gs", "spmv_multi"] == 7 * 8  # one block SpMV per color
-        assert counts["restrict", "spmv_rows"] == 3
+        assert counts["restrict", "fused_restrict"] == 3
+        assert counts["restrict", "spmv_multi"] == 3  # on the packed block
 
     def test_unsplit_build_skips_the_closure_pass(self, monkeypatch):
         """Serial and blocking-SPMD hierarchies never pay the O(nnz)
@@ -623,31 +598,34 @@ class TestOverlappedSmootherAllocations:
 
 
 class TestFusedMotifs:
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
-    def test_spmv_dot_matches_unfused_bitwise(self, fmt):
+    @staticmethod
+    def residual_case(fmt):
         prob = generate_problem(Subdomain.serial(8, 8, 8))
         A = to_format(prob.A, fmt)
+        op = DistributedOperator(A, prob.halo, SerialComm())
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(A.ncols)
-        b = rng.standard_normal(A.nrows)
-        ws = Workspace()
+        return A, op, rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
+
+    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    def test_fused_residual_matches_unfused_bitwise(self, fmt):
+        """GMRES-IR's residual check: the matvec keeps its schedule and
+        the subtraction + local dot fuse at the vector pass."""
+        A, op, x, b = self.residual_case(fmt)
         r_f = np.empty(A.nrows)
-        _, local = spmv_dot(A, x, b, out=r_f, ws=ws)
+        local = op.residual_norm2_local(b, x, out=r_f)
         r_u = b - spmv(A, x)
         assert np.array_equal(r_f, r_u)
         assert local == dot(r_u, r_u)
+        assert np.array_equal(op.residual(b, x), r_u)  # fusion=False path
 
-    def test_spmv_dot_pools_its_scratch(self):
-        prob = generate_problem(Subdomain.serial(8, 8, 8))
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(prob.A.ncols)
-        ws = Workspace()
-        out = np.empty(prob.nlocal)
-        spmv_dot(prob.A, x, prob.b, out=out, ws=ws)  # warmup
-        misses0 = ws.misses
+    def test_fused_residual_pools_its_scratch(self):
+        _, op, x, b = self.residual_case("ell")
+        out = np.empty(op.nlocal)
+        op.residual_norm2_local(b, x, out=out)  # warmup
+        misses0 = op.ws.misses
         for _ in range(3):
-            spmv_dot(prob.A, x, prob.b, out=out, ws=ws)
-        assert ws.misses == misses0
+            op.residual_norm2_local(b, x, out=out)
+        assert op.ws.misses == misses0
 
     def test_waxpby_dot_matches_unfused_bitwise(self):
         rng = np.random.default_rng(1)
@@ -670,20 +648,20 @@ class TestFusedMotifs:
         assert np.array_equal(w, ref)
         assert local == dot(ref, ref)
 
-    def test_fp16_spmv_dot_resolves_rung_kernels(self):
-        """The wildcard fused kernel re-dispatches per precision: an
-        fp16 matrix streams through the fp32-accumulating SpMV and the
-        fp64-accumulating dot."""
+    def test_fp16_waxpby_dot_resolves_rung_kernels(self):
+        """The wildcard fused kernel re-dispatches per precision: fp16
+        vectors go through the fp32-accumulating waxpby and the
+        fp64-accumulating dot (a native fp16 norm would overflow)."""
         prob = generate_problem(Subdomain.serial(8, 8, 8))
-        A = to_precision(prob.A, "fp16")
-        x = smooth_vector(prob.sub).astype(np.float16)
-        xf = np.zeros(A.ncols, dtype=np.float16)
-        xf[: prob.nlocal] = x
-        b = np.asarray(smooth_vector(prob.sub) * 0.5, dtype=np.float64)
-        r, local = spmv_dot(A, xf, b)
-        ref = b - np.asarray(spmv(A, xf), dtype=np.float64)
-        np.testing.assert_allclose(r, ref, rtol=2e-2, atol=5e-2)
-        assert local >= 0
+        x = (100 * smooth_vector(prob.sub)).astype(np.float16)
+        y = (50 * smooth_vector(prob.sub)).astype(np.float16)
+        w, local = waxpby_dot(1.0, x, -0.5, y)
+        assert w.dtype == np.float16
+        ref = x.astype(np.float64) - 0.5 * y.astype(np.float64)
+        np.testing.assert_allclose(w, ref, rtol=2e-3, atol=1e-2)
+        w64 = w.astype(np.float64)
+        assert local == pytest.approx(float(w64 @ w64), rel=1e-12)
+        assert local > float(np.finfo(np.float16).max)
 
     def test_cg_uses_fused_update(self):
         """PCG converges identically through the fused residual-update
@@ -774,14 +752,11 @@ class TestConfigAndCLI:
 
 
 class TestNumbaWidenedOps:
-    """The JIT backend's new op coverage (ISSUE 5 satellite).
-
-    Where numba is installed the registry must resolve JIT kernels for
-    ``symgs_sweep`` (fp32/fp64 and — with CPU float16 support — the
-    fp16 rung's fp32-accumulating sweep), ``fused_restrict`` and the
-    fused ``spmv_dot``/``waxpby_dot``, each parity-checked against the
-    NumPy reference path.  Skipped where numba is absent (the offline
-    container); the CI numba matrix leg executes it.
+    """The JIT backend's fused ``waxpby_dot`` under real numba,
+    parity-checked against the NumPy reference path.  Skipped where
+    numba is absent (the offline container); the CI numba matrix leg
+    executes it, and ``tests/test_numba_interpreted.py`` runs every
+    kernel the module still registers here, interpreted.
     """
 
     @pytest.fixture(scope="class")
@@ -793,97 +768,6 @@ class TestNumbaWidenedOps:
         from repro.backends.registry import registry
 
         return registry
-
-    @pytest.fixture(scope="class")
-    def gs_fixture(self):
-        prob = generate_problem(Subdomain.serial(8, 8, 8))
-        sets = color_sets(structured_coloring8(prob.sub))
-        rng = np.random.default_rng(4)
-        r = rng.standard_normal(prob.nlocal)
-        x0 = rng.standard_normal(prob.nlocal)
-        return prob, sets, r, x0
-
-    @pytest.mark.parametrize("prec", ["fp32", "fp64"])
-    def test_symgs_sweep_matches_numpy(self, numba_ready, gs_fixture, prec):
-        prob, sets, r, x0 = gs_fixture
-        A = to_precision(prob.A, prec)
-        diag = A.diagonal()
-        diag_sets = [diag[rows] for rows in sets]
-        jit = numba_ready.lookup("symgs_sweep", "ell", prec, backend="numba")
-        ref = numba_ready.lookup("symgs_sweep", "ell", prec, backend="numpy")
-        assert jit is not ref
-        rp = r.astype(A.dtype)
-        x1 = x0.astype(A.dtype)
-        x2 = x1.copy()
-        for d in ("forward", "backward"):
-            jit(A, rp, x1, sets, diag_sets, direction=d)
-            ref(A, rp, x2, sets, diag_sets, direction=d)
-        tol = 1e-13 if prec == "fp64" else 1e-5
-        np.testing.assert_allclose(
-            x1.astype(np.float64), x2.astype(np.float64), rtol=tol, atol=tol
-        )
-
-    def test_symgs_sweep_fp16_matches_numpy(self, numba_ready, gs_fixture):
-        from repro.backends.registry import KernelNotFoundError
-
-        prob, sets, _, _ = gs_fixture
-        try:
-            jit = numba_ready.lookup(
-                "symgs_sweep", "ell", "fp16", backend="numba"
-            )
-        except KernelNotFoundError:
-            pytest.skip("numba lacks a CPU float16 GS pass")
-        if "numba" not in jit.__module__:
-            pytest.skip("no numba fp16 symgs registration")
-        ref = numba_ready.lookup("symgs_sweep", "ell", "fp16", backend="numpy")
-        A = to_precision(prob.A, "fp16")  # row-equilibrated storage
-        diag = A.diagonal()
-        diag_sets = [diag[rows] for rows in sets]
-        r = smooth_vector(prob.sub).astype(np.float16)
-        x1 = np.zeros(A.ncols, dtype=np.float16)
-        x1[: prob.nlocal] = (0.25 * smooth_vector(prob.sub)).astype(np.float16)
-        x2 = x1.copy()
-        jit(A, r, x1, sets, diag_sets, direction="forward")
-        ref(A, r, x2, sets, diag_sets, direction="forward")
-        rtol, atol = TOLS["fp16"]
-        np.testing.assert_allclose(
-            x1.astype(np.float64), x2.astype(np.float64), rtol=rtol, atol=atol
-        )
-
-    @pytest.mark.parametrize("prec", ["fp32", "fp64"])
-    def test_fused_restrict_matches_numpy(self, numba_ready, gs_fixture, prec):
-        prob, _, r, x0 = gs_fixture
-        A = to_precision(prob.A, prec)
-        coarse = prob.sub.coarsen()
-        from repro.mg.restriction import coarse_to_fine_map
-
-        f_c = coarse_to_fine_map(prob.sub, coarse)
-        jit = numba_ready.lookup("fused_restrict", "ell", prec, backend="numba")
-        ref = numba_ready.lookup(
-            "fused_restrict", "ell", prec, backend="numpy"
-        )
-        assert jit is not ref
-        xf = x0.astype(A.dtype)
-        rp = r.astype(A.dtype)
-        tol = 1e-13 if prec == "fp64" else 1e-5
-        np.testing.assert_allclose(
-            np.asarray(jit(A, rp, xf, f_c), dtype=np.float64),
-            np.asarray(ref(A, rp, xf, f_c), dtype=np.float64),
-            rtol=tol,
-            atol=tol,
-        )
-
-    def test_spmv_dot_matches_composed_numba_spmv(
-        self, numba_ready, gs_fixture
-    ):
-        prob, _, r, x0 = gs_fixture
-        A = prob.A
-        jit = numba_ready.lookup("spmv_dot", "ell", "fp64", backend="numba")
-        nspmv = numba_ready.lookup("spmv", "ell", "fp64", backend="numba")
-        res, local = jit(A, x0, r)
-        ref = r - nspmv(A, x0)
-        np.testing.assert_array_equal(res, ref)
-        assert local == float(np.dot(ref, ref))
 
     def test_waxpby_dot_matches_numpy_bitwise(self, numba_ready):
         jit = numba_ready.lookup("waxpby_dot", None, "fp64", backend="numba")

@@ -11,7 +11,7 @@ import logging
 import os
 
 from repro.tune import DispatchPlan, PlanCache, PlanChoice
-from repro.tune.cache import CACHE_VERSION
+from repro.tune.cache import CACHE_VERSION, PLAN_VERSION
 
 
 def make_plan(op_fp="op-a", mach_fp="mach-a", seconds=1.0):
@@ -154,7 +154,7 @@ class TestCorruption:
             json.dumps(
                 {
                     "version": CACHE_VERSION,
-                    "plans": {"op-a:mach-a": {"version": 1}},
+                    "plans": {"op-a:mach-a": {"version": PLAN_VERSION}},
                 }
             )
         )
@@ -162,6 +162,28 @@ class TestCorruption:
         with caplog.at_level(logging.WARNING, logger="repro.tune.cache"):
             assert cache.load("op-a", "mach-a") is None
         assert cache.corrupt == 1 and cache.misses == 1
+
+    def test_version1_plan_naming_retired_ops_misses(self, tmp_path, caplog):
+        """A well-formed version-1 file whose entries name ops that no
+        longer exist (``spmv_dot``, the index-set ``symgs_sweep``) is a
+        miss with the usual warning — never an error, and never a plan
+        that loads but steers nothing — and a fresh plan replaces it."""
+        stale = make_plan().to_dict()
+        choice = stale["entries"].pop("spmv@fp64")
+        stale["version"] = 1
+        stale["entries"] = {"spmv_dot@fp64": choice, "symgs_sweep@fp32": choice}
+        path = tmp_path / "cache.json"
+        path.write_text(
+            json.dumps({"version": CACHE_VERSION, "plans": {"op-a:mach-a": stale}})
+        )
+        cache = PlanCache(str(path))
+        with caplog.at_level(logging.WARNING, logger="repro.tune.cache"):
+            assert cache.load("op-a", "mach-a") is None
+        assert cache.misses == 1 and cache.hits == 0
+        assert any("malformed" in r.message for r in caplog.records)
+        cache.store(make_plan())
+        loaded = cache.load("op-a", "mach-a")
+        assert loaded is not None and set(loaded.entries) == {("spmv", "fp64")}
 
     def test_corrupt_file_survives_a_store(self, tmp_path):
         # Storing over a corrupted file replaces it with a clean one.

@@ -90,10 +90,89 @@ class TestProbe:
         prober.ws = rec = Recording()
         prober.probe_all()
         tags = set(rec.tags)
-        # ELL chunk scratch, the CSR gather, the index-set sweep's
-        # block vectors and the fused residual's product buffer.
-        for tag in ("ell.chunk.idx", "csr.spmv.gather", "gs.ax", "spmv_dot.ax"):
+        # ELL chunk scratch, the CSR gather, the block sweep's panel
+        # and block vectors — and nothing of the index-set sweep.
+        for tag in ("ell.chunk.idx", "csr.spmv.gather", "cgs.ax", "cgs.rhs"):
             assert tag in tags, tag
+        assert "gs.ax" not in tags
+
+    def test_probes_only_what_the_engine_dispatches(self, problem8):
+        """The sweep probe runs the smoother's op on the color-packed
+        layout at width 1 and the probe panel; no retired op is timed."""
+        from repro.tune.probe import (
+            MATRIX_PROBE_OPS,
+            PROBE_PANEL,
+            VECTOR_PROBE_OPS,
+        )
+
+        prober = OperatorProber(
+            problem8.A, baseline_format="ell", rungs=("fp64",), repeats=1
+        )
+        entries, records = prober.probe_all()
+        assert {op for op, _ in entries} == set(
+            MATRIX_PROBE_OPS + VECTOR_PROBE_OPS
+        )
+        assert {r.op for r in records} == {op for op, _ in entries}
+        assert "symgs_sweep_multi" in MATRIX_PROBE_OPS
+        for retired in ("spmv_dot", "spmv_dot_multi", "symgs_sweep"):
+            assert retired not in MATRIX_PROBE_OPS
+        P = prober._packed[("ell", (), prober.rungs[0])]
+        assert P.format_name == "color_partitioned"
+        solo, panel = prober._runner(
+            "symgs_sweep_multi", P, prober.rungs[0], True
+        )()
+        assert solo.ndim == 1 and panel.shape == (solo.shape[0], PROBE_PANEL)
+
+    @pytest.mark.parametrize("fusion", [True, False])
+    def test_composed_fused_motifs_cast_no_fusion_vote(self, problem8, fusion):
+        """NumPy's ``waxpby_dot`` / ``waxpby_dot_multi`` compose the
+        unfused kernels call for call: timing both settings would let
+        dispatch noise flip the solver-wide fusion switch (which also
+        gates ``gemv_sub_dot``, never probed).  Only the baseline
+        setting is timed, so the plan keeps the baseline fusion."""
+        plan, _ = autotune_operator(
+            problem8.A,
+            baseline_format="ell",
+            fusion=fusion,
+            rungs=("fp64", "fp32"),
+            repeats=1,
+        )
+        fused_recs = [r for r in plan.probes if r.op in FUSED_OPS]
+        assert {r.op for r in fused_recs} == set(FUSED_OPS)
+        assert {r.fused for r in fused_recs} == {fusion}
+        assert plan.solver_fusion() is fusion
+
+    def test_backend_with_a_fused_kernel_votes_on_fusion(
+        self, problem8, monkeypatch
+    ):
+        """A backend that registers a single-pass kernel of its own (as
+        Numba does for fp64 ``waxpby_dot``) competes fused AND unfused,
+        at the rungs it registered and no others."""
+        import repro.tune.probe as probe_mod
+
+        priv = KernelRegistry(
+            _kernels=dict(registry._kernels),
+            _backends=dict(registry._backends),
+        )
+        priv.register_backend("jit", priority=-1)
+        numpy_fused = registry.lookup("waxpby_dot", None, "fp64", backend="numpy")
+
+        @priv.register("waxpby_dot", precision="fp64", backend="jit")
+        def waxpby_dot_jit(alpha, x, beta, y, out=None, ws=None):
+            return numpy_fused(alpha, x, beta, y, out=out, ws=ws)
+
+        monkeypatch.setattr(probe_mod, "registry", priv)
+        prober = OperatorProber(
+            problem8.A, baseline_format="ell", rungs=("fp64", "fp32"), repeats=1
+        )
+        seen = {}
+        for rung in prober.rungs:
+            _, recs = prober.probe_op("waxpby_dot", rung)
+            seen[rung.short_name] = {(r.backend, r.fused) for r in recs}
+        assert seen["fp64"] == {
+            ("numpy", True), ("jit", True), ("jit", False)
+        }
+        assert seen["fp32"] == {("numpy", True)}
 
 
 class TestPlanFromProbe:

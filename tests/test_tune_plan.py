@@ -58,7 +58,7 @@ class TestLookup:
     def test_backend_for_untuned_op_is_none(self):
         p = plan({("spmv", "fp64"): choice(backend="numba")})
         assert p.backend_for("spmv", "fp64", "ell") == "numba"
-        assert p.backend_for("symgs_sweep", "fp64", "ell") is None
+        assert p.backend_for("spmv_multi", "fp64", "ell") is None
 
     def test_backend_for_requires_matching_format(self):
         """Parity was verified only for the chosen format — a lookup
@@ -91,8 +91,8 @@ class TestLookup:
         assert p.backend_for("waxpby_dot", "fp64", "ell") is None
 
     def test_fused_for_falls_back_to_default(self):
-        p = plan({("spmv_dot", "fp64"): choice(fused=False)})
-        assert p.fused_for("spmv_dot", "fp64", default=True) is False
+        p = plan({("waxpby_dot_multi", "fp64"): choice(fused=False)})
+        assert p.fused_for("waxpby_dot_multi", "fp64", default=True) is False
         assert p.fused_for("waxpby_dot", "fp64", default=True) is True
 
 
@@ -161,7 +161,7 @@ class TestInvariants:
         p = plan(
             {
                 ("spmv", "fp64"): choice(seconds=1.0, baseline_seconds=2.0),
-                ("symgs_sweep", "fp64"): choice(
+                ("symgs_sweep_multi", "fp64"): choice(
                     seconds=1.0, baseline_seconds=1.0
                 ),
             }
