@@ -139,12 +139,8 @@ class TestGaussSeidel:
         gs.forward(r, x)  # warmup the arena
         benchmark(lambda: gs.forward(r, x))
 
-    def test_gs_sweep_fp32_blocks(self, benchmark, prob, mats):
-        """The sweep a solve runs: the level-0 smoother of a built
-        hierarchy, packed color blocks of 13 824 rows (two chunks
-        each), on a panel of 8 — checked bitwise against the index-set
-        reference kernel."""
-        from repro.backends import symgs_sweep
+    @staticmethod
+    def level0_smoother(prob, mats):
         from repro.mg import MGConfig, MultigridPreconditioner
 
         mg = MultigridPreconditioner.build(
@@ -154,24 +150,76 @@ class TestGaussSeidel:
             precision="fp32",
             fine_matrix=mats["ell32"],
         )
-        gs = mg.levels[0].smoother
+        return mg.levels[0].smoother
+
+    @staticmethod
+    def check_against_index_set(gs, A, R, X, direction="forward"):
+        """``X`` — swept once from zero by ``gs``, in its color order —
+        un-permuted, against the index-set reference on the natural-
+        order columns of ``R``, bitwise."""
+        from repro.backends import symgs_sweep
+
+        diag = A.diagonal()
+        diag_sets = [diag[rows] for rows in gs.sets]
+        rank = gs.partition.rank
+        for j in range(R.shape[1]):
+            ref = np.zeros(A.ncols, dtype=A.dtype)
+            symgs_sweep(A, R[:, j], ref, gs.sets, diag_sets, direction)
+            assert np.array_equal(X[: A.nrows, j][rank], ref[: A.nrows])
+
+    def test_gs_sweep_fp32_blocks(self, benchmark, prob, mats):
+        """The sweep a solve runs: the level-0 smoother of a built
+        hierarchy, color blocks of 13 824 rows (several chunks each),
+        on a panel of 8 — checked bitwise against the index-set
+        reference kernel."""
+        gs = self.level0_smoother(prob, mats)
         rng = np.random.default_rng(6)
         R = np.asfortranarray(
             rng.standard_normal((prob.nlocal, 8)).astype(np.float32)
         )
+        R_level = np.asfortranarray(R[gs.order])
         X = np.zeros((prob.A.ncols, 8), dtype=np.float32, order="F")
-        gs.forward_panel(R, X)  # warmup the arena
-        benchmark(lambda: gs.forward_panel(R, X))
+        gs.forward_panel(R_level, X)  # warmup the arena
+        benchmark(lambda: gs.forward_panel(R_level, X))
 
-        A = mats["ell32"]
-        diag = A.diagonal()
-        diag_sets = [diag[rows] for rows in gs.sets]
         X[:] = 0.0
-        gs.forward_panel(R, X)
-        for j in range(8):
-            ref = np.zeros(A.ncols, dtype=np.float32)
-            symgs_sweep(A, R[:, j], ref, gs.sets, diag_sets, "forward")
-            assert np.array_equal(X[:, j], ref)
+        gs.forward_panel(R_level, X)
+        self.check_against_index_set(gs, mats["ell32"], R, X)
+
+    def test_gs_sweep_fp32_slices(self, benchmark, prob, mats):
+        """The slice form at 48^3: every color relaxes one contiguous
+        range of the color-ordered panel, behind a block product of
+        several row chunks — forward, backward, and the zero-guess
+        sweep that skips the first color's product, each bitwise the
+        index-set reference after un-permuting."""
+        from repro.backends.numpy_backend import CHUNK_ROWS
+
+        gs = self.level0_smoother(prob, mats)
+        P = gs.partition
+        cursor = 0
+        for interior, boundary in P.passes:
+            assert interior.lo == cursor and boundary.lo == boundary.hi == interior.hi
+            assert interior.hi - interior.lo == 13824 > 2 * CHUNK_ROWS
+            cursor = interior.hi
+        assert cursor == prob.nlocal
+        rng = np.random.default_rng(8)
+        R = np.asfortranarray(
+            rng.standard_normal((prob.nlocal, 8)).astype(np.float32)
+        )
+        R_level = np.asfortranarray(R[gs.order])
+        X = np.zeros((prob.A.ncols, 8), dtype=np.float32, order="F")
+
+        def zero_guess_sweep():
+            X[:] = 0.0
+            gs.sweep_panel(R_level, X, "forward", zero_guess=True)
+
+        zero_guess_sweep()  # warmup the arena
+        benchmark(zero_guess_sweep)
+        self.check_against_index_set(gs, mats["ell32"], R, X)
+        for direction in ("forward", "backward"):
+            X[:] = 0.0
+            gs.sweep_panel(R_level, X, direction)
+            self.check_against_index_set(gs, mats["ell32"], R, X, direction)
 
 
 class TestOrtho:
@@ -229,8 +277,9 @@ class TestRestriction:
 
     def test_restrict_fp32_block(self, benchmark, prob, mats):
         """The restriction a solve runs: the level-0 block of a built
-        hierarchy, 13 824 coarse-mapped rows (two chunks), on a panel
-        of 8 — checked bitwise against the full product's coarse rows."""
+        hierarchy, 13 824 coarse-mapped rows (several chunks), on a
+        panel of 8 in the fine level's order — checked bitwise against
+        the natural-order full product's coarse rows."""
         from repro.backends import Workspace, spmv
         from repro.mg import MGConfig, MultigridPreconditioner
 
@@ -259,9 +308,12 @@ class TestRestriction:
 
         restrict()  # warmup the arena
         benchmark(restrict)
+        # lv.A is in natural order; R, X and f_c are in the level's, and
+        # row i of the result is the fine position f_c[i].
+        order, rank = lv.smoother.order, lv.smoother.rank
         for j in range(8):
-            ax = spmv(lv.A, X[:, j])
-            assert np.array_equal(out[:, j], R[lv.f_c, j] - ax[lv.f_c])
+            ax = spmv(lv.A, X[rank, j])
+            assert np.array_equal(out[:, j], R[lv.f_c, j] - ax[order[lv.f_c]])
 
 
 class TestEndToEnd:

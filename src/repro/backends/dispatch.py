@@ -97,24 +97,21 @@ def symgs_sweep(
     return fn(A, r, xfull, sets, diag_sets, direction=direction, ws=ws)
 
 
-def symgs_interior(
-    P, r: np.ndarray, xfull: np.ndarray, direction: str = "forward", ws=None
-) -> None:
-    """Interior half of the overlapped multicolor GS sweep.
+def symgs_interior(P, r: np.ndarray, xfull: np.ndarray, ws=None) -> None:
+    """Interior half of the overlapped (forward) multicolor GS sweep.
 
-    ``P`` is a color-partitioned matrix; every color's dependency-closed
-    interior block runs (in sweep order) while the halo is in flight.
+    ``P`` is a color-partitioned matrix, ``r`` / ``xfull`` are in its
+    order; every color's dependency-closed interior block runs (in
+    sweep order) while the halo is in flight.
     """
     fn = registry.lookup("symgs_interior", matrix_format(P), _prec(P.dtype))
-    return fn(P, r, xfull, direction=direction, ws=ws)
+    return fn(P, r, xfull, ws=ws)
 
 
-def symgs_boundary(
-    P, r: np.ndarray, xfull: np.ndarray, direction: str = "forward", ws=None
-) -> None:
+def symgs_boundary(P, r: np.ndarray, xfull: np.ndarray, ws=None) -> None:
     """Boundary half of the overlapped sweep (after the ghosts land)."""
     fn = registry.lookup("symgs_boundary", matrix_format(P), _prec(P.dtype))
-    return fn(P, r, xfull, direction=direction, ws=ws)
+    return fn(P, r, xfull, ws=ws)
 
 
 def fused_restrict(A_c, R, Xfull, f_c, out=None, ws=None):
@@ -199,43 +196,48 @@ def spmv_boundary_multi(P, X: np.ndarray, out=None, ws=None):
     return fn(P, X, out=out, ws=ws)
 
 
-def symgs_interior_multi(
-    P, R: np.ndarray, Xfull: np.ndarray, direction: str = "forward", ws=None
-) -> None:
+def symgs_interior_multi(P, R: np.ndarray, Xfull: np.ndarray, ws=None) -> None:
     """Interior half of the overlapped panel GS sweep (all columns)."""
     fn = registry.lookup(
         "symgs_interior_multi", matrix_format(P), _prec(P.dtype)
     )
-    return fn(P, R, Xfull, direction=direction, ws=ws)
+    return fn(P, R, Xfull, ws=ws)
 
 
-def symgs_boundary_multi(
-    P, R: np.ndarray, Xfull: np.ndarray, direction: str = "forward", ws=None
-) -> None:
+def symgs_boundary_multi(P, R: np.ndarray, Xfull: np.ndarray, ws=None) -> None:
     """Boundary half of the overlapped panel GS sweep (ghosts landed)."""
     fn = registry.lookup(
         "symgs_boundary_multi", matrix_format(P), _prec(P.dtype)
     )
-    return fn(P, R, Xfull, direction=direction, ws=ws)
+    return fn(P, R, Xfull, ws=ws)
 
 
 def symgs_sweep_multi(
-    P, R: np.ndarray, Xfull: np.ndarray, direction: str = "forward", ws=None
+    P,
+    R: np.ndarray,
+    Xfull: np.ndarray,
+    direction: str = "forward",
+    ws=None,
+    zero_guess: bool = False,
 ) -> None:
     """One multicolor GS sweep over every column of a panel.
 
     ``P`` is the color-packed layout every smoother sweeps
     (:func:`repro.sparse.partitioned.partition_colors`) — a plain
-    matrix has no panel sweep and raises :class:`KernelNotFoundError`.
-    Columns are mutually independent (each column's relaxation reads
-    only its own vectors), so each color block streams once across the
-    panel while every column stays bitwise-equal to the looped sweep.
+    matrix has no panel sweep and raises :class:`KernelNotFoundError` —
+    and ``R`` / ``Xfull`` are in its row order.  Columns are mutually
+    independent (each column's relaxation reads only its own vectors),
+    so each color block streams once across the panel while every
+    column stays bitwise-equal to the looped sweep.  ``zero_guess`` is
+    the caller's promise that ``Xfull`` is ``+0`` everywhere, ghosts
+    included (it just zeroed it): the first color's block products are
+    skipped, bitwise.
     """
     fn = registry.lookup(
         "symgs_sweep_multi", matrix_format(P), _prec(P.dtype),
         fmt_params=matrix_format_params(P),
     )
-    return fn(P, R, Xfull, direction=direction, ws=ws)
+    return fn(P, R, Xfull, direction=direction, ws=ws, zero_guess=zero_guess)
 
 
 def dot_multi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -415,23 +415,23 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         _register_numba_part_multi(_prec)
 
     # ------------------------------------------------------------------
-    # Native overlapped-SymGS halves on the color-partitioned format
+    # Native SymGS sweeps on the color-partitioned format
     # ------------------------------------------------------------------
     # The generic color_partitioned registrations serve each block
-    # relaxation through a block-``spmv`` re-dispatch plus NumPy
-    # gather/scatter glue; here the whole relaxation — block SpMV, the
-    # near-cancelling update and the scatter — is one jitted pass over
-    # the block's ELL rows.  Rows within a block share a color, hence
-    # are mutually independent and race-free under prange.  The
-    # accumulation order per row matches the generic path's inner
-    # kernels, keeping the two backends parity-testable.
+    # relaxation through a block-``spmv_multi`` re-dispatch plus three
+    # NumPy ufunc calls on the slice; here the whole relaxation — block
+    # SpMV and the near-cancelling update of rows ``[lo, hi)`` — is one
+    # jitted pass over the block's ELL rows.  Rows within a block share
+    # a color, hence are mutually independent and race-free under
+    # prange.  The accumulation order per row matches the generic
+    # path's inner kernels, keeping the two backends parity-testable.
 
     def _make_ell_block_relax(zero):
         @numba.njit(parallel=True, fastmath=False, cache=True)
-        def kernel(cols, vals, xfull, r, rows, diag):
-            width = cols.shape[1]
-            for k in numba.prange(len(rows)):
-                i = rows[k]
+        def kernel(cols, vals, xfull, r, lo, diag):
+            nrows, width = cols.shape
+            for k in numba.prange(nrows):
+                i = lo + k
                 acc = zero
                 for j in range(width):
                     acc += vals[k, j] * xfull[cols[k, j]]
@@ -444,91 +444,65 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         "fp64": _make_ell_block_relax(np.float64(0.0)),
     }
 
-    def _relax_block_numba(blk, r, xfull, ws, key, relax_kernel):
-        """Jitted block relaxation; defers to the generic path for
-        non-ELL block storage (the partitioner's default is ELL)."""
-        from repro.backends.partitioned_ops import _relax_block
-
-        A_blk = blk.A
-        if len(blk.rows) == 0:
-            return
-        if getattr(type(A_blk), "format_name", None) != "ell":
-            _relax_block(blk, r, xfull, ws, key)
-            return
-        relax_kernel(A_blk.cols, A_blk.vals, xfull, r, blk.rows, blk.diag)
-
     def _register_numba_cp(prec: str) -> None:
         relax_kernel = _BLOCK_RELAX[prec]
 
-        def _relax(blk, r, xfull, ws, key):
-            _relax_block_numba(blk, r, xfull, ws, key, relax_kernel)
+        def _relax(blk, R, Xfull, ws, zero_guess=False):
+            """Jitted block relaxation, column by column; defers to the
+            generic body for non-ELL block storage (the partitioner's
+            default is ELL).  A zero guess needs no special case: the
+            full relaxation is bitwise what the skipped product gives."""
+            from repro.backends.partitioned_ops import _as_panels, _relax_block
 
-        @register(
-            "symgs_interior",
-            fmt="color_partitioned",
-            precision=prec,
-            backend="numba",
-        )
-        def symgs_interior_cp_numba(P, r, xfull, direction="forward", ws=None):
+            if blk.lo == blk.hi:
+                return
+            A_blk = blk.A
+            if getattr(type(A_blk), "format_name", None) != "ell":
+                _relax_block(blk, R, Xfull, ws, zero_guess)
+                return
+            R, Xfull = _as_panels(R, Xfull)
+            for j in range(Xfull.shape[1]):
+                relax_kernel(
+                    A_blk.cols, A_blk.vals, Xfull[:, j], R[:, j], blk.lo, blk.diag
+                )
+
+        def symgs_interior_cp_numba(P, R, Xfull, ws=None):
             from repro.backends.partitioned_ops import _sweep_region
 
-            _sweep_region(P, r, xfull, direction, "interior", ws, _relax)
+            _sweep_region(P, R, Xfull, "interior", ws, _relax)
 
-        @register(
-            "symgs_boundary",
-            fmt="color_partitioned",
-            precision=prec,
-            backend="numba",
-        )
-        def symgs_boundary_cp_numba(P, r, xfull, direction="forward", ws=None):
+        def symgs_boundary_cp_numba(P, R, Xfull, ws=None):
             from repro.backends.partitioned_ops import _sweep_region
 
-            _sweep_region(P, r, xfull, direction, "boundary", ws, _relax)
+            _sweep_region(P, R, Xfull, "boundary", ws, _relax)
 
-        @register(
-            "symgs_sweep",
-            fmt="color_partitioned",
-            precision=prec,
-            backend="numba",
-        )
         def symgs_sweep_cp_numba(
-            P, r, xfull, sets=None, diag_sets=None, direction="forward", ws=None
+            P,
+            R,
+            Xfull,
+            sets=None,
+            diag_sets=None,
+            direction="forward",
+            ws=None,
+            zero_guess=False,
         ):
             from repro.backends.partitioned_ops import _symgs_sweep_cp
 
-            _symgs_sweep_cp(P, r, xfull, direction, ws, _relax)
+            _symgs_sweep_cp(P, R, Xfull, direction, ws, _relax, zero_guess)
 
-        # Panel halves: per-column loop over the SAME jitted block
-        # relaxation as the single-RHS halves above, so the panel
-        # schedule stays bitwise-per-column equal to the looped
-        # schedule when this backend is active.
-        @register(
-            "symgs_interior_multi",
-            fmt="color_partitioned",
-            precision=prec,
-            backend="numba",
-        )
-        def symgs_interior_multi_cp_numba(P, R, Xfull, direction="forward", ws=None):
-            from repro.backends.partitioned_ops import _sweep_region
-
-            for j in range(Xfull.shape[1]):
-                _sweep_region(
-                    P, R[:, j], Xfull[:, j], direction, "interior", ws, _relax
-                )
-
-        @register(
-            "symgs_boundary_multi",
-            fmt="color_partitioned",
-            precision=prec,
-            backend="numba",
-        )
-        def symgs_boundary_multi_cp_numba(P, R, Xfull, direction="forward", ws=None):
-            from repro.backends.partitioned_ops import _sweep_region
-
-            for j in range(Xfull.shape[1]):
-                _sweep_region(
-                    P, R[:, j], Xfull[:, j], direction, "boundary", ws, _relax
-                )
+        # As in the NumPy module, each op and its panel twin are one
+        # function: the relaxation takes a vector or a panel and runs
+        # the same jitted kernel per column, so the panel schedule
+        # stays bitwise-per-column equal to the looped schedule when
+        # this backend is active.
+        for op, fn in (
+            ("symgs_interior", symgs_interior_cp_numba),
+            ("symgs_boundary", symgs_boundary_cp_numba),
+            ("symgs_interior_multi", symgs_interior_cp_numba),
+            ("symgs_boundary_multi", symgs_boundary_cp_numba),
+            ("symgs_sweep", symgs_sweep_cp_numba),
+        ):
+            register(op, fmt="color_partitioned", precision=prec, backend="numba")(fn)
 
     for _prec in ("fp32", "fp64"):
         _register_numba_cp(_prec)

@@ -158,24 +158,21 @@ def spmv_csr(A, x, out=None, ws=None):
 # ELL
 # ----------------------------------------------------------------------
 #: Rows per gather -> multiply -> row-reduce chunk of the ELL kernels.
-#: What the chunking buys at this size is bounded scratch — nothing
-#: scales with nnz, a 48^3 solver arena drops from 65 MB to 30 MB and
-#: the O(nnz) temporaries stop evicting the vectors between kernels —
-#: not cache blocking: a chunk's scratch (intp indices + gathered
-#: values, 16 B per slot at fp64) is 3.5 MB, above the 2 MiB L2 of the
-#: box that sized it.  There a bare 48^3 fp64 SpMV reads 8.3 ms as one
-#: chunk, 8.8 ms at 8192 rows, 8.0 at 4096, 6.4 at 2048, 6.0 at 1024
-#: (fp32: 7.9 / 7.6 / 7.0 / 6.0 / 6.6; medians of 25, best of three
-#: interleaved rounds).  It stays coarse because each chunk is four
-#: more GIL-releasing NumPy calls under thread-SPMD ranks and service
-#: workers (``service16`` ``rhs_per_s`` 24.5 at 8192, 21.9 at 2048,
-#: 21.3 at 1024; the parent reads 17-18) and because at 8192 every 16^3
-#: operand and every color block up to 32^3 is a single chunk, which
-#: the small-operator fast path below relies on.  Lowering it towards
-#: 2048 is ROADMAP item 3b's next measurement (over four pairs
-#: ``solve48`` ``tts_s`` read 8 % and ``panel32`` 10 % lower there,
-#: inside their spread); CHANGES.md (PR 16) has the runs.
-CHUNK_ROWS = 8192
+#: The chunking bounds scratch — nothing scales with nnz — and, at this
+#: size, blocks for cache: a chunk's scratch (intp indices + gathered
+#: values, 16 B per slot at fp64) is 0.9 MB, against 3.5 MB at the 8192
+#: rows PR 16 shipped; ``lscpu`` reports 4 MiB of L2 per core here.  The
+#: value is the pick of a recorded sweep, not of that arithmetic: bare
+#: 48^3 SpMV, min of 120 calls over 8 interleaved rounds, fp64 / fp32 —
+#: 9.5 / 8.0 ms at 8192 rows, 7.8 / 5.8 at 4096, 6.3 / 5.1 at 2048,
+#: 6.0 / 5.1 at 1024 (level-0 sweep 11.8 / 7.9, 8.7 / 6.9, 7.0 / 5.6,
+#: 6.6 / 5.8).  2048 takes nearly all of it with half the NumPy calls of
+#: 1024, each of which is a GIL hand-off for thread-SPMD ranks and
+#: service workers; 2048 alone left ``spmd2x32`` ``tts_s`` where it was
+#: (2.459 -> 2.451 s over four pairs).  CHANGES.md (PR 19) has the runs.
+#: A 16^3 level-0 operand is two chunks; color blocks stay one chunk up
+#: to 24^3, which the small-operator fast path below relies on.
+CHUNK_ROWS = 2048
 
 #: ``dtype == np.float16`` builds a dtype from the type on every call
 #: (~1 us — a coarse-level kernel's whole arithmetic); comparing two

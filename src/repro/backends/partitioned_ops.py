@@ -109,152 +109,136 @@ del _op, _fn, _name
 
 
 # ----------------------------------------------------------------------
-# Color-partitioned SymGS: packed color blocks under every sweep
+# Color-partitioned SymGS: slices of the level's order under every sweep
 # ----------------------------------------------------------------------
 # Every multicolor smoother sweeps this layout — serial, blocking SPMD
-# and overlapped SPMD alike.  ``symgs_sweep`` is the interleaved
-# schedule (interior block, then boundary block, per color; serial
-# layouts have one block per color and no boundary blocks);
+# and overlapped SPMD alike — and the level's vectors are stored in its
+# order, so a color block owns the slice ``[lo, hi)`` of the iterate.
+# ``symgs_sweep`` relaxes whole colors (interior block, then boundary
+# block; serial layouts have one block per color) in either direction;
 # ``symgs_interior`` sweeps every color's dependency-closed interior
 # block while the halo is in flight and ``symgs_boundary`` finishes
-# every color's boundary block after the ghosts land.  Each block
-# relaxation is ``x[rows] += (r[rows] - (A_blk x)) / diag_blk`` through
-# a *full-matrix* block kernel, so the inner ``spmv_multi`` lookup
+# every color's boundary block after the ghosts land (the forward
+# sweep's overlap split).  Each block relaxation is
+# ``x[lo:hi] += (r[lo:hi] - A_blk x) / diag[lo:hi]`` through a
+# *full-matrix* block kernel, so the inner ``spmv_multi`` lookup
 # re-dispatches on the block's own (format, precision) key — every
 # storage layout, every ladder rung and every backend is served by
 # these registrations without per-format code.
 #
-# The interleaved and the split schedules execute identical reads and
+# The whole-color and the split schedules execute identical reads and
 # writes thanks to the dependency closure (see
-# ``repro.sparse.partitioned``), and both are bitwise-equal to the
-# format-generic index-set ``symgs_sweep`` (blocks keep each row's slot
-# layout, so a block row sum is the unpartitioned row sum).
+# ``repro.sparse.partitioned``), and both are bitwise-equal, after
+# un-permuting, to the format-generic index-set ``symgs_sweep`` on
+# natural-order vectors (blocks keep each row's slot layout and every
+# slot still reads the same vector entry, so a block row sum is the
+# unpartitioned row sum).
 #
-# One relaxation body per arithmetic class, taking ``(n, N)`` panels:
-# the block SpMV is one ``spmv_multi`` (ELL streams each matrix chunk
-# once for all N columns), the update runs column by column, and a
-# column's bits do not depend on its panel-mates.  The ``_multi`` ops
-# and their single-vector twins are the same functions; a 1-D vector
-# is viewed as an ``(n, 1)`` panel on entry to the body.
+# One relaxation body, taking ``(n, N)`` panels: the block SpMV is one
+# ``spmv_multi`` (ELL streams each matrix chunk once for all N
+# columns) and the update is three panel-wide ufunc calls on slices;
+# elementwise, so a column's bits do not depend on its panel-mates.
+# The ``_multi`` ops and their single-vector twins are the same
+# functions; a 1-D vector is viewed as an ``(n, 1)`` panel on entry to
+# the body.
+
+_HALF, _SINGLE = np.dtype(np.float16), np.dtype(np.float32)
 
 
-def _relax_block(blk, R, Xfull, ws, key) -> None:
-    """One block's relaxation pass, fp32/fp64 arithmetic.
+def _block_panel(ws, key, shape, dtype):
+    if ws is None:
+        return np.empty(shape, dtype=dtype, order="F")
+    return ws.get_panel(key, *shape, dtype)
 
-    ``key`` (direction, region, pass) is part of the block-relaxation
-    signature the sweep drivers call — backends may keep per-pass
-    state under it.  This body does not: pooled scratch is keyed by
-    shape alone, so equal-sized blocks and both sweep directions share
-    one set of block vectors.
+
+def _relax_block(blk, R, Xfull, ws, zero_guess=False) -> None:
+    """One block's relaxation pass: one product, three ufunc calls.
+
+    The product lands in the matrix precision and the numerator
+    ``r - A x`` in the defect's (they differ only across a scheduled
+    grid transfer); fp16 storage does both in fp32 — in half precision
+    the near-cancelling subtraction loses every digit once the residual
+    is small — and only the store into the fp16 iterate rounds.
+
+    ``zero_guess`` promises the whole iterate, ghosts included, is
+    ``+0``: the product is then ``±0`` and is skipped, bitwise
+    (``r - ±0`` differs from ``r`` only in a zero's sign, which adding
+    to ``+0`` settles the same way).
     """
-    rows = blk.rows
-    m = len(rows)
-    if m == 0:
+    lo, hi = blk.lo, blk.hi
+    if lo == hi:
         return
     R, Xfull = _as_panels(R, Xfull)
-    ncol = R.shape[1]
-    if ws is None:
-        AX = spmv_multi(blk.A, Xfull)
-        for j in range(ncol):
-            Xfull[rows, j] += (R[rows, j] - AX[:, j]) / blk.diag
-        return
-    AX = ws.get_panel("cgs.ax", m, ncol, blk.A.dtype)
-    spmv_multi(blk.A, Xfull, out=AX, ws=ws)
-    rb = ws.get("cgs.rhs", (m,), R.dtype)
-    xb = ws.get("cgs.x", (m,), Xfull.dtype)
-    for j in range(ncol):
-        x = Xfull[:, j]
-        np.take(R[:, j], rows, out=rb, mode="clip")
-        np.subtract(rb, AX[:, j], out=rb)
-        np.divide(rb, blk.diag, out=rb)
-        np.take(x, rows, out=xb, mode="clip")
-        np.add(xb, rb, out=xb)
-        x[rows] = xb
+    r, x = R[lo:hi], Xfull[lo:hi]
+    shape = (hi - lo, R.shape[1])
+    half = blk.A.dtype == _HALF
+    ax_dtype = _SINGLE if half else blk.A.dtype
+    acc_dtype = _SINGLE if half else R.dtype
+    AX = _block_panel(ws, "cgs.ax", shape, ax_dtype)
+    acc = AX if ax_dtype == acc_dtype else _block_panel(ws, "cgs.acc", shape, acc_dtype)
+    if zero_guess:
+        np.copyto(acc, r)
+    else:
+        spmv_multi(blk.A, Xfull, out=AX, ws=ws)
+        np.subtract(r, AX, out=acc)
+    np.divide(acc, blk.diag[:, None], out=acc)
+    np.add(x, acc, out=x)
 
 
-def _relax_block_fp16(blk, R, Xfull, ws, key) -> None:
-    """One block's relaxation pass at fp16 storage, fp32 arithmetic.
-
-    Mirrors the fp16 index-set ``symgs_sweep`` kernel: the block SpMV
-    already accumulates in fp32 (and folds the row-equilibration
-    scale), the near-cancelling update runs in fp32, and only the
-    scatter back into the fp16 iterate rounds.
-    """
-    rows = blk.rows
-    m = len(rows)
-    if m == 0:
-        return
-    R, Xfull = _as_panels(R, Xfull)
-    ncol = R.shape[1]
-    if ws is None:
-        AX = np.empty((m, ncol), dtype=np.float32, order="F")
-        spmv_multi(blk.A, Xfull, out=AX)
-        diag = np.asarray(blk.diag, dtype=np.float32)
-        for j in range(ncol):
-            upd = (R[rows, j] - AX[:, j]) / diag
-            Xfull[rows, j] = Xfull[rows, j] + upd.astype(np.float32)
-        return
-    AX = ws.get_panel("cgs16.ax", m, ncol, np.float32)
-    spmv_multi(blk.A, Xfull, out=AX, ws=ws)
-    rb = ws.get("cgs16.r", (m,), R.dtype)
-    acc = ws.get("cgs16.acc", (m,), np.float32)
-    xb = ws.get("cgs16.x", (m,), Xfull.dtype)
-    for j in range(ncol):
-        x = Xfull[:, j]
-        np.take(R[:, j], rows, out=rb, mode="clip")
-        np.subtract(rb, AX[:, j], out=acc)
-        np.divide(acc, blk.diag, out=acc)
-        np.take(x, rows, out=xb, mode="clip")
-        np.add(acc, xb, out=acc)
-        x[rows] = acc
-
-
-def _sweep_region(P, r, xfull, direction, region, ws, relax) -> None:
-    sched = P.schedule(direction)
+def _sweep_region(P, R, Xfull, region, ws, relax) -> None:
     idx = 0 if region == "interior" else 1
-    for p, blocks in enumerate(sched.passes):
-        relax(blocks[idx], r, xfull, ws, (direction, region, p))
+    for blocks in P.passes:
+        relax(blocks[idx], R, Xfull, ws)
 
 
-def _symgs_sweep_cp(P, r, xfull, direction, ws, relax) -> None:
-    """Interleaved non-overlapped schedule on the same blocks."""
-    sched = P.schedule(direction)
-    for p, (interior, boundary) in enumerate(sched.passes):
-        relax(interior, r, xfull, ws, (direction, "interior", p))
-        relax(boundary, r, xfull, ws, (direction, "boundary", p))
+def _symgs_sweep_cp(P, R, Xfull, direction, ws, relax, zero_guess=False) -> None:
+    """Whole colors in sweep order.  A ``zero_guess`` sweep skips the
+    first color's products: later colors read what it wrote."""
+    if direction == "forward":
+        passes = P.passes
+    elif direction == "backward":
+        passes = reversed(P.passes)
+    else:
+        raise ValueError(f"unknown sweep direction {direction!r}")
+    for interior, boundary in passes:
+        relax(interior, R, Xfull, ws, zero_guess)
+        relax(boundary, R, Xfull, ws, zero_guess)
+        zero_guess = False
 
 
-def _register_sweeps(precision, relax) -> None:
-    """Register the sweep entry points of one arithmetic class.
-
-    ``relax`` takes a vector or a panel, so each op and its ``_multi``
-    twin are one function.
-    """
-
-    def interior(P, R, Xfull, direction="forward", ws=None):
-        """Interior half of the overlapped sweep (no ghost columns read)."""
-        _sweep_region(P, R, Xfull, direction, "interior", ws, relax)
-
-    def boundary(P, R, Xfull, direction="forward", ws=None):
-        """Boundary half of the overlapped sweep (requires landed ghosts)."""
-        _sweep_region(P, R, Xfull, direction, "boundary", ws, relax)
-
-    def sweep(
-        P, R, Xfull, sets=None, diag_sets=None, direction="forward", ws=None
-    ):
-        """Interleaved schedule: what every non-overlapped smoother
-        sweep runs (the color sets live in the partition; ``sets`` /
-        ``diag_sets`` only mirror the index-set kernel's signature)."""
-        _symgs_sweep_cp(P, R, Xfull, direction, ws, relax)
-
-    for op, fn in (
-        ("symgs_interior", interior),
-        ("symgs_boundary", boundary),
-        ("symgs_sweep", sweep),
-    ):
-        for name in (op, op + "_multi"):
-            register(name, fmt="color_partitioned", precision=precision)(fn)
+def symgs_interior(P, R, Xfull, ws=None):
+    """Interior half of the overlapped forward sweep (no ghost columns
+    read)."""
+    _sweep_region(P, R, Xfull, "interior", ws, _relax_block)
 
 
-_register_sweeps(None, _relax_block)
-_register_sweeps("fp16", _relax_block_fp16)
+def symgs_boundary(P, R, Xfull, ws=None):
+    """Boundary half of the overlapped forward sweep (requires landed
+    ghosts)."""
+    _sweep_region(P, R, Xfull, "boundary", ws, _relax_block)
+
+
+def symgs_sweep(
+    P,
+    R,
+    Xfull,
+    sets=None,
+    diag_sets=None,
+    direction="forward",
+    ws=None,
+    zero_guess=False,
+):
+    """What every non-overlapped smoother sweep runs (the color ranges
+    live in the partition; ``sets`` / ``diag_sets`` only mirror the
+    index-set kernel's signature)."""
+    _symgs_sweep_cp(P, R, Xfull, direction, ws, _relax_block, zero_guess)
+
+
+for _op, _fn in (
+    ("symgs_interior", symgs_interior),
+    ("symgs_boundary", symgs_boundary),
+    ("symgs_sweep", symgs_sweep),
+):
+    for _name in (_op, _op + "_multi"):
+        register(_name, fmt="color_partitioned")(_fn)
+del _op, _fn, _name

@@ -13,7 +13,6 @@ from repro.mg.smoothers import (
     LevelScheduledGS,
     make_smoother,
 )
-from repro.mg.reordered_gs import ReorderedMulticolorGS
 from repro.mg.restriction import (
     coarse_to_fine_map,
     fused_residual_restrict,
@@ -26,7 +25,6 @@ __all__ = [
     "MulticolorGS",
     "LevelScheduledGS",
     "make_smoother",
-    "ReorderedMulticolorGS",
     "coarse_to_fine_map",
     "fused_residual_restrict",
     "unfused_residual_restrict",

@@ -20,6 +20,14 @@ precision-specific kernels per level; cross-precision level boundaries
 cast once, at the grid transfer.  All per-level iterate and
 coarse-defect panels are pooled in the workspace arena, so one V-cycle
 performs zero array allocations after warmup.
+
+Every level lives in its smoother's row order (color-major for the
+multicolor smoother — the paper's independent-set reordering of matrix
+*and* vectors, §3.2.1): the level's iterate and defect panels, its halo
+plan's send indices and its grid-transfer maps are all in that order,
+fixed once at build, so a color block relaxes a slice.  Only
+:meth:`MultigridPreconditioner.apply_panel` sees natural order: it
+permutes the defect in and the correction out, at the fine level.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.formats import matrix_format_of, to_format
 from repro.sparse.partitioned import extract_rows, partition_colors
+from repro.sparse.reorder import column_map
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem, generate_problem
 from repro.util.timers import NullTimers
@@ -81,17 +90,27 @@ class MGConfig:
 
 @dataclass
 class MGLevel:
-    """All per-level state: matrix, halo plan, smoother, transfers."""
+    """All per-level state: matrix, halo plan, smoother, transfers.
+
+    ``A`` and ``diag`` are in natural order (the fine level's ``A`` may
+    be the solver's Krylov operator); everything the V-cycle touches —
+    ``halo_ex``'s send indices, ``f_c``, ``A_c``, the smoother's blocks
+    — is in the level's order, which the smoother fixes
+    (``smoother.order`` / ``smoother.rank``).
+    """
 
     sub: Subdomain
     A: object  # local matrix in the hierarchy's storage format
     diag: np.ndarray
     halo_ex: HaloExchange
     smoother: Smoother
-    f_c: np.ndarray | None  # map to next-coarser level (None on coarsest)
-    #: The coarse-mapped rows ``A[f_c]`` packed into one block in ``A``'s
-    #: format — what the fused restriction multiplies (``None`` on the
-    #: coarsest level and in unfused hierarchies).
+    #: Position, in this level's order, of each point of the next-coarser
+    #: level (in *its* order); ``None`` on the coarsest level.
+    f_c: np.ndarray | None
+    #: The block the restriction multiplies, rows and owned columns in
+    #: the level's order: the coarse-mapped rows (one eighth of the
+    #: level) in a fused hierarchy, the whole level matrix for the
+    #: unfused reference (``None`` on the coarsest level).
     A_c: object = None
     precision: Precision = Precision.DOUBLE  # this level's ladder rung
     #: Rung of the grid transfer *out of* this level: the coarse-defect
@@ -207,19 +226,20 @@ class MultigridPreconditioner:
         rung.  This is the seam the per-ingredient precision control
         plane drives.
 
-        Every multicolor smoother sweeps a color-packed copy of its
-        level matrix (:func:`repro.sparse.partitioned.partition_colors`),
-        and the fused restriction multiplies a packed copy of the
-        level's coarse-mapped rows (``MGLevel.A_c``, one eighth of the
-        level) — whatever the smoother kind.
+        Every multicolor smoother sweeps a color-ordered copy of its
+        level matrix (:func:`repro.sparse.partitioned.partition_colors`)
+        and fixes the level's row order with it; the fused restriction
+        multiplies a packed copy of the level's coarse-mapped rows
+        (``MGLevel.A_c``, one eighth of the level) — whatever the
+        smoother kind.
         ``overlap=True`` additionally splits each color along the
-        level's halo, so every sweep posts its halo exchange first and
-        hides it behind the dependency-closed interior color blocks —
-        bitwise-equal to the sequential schedule.  Without it (serial,
-        or SPMD behind a blocking exchange) each color is one whole
-        block and the O(nnz) closure pass is skipped.  The
-        level-scheduled smoother has no split and silently keeps the
-        blocking exchange.
+        level's halo, so every forward sweep posts its halo exchange
+        first and hides it behind the dependency-closed interior color
+        blocks — bitwise-equal to the sequential schedule.  Without it
+        (serial, or SPMD behind a blocking exchange) each color is one
+        whole block and the O(nnz) closure pass is skipped.  The
+        level-scheduled smoother has no split, keeps natural order and
+        silently keeps the blocking exchange.
         """
         config = config or MGConfig()
         format_params = dict(format_params or {})
@@ -256,7 +276,9 @@ class MultigridPreconditioner:
                 if (fine_matrix.C, fine_matrix.sigma) != want:
                     fine_matrix = None  # parameter mismatch: build fresh
 
-        levels: list[MGLevel] = []
+        # Pass 1, per level: matrix, smoother — and with the smoother
+        # the level's row order.
+        built = []
         sub = problem.sub
         level_problem = problem
         for lvl in range(config.nlevels):
@@ -268,35 +290,54 @@ class MultigridPreconditioner:
                     to_format(level_problem.A, matrix_format, **format_params),
                     prec,
                 )
-            halo_ex = HaloExchange(level_problem.halo, comm, workspace=ws)
             diag = A.diagonal()
             smoother = cls._build_smoother(
                 A, diag, sub, config, ws, level_problem.halo if overlap else None
             )
-            f_c = A_c = None
-            coarse_sub = None
+            built.append((sub, level_problem.halo, A, diag, smoother))
             if lvl < config.nlevels - 1:
-                coarse_sub = sub.coarsen(2)
-                f_c = coarse_to_fine_map(sub, coarse_sub)
-                if config.fused_restrict:
-                    A_c = extract_rows(A, f_c)
-            level = MGLevel(
-                sub=sub,
-                A=A,
-                diag=diag,
-                halo_ex=halo_ex,
-                smoother=smoother,
-                f_c=f_c,
-                A_c=A_c,
-                precision=prec,
-                transfer_precision=(
-                    transfers[lvl] if lvl < len(transfers) else None
-                ),
-            )
-            levels.append(level)
-            if f_c is not None:
-                sub = coarse_sub
+                sub = sub.coarsen(2)
                 level_problem = generate_problem(sub, spec=spec)
+
+        # Pass 2: everything that indexes a level's vectors — the halo
+        # plan's send indices and the transfer to the next level (whose
+        # order pass 1 fixed) — is re-indexed into the level's order.
+        levels: list[MGLevel] = []
+        for lvl, (sub, halo, A, diag, smoother) in enumerate(built):
+            order, rank = smoother.order, smoother.rank
+            halo_ex = HaloExchange(halo, comm, workspace=ws)
+            col_map = None
+            if order is not None:
+                col_map = column_map(rank, A.ncols)
+                halo_ex.renumber(rank)
+            f_c = A_c = None
+            if lvl < config.nlevels - 1:
+                coarse_sub, _, _, _, coarse_smoother = built[lvl + 1]
+                # Natural fine row of each coarse point, coarse points
+                # in the coarse level's order.
+                rows = coarse_to_fine_map(sub, coarse_sub)
+                if coarse_smoother.order is not None:
+                    rows = rows[coarse_smoother.order]
+                f_c = rows if rank is None else rank[rows]
+                if config.fused_restrict:
+                    A_c = extract_rows(A, rows, col_map)
+                else:
+                    A_c = A if order is None else extract_rows(A, order, col_map)
+            levels.append(
+                MGLevel(
+                    sub=sub,
+                    A=A,
+                    diag=diag,
+                    halo_ex=halo_ex,
+                    smoother=smoother,
+                    f_c=f_c,
+                    A_c=A_c,
+                    precision=schedule[lvl],
+                    transfer_precision=(
+                        transfers[lvl] if lvl < len(transfers) else None
+                    ),
+                )
+            )
         return cls(
             levels, config, schedule[0], timers, workspace=ws, overlap=overlap
         )
@@ -357,31 +398,40 @@ class MultigridPreconditioner:
         its panel-mates — the contract the panel solver's parity tests
         pin.
         """
-        ncol = R.shape[1]
+        n, ncol = R.shape
         dtype = self.precision.dtype
-        Z = (
-            out
-            if out is not None
-            else self.ws.get_panel("mg.panel.z", R.shape[0], ncol, dtype)
-        )
+        Z = out if out is not None else self.ws.get_panel("mg.panel.z", n, ncol, dtype)
         if R.dtype == dtype:
             R_prec = R
         else:
-            R_prec = self.ws.get_panel("mg.panel.rcast", R.shape[0], ncol, dtype)
+            R_prec = self.ws.get_panel("mg.panel.rcast", n, ncol, dtype)
             np.copyto(R_prec, R)
-        ZV = self._vcycle_panel(0, R_prec)
-        np.copyto(Z, ZV)
+        fine = self.levels[0].smoother
+        if fine.order is None:
+            np.copyto(Z, self._vcycle_panel(0, R_prec))
+            return Z
+        # Natural order ends here: the defect goes down in the fine
+        # level's order and the correction comes back out of it.
+        R_lvl = self.ws.get_panel("mg.panel.rlevel", n, ncol, dtype)
+        for j in range(ncol):
+            np.take(R_prec[:, j], fine.order, out=R_lvl[:, j], mode="clip")
+        ZV = self._vcycle_panel(0, R_lvl)
+        for j in range(ncol):
+            np.take(ZV[:, j], fine.rank, out=Z[:, j], mode="clip")
         return Z
 
     def _vcycle_panel(self, lvl: int, R: np.ndarray) -> np.ndarray:
         """One V-cycle level: all N columns per kernel dispatch.
 
+        ``R`` and the returned correction are in the level's order.
         The level iterate is a pooled ``(nlocal + n_ghost, N)`` panel
         (keyed per level, so the recursion never clobbers a finer
         level's state), the coarse defect a pooled ``(n_c, N)`` panel
         at the transfer rung (the fused restriction casts once on the
-        store).  Every smoother sweep and the restriction cross the
-        halo in one wide exchange for the whole panel.
+        store).  Every smoother sweep but the first and the restriction
+        cross the halo in one wide exchange for the whole panel; the
+        first sweep starts from the zeros written here, on every rank,
+        and is told so.
         """
         level = self.levels[lvl]
         cfg = self.config
@@ -395,10 +445,10 @@ class MultigridPreconditioner:
         ZF[:] = 0.0
 
         if lvl == len(self.levels) - 1:
-            self._smooth(level, R, ZF, cfg.coarse_sweeps)
+            self._smooth(level, R, ZF, cfg.coarse_sweeps, zero_guess=True)
             return ZF[: level.nlocal, :]
 
-        self._smooth(level, R, ZF, cfg.npre)
+        self._smooth(level, R, ZF, cfg.npre, zero_guess=True)
 
         with self.timers.section("restrict"):
             R_c = self.ws.get_panel(
@@ -409,7 +459,7 @@ class MultigridPreconditioner:
             )
             exchange_and_fused_restrict_panel(
                 level.halo_ex,
-                level.A_c if cfg.fused_restrict else level.A,
+                level.A_c,
                 R,
                 ZF,
                 level.f_c,
@@ -429,11 +479,17 @@ class MultigridPreconditioner:
         return ZF[: level.nlocal, :]
 
     def _smooth(
-        self, level: MGLevel, R: np.ndarray, ZF: np.ndarray, sweeps: int
+        self,
+        level: MGLevel,
+        R: np.ndarray,
+        ZF: np.ndarray,
+        sweeps: int,
+        zero_guess: bool = False,
     ) -> None:
-        """``sweeps`` distributed smoother sweeps on one level's panel."""
+        """``sweeps`` distributed smoother sweeps on one level's panel;
+        ``zero_guess`` says ``ZF`` was zeroed just before the first."""
         with self.timers.section("gs"):
-            for _ in range(sweeps):
+            for k in range(sweeps):
                 smooth_distributed_panel(
                     level.smoother,
                     level.halo_ex,
@@ -441,6 +497,7 @@ class MultigridPreconditioner:
                     ZF,
                     self.config.sweep,
                     overlap=self.overlap,
+                    zero_guess=zero_guess and k == 0,
                 )
 
     # ------------------------------------------------------------------

@@ -11,7 +11,12 @@ color blocks.
 
 The transfers are panel ops (a vector is its ``(n, 1)`` view): every
 entry point takes an ``out=`` coarse buffer and a workspace, so the
-V-cycle's transfers are allocation-free after warmup.  The coarse
+V-cycle's transfers are allocation-free after warmup.  They are
+agnostic of the row order: ``f_c`` maps coarse positions to fine
+positions in whatever order the two levels' vectors are stored, and the
+matrix block's rows and columns are in the fine level's (a built
+hierarchy hands in its levels' orders, :func:`coarse_to_fine_map` alone
+is the natural one).  The coarse
 buffer may live in a *different precision* than the fine level (ladder
 schedules assign each multigrid level its own rung): the defect is
 accumulated in the fine level's compute precision and cast once on the
@@ -28,7 +33,8 @@ from repro.parallel.halo_exchange import HaloExchange
 
 
 def coarse_to_fine_map(fine_sub: Subdomain, coarse_sub: Subdomain) -> np.ndarray:
-    """``f_c``: local fine index of each local coarse point.
+    """``f_c``: local fine index of each local coarse point, both in
+    natural (lexicographic) order.
 
     Coarse point ``(cx, cy, cz)`` maps to fine point ``(2cx, 2cy, 2cz)``
     of the same rank — coarsening never crosses subdomain boundaries, so
@@ -51,8 +57,9 @@ def fused_residual_restrict(
     """Optimized path (eq. 6): coarse defect without the full residual.
 
     ``R_c[i] = R_f[f_c(i)] - (A_f X_f)[f_c(i)]`` evaluated only at the
-    coarse-mapped rows: ``A_c`` is ``extract_rows(A_f, f_c)``, built
-    once per level.  ``Xfull_f`` must have current ghost values.
+    coarse-mapped rows: ``A_c`` holds those rows of ``A_f`` (row ``i``
+    is the fine row ``f_c(i)``), packed once per level.  ``Xfull_f``
+    must have current ghost values.
     """
     return dispatch.fused_restrict(A_c, R_f, Xfull_f, f_c, out=out, ws=ws)
 
@@ -106,9 +113,10 @@ def exchange_and_fused_restrict_panel(
     work in its fused kernel.  The whole panel's ghosts refresh in
     **one** wide exchange (one message per neighbor for all N columns),
     then ONE restriction dispatch serves every column.  ``A`` is the
-    level's restriction block when ``fused``, the level matrix
-    otherwise; ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
-    possibly in a different precision (per-level ladder schedules).
+    level's restriction block when ``fused``, the level matrix (in the
+    order ``Xfull_f`` is stored in) otherwise; ``out`` is the coarser
+    level's ``(n_c, N)`` panel buffer, possibly in a different precision
+    (per-level ladder schedules).
     """
     halo_ex.exchange_panel(Xfull_f)
     restrict = fused_residual_restrict if fused else unfused_residual_restrict

@@ -8,9 +8,10 @@ Two parallelization strategies, matching the paper's contrast (§2,
   pass ``x[c] += (r[c] - (A x)[c]) / diag[c]``.  Within a color no two
   rows couple, so the pass is embarrassingly parallel (this is the GPU
   kernel of the paper; here it is one ``symgs_sweep_multi`` dispatch
-  through the kernel registry on a color-packed copy of the matrix —
-  the paper's independent-set reordering applied to the matrix rows —
-  format-generic over CSR/ELL/SELL-C-σ).
+  through the kernel registry on a color-ordered copy of the matrix —
+  the paper's independent-set reordering, applied to the matrix and
+  to the vectors the smoother is handed — format-generic over
+  CSR/ELL/SELL-C-σ).
 - :class:`LevelScheduledGS` — the reference path: an upper-triangle
   SpMV followed by a level-scheduled lower-triangular substitution,
   bit-identical to sequential lexicographic Gauss-Seidel but with far
@@ -61,12 +62,22 @@ class Smoother(abc.ABC):
     #: the performance model charges one kernel launch per pass.
     num_passes: int
 
+    #: The row order this smoother's vectors are stored in — the
+    #: *level's order*: ``order[k]`` is the natural row at position
+    #: ``k`` and ``rank`` the inverse (natural row -> position); both
+    #: ``None`` for natural order.  The multigrid hierarchy keeps every
+    #: level's vectors, halo plan and grid transfers in it.
+    order: np.ndarray | None = None
+    rank: np.ndarray | None = None
+
     @abc.abstractmethod
     def forward(self, r: np.ndarray, xfull: np.ndarray) -> None:
         """One forward sweep for ``A x = r``, updating ``xfull[:n]``.
 
-        ``xfull`` holds the current iterate in its owned segment and
-        current ghost values (exchanged by the caller) in the rest.
+        ``r`` and the owned segment of ``xfull`` are in the level's
+        order (:attr:`order`); ``xfull`` holds the current iterate in
+        its owned segment and current ghost values (exchanged by the
+        caller, in the halo plan's layout) in the rest.
         """
 
     @abc.abstractmethod
@@ -79,21 +90,40 @@ class Smoother(abc.ABC):
         self.backward(r, xfull)
 
     # Panel sweeps ----------------------------------------------------
-    # ``R``/``Xfull`` are column-major (n, N) panels; column ``j`` must
-    # sweep bitwise-identically to the single-RHS methods on
-    # ``R[:, j]``/``Xfull[:, j]``.  The base implementations loop the
-    # columns; smoothers whose kernels have a panel registration
-    # (MulticolorGS) override with one dispatch for the whole panel.
+    # ``R``/``Xfull`` are column-major (n, N) panels in the level's
+    # order; column ``j`` must sweep bitwise-identically to the
+    # single-RHS methods on ``R[:, j]``/``Xfull[:, j]``.  The base
+    # implementations loop the columns; smoothers whose kernels have a
+    # panel registration (MulticolorGS) override with one dispatch for
+    # the whole panel.
 
     def forward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        """One forward sweep of every panel column."""
+        """One forward sweep of every panel column (level's order)."""
         for j in range(R.shape[1]):
             self.forward(R[:, j], Xfull[:, j])
 
     def backward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        """One backward sweep of every panel column."""
+        """One backward sweep of every panel column (level's order)."""
         for j in range(R.shape[1]):
             self.backward(R[:, j], Xfull[:, j])
+
+    def sweep_panel(
+        self,
+        R: np.ndarray,
+        Xfull: np.ndarray,
+        direction: str,
+        zero_guess: bool = False,
+    ) -> None:
+        """One directional panel sweep.  ``zero_guess`` is the caller's
+        promise that ``Xfull`` is ``+0`` everywhere, ghosts included —
+        work that only multiplies those zeros may be skipped, bitwise
+        (nothing to skip in the base implementation)."""
+        if direction == "forward":
+            self.forward_panel(R, Xfull)
+        elif direction == "backward":
+            self.backward_panel(R, Xfull)
+        else:
+            raise ValueError(f"unknown sweep direction {direction!r}")
 
     #: Whether :meth:`sweep_overlapped_panel` actually hides the
     #: exchange (smoothers without a color partition fall back to the
@@ -117,12 +147,7 @@ class Smoother(abc.ABC):
         the whole panel's interior compute hides the wide exchange.
         """
         halo_ex.exchange_panel(Xfull)
-        if direction == "forward":
-            self.forward_panel(R, Xfull)
-        elif direction == "backward":
-            self.backward_panel(R, Xfull)
-        else:
-            raise ValueError(f"unknown sweep direction {direction!r}")
+        self.sweep_panel(R, Xfull, direction)
 
     def sweep_overlapped(
         self,
@@ -142,13 +167,14 @@ class MulticolorGS(Smoother):
 
     Because rows of a color are mutually independent, the relaxation
     update over a color equals the classic triangular-solve form of GS
-    restricted to that color.  Every sweep reads the color-packed
+    restricted to that color.  Every sweep reads the color-ordered
     layout (:class:`~repro.sparse.partitioned.ColorPartitionedMatrix`):
-    each color's rows were copied into one contiguous block at setup,
-    so a sweep streams every block — the whole matrix — exactly once
-    and copies no matrix rows.  The blocks cost one extra copy of the
-    matrix beside ``A`` (which the fine level's Krylov operator and the
-    unfused reference restriction keep using; the fused restriction
+    each color's rows were copied into one contiguous block at setup
+    and the vectors are stored in the same order (:attr:`order`), so a
+    sweep streams every block — the whole matrix — exactly once,
+    copies no matrix rows, and updates slices.  The blocks cost one
+    extra copy of the matrix beside ``A`` (which the fine level's
+    Krylov operator keeps using, in natural order; the restriction
     multiplies a block of its own).  Works with any format the
     partition can extract rows of (CSR, ELL, SELL-C-σ, row-equilibrated
     fp16 ELL).
@@ -167,22 +193,24 @@ class MulticolorGS(Smoother):
         self.sets = sets
         self.ws = ws
         self.num_passes = len(sets)
-        #: The color-packed layout every sweep dispatches on.  Built
+        #: The color-ordered layout every sweep dispatches on.  Built
         #: here without the halo split unless the caller hands in a
         #: split one (:func:`~repro.sparse.partitioned.partition_colors`
-        #: with the level's halo), which adds the overlapped sweep:
-        #: every color's dependency-closed interior block runs while
-        #: the halo is in flight, its boundary block after the ghosts
-        #: land — bitwise-equal to the sequential sweep.
+        #: with the level's halo), which adds the overlapped forward
+        #: sweep: every color's dependency-closed interior block runs
+        #: while the halo is in flight, its boundary block after the
+        #: ghosts land — bitwise-equal to the sequential sweep.
         self.partition = (
             partition
             if partition is not None
             else partition_colors(A, None, sets, diag=diag)
         )
+        self.order = self.partition.order
+        self.rank = self.partition.rank
 
     @property
     def supports_overlap(self) -> bool:
-        return self.partition.interior_mask is not None
+        return self.partition.split
 
     def forward(self, r: np.ndarray, xfull: np.ndarray) -> None:
         self.forward_panel(r[:, None], xfull[:, None])
@@ -191,10 +219,28 @@ class MulticolorGS(Smoother):
         self.backward_panel(r[:, None], xfull[:, None])
 
     def forward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        symgs_sweep_multi(self.partition, R, Xfull, direction="forward", ws=self.ws)
+        self.sweep_panel(R, Xfull, "forward")
 
     def backward_panel(self, R: np.ndarray, Xfull: np.ndarray) -> None:
-        symgs_sweep_multi(self.partition, R, Xfull, direction="backward", ws=self.ws)
+        self.sweep_panel(R, Xfull, "backward")
+
+    def sweep_panel(
+        self,
+        R: np.ndarray,
+        Xfull: np.ndarray,
+        direction: str,
+        zero_guess: bool = False,
+    ) -> None:
+        """Whole colors in sweep order; a ``zero_guess`` sweep skips
+        the first color's block products."""
+        symgs_sweep_multi(
+            self.partition,
+            R,
+            Xfull,
+            direction=direction,
+            ws=self.ws,
+            zero_guess=zero_guess,
+        )
 
     def sweep_overlapped_panel(
         self,
@@ -203,29 +249,29 @@ class MulticolorGS(Smoother):
         Xfull: np.ndarray,
         direction: str = "forward",
     ) -> None:
-        """Panel sweep behind one wide exchange, interior compute first.
+        """Forward panel sweep behind one wide exchange, interior
+        compute first.
 
         The paper's §3.2.3 schedule applied to the smoother, extended
         to the dependency-closed interior of *every* color: post
         **one** wide exchange (all columns, one message per neighbor),
         relax every column's interior color blocks while it flies,
         land all ghosts at once, finish every column's boundary
-        blocks.  Per column the block kernels run in the same order at
-        every width, so a column's sweep does not depend on its
-        panel-mates.  On a layout without the halo split this degrades
-        to the sequential exchange-then-sweep schedule.
+        blocks.  The block kernels run in the same order at every
+        width, so a column's sweep does not depend on its panel-mates.
+        The level's order is the *forward* closure's, so a backward
+        sweep — and any sweep on a layout without the halo split —
+        takes the sequential exchange-then-sweep schedule.
         """
-        if not self.supports_overlap:
+        if direction != "forward" or not self.supports_overlap:
             super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
             return
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"unknown sweep direction {direction!r}")
         pending = halo_ex.exchange_begin_panel(Xfull)
         # Interior colors compute while the messages are in transit ...
-        symgs_interior_multi(self.partition, R, Xfull, direction, ws=self.ws)
+        symgs_interior_multi(self.partition, R, Xfull, ws=self.ws)
         # ... land the ghosts, then finish every color's boundary rows.
         halo_ex.exchange_finish_panel(pending, Xfull)
-        symgs_boundary_multi(self.partition, R, Xfull, direction, ws=self.ws)
+        symgs_boundary_multi(self.partition, R, Xfull, ws=self.ws)
 
 
 class LevelScheduledGS(Smoother):
@@ -302,6 +348,7 @@ def smooth_distributed_panel(
     Xfull: np.ndarray,
     direction: str = "forward",
     overlap: bool = False,
+    zero_guess: bool = False,
 ) -> None:
     """One distributed panel sweep: one wide exchange per sweep.
 
@@ -310,30 +357,27 @@ def smooth_distributed_panel(
     is O(1) in the panel width.  With ``overlap=True`` each directional
     sweep runs through :meth:`Smoother.sweep_overlapped_panel` — the
     wide exchange posts first and the whole panel's interior color
-    blocks hide it (bitwise-equal to the sequential schedule; smoothers
-    without a partition fall back to it).  A symmetric sweep overlaps
-    each direction's exchange independently, exactly mirroring the
-    sequential pair.  Per column the schedule composes the same kernels
-    in the same order at every panel width.
+    blocks hide it (bitwise-equal to the sequential schedule; backward
+    sweeps and smoothers without a split partition fall back to it).  A
+    symmetric sweep is the forward sweep then the backward one, each
+    behind its own exchange.  Per column the schedule composes the same
+    kernels in the same order at every panel width.
+
+    ``zero_guess`` is what the V-cycle knows right after it zeroed the
+    level iterate — ``Xfull`` is ``+0`` on every rank, ghosts included:
+    the first directional sweep then posts no exchange (it would ship
+    zeros onto zeros) and may skip what only multiplies them.
     """
-    if overlap:
-        if direction == "symmetric":
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, "forward")
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, "backward")
+    steps = ("forward", "backward") if direction == "symmetric" else (direction,)
+    for step in steps:
+        if zero_guess:
+            smoother.sweep_panel(R, Xfull, step, zero_guess=True)
+            zero_guess = False
+        elif overlap:
+            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, step)
         else:
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, direction)
-        return
-    halo_ex.exchange_panel(Xfull)
-    if direction == "forward":
-        smoother.forward_panel(R, Xfull)
-    elif direction == "backward":
-        smoother.backward_panel(R, Xfull)
-    elif direction == "symmetric":
-        smoother.forward_panel(R, Xfull)
-        halo_ex.exchange_panel(Xfull)
-        smoother.backward_panel(R, Xfull)
-    else:
-        raise ValueError(f"unknown sweep direction {direction!r}")
+            halo_ex.exchange_panel(Xfull)
+            smoother.sweep_panel(R, Xfull, step)
 
 
 def smooth_distributed(

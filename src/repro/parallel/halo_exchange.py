@@ -117,6 +117,21 @@ class HaloExchange:
     def num_neighbors(self) -> int:
         return len(self._plan)
 
+    def renumber(self, rank: np.ndarray) -> None:
+        """Re-index the send plan for vectors stored in a permuted row
+        order (``rank[i]`` is the position of natural row ``i``).
+
+        Only where the sender *reads* each point moves: a message keeps
+        its point order, so the receiver's ghost blocks — and the ghost
+        tail every matrix column refers to — are untouched.  (The
+        pattern, and with it :attr:`interior_rows` /
+        :attr:`boundary_rows`, stays in natural numbering.)
+        """
+        self._plan = [
+            (nb, rank[send_idx], send_tag, recv_tag, ghost_slice)
+            for nb, send_idx, send_tag, recv_tag, ghost_slice in self._plan
+        ]
+
     def full_vector(self, x_local: np.ndarray) -> np.ndarray:
         """Allocate owned+ghost storage and copy the owned part in."""
         xfull = np.zeros(self.nlocal + self.n_ghost, dtype=x_local.dtype)

@@ -182,6 +182,14 @@ class KernelModel:
             precision=prec,
         )
 
+    def gs_color_matrix_bytes(
+        self, n: int, prec: Precision, num_colors: int = 8, fmt: str = "ell"
+    ) -> float:
+        """Matrix-block bytes one color pass of :meth:`gs_sweep`
+        streams — what a sweep from the zero guess does not read (its
+        first color multiplies zeros)."""
+        return n * self._matrix_block_bytes(prec, fmt) / num_colors
+
     def gs_levelscheduled(
         self, n: int, prec: Precision, num_levels: int, fmt: str = "csr"
     ) -> KernelCost:

@@ -235,6 +235,21 @@ class ScalingModel:
             total += kept / n
         return total / num_colors
 
+    def _level_sweeps(self, lvl: int) -> tuple[int, int]:
+        """``(directional sweeps, zero-guess ones among them)`` of one
+        V-cycle at a level.
+
+        The V-cycle zeroes a level's iterate right before its
+        pre-smooth (the coarsest level's only smooth), on every rank:
+        the first directional sweep after that posts no halo exchange,
+        and a multicolor one skips its first color's matrix stream.
+        """
+        cfg = self.mg_config
+        mult = 2 if cfg.sweep == "symmetric" else 1
+        if lvl == self.nlevels - 1:
+            return cfg.coarse_sweeps * mult, int(cfg.coarse_sweeps > 0)
+        return (cfg.npre + cfg.npost) * mult, int(cfg.npre > 0)
+
     # ------------------------------------------------------------------
     # Per-operation times
     # ------------------------------------------------------------------
@@ -403,28 +418,29 @@ class ScalingModel:
 
         ``symgs`` is the smoother-sweep traffic (all levels, charged
         on the color-partitioned layout when the smoother overlap is
-        on — the index-set indirection disappears with it);
+        on — the index-set indirection disappears with it; a multicolor
+        sweep from the zero guess does not stream its first color's
+        matrix block, see :meth:`_level_sweeps`);
         ``transfer`` covers the restrictions and prolongations.  The
         split is what lets the benchmark record and its CI gate track
         the dominant motif's modeled bytes on their own.
         """
-        cfg = self.mg_config
-        sweep_mult = 2 if cfg.sweep == "symmetric" else 1
         transfer_of = getattr(policy, "transfer_level", None)
-        color_blocks = self.overlap_symgs and self.smoother == "multicolor"
+        multicolor = self.smoother == "multicolor"
+        color_blocks = self.overlap_symgs and multicolor
         symgs = transfer = 0.0
         for lvl in range(self.nlevels):
             prec = policy.mg_level(lvl)
             n = self.level_nlocal(lvl)
-            sweeps = (
-                cfg.coarse_sweeps
-                if lvl == self.nlevels - 1
-                else cfg.npre + cfg.npost
-            )
+            sweeps, from_zero = self._level_sweeps(lvl)
             cost = self.km.gs_sweep(
                 n, prec, fmt=self.fmt, color_blocks=color_blocks, panel=panel
             )
-            symgs += sweeps * sweep_mult * cost.nbytes
+            symgs += sweeps * cost.nbytes
+            if multicolor:
+                symgs -= from_zero * self.km.gs_color_matrix_bytes(
+                    n, prec, fmt=self.fmt
+                )
             if lvl == self.nlevels - 1:
                 continue
             n_c = self.level_nlocal(lvl + 1)
@@ -454,24 +470,19 @@ class ScalingModel:
         therefore exchanged) at the rung, so an ``fp16:fp32:fp64``
         schedule moves measurably fewer bytes over the wire than an
         all-fp32 one, exactly as it does through HBM.  Exchanges per
-        cycle: one per smoother sweep and one per restriction at every
+        cycle: one per smoother sweep that does not start from the zero
+        guess (:meth:`_level_sweeps`) and one per restriction at every
         V-cycle level, one per inner SpMV at ``policy.matrix``, and the
         outer fp64 residual's exchange.
         """
         from repro.perf.network import halo_message_counts
 
-        cfg = self.mg_config
-        sweep_mult = 2 if cfg.sweep == "symmetric" else 1
         vcycle = 0.0
         for lvl in range(self.nlevels):
             pts = halo_message_counts(self.level_local_dims(lvl))["points"]
             width = policy.mg_level(lvl).bytes
-            sweeps = (
-                cfg.coarse_sweeps
-                if lvl == self.nlevels - 1
-                else cfg.npre + cfg.npost
-            )
-            vcycle += sweeps * sweep_mult * pts * width
+            sweeps, from_zero = self._level_sweeps(lvl)
+            vcycle += (sweeps - from_zero) * pts * width
             if lvl != self.nlevels - 1:
                 vcycle += pts * width  # the restriction's residual SpMV
         m = self.restart
@@ -481,29 +492,27 @@ class ScalingModel:
         total += fine_pts * Precision.DOUBLE.bytes  # outer residual
         return total
 
+    def vcycle_halo_exchanges(self) -> int:
+        """Halo-exchange *rounds* in one V-cycle, per GCD: one per
+        smoother sweep that does not start from the zero guess
+        (:meth:`_level_sweeps`) and one per restriction."""
+        rounds = self.nlevels - 1  # the restrictions' residual exchanges
+        for lvl in range(self.nlevels):
+            sweeps, from_zero = self._level_sweeps(lvl)
+            rounds += sweeps - from_zero
+        return rounds
+
     def cycle_halo_exchanges(self) -> int:
         """Halo-exchange *rounds* in one restart cycle, per GCD.
 
-        One round per smoother sweep and one per restriction at every
-        V-cycle level (``(m + 1)`` V-cycles), one per inner SpMV, and
-        the outer fp64 residual's round.  A round is one post-to-all-
-        neighbors/wait-all window regardless of how many columns ride
-        it — the unit the panel-native pipeline coalesces.
+        ``(m + 1)`` V-cycles (:meth:`vcycle_halo_exchanges`), one round
+        per inner SpMV, and the outer fp64 residual's round.  A round
+        is one post-to-all-neighbors/wait-all window regardless of how
+        many columns ride it — the unit the panel-native pipeline
+        coalesces.
         """
-        cfg = self.mg_config
-        sweep_mult = 2 if cfg.sweep == "symmetric" else 1
-        vcycle = 0
-        for lvl in range(self.nlevels):
-            sweeps = (
-                cfg.coarse_sweeps
-                if lvl == self.nlevels - 1
-                else cfg.npre + cfg.npost
-            )
-            vcycle += sweeps * sweep_mult
-            if lvl != self.nlevels - 1:
-                vcycle += 1  # the restriction's residual exchange
         m = self.restart
-        return (m + 1) * vcycle + m + 1
+        return (m + 1) * self.vcycle_halo_exchanges() + m + 1
 
     def cycle_halo_messages(self, panel: int = 1) -> float:
         """Modeled network *messages* of one restart cycle, per GCD.
@@ -538,19 +547,13 @@ class ScalingModel:
         """
         from repro.perf.network import halo_message_counts
 
-        cfg = self.mg_config
-        sweep_mult = 2 if cfg.sweep == "symmetric" else 1
         symgs_overlapped = self.overlap_symgs and self.smoother == "multicolor"
         overlapped = exposed = 0.0
         for lvl in range(self.nlevels):
             pts = halo_message_counts(self.level_local_dims(lvl))["points"]
             width = policy.mg_level(lvl).bytes
-            sweeps = (
-                cfg.coarse_sweeps
-                if lvl == self.nlevels - 1
-                else cfg.npre + cfg.npost
-            )
-            sweep_bytes = sweeps * sweep_mult * pts * width
+            sweeps, from_zero = self._level_sweeps(lvl)
+            sweep_bytes = (sweeps - from_zero) * pts * width
             if symgs_overlapped:
                 overlapped += sweep_bytes
             else:

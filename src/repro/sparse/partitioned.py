@@ -38,26 +38,33 @@ unpartitioned kernel — as they are for CSR and ELL.
 exchanged at the level's ladder rung while the equilibration scales are
 carried across the partition unchanged.
 
-**Color-partitioned SymGS (PR 5, PR 16).**  The multicolor Gauss-Seidel
-sweep reads the same kind of layout via :func:`partition_colors`: every
-color's rows are packed into contiguous blocks once, so a color pass
-streams its block instead of copying rows out of the matrix — the
-paper's independent-set reordering (§3.2.1).  Every smoother sweeps
-this layout; without a halo pattern (serial, or SPMD behind a blocking
-exchange) each color is one whole block.  With one, every color set
-is split into an *interior* and a *boundary* row block.  Unlike SpMV,
-a Gauss-Seidel color pass reads values written by earlier passes, so
-the interior set must be **dependency-closed**, not merely
-ghost-free: a row may run before the halo lands only if (a) its
-stencil touches no ghost column and (b) every neighbor updated by an
-*earlier* color pass is itself interior.  Under that closure the
-overlapped schedule — post the halo, sweep every color's interior
-block, land the ghosts, sweep every color's boundary block — executes
-*exactly* the reads and writes of the sequential per-color sweep and
-is therefore bitwise-equal to it (the property the cross-rank parity
-suite asserts).  The closure erodes roughly one layer per
-earlier color from the subdomain faces, so fine levels hide almost
-the whole sweep behind the exchange while tiny coarse boxes may
+**Color-partitioned SymGS (PR 5, PR 16, PR 19).**  The multicolor
+Gauss-Seidel sweep reads the same kind of layout via
+:func:`partition_colors`, which applies the paper's independent-set
+reordering (§3.2.1) to the matrix *and* the vectors: it fixes the
+level's row order as color-major, packs every color's rows into
+contiguous blocks once, and renumbers the blocks' owned columns into
+that order (the ghost tail stays where the halo plan put it).  Vectors
+of the level are stored in the same order, so a color block relaxes the
+slice ``[lo, hi)`` of the iterate — no gather, no scatter — and streams
+its block instead of copying rows out of the matrix.  Every smoother
+sweeps this layout; without a halo pattern (serial, or SPMD behind a
+blocking exchange) each color is one whole block.  With one, every
+color's rows are ordered *interior* first, *boundary* after, and packed
+as those two blocks.  Unlike SpMV, a Gauss-Seidel color pass reads
+values written by earlier passes, so the interior set must be
+**dependency-closed**, not merely ghost-free: a row may run before the
+halo lands only if (a) its stencil touches no ghost column and (b)
+every neighbor updated by an *earlier* color pass is itself interior.
+Under that closure the overlapped forward schedule — post the halo,
+sweep every color's interior block, land the ghosts, sweep every
+color's boundary block — executes *exactly* the reads and writes of the
+sequential per-color sweep and is therefore bitwise-equal to it (the
+property the cross-rank parity suite asserts).  The closure is the
+forward sweep's; a backward sweep relaxes whole colors (both blocks) in
+reverse behind a blocking exchange.  The closure erodes roughly one
+layer per earlier color from the subdomain faces, so fine levels hide
+almost the whole sweep behind the exchange while tiny coarse boxes may
 degenerate to an empty interior (the Fig. 9b coarse-level exposure) —
 correct in both regimes.
 """
@@ -70,6 +77,7 @@ from repro.fp.precision import Precision
 from repro.geometry.halo import HaloPattern
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
+from repro.sparse.reorder import column_map, inverse_permutation
 from repro.sparse.scaled import ScaledELLMatrix
 from repro.sparse.sellcs import SELLCSMatrix, _WidthBlock
 
@@ -169,7 +177,11 @@ class PartitionedMatrix:
         )
 
 
-def _csr_rows(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
+def _relabel(cols: np.ndarray, col_map: np.ndarray | None) -> np.ndarray:
+    return cols if col_map is None else col_map[cols]
+
+
+def _csr_rows(csr: CSRMatrix, rows: np.ndarray, col_map=None) -> CSRMatrix:
     """Row-subset CSR preserving within-row entry order and dtype."""
     lens = (csr.indptr[rows + 1] - csr.indptr[rows]).astype(np.int64)
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -179,7 +191,7 @@ def _csr_rows(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
         flat = np.repeat(csr.indptr[rows], lens) + (
             np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
         )
-        indices = csr.indices[flat]
+        indices = _relabel(csr.indices[flat], col_map)
         data = csr.data[flat]
     else:
         indices = np.zeros(0, dtype=csr.indices.dtype)
@@ -187,7 +199,7 @@ def _csr_rows(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
     return CSRMatrix(indptr=indptr, indices=indices, data=data, ncols=csr.ncols)
 
 
-def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray) -> SELLCSMatrix:
+def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray, col_map=None) -> SELLCSMatrix:
     """Row-subset SELL-C-σ block that keeps every row in its width slab.
 
     Re-chunking the subset would pad a row to a different width than
@@ -210,7 +222,7 @@ def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray) -> SELLCSMatrix:
             _WidthBlock(
                 width=src.width,
                 rows=sel,
-                cols=src.cols[slots],
+                cols=_relabel(src.cols[slots], col_map),
                 vals=src.vals[slots],
             )
         )
@@ -234,7 +246,7 @@ def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray) -> SELLCSMatrix:
     )
 
 
-def extract_rows(A, rows: np.ndarray):
+def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
     """Row-subset block in A's own format, values and scales preserved.
 
     The one packing every block layout is built from: the SpMV
@@ -244,20 +256,28 @@ def extract_rows(A, rows: np.ndarray):
     bitwise-identical to the unpartitioned kernel's: ELL-family
     matrices slice their dense arrays, CSR slices its ranges (entry
     order kept), SELL-C-σ slices its width slabs (:func:`_sellcs_rows`).
+
+    ``col_map`` (length ``A.ncols``,
+    :func:`repro.sparse.reorder.column_map`) relabels every
+    stored column — padding slots included, so each slot still reads
+    the same vector entry once the vector is stored in the new order,
+    and the row sums do not move a bit.
     """
     if isinstance(A, ScaledELLMatrix):
         return ScaledELLMatrix(
-            cols=A.cols[rows],
+            cols=_relabel(A.cols[rows], col_map),
             vals=A.vals[rows],
             ncols=A.ncols,
             row_scale=A.row_scale[rows],
         )
     if isinstance(A, ELLMatrix):
-        return ELLMatrix(cols=A.cols[rows], vals=A.vals[rows], ncols=A.ncols)
+        return ELLMatrix(
+            cols=_relabel(A.cols[rows], col_map), vals=A.vals[rows], ncols=A.ncols
+        )
     if isinstance(A, CSRMatrix):
-        return _csr_rows(A, rows)
+        return _csr_rows(A, rows, col_map)
     if isinstance(A, SELLCSMatrix):
-        return _sellcs_rows(A, rows)
+        return _sellcs_rows(A, rows, col_map)
     raise TypeError(
         f"cannot partition {type(A).__name__}; expected a CSR/ELL/SELL-C-σ "
         "local matrix"
@@ -300,47 +320,33 @@ def _local_adjacency_csr(A, nlocal: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sweep_overlap_split(
-    A,
-    sets: list[np.ndarray],
-    interior_mask: np.ndarray,
-    order: "list[int] | range | None" = None,
+    A, sets: list[np.ndarray], interior_mask: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Dependency-closed (interior, boundary) rows per color set.
-
-    ``order`` is the sweep order over color indices (default ascending:
-    a forward sweep; pass ``reversed(range(ncolors))`` for backward).
-    Returned in *color-index* order regardless of ``order``.
+    """Dependency-closed (interior, boundary) rows per color set, for
+    the forward sweep (colors in ascending order).
 
     A row of color ``c`` is interior ("early") iff its stencil touches
-    no ghost column **and** every local neighbor whose color runs
-    earlier in ``order`` is itself early.  That single fixpoint makes
-    the split schedule — all early blocks in sweep order, then all
-    late blocks in sweep order — read exactly the values the
-    sequential per-color sweep reads (see the module docstring), which
-    is what makes the overlapped SymGS bitwise-equal at fp64.  Because
-    the predicate only consults earlier-order colors, one pass over
-    the colors in sweep order computes the fixpoint exactly.
+    no ghost column **and** every local neighbor of an earlier color is
+    itself early.  That single fixpoint makes the split schedule — all
+    early blocks in sweep order, then all late blocks in sweep order —
+    read exactly the values the sequential per-color sweep reads (see
+    the module docstring), which is what makes the overlapped SymGS
+    bitwise-equal to it.  Because the predicate only consults earlier
+    colors, one pass over the colors in sweep order computes the
+    fixpoint exactly.
     """
-    ncolors = len(sets)
     nlocal = len(interior_mask)
-    if order is None:
-        order = range(ncolors)
-    order = list(order)
     indptr, nbr = _local_adjacency_csr(A, nlocal)
-    # Sweep position of each row's color (large = never swept; unused).
-    pos_of_color = np.full(ncolors, ncolors, dtype=np.int64)
-    for p, c in enumerate(order):
-        pos_of_color[c] = p
-    row_pos = np.empty(nlocal, dtype=np.int64)
+    color_of = np.empty(nlocal, dtype=np.int64)
     for c, rows in enumerate(sets):
-        row_pos[rows] = pos_of_color[c]
+        color_of[rows] = c
 
     early = np.zeros(nlocal, dtype=bool)
-    split: list[tuple[np.ndarray, np.ndarray] | None] = [None] * ncolors
-    for p, c in enumerate(order):
-        rows = np.ascontiguousarray(sets[c], dtype=np.int64)
+    split: list[tuple[np.ndarray, np.ndarray]] = []
+    for c, rows in enumerate(sets):
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
         cand = interior_mask[rows]
-        if cand.any() and p > 0:
+        if cand.any() and c > 0:
             crows = rows[cand]
             lens = indptr[crows + 1] - indptr[crows]
             total = int(lens.sum())
@@ -349,8 +355,8 @@ def sweep_overlap_split(
                     np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
                 )
                 nb = nbr[flat]
-                # An earlier-order neighbor that is not early blocks us.
-                viol = (row_pos[nb] < p) & ~early[nb]
+                # An earlier-color neighbor that is not early blocks us.
+                viol = (color_of[nb] < c) & ~early[nb]
                 ok = np.ones(len(crows), dtype=bool)
                 starts = np.cumsum(lens) - lens
                 nonempty = lens > 0
@@ -362,65 +368,57 @@ def sweep_overlap_split(
                 good[np.nonzero(cand)[0]] = ok
                 cand = good
         early[rows[cand]] = True
-        split[c] = (rows[cand], rows[~cand])
-    return split  # type: ignore[return-value]
+        split.append((rows[cand], rows[~cand]))
+    return split
 
 
 class _ColorBlock:
-    """One color's rows restricted to a region, with its matrix block.
+    """The rows ``[lo, hi)`` of the level's order — one color's rows of
+    one region — with their matrix block.
 
     The block shares the source matrix's storage format and full local
-    column space, so a full-matrix ``spmv`` on it computes exactly the
-    rows' relaxation numerators — no row-subset index arithmetic on
-    the hot path (the same property the SpMV partition relies on).
+    column space (owned columns in the level's order), so a full-matrix
+    ``spmv`` on it computes exactly the rows' relaxation numerators and
+    the update is arithmetic on the slice ``[lo, hi)`` of the level's
+    vectors — no index array on the hot path.  ``A`` is ``None`` for an
+    empty range.
     """
 
-    __slots__ = ("rows", "A", "diag")
+    __slots__ = ("lo", "hi", "A", "diag")
 
-    def __init__(self, rows: np.ndarray, A_block, diag: np.ndarray) -> None:
-        self.rows = rows
+    def __init__(self, lo: int, hi: int, A_block, diag: np.ndarray) -> None:
+        self.lo = lo
+        self.hi = hi
         self.A = A_block
         self.diag = diag
 
 
-class SweepSchedule:
-    """The per-color (interior, boundary) blocks of one sweep direction."""
-
-    def __init__(
-        self, direction: str, passes: list[tuple[_ColorBlock, _ColorBlock]]
-    ) -> None:
-        self.direction = direction
-        #: (interior, boundary) block pairs in *sweep order*.
-        self.passes = passes
-
-    @property
-    def interior_rows(self) -> int:
-        return sum(len(i.rows) for i, _ in self.passes)
-
-    @property
-    def boundary_rows(self) -> int:
-        return sum(len(b.rows) for _, b in self.passes)
-
-
 class ColorPartitionedMatrix:
-    """A local matrix packed per color: the layout every multicolor
-    Gauss-Seidel sweep reads.
+    """A local matrix in the smoother's order: the layout every
+    multicolor Gauss-Seidel sweep reads, and the row order the level's
+    vectors are stored in.
 
-    Dispatches through the registry ops ``symgs_sweep`` (the
-    interleaved schedule every non-overlapped sweep runs) and
-    ``symgs_interior`` / ``symgs_boundary`` (the overlapped halves).
-    Schedules are built lazily per sweep direction (the benchmark's
-    default sweep is forward-only) and cached; block extraction reuses
-    the SpMV partition's row-subset machinery, so every format —
-    including SELL-C-σ and row-equilibrated fp16 with per-block scales
-    — is covered.
+    ``order[k]`` is the natural row at position ``k`` (``rank`` is the
+    inverse): color-major, and inside a color the dependency-closed
+    interior rows before the boundary rows when the layout is split
+    along a halo.  ``passes`` holds one ``(interior, boundary)``
+    :class:`_ColorBlock` pair per color, consecutive ranges of that
+    order; ``diag`` is the relaxation diagonal in it.
 
-    ``interior_mask=None`` builds the layout without the halo split:
-    every color is one whole block (its boundary block empty) and no
-    dependency closure is computed.  That is the serial layout, and the
-    layout of an SPMD smoother that exchanges before it sweeps — its
-    "interior" blocks do read ghost columns, so it cannot run the
-    overlapped halves.
+    Dispatches through the registry ops ``symgs_sweep`` (whole colors
+    in either direction — what every non-overlapped sweep runs) and
+    ``symgs_interior`` / ``symgs_boundary`` (the halves of the
+    overlapped forward sweep).  Block extraction reuses the SpMV
+    partition's row-subset machinery, so every format — including
+    SELL-C-σ and row-equilibrated fp16 with per-block scales — is
+    covered.
+
+    ``split=False`` is the layout without the halo split: every color
+    is one whole block (its boundary range empty) and no dependency
+    closure was computed.  That is the serial layout, and the layout of
+    an SPMD smoother that exchanges before it sweeps — its "interior"
+    blocks do read ghost columns, so it cannot run the overlapped
+    halves.
     """
 
     format_name = "color_partitioned"
@@ -428,27 +426,31 @@ class ColorPartitionedMatrix:
     def __init__(
         self,
         A,
-        sets: list[np.ndarray],
-        interior_mask: np.ndarray | None,
+        split_sets: list[tuple[np.ndarray, np.ndarray]],
         diag: np.ndarray,
-        nlocal: int,
-        ncols: int,
+        split: bool,
     ) -> None:
-        self.A = A
-        self.sets = sets
-        self.interior_mask = interior_mask
-        self.diag = diag
-        self.nlocal = nlocal
-        self.ncols = ncols
         from repro.backends.dispatch import matrix_format
 
+        self.dtype = A.dtype
+        self.nlocal = A.nrows
+        self.ncols = A.ncols
         self.block_format = matrix_format(A)
-        self._schedules: dict[str, SweepSchedule] = {}
-        self._whole: list[tuple[_ColorBlock, _ColorBlock]] | None = None
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.A.dtype
+        self.split = split
+        self.order = np.concatenate([rows for pair in split_sets for rows in pair])
+        self.rank = inverse_permutation(self.order)
+        col_map = column_map(self.rank, A.ncols)
+        self.diag = diag[self.order]
+        self.passes: list[tuple[_ColorBlock, _ColorBlock]] = []
+        lo = 0
+        for pair in split_sets:
+            blocks = []
+            for rows in pair:
+                hi = lo + len(rows)
+                block = extract_rows(A, rows, col_map) if len(rows) else None
+                blocks.append(_ColorBlock(lo, hi, block, self.diag[lo:hi]))
+                lo = hi
+            self.passes.append(tuple(blocks))
 
     @property
     def precision(self) -> Precision:
@@ -456,50 +458,14 @@ class ColorPartitionedMatrix:
 
     @property
     def num_colors(self) -> int:
-        return len(self.sets)
+        return len(self.passes)
 
-    def schedule(self, direction: str) -> SweepSchedule:
-        """The (lazily built, cached) block schedule for a direction."""
-        sched = self._schedules.get(direction)
-        if sched is None:
-            sched = self._build_schedule(direction)
-            self._schedules[direction] = sched
-        return sched
-
-    def interior_fraction(self, direction: str = "forward") -> float:
-        """Share of rows sweepable before the halo lands."""
+    @property
+    def interior_fraction(self) -> float:
+        """Share of rows the forward sweep relaxes before the halo lands."""
         if self.nlocal == 0:
             return 0.0
-        return self.schedule(direction).interior_rows / self.nlocal
-
-    def _build_schedule(self, direction: str) -> SweepSchedule:
-        ncolors = len(self.sets)
-        if direction == "forward":
-            order = list(range(ncolors))
-        elif direction == "backward":
-            order = list(reversed(range(ncolors)))
-        else:
-            raise ValueError(f"unknown sweep direction {direction!r}")
-        if self.interior_mask is None:
-            # Without the split a color's block is the same in both
-            # directions: extract once, reverse the order.
-            if self._whole is None:
-                self._whole = [
-                    (self._block(rows), self._block(rows[:0]))
-                    for rows in self.sets
-                ]
-            return SweepSchedule(direction, [self._whole[c] for c in order])
-        split = sweep_overlap_split(self.A, self.sets, self.interior_mask, order)
-        passes = []
-        for c in order:
-            interior_rows, boundary_rows = split[c]
-            passes.append((self._block(interior_rows), self._block(boundary_rows)))
-        return SweepSchedule(direction, passes)
-
-    def _block(self, rows: np.ndarray) -> _ColorBlock:
-        if len(rows) == 0:
-            return _ColorBlock(rows, None, self.diag[rows])
-        return _ColorBlock(rows, extract_rows(self.A, rows), self.diag[rows])
+        return sum(i.hi - i.lo for i, _ in self.passes) / self.nlocal
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -515,13 +481,14 @@ def partition_colors(
     sets: list[np.ndarray],
     diag: np.ndarray | None = None,
 ) -> ColorPartitionedMatrix:
-    """Pack a local matrix per color set for the multicolor SymGS.
+    """Put a local matrix in the multicolor SymGS's order, packed per
+    color.
 
     ``sets`` are the multicolor Gauss-Seidel color sets (ascending row
     order within each color, as :func:`repro.sparse.coloring.color_sets`
     returns them); ``diag`` is the *unscaled* diagonal the relaxation
-    divides by (defaults to ``A.diagonal()``, which row-equilibrated
-    storage already reports unscaled).
+    divides by, in natural order (defaults to ``A.diagonal()``, which
+    row-equilibrated storage already reports unscaled).
 
     With a ``halo`` every color is split into its dependency-closed
     interior block and its boundary block (the overlapped schedule);
@@ -529,8 +496,10 @@ def partition_colors(
     adjacency/closure pass (serial sweeps, and SPMD sweeps behind a
     blocking exchange).
     """
-    interior_mask = None
-    if halo is not None:
+    sets = [np.ascontiguousarray(s, dtype=np.int64) for s in sets]
+    if halo is None:
+        split_sets = [(rows, rows[:0]) for rows in sets]
+    else:
         if A.nrows != halo.nlocal or A.ncols != halo.ncols:
             raise ValueError(
                 f"matrix shape ({A.nrows} rows, {A.ncols} cols) does not match "
@@ -538,16 +507,10 @@ def partition_colors(
             )
         interior_mask = np.zeros(halo.nlocal, dtype=bool)
         interior_mask[halo.interior_rows] = True
+        split_sets = sweep_overlap_split(A, sets, interior_mask)
     if diag is None:
         diag = A.diagonal()
-    return ColorPartitionedMatrix(
-        A=A,
-        sets=[np.ascontiguousarray(s, dtype=np.int64) for s in sets],
-        interior_mask=interior_mask,
-        diag=diag,
-        nlocal=A.nrows,
-        ncols=A.ncols,
-    )
+    return ColorPartitionedMatrix(A, split_sets, diag, split=halo is not None)
 
 
 def partition_matrix(A, halo: HaloPattern) -> PartitionedMatrix:

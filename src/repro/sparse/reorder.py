@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
 
 
@@ -19,6 +18,15 @@ def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
     return inv
+
+
+def column_map(new_of_old: np.ndarray, ncols: int) -> np.ndarray:
+    """Old -> new column labels of a row permutation (int32, length
+    ``ncols``): owned columns follow ``new_of_old``, the ghost tail
+    keeps the labels the halo plan gave it."""
+    col_map = np.arange(ncols, dtype=np.int32)
+    col_map[: len(new_of_old)] = new_of_old
+    return col_map
 
 
 def coloring_permutation(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,24 +39,21 @@ def coloring_permutation(colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return old_of_new, inverse_permutation(old_of_new)
 
 
-def permute_symmetric(A: ELLMatrix, new_of_old: np.ndarray) -> ELLMatrix:
+def permute_symmetric(A, new_of_old: np.ndarray):
     """Apply a symmetric permutation ``P A P^T`` to the local block.
 
     Rows are reordered and local column indices relabeled; ghost columns
-    (``col >= nrows``) keep their indices.  Padded slots keep value zero
-    so relabeling their column is harmless.
+    (``col >= nrows``) keep their indices.  The packing the color
+    blocks are built from, applied to every row: any format, each
+    row's slot layout kept.
     """
-    n = A.nrows
-    if len(new_of_old) != n:
+    from repro.sparse.partitioned import extract_rows
+
+    if len(new_of_old) != A.nrows:
         raise ValueError("permutation length must equal nrows")
-    old_of_new = inverse_permutation(np.asarray(new_of_old, dtype=np.int64))
-    cols = A.cols.astype(np.int64)
-    local = cols < n
-    remapped = np.where(local, new_of_old[np.clip(cols, 0, n - 1)], cols)
-    return ELLMatrix(
-        cols=remapped[old_of_new].astype(np.int32),
-        vals=A.vals[old_of_new].copy(),
-        ncols=A.ncols,
+    new_of_old = np.asarray(new_of_old, dtype=np.int64)
+    return extract_rows(
+        A, inverse_permutation(new_of_old), column_map(new_of_old, A.ncols)
     )
 
 
@@ -75,8 +80,3 @@ def rcm_ordering(A: ELLMatrix) -> np.ndarray:
     sp = A.to_csr().to_scipy()[:, : A.nrows]
     perm = csgraph.reverse_cuthill_mckee(sp.tocsr(), symmetric_mode=True)
     return np.asarray(perm, dtype=np.int64)
-
-
-def permute_csr(A: CSRMatrix, new_of_old: np.ndarray) -> CSRMatrix:
-    """Symmetric permutation for CSR (via ELL round-trip for brevity)."""
-    return permute_symmetric(A.to_ell(), new_of_old).to_csr()

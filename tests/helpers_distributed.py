@@ -23,6 +23,22 @@ def smooth_vector(sub) -> np.ndarray:
     return 0.5 + (gx + 2.0 * gy + 3.0 * gz) / (gg.nx + 2 * gg.ny + 3 * gg.nz)
 
 
+def level_order(P, X: np.ndarray) -> np.ndarray:
+    """A natural-order vector or panel (owned rows, ghost tail or not)
+    in the row order of the color partition ``P``: the owned rows move,
+    a ghost tail stays where the halo plan put it."""
+    out = X.copy(order="K")
+    out[: P.nlocal] = X[: P.nlocal][P.order]
+    return out
+
+
+def natural_order(P, X: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`level_order`."""
+    out = X.copy(order="K")
+    out[: P.nlocal] = X[: P.nlocal][P.rank]
+    return out
+
+
 def scaled_rhs_panel(b: np.ndarray, ncol: int) -> np.ndarray:
     """Column-major panel of scaled copies of ``b`` (fp64-exact scales)."""
     B = np.empty((b.shape[0], ncol), order="F")

@@ -147,6 +147,11 @@ class TestInnerLoopAllocations:
         for _ in range(5):
             mg.apply(r, out=out)
         assert mg.ws.misses == misses0
+        # The defect's copy in the fine level's (color) order is one of
+        # the pooled panels: asking for it again is an arena hit.
+        assert mg.levels[0].smoother.order is not None
+        mg.ws.get_panel("mg.panel.rlevel", problem16.nlocal, 1, np.float32)
+        assert mg.ws.misses == misses0
 
     def test_sellcs_smoother_arena_stable(self, problem16):
         """SELL-C-σ GS sweeps pool the O(rows × width) slab gathers."""

@@ -1,10 +1,8 @@
-"""Tests: software collectives and the reordered multicolor smoother."""
+"""Tests: software collectives and surface-to-volume scaling."""
 
 import numpy as np
 import pytest
 
-from repro.mg.reordered_gs import ReorderedMulticolorGS
-from repro.mg.smoothers import MulticolorGS
 from repro.parallel import run_spmd
 from repro.parallel.collectives import (
     ALLREDUCE_ALGORITHMS,
@@ -13,7 +11,6 @@ from repro.parallel.collectives import (
     message_counts,
     software_allreduce,
 )
-from repro.sparse.coloring import color_sets, structured_coloring8
 
 
 class TestSoftwareAllreduce:
@@ -135,54 +132,6 @@ class TestCollectiveCostModel:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             message_counts("butterfly", 8)
-
-
-class TestReorderedMulticolorGS:
-    def make_pair(self, problem):
-        A = problem.A
-        sets = color_sets(structured_coloring8(problem.sub))
-        plain = MulticolorGS(A, A.diagonal(), sets)
-        reordered = ReorderedMulticolorGS(A, problem.sub)
-        return plain, reordered
-
-    def test_forward_agrees(self, problem8, rng):
-        plain, reordered = self.make_pair(problem8)
-        r = rng.standard_normal(problem8.nlocal)
-        x1 = rng.standard_normal(problem8.nlocal)
-        x2 = x1.copy()
-        plain.forward(r, x1)
-        reordered.forward(r, x2)
-        np.testing.assert_allclose(x1, x2, rtol=1e-13, atol=1e-14)
-
-    def test_backward_agrees(self, problem8, rng):
-        plain, reordered = self.make_pair(problem8)
-        r = rng.standard_normal(problem8.nlocal)
-        x1 = rng.standard_normal(problem8.nlocal)
-        x2 = x1.copy()
-        plain.backward(r, x1)
-        reordered.backward(r, x2)
-        np.testing.assert_allclose(x1, x2, rtol=1e-13, atol=1e-14)
-
-    def test_blocks_are_contiguous_partition(self, problem16):
-        _, reordered = self.make_pair(problem16)
-        cursor = 0
-        for start, end in reordered.blocks:
-            assert start == cursor
-            assert end > start
-            cursor = end
-        assert cursor == problem16.nlocal
-
-    def test_num_passes(self, problem16):
-        _, reordered = self.make_pair(problem16)
-        assert reordered.num_passes == 8
-
-    def test_multiple_sweeps_converge(self, problem8):
-        _, reordered = self.make_pair(problem8)
-        A, b = problem8.A, problem8.b
-        x = np.zeros(problem8.nlocal)
-        for _ in range(6):
-            reordered.forward(b, x)
-        assert np.linalg.norm(b - A.spmv(x)) < 0.12 * np.linalg.norm(b)
 
 
 class TestSurfaceToVolumeScaling:

@@ -42,6 +42,30 @@ class TestHaloExchange:
 
         assert all(run_spmd(8, fn))
 
+    def test_renumbered_plan_ships_the_same_ghosts(self):
+        """Owned rows stored in a permuted order (each rank its own)
+        behind a re-indexed send plan: every ghost tail is the one the
+        natural-order exchange fills."""
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
+            prob = generate_problem(sub)
+            n = sub.nlocal
+            natural = HaloExchange(prob.halo, comm)
+            x = natural.full_vector(global_test_vector(sub))
+            natural.exchange(x)
+            order = np.random.default_rng(comm.rank).permutation(n)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(n)
+            permuted = HaloExchange(prob.halo, comm)
+            permuted.renumber(rank)
+            y = permuted.full_vector(x[:n][order])
+            permuted.exchange(y)
+            return bool(np.array_equal(y[n:], x[n:])) and bool(y[n:].any())
+
+        assert all(run_spmd(8, fn))
+
     def test_exchange_counts_messages(self):
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)

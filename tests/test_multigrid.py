@@ -218,7 +218,9 @@ class TestMultigridPreconditioner:
         z_f = mg_f.apply(problem16.b)
         z_u = mg_u.apply(problem16.b)
         assert np.array_equal(z_f, z_u)
-        assert mg_u.levels[0].A_c is None  # no block built for nothing
+        # The unfused reference multiplies the whole level, in its order.
+        assert mg_u.levels[0].A_c.nrows == problem16.nlocal
+        assert mg_f.levels[0].A_c.nrows == problem16.nlocal // 8
 
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
     @pytest.mark.parametrize(

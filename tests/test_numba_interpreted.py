@@ -204,17 +204,50 @@ def test_partitioned_panel_halves_agree(jit, box, region, fmt, rung):
     ],
 )
 def test_block_sweeps_agree(jit, box, op, fmt, rung):
+    """The slice form: every block relaxes rows ``[lo, hi)`` of vectors
+    stored in the partition's order (random operands are as good in
+    that order as in any)."""
     A = to_precision(to_format(box.A, fmt), rung)
     sets = color_sets(structured_coloring8(box.sub))
     P = partition_colors(A, box.halo, sets, diag=A.diagonal())
+    assert P.split and 0 < P.interior_fraction < 1  # both regions have blocks
     X, R = operands(A, 3 if op.endswith("_multi") else None, seed=2)
-    for direction in ("forward", "backward"):
-        ref, got = X.copy(order="F"), X.copy(order="F")
+    # The halves are the forward sweep's; the whole-color sweep runs
+    # both ways and from the zero guess.
+    cases = [{}]
+    if op == "symgs_sweep":
+        cases = [
+            {"direction": d, "zero_guess": z}
+            for d in ("forward", "backward")
+            for z in (False, True)
+        ]
+    for kwargs in cases:
+        start = np.zeros_like(X) if kwargs.get("zero_guess") else X
+        ref, got = start.copy(order="F"), start.copy(order="F")
         registry.lookup(op, "color_partitioned", rung, backend="numpy")(
-            P, R, ref, direction=direction
+            P, R, ref, **kwargs
         )
-        jit_kernel(jit, op, "color_partitioned", rung)(
-            P, R, got, direction=direction
-        )
-        assert not np.array_equal(ref, X)
+        jit_kernel(jit, op, "color_partitioned", rung)(P, R, got, **kwargs)
+        assert not np.array_equal(ref, start)
         close(got, ref, rung)
+
+
+def test_block_relaxation_takes_a_range(jit, box):
+    """The jitted relaxation's own signature: ``[lo, hi)`` through
+    ``lo`` and the block's row count, no row-index array."""
+    A = to_format(box.A, "ell")
+    sets = color_sets(structured_coloring8(box.sub))
+    P = partition_colors(A, box.halo, sets, diag=A.diagonal())
+    x, r = operands(A, seed=3)
+    ref = x.copy()
+    kernel = jit_kernel(jit, "symgs_interior", "color_partitioned", "fp64")
+    kernel(P, r, x)
+    for interior, _ in P.passes:
+        lo, hi = interior.lo, interior.hi
+        if lo == hi:
+            continue
+        ax = registry.lookup("spmv", "ell", "fp64", backend="numpy")(interior.A, ref)
+        ref[lo:hi] += (r[lo:hi] - ax) / interior.diag
+    close(x, ref, "fp64")
+    boundary = np.concatenate([np.arange(b.lo, b.hi) for _, b in P.passes])
+    assert np.array_equal(x[boundary], operands(A, seed=3)[0][boundary])

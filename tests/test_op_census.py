@@ -144,9 +144,12 @@ def test_tuner_probes_only_dispatched_ops(census):
 
 
 @pytest.mark.parametrize("ncol", [1, 4])
-def test_transfers_are_one_dispatch_per_level(problem16, ncol):
-    """Per V-cycle the restriction is 3 ops on 3 packed blocks and the
-    prolongation 3 ops, at any panel width — no row-copying kernel."""
+def test_vcycle_dispatch_counts(problem16, ncol):
+    """Per V-cycle, at any panel width: the restriction is 3 ops on 3
+    packed blocks, the prolongation 3 ops, the smoother 7 sweeps of one
+    block product per color — less the first color of the four sweeps
+    that start from the zero guess (3 pre-smooths + the coarse solve) —
+    and no row-copying kernel anywhere."""
     sections = SectionTimers()
     mg = MultigridPreconditioner.build(
         problem16, SerialComm(), MGConfig(), precision="fp32", timers=sections
@@ -158,8 +161,9 @@ def test_transfers_are_one_dispatch_per_level(problem16, ncol):
         mg.apply_panel(R)
     by_section = {
         sec: {op: n for (s, op), n in counts.items() if s == sec}
-        for sec in ("restrict", "prolong")
+        for sec in ("gs", "restrict", "prolong")
     }
+    assert by_section["gs"] == {"symgs_sweep_multi": 7, "spmv_multi": 7 * 8 - 4}
     assert by_section["restrict"] == {"fused_restrict": 3, "spmv_multi": 3}
     assert by_section["prolong"] == {"prolong": 3}
     assert not any(op == "spmv_rows" for _, op in counts)

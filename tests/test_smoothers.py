@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers_distributed import level_order, natural_order
 
 from repro.mg.smoothers import (
     LevelScheduledGS,
@@ -69,11 +70,36 @@ class TestLevelScheduledGS:
         np.testing.assert_allclose(xfull, 1.0, rtol=1e-12)
 
 
+class NaturalOrder:
+    """A multicolor smoother driven with natural-order vectors: the
+    sweeps themselves take (and leave) the smoother's color order."""
+
+    def __init__(self, sm):
+        self.sm = sm
+        self.sets = sm.sets
+        self.num_passes = sm.num_passes
+
+    def _sweep(self, name, r, xfull):
+        P = self.sm.partition
+        xl = level_order(P, xfull)
+        getattr(self.sm, name)(level_order(P, r), xl)
+        xfull[:] = natural_order(P, xl)
+
+    def forward(self, r, xfull):
+        self._sweep("forward", r, xfull)
+
+    def backward(self, r, xfull):
+        self._sweep("backward", r, xfull)
+
+    def symmetric(self, r, xfull):
+        self._sweep("symmetric", r, xfull)
+
+
 class TestMulticolorGS:
     def make(self, problem):
         A = problem.A
         sets = color_sets(structured_coloring8(problem.sub))
-        return MulticolorGS(A, A.diagonal(), sets)
+        return NaturalOrder(MulticolorGS(A, A.diagonal(), sets))
 
     def test_reduces_error(self, problem8):
         A, b = problem8.A, problem8.b
@@ -91,6 +117,11 @@ class TestMulticolorGS:
         xfull = np.ones(A.nrows)
         sm.forward(b, xfull)
         np.testing.assert_allclose(xfull, 1.0, rtol=1e-12)
+
+    def test_vectors_are_in_color_order(self, problem8):
+        """The smoother's own order: color sets back to back."""
+        sm = self.make(problem8).sm
+        assert np.array_equal(sm.order, np.concatenate(sm.sets))
 
     def test_matches_gs_on_permuted_order(self, problem8, gs_setup):
         """Multicolor GS equals sequential GS in color-sorted row order."""

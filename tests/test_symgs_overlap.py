@@ -18,13 +18,21 @@ import os
 import numpy as np
 import pytest
 from helpers_distributed import RUNG_TOLS as TOLS
-from helpers_distributed import SectionTimers, counted_dispatch, smooth_vector
+from helpers_distributed import (
+    SectionTimers,
+    counted_dispatch,
+    level_order,
+    natural_order,
+    smooth_vector,
+)
 
 from repro.backends.dispatch import (
     dot,
     spmv,
     symgs_boundary,
+    symgs_boundary_multi,
     symgs_interior,
+    symgs_interior_multi,
     symgs_sweep,
     waxpby,
     waxpby_dot,
@@ -33,8 +41,11 @@ from repro.backends.workspace import Workspace
 from repro.fp import MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
-from repro.mg.reordered_gs import ReorderedMulticolorGS
-from repro.mg.smoothers import MulticolorGS, make_smoother, smooth_distributed
+from repro.mg.smoothers import (
+    MulticolorGS,
+    smooth_distributed,
+    smooth_distributed_panel,
+)
 from repro.parallel import HaloExchange, SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
 from repro.solvers.operator import DistributedOperator
@@ -64,8 +75,17 @@ def run_ranks(nranks: int, fn, *args) -> list:
     return run_spmd(nranks, fn, *args)
 
 
+def level_halo(prob, comm, sm) -> HaloExchange:
+    """The halo plan of ``prob`` re-indexed into a smoother's order."""
+    halo_ex = HaloExchange(prob.halo, comm)
+    halo_ex.renumber(sm.partition.rank)
+    return halo_ex
+
+
 def build_smoothers(comm, fmt, prec, local=(8, 8, 8)):
-    """(plain smoother, partitioned smoother, halo pair, problem)."""
+    """(plain smoother, partitioned smoother, halo pair, problem): each
+    smoother has its own row order (whole colors / colors split along
+    the halo) and a halo plan in it."""
     pg = ProcessGrid.from_size(comm.size)
     sub = Subdomain(BoxGrid(*local), pg, comm.rank)
     prob = generate_problem(sub)
@@ -75,8 +95,17 @@ def build_smoothers(comm, fmt, prec, local=(8, 8, 8)):
     P = partition_colors(A, prob.halo, sets, diag=diag)
     plain = MulticolorGS(A, diag, sets)
     part = MulticolorGS(A, diag, sets, partition=P)
-    halos = (HaloExchange(prob.halo, comm), HaloExchange(prob.halo, comm))
+    halos = (level_halo(prob, comm, plain), level_halo(prob, comm, part))
     return plain, part, halos, prob, A
+
+
+def sweep_natural(sm, halo_ex, r, x, direction, overlap=False) -> None:
+    """``smooth_distributed`` on natural-order vectors: into the
+    smoother's order, sweep, back out (in place in ``x``)."""
+    P = sm.partition
+    xl = level_order(P, x)
+    smooth_distributed(sm, halo_ex, level_order(P, r), xl, direction, overlap)
+    x[:] = natural_order(P, xl)
 
 
 class TestSweepSplit:
@@ -104,29 +133,24 @@ class TestSweepSplit:
         sets = color_sets(structured_coloring8(sub))
         mask = np.zeros(prob.nlocal, bool)
         mask[prob.halo.interior_rows] = True
-        for order in (list(range(8)), list(reversed(range(8)))):
-            split = sweep_overlap_split(prob.A, sets, mask, order)
-            pos = np.empty(8, np.int64)
-            for p, c in enumerate(order):
-                pos[c] = p
-            row_pos = np.empty(prob.nlocal, np.int64)
-            early = np.zeros(prob.nlocal, bool)
-            for c, rows in enumerate(sets):
-                row_pos[rows] = pos[c]
-            for c, (e, _) in enumerate(split):
-                early[e] = True
-            indptr, nbr = _local_adjacency_csr(prob.A, prob.nlocal)
-            for i in np.nonzero(early)[0]:
-                nbrs = nbr[indptr[i] : indptr[i + 1]]
-                bad = (row_pos[nbrs] < row_pos[i]) & ~early[nbrs]
-                assert not bad.any()
+        split = sweep_overlap_split(prob.A, sets, mask)
+        color_of = np.empty(prob.nlocal, np.int64)
+        early = np.zeros(prob.nlocal, bool)
+        for c, rows in enumerate(sets):
+            color_of[rows] = c
+        for e, _ in split:
+            early[e] = True
+        indptr, nbr = _local_adjacency_csr(prob.A, prob.nlocal)
+        for i in np.nonzero(early)[0]:
+            nbrs = nbr[indptr[i] : indptr[i + 1]]
+            bad = (color_of[nbrs] < color_of[i]) & ~early[nbrs]
+            assert not bad.any()
 
     def test_serial_box_is_fully_interior(self):
         prob = generate_problem(Subdomain.serial(8, 8, 8))
         sets = color_sets(structured_coloring8(prob.sub))
         P = partition_colors(prob.A, prob.halo, sets)
-        assert P.interior_fraction("forward") == 1.0
-        assert P.interior_fraction("backward") == 1.0
+        assert P.split and P.interior_fraction == 1.0
 
     def test_partition_rejects_shape_mismatch(self):
         prob8 = generate_problem(Subdomain.serial(8, 8, 8))
@@ -135,12 +159,35 @@ class TestSweepSplit:
         with pytest.raises(ValueError, match="does not match"):
             partition_colors(prob4.A, prob8.halo, sets)
 
-    def test_schedule_rejects_bad_direction(self):
+    def test_sweep_rejects_bad_direction(self):
         prob = generate_problem(Subdomain.serial(8, 8, 8))
         sets = color_sets(structured_coloring8(prob.sub))
         P = partition_colors(prob.A, prob.halo, sets)
+        x = np.zeros(prob.A.ncols)
         with pytest.raises(ValueError, match="direction"):
-            P.schedule("sideways")
+            symgs_sweep(P, prob.b, x, None, None, "sideways")
+
+    def test_order_is_color_major_interior_first(self):
+        """The level's order: colors ascending, inside a color the
+        closure's interior rows (ascending) before its boundary rows —
+        and every block is the next consecutive range of it."""
+        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid(2, 1, 1), 0)
+        prob = generate_problem(sub)
+        sets = color_sets(structured_coloring8(sub))
+        mask = np.zeros(prob.nlocal, bool)
+        mask[prob.halo.interior_rows] = True
+        split = sweep_overlap_split(prob.A, sets, mask)
+        P = partition_colors(prob.A, prob.halo, sets)
+        assert np.array_equal(P.order, np.concatenate([r for s in split for r in s]))
+        assert np.array_equal(P.rank[P.order], np.arange(prob.nlocal))
+        assert np.array_equal(P.diag, prob.A.diagonal()[P.order])
+        cursor = 0
+        for blocks, rows in zip(P.passes, split):
+            for blk, part in zip(blocks, rows):
+                assert (blk.lo, blk.hi) == (cursor, cursor + len(part))
+                cursor = blk.hi
+        assert cursor == prob.nlocal
+        assert 0 < P.interior_fraction < 1
 
 
 class TestOverlappedSymGS:
@@ -158,8 +205,8 @@ class TestOverlappedSymGS:
             x1 = np.zeros(A.ncols)
             x1[: prob.nlocal] = rng.standard_normal(prob.nlocal)
             x2 = x1.copy()
-            smooth_distributed(plain, h1, r, x1, direction)
-            smooth_distributed(part, h2, r, x2, direction, overlap=True)
+            sweep_natural(plain, h1, r, x1, direction)
+            sweep_natural(part, h2, r, x2, direction, overlap=True)
             return bool(np.array_equal(x1, x2))
 
         assert all(run_ranks(nranks, fn))
@@ -168,10 +215,9 @@ class TestOverlappedSymGS:
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
     @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
     def test_cross_rank_parity_all_formats_and_rungs(self, nranks, fmt, prec):
-        """Overlapped vs sequential at rung tolerance for every format
-        and rung (bitwise for ELL/CSR at fp64; SELL-C-σ re-chunks per
-        region, so only summation-order roundoff may differ — exactly
-        the PR 3 SpMV-partition contract)."""
+        """Overlapped vs sequential for every format and rung — at rung
+        tolerance, and bitwise: blocks keep every row's slot layout
+        (SELL-C-σ slices its width slabs), so nothing re-associates."""
 
         def fn(comm):
             plain, part, (h1, h2), prob, A = build_smoothers(comm, fmt, prec)
@@ -181,8 +227,8 @@ class TestOverlappedSymGS:
             x1[: prob.nlocal] = x0
             x2 = x1.copy()
             for d in ("forward", "backward"):
-                smooth_distributed(plain, h1, r, x1, d)
-                smooth_distributed(part, h2, r, x2, d, overlap=True)
+                sweep_natural(plain, h1, r, x1, d)
+                sweep_natural(part, h2, r, x2, d, overlap=True)
             return (
                 np.asarray(x1[: prob.nlocal], dtype=np.float64),
                 np.asarray(x2[: prob.nlocal], dtype=np.float64),
@@ -191,8 +237,7 @@ class TestOverlappedSymGS:
         rtol, atol = TOLS[prec]
         for seq, ov in run_ranks(nranks, fn):
             np.testing.assert_allclose(ov, seq, rtol=rtol, atol=atol)
-            if prec == "fp64" and fmt in ("csr", "ell"):
-                np.testing.assert_array_equal(ov, seq)
+            np.testing.assert_array_equal(ov, seq)
 
     @pytest.mark.parametrize("nranks", RANKS)
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
@@ -205,50 +250,51 @@ class TestOverlappedSymGS:
         def fn(comm):
             _, part, (h1, h2), prob, A = build_smoothers(comm, fmt, "fp64")
             P = part.partition
+            h1 = level_halo(prob, comm, part)  # both runs on the split layout
             rng = np.random.default_rng(11 + comm.rank)
-            r = rng.standard_normal(prob.nlocal)
+            r = level_order(P, rng.standard_normal(prob.nlocal))
             x1 = np.zeros(A.ncols)
             x1[: prob.nlocal] = rng.standard_normal(prob.nlocal)
             x2 = x1.copy()
-            # Sequential on the partition: interleaved block schedule.
+            # Sequential on the partition: whole colors in order.
             h1.exchange(x1)
             symgs_sweep(P, r, x1, None, None, "forward")
             # Overlapped: both halves around the landing.
             pending = h2.exchange_begin(x2)
-            symgs_interior(P, r, x2, "forward")
+            symgs_interior(P, r, x2)
             h2.exchange_finish(pending, x2)
-            symgs_boundary(P, r, x2, "forward")
+            symgs_boundary(P, r, x2)
             return bool(np.array_equal(x1, x2))
 
         assert all(run_ranks(nranks, fn))
 
-    @pytest.mark.parametrize("nranks", RANKS[:2])
-    def test_reordered_smoother_overlap_bitwise(self, nranks):
-        """The physically-reordered smoother's overlapped sweep equals
-        its sequential exchange-then-sweep bitwise."""
+    def test_backward_sweep_takes_the_blocking_exchange(self):
+        """The level's order is the forward closure's: a backward sweep
+        on a split layout exchanges first, then relaxes whole colors —
+        no split-half dispatch, and one exchange round either way."""
+        _, part, (_, h), prob, A = build_smoothers(SerialComm(), "ell", "fp64")
+        assert part.supports_overlap
+        r, x = np.ones(prob.nlocal), np.zeros(A.ncols)
+        seen = {}
+        for direction in ("forward", "backward"):
+            with counted_dispatch() as counts:
+                part.sweep_overlapped(h, r, x, direction)
+            seen[direction] = {op for _, op in counts}
+        assert seen["forward"] == {
+            "symgs_interior_multi",
+            "symgs_boundary_multi",
+            "spmv_multi",
+        }
+        assert seen["backward"] == {"symgs_sweep_multi", "spmv_multi"}
 
         def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
-            prob = generate_problem(sub)
-            sm1 = ReorderedMulticolorGS(prob.A, sub)
-            sm2 = ReorderedMulticolorGS(prob.A, sub, halo=prob.halo)
-            assert not sm1.supports_overlap and sm2.supports_overlap
-            h1 = HaloExchange(prob.halo, comm)
-            h2 = HaloExchange(prob.halo, comm)
-            rng = np.random.default_rng(2 + comm.rank)
-            r = rng.standard_normal(prob.nlocal)
-            x1 = np.zeros(prob.A.ncols)
-            x1[: prob.nlocal] = rng.standard_normal(prob.nlocal)
-            x2 = x1.copy()
-            ok = True
-            for d in ("forward", "backward"):
-                smooth_distributed(sm1, h1, r, x1, d)
-                sm2.sweep_overlapped(h2, r, x2, d)
-                ok &= bool(np.array_equal(x1, x2))
-            return ok
+            _, part, (_, h), prob, A = build_smoothers(comm, "ell", "fp64")
+            r, x = np.ones(prob.nlocal), np.zeros(A.ncols)
+            part.sweep_overlapped(h, r, x, "forward")
+            part.sweep_overlapped(h, r, x, "backward")
+            return h.exchanges
 
-        assert all(run_ranks(nranks, fn))
+        assert run_spmd(2, fn) == [2, 2]
 
 
 #: Every (format, rung) pair the suite builds color partitions for.
@@ -257,62 +303,104 @@ LAYOUT_PAIRS = [
 ] + [("ell", "fp16")]  # row-equilibrated storage
 
 
-class TestOneSweepLayout:
-    """PR 16: every multicolor sweep reads packed color blocks — serial
-    smoothers included — and stays bitwise-equal to the format-generic
-    index-set ``symgs_sweep`` it replaced on the hot path."""
+def layout_case(fmt, prec, layout, ws=None):
+    """One 8^3 smoother on the named layout: ``"serial"`` (a serial
+    box, every color one whole block) or ``"split"`` (rank 0 of a
+    2x1x1 grid, every color split along its halo; ghost values are
+    whatever the test puts in the vector tail)."""
+    if layout == "serial":
+        sub = Subdomain.serial(8, 8, 8)
+    else:
+        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid(2, 1, 1), 0)
+    prob = generate_problem(sub)
+    A = to_precision(to_format(prob.A, fmt), prec)
+    diag = A.diagonal()
+    sets = color_sets(structured_coloring8(sub))
+    P = partition_colors(A, prob.halo if layout == "split" else None, sets, diag=diag)
+    gs = MulticolorGS(A, diag, sets, ws=ws, partition=P)
+    return prob, A, diag, sets, gs
 
-    @staticmethod
-    def build(fmt, prec, ws=None):
-        prob = generate_problem(Subdomain.serial(8, 8, 8))
-        A = to_precision(to_format(prob.A, fmt), prec)
-        diag = A.diagonal()
-        sets = color_sets(structured_coloring8(prob.sub))
-        gs = make_smoother(A, "multicolor", diag=diag, sets=sets, ws=ws)
-        return prob, A, diag, sets, gs
+
+class TestOneSweepLayout:
+    """PR 16 / PR 19: every multicolor sweep relaxes slices of the
+    color-ordered layout — serial smoothers included — and, once
+    un-permuted, stays bitwise-equal to the format-generic index-set
+    ``symgs_sweep`` on natural-order vectors."""
 
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
     @pytest.mark.parametrize("direction", ["forward", "backward", "symmetric"])
     @pytest.mark.parametrize("ncol", [1, 4])
     @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
+    @pytest.mark.parametrize("layout", ["serial", "split"])
     def test_block_sweep_equals_index_set_reference(
-        self, fmt, prec, direction, ncol, pooled
+        self, fmt, prec, direction, ncol, pooled, layout
     ):
-        prob, A, diag, sets, gs = self.build(
-            fmt, prec, Workspace() if pooled else None
+        prob, A, diag, sets, gs = layout_case(
+            fmt, prec, layout, Workspace() if pooled else None
         )
+        P = gs.partition
+        assert P.split == gs.supports_overlap == (layout == "split")
         rng = np.random.default_rng(21)
         R = np.asfortranarray(
             rng.standard_normal((prob.nlocal, ncol)).astype(A.dtype)
         )
-        X = np.asfortranarray(rng.standard_normal((A.ncols, ncol)).astype(A.dtype))
-        X_ref = X.copy(order="F")
+        X_ref = np.asfortranarray(
+            rng.standard_normal((A.ncols, ncol)).astype(A.dtype)
+        )
+        Rl, X = level_order(P, R), level_order(P, X_ref)
         steps = {"symmetric": ("forward", "backward")}.get(direction, (direction,))
         for d in steps:
             if ncol == 1:  # the single-vector entry points
-                getattr(gs, d)(R[:, 0], X[:, 0])
+                getattr(gs, d)(Rl[:, 0], X[:, 0])
             else:
-                getattr(gs, d + "_panel")(R, X)
+                getattr(gs, d + "_panel")(Rl, X)
         diag_sets = [diag[rows] for rows in sets]
         for j in range(ncol):
             for d in steps:
                 symgs_sweep(A, R[:, j], X_ref[:, j], sets, diag_sets, d)
-        assert np.array_equal(X, X_ref)
+        assert np.array_equal(natural_order(P, X), X_ref)
+
+    @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
+    @pytest.mark.parametrize("ncol", [1, 4])
+    def test_split_halves_equal_index_set_reference(self, fmt, prec, ncol):
+        """The overlapped forward schedule — every interior block, then
+        every boundary block — is the same sweep."""
+        prob, A, diag, sets, gs = layout_case(fmt, prec, "split", Workspace())
+        P = gs.partition
+        rng = np.random.default_rng(22)
+        R = np.asfortranarray(
+            rng.standard_normal((prob.nlocal, ncol)).astype(A.dtype)
+        )
+        X_ref = np.asfortranarray(
+            rng.standard_normal((A.ncols, ncol)).astype(A.dtype)
+        )
+        Rl, X = level_order(P, R), level_order(P, X_ref)
+        if ncol == 1:
+            symgs_interior(P, Rl[:, 0], X[:, 0], ws=gs.ws)
+            symgs_boundary(P, Rl[:, 0], X[:, 0], ws=gs.ws)
+        else:
+            symgs_interior_multi(P, Rl, X, ws=gs.ws)
+            symgs_boundary_multi(P, Rl, X, ws=gs.ws)
+        diag_sets = [diag[rows] for rows in sets]
+        for j in range(ncol):
+            symgs_sweep(A, R[:, j], X_ref[:, j], sets, diag_sets, "forward")
+        assert np.array_equal(natural_order(P, X), X_ref)
 
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
     def test_one_whole_block_per_color(self, fmt, prec):
-        _, A, _, sets, gs = self.build(fmt, prec)
+        _, A, _, sets, gs = layout_case(fmt, prec, "serial")
         P = gs.partition
-        assert P is not None and P.interior_mask is None
-        assert not gs.supports_overlap  # whole blocks may read ghosts
-        fwd, bwd = P.schedule("forward"), P.schedule("backward")
-        assert len(fwd.passes) == len(sets)
-        for (interior, boundary), rows in zip(fwd.passes, sets):
-            assert np.array_equal(interior.rows, rows)
+        assert not P.split and not gs.supports_overlap  # whole blocks may read ghosts
+        assert gs.order is P.order
+        assert np.array_equal(P.order, np.concatenate(sets))
+        assert len(P.passes) == len(sets)
+        cursor = 0
+        for (interior, boundary), rows in zip(P.passes, sets):
+            assert (interior.lo, interior.hi) == (cursor, cursor + len(rows))
             assert interior.A.nrows == len(rows) and interior.A.ncols == A.ncols
-            assert len(boundary.rows) == 0 and boundary.A is None
-        # One extraction serves both directions (no second matrix copy).
-        assert [i for i, _ in bwd.passes] == [i for i, _ in reversed(fwd.passes)]
+            assert boundary.lo == boundary.hi == interior.hi and boundary.A is None
+            cursor = interior.hi
+        assert cursor == A.nrows
 
     def test_gs_sections_dispatch_no_spmv_rows(self):
         """One V-cycle under a counting dispatch wrapper: the smoother
@@ -333,7 +421,9 @@ class TestOneSweepLayout:
         assert not any(op == "spmv_rows" for _, op in counts)
         assert counts["gs", "symgs_sweep"] == 0  # nor the index-set kernel's op
         assert counts["gs", "symgs_sweep_multi"] == 7  # 3 pre + coarse + 3 post
-        assert counts["gs", "spmv_multi"] == 7 * 8  # one block SpMV per color
+        # One block SpMV per color, but the first color of the four
+        # zero-guess sweeps (3 pre + coarse) multiplies zeros and skips.
+        assert counts["gs", "spmv_multi"] == 7 * 8 - 4
         assert counts["restrict", "fused_restrict"] == 3
         assert counts["restrict", "spmv_multi"] == 3  # on the packed block
 
@@ -360,9 +450,8 @@ class TestOneSweepLayout:
                 overlap=False,
             )
             _, st = solver.solve(prob.b, tol=1e-9, maxiter=200)
-            return st.converged and all(
-                lv.smoother.partition.interior_mask is None
-                for lv in solver.M.levels
+            return st.converged and not any(
+                lv.smoother.partition.split for lv in solver.M.levels
             )
 
         assert all(run_ranks(1, fn))
@@ -392,6 +481,105 @@ class TestOneSweepLayout:
             return split == [False, True] and bool(np.array_equal(*xs))
 
         assert all(run_spmd(2, fn))
+
+
+class TestZeroGuessSweep:
+    """PR 19: the first sweep after the V-cycle zeroes a level's iterate
+    is told so — it posts no halo exchange and skips the first color's
+    block products — and is bitwise the ordinary sweep from an explicit
+    zero iterate, signed zeros included."""
+
+    @staticmethod
+    def rhs(prob, dtype, rank):
+        """Four columns: random, random with ``-0.0`` / ``+0.0``
+        entries, all ``+0.0``, all ``-0.0``."""
+        rng = np.random.default_rng(31 + rank)
+        R = np.asfortranarray(rng.standard_normal((prob.nlocal, 4)).astype(dtype))
+        R[::3, 1] = -0.0
+        R[1::3, 1] = 0.0
+        R[:, 2] = 0.0
+        R[:, 3] = -0.0
+        return R
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
+    @pytest.mark.parametrize("direction", ["forward", "backward", "symmetric"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_bitwise_equal_to_sweep_from_explicit_zeros(
+        self, nranks, fmt, prec, direction, overlap
+    ):
+        def fn(comm):
+            _, part, (_, h), prob, A = build_smoothers(comm, fmt, prec)
+            h_ref = level_halo(prob, comm, part)
+            P = part.partition
+            R = level_order(P, self.rhs(prob, A.dtype, comm.rank))
+            X = np.zeros((A.ncols, 4), dtype=A.dtype, order="F")
+            X_ref = X.copy(order="F")
+            smooth_distributed_panel(
+                part, h, R, X, direction, overlap=overlap, zero_guess=True
+            )
+            smooth_distributed_panel(part, h_ref, R, X_ref, direction, overlap=overlap)
+            steps = 2 if direction == "symmetric" else 1
+            return (
+                bool(np.array_equal(X, X_ref)),
+                bool(np.array_equal(np.signbit(X), np.signbit(X_ref))),
+                bool(np.any(X[:, 0])),
+                # One round fewer; on one rank there is nothing to count.
+                (h.exchanges, h_ref.exchanges)
+                == ((steps - 1, steps) if comm.size > 1 else (0, 0)),
+            )
+
+        assert run_ranks(nranks, fn) == [(True, True, True, True)] * nranks
+
+    @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
+    def test_skips_exactly_the_first_color(self, fmt, prec):
+        prob, A, _, sets, gs = layout_case(fmt, prec, "split", Workspace())
+        R = level_order(gs.partition, self.rhs(prob, A.dtype, 0))
+        blocks = sum(blk.hi > blk.lo for pair in gs.partition.passes for blk in pair)
+        first = {
+            "forward": sum(b.hi > b.lo for b in gs.partition.passes[0]),
+            "backward": sum(b.hi > b.lo for b in gs.partition.passes[-1]),
+        }
+        for direction, skipped in first.items():
+            for zero_guess in (False, True):
+                X = np.zeros((A.ncols, 4), dtype=A.dtype, order="F")
+                with counted_dispatch() as counts:
+                    gs.sweep_panel(R, X, direction, zero_guess=zero_guess)
+                assert counts[None, "spmv_multi"] == blocks - zero_guess * skipped
+
+    def test_vcycle_rounds_match_the_model(self):
+        """Modelled halo rounds per V-cycle == ``HaloExchange.exchanges``
+        counted on a 2-rank V-cycle, at width 1 and 4 (the operator's
+        own rounds are not part of a V-cycle)."""
+        from repro.mg import MultigridPreconditioner
+        from repro.perf.scaling import ScalingModel
+
+        def fn(comm, cfg, ncol, overlap):
+            sub = Subdomain(BoxGrid(16, 16, 16), ProcessGrid(2, 1, 1), comm.rank)
+            prob = generate_problem(sub)
+            mg = MultigridPreconditioner.build(prob, comm, cfg, overlap=overlap)
+            R = np.asfortranarray(np.repeat(prob.b[:, None], ncol, axis=1))
+            mg.apply_panel(R)
+            return sum(lv.halo_ex.exchanges for lv in mg.levels)
+
+        for cfg in (
+            MGConfig(),
+            MGConfig(sweep="symmetric"),
+            MGConfig(npre=2, npost=0, coarse_sweeps=3),
+            MGConfig(nlevels=2, npre=0),
+        ):
+            model = ScalingModel(nlevels=cfg.nlevels)
+            model.mg_config = cfg
+            for ncol in (1, 4):
+                for overlap in (False, True):
+                    assert run_spmd(2, fn, cfg, ncol, overlap) == [
+                        model.vcycle_halo_exchanges()
+                    ] * 2, (cfg, ncol, overlap)
+        # ... and the restart cycle books them: (m + 1) V-cycles, m inner
+        # products and the outer residual.
+        model = ScalingModel(restart=30)
+        assert model.cycle_halo_exchanges() == 31 * model.vcycle_halo_exchanges() + 31
+        assert model.vcycle_halo_exchanges() == 6  # 10 before the zero-guess skip
 
 
 class TestOverlappedSolver:

@@ -90,9 +90,9 @@ class TestProbe:
         prober.ws = rec = Recording()
         prober.probe_all()
         tags = set(rec.tags)
-        # ELL chunk scratch, the CSR gather, the block sweep's panel
-        # and block vectors — and nothing of the index-set sweep.
-        for tag in ("ell.chunk.idx", "csr.spmv.gather", "cgs.ax", "cgs.rhs"):
+        # ELL chunk scratch, the CSR gather, the block sweep's panel —
+        # and nothing of the index-set sweep.
+        for tag in ("ell.chunk.idx", "csr.spmv.gather", "cgs.ax"):
             assert tag in tags, tag
         assert "gs.ax" not in tags
 
