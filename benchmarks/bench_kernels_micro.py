@@ -1,9 +1,10 @@
 """Kernel microbenchmarks (real wall time, pytest-benchmark).
 
-The motifs the paper's roofline (Fig. 8) plots, measured on this host's
-NumPy engine: SpMV in both formats and precisions, the multicolor GS
-sweep, CGS2 orthogonalization, dot, and the fused restriction.  These
-are the timings the real-run figures (5/7 cross-checks) are built on.
+The motifs the paper's roofline (Fig. 8) plots, measured on this host
+under the active kernel backend: SpMV in both formats and precisions,
+the multicolor GS sweep, CGS2 orthogonalization, dot, and the fused
+restriction.  These are the timings the real-run figures (5/7
+cross-checks) are built on.
 """
 
 import numpy as np
@@ -107,6 +108,31 @@ class TestSpMV:
         benchmark(lambda: spmv_multi(A, X, out=Y, ws=ws))
         for j in range(8):
             assert np.array_equal(Y[:, j], spmv(A, X[:, j]))
+
+    @pytest.mark.parametrize("rung", ["fp64", "fp32"])
+    def test_spmv_classes_agree_48(self, benchmark, mats, vectors, rung):
+        """The two kernel parity classes at a bandwidth-bound size: the
+        compiled sequential row sum against NumPy's pairwise one, to the
+        rung's tolerance (the references in every other case here are
+        dispatched, i.e. they are the active class's own)."""
+        from repro.backends import Workspace
+        from repro.backends.registry import registry
+
+        bits = rung[2:]
+        A, x = mats[f"ell{bits}"], vectors[f"x{bits}"]
+        ws = Workspace()
+
+        def product(backend=None):
+            kernel = registry.lookup("spmv", "ell", rung, backend=backend)
+            return kernel(A, x, out=np.empty(A.nrows, A.dtype), ws=ws)
+
+        ref = product("numpy")
+        benchmark(product)  # the active class
+        tol = {"fp64": 1e-13, "fp32": 1e-5}[rung]
+        for backend in registry.backends():
+            np.testing.assert_allclose(
+                product(backend), ref, rtol=tol, atol=tol * np.abs(ref).max()
+            )
 
 
 class TestGaussSeidel:

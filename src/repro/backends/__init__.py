@@ -3,11 +3,14 @@
 Every hot operation of the benchmark — SpMV, SymGS sweeps, CGS2's
 GEMV/GEMVT, WAXPBY, dots, grid transfers — is dispatched through a
 process-wide :class:`~repro.backends.registry.KernelRegistry` on a
-``(op, format, precision, backend)`` key.  The ``numpy`` reference
-backend is always present; an optional Numba backend registers itself
-when the package is importable (auto-detected here at import time) and
-wins the priority-based auto-selection.  ``REPRO_BACKEND=<name>``
-forces a backend explicitly.
+``(op, format, precision, backend)`` key.  Two backends ship, and they
+are two **parity classes**: ``numpy``, the reference (pairwise row
+sums), always present; and ``scipy``, compiled sequential row products
+for ELL / CSR at fp64 / fp32 (:mod:`~repro.backends.scipy_backend`),
+which registers wherever SciPy's ``csr_matvec`` imports and wins the
+priority-based auto-selection.  Bitwise contracts hold inside a class;
+across classes results agree to the rung's tolerance.
+``REPRO_BACKEND=numpy`` pins the reference class.
 
 The companion :class:`~repro.backends.workspace.Workspace` arena gives
 solvers preallocated, precision-keyed scratch so the inner
@@ -44,10 +47,10 @@ from repro.backends.workspace import (
 )
 
 # Importing the backend modules populates the registry; numpy first
-# (the guaranteed fallback), then optional accelerated backends.
+# (the guaranteed fallback), then the compiled class.
 from repro.backends import numpy_backend  # noqa: E402,F401
 from repro.backends import partitioned_ops  # noqa: E402,F401
-from repro.backends import numba_backend  # noqa: E402,F401
+from repro.backends import scipy_backend  # noqa: E402,F401
 
 registry.autoselect_backend()
 

@@ -133,11 +133,11 @@ def prolong(Xfull: np.ndarray, Z_c: np.ndarray, f_c: np.ndarray, ws=None):
 def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
     """``w = alpha x + beta y`` plus the *local* ``w . w``, fused.
 
-    Returns ``(w, local_sq)``.  Backends that register a fused kernel
-    (Numba) produce both in one pass; every other precision resolves
-    to the NumPy wildcard registration, which composes the registry's
-    ``waxpby`` / ``dot`` kernels operation-for-operation —
-    bitwise-identical to the separate calls.
+    Returns ``(w, local_sq)``.  A backend that registers a fused
+    kernel produces both in one pass; no shipped backend does, so every
+    precision resolves to the NumPy wildcard registration, which
+    composes the registry's ``waxpby`` / ``dot`` kernels
+    operation-for-operation — bitwise-identical to the separate calls.
     """
     fn = registry.lookup("waxpby_dot", None, _prec(y.dtype))
     return fn(alpha, x, beta, y, out=out, ws=ws)
@@ -162,15 +162,15 @@ def gemv_sub_dot(Q, k: int, coef, w, ws=None) -> float:
 # the engine dispatches at every width (a solo solve is the (n, 1)
 # panel); each column is bitwise-equal to the single-vector op on it,
 # with the matrix traffic amortized over the panel wherever the layout
-# allows (ELL SpMV, the color-block sweep, the restriction block; the
-# JIT/GPU backends for the rest).
+# allows (NumPy's ELL SpMV, the color-block sweep, the restriction
+# block; the SciPy class multiplies once per column).
 
 
 def spmv_multi(A, X: np.ndarray, out: np.ndarray | None = None, ws=None):
     """``Y = A @ X`` for a column-major RHS panel ``X``.
 
     Column ``j`` of the result is bitwise-equal to ``spmv(A, X[:, j])``
-    under every backend (the panel kernels keep each column's
+    inside every backend (the panel kernels keep each column's
     reduction order identical to the single-RHS kernel's).
     """
     fn = registry.lookup(

@@ -392,8 +392,8 @@ def symgs_sweep(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
 # operation — bitwise-identical to the unfused call sequences (the
 # property the solver's golden tests pin), with every temporary
 # pooled.  Their value is the *seam*: the byte model charges the fused
-# pass once, and a JIT backend (Numba here, a GPU later) registers a
-# genuinely single-pass kernel against the same key.  GMRES-IR's
+# pass once, and a compiled backend (a GPU, say) registers a genuinely
+# single-pass kernel against the same key.  GMRES-IR's
 # residual check fuses at the vector pass (``waxpby_dot`` on ``b`` and
 # ``A x``), so the SpMV in front of it keeps its own schedule (halo
 # overlap, ABFT).
@@ -420,9 +420,8 @@ def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
 # parity tests pin.  ELL ``spmv_multi`` is nevertheless single-pass
 # over the matrix: the chunk helper widens and holds one chunk of the
 # matrix while it serves every column.  CSR and SELL-C-σ apply their
-# single-RHS kernel to each column (:func:`_register_spmv`); their
-# single-pass layouts belong to the JIT/GPU backends (the Numba backend
-# registers CSR/ELL ``spmv_multi`` against this same key).
+# single-RHS kernel to each column (:func:`_register_spmv`), as the
+# SciPy class does for ELL and CSR alike.
 
 
 @register("spmv_multi", fmt="ell")

@@ -6,8 +6,17 @@ SpMV, SymGS sweeps, CGS2's fused BLAS-2, WAXPBY, dots, grid transfers —
 are *dispatched*, not hard-wired into container classes.  This registry
 is that seam: every hot call in ``solvers/`` and ``mg/`` resolves a
 kernel through it, so a new storage layout (SELL-C-σ), a new precision
-(fp16), or a new execution engine (Numba, GPU, MPI) plugs in by
-registering functions, without touching any caller.
+(fp16), or a new execution engine (SciPy's compiled row products; a
+GPU, MPI) plugs in by registering functions, without touching any
+caller.
+
+A backend whose arithmetic differs from the reference's — ``scipy``
+sums a row sequentially, ``numpy`` pairwise — is its own *parity
+class*: results agree across classes to the rung's tolerance, and
+every bitwise contract is a statement about one class.  The fallback
+below is what keeps a class closed: an ``(op, format, precision)`` the
+active backend does not claim runs the NumPy kernel, in both classes
+alike.
 
 Resolution order for ``lookup(op, fmt, prec)``:
 

@@ -48,8 +48,12 @@ class ELLMatrix:
             raise ValueError("cols/vals shape mismatch")
         if self.cols.ndim != 2:
             raise ValueError("ELL arrays must be 2-D")
-        if self.cols.dtype != np.int32:
-            self.cols = self.cols.astype(np.int32)
+        # One layout for every kernel: int32 indices, C-contiguous
+        # blocks (a row's slots adjacent, so the block reshapes to CSR's
+        # flat arrays without a copy).  No-ops for from_csr / astype /
+        # extract_rows; a sliced or F-order input is copied once here.
+        self.cols = np.ascontiguousarray(self.cols, dtype=np.int32)
+        self.vals = np.ascontiguousarray(self.vals)
 
     # ------------------------------------------------------------------
     # Shape and metadata

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 
+from repro.backends.registry import registry
 from repro.perf.machine import machine_fingerprint, probe_machine
 from repro.solvers.setup_cache import operator_fingerprint
 from repro.tune.cache import PlanCache
@@ -44,15 +45,20 @@ def autotune_operator(
     """Tune dispatch for one operator; returns ``(plan, cache_hit)``.
 
     With a ``cache``, a plan recorded for this exact operator content
-    on this machine is returned without probing (unless ``force``);
-    fresh plans are stored back.  Either way the returned plan has its
-    per-(op, rung) parity invariant re-asserted.
+    on this machine from the active backend is returned without probing
+    (unless ``force``); fresh plans are stored back.  Either way the
+    returned plan has its per-(op, rung) parity invariant re-asserted.
     """
     op_fp = operator_fingerprint(A)
     mach_fp = machine_fingerprint()
     if cache is not None and not force:
         plan = cache.load(op_fp, mach_fp)
-        if plan is not None:
+        # The cache key hashes neither the registered backends nor the
+        # baseline, and a plan routes each tuned (op, rung) to the
+        # backend it recorded: one tuned from another parity class
+        # would steer the matrix ops out of the active one.  A miss —
+        # re-probe below and overwrite.
+        if plan is not None and plan.baseline_backend == registry.active_backend:
             plan.assert_parity()
             return plan, True
 

@@ -8,10 +8,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers_distributed import use_backend
 
+from repro.backends.registry import registry
 from repro.geometry.partition import Subdomain
 from repro.parallel.comm import SerialComm
 from repro.stencil.poisson27 import ProblemSpec, generate_problem
+
+
+@pytest.fixture(params=registry.backends())
+def parity_class(request):
+    """Run the test once per kernel parity class (``scipy``'s compiled
+    sequential row sums, ``numpy``'s pairwise reference): a bitwise
+    contract is one that holds *inside* each.  A test that compares
+    against recorded NumPy bits pins the reference class instead::
+
+        @pytest.mark.parametrize("parity_class", ["numpy"], indirect=True)
+
+    (``helpers_distributed.BOTH_CLASSES`` / ``NUMPY_CLASS`` are the two
+    marks.)
+    """
+    with use_backend(request.param) as name:
+        yield name
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,27 @@ import contextlib
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.backends.registry import registry
+
+#: Marks over conftest's ``parity_class`` fixture: run a bitwise contract
+#: inside every kernel parity class, or pin a comparison against recorded
+#: NumPy bits to the reference class.
+BOTH_CLASSES = pytest.mark.usefixtures("parity_class")
+NUMPY_CLASS = pytest.mark.parametrize("parity_class", ["numpy"], indirect=True)
+
+
+@contextlib.contextmanager
+def use_backend(name: str):
+    """Make ``name`` the active kernel backend, then restore."""
+    previous = registry.active_backend
+    registry.set_backend(name)
+    try:
+        yield name
+    finally:
+        registry.set_backend(previous)
+
 
 #: Rung-appropriate comparison tolerances (relative, absolute) for
 #: checking low-precision distributed SpMV against the fp64 reference.

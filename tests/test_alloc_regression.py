@@ -21,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 
 from repro.fp import MIXED_DS_POLICY
 from repro.parallel import SerialComm
@@ -30,8 +31,11 @@ from repro.solvers import GMRESIRSolver
 VECTOR_BYTES = 4096 * 8
 
 
-@pytest.fixture(scope="module")
-def warm_solver(problem16):
+pytestmark = BOTH_CLASSES  # the contracts hold inside each kernel class
+
+
+@pytest.fixture
+def warm_solver(problem16, parity_class):
     solver = GMRESIRSolver(problem16, SerialComm(), policy=MIXED_DS_POLICY)
     # Warmup: populate every workspace buffer the hot path touches.
     solver.solve(problem16.b, tol=0.0, maxiter=10)

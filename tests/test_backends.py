@@ -203,24 +203,30 @@ class TestRegistry:
             (None, None, "numpy"), ("ell", None, "numpy"), ("ell", "fp16", "numpy"),
         ]
 
-    def test_numba_panel_registrations_gated(self):
-        """The JIT panel and overlapped-smoother kernels register iff
-        numba imported; absent, the numba chain falls back to the
-        reference registrations instead of erroring."""
-        from repro.backends import numba_backend
+    def test_compiled_registrations_gated_on_the_private_import(self):
+        """The optional backend registers only when its import works:
+        the SciPy row products exist iff ``csr_matvec`` imported, and a
+        key the backend does not claim (fp16, SELL-C-σ, the sweep)
+        falls back to the reference registration instead of erroring."""
+        from repro.backends import scipy_backend
         from repro.backends.registry import registry as proc_reg
 
-        for op, fmt in (
-            ("spmv_multi", "ell"),
-            ("spmv_multi", "csr"),
-            ("symgs_interior", "color_partitioned"),
-            ("symgs_boundary", "color_partitioned"),
+        have = scipy_backend.csr_matvec is not None
+        assert ("scipy" in proc_reg.backends()) == have
+        if not have:
+            return
+        for op, fmt, prec, own in (
+            ("spmv", "ell", "fp64", True),
+            ("spmv_multi", "ell", "fp32", True),
+            ("spmv_multi", "csr", "fp64", True),
+            ("spmv_rows", "ell", "fp32", True),
+            ("spmv_rows", "csr", "fp64", False),
+            ("spmv_multi", "ell", "fp16", False),
+            ("spmv", "sellcs", "fp64", False),
+            ("symgs_interior", "color_partitioned", "fp64", False),
         ):
-            fn = proc_reg.lookup(op, fmt, "fp64", backend="numba")
-            if numba_backend.HAVE_NUMBA:
-                assert fn.__module__ == "repro.backends.numba_backend"
-            else:
-                assert fn.__module__ != "repro.backends.numba_backend"
+            fn = proc_reg.lookup(op, fmt, prec, backend="scipy")
+            assert (fn.__module__ == "repro.backends.scipy_backend") == own
 
 
 class TestWorkspace:

@@ -12,10 +12,16 @@ fp64, fp32, plain fp16 and row-equilibrated fp16, with ``out=`` given
 and omitted, an empty row set, and a rectangular rank-local matrix with
 ghost columns.  One engine-golden case re-run under the 97-row chunk
 shows the solver's bits do not depend on the constant either.
+
+Everything here runs inside each kernel parity class: under ``scipy``
+only ``spmv_rows`` (and the fp16 rungs, which stay on NumPy) chunks at
+all, and the compiled full, row-subset and panel products must still be
+one sum, with and without ``ws`` / ``out``.
 """
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 from test_engine_golden import _check, golden, run_serial  # noqa: F401
 
 from repro.backends import Workspace, numpy_backend, spmv, spmv_multi, spmv_rows
@@ -26,6 +32,8 @@ from repro.sparse import to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
+
+pytestmark = BOTH_CLASSES
 
 CHUNKS = (97, 10**9)
 RUNGS = ("fp64", "fp32", "fp16", "fp16-scaled")

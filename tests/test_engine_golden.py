@@ -18,10 +18,17 @@ kernel backend).  On a matching fingerprint records must be equal; on a
 different NumPy/BLAS/SIMD the test compares decisions (iterations,
 restarts, cycle lengths, events, exit flags) exactly and
 ``final_relres`` to 1e-12, and emits a warning naming the mismatch so a
-CI/local divergence is visible rather than silent.  Under another
-kernel backend (the CI Numba leg) it skips.
+CI/local divergence is visible rather than silent.
 
-Regenerate (only from a commit whose loops are trusted)::
+One digest file per kernel parity class, and every test here runs once
+per class (conftest's ``parity_class``): ``gmres_ir_digests.json`` is
+the NumPy class, byte-identical since that capture; the SciPy class
+(compiled sequential row sums — different arithmetic, not a drifted
+copy) was captured at the commit that introduced it, whose loop the
+NumPy file had just pinned.
+
+Regenerate the active class's file (only from a commit whose loops are
+trusted; ``REPRO_BACKEND=numpy`` selects the reference class)::
 
     PYTHONPATH=src python tests/test_engine_golden.py
 """
@@ -44,7 +51,13 @@ from repro.parallel import SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
 from repro.stencil import generate_problem
 
-GOLDEN = Path(__file__).parent / "golden" / "gmres_ir_digests.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_path(backend: str) -> Path:
+    suffix = "" if backend == "numpy" else f"_{backend}"
+    return GOLDEN_DIR / f"gmres_ir_digests{suffix}.json"
+
 
 #: Short cycles: more restart boundaries per solve (where deflation,
 #: the control plane, cancellation and the checkpoint live), and the
@@ -250,15 +263,11 @@ def capture() -> dict:
 
 
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def golden():
-    data = json.loads(GOLDEN.read_text())
+@pytest.fixture
+def golden(parity_class):
+    data = json.loads(golden_path(parity_class).read_text())
     here = fingerprint()
-    if data["fingerprint"]["backend"] != here["backend"]:
-        # Another backend's kernels are different arithmetic, not a
-        # drifted copy of the recorded one; the loop under test is
-        # backend-independent and the reference-backend legs pin it.
-        pytest.skip(f"golden recorded on {data['fingerprint']['backend']} kernels")
+    assert data["fingerprint"]["backend"] == here["backend"] == parity_class
     data["exact"] = data["fingerprint"] == here
     if not data["exact"]:
         warnings.warn(
@@ -327,6 +336,6 @@ def test_exit_paths_match_parent(case, problem16, golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(capture(), indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    path = golden_path(registry.active_backend)
+    path.write_text(json.dumps(capture(), indent=1) + "\n")
+    print(f"wrote {path}")

@@ -232,65 +232,3 @@ class TestFp16Smoother:
 
         with pytest.raises(ValueError, match="multicolor"):
             LevelScheduledGS(problem16.A.astype("fp16"))
-
-
-class TestNumbaFp16Parity:
-    """The JIT backend's fp16 SpMV coverage (ELL *and* CSR).
-
-    Per-ingredient fp16 schedules must not silently fall back to the
-    NumPy reference kernels on the JIT leg: where numba (with CPU
-    float16 support) is installed, both formats register an
-    fp32-accumulating fp16 SpMV whose results match the NumPy fp16
-    path to fp16 roundoff.  Skipped where numba is absent (the
-    offline container); the CI numba matrix leg executes it.
-    """
-
-    @pytest.fixture(scope="class")
-    def numba_kernels(self):
-        from repro.backends.numba_backend import HAVE_NUMBA
-        from repro.backends.registry import (
-            KernelNotFoundError,
-            registry,
-        )
-
-        if not HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        kernels = {}
-        for fmt in ("ell", "csr"):
-            try:
-                fn = registry.lookup("spmv", fmt, "fp16", backend="numba")
-            except KernelNotFoundError:
-                pytest.skip("numba lacks a CPU float16 SpMV")
-            if "numba" not in fn.__name__:
-                pytest.skip(f"no numba fp16 {fmt} registration")
-            kernels[fmt] = fn
-        return kernels
-
-    def test_csr_matches_numpy_fp16_path(self, problem16, x16, numba_kernels):
-        from repro.backends.registry import registry
-
-        A = to_precision(to_format(problem16.A, "csr"), "fp16")
-        ref_kernel = registry.lookup("spmv", "csr", "fp16", backend="numpy")
-        ref = ref_kernel(A, x16)
-        jit = numba_kernels["csr"](A, x16)
-        assert jit.dtype == ref.dtype
-        np.testing.assert_allclose(
-            jit.astype(np.float64), ref.astype(np.float64), rtol=2e-3
-        )
-
-    def test_ell_scaled_matches_numpy_fp16_path(self, A16, x16, numba_kernels):
-        from repro.backends.registry import registry
-
-        ref_kernel = registry.lookup("spmv", "ell", "fp16", backend="numpy")
-        ref = ref_kernel(A16, x16)
-        jit = numba_kernels["ell"](A16, x16)
-        np.testing.assert_allclose(
-            jit.astype(np.float64), ref.astype(np.float64), rtol=2e-3
-        )
-
-    def test_csr_out_contract(self, problem16, x16, numba_kernels):
-        A = to_precision(to_format(problem16.A, "csr"), "fp16")
-        out = np.zeros(A.nrows, dtype=np.float16)
-        res = numba_kernels["csr"](A, x16, out=out)
-        assert res is out
-        assert np.abs(out.astype(np.float64)).sum() > 0

@@ -20,7 +20,7 @@ class TestMatrixFreeOperator:
         op = MatrixFreeStencilOperator(problem16, comm)
         x = rng.standard_normal(problem16.nlocal)
         np.testing.assert_allclose(
-            op.matvec(x), problem16.A.spmv(x), rtol=1e-13
+            op.matvec(x), problem16.A.spmv(x), rtol=1e-13, atol=1e-13
         )
 
     def test_fp32_application(self, problem16, rng):
@@ -37,7 +37,7 @@ class TestMatrixFreeOperator:
         op = MatrixFreeStencilOperator(problem_nonsym16, comm)
         x = rng.standard_normal(problem_nonsym16.nlocal)
         np.testing.assert_allclose(
-            op.matvec(x), problem_nonsym16.A.spmv(x), rtol=1e-13
+            op.matvec(x), problem_nonsym16.A.spmv(x), rtol=1e-13, atol=1e-13
         )
 
     def test_residual(self, problem16):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import (
@@ -54,6 +55,7 @@ class TestRestriction:
         X = rng.standard_normal((A.ncols, ncol)).astype(A.dtype)
         return A, f_c, np.asfortranarray(R), np.asfortranarray(X)
 
+    @BOTH_CLASSES
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("ncol", [1, 4])
@@ -80,6 +82,7 @@ class TestRestriction:
             assert solo.shape == (len(f_c),)
             assert np.array_equal(solo, expect)
 
+    @BOTH_CLASSES
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("ncol", [1, 4])

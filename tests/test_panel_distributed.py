@@ -19,9 +19,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 from helpers_distributed import RUNG_TOLS as TOLS
 from helpers_distributed import smooth_vector as smooth_local_vector
 
+from repro.backends.registry import registry
 from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
@@ -70,6 +72,7 @@ def _solver(prob, comm, policy, **kw):
     )
 
 
+@BOTH_CLASSES
 class TestWideExchangeMatvecPanel:
     @pytest.mark.parametrize("nranks", RANKS)
     @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
@@ -116,12 +119,25 @@ class TestWideExchangeMatvecPanel:
         assert all(run_ranks(nranks, fn))
 
 
+#: Every kernel parity class x the formats it has kernels of its own
+#: for.  SELL-C-σ has none outside the reference class — under any
+#: other it is the same NumPy code again, a third of this suite's clock.
+CLASS_FORMATS = [
+    (backend, fmt)
+    for backend in registry.backends()
+    for fmt in ("csr", "ell", "sellcs")
+    if fmt != "sellcs" or backend == "numpy"
+]
+
+
 class TestPanelOverlapSolverParity:
     @pytest.mark.parametrize("nranks", RANKS)
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize(
+        "parity_class,fmt", CLASS_FORMATS, indirect=["parity_class"]
+    )
     @pytest.mark.parametrize("policy", [DOUBLE_POLICY, MIXED_DS_POLICY])
     def test_panel_overlap_bitwise_vs_looped_schedule(
-        self, nranks, fmt, policy
+        self, nranks, parity_class, fmt, policy
     ):
         """End-to-end ``solve_panel`` == the looped per-column solve,
         bitwise, on *both* the panel-overlapped and the non-overlapped

@@ -9,11 +9,12 @@ serial reference — each precision to its rung-appropriate tolerance.
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES, smooth_vector, use_backend
 from helpers_distributed import RUNG_TOLS as TOLS
-from helpers_distributed import smooth_vector
 
 from repro.backends import Workspace
 from repro.backends.dispatch import spmv_boundary, spmv_interior
+from repro.backends.registry import registry
 from repro.fp.precision import Precision
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.sparse import partition_matrix, to_format, to_precision
@@ -198,34 +199,16 @@ class TestPartitionedWorkspace:
         assert ws.hits > 0
 
 
-class TestNumbaPanelKernels:
-    """PR 8: JIT single-pass panel SpMV on the partitioned regions.
-
-    The numba registrations of ``spmv_interior_multi`` /
-    ``spmv_boundary_multi`` stream each region block once per panel
-    (the reference loops it once per column); registration is gated on
-    numba importing, and when present the kernels must agree with the
-    reference column loop to rung tolerance and be exactly
-    column-independent (column j of a panel == the 1-wide panel of
-    column j).
-    """
+@BOTH_CLASSES
+class TestPanelHalves:
+    """The panel halves of the overlap schedule, inside each kernel
+    parity class: ``spmv_interior_multi`` / ``spmv_boundary_multi``
+    multiply one region block per panel (ghost columns included), agree
+    with the reference class's column loop to rung tolerance and are
+    exactly column-independent (column j of a panel == the 1-wide panel
+    of column j)."""
 
     PANEL_OPS = ("spmv_interior_multi", "spmv_boundary_multi")
-
-    def test_registrations_gated_on_numba(self):
-        from repro.backends import numba_backend
-        from repro.backends.registry import registry as proc_reg
-
-        for op in self.PANEL_OPS:
-            for prec in ("fp32", "fp64"):
-                fn = proc_reg.lookup(op, "partitioned", prec, backend="numba")
-                if numba_backend.HAVE_NUMBA:
-                    assert fn.__module__ == "repro.backends.numba_backend"
-                else:
-                    assert fn.__module__ != "repro.backends.numba_backend"
-            # fp16 has no jitted region kernel: the rung always resolves
-            # to the reference column loop (no hole in the dispatch).
-            assert proc_reg.lookup(op, "partitioned", "fp16") is not None
 
     def _panel(self, prob, dtype, ncol=5):
         xfull = full_vector_with_ghosts(prob)
@@ -236,50 +219,36 @@ class TestNumbaPanelKernels:
 
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("prec", ["fp32", "fp64"])
-    def test_single_pass_matches_reference_loop(self, fmt, prec):
-        from repro.backends import numba_backend
-        from repro.backends.registry import registry as proc_reg
-
-        if not numba_backend.HAVE_NUMBA:
-            pytest.skip("numba not installed")
+    def test_panel_matches_reference_class(self, fmt, prec):
         prob = rank_problem(8, rank=0)
         A = to_precision(to_format(prob.A, fmt), prec)
         P = partition_matrix(A, prob.halo)
         X = self._panel(prob, A.dtype)
         rtol, atol = TOLS[prec]
+        Y = np.zeros((P.nlocal, X.shape[1]), dtype=A.dtype, order="F")
+        Yr = np.zeros_like(Y)
         for op in self.PANEL_OPS:
-            jit = proc_reg.lookup(op, "partitioned", prec, backend="numba")
-            ref = proc_reg.lookup(op, "partitioned", prec, backend="numpy")
-            Yj = np.zeros((P.nlocal, X.shape[1]), dtype=A.dtype, order="F")
-            Yr = np.zeros_like(Yj)
-            jit(P, X, out=Yj)
-            ref(P, X, out=Yr)
-            np.testing.assert_allclose(
-                Yj.astype(np.float64),
-                Yr.astype(np.float64),
-                rtol=rtol,
-                atol=atol,
-            )
+            registry.lookup(op, "partitioned", prec)(P, X, out=Y)
+        with use_backend("numpy"):
+            for op in self.PANEL_OPS:
+                registry.lookup(op, "partitioned", prec)(P, X, out=Yr)
+        np.testing.assert_allclose(
+            Y.astype(np.float64), Yr.astype(np.float64), rtol=rtol, atol=atol
+        )
 
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_columns_independent_bitwise(self, fmt):
-        """Panel column j must be bitwise-identical to solving column j
-        as its own 1-wide panel — the property the service's coalescing
-        contract (batched == solo) reduces to at the kernel level."""
-        from repro.backends import numba_backend
-        from repro.backends.registry import registry as proc_reg
-
-        if not numba_backend.HAVE_NUMBA:
-            pytest.skip("numba not installed")
+        """The property the service's coalescing contract (batched ==
+        solo) reduces to at the kernel level."""
         prob = rank_problem(8, rank=0)
         A = to_format(prob.A, fmt)
         P = partition_matrix(A, prob.halo)
         X = self._panel(prob, A.dtype)
         for op in self.PANEL_OPS:
-            jit = proc_reg.lookup(op, "partitioned", "fp64", backend="numba")
+            kernel = registry.lookup(op, "partitioned", "fp64")
             Y = np.zeros((P.nlocal, X.shape[1]), dtype=A.dtype, order="F")
-            jit(P, X, out=Y)
+            kernel(P, X, out=Y)
             for j in range(X.shape[1]):
                 yj = np.zeros((P.nlocal, 1), dtype=A.dtype, order="F")
-                jit(P, np.asfortranarray(X[:, j : j + 1]), out=yj)
+                kernel(P, np.asfortranarray(X[:, j : j + 1]), out=yj)
                 assert np.array_equal(Y[:, j], yj[:, 0]), (op, j)

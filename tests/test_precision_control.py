@@ -11,7 +11,7 @@ and the config/CLI wiring.
 
 import numpy as np
 import pytest
-from helpers_distributed import defect_panel_pooled
+from helpers_distributed import NUMPY_CLASS, defect_panel_pooled
 
 from repro.fp import (
     ControlConfig,
@@ -354,8 +354,9 @@ class TestPolicyModeBitwise:
             for p in st_policy.promotions
         ]
 
+    @NUMPY_CLASS
     def test_policy_mode_reproduces_the_pr2_golden_decisions(
-        self, hard_problem
+        self, hard_problem, parity_class
     ):
         """Decision-level golden captured from the PR 2 implementation
         on this fixture (seed commit 78c1f80): one promotion at inner

@@ -25,7 +25,7 @@ import random
 
 import numpy as np
 import pytest
-from helpers_distributed import scaled_rhs_panel
+from helpers_distributed import BOTH_CLASSES, scaled_rhs_panel
 
 from repro.backends.registry import registry
 from repro.backends.workspace import WorkspacePool
@@ -213,6 +213,7 @@ def _campaign(problem, policy, spec, tol=1e-8, maxiter=400):
     return injected, detected, replays, faulted, recovered
 
 
+@BOTH_CLASSES
 class TestKernelCampaign:
     """Acceptance: every covered SpMV corruption is detected and the
     replayed solve converges."""
@@ -256,6 +257,7 @@ class TestKernelCampaign:
             registry.set_wrapper(None)
 
 
+@BOTH_CLASSES
 class TestZeroOverheadParity:
     """Acceptance: resilience on + zero faults == resilience off,
     bitwise, serially and across SPMD rank counts."""

@@ -16,6 +16,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 
 from repro.backends.workspace import WorkspacePool
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
@@ -63,6 +64,7 @@ def rhs(b: np.ndarray, j: int) -> np.ndarray:
     return b * (1.0 + 0.5 * j)
 
 
+@BOTH_CLASSES
 class TestCoalescedParity:
     """The tentpole contract: coalescing is arithmetic-invisible."""
 

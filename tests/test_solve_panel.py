@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 from helpers_distributed import scaled_rhs_panel as make_rhs_panel
 
 from repro.backends.registry import registry
@@ -37,6 +38,9 @@ def run_ranks(nranks: int, fn) -> list:
     if nranks == 1:
         return [fn(SerialComm())]
     return run_spmd(nranks, fn)
+
+
+pytestmark = BOTH_CLASSES  # panel column == solo inside each class
 
 
 def _solver(prob, comm, policy, **kw):
@@ -139,8 +143,7 @@ class TestFusionSwitch:
         x_off, fused_off = run(False)
         assert fused_on > 0
         assert fused_off == 0
-        if registry.active_backend == "numpy":
-            assert np.array_equal(x_on, x_off)  # fused == unfused, bitwise
+        assert np.array_equal(x_on, x_off)  # fused == unfused, bitwise
 
 
 class TestPanelParityDistributed:

@@ -133,6 +133,32 @@ class TestELL:
         with pytest.raises(ValueError):
             ELLMatrix(np.zeros((3, 2), np.int32), np.zeros((3, 3)), 3)
 
+    @pytest.mark.parametrize("how", ["F-order", "column-strided", "row-strided"])
+    def test_layout_is_normalised_at_construction(self, problem8, how):
+        """Every kernel may assume int32, C-contiguous blocks (the
+        compiled product views them as CSR's flat arrays); an F-order
+        or sliced input is copied once here, not guarded per call — and
+        the constructors' own outputs are left alone."""
+        A = problem8.A
+        x = np.random.default_rng(4).standard_normal(A.ncols)
+        if how == "F-order":
+            cols, vals = np.asfortranarray(A.cols), np.asfortranarray(A.vals)
+            ref = A
+        elif how == "column-strided":
+            cols, vals = A.cols[:, ::2], A.vals[:, ::2]
+            ref = ELLMatrix(cols.copy(), vals.copy(), A.ncols)
+        else:
+            cols, vals = A.cols[::2], A.vals[::2]
+            ref = ELLMatrix(cols.copy(), vals.copy(), A.ncols)
+        assert not (cols.flags.c_contiguous and vals.flags.c_contiguous)
+        B = ELLMatrix(cols, vals, A.ncols)
+        assert B.cols.flags.c_contiguous and B.vals.flags.c_contiguous
+        assert B.cols.dtype == np.int32
+        np.testing.assert_array_equal(B.spmv(x), ref.spmv(x))
+        for made in (A, A.astype("fp32"), A.to_csr().to_ell()):
+            again = ELLMatrix(made.cols, made.vals, made.ncols)
+            assert again.cols is made.cols and again.vals is made.vals
+
     def test_memory_bytes_no_row_pointers(self, problem16):
         A = problem16.A
         expected = A.vals.size * 8 + A.cols.size * 4

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from helpers_distributed import RUNG_TOLS as TOLS
 from helpers_distributed import (
+    BOTH_CLASSES,
     SectionTimers,
     counted_dispatch,
     level_order,
@@ -190,6 +191,7 @@ class TestSweepSplit:
         assert 0 < P.interior_fraction < 1
 
 
+@BOTH_CLASSES
 class TestOverlappedSymGS:
     """Cross-rank parity: overlapped vs the sequential sweep."""
 
@@ -321,6 +323,7 @@ def layout_case(fmt, prec, layout, ws=None):
     return prob, A, diag, sets, gs
 
 
+@BOTH_CLASSES
 class TestOneSweepLayout:
     """PR 16 / PR 19: every multicolor sweep relaxes slices of the
     color-ordered layout — serial smoothers included — and, once
@@ -483,6 +486,7 @@ class TestOneSweepLayout:
         assert all(run_spmd(2, fn))
 
 
+@BOTH_CLASSES
 class TestZeroGuessSweep:
     """PR 19: the first sweep after the V-cycle zeroes a level's iterate
     is told so — it posts no halo exchange and skips the first color's
@@ -785,6 +789,7 @@ class TestOverlappedSmootherAllocations:
         )
 
 
+@BOTH_CLASSES
 class TestFusedMotifs:
     @staticmethod
     def residual_case(fmt):
@@ -937,36 +942,6 @@ class TestConfigAndCLI:
             overlap_symgs=False,
         )
         assert s2.overlap and not s2.overlap_symgs
-
-
-class TestNumbaWidenedOps:
-    """The JIT backend's fused ``waxpby_dot`` under real numba,
-    parity-checked against the NumPy reference path.  Skipped where
-    numba is absent (the offline container); the CI numba matrix leg
-    executes it, and ``tests/test_numba_interpreted.py`` runs every
-    kernel the module still registers here, interpreted.
-    """
-
-    @pytest.fixture(scope="class")
-    def numba_ready(self):
-        from repro.backends.numba_backend import HAVE_NUMBA
-
-        if not HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        from repro.backends.registry import registry
-
-        return registry
-
-    def test_waxpby_dot_matches_numpy_bitwise(self, numba_ready):
-        jit = numba_ready.lookup("waxpby_dot", None, "fp64", backend="numba")
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(256)
-        y = rng.standard_normal(256)
-        out = np.empty(256)
-        w, local = jit(-0.5, x, 1.0, y, out=out)
-        ref = y - 0.5 * x
-        np.testing.assert_allclose(w, ref, rtol=1e-15)
-        assert local == float(np.dot(w, w))
 
 
 class TestRegressionGateMetrics:

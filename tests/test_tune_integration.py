@@ -10,6 +10,7 @@ because the untuned baseline always competes in the probe.
 
 import numpy as np
 import pytest
+from helpers_distributed import use_backend
 
 from repro.backends.registry import KernelRegistry, registry
 from repro.fp import MIXED_DS_POLICY
@@ -145,14 +146,16 @@ class TestProbe:
     def test_backend_with_a_fused_kernel_votes_on_fusion(
         self, problem8, monkeypatch
     ):
-        """A backend that registers a single-pass kernel of its own (as
-        Numba does for fp64 ``waxpby_dot``) competes fused AND unfused,
-        at the rungs it registered and no others."""
+        """A backend that registers a single-pass kernel of its own
+        competes fused AND unfused, at the rungs it registered and no
+        others (the baseline is the active backend; the others resolve
+        to the same NumPy composition and are deduped away)."""
         import repro.tune.probe as probe_mod
 
         priv = KernelRegistry(
             _kernels=dict(registry._kernels),
             _backends=dict(registry._backends),
+            _active=registry.active_backend,
         )
         priv.register_backend("jit", priority=-1)
         numpy_fused = registry.lookup("waxpby_dot", None, "fp64", backend="numpy")
@@ -169,10 +172,9 @@ class TestProbe:
         for rung in prober.rungs:
             _, recs = prober.probe_op("waxpby_dot", rung)
             seen[rung.short_name] = {(r.backend, r.fused) for r in recs}
-        assert seen["fp64"] == {
-            ("numpy", True), ("jit", True), ("jit", False)
-        }
-        assert seen["fp32"] == {("numpy", True)}
+        active = registry.active_backend
+        assert seen["fp64"] == {(active, True), ("jit", True), ("jit", False)}
+        assert seen["fp32"] == {(active, True)}
 
 
 class TestPlanFromProbe:
@@ -205,6 +207,39 @@ class TestPlanFromProbe:
         )
         assert hit
         assert again.entries == plan.entries
+
+
+    def test_plan_from_another_parity_class_is_a_miss(self, problem16, tmp_path):
+        """The cache key hashes no backend, and a plan routes each tuned
+        (op, rung) to the backend it recorded — so a plan written under
+        one class and loaded under the other would steer the matrix ops
+        across classes.  It is re-probed and overwritten instead, and
+        tuned == untuned bitwise under each class in turn."""
+        cache = PlanCache(str(tmp_path / "cache.json"))
+        probe = dict(rungs=("fp64", "fp32"), repeats=1, max_rows=512, cache=cache)
+        kw = dict(policy=MIXED_DS_POLICY, restart=10, matrix_format="ell")
+        classes = registry.backends()
+        for backend in classes + classes[:1]:  # ... and back again
+            with use_backend(backend):
+                plan, hit = autotune_operator(problem16.A, **probe)
+                assert not hit
+                assert plan.baseline_backend == backend
+                assert autotune_operator(problem16.A, **probe)[1]  # overwrote
+
+                plain = GMRESIRSolver(problem16, SerialComm(), **kw)
+                x_plain, _ = plain.solve(problem16.b, tol=0.0, maxiter=10)
+                setup = SetupCache()
+                setup.store_plan(operator_fingerprint(problem16.A), plan)
+                tuned = GMRESIRSolver(
+                    problem16, SerialComm(), setup_cache=setup, **kw
+                )
+                assert tuned.dispatch_plan is plan
+                try:
+                    registry.set_plan(plan)
+                    x_tuned, _ = tuned.solve(problem16.b, tol=0.0, maxiter=10)
+                finally:
+                    registry.set_plan(None)
+                assert np.array_equal(x_tuned, x_plain)
 
 
 class TestRegistryPlanDispatch:
@@ -300,6 +335,10 @@ class TestSolverAdoption:
         assert solver.dispatch_plan is plan8
 
     def test_mismatched_baseline_is_not_adopted(self, problem8, plan8):
+        # Neither the ell baseline the plan was tuned from nor its
+        # consensus (inside the SciPy class CSR is bitwise ELL without
+        # the padding, so the consensus may be csr).
+        other = "sellcs" if plan8.solver_format() == "csr" else "csr"
         cache = SetupCache()
         cache.store_plan(operator_fingerprint(problem8.A), plan8)
         solver = GMRESIRSolver(
@@ -307,7 +346,7 @@ class TestSolverAdoption:
             SerialComm(),
             policy=MIXED_DS_POLICY,
             mg_config=MGConfig(nlevels=2),
-            matrix_format="csr",  # plan was tuned from the ell baseline
+            matrix_format=other,
             setup_cache=cache,
         )
         assert solver.dispatch_plan is None

@@ -49,23 +49,23 @@ def plan(entries, **kw):
 
 class TestLookup:
     def test_choice_by_rung_string_and_precision(self):
-        p = plan({("spmv", "fp64"): choice(backend="numba")})
-        assert p.choice("spmv", "fp64").backend == "numba"
-        assert p.choice("spmv", Precision.DOUBLE).backend == "numba"
+        p = plan({("spmv", "fp64"): choice(backend="scipy")})
+        assert p.choice("spmv", "fp64").backend == "scipy"
+        assert p.choice("spmv", Precision.DOUBLE).backend == "scipy"
         assert p.choice("spmv", "fp32") is None
         assert p.choice("spmv", None) is None
 
     def test_backend_for_untuned_op_is_none(self):
-        p = plan({("spmv", "fp64"): choice(backend="numba")})
-        assert p.backend_for("spmv", "fp64", "ell") == "numba"
+        p = plan({("spmv", "fp64"): choice(backend="scipy")})
+        assert p.backend_for("spmv", "fp64", "ell") == "scipy"
         assert p.backend_for("spmv_multi", "fp64", "ell") is None
 
     def test_backend_for_requires_matching_format(self):
         """Parity was verified only for the chosen format — a lookup
         under any other format (e.g. levelsched MG forcing ELL while
         the plan chose CSR) must fall back to untuned dispatch."""
-        p = plan({("spmv", "fp64"): choice(fmt="csr", backend="numba")})
-        assert p.backend_for("spmv", "fp64", "csr") == "numba"
+        p = plan({("spmv", "fp64"): choice(fmt="csr", backend="scipy")})
+        assert p.backend_for("spmv", "fp64", "csr") == "scipy"
         assert p.backend_for("spmv", "fp64", "ell") is None
         assert p.backend_for("spmv", "fp64", None) is None
 
@@ -74,11 +74,11 @@ class TestLookup:
         p = plan(
             {
                 ("spmv", "fp64"): choice(
-                    fmt="sellcs", params=params, backend="numba"
+                    fmt="sellcs", params=params, backend="scipy"
                 )
             }
         )
-        assert p.backend_for("spmv", "fp64", "sellcs", params) == "numba"
+        assert p.backend_for("spmv", "fp64", "sellcs", params) == "scipy"
         other = (("chunk", 16), ("sigma", 64))
         assert p.backend_for("spmv", "fp64", "sellcs", other) is None
         assert p.backend_for("spmv", "fp64", "sellcs") is None
@@ -86,8 +86,8 @@ class TestLookup:
     def test_backend_for_vector_op_matches_format_free_lookup(self):
         """Format-agnostic ops are probed (and dispatched) at
         ``fmt=None``; the recorded fmt is just the baseline placeholder."""
-        p = plan({("waxpby_dot", "fp64"): choice(backend="numba")})
-        assert p.backend_for("waxpby_dot", "fp64", None) == "numba"
+        p = plan({("waxpby_dot", "fp64"): choice(backend="scipy")})
+        assert p.backend_for("waxpby_dot", "fp64", None) == "scipy"
         assert p.backend_for("waxpby_dot", "fp64", "ell") is None
 
     def test_fused_for_falls_back_to_default(self):
