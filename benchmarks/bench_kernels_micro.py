@@ -47,8 +47,6 @@ def mats(prob):
         "ell16": to_precision(prob.A, "fp16"),  # row-equilibrated fp16
         "csr64": prob.A.to_csr(),
         "csr32": prob.A.to_csr().astype("fp32"),
-        "sellcs64": prob.A.to_sellcs(),
-        "sellcs32": prob.A.to_sellcs().astype("fp32"),
     }
 
 
@@ -69,19 +67,13 @@ class TestSpMV:
     def test_spmv_csr_fp32(self, benchmark, mats, vectors):
         benchmark(lambda: mats["csr32"].spmv(vectors["x32"]))
 
-    def test_spmv_sellcs_fp64(self, benchmark, mats, vectors):
-        benchmark(lambda: mats["sellcs64"].spmv(vectors["x64"]))
-
-    def test_spmv_sellcs_fp32(self, benchmark, mats, vectors):
-        benchmark(lambda: mats["sellcs32"].spmv(vectors["x32"]))
-
     def test_spmv_ell_fp16(self, benchmark, mats, vectors):
         """Row-equilibrated fp16 storage, fp32-accumulating kernel."""
         from repro.backends import spmv
 
         benchmark(lambda: spmv(mats["ell16"], vectors["x16"]))
 
-    @pytest.mark.parametrize("fmt", ["ell", "csr", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["ell", "csr"])
     def test_spmv_workspace_fp64(self, benchmark, mats, vectors, fmt):
         from repro.backends import Workspace, spmv
 

@@ -38,25 +38,12 @@ def matrix_format(A) -> str:
     return fmt
 
 
-def matrix_format_params(A) -> tuple:
-    """The format parameters a tuned plan choice is keyed by —
-    SELL-C-σ's sorted ``(chunk, sigma)`` pairs; ``()`` for
-    parameter-free formats.  Passed to lookups so an installed plan
-    only steers the exact parameter combination it parity-verified."""
-    if getattr(type(A), "format_name", None) == "sellcs":
-        return (("chunk", int(A.C)), ("sigma", int(A.sigma)))
-    return ()
-
-
 # ----------------------------------------------------------------------
 # Sparse motifs
 # ----------------------------------------------------------------------
 def spmv(A, x: np.ndarray, out: np.ndarray | None = None, ws=None):
     """``y = A @ x`` through the registered kernel for A's format."""
-    fn = registry.lookup(
-        "spmv", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
-    )
+    fn = registry.lookup("spmv", matrix_format(A), _prec(A.dtype))
     return fn(A, x, out=out, ws=ws)
 
 
@@ -90,10 +77,7 @@ def symgs_sweep(
 ) -> None:
     """One multicolor Gauss-Seidel sweep (all color passes): on a
     plain matrix, the index-set reference the block sweep is pinned to."""
-    fn = registry.lookup(
-        "symgs_sweep", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
-    )
+    fn = registry.lookup("symgs_sweep", matrix_format(A), _prec(A.dtype))
     return fn(A, r, xfull, sets, diag_sets, direction=direction, ws=ws)
 
 
@@ -173,10 +157,7 @@ def spmv_multi(A, X: np.ndarray, out: np.ndarray | None = None, ws=None):
     inside every backend (the panel kernels keep each column's
     reduction order identical to the single-RHS kernel's).
     """
-    fn = registry.lookup(
-        "spmv_multi", matrix_format(A), _prec(A.dtype),
-        fmt_params=matrix_format_params(A),
-    )
+    fn = registry.lookup("spmv_multi", matrix_format(A), _prec(A.dtype))
     return fn(A, X, out=out, ws=ws)
 
 
@@ -233,10 +214,7 @@ def symgs_sweep_multi(
     included (it just zeroed it): the first color's block products are
     skipped, bitwise.
     """
-    fn = registry.lookup(
-        "symgs_sweep_multi", matrix_format(P), _prec(P.dtype),
-        fmt_params=matrix_format_params(P),
-    )
+    fn = registry.lookup("symgs_sweep_multi", matrix_format(P), _prec(P.dtype))
     return fn(P, R, Xfull, direction=direction, ws=ws, zero_guess=zero_guess)
 
 

@@ -13,9 +13,9 @@ honors two contracts the solver hot path depends on:
   allocate nothing after their first (warmup) call — not even
   transiently: the int32 column block is widened into pooled ``intp``
   scratch per chunk, because ``np.take`` with int32 indices allocates
-  an intp copy of the whole index array on every call.  The CSR and
-  SELL-C-σ kernels pool O(nnz) gathers and still pay that hidden index
-  copy; they have no row-subset kernel (``spmv_rows`` off ELL is the
+  an intp copy of the whole index array on every call.  The CSR
+  kernels pool O(nnz) gathers and still pay that hidden index copy;
+  they have no row-subset kernel (``spmv_rows`` off ELL is the
   format-generic reference: the full product, then the rows).
 
 Without ``ws`` the kernels fall back to plain allocating NumPy, which
@@ -23,7 +23,7 @@ keeps them usable from tests and one-shot diagnostics — and is the
 reference the chunked bodies are tested bitwise against.
 
 The kernels are duck-typed on the matrix attributes (``indptr`` /
-``cols`` / ``blocks`` ...), not the classes, so this module has no
+``cols`` ...), not the classes, so this module has no
 import edge back into :mod:`repro.sparse`.
 """
 
@@ -78,7 +78,7 @@ def _each_column(kernel, A, X, Y, ws) -> None:
 
 def _register_spmv(fmt, precision=None):
     """Register a single-vector SpMV together with its panel twin, the
-    same function applied to each column (CSR and SELL-C-σ)."""
+    same function applied to each column (CSR)."""
 
     def deco(kernel):
         def spmv_multi(A, X, out=None, ws=None):
@@ -290,44 +290,15 @@ def spmv_rows_ell(A, rows, x, out=None, ws=None):
     return y
 
 
-# ----------------------------------------------------------------------
-# SELL-C-σ
-# ----------------------------------------------------------------------
-@_register_spmv("sellcs")
-def spmv_sellcs(A, x, out=None, ws=None):
-    """y = A @ x: one ELL-style gather-multiply-reduce per width slab.
-
-    Every row belongs to exactly one slab, so the output needs no
-    global zero pass; zero-width slabs (all-empty chunks) scatter 0.
-    """
-    _check_cols(A, x)
-    dtype = A.dtype
-    y = out if out is not None else np.empty(A.nrows, dtype=dtype)
-    for bid, blk in enumerate(A.blocks):
-        if blk.width == 0:
-            y[blk.rows] = 0
-            continue
-        if ws is not None and blk.vals.dtype == x.dtype:
-            g = ws.get(("sellcs.spmv.gather", bid), blk.cols.shape, x.dtype)
-            np.take(x, blk.cols, out=g, mode="clip")
-            np.multiply(blk.vals, g, out=g)
-            s = ws.get(("sellcs.spmv.sum", bid), (len(blk.rows),), dtype)
-            g.sum(axis=1, dtype=dtype, out=s)
-            y[blk.rows] = s
-        else:
-            y[blk.rows] = (blk.vals * x[blk.cols]).sum(axis=1, dtype=dtype)
-    return y
-
-
 @register("spmv_rows")
 def spmv_rows_reference(A, rows, x, out=None, ws=None):
     """(A @ x) on a row subset, format-generic: the full product, then
     the rows.  Nothing hot runs it — only ELL, which the level-scheduled
     smoother sweeps per wavefront, has a row-subset kernel; this serves
-    the references (``matvec_split``, the index-set sweep on CSR /
-    SELL-C-σ).  The product lands in ``out``'s dtype before the rows
-    are taken, so an fp16 matrix hands its fp32 row sums to an fp32
-    ``out`` unrounded, as a row-subset kernel would."""
+    the references (``matvec_split``, the index-set sweep on CSR).  The
+    product lands in ``out``'s dtype before the rows are taken, so an
+    fp16 matrix hands its fp32 row sums to an fp32 ``out`` unrounded, as
+    a row-subset kernel would."""
     from repro.backends.dispatch import spmv
 
     dtype = A.dtype if out is None else out.dtype
@@ -419,9 +390,9 @@ def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
 # looped single-RHS calls, which is the contract the panel solver's
 # parity tests pin.  ELL ``spmv_multi`` is nevertheless single-pass
 # over the matrix: the chunk helper widens and holds one chunk of the
-# matrix while it serves every column.  CSR and SELL-C-σ apply their
-# single-RHS kernel to each column (:func:`_register_spmv`), as the
-# SciPy class does for ELL and CSR alike.
+# matrix while it serves every column.  CSR applies its single-RHS
+# kernel to each column (:func:`_register_spmv`), as the SciPy class
+# does for ELL and CSR alike.
 
 
 @register("spmv_multi", fmt="ell")
@@ -750,40 +721,6 @@ def spmv_csr_fp16(A, x, out=None, ws=None):
     if scale is not None:
         np.multiply(y, scale, out=y)
     return _store(y, out, A.data.dtype)
-
-
-@_register_spmv("sellcs", precision="fp16")
-def spmv_sellcs_fp16(A, x, out=None, ws=None):
-    """SELL-C-σ SpMV: per-slab fp16 streaming, fp32 reduction.
-
-    With ``ws`` the per-slab gathers, fp32 accumulators and the result
-    vector are all pooled (keyed per slab, like the generic kernel).
-    """
-    _check_cols(A, x)
-    scale = getattr(A, "row_scale", None)
-    y = (
-        ws.get("sellcs.spmv16.y", (A.nrows,), np.float32)
-        if ws is not None
-        else np.empty(A.nrows, dtype=np.float32)
-    )
-    for bid, blk in enumerate(A.blocks):
-        if blk.width == 0:
-            y[blk.rows] = 0.0
-            continue
-        if ws is not None:
-            g = ws.get(("sellcs.spmv16.gather", bid), blk.cols.shape, x.dtype)
-            np.take(x, blk.cols, out=g, mode="clip")
-            acc = ws.get(("sellcs.spmv16.acc", bid), blk.cols.shape, np.float32)
-            np.multiply(blk.vals, g, out=acc, dtype=np.float32)
-            s = ws.get(("sellcs.spmv16.sum", bid), (len(blk.rows),), np.float32)
-            acc.sum(axis=1, dtype=np.float32, out=s)
-            y[blk.rows] = s
-        else:
-            acc = np.multiply(blk.vals, x[blk.cols], dtype=np.float32)
-            y[blk.rows] = acc.sum(axis=1, dtype=np.float32)
-    if scale is not None:
-        np.multiply(y, scale, out=y)
-    return _store(y, out, A.dtype)
 
 
 @register("symgs_sweep", precision="fp16")

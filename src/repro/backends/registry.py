@@ -5,10 +5,9 @@ a benchmark survives hardware generations only if the hot operations —
 SpMV, SymGS sweeps, CGS2's fused BLAS-2, WAXPBY, dots, grid transfers —
 are *dispatched*, not hard-wired into container classes.  This registry
 is that seam: every hot call in ``solvers/`` and ``mg/`` resolves a
-kernel through it, so a new storage layout (SELL-C-σ), a new precision
-(fp16), or a new execution engine (SciPy's compiled row products; a
-GPU, MPI) plugs in by registering functions, without touching any
-caller.
+kernel through it, so a new storage layout, a new precision (fp16), or
+a new execution engine (SciPy's compiled row products; a GPU, MPI)
+plugs in by registering functions, without touching any caller.
 
 A backend whose arithmetic differs from the reference's — ``scipy``
 sums a row sequentially, ``numpy`` pairwise — is its own *parity
@@ -27,7 +26,10 @@ Resolution order for ``lookup(op, fmt, prec)``:
    (``None`` registrations are wildcards).
 
 Lookups are cached; the cache is invalidated when registrations change
-or the active backend is switched.
+or the active backend is switched.  The process-global state is two
+slots, :meth:`KernelRegistry.set_backend` and
+:meth:`KernelRegistry.set_wrapper`; a tuned plan never reaches the
+registry (it picks the solver's storage format, :mod:`repro.tune`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class KernelRegistry:
     _backends: dict[str, BackendInfo] = field(default_factory=dict)
     _cache: dict[tuple, Callable] = field(default_factory=dict)
     _active: str = NUMPY_BACKEND
-    _plan: object | None = None
     _wrapper: Callable | None = None
 
     # ------------------------------------------------------------------
@@ -165,29 +166,6 @@ class KernelRegistry:
         return sorted(out, key=lambda v: tuple(x or "" for x in v))
 
     # ------------------------------------------------------------------
-    # Dispatch plans (repro.tune)
-    # ------------------------------------------------------------------
-    @property
-    def plan(self):
-        """The installed :class:`repro.tune.DispatchPlan`, if any."""
-        return self._plan
-
-    def set_plan(self, plan) -> None:
-        """Install (or clear, with ``None``) a tuned dispatch plan.
-
-        While installed, lookups with no explicit ``backend`` consult
-        the plan's per-``(op, precision)`` backend choice before falling
-        back to the active backend.  The lookup's format context
-        (``fmt``, ``fmt_params``) is handed to the plan so it only ever
-        steers the exact ``(op, format, params)`` combination whose
-        bitwise parity the probe verified; any other combination falls
-        back to the active backend.  Installing a plan therefore never
-        changes numerics — only which bitwise-identical kernel runs.
-        """
-        self._plan = plan
-        self._cache.clear()
-
-    # ------------------------------------------------------------------
     # Dispatch wrappers (repro.resilience)
     # ------------------------------------------------------------------
     @property
@@ -218,20 +196,10 @@ class KernelRegistry:
         fmt: str | None = None,
         precision: "Precision | str | None" = None,
         backend: str | None = None,
-        fmt_params: tuple | None = None,
     ) -> Callable:
-        """Resolve the kernel for an operation (cached).
-
-        ``fmt_params`` (e.g. SELL-C-σ ``(("chunk", C), ("sigma", σ))``)
-        only scopes an installed plan's backend preference to the
-        parity-verified format parameters; resolution itself keys on
-        ``fmt`` alone.
-        """
+        """Resolve the kernel for an operation (cached)."""
         prec = None if precision is None else Precision.from_any(precision)
-        want = backend
-        if want is None and self._plan is not None:
-            want = self._plan.backend_for(op, prec, fmt, fmt_params)
-        want = want or self._active
+        want = backend or self._active
         cache_key = (op, fmt, prec, want)
         fn = self._cache.get(cache_key)
         if fn is not None:

@@ -41,26 +41,13 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         help="sparse storage layout (auto follows --impl)",
     )
     p.add_argument(
-        "--sell-chunk",
-        type=int,
-        default=32,
-        metavar="C",
-        help="SELL-C-sigma chunk height (rows per chunk)",
-    )
-    p.add_argument(
-        "--sell-sigma",
-        type=int,
-        default=128,
-        metavar="S",
-        help="SELL-C-sigma sort window (rows sorted by length per window)",
-    )
-    p.add_argument(
         "--autotune",
         choices=["off", "on", "force"],
         default="off",
-        help="microbenchmark registered kernel variants on a slice of "
-        "the actual operator and adopt the fastest bitwise-identical "
-        "dispatch plan ('force' re-probes even on a tuning-cache hit)",
+        help="time the matrix motifs in CSR and ELL on a slice of the "
+        "actual operator and let the panel solvers adopt the fastest "
+        "bitwise-identical format ('force' re-probes even on a "
+        "tuning-cache hit)",
     )
     p.add_argument(
         "--tune-cache",
@@ -229,8 +216,6 @@ def cmd_run(args) -> int:
         nranks=args.nranks,
         impl=args.impl,
         matrix_format=args.matrix_format,
-        sell_chunk=args.sell_chunk,
-        sell_sigma=args.sell_sigma,
         autotune=args.autotune,
         tune_cache=args.tune_cache,
         validation_mode=args.validation_mode,
@@ -322,7 +307,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from repro.backends import registry
     from repro.core import BenchmarkConfig
     from repro.tune import PlanCache, apply_plan_to_config, tune_for_config
 
@@ -330,10 +314,7 @@ def cmd_tune(args) -> int:
         local_nx=args.local_nx,
         impl=args.impl,
         matrix_format=args.matrix_format,
-        sell_chunk=args.sell_chunk,
-        sell_sigma=args.sell_sigma,
         precision_ladder=args.precision_ladder,
-        fusion=not args.no_fusion,
         autotune="force" if args.force else "on",
         tune_cache=args.cache,
     )
@@ -352,40 +333,17 @@ def cmd_tune(args) -> int:
           f"machine {plan.machine_fingerprint}")
     src = "tuning cache" if cache_hit else "fresh probe"
     print(f"plan source: {src}  ({cache.path})")
-    print(f"probe speedup over baseline dispatch: {plan.speedup():.3f}x")
     print(
-        "solver-wide consensus: format="
-        f"{tuned.matrix_format} fusion={tuned.fusion}"
-        + (
-            f" chunk={tuned.sell_chunk} sigma={tuned.sell_sigma}"
-            if tuned.matrix_format == "sellcs"
-            else ""
-        )
+        f"probe speedup over the {plan.baseline_format} baseline "
+        f"({plan.baseline_backend} backend): {plan.speedup():.3f}x"
     )
-    print("\nchosen plan (per op x precision rung):")
+    print(f"solver-wide consensus: format={tuned.matrix_format}")
+    print("\nchosen format (per op x precision rung):")
     for (op, rung), choice in sorted(plan.entries.items()):
-        print(
-            f"  {op + '@' + rung:<22} -> {choice.fmt}"
-            + (
-                "[" + ",".join(f"{k}={v}" for k, v in choice.fmt_params) + "]"
-                if choice.fmt_params
-                else ""
-            )
-            + f"/{choice.backend}/"
-            + ("fused" if choice.fused else "unfused")
-            + f"  {choice.speedup:.3f}x"
-        )
+        print(f"  {op + '@' + rung:<22} -> {choice.fmt}  {choice.speedup:.3f}x")
     if args.report:
-        print("\nprobe report (all measured variants):")
+        print("\nprobe report (every measured format):")
         print(plan.table())
-        print("\nregistered variants per op:")
-        for op in sorted({r.op for r in plan.probes}):
-            variants = registry.available_variants(op)
-            rendered = ", ".join(
-                "/".join(str(part) for part in v if part is not None)
-                for v in variants
-            )
-            print(f"  {op:<18} {rendered}")
         stats = cache.stats()
         print(
             "\ntuning cache: "
@@ -627,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser(
-        "tune", help="probe kernel variants and print the dispatch plan"
+        "tune", help="time CSR against ELL and print the format plan"
     )
     p.add_argument("--local-nx", type=int, default=32, help="local box edge")
     p.add_argument("--impl", choices=["optimized", "reference"], default="optimized")
@@ -638,10 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="baseline sparse storage layout (auto follows --impl)",
     )
-    p.add_argument("--sell-chunk", type=int, default=32, metavar="C")
-    p.add_argument("--sell-sigma", type=int, default=128, metavar="S")
     p.add_argument("--precision-ladder", type=str, default=None, metavar="SPEC")
-    p.add_argument("--no-fusion", action="store_true")
     p.add_argument(
         "--force",
         action="store_true",
@@ -657,9 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--report",
         action="store_true",
-        help="also dump every measured variant (timings, parity, "
-        "selection), the registry's registered variants per op, and "
-        "tuning-cache hit counters",
+        help="also dump every measured format (timings, parity, "
+        "selection) and tuning-cache hit counters",
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_tune)

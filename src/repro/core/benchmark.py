@@ -122,13 +122,13 @@ class DistributedPhaseMetrics:
     panel_halo_bytes: int = 0
     panel_halo_seconds: float = 0.0
     panel_halo_exchanges: int = 0
-    #: PR 9: measured kernel autotuning.  ``autotune_speedup`` is the
-    #: plan's aggregate probe-time speedup of tuned vs untuned dispatch
-    #: (1.0 when autotuning is off; >= 1.0 by construction when on —
-    #: the untuned default competes in every probe); ``autotune`` is
-    #: the chosen-plan block (mode, cache hit/miss, per-(op, rung)
-    #: choices, machine probe) the benchmark JSON records and
-    #: ``check_regression.py`` gates.
+    #: Measured format autotuning.  ``autotune_speedup`` is the plan's
+    #: aggregate probe-time speedup of the tuned vs the configured
+    #: format (1.0 when autotuning is off; >= 1.0 by construction when
+    #: on — the configured format competes in every probe);
+    #: ``autotune`` is the chosen-plan block (mode, cache hit/miss,
+    #: per-(op, rung) choices, machine probe) the benchmark JSON records
+    #: and ``check_regression.py`` gates.
     autotune_speedup: float = 1.0
     autotune: dict = field(default_factory=dict)
 
@@ -269,7 +269,6 @@ def _phase_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        format_params=config.format_params,
         escalation=config.escalation_config(),
         overlap=config.overlap,
         control=config.control_config(),
@@ -370,7 +369,6 @@ def _distributed_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        format_params=config.format_params,
         escalation=config.escalation_config(),
         overlap=config.overlap,
         control=config.control_config(),
@@ -426,8 +424,8 @@ def _distributed_worker(
         if plan is not None:
             # The tuned plan rides the setup cache: every solver
             # constructed through it against this operator adopts the
-            # parity-asserted choices — the same seam the
-            # SolverService inherits tuned dispatch through.
+            # parity-asserted format — the same seam the SolverService
+            # inherits it through.
             from repro.solvers.setup_cache import operator_fingerprint
 
             cache.store_plan(operator_fingerprint(problem.A), plan)
@@ -443,7 +441,6 @@ def _distributed_worker(
                 restart=config.restart,
                 ortho=config.ortho,
                 matrix_format=config.matrix_format,
-                format_params=config.format_params,
                 escalation=config.escalation_config(),
                 overlap=config.overlap,
                 control=config.control_config(),
@@ -520,16 +517,15 @@ def _maybe_autotune(config: BenchmarkConfig):
     """Run the autotuner when the config asks for it.
 
     Returns ``(config, plan, info)`` — the config unchanged, the
-    parity-asserted plan for the registry and the panel setup cache,
-    and the JSON ``autotune`` block.  ``autotune="off"`` returns the
-    inputs untouched with an empty info block.
+    parity-asserted plan for the panel setup cache, and the JSON
+    ``autotune`` block.  ``autotune="off"`` returns the inputs untouched
+    with an empty info block.
 
-    The config's knobs are deliberately *not* folded: the plan's
-    consensus choices are machine-dependent (probe timings), while the
-    phase's byte-model metrics derive deterministically from the config
-    and gate CI at 2%.  The plan tunes *dispatch* — which registered
-    variant serves each (op, rung) — through the registry and the
-    solvers' plan adoption, never the modeled algorithm shape.  Callers
+    The config's format is deliberately *not* folded: the plan's
+    consensus is machine-dependent (probe timings), while the phase's
+    byte-model metrics derive deterministically from the config and
+    gate CI at 2%.  The plan reaches solvers only through their setup
+    cache's plan adoption, never the modeled algorithm shape.  Callers
     who want the consensus folded in (``repro tune``) use
     :func:`repro.tune.apply_plan_to_config` directly.
     """
@@ -562,15 +558,11 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     (``"auto"``, the default, overlaps whenever ranks > 1) — and
     repeats whole mxp solves until the wall-clock budget is spent.
 
-    With ``config.autotune`` on, the phase first probes kernel
-    variants on a representative slice of the operator (or loads the
-    cached plan for this operator x machine) and installs the
-    parity-asserted plan on the kernel registry for the workers'
-    duration — ranks are threads sharing the process-wide registry, so
-    the driver installs once, before the SPMD launch.  The panel
-    section additionally seeds its setup cache with the plan, so the
-    panel solvers adopt tuned dispatch the same way the solver service
-    does.
+    With ``config.autotune`` on, the phase first times CSR against
+    ELL on a representative slice of the operator (or loads the cached
+    plan for this operator x machine); the panel section seeds its
+    setup cache with the plan, so the panel solvers adopt the tuned
+    format the same way the solver service does.
     """
     if config.distributed_grid is None:
         raise ValueError("config.distributed_grid is not set")
@@ -578,24 +570,10 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     nranks = shape[0] * shape[1] * shape[2]
     config, plan, autotune_info = _maybe_autotune(config)
     policy = config.mixed_policy()
-    if plan is not None:
-        from repro.backends.registry import registry
-
-        registry.set_plan(plan)
-    try:
-        if nranks == 1:
-            records = [
-                _distributed_worker(SerialComm(), config, policy, shape, plan)
-            ]
-        else:
-            records = run_spmd(
-                nranks, _distributed_worker, config, policy, shape, plan
-            )
-    finally:
-        if plan is not None:
-            from repro.backends.registry import registry
-
-            registry.set_plan(None)
+    if nranks == 1:
+        records = [_distributed_worker(SerialComm(), config, policy, shape, plan)]
+    else:
+        records = run_spmd(nranks, _distributed_worker, config, policy, shape, plan)
 
     motifs: dict[str, float] = {}
     for rec in records:

@@ -128,10 +128,9 @@ class BenchmarkConfig:
     ortho: str = "cgs2"
     nlevels: int = 4
     #: Sparse storage layout for the solver and hierarchy: any format
-    #: registered with the kernel backend layer ("csr", "ell",
-    #: "sellcs"), or "auto" to follow ``impl`` (optimized -> ell,
-    #: reference -> csr).  Resolved to a concrete format name at
-    #: construction.
+    #: registered with the kernel backend layer ("csr", "ell"), or
+    #: "auto" to follow ``impl`` (optimized -> ell, reference -> csr).
+    #: Resolved to a concrete format name at construction.
     matrix_format: str = "auto"
     #: Overlap interior SpMV with the halo exchange through the
     #: ghost-aware partitioned layout.  ``"auto"`` enables the overlap
@@ -178,17 +177,12 @@ class BenchmarkConfig:
     service_batch_window: float = 0.25
     #: Workspace arenas in the service phase's bounded pool.
     service_max_arenas: int = 2
-    #: SELL-C-σ chunk width C (rows per chunk; only meaningful when the
-    #: solver's storage format is ``"sellcs"``).  One of the autotuner's
-    #: search axes.
-    sell_chunk: int = 32
-    #: SELL-C-σ sort window σ (rows sorted together before chunking).
-    sell_sigma: int = 128
-    #: Measured kernel autotuning (``repro.tune``): ``"off"`` runs the
-    #: configured dispatch untouched; ``"on"`` probes kernel variants on
-    #: a representative slice of the actual operator (consulting the
-    #: persistent plan cache first) and installs the winning
-    #: parity-asserted plan; ``"force"`` re-probes even on a cache hit.
+    #: Measured format autotuning (``repro.tune``): ``"off"`` runs the
+    #: configured format untouched; ``"on"`` times the matrix motifs in
+    #: CSR and ELL on a representative slice of the actual operator
+    #: (consulting the persistent plan cache first) and adopts the
+    #: parity-asserted consensus; ``"force"`` re-probes even on a cache
+    #: hit.
     autotune: str = "off"
     #: Plan-cache path override (default: ``REPRO_TUNE_CACHE`` or the
     #: user cache dir).
@@ -275,10 +269,6 @@ class BenchmarkConfig:
                     f"fault-inject spec {self.fault_inject!r} schedules "
                     f"no faults (use at least one site:mode clause)"
                 )
-        if self.sell_chunk < 1:
-            raise ValueError(f"sell_chunk must be >= 1, got {self.sell_chunk}")
-        if self.sell_sigma < 1:
-            raise ValueError(f"sell_sigma must be >= 1, got {self.sell_sigma}")
         if self.service_clients:
             if self.service_rounds < 1:
                 raise ValueError(
@@ -324,15 +314,6 @@ class BenchmarkConfig:
     def distributed_ranks(self) -> int:
         shape = self.distributed_shape
         return shape[0] * shape[1] * shape[2] if shape else 0
-
-    @property
-    def format_params(self) -> dict:
-        """Storage-format construction parameters for the solver's
-        ``to_format`` calls — SELL-C-σ's (chunk, sigma); empty for
-        parameter-free formats, keeping their setup-cache keys stable."""
-        if self.matrix_format == "sellcs":
-            return {"chunk": self.sell_chunk, "sigma": self.sell_sigma}
-        return {}
 
     def mg_config(self) -> MGConfig:
         """Multigrid configuration implied by the impl choice."""

@@ -120,7 +120,6 @@ def run_fault_inject_phase(config: BenchmarkConfig) -> ResiliencePhaseMetrics:
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        format_params=config.format_params,
         escalation=config.escalation_config(),
         control=config.control_config(),
     )
@@ -183,7 +182,6 @@ def run_fault_inject_phase(config: BenchmarkConfig) -> ResiliencePhaseMetrics:
                 restart=config.restart,
                 ortho=config.ortho,
                 matrix_format=config.matrix_format,
-                format_params=config.format_params,
             )
             solves = 0
             async with svc:

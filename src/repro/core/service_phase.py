@@ -137,7 +137,6 @@ def run_service_phase(config: BenchmarkConfig) -> ServicePhaseMetrics:
             restart=config.restart,
             ortho=config.ortho,
             matrix_format=config.matrix_format,
-            format_params=config.format_params,
         )
         async with svc:
             fp = svc.register_operator(problem)
@@ -179,7 +178,6 @@ def run_service_phase(config: BenchmarkConfig) -> ServicePhaseMetrics:
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        format_params=config.format_params,
     )
     x_solo, _ = solo.solve(_client_rhs(problem.b, 0), tol=0.0, maxiter=maxiter)
     parity = bool(np.array_equal(responses[0].x, x_solo))

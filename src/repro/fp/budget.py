@@ -92,7 +92,7 @@ def estimate_condition(A) -> ConditionEstimate:
         if scale is not None:
             vals = vals * np.abs(np.asarray(scale, dtype=np.float64)[:, None])
         row_sums = vals.sum(axis=1)
-    elif hasattr(A, "indptr"):  # CSR
+    else:  # CSR
         data = np.abs(np.asarray(A.data, dtype=np.float64))
         starts, ends = A.indptr[:-1], A.indptr[1:]
         row_sums = np.zeros(len(starts))
@@ -101,8 +101,6 @@ def estimate_condition(A) -> ConditionEstimate:
             # reduceat boundaries at nonempty rows only (an empty
             # row's clamped boundary would corrupt its neighbour).
             row_sums[nonempty] = np.add.reduceat(data, starts[nonempty])
-    else:  # SELL-C-sigma and anything else exposing to_ell/blocks
-        return estimate_condition(A.to_ell())
     norm_inf = float(row_sums.max()) if len(row_sums) else 0.0
     diag_min = float(diag.min()) if len(diag) else 0.0
     if diag_min <= 0.0 or norm_inf <= 0.0:

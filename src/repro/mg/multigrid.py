@@ -191,7 +191,6 @@ class MultigridPreconditioner:
         workspace: Workspace | None = None,
         transfer_precision: "str | Precision | tuple | None" = None,
         overlap: bool = False,
-        format_params: dict | None = None,
     ) -> "MultigridPreconditioner":
         """Build the hierarchy under ``problem``'s fine grid.
 
@@ -242,7 +241,6 @@ class MultigridPreconditioner:
         silently keeps the blocking exchange.
         """
         config = config or MGConfig()
-        format_params = dict(format_params or {})
         schedule = schedule_for_levels(precision, config.nlevels)
         if transfer_precision is None:
             transfers = tuple(schedule[lvl + 1] for lvl in range(config.nlevels - 1))
@@ -254,7 +252,6 @@ class MultigridPreconditioner:
         spec = problem.spec
         if config.smoother == "levelsched":
             matrix_format = "ell"
-            format_params = {}
             if any(p is Precision.HALF for p in schedule):
                 raise ValueError(
                     "the level-scheduled smoother has no fp16 triangular "
@@ -268,13 +265,6 @@ class MultigridPreconditioner:
                 )
             if matrix_format_of(fine_matrix) != matrix_format:
                 fine_matrix = None  # format mismatch: build, don't share
-            elif matrix_format == "sellcs" and format_params:
-                want = (
-                    format_params.get("chunk", fine_matrix.C),
-                    format_params.get("sigma", fine_matrix.sigma),
-                )
-                if (fine_matrix.C, fine_matrix.sigma) != want:
-                    fine_matrix = None  # parameter mismatch: build fresh
 
         # Pass 1, per level: matrix, smoother — and with the smoother
         # the level's row order.
@@ -286,10 +276,7 @@ class MultigridPreconditioner:
             if lvl == 0 and fine_matrix is not None:
                 A = fine_matrix
             else:
-                A = to_precision(
-                    to_format(level_problem.A, matrix_format, **format_params),
-                    prec,
-                )
+                A = to_precision(to_format(level_problem.A, matrix_format), prec)
             diag = A.diagonal()
             smoother = cls._build_smoother(
                 A, diag, sub, config, ws, level_problem.halo if overlap else None

@@ -11,7 +11,7 @@ Two parallelization strategies, matching the paper's contrast (§2,
   through the kernel registry on a color-ordered copy of the matrix —
   the paper's independent-set reordering, applied to the matrix and
   to the vectors the smoother is handed — format-generic over
-  CSR/ELL/SELL-C-σ).
+  CSR/ELL).
 - :class:`LevelScheduledGS` — the reference path: an upper-triangle
   SpMV followed by a level-scheduled lower-triangular substitution,
   bit-identical to sequential lexicographic Gauss-Seidel but with far
@@ -176,8 +176,8 @@ class MulticolorGS(Smoother):
     extra copy of the matrix beside ``A`` (which the fine level's
     Krylov operator keeps using, in natural order; the restriction
     multiplies a block of its own).  Works with any format the
-    partition can extract rows of (CSR, ELL, SELL-C-σ, row-equilibrated
-    fp16 ELL).
+    partition can extract rows of (CSR, ELL, row-equilibrated fp16
+    ELL).
     """
 
     def __init__(

@@ -59,39 +59,19 @@ class KernelModel:
     gather_reads_gs:
         Same for a full multicolor GS sweep — slightly worse than SpMV
         because reuse across color passes is broken up.
-    sellcs_fill:
-        SELL-C-σ stored-slot fraction relative to ELL's full-width
-        padding: each chunk pads only to its own widest row, so the
-        streamed matrix block shrinks by the padding σ-sorting removes.
-        Boundary rows of the stencil carry 8-18 of 27 entries; at the
-        official 320³ box the interior dominates and the fill is
-        ~0.995 — at that fill the chunk metadata outweighs the padding
-        saved, which is exactly why the paper picks plain ELL for this
-        matrix.  Smaller offline boxes measure ~0.97 and flip the sign.
-    sellcs_chunk:
-        Chunk height C (rows per chunk descriptor).
     """
 
     gather_reads_spmv: float = 2.0
     gather_reads_gs: float = 3.0
-    sellcs_fill: float = 0.995
-    sellcs_chunk: int = 32
 
-    def _matrix_block_bytes(self, prec: Precision, fmt: str) -> float:
+    def _matrix_block_bytes(self, prec: Precision) -> float:
         """Streamed bytes per row for values + column indices."""
-        per_row = ROW_WIDTH * (prec.bytes + IDX_BYTES)
-        if fmt == "sellcs":
-            per_row *= self.sellcs_fill
-        return per_row
+        return ROW_WIDTH * (prec.bytes + IDX_BYTES)
 
     def _format_overhead_bytes(self, n: int, fmt: str) -> float:
         """Per-kernel metadata traffic a format adds on top of ELL."""
         if fmt == "csr":
             return (n + 1) * 8  # row pointers
-        if fmt == "sellcs":
-            # Chunk widths/offsets plus the int32 row permutation the
-            # scatter of y reads.
-            return (n // self.sellcs_chunk + 1) * 8 + n * 4
         return 0.0
 
     # ------------------------------------------------------------------
@@ -111,7 +91,7 @@ class KernelModel:
         """
         vb = prec.bytes
         nbytes = n * (
-            self._matrix_block_bytes(prec, fmt)  # values + column indices
+            self._matrix_block_bytes(prec)  # values + column indices
             + self.gather_reads_spmv * vb  # x gather
             + vb  # y write
         )
@@ -159,7 +139,7 @@ class KernelModel:
         """
         vb = prec.bytes
         nbytes = n * (
-            self._matrix_block_bytes(prec, fmt)
+            self._matrix_block_bytes(prec)
             + self.gather_reads_gs * vb  # x gather across passes
             + vb  # r read
             + 2 * vb  # x read + write
@@ -183,12 +163,12 @@ class KernelModel:
         )
 
     def gs_color_matrix_bytes(
-        self, n: int, prec: Precision, num_colors: int = 8, fmt: str = "ell"
+        self, n: int, prec: Precision, num_colors: int = 8
     ) -> float:
         """Matrix-block bytes one color pass of :meth:`gs_sweep`
         streams — what a sweep from the zero guess does not read (its
         first color multiplies zeros)."""
-        return n * self._matrix_block_bytes(prec, fmt) / num_colors
+        return n * self._matrix_block_bytes(prec) / num_colors
 
     def gs_levelscheduled(
         self, n: int, prec: Precision, num_levels: int, fmt: str = "csr"

@@ -51,7 +51,6 @@ PAPER_PENALTY = 2305.0 / 2382.0
 #: fully-optimized configuration.
 ABLATION_CONFIGS: list[tuple[str, dict]] = [
     ("optimized (all on)", {}),
-    ("SELL-C-sigma storage", {"matrix_format": "sellcs"}),
     ("CSR storage", {"matrix_format": "csr"}),
     ("level-scheduled GS", {"smoother": "levelsched"}),
     ("unfused restriction", {"fused_restrict": False}),
@@ -161,7 +160,7 @@ class ScalingModel:
         self.host_mixed_ops = (
             host_mixed_ops if host_mixed_ops is not None else (not opt)
         )
-        if self.fmt not in ("ell", "csr", "sellcs"):
+        if self.fmt not in ("ell", "csr"):
             raise ValueError(f"unknown matrix format {self.fmt!r}")
         if self.smoother not in ("multicolor", "levelsched"):
             raise ValueError(f"unknown smoother {self.smoother!r}")
@@ -438,9 +437,7 @@ class ScalingModel:
             )
             symgs += sweeps * cost.nbytes
             if multicolor:
-                symgs -= from_zero * self.km.gs_color_matrix_bytes(
-                    n, prec, fmt=self.fmt
-                )
+                symgs -= from_zero * self.km.gs_color_matrix_bytes(n, prec)
             if lvl == self.nlevels - 1:
                 continue
             n_c = self.level_nlocal(lvl + 1)

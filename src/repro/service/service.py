@@ -140,7 +140,6 @@ class SolverService:
         restart: int = 30,
         ortho: str = "cgs2",
         matrix_format: str = "ell",
-        format_params: dict | None = None,
         resilience: ResilienceConfig | None = None,
         injector: FaultInjector | None = None,
     ) -> None:
@@ -160,7 +159,6 @@ class SolverService:
         self.restart = restart
         self.ortho = ortho
         self.matrix_format = matrix_format
-        self.format_params = dict(format_params or {})
         # Resilience: batch solvers run with this config (ABFT +
         # checkpoint replay); the injector drives the service's
         # transient-fault site (kernel/halo sites are installed by the
@@ -194,8 +192,7 @@ class SolverService:
 
         Stored in the shared setup cache, so every batch solver the
         service constructs against this operator adopts the plan's
-        parity-asserted choices — tuned dispatch with no per-request
-        plumbing.
+        parity-asserted format — tuning with no per-request plumbing.
         """
         self.setup_cache.store_plan(fingerprint, plan)
 
@@ -518,12 +515,11 @@ class SolverService:
             restart=self.restart,
             ortho=self.ortho,
             matrix_format=self.matrix_format,
-            format_params=self.format_params,
             control=control,
             setup_cache=self.setup_cache,
             workspace=arena,
             resilience=self.resilience,
-            # Degraded retry: decline the tuned dispatch plan and the
+            # Degraded retry: decline the tuned format plan and the
             # overlapped schedules — the reference path a persistent
             # fault on the optimized one falls back to.
             adopt_plan=not degraded,

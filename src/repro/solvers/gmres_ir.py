@@ -176,7 +176,6 @@ class GMRESIRSolver:
         fusion: bool = True,
         setup_cache: SetupCache | None = None,
         workspace: Workspace | None = None,
-        format_params: dict | None = None,
         resilience: ResilienceConfig | None = None,
         adopt_plan: bool = True,
     ) -> None:
@@ -192,9 +191,6 @@ class GMRESIRSolver:
         self.restart = restart
         self.ortho_name = ortho
         self.matrix_format = matrix_format
-        # Storage-format construction parameters (SELL-C-σ chunk/sigma);
-        # folded into every format-derived setup-cache key.
-        self.format_params = dict(format_params or {})
         # Overlap interior SpMV with the halo exchange through the
         # ghost-aware partitioned layout.  "auto": on whenever there
         # are neighbor ranks to exchange with (the partition is pure
@@ -230,37 +226,26 @@ class GMRESIRSolver:
         self._fingerprint = (
             operator_fingerprint(problem.A) if setup_cache is not None else None
         )
-        # Autotuned dispatch: a plan stored next to this operator's
-        # cached hierarchy (repro.tune) retargets the storage format,
-        # SELL-C-σ parameters and fusion — parity-asserted choices
-        # only, so adoption never changes numerics.  This is the seam
-        # through which solve_panel and the SolverService inherit tuned
-        # dispatch: they share the SetupCache, nothing else.
-        # ``adopt_plan=False`` declines a stored plan outright — the
-        # service's degraded-retry path runs the untuned reference
-        # dispatch when a fault persists on the tuned one.
+        # Autotuned format: a plan stored next to this operator's
+        # cached hierarchy (repro.tune) retargets the storage format —
+        # a parity-asserted choice only, so adoption never changes
+        # numerics.  This is the seam through which solve_panel and the
+        # SolverService inherit the tuned format: they share the
+        # SetupCache, nothing else.  ``adopt_plan=False`` declines a
+        # stored plan outright — the service's degraded-retry path runs
+        # the untuned format when a fault persists on the tuned one.
         self.dispatch_plan = None
         if setup_cache is not None and adopt_plan:
             plan = setup_cache.plan_for(self._fingerprint)
-            if plan is not None and plan.applies_to(
-                self.matrix_format,
-                tuple(sorted(self.format_params.items())),
-                self.fusion,
-            ):
+            if plan is not None and plan.applies_to(self.matrix_format):
                 plan.assert_parity()
                 self.dispatch_plan = plan
                 self.matrix_format = plan.solver_format()
-                self.format_params = dict(plan.solver_format_params())
-                self.fusion = plan.solver_fusion()
         # Fused CGS2: the second projection's GEMV, subtraction and
         # the norm's local reduction share one registry motif
         # (bitwise-identical composition under the reference backend).
         self._ortho_fused = (
             cgs2_fused if (self.fusion and ortho == "cgs2") else None
-        )
-        self._format_key = (
-            self.matrix_format,
-            tuple(sorted(self.format_params.items())),
         )
         if escalation is None:
             # fp16 rungs cannot reach double tolerances without climbing,
@@ -293,14 +278,11 @@ class GMRESIRSolver:
         self.control = control
 
         # Krylov-loop matrix in the requested storage format (the
-        # reference implementation uses CSR, the optimized one ELL;
-        # SELL-C-σ is the GPU-general layout).
+        # reference implementation uses CSR, the optimized one ELL).
         self.A64 = self._setup(
             "A64",
-            self._format_key,
-            lambda: to_format(
-                problem.A, self.matrix_format, **self.format_params
-            ),
+            (self.matrix_format,),
+            lambda: to_format(problem.A, self.matrix_format),
         )
 
         # Double-precision operator for outer residuals:
@@ -325,7 +307,7 @@ class GMRESIRSolver:
         self._abft = None
         if resilience is not None and resilience.abft:
             self._abft = self._setup(
-                "abft", self._format_key, lambda: abft_checksums(self.A64)
+                "abft", (self.matrix_format,), lambda: abft_checksums(self.A64)
             )
             c, cabs = self._abft
             self.op64.attach_abft(
@@ -367,7 +349,7 @@ class GMRESIRSolver:
             return None
         return self._setup(
             "partition",
-            (self._format_key, prec_name, self.comm.size, self.comm.rank),
+            (self.matrix_format, prec_name, self.comm.size, self.comm.rank),
             lambda: partition_matrix(A, self.problem.halo),
         )
 
@@ -400,7 +382,7 @@ class GMRESIRSolver:
             prec_name = policy.matrix.short_name
             self.A_low = self._setup(
                 "A_low",
-                (self._format_key, prec_name),
+                (self.matrix_format, prec_name),
                 lambda: to_precision(self.A64, policy.matrix),
             )
             self.op_inner = DistributedOperator(
@@ -442,7 +424,6 @@ class GMRESIRSolver:
                     timers=self.timers,
                     fine_matrix=shared,
                     matrix_format=self.matrix_format,
-                    format_params=self.format_params,
                     # A cached hierarchy outlives this solver and is
                     # acquired by later ones holding *other* arenas
                     # (the service leases one per batch, and hands this
@@ -463,7 +444,7 @@ class GMRESIRSolver:
             self.M = self._setup(
                 "mg",
                 (
-                    self._format_key,
+                    self.matrix_format,
                     tuple(mg_schedule),
                     tuple(transfer_schedule) if transfer_schedule else None,
                     self.mg_config,

@@ -116,9 +116,9 @@ class SetupCache:
         operator fingerprint.
 
         Solvers constructed against this operator through this cache
-        adopt the plan's parity-asserted choices automatically — which
-        is how ``solve_panel`` and the ``SolverService`` inherit tuned
-        dispatch without any API change.
+        adopt the plan's parity-asserted format automatically — the
+        only route by which a plan reaches a solve (``solve_panel``,
+        the ``SolverService``).
         """
         with self._lock:
             self._entries[(fingerprint, "__plan__", ())] = plan

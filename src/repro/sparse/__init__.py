@@ -1,9 +1,8 @@
 """Sparse matrix formats and kernels.
 
 Implements the storage formats the paper contrasts — CSR (used by the
-reference HPG-MxP implementation), ELLPACK/ELL (used by the optimized
-one, §3.2.2), and SELL-C-σ (the GPU-native chunked format the paper's
-ELL choice approximates) — plus the parallelism-exposing machinery:
+reference HPG-MxP implementation) and ELLPACK/ELL (used by the
+optimized one, §3.2.2) — plus the parallelism-exposing machinery:
 greedy / Jones-Plassmann-Luby multicoloring (§3.2.1), symmetric
 reordering, and level-scheduled triangular solves (the reference
 implementation's Gauss-Seidel building block).
@@ -14,7 +13,6 @@ here hold layout and dispatch through the registry.
 
 from repro.sparse.ell import ELLMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.sellcs import SELLCSMatrix
 from repro.sparse.formats import (
     MATRIX_FORMATS,
     known_formats,
@@ -56,7 +54,6 @@ from repro.sparse.triangular import (
 __all__ = [
     "ELLMatrix",
     "CSRMatrix",
-    "SELLCSMatrix",
     "MATRIX_FORMATS",
     "known_formats",
     "matrix_format_of",

@@ -128,15 +128,6 @@ class CSRMatrix:
 
         return ELLMatrix.from_csr(self)
 
-    def to_sellcs(self, chunk: int | None = None, sigma: int | None = None):
-        """Convert to SELL-C-σ."""
-        from repro.sparse.sellcs import DEFAULT_CHUNK, SELLCSMatrix
-
-        return SELLCSMatrix.from_csr(
-            self, chunk=chunk if chunk is not None else DEFAULT_CHUNK,
-            sigma=sigma,
-        )
-
     def to_scipy(self):
         """Convert to scipy.sparse.csr_matrix (tests/diagnostics)."""
         import scipy.sparse as sp

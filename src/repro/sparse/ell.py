@@ -154,16 +154,6 @@ class ELLMatrix:
         data = self.vals[mask]
         return CSRMatrix(indptr=indptr, indices=indices, data=data, ncols=self.ncols)
 
-    def to_sellcs(self, chunk: int | None = None, sigma: int | None = None):
-        """Convert to SELL-C-σ."""
-        from repro.sparse.sellcs import DEFAULT_CHUNK, SELLCSMatrix
-
-        return SELLCSMatrix.from_csr(
-            self.to_csr(),
-            chunk=chunk if chunk is not None else DEFAULT_CHUNK,
-            sigma=sigma,
-        )
-
     def to_scipy(self):
         """Convert to a scipy CSR matrix (test/diagnostic use)."""
         return self.to_csr().to_scipy()

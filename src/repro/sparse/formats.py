@@ -1,6 +1,6 @@
 """Storage-format helpers: names, conversion, registry-backed lookup.
 
-One place maps format names (``"csr"``, ``"ell"``, ``"sellcs"``) to
+One place maps format names (``"csr"``, ``"ell"``) to
 matrix classes and converts any matrix to any format — the glue between
 ``core.config``'s ``matrix_format`` knob, the CLI ``--format`` flag,
 and the kernel registry's per-format dispatch.
@@ -18,14 +18,12 @@ from __future__ import annotations
 from repro.backends.dispatch import matrix_format as matrix_format_of
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
-from repro.sparse.sellcs import SELLCSMatrix
 
 #: Format name -> matrix class.  Every class provides ``from_csr`` /
 #: ``to_csr`` (CSR is the interchange format).
 MATRIX_FORMATS = {
     CSRMatrix.format_name: CSRMatrix,
     ELLMatrix.format_name: ELLMatrix,
-    SELLCSMatrix.format_name: SELLCSMatrix,
 }
 
 __all__ = [
@@ -43,8 +41,8 @@ def content_arrays(A):
     Yields ``(name, array)`` pairs in sorted attribute order — the
     deterministic byte stream the setup cache's operator fingerprint
     hashes.  Covers every registered format generically (CSR's
-    indptr/indices/data, ELL's cols/vals, SELL-C-sigma's permutation
-    and slot maps, plus row-equilibration scales); non-array state
+    indptr/indices/data, ELL's cols/vals, plus row-equilibration
+    scales); non-array state
     (shapes, dtypes) is the caller's to fold in.
     """
     import numpy as np
@@ -65,48 +63,20 @@ def known_formats() -> list[str]:
     return usable if usable else sorted(MATRIX_FORMATS)
 
 
-def to_format(A, fmt: str, *, chunk: int | None = None, sigma: int | None = None):
+def to_format(A, fmt: str):
     """Convert a matrix to the named storage format.
 
     Conversion between any pair goes through CSR (the interchange
-    format); identity conversions return the input unchanged.  For
-    SELL-C-σ, ``chunk``/``sigma`` select the chunk width C and sort
-    window σ (``None`` keeps the format defaults); an identity
-    conversion repacks when the requested parameters differ from the
-    matrix's own.
+    format); identity conversions return the input unchanged.
     """
     if fmt not in MATRIX_FORMATS:
         raise ValueError(
             f"unknown matrix format {fmt!r}; registered formats: "
             f"{known_formats()}"
         )
-    if fmt != SELLCSMatrix.format_name and (
-        chunk is not None or sigma is not None
-    ):
-        raise ValueError(
-            f"format parameters chunk/sigma only apply to "
-            f"{SELLCSMatrix.format_name!r}, not {fmt!r}"
-        )
     if matrix_format_of(A) == fmt:
-        if fmt != SELLCSMatrix.format_name:
-            return A
-        want_chunk = A.C if chunk is None else chunk
-        want_sigma = A.sigma if sigma is None else sigma
-        if (A.C, A.sigma) == (want_chunk, want_sigma):
-            return A
-        return SELLCSMatrix.from_csr(
-            A.to_csr(), chunk=want_chunk, sigma=want_sigma
-        )
+        return A
     csr = A if isinstance(A, CSRMatrix) else A.to_csr()
     if fmt == CSRMatrix.format_name:
         return csr
-    if fmt == SELLCSMatrix.format_name and (
-        chunk is not None or sigma is not None
-    ):
-        kwargs = {}
-        if chunk is not None:
-            kwargs["chunk"] = chunk
-        if sigma is not None:
-            kwargs["sigma"] = sigma
-        return SELLCSMatrix.from_csr(csr, **kwargs)
     return MATRIX_FORMATS[fmt].from_csr(csr)

@@ -22,15 +22,8 @@ two halves of the overlap schedule — interior SpMV while the halo is in
 flight, boundary SpMV after it lands — are plain full-matrix kernels on
 dense blocks.  No per-call row-subset index arithmetic remains on the
 hot path, which is what makes the distributed loop allocation-free
-after warmup.
-
-**SELL-C-σ seam discipline.**  When the blocks are SELL-C-σ, each
-region gets its own width slabs (the source's slabs sliced to the
-region's rows, renumbered region-locally), so no chunk holds rows from
-both sides of the interior/boundary seam and the overlap split never
-has to break a chunk apart.  Every row keeps the padded width it had
-in the source, so a block's row sums are bitwise those of the
-unpartitioned kernel — as they are for CSR and ELL.
+after warmup.  Every row keeps the slots it had in the source, so a
+block's row sums are bitwise those of the unpartitioned kernel.
 
 **Precision.**  Row-equilibrated fp16 storage
 (:class:`~repro.sparse.scaled.ScaledELLMatrix`) partitions with its
@@ -79,7 +72,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
 from repro.sparse.reorder import column_map, inverse_permutation
 from repro.sparse.scaled import ScaledELLMatrix
-from repro.sparse.sellcs import SELLCSMatrix, _WidthBlock
 
 
 class PartitionedMatrix:
@@ -199,53 +191,6 @@ def _csr_rows(csr: CSRMatrix, rows: np.ndarray, col_map=None) -> CSRMatrix:
     return CSRMatrix(indptr=indptr, indices=indices, data=data, ncols=csr.ncols)
 
 
-def _sellcs_rows(A: SELLCSMatrix, rows: np.ndarray, col_map=None) -> SELLCSMatrix:
-    """Row-subset SELL-C-σ block that keeps every row in its width slab.
-
-    Re-chunking the subset would pad a row to a different width than
-    the source did, and NumPy's pairwise row sum groups its terms by
-    position — so the block's row sums would drift from the source
-    kernel's in the last bit.  Slicing each source slab instead keeps a
-    row's slots (padding included) exactly as the unpartitioned kernel
-    sees them.  The block is region-local: rows are renumbered
-    ``0..len(rows)``, a slab's rows stay in ascending block order, and
-    ``chunk_width`` books ``ceil(slab rows / C)`` chunks per slab.
-    """
-    owner = A.row_block[rows]
-    blocks = []
-    for bid, src in enumerate(A.blocks):
-        sel = np.nonzero(owner == bid)[0]
-        if len(sel) == 0:
-            continue
-        slots = A.row_slot[rows[sel]]
-        blocks.append(
-            _WidthBlock(
-                width=src.width,
-                rows=sel,
-                cols=_relabel(src.cols[slots], col_map),
-                vals=src.vals[slots],
-            )
-        )
-    chunk_width = np.array(
-        [b.width for b in blocks for _ in range(-(-len(b.rows) // A.C))],
-        dtype=np.int32,
-    )
-    perm = (
-        np.concatenate([b.rows for b in blocks])
-        if blocks
-        else np.zeros(0, dtype=np.int64)
-    )
-    return SELLCSMatrix(
-        blocks,
-        chunk_width,
-        perm,
-        nrows=len(rows),
-        ncols=A.ncols,
-        chunk=A.C,
-        sigma=A.sigma,
-    )
-
-
 def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
     """Row-subset block in A's own format, values and scales preserved.
 
@@ -255,7 +200,7 @@ def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
     keeps each row's slot layout, so block row sums are
     bitwise-identical to the unpartitioned kernel's: ELL-family
     matrices slice their dense arrays, CSR slices its ranges (entry
-    order kept), SELL-C-σ slices its width slabs (:func:`_sellcs_rows`).
+    order kept).
 
     ``col_map`` (length ``A.ncols``,
     :func:`repro.sparse.reorder.column_map`) relabels every
@@ -276,11 +221,8 @@ def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
         )
     if isinstance(A, CSRMatrix):
         return _csr_rows(A, rows, col_map)
-    if isinstance(A, SELLCSMatrix):
-        return _sellcs_rows(A, rows, col_map)
     raise TypeError(
-        f"cannot partition {type(A).__name__}; expected a CSR/ELL/SELL-C-σ "
-        "local matrix"
+        f"cannot partition {type(A).__name__}; expected a CSR/ELL local matrix"
     )
 
 
@@ -299,8 +241,6 @@ def _local_adjacency_csr(A, nlocal: int) -> tuple[np.ndarray, np.ndarray]:
         rows = np.repeat(np.arange(A.nrows, dtype=np.int64), lens)
         cols = A.indices.astype(np.int64)
         keep = (cols < nlocal) & (cols != rows) & (A.data != 0)
-    elif hasattr(A, "blocks"):  # SELL-C-σ: go through its CSR view
-        return _local_adjacency_csr(A.to_csr(), nlocal)
     elif hasattr(A, "cols"):  # ELL-family (incl. row-equilibrated)
         n = A.nrows
         rows2d = np.arange(n, dtype=np.int64)[:, None]
@@ -410,8 +350,7 @@ class ColorPartitionedMatrix:
     ``symgs_interior`` / ``symgs_boundary`` (the halves of the
     overlapped forward sweep).  Block extraction reuses the SpMV
     partition's row-subset machinery, so every format — including
-    SELL-C-σ and row-equilibrated fp16 with per-block scales — is
-    covered.
+    row-equilibrated fp16 with per-block scales — is covered.
 
     ``split=False`` is the layout without the halo split: every color
     is one whole block (its boundary range empty) and no dependency

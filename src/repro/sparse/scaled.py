@@ -20,7 +20,7 @@ diagonal, which keeps the Gauss-Seidel relaxation formula unchanged.
 :func:`to_precision` is the construction seam the solver and multigrid
 layers use: fp16 requests on ELL matrices get scaled storage, every
 other (format, precision) pair falls back to a plain ``astype`` — for
-CSR/SELL-C-σ the benchmark stencil's entries (26 and -1) are exactly
+CSR the benchmark stencil's entries (26 and -1) are exactly
 representable in fp16, so unscaled storage is correct there too.
 """
 

@@ -1,15 +1,17 @@
-"""Measured kernel autotuning: machine-probed dispatch plans.
+"""Measured format autotuning: machine-probed CSR-vs-ELL plans.
 
-The registry (``repro.backends``) can serve every hot motif under
-multiple storage formats, backends, and fusion variants; this package
-decides *which* — by measurement, not configuration.  The prober times
-the registered variants on a representative slice of the actual
-operator, the resulting :class:`DispatchPlan` records the winning
-(format, backend, fusion) per (op, rung), a persistent
-:class:`PlanCache` keyed by (operator content x machine fingerprint)
-makes warm runs free, and the registry consults the installed plan at
-dispatch time.  A plan can only ever select variants whose probe
-output was bitwise-identical to the untuned default — tuning changes
+The paper compares two storage formats — CSR in the reference HPG-MxP,
+ELL in the optimized code — and this package picks between them by
+measurement, not configuration.  The prober times the matrix motifs
+the engine dispatches (``spmv``, ``spmv_multi``, ``symgs_sweep_multi``)
+in both formats on a representative slice of the actual operator under
+the active backend; the resulting :class:`DispatchPlan` records the
+winning format per (op, rung), and a persistent :class:`PlanCache`
+keyed by (operator content x machine fingerprint) makes warm runs
+free.  A plan reaches a solver only through its setup cache
+(``SetupCache.store_plan``), which switches the solver-wide format
+when every entry agrees.  A plan can only ever select a format whose
+probe output was bitwise-identical to the baseline's — tuning changes
 speed, never numerics.
 """
 
@@ -21,10 +23,9 @@ from repro.tune.autotune import (
 )
 from repro.tune.cache import PlanCache, default_cache_path
 from repro.tune.plan import DispatchPlan, PlanChoice, PlanParityError, ProbeRecord
-from repro.tune.probe import SELL_GRID, OperatorProber, representative_slice
+from repro.tune.probe import OperatorProber, representative_slice
 
 __all__ = [
-    "SELL_GRID",
     "DispatchPlan",
     "OperatorProber",
     "PlanCache",

@@ -10,8 +10,7 @@ re-asserts the bitwise-parity invariant before returning.
 representative rank-local operator a :class:`BenchmarkConfig` implies
 and derives the precision rungs from the config's ladder, and
 :func:`apply_plan_to_config` folds the plan's solver-wide consensus
-choices (format, SELL-C-σ parameters, fusion) back into the config the
-workers run with.
+format back into the config the workers run with.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.perf.machine import machine_fingerprint, probe_machine
 from repro.solvers.setup_cache import operator_fingerprint
 from repro.tune.cache import PlanCache
 from repro.tune.plan import DispatchPlan
-from repro.tune.probe import SELL_GRID, OperatorProber
+from repro.tune.probe import OperatorProber
 
 logger = logging.getLogger(__name__)
 
@@ -32,11 +31,7 @@ def autotune_operator(
     A,
     *,
     baseline_format: str = "ell",
-    baseline_params: dict | None = None,
-    fusion: bool = True,
     rungs: tuple = ("fp64", "fp32"),
-    formats: tuple = ("csr", "ell", "sellcs"),
-    sell_grid: tuple = SELL_GRID,
     max_rows: int = 4096,
     repeats: int = 3,
     cache: PlanCache | None = None,
@@ -53,10 +48,9 @@ def autotune_operator(
     mach_fp = machine_fingerprint()
     if cache is not None and not force:
         plan = cache.load(op_fp, mach_fp)
-        # The cache key hashes neither the registered backends nor the
-        # baseline, and a plan routes each tuned (op, rung) to the
-        # backend it recorded: one tuned from another parity class
-        # would steer the matrix ops out of the active one.  A miss —
+        # The cache key hashes no backend, and CSR is bitwise ELL only
+        # inside the SciPy class: a format chosen under another parity
+        # class was never parity-checked under the active one.  A miss —
         # re-probe below and overwrite.
         if plan is not None and plan.baseline_backend == registry.active_backend:
             plan.assert_parity()
@@ -66,11 +60,7 @@ def autotune_operator(
     prober = OperatorProber(
         A,
         baseline_format=baseline_format,
-        baseline_params=baseline_params,
-        fusion=fusion,
         rungs=rungs,
-        formats=formats,
-        sell_grid=sell_grid,
         max_rows=max_rows,
         repeats=repeats,
     )
@@ -79,12 +69,6 @@ def autotune_operator(
         operator_fingerprint=op_fp,
         machine_fingerprint=mach_fp,
         baseline_format=baseline_format,
-        baseline_params=tuple(
-            sorted((str(k), int(v)) for k, v in (baseline_params or {}).items())
-        )
-        if baseline_format == "sellcs"
-        else (),
-        baseline_fusion=bool(fusion),
         baseline_backend=prober.baseline_backend,
         entries=entries,
         probes=tuple(records),
@@ -134,12 +118,9 @@ def tune_for_config(
 ) -> tuple[DispatchPlan, bool]:
     """Autotune for a benchmark config; returns ``(plan, cache_hit)``."""
     problem = representative_problem(config)
-    params = dict(config.format_params)
     return autotune_operator(
         problem.A,
         baseline_format=config.matrix_format,
-        baseline_params=params,
-        fusion=config.fusion,
         rungs=config_rungs(config),
         cache=cache,
         force=force,
@@ -147,23 +128,12 @@ def tune_for_config(
 
 
 def apply_plan_to_config(config, plan: DispatchPlan):
-    """The config with the plan's solver-wide consensus folded in.
+    """The config with the plan's solver-wide consensus format folded in.
 
-    Only parity-asserted unanimous choices move the knobs (format,
-    SELL-C-σ chunk/sigma, fusion); everything else is untouched, so a
-    plan that found nothing better leaves the config bitwise-identical
-    in behaviour.
+    Only a parity-asserted unanimous choice moves the format; a plan
+    that found nothing better returns the config itself.
     """
-    updates = {}
     fmt = plan.solver_format()
-    if fmt != config.matrix_format:
-        updates["matrix_format"] = fmt
-    fmt_params = dict(plan.solver_format_params())
-    if fmt == "sellcs" and fmt_params:
-        if fmt_params.get("chunk", config.sell_chunk) != config.sell_chunk:
-            updates["sell_chunk"] = int(fmt_params["chunk"])
-        if fmt_params.get("sigma", config.sell_sigma) != config.sell_sigma:
-            updates["sell_sigma"] = int(fmt_params["sigma"])
-    if plan.solver_fusion() != config.fusion:
-        updates["fusion"] = plan.solver_fusion()
-    return config.with_updates(**updates) if updates else config
+    if fmt == config.matrix_format:
+        return config
+    return config.with_updates(matrix_format=fmt)

@@ -157,25 +157,6 @@ class TestInnerLoopAllocations:
         mg.ws.get_panel("mg.panel.rlevel", problem16.nlocal, 1, np.float32)
         assert mg.ws.misses == misses0
 
-    def test_sellcs_smoother_arena_stable(self, problem16):
-        """SELL-C-σ GS sweeps pool the O(rows × width) slab gathers."""
-        from repro.backends import Workspace
-        from repro.mg.smoothers import MulticolorGS
-        from repro.sparse import to_format
-        from repro.sparse.coloring import color_sets, structured_coloring8
-
-        S = to_format(problem16.A, "sellcs")
-        ws = Workspace()
-        sets = color_sets(structured_coloring8(problem16.sub))
-        gs = MulticolorGS(S, S.diagonal(), sets, ws=ws)
-        xfull = np.zeros(S.ncols)
-        gs.forward(problem16.b, xfull)  # warmup
-        misses0 = ws.misses
-        for _ in range(3):
-            gs.forward(problem16.b, xfull)
-            gs.backward(problem16.b, xfull)
-        assert ws.misses == misses0
-
     def test_distributed_operator_matvec_out(self, problem16):
         from repro.solvers.operator import DistributedOperator
 

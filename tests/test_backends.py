@@ -13,7 +13,6 @@ from repro.backends import (
 from repro.backends.registry import KernelRegistry
 from repro.backends import dispatch
 from repro.fp.precision import Precision
-from repro.sparse import CSRMatrix, ELLMatrix, SELLCSMatrix
 
 
 class TestRegistry:
@@ -53,7 +52,7 @@ class TestRegistry:
         def generic(*a, **kw):
             pass
 
-        assert reg.lookup("dot", "sellcs", "fp64") is generic
+        assert reg.lookup("dot", "csr", "fp64") is generic
 
     def test_backend_fallback_to_numpy(self):
         reg = self.make_registry()
@@ -160,7 +159,6 @@ class TestRegistry:
         for fmt, expected in [
             ("ell", numpy_backend.spmv_ell_fp16),
             ("csr", numpy_backend.spmv_csr_fp16),
-            ("sellcs", numpy_backend.spmv_sellcs_fp16),
         ]:
             assert (
                 proc_reg.lookup("spmv", fmt, "fp16", backend="numpy")
@@ -168,7 +166,7 @@ class TestRegistry:
             )
 
     def test_process_registry_has_all_formats(self):
-        assert set(registered_formats()) >= {"csr", "ell", "sellcs"}
+        assert set(registered_formats()) >= {"csr", "ell"}
         assert "numpy" in available_backends()
         assert active_backend() in available_backends()
 
@@ -180,7 +178,7 @@ class TestRegistry:
         from repro.backends.registry import registry as proc_reg
 
         for prec in ("fp64", "fp32", "fp16"):
-            for fmt in ("csr", "ell", "sellcs"):
+            for fmt in ("csr", "ell"):
                 assert proc_reg.lookup("spmv_multi", fmt, prec) is not None
                 assert proc_reg.lookup("fused_restrict", fmt, prec) is not None
                 with pytest.raises(KernelNotFoundError):
@@ -206,7 +204,7 @@ class TestRegistry:
     def test_compiled_registrations_gated_on_the_private_import(self):
         """The optional backend registers only when its import works:
         the SciPy row products exist iff ``csr_matvec`` imported, and a
-        key the backend does not claim (fp16, SELL-C-σ, the sweep)
+        key the backend does not claim (fp16, the sweep)
         falls back to the reference registration instead of erroring."""
         from repro.backends import scipy_backend
         from repro.backends.registry import registry as proc_reg
@@ -222,7 +220,6 @@ class TestRegistry:
             ("spmv_rows", "ell", "fp32", True),
             ("spmv_rows", "csr", "fp64", False),
             ("spmv_multi", "ell", "fp16", False),
-            ("spmv", "sellcs", "fp64", False),
             ("symgs_interior", "color_partitioned", "fp64", False),
         ):
             fn = proc_reg.lookup(op, fmt, prec, backend="scipy")
@@ -264,7 +261,6 @@ class TestDispatch:
         A = problem16.A
         assert dispatch.matrix_format(A) == "ell"
         assert dispatch.matrix_format(A.to_csr()) == "csr"
-        assert dispatch.matrix_format(A.to_sellcs()) == "sellcs"
 
     def test_matrix_format_rejects_unknown(self):
         with pytest.raises(TypeError, match="registered formats"):
@@ -346,7 +342,7 @@ class TestDispatch:
         assert np.array_equal(X, solo)
         assert not np.array_equal(X, before)
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_fused_restrict_out_ws(self, problem16, rng, fmt):
         from repro.sparse import to_format
 

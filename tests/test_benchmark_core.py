@@ -1,6 +1,5 @@
 """Integration tests for the HPG-MxP and HPCG benchmark drivers."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -64,22 +63,23 @@ class TestBenchmarkConfig:
         cfg = BenchmarkConfig(local_nx=16)  # resolves to ell
         assert cfg.with_updates(impl="reference").matrix_format == "csr"
         # An explicitly pinned format survives an impl change.
-        pinned = BenchmarkConfig(local_nx=16, matrix_format="sellcs")
-        assert pinned.with_updates(impl="reference").matrix_format == "sellcs"
+        pinned = BenchmarkConfig(local_nx=16, matrix_format="csr")
+        assert pinned.with_updates(impl="reference").matrix_format == "csr"
         # Auto-derivation survives chains of unrelated updates.
         chained = cfg.with_updates(nranks=8).with_updates(impl="reference")
         assert chained.matrix_format == "csr"
         # ... and pinning survives chains too.
         chained_pin = pinned.with_updates(nranks=8).with_updates(impl="reference")
-        assert chained_pin.matrix_format == "sellcs"
+        assert chained_pin.matrix_format == "csr"
 
     def test_explicit_format_overrides_impl(self):
-        cfg = BenchmarkConfig(local_nx=16, impl="reference", matrix_format="sellcs")
-        assert cfg.matrix_format == "sellcs"
+        cfg = BenchmarkConfig(local_nx=16, impl="reference", matrix_format="ell")
+        assert cfg.matrix_format == "ell"
 
-    def test_unknown_format_lists_registered(self):
-        with pytest.raises(ValueError, match="registered formats"):
-            BenchmarkConfig(local_nx=16, matrix_format="coo")
+    @pytest.mark.parametrize("fmt", ["coo", "sell" + "cs"])
+    def test_unknown_format_lists_registered(self, fmt):
+        with pytest.raises(ValueError, match=r"registered formats: \['csr', 'ell'\]"):
+            BenchmarkConfig(local_nx=16, matrix_format=fmt)
 
     def test_policies(self):
         cfg = BenchmarkConfig(local_nx=16)

@@ -35,14 +35,20 @@ class TestParser:
         args = build_parser().parse_args(argv)
         assert callable(args.fn)
 
-    @pytest.mark.parametrize("fmt", ["auto", "csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["auto", "csr", "ell"])
     def test_format_flag_parses(self, fmt):
         args = build_parser().parse_args(["run", "--format", fmt])
         assert args.matrix_format == fmt
 
-    def test_format_flag_rejects_unknown(self):
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    @pytest.mark.parametrize("fmt", ["coo", "sell" + "cs"])
+    def test_format_flag_rejects_unknown(self, command, fmt, capsys):
+        """An unregistered format — including the retired sliced-ELL
+        one — is argparse's choice error, naming the formats left."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--format", "coo"])
+            build_parser().parse_args([command, "--format", fmt])
+        err = capsys.readouterr().err.replace("'", "")
+        assert "invalid choice" in err and "choose from auto, csr, ell)" in err
 
 
 class TestCommands:
@@ -79,18 +85,6 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["config"]["precision_ladder"] == "fp16:fp32:fp64"
         assert data["mxp"]["iterations"] == 4
-
-    def test_run_sellcs_format(self, capsys):
-        rc = main(
-            [
-                "run", "--local-nx", "16", "--max-iters", "4",
-                "--validation-max-iters", "40", "--format", "sellcs",
-                "--json",
-            ]
-        )
-        assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["config"]["matrix_format"] == "sellcs"
 
     def test_run_report(self, capsys):
         rc = main(

@@ -75,7 +75,7 @@ POLICIES = {
 SERIAL_CASES = [
     f"{policy}-{fmt}-{fusion}"
     for policy in POLICIES
-    for fmt in ("csr", "ell", "sellcs")
+    for fmt in ("csr", "ell")
     for fusion in ("fused", "unfused")
 ]
 SPMD_CASES = ["spmd2-overlap", "spmd2-sequential"]

@@ -89,7 +89,7 @@ class TestFp16SpMV:
         ref = problem16.A.spmv(x16.astype(np.float64))
         np.testing.assert_allclose(out, ref, atol=4e-3 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_unscaled_formats_match_fp64(self, problem16, x16, fmt):
         A = to_format(problem16.A, fmt).astype("fp16")
         y = dispatch.spmv(A, x16)
@@ -99,7 +99,7 @@ class TestFp16SpMV:
             y.astype(np.float64) / scale, ref / scale, atol=4e-3
         )
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_spmv_rows_subset(self, problem16, x16, fmt, rng):
         A = to_format(problem16.A, fmt).astype("fp16")
         rows = np.sort(

@@ -8,7 +8,7 @@ from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.parallel import SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver, gmres_solve
-from repro.stencil import ProblemSpec, generate_problem
+from repro.stencil import generate_problem
 from repro.util.timers import MotifTimers
 
 
@@ -72,9 +72,10 @@ class TestDoubleGMRES:
         with pytest.raises(ValueError):
             GMRESIRSolver(problem16, comm, ortho="householder")
 
-    def test_unknown_format_rejected(self, problem16, comm):
-        with pytest.raises(ValueError):
-            GMRESIRSolver(problem16, comm, matrix_format="coo")
+    @pytest.mark.parametrize("fmt", ["coo", "sell" + "cs"])
+    def test_unknown_format_rejected(self, problem16, comm, fmt):
+        with pytest.raises(ValueError, match=r"formats: \['csr', 'ell'\]"):
+            GMRESIRSolver(problem16, comm, matrix_format=fmt)
 
     def test_csr_format_same_iterations(self, problem16, comm):
         _, s_ell = gmres_solve(problem16, comm, tol=1e-9, maxiter=500)

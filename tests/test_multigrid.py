@@ -15,7 +15,7 @@ from repro.mg import (
 )
 from repro.backends import Workspace, spmv_rows
 from repro.mg.restriction import restrict_vector
-from repro.parallel import SerialComm, run_spmd
+from repro.parallel import run_spmd
 from repro.sparse import to_format, to_precision
 from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
@@ -56,7 +56,7 @@ class TestRestriction:
         return A, f_c, np.asfortranarray(R), np.asfortranarray(X)
 
     @BOTH_CLASSES
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("ncol", [1, 4])
     @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
@@ -83,7 +83,7 @@ class TestRestriction:
             assert np.array_equal(solo, expect)
 
     @BOTH_CLASSES
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("ncol", [1, 4])
     def test_fused_equals_unfused_bitwise(self, problem16, fmt, rung, ncol):
@@ -225,7 +225,7 @@ class TestMultigridPreconditioner:
         assert mg_u.levels[0].A_c.nrows == problem16.nlocal
         assert mg_f.levels[0].A_c.nrows == problem16.nlocal // 8
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize(
         "ladder", ["fp32", "fp16", "fp16:fp32:fp64", "fp64:fp32:fp16"]
     )

@@ -22,7 +22,7 @@ from repro.resilience import ResilienceConfig
 from repro.solvers import GMRESIRSolver
 from repro.solvers.cg import pcg_solve
 from repro.stencil import generate_problem
-from repro.tune.probe import MATRIX_PROBE_OPS, VECTOR_PROBE_OPS
+from repro.tune.probe import MATRIX_PROBE_OPS
 
 #: Registered ops no engine path dispatches under that name, and why
 #: each is kept.
@@ -79,7 +79,7 @@ GRID = {
     "csr": lambda p: _solve(
         p, SerialComm(), policy=MIXED_DS_POLICY, matrix_format="csr"
     ),
-    "sellcs": lambda p: _solve(p, SerialComm(), 4, matrix_format="sellcs"),
+    "csr-w4": lambda p: _solve(p, SerialComm(), 4, matrix_format="csr"),
     "levelsched": lambda p: _solve(
         p, SerialComm(), mg_config=MGConfig(nlevels=2, smoother="levelsched")
     ),
@@ -146,7 +146,7 @@ def test_single_vector_aliases_are_their_multi_twins():
 
 
 def test_tuner_probes_only_dispatched_ops(census):
-    for op in MATRIX_PROBE_OPS + VECTOR_PROBE_OPS:
+    for op in MATRIX_PROBE_OPS:
         assert op in census, f"the tuner times {op!r}, which no solve runs"
 
 

@@ -61,7 +61,7 @@ class TestOverlappedSpMV:
         assert all(run_ranks(nranks, fn))
 
     @pytest.mark.parametrize("nranks", RANKS)
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
     def test_cross_rank_parity_vs_serial_reference(self, nranks, fmt, prec):
         """Partitioned overlapped SpMV at p ranks == serial fp64 SpMV

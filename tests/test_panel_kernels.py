@@ -42,7 +42,7 @@ from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.partitioned import partition_colors
 from repro.stencil import generate_problem
 
-FORMATS = ("csr", "ell", "sellcs")
+FORMATS = ("csr", "ell")
 PRECISIONS = ("fp64", "fp32", "fp16")
 NCOL = 3
 

@@ -1,9 +1,8 @@
 """Ghost-aware partitioned format: structure, parity, allocations.
 
 Covers the distributed-layout contract (owned columns first, ghost
-columns packed at the tail, interior rows touching no ghost column),
-the region-confined SELL-C-σ chunking, and the cross-format /
-cross-precision parity of the interior+boundary SpMV against the
+columns packed at the tail, interior rows touching no ghost column)
+and the cross-format / cross-precision parity of the interior+boundary SpMV against the
 serial reference — each precision to its rung-appropriate tolerance.
 """
 
@@ -20,7 +19,7 @@ from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.sparse import partition_matrix, to_format, to_precision
 from repro.stencil import generate_problem
 
-FORMATS = ("csr", "ell", "sellcs")
+FORMATS = ("csr", "ell")
 
 
 def rank_problem(nranks: int = 8, rank: int = 0, dims=(4, 4, 4)):
@@ -86,24 +85,6 @@ class TestPartitionStructure:
         with pytest.raises(ValueError, match="does not match"):
             partition_matrix(other.A, prob.halo)
 
-    def test_sellcs_chunks_never_cross_the_seam(self):
-        """Each region gets its own slabs: every chunk's rows are
-        entirely interior or entirely boundary, and the block round-
-        trips to the region's rows of the source."""
-        prob = rank_problem(8, rank=0, dims=(8, 8, 8))
-        A = to_format(prob.A, "sellcs")
-        P = partition_matrix(A, prob.halo)
-        assert P.interior.C == A.C and P.interior.sigma == A.sigma
-        # The blocks are chunked independently, so block-internal row
-        # ids never index into the other region.
-        assert P.interior.nrows == len(P.interior_rows)
-        assert P.boundary.nrows == len(P.boundary_rows)
-        for blk, rows in ((P.interior, P.interior_rows), (P.boundary, P.boundary_rows)):
-            assert blk.perm.max(initial=-1) < blk.nrows
-            assert np.array_equal(np.sort(blk.perm), np.arange(blk.nrows))
-            assert blk.nchunks * blk.C >= blk.nrows
-            assert np.array_equal(blk.to_dense(), A.to_dense()[rows])
-
     def test_interior_fraction(self):
         prob = rank_problem(8, rank=0, dims=(8, 8, 8))
         P = partition_matrix(prob.A, prob.halo)
@@ -140,10 +121,8 @@ class TestPartitionedParity:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_fp64_bitwise_vs_unpartitioned(self, fmt):
         """Blocks preserve each row's slot layout — ELL/CSR their
-        within-row order, SELL-C-σ also each row's padded slab width
-        (re-chunking a region would regroup NumPy's pairwise row sum)
-        — so the partitioned product is bitwise-equal to the
-        unpartitioned SpMV in every format."""
+        within-row order — so the partitioned product is bitwise-equal
+        to the unpartitioned SpMV in every format."""
         prob = rank_problem(8, rank=0)
         xfull = full_vector_with_ghosts(prob)
         A = to_format(prob.A, fmt)

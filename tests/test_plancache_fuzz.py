@@ -25,17 +25,10 @@ def make_plan(op_fp="op-a", mach_fp="mach-a", seconds=1.0):
         operator_fingerprint=op_fp,
         machine_fingerprint=mach_fp,
         baseline_format="ell",
-        baseline_params=(),
-        baseline_fusion=True,
         baseline_backend="numpy",
         entries={
             ("spmv", "fp64"): PlanChoice(
-                fmt="ell",
-                fmt_params=(),
-                backend="numpy",
-                fused=True,
-                seconds=seconds,
-                baseline_seconds=2.0,
+                fmt="ell", seconds=seconds, baseline_seconds=2.0
             )
         },
     )

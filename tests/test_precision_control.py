@@ -489,9 +489,7 @@ class TestBudgetChooser:
 
         ell = estimate_condition(A)
         csr = estimate_condition(to_format(A, "csr"))
-        sellcs = estimate_condition(to_format(A, "sellcs"))
         assert csr.norm_inf == pytest.approx(ell.norm_inf)
-        assert sellcs.norm_inf == pytest.approx(ell.norm_inf)
 
     def test_weights_decay_with_level(self):
         assert ingredient_weight("smoother", 0) > ingredient_weight(

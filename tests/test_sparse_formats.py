@@ -1,16 +1,25 @@
-"""Unit tests for ELL and CSR formats and their kernels."""
+"""Unit tests for ELL and CSR formats, their kernels, and conversion."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse import CSRMatrix, ELLMatrix
+from repro.backends import Workspace, dispatch
+from repro.sparse import CSRMatrix, ELLMatrix, known_formats, to_format
+
+FORMATS = ("csr", "ell")
 
 
-def random_sparse(nrows, ncols, density, seed=0, dtype=np.float64):
+def random_sparse(nrows, ncols, density, seed=0, dtype=np.float64, empty_rows=()):
     rng = np.random.default_rng(seed)
     m = sp.random(nrows, ncols, density=density, random_state=rng, format="csr")
     m.data = rng.standard_normal(len(m.data)) + 2.0  # keep away from zero
+    if len(empty_rows):
+        lil = m.tolil()
+        for r in empty_rows:
+            lil.rows[r] = []
+            lil.data[r] = []
+        m = lil.tocsr()
     return CSRMatrix.from_scipy(m.astype(dtype))
 
 
@@ -174,3 +183,86 @@ class TestELL:
         y64 = problem16.A.spmv(x.astype(np.float64))
         assert y32.dtype == np.float32
         np.testing.assert_allclose(y32, y64, rtol=2e-5, atol=1e-4)
+
+
+class TestToFormat:
+    def test_known_formats_are_the_papers_two(self):
+        assert known_formats() == ["csr", "ell"]
+
+    @pytest.mark.parametrize(
+        "fmt, kwargs, error",
+        [
+            ("coo", {}, ValueError),
+            ("sell" + "cs", {}, ValueError),  # the retired sliced ELL
+            ("ell", {"chunk": 32}, TypeError),  # no format reads it
+        ],
+    )
+    def test_rejects_what_no_format_builds(self, problem8, fmt, kwargs, error):
+        with pytest.raises(error) as exc:
+            to_format(problem8.A, fmt, **kwargs)
+        if error is ValueError:
+            assert str(known_formats()) in str(exc.value)
+
+
+class TestCrossFormat:
+    """CSR and ELL agree on every kernel (to rounding: the row sums run
+    in different orders), and both honour ``out=`` end to end."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_out_with_empty_rows(self, fmt):
+        A = to_format(random_sparse(40, 30, 0.2, seed=8, empty_rows=[0, 7, 39]), fmt)
+        x = np.random.default_rng(9).standard_normal(30)
+        out = np.full(40, 123.456)  # poison: empty rows must be zeroed
+        assert dispatch.spmv(A, x, out=out) is out
+        np.testing.assert_allclose(out, A.to_scipy() @ x, rtol=1e-12)
+        assert out[0] == 0.0 and out[7] == 0.0 and out[39] == 0.0
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_out_with_workspace_twice(self, fmt, rng):
+        A = to_format(random_sparse(64, 64, 0.1, seed=10), fmt)
+        x = rng.standard_normal(64)
+        ws = Workspace()
+        out = np.empty(64)
+        dispatch.spmv(A, x, out=out, ws=ws)
+        first, misses = out.copy(), ws.misses
+        dispatch.spmv(A, x, out=out, ws=ws)
+        np.testing.assert_array_equal(out, first)
+        assert ws.misses == misses  # the second call pooled nothing new
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(60, 60), (100, 80), (33, 47)])
+    def test_spmv_and_rows_parity_random(self, seed, shape, rng):
+        nrows, ncols = shape
+        empty = [0, nrows // 2] if seed % 2 else []
+        A = random_sparse(nrows, ncols, 0.1, seed=seed, empty_rows=empty)
+        x = rng.standard_normal(ncols)
+        ref = A.to_scipy() @ x
+        rows = np.array([0, nrows // 2, nrows - 1])
+        for fmt in FORMATS:
+            B = to_format(A, fmt)
+            kw = dict(rtol=1e-13, atol=1e-13, err_msg=fmt)
+            np.testing.assert_allclose(dispatch.spmv(B, x), ref, **kw)
+            np.testing.assert_allclose(
+                dispatch.spmv_rows(B, rows, x), ref[rows], **kw
+            )
+
+    @pytest.mark.parametrize("use_ws", [False, True])
+    def test_symgs_parity_stencil(self, problem16, use_ws):
+        from repro.sparse.coloring import color_sets, structured_coloring8
+
+        sets = color_sets(structured_coloring8(problem16.sub))
+        results = {}
+        for fmt in FORMATS:
+            B = to_format(problem16.A, fmt)
+            diag = B.diagonal()
+            diag_sets = [diag[rows] for rows in sets]
+            xfull = np.zeros(B.ncols)
+            ws = Workspace() if use_ws else None
+            for direction in ("forward", "backward"):
+                dispatch.symgs_sweep(
+                    B, problem16.b, xfull, sets, diag_sets, direction, ws=ws
+                )
+            results[fmt] = xfull
+        np.testing.assert_allclose(
+            results["csr"], results["ell"], rtol=1e-13, atol=1e-14
+        )

@@ -3,7 +3,7 @@
 Acceptance (ISSUE 5): the overlapped SymGS — halo posted, every
 color's dependency-closed interior block swept, ghosts landed, every
 color's boundary block finished — is bitwise-equal to the sequential
-sweep at fp64 and rung-tolerance-equal at fp16/fp32, for all three
+sweep at fp64 and rung-tolerance-equal at fp16/fp32, for both
 storage formats at 1/2/8 ranks; the overlapped smoother path is
 zero-allocation after warmup; and the fused residual check
 (``waxpby_dot`` behind the operator's matvec) is bitwise-identical to
@@ -214,12 +214,12 @@ class TestOverlappedSymGS:
         assert all(run_ranks(nranks, fn))
 
     @pytest.mark.parametrize("nranks", RANKS)
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
     def test_cross_rank_parity_all_formats_and_rungs(self, nranks, fmt, prec):
         """Overlapped vs sequential for every format and rung — at rung
-        tolerance, and bitwise: blocks keep every row's slot layout
-        (SELL-C-σ slices its width slabs), so nothing re-associates."""
+        tolerance, and bitwise: blocks keep every row's slot layout,
+        so nothing re-associates."""
 
         def fn(comm):
             plain, part, (h1, h2), prob, A = build_smoothers(comm, fmt, prec)
@@ -242,7 +242,7 @@ class TestOverlappedSymGS:
             np.testing.assert_array_equal(ov, seq)
 
     @pytest.mark.parametrize("nranks", RANKS)
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_overlap_bitwise_vs_partitioned_sequential(self, nranks, fmt):
         """On the *same* partitioned layout, the overlapped split
         (all interiors, then all boundaries) and the interleaved
@@ -301,19 +301,25 @@ class TestOverlappedSymGS:
 
 #: Every (format, rung) pair the suite builds color partitions for.
 LAYOUT_PAIRS = [
-    (fmt, prec) for fmt in ("csr", "ell", "sellcs") for prec in ("fp64", "fp32")
+    (fmt, prec) for fmt in ("csr", "ell") for prec in ("fp64", "fp32")
 ] + [("ell", "fp16")]  # row-equilibrated storage
 
+#: Local boxes the layout suites run on: the 8^3 cube, whose eight
+#: color blocks are equal (64 rows each), and an odd 7x6x5 box, whose
+#: color blocks are 18 to 36 rows long — no block boundary lands where
+#: the cube's do.
+BOXES = pytest.mark.parametrize("box", [(8, 8, 8), (7, 6, 5)], ids=["8x8x8", "7x6x5"])
 
-def layout_case(fmt, prec, layout, ws=None):
-    """One 8^3 smoother on the named layout: ``"serial"`` (a serial
-    box, every color one whole block) or ``"split"`` (rank 0 of a
-    2x1x1 grid, every color split along its halo; ghost values are
-    whatever the test puts in the vector tail)."""
+
+def layout_case(fmt, prec, layout, ws=None, box=(8, 8, 8)):
+    """One smoother on a ``box``-sized local grid and the named layout:
+    ``"serial"`` (a serial box, every color one whole block) or
+    ``"split"`` (rank 0 of a 2x1x1 grid, every color split along its
+    halo; ghost values are whatever the test puts in the vector tail)."""
     if layout == "serial":
-        sub = Subdomain.serial(8, 8, 8)
+        sub = Subdomain.serial(*box)
     else:
-        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid(2, 1, 1), 0)
+        sub = Subdomain(BoxGrid(*box), ProcessGrid(2, 1, 1), 0)
     prob = generate_problem(sub)
     A = to_precision(to_format(prob.A, fmt), prec)
     diag = A.diagonal()
@@ -335,11 +341,12 @@ class TestOneSweepLayout:
     @pytest.mark.parametrize("ncol", [1, 4])
     @pytest.mark.parametrize("pooled", [True, False], ids=["ws", "no-ws"])
     @pytest.mark.parametrize("layout", ["serial", "split"])
+    @BOXES
     def test_block_sweep_equals_index_set_reference(
-        self, fmt, prec, direction, ncol, pooled, layout
+        self, fmt, prec, direction, ncol, pooled, layout, box
     ):
         prob, A, diag, sets, gs = layout_case(
-            fmt, prec, layout, Workspace() if pooled else None
+            fmt, prec, layout, Workspace() if pooled else None, box
         )
         P = gs.partition
         assert P.split == gs.supports_overlap == (layout == "split")
@@ -365,10 +372,11 @@ class TestOneSweepLayout:
 
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
     @pytest.mark.parametrize("ncol", [1, 4])
-    def test_split_halves_equal_index_set_reference(self, fmt, prec, ncol):
+    @BOXES
+    def test_split_halves_equal_index_set_reference(self, fmt, prec, ncol, box):
         """The overlapped forward schedule — every interior block, then
         every boundary block — is the same sweep."""
-        prob, A, diag, sets, gs = layout_case(fmt, prec, "split", Workspace())
+        prob, A, diag, sets, gs = layout_case(fmt, prec, "split", Workspace(), box)
         P = gs.partition
         rng = np.random.default_rng(22)
         R = np.asfortranarray(
@@ -390,8 +398,9 @@ class TestOneSweepLayout:
         assert np.array_equal(natural_order(P, X), X_ref)
 
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
-    def test_one_whole_block_per_color(self, fmt, prec):
-        _, A, _, sets, gs = layout_case(fmt, prec, "serial")
+    @BOXES
+    def test_one_whole_block_per_color(self, fmt, prec, box):
+        _, A, _, sets, gs = layout_case(fmt, prec, "serial", box=box)
         P = gs.partition
         assert not P.split and not gs.supports_overlap  # whole blocks may read ghosts
         assert gs.order is P.order
@@ -509,11 +518,12 @@ class TestZeroGuessSweep:
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
     @pytest.mark.parametrize("direction", ["forward", "backward", "symmetric"])
     @pytest.mark.parametrize("overlap", [False, True])
+    @BOXES
     def test_bitwise_equal_to_sweep_from_explicit_zeros(
-        self, nranks, fmt, prec, direction, overlap
+        self, nranks, fmt, prec, direction, overlap, box
     ):
         def fn(comm):
-            _, part, (_, h), prob, A = build_smoothers(comm, fmt, prec)
+            _, part, (_, h), prob, A = build_smoothers(comm, fmt, prec, box)
             h_ref = level_halo(prob, comm, part)
             P = part.partition
             R = level_order(P, self.rhs(prob, A.dtype, comm.rank))
@@ -536,8 +546,9 @@ class TestZeroGuessSweep:
         assert run_ranks(nranks, fn) == [(True, True, True, True)] * nranks
 
     @pytest.mark.parametrize("fmt,prec", LAYOUT_PAIRS)
-    def test_skips_exactly_the_first_color(self, fmt, prec):
-        prob, A, _, sets, gs = layout_case(fmt, prec, "split", Workspace())
+    @BOXES
+    def test_skips_exactly_the_first_color(self, fmt, prec, box):
+        prob, A, _, sets, gs = layout_case(fmt, prec, "split", Workspace(), box)
         R = level_order(gs.partition, self.rhs(prob, A.dtype, 0))
         blocks = sum(blk.hi > blk.lo for pair in gs.partition.passes for blk in pair)
         first = {
@@ -799,7 +810,7 @@ class TestFusedMotifs:
         rng = np.random.default_rng(0)
         return A, op, rng.standard_normal(A.nrows), rng.standard_normal(A.nrows)
 
-    @pytest.mark.parametrize("fmt", ["csr", "ell", "sellcs"])
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_fused_residual_matches_unfused_bitwise(self, fmt):
         """GMRES-IR's residual check: the matvec keeps its schedule and
         the subtraction + local dot fuse at the vector pass."""

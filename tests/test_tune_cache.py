@@ -10,6 +10,8 @@ import json
 import logging
 import os
 
+import pytest
+
 from repro.tune import DispatchPlan, PlanCache, PlanChoice
 from repro.tune.cache import CACHE_VERSION, PLAN_VERSION
 
@@ -19,17 +21,10 @@ def make_plan(op_fp="op-a", mach_fp="mach-a", seconds=1.0):
         operator_fingerprint=op_fp,
         machine_fingerprint=mach_fp,
         baseline_format="ell",
-        baseline_params=(),
-        baseline_fusion=True,
         baseline_backend="numpy",
         entries={
             ("spmv", "fp64"): PlanChoice(
-                fmt="ell",
-                fmt_params=(),
-                backend="numpy",
-                fused=True,
-                seconds=seconds,
-                baseline_seconds=2.0,
+                fmt="ell", seconds=seconds, baseline_seconds=2.0
             )
         },
     )
@@ -163,15 +158,38 @@ class TestCorruption:
             assert cache.load("op-a", "mach-a") is None
         assert cache.corrupt == 1 and cache.misses == 1
 
-    def test_version1_plan_naming_retired_ops_misses(self, tmp_path, caplog):
-        """A well-formed version-1 file whose entries name ops that no
-        longer exist (``spmv_dot``, the index-set ``symgs_sweep``) is a
-        miss with the usual warning — never an error, and never a plan
-        that loads but steers nothing — and a fresh plan replaces it."""
+    @pytest.mark.parametrize(
+        "version, ops, fmt",
+        [
+            # Version 1 named ops that no longer exist.
+            (1, ("spmv_dot", "symgs_sweep"), "ell"),
+            # Version 2 could choose the retired sliced-ELL format with
+            # its chunk / sigma.
+            (2, ("spmv", "spmv_multi"), "sell" + "cs"),
+        ],
+    )
+    def test_version1_plan_naming_retired_ops_misses(
+        self, tmp_path, caplog, version, ops, fmt
+    ):
+        """A well-formed old-version file whose entries name ops or
+        formats that no longer exist (``spmv_dot``, the index-set
+        ``symgs_sweep``; the sliced-ELL format a version-2 consensus
+        could build) is a miss with the usual warning — never an error,
+        never a solver that fails to build its operator — and a fresh
+        plan replaces it."""
         stale = make_plan().to_dict()
-        choice = stale["entries"].pop("spmv@fp64")
-        stale["version"] = 1
-        stale["entries"] = {"spmv_dot@fp64": choice, "symgs_sweep@fp32": choice}
+        choice = {
+            "fmt": fmt,
+            "fmt_params": [["chunk", 32], ["sigma", 128]],
+            "backend": "numpy",
+            "fused": True,
+            "seconds": 1.0,
+            "baseline_seconds": 2.0,
+            "parity": True,
+        }
+        stale["version"] = version
+        stale["baseline"].update(format=fmt, params=[], fusion=True)
+        stale["entries"] = {f"{op}@fp64": choice for op in ops}
         path = tmp_path / "cache.json"
         path.write_text(
             json.dumps({"version": CACHE_VERSION, "plans": {"op-a:mach-a": stale}})

@@ -1,18 +1,18 @@
-"""End-to-end autotuner integration: probe -> plan -> dispatch -> solve.
+"""End-to-end autotuner integration: probe -> plan -> adoption -> solve.
 
-The contract under test is the tentpole invariant: a tuned dispatch
-plan changes *which* registered kernel runs, never the bits it
-produces.  A solver adopting a plan through the shared setup cache must
-therefore solve bitwise-identically to the untuned default, and the
-benchmark's recorded ``autotune_speedup`` can never drop below 1.0
-because the untuned baseline always competes in the probe.
+The contract under test is the tentpole invariant: a tuned plan changes
+*which* storage format the solver builds, never the bits it produces.
+A solver adopting a plan through the shared setup cache must therefore
+solve bitwise-identically to the untuned default, and the benchmark's
+recorded ``autotune_speedup`` can never drop below 1.0 because the
+baseline format always competes in the probe.
 """
 
 import numpy as np
 import pytest
-from helpers_distributed import use_backend
+from helpers_distributed import BOTH_CLASSES, NUMPY_CLASS, use_backend
 
-from repro.backends.registry import KernelRegistry, registry
+from repro.backends.registry import registry
 from repro.fp import MIXED_DS_POLICY
 from repro.mg.multigrid import MGConfig
 from repro.parallel.comm import SerialComm
@@ -29,7 +29,7 @@ from repro.tune import (
     representative_slice,
     tune_for_config,
 )
-from repro.tune.plan import FUSED_OPS
+from repro.tune.probe import FORMATS, MATRIX_PROBE_OPS, PROBE_PANEL
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,23 @@ def plan8(problem8):
     return plan
 
 
+def unanimous_plan(A, fmt, backend="scipy"):
+    """A hand-built plan whose every entry chose ``fmt`` over an ELL
+    baseline (a timed probe flips on noise where the two formats run
+    equally fast)."""
+    return DispatchPlan(
+        operator_fingerprint=operator_fingerprint(A),
+        machine_fingerprint="mach",
+        baseline_format="ell",
+        baseline_backend=backend,
+        entries={
+            (op, rung): PlanChoice(fmt=fmt, seconds=1.0, baseline_seconds=2.0)
+            for op in MATRIX_PROBE_OPS
+            for rung in ("fp64", "fp32")
+        },
+    )
+
+
 class TestProbe:
     def test_representative_slice_is_principal_square(self, problem8):
         s = representative_slice(problem8.A, max_rows=100)
@@ -52,23 +69,20 @@ class TestProbe:
         s = representative_slice(problem8.A, max_rows=10**6)
         assert s.nrows == problem8.A.to_csr().nrows
 
-    def test_prober_baseline_always_has_parity(self, problem8):
+    def test_prober_times_both_formats_and_selects_with_parity(self, problem8):
         prober = OperatorProber(
             problem8.A, baseline_format="ell", rungs=("fp64",), repeats=1
         )
         entries, records = prober.probe_all()
-        assert entries  # something was tuned
-        for rec in records:
-            if rec.selected:
-                assert rec.parity
-        # Every probed (op, rung) has at least one parity-true record
-        # (the untuned default itself).
-        for op, rung in {(r.op, r.rung) for r in records}:
-            assert any(
-                r.parity for r in records if (r.op, r.rung) == (op, rung)
-            )
+        assert set(entries) == {(op, "fp64") for op in MATRIX_PROBE_OPS}
+        for op in MATRIX_PROBE_OPS:
+            recs = [r for r in records if r.op == op]
+            assert sorted(r.fmt for r in recs) == sorted(FORMATS)
+            assert [r.fmt for r in recs if r.selected] == [entries[op, "fp64"].fmt]
+            assert all(r.parity for r in recs if r.fmt == "ell" or r.selected)
 
-    def test_probed_kernels_run_in_the_probers_arena(self, problem8):
+    @NUMPY_CLASS
+    def test_probed_kernels_run_in_the_probers_arena(self, problem8, parity_class):
         """Solves always hand kernels a workspace, and a kernel's
         pooled branch is different code from its allocating one — so
         the prober must time the pooled branch: every probed motif
@@ -97,84 +111,18 @@ class TestProbe:
             assert tag in tags, tag
         assert "gs.ax" not in tags
 
-    def test_probes_only_what_the_engine_dispatches(self, problem8):
+    def test_sweep_probe_runs_the_packed_block_sweep(self, problem8):
         """The sweep probe runs the smoother's op on the color-packed
         layout at width 1 and the probe panel; no retired op is timed."""
-        from repro.tune.probe import (
-            MATRIX_PROBE_OPS,
-            PROBE_PANEL,
-            VECTOR_PROBE_OPS,
-        )
-
         prober = OperatorProber(
             problem8.A, baseline_format="ell", rungs=("fp64",), repeats=1
         )
-        entries, records = prober.probe_all()
-        assert {op for op, _ in entries} == set(
-            MATRIX_PROBE_OPS + VECTOR_PROBE_OPS
-        )
-        assert {r.op for r in records} == {op for op, _ in entries}
-        assert "symgs_sweep_multi" in MATRIX_PROBE_OPS
         for retired in ("spmv_dot", "spmv_dot_multi", "symgs_sweep"):
             assert retired not in MATRIX_PROBE_OPS
-        P = prober._packed[("ell", (), prober.rungs[0])]
+        P = prober._packed[("ell", prober.rungs[0])]
         assert P.format_name == "color_partitioned"
-        solo, panel = prober._runner(
-            "symgs_sweep_multi", P, prober.rungs[0], True
-        )()
+        solo, panel = prober._runner("symgs_sweep_multi", P, prober.rungs[0])()
         assert solo.ndim == 1 and panel.shape == (solo.shape[0], PROBE_PANEL)
-
-    @pytest.mark.parametrize("fusion", [True, False])
-    def test_composed_fused_motifs_cast_no_fusion_vote(self, problem8, fusion):
-        """NumPy's ``waxpby_dot`` / ``waxpby_dot_multi`` compose the
-        unfused kernels call for call: timing both settings would let
-        dispatch noise flip the solver-wide fusion switch (which also
-        gates ``gemv_sub_dot``, never probed).  Only the baseline
-        setting is timed, so the plan keeps the baseline fusion."""
-        plan, _ = autotune_operator(
-            problem8.A,
-            baseline_format="ell",
-            fusion=fusion,
-            rungs=("fp64", "fp32"),
-            repeats=1,
-        )
-        fused_recs = [r for r in plan.probes if r.op in FUSED_OPS]
-        assert {r.op for r in fused_recs} == set(FUSED_OPS)
-        assert {r.fused for r in fused_recs} == {fusion}
-        assert plan.solver_fusion() is fusion
-
-    def test_backend_with_a_fused_kernel_votes_on_fusion(
-        self, problem8, monkeypatch
-    ):
-        """A backend that registers a single-pass kernel of its own
-        competes fused AND unfused, at the rungs it registered and no
-        others (the baseline is the active backend; the others resolve
-        to the same NumPy composition and are deduped away)."""
-        import repro.tune.probe as probe_mod
-
-        priv = KernelRegistry(
-            _kernels=dict(registry._kernels),
-            _backends=dict(registry._backends),
-            _active=registry.active_backend,
-        )
-        priv.register_backend("jit", priority=-1)
-        numpy_fused = registry.lookup("waxpby_dot", None, "fp64", backend="numpy")
-
-        @priv.register("waxpby_dot", precision="fp64", backend="jit")
-        def waxpby_dot_jit(alpha, x, beta, y, out=None, ws=None):
-            return numpy_fused(alpha, x, beta, y, out=out, ws=ws)
-
-        monkeypatch.setattr(probe_mod, "registry", priv)
-        prober = OperatorProber(
-            problem8.A, baseline_format="ell", rungs=("fp64", "fp32"), repeats=1
-        )
-        seen = {}
-        for rung in prober.rungs:
-            _, recs = prober.probe_op("waxpby_dot", rung)
-            seen[rung.short_name] = {(r.backend, r.fused) for r in recs}
-        active = registry.active_backend
-        assert seen["fp64"] == {(active, True), ("jit", True), ("jit", False)}
-        assert seen["fp32"] == {(active, True)}
 
 
 class TestPlanFromProbe:
@@ -208,13 +156,12 @@ class TestPlanFromProbe:
         assert hit
         assert again.entries == plan.entries
 
-
     def test_plan_from_another_parity_class_is_a_miss(self, problem16, tmp_path):
-        """The cache key hashes no backend, and a plan routes each tuned
-        (op, rung) to the backend it recorded — so a plan written under
-        one class and loaded under the other would steer the matrix ops
-        across classes.  It is re-probed and overwritten instead, and
-        tuned == untuned bitwise under each class in turn."""
+        """The cache key hashes no backend, and CSR is bitwise ELL in one
+        class only — so a plan written under one class and loaded under
+        the other could switch a format whose parity was never checked
+        there.  It is re-probed and overwritten instead, and tuned ==
+        untuned bitwise under each class in turn."""
         cache = PlanCache(str(tmp_path / "cache.json"))
         probe = dict(rungs=("fp64", "fp32"), repeats=1, max_rows=512, cache=cache)
         kw = dict(policy=MIXED_DS_POLICY, restart=10, matrix_format="ell")
@@ -234,145 +181,62 @@ class TestPlanFromProbe:
                     problem16, SerialComm(), setup_cache=setup, **kw
                 )
                 assert tuned.dispatch_plan is plan
-                try:
-                    registry.set_plan(plan)
-                    x_tuned, _ = tuned.solve(problem16.b, tol=0.0, maxiter=10)
-                finally:
-                    registry.set_plan(None)
+                x_tuned, _ = tuned.solve(problem16.b, tol=0.0, maxiter=10)
                 assert np.array_equal(x_tuned, x_plain)
 
 
-class TestRegistryPlanDispatch:
-    def test_plan_backend_preference_wins_dispatch(self):
-        reg = KernelRegistry()
-
-        @reg.register("spmv", backend="numpy")
-        def spmv_ref():
-            return "ref"
-
-        @reg.register("spmv", backend="alt")
-        def spmv_alt():
-            return "alt"
-
-        class StubPlan:
-            def backend_for(self, op, prec, fmt=None, fmt_params=None):
-                return "alt" if op == "spmv" else None
-
-        assert reg.lookup("spmv", "ell", "fp64")() == "ref"
-        reg.set_plan(StubPlan())
-        assert reg.lookup("spmv", "ell", "fp64")() == "alt"
-        # An explicit backend request still overrides the plan.
-        assert reg.lookup("spmv", "ell", "fp64", backend="numpy")() == "ref"
-        reg.set_plan(None)
-        assert reg.lookup("spmv", "ell", "fp64")() == "ref"
-
-    def test_plan_does_not_steer_mismatched_format_lookups(self):
-        """The reviewed invariant hole: a plan that chose (csr, alt)
-        must not route an ELL lookup (e.g. from the level-scheduled
-        smoother, which forces ELL) to the alt backend — that
-        combination's parity was never verified."""
-        reg = KernelRegistry()
-
-        @reg.register("spmv", backend="numpy")
-        def spmv_ref():
-            return "ref"
-
-        @reg.register("spmv", backend="alt")
-        def spmv_alt():
-            return "alt"
-
-        entry = PlanChoice(
-            fmt="csr",
-            fmt_params=(),
-            backend="alt",
-            fused=True,
-            seconds=1.0,
-            baseline_seconds=2.0,
-        )
-        plan = DispatchPlan(
-            operator_fingerprint="op",
-            machine_fingerprint="mach",
-            baseline_format="ell",
-            baseline_params=(),
-            baseline_fusion=True,
-            baseline_backend="numpy",
-            entries={("spmv", "fp64"): entry},
-        )
-        reg.set_plan(plan)
-        try:
-            assert reg.lookup("spmv", "csr", "fp64")() == "alt"
-            assert reg.lookup("spmv", "ell", "fp64")() == "ref"
-        finally:
-            reg.set_plan(None)
-
-    def test_global_registry_set_plan_round_trip(self, plan8):
-        try:
-            registry.set_plan(plan8)
-            assert registry.plan is plan8
-            registry.lookup("spmv", "ell", "fp64")  # resolves under plan
-        finally:
-            registry.set_plan(None)
-        assert registry.plan is None
-
-    def test_available_variants_lists_registrations(self):
-        variants = registry.available_variants("spmv")
-        assert ("ell", None, "numpy") in variants
-        assert ("csr", None, "numpy") in variants
-
-
+@BOTH_CLASSES
 class TestSolverAdoption:
-    def test_solver_adopts_plan_from_setup_cache(self, problem8, plan8):
-        cache = SetupCache()
-        cache.store_plan(operator_fingerprint(problem8.A), plan8)
-        solver = GMRESIRSolver(
-            problem8,
-            SerialComm(),
-            policy=MIXED_DS_POLICY,
-            mg_config=MGConfig(nlevels=2),
-            matrix_format="ell",
-            setup_cache=cache,
-        )
-        assert solver.dispatch_plan is plan8
+    KW = dict(
+        policy=MIXED_DS_POLICY,
+        mg_config=MGConfig(nlevels=2),
+        restart=10,
+        matrix_format="ell",
+    )
 
-    def test_mismatched_baseline_is_not_adopted(self, problem8, plan8):
-        # Neither the ell baseline the plan was tuned from nor its
-        # consensus (inside the SciPy class CSR is bitwise ELL without
-        # the padding, so the consensus may be csr).
-        other = "sellcs" if plan8.solver_format() == "csr" else "csr"
+    def test_tuned_solve_is_bitwise_equal_to_untuned(self, problem8, parity_class):
+        """Where a plan really switches format — CSR over an ELL
+        baseline, bitwise ELL without the padding in the SciPy class —
+        the tuned solver builds CSR and ``solve`` and an 8-wide
+        ``solve_panel`` are bitwise the untuned ELL solver's.  In the
+        reference class CSR's sequential row sums are not ELL's pairwise
+        ones, so a probe never switches."""
+        if parity_class == "numpy":
+            plan, _ = autotune_operator(problem8.A, repeats=1)
+            assert plan.solver_format() == plan.baseline_format == "ell"
+            assert not any(r.parity for r in plan.probes if r.fmt == "csr")
+        else:
+            plan = unanimous_plan(problem8.A, "csr", backend=parity_class)
         cache = SetupCache()
-        cache.store_plan(operator_fingerprint(problem8.A), plan8)
+        cache.store_plan(operator_fingerprint(problem8.A), plan)
+        tuned = GMRESIRSolver(problem8, SerialComm(), setup_cache=cache, **self.KW)
+        plain = GMRESIRSolver(problem8, SerialComm(), **self.KW)
+        assert tuned.dispatch_plan is plan
+        assert tuned.matrix_format == tuned.A64.format_name == plan.solver_format()
+
+        x_tuned, _ = tuned.solve(problem8.b, tol=0.0, maxiter=10)
+        x_plain, _ = plain.solve(problem8.b, tol=0.0, maxiter=10)
+        assert np.array_equal(x_tuned, x_plain)
+        B = np.asfortranarray(np.outer(problem8.b, 1.0 + 0.25 * np.arange(8)))
+        X_tuned, _ = tuned.solve_panel(B, tol=0.0, maxiter=10)
+        X_plain, _ = plain.solve_panel(B, tol=0.0, maxiter=10)
+        assert np.array_equal(X_tuned, X_plain)
+
+    def test_mismatched_baseline_is_not_adopted(self, problem8, parity_class):
+        """A solver configured with neither the plan's baseline nor its
+        consensus keeps its own format."""
+        cache = SetupCache()
+        cache.store_plan(
+            operator_fingerprint(problem8.A), unanimous_plan(problem8.A, "ell")
+        )
         solver = GMRESIRSolver(
             problem8,
             SerialComm(),
-            policy=MIXED_DS_POLICY,
-            mg_config=MGConfig(nlevels=2),
-            matrix_format=other,
             setup_cache=cache,
+            **{**self.KW, "matrix_format": "csr"},
         )
         assert solver.dispatch_plan is None
-
-    def test_tuned_solve_is_bitwise_equal_to_untuned(self, problem8, plan8):
-        kw = dict(
-            policy=MIXED_DS_POLICY,
-            mg_config=MGConfig(nlevels=2),
-            restart=10,
-            matrix_format="ell",
-        )
-        plain = GMRESIRSolver(problem8, SerialComm(), **kw)
-        x_plain, _ = plain.solve(problem8.b, tol=0.0, maxiter=10)
-
-        cache = SetupCache()
-        cache.store_plan(operator_fingerprint(problem8.A), plan8)
-        tuned = GMRESIRSolver(
-            problem8, SerialComm(), setup_cache=cache, **kw
-        )
-        assert tuned.dispatch_plan is plan8
-        try:
-            registry.set_plan(plan8)  # the benchmark driver's install
-            x_tuned, _ = tuned.solve(problem8.b, tol=0.0, maxiter=10)
-        finally:
-            registry.set_plan(None)
-        assert np.array_equal(x_tuned, x_plain)
+        assert solver.matrix_format == "csr"
 
 
 class TestConfigPlumbing:
@@ -387,45 +251,14 @@ class TestConfigPlumbing:
         cfg = BenchmarkConfig(precision_ladder="fp16:fp32:fp64")
         assert config_rungs(cfg) == ("fp64", "fp32")  # fp16 not probed
 
-    def test_apply_plan_noop_when_consensus_is_baseline(self):
+    def test_apply_plan_folds_only_a_unanimous_switch(self, problem8):
         from repro.core.config import BenchmarkConfig
 
         cfg = BenchmarkConfig()
-        plan = DispatchPlan(
-            operator_fingerprint="op",
-            machine_fingerprint="mach",
-            baseline_format=cfg.matrix_format,
-            baseline_params=(),
-            baseline_fusion=True,
-            baseline_backend="numpy",
-        )
-        assert apply_plan_to_config(cfg, plan) is cfg
-
-    def test_apply_plan_folds_unanimous_fusion(self):
-        from repro.core.config import BenchmarkConfig
-
-        cfg = BenchmarkConfig()
-        entries = {
-            (op, "fp64"): PlanChoice(
-                fmt="ell",
-                fmt_params=(),
-                backend="numpy",
-                fused=False,
-                seconds=1.0,
-                baseline_seconds=2.0,
-            )
-            for op in sorted(FUSED_OPS)
-        }
-        plan = DispatchPlan(
-            operator_fingerprint="op",
-            machine_fingerprint="mach",
-            baseline_format=cfg.matrix_format,
-            baseline_params=(),
-            baseline_fusion=True,
-            baseline_backend="numpy",
-            entries=entries,
-        )
-        assert apply_plan_to_config(cfg, plan).fusion is False
+        assert apply_plan_to_config(cfg, unanimous_plan(problem8.A, "ell")) is cfg
+        tuned = apply_plan_to_config(cfg, unanimous_plan(problem8.A, "csr"))
+        assert tuned.matrix_format == "csr"
+        assert tuned.with_updates(matrix_format="ell") == cfg
 
     def test_tune_for_config_uses_the_cache(self, tmp_path):
         from repro.core.config import BenchmarkConfig
@@ -436,6 +269,21 @@ class TestConfigPlumbing:
         assert not hit
         _, hit = tune_for_config(cfg, cache=cache)
         assert hit
+
+    def test_tune_report_prints_one_format_per_entry(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "cache.json")
+        assert main(["tune", "--local-nx", "16", "--report", "--cache", path]) == 0
+        out = capsys.readouterr().out
+        assert "solver-wide consensus: format=" in out
+        for op in MATRIX_PROBE_OPS:
+            for rung in ("fp64", "fp32"):
+                (line,) = [
+                    ln for ln in out.splitlines() if ln.split()[:1] == [f"{op}@{rung}"]
+                ]
+                assert line.split()[2] in FORMATS
+        assert "probe report (every measured format)" in out
 
 
 class TestBenchmarkAutotune:
@@ -458,7 +306,6 @@ class TestBenchmarkAutotune:
         assert metrics.autotune_speedup >= 1.0
         assert metrics.autotune["enabled"]
         assert metrics.autotune["plan"]["entries"]
-        assert registry.plan is None  # uninstalled after the phase
         # The record the CI gate consumes is JSON-clean.
         import json
 

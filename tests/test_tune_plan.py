@@ -1,36 +1,23 @@
-"""DispatchPlan semantics: lookup, consensus, parity, serialization.
+"""DispatchPlan semantics: consensus, parity, serialization.
 
-The plan is the autotuner's contract with the rest of the stack: the
-registry consults ``backend_for`` at dispatch time, the solver adopts
-the solver-wide consensus only when unanimous, ``assert_parity`` keeps
-non-bitwise variants out, and the aggregate probe speedup is >= 1.0 by
-construction because the untuned default always competes.
+The plan is the autotuner's contract with the solvers: a solver adopts
+the solver-wide format only when every entry agrees, ``assert_parity``
+keeps non-bitwise formats out, and the aggregate probe speedup is
+>= 1.0 by construction because the baseline format always competes.
 """
 
 import pytest
 
-from repro.fp.precision import Precision
 from repro.tune import DispatchPlan, PlanChoice, PlanParityError, ProbeRecord
-from repro.tune.plan import FUSED_OPS, MATRIX_OPS, PLAN_VERSION
+from repro.tune.plan import PLAN_VERSION
+from repro.tune.probe import MATRIX_PROBE_OPS
+
+HEADERS = ("op", "rung", "format", "seconds", "parity", "chosen")
 
 
-def choice(
-    fmt="ell",
-    params=(),
-    backend="numpy",
-    fused=True,
-    seconds=1.0,
-    baseline_seconds=2.0,
-    parity=True,
-):
+def choice(fmt="ell", seconds=1.0, baseline_seconds=2.0, parity=True):
     return PlanChoice(
-        fmt=fmt,
-        fmt_params=params,
-        backend=backend,
-        fused=fused,
-        seconds=seconds,
-        baseline_seconds=baseline_seconds,
-        parity=parity,
+        fmt=fmt, seconds=seconds, baseline_seconds=baseline_seconds, parity=parity
     )
 
 
@@ -39,112 +26,30 @@ def plan(entries, **kw):
         operator_fingerprint="op-fp",
         machine_fingerprint="mach-fp",
         baseline_format="ell",
-        baseline_params=(),
-        baseline_fusion=True,
         baseline_backend="numpy",
     )
     defaults.update(kw)
     return DispatchPlan(entries=entries, **defaults)
 
 
-class TestLookup:
-    def test_choice_by_rung_string_and_precision(self):
-        p = plan({("spmv", "fp64"): choice(backend="scipy")})
-        assert p.choice("spmv", "fp64").backend == "scipy"
-        assert p.choice("spmv", Precision.DOUBLE).backend == "scipy"
-        assert p.choice("spmv", "fp32") is None
-        assert p.choice("spmv", None) is None
-
-    def test_backend_for_untuned_op_is_none(self):
-        p = plan({("spmv", "fp64"): choice(backend="scipy")})
-        assert p.backend_for("spmv", "fp64", "ell") == "scipy"
-        assert p.backend_for("spmv_multi", "fp64", "ell") is None
-
-    def test_backend_for_requires_matching_format(self):
-        """Parity was verified only for the chosen format — a lookup
-        under any other format (e.g. levelsched MG forcing ELL while
-        the plan chose CSR) must fall back to untuned dispatch."""
-        p = plan({("spmv", "fp64"): choice(fmt="csr", backend="scipy")})
-        assert p.backend_for("spmv", "fp64", "csr") == "scipy"
-        assert p.backend_for("spmv", "fp64", "ell") is None
-        assert p.backend_for("spmv", "fp64", None) is None
-
-    def test_backend_for_requires_matching_sell_params(self):
-        params = (("chunk", 32), ("sigma", 128))
-        p = plan(
-            {
-                ("spmv", "fp64"): choice(
-                    fmt="sellcs", params=params, backend="scipy"
-                )
-            }
-        )
-        assert p.backend_for("spmv", "fp64", "sellcs", params) == "scipy"
-        other = (("chunk", 16), ("sigma", 64))
-        assert p.backend_for("spmv", "fp64", "sellcs", other) is None
-        assert p.backend_for("spmv", "fp64", "sellcs") is None
-
-    def test_backend_for_vector_op_matches_format_free_lookup(self):
-        """Format-agnostic ops are probed (and dispatched) at
-        ``fmt=None``; the recorded fmt is just the baseline placeholder."""
-        p = plan({("waxpby_dot", "fp64"): choice(backend="scipy")})
-        assert p.backend_for("waxpby_dot", "fp64", None) == "scipy"
-        assert p.backend_for("waxpby_dot", "fp64", "ell") is None
-
-    def test_fused_for_falls_back_to_default(self):
-        p = plan({("waxpby_dot_multi", "fp64"): choice(fused=False)})
-        assert p.fused_for("waxpby_dot_multi", "fp64", default=True) is False
-        assert p.fused_for("waxpby_dot", "fp64", default=True) is True
-
-
 class TestConsensus:
     def test_unanimous_format_is_adopted(self):
-        entries = {
-            (op, "fp64"): choice(fmt="csr") for op in sorted(MATRIX_OPS)
-        }
-        p = plan(entries)
-        assert p.solver_format() == "csr"
+        entries = {(op, "fp64"): choice(fmt="csr") for op in MATRIX_PROBE_OPS}
+        assert plan(entries).solver_format() == "csr"
 
     def test_split_format_keeps_baseline(self):
-        ops = sorted(MATRIX_OPS)
+        ops = MATRIX_PROBE_OPS
         entries = {(ops[0], "fp64"): choice(fmt="csr")}
         entries.update({(op, "fp64"): choice(fmt="ell") for op in ops[1:]})
-        p = plan(entries)
-        assert p.solver_format() == "ell"
+        assert plan(entries).solver_format() == "ell"
 
-    def test_format_params_ride_the_consensus(self):
-        params = (("chunk", 16), ("sigma", 64))
-        entries = {
-            (op, "fp64"): choice(fmt="sellcs", params=params)
-            for op in sorted(MATRIX_OPS)
-        }
+    def test_applies_to_baseline_and_consensus_only(self):
+        entries = {(op, "fp64"): choice(fmt="csr") for op in MATRIX_PROBE_OPS}
         p = plan(entries)
-        assert p.solver_format() == "sellcs"
-        assert p.solver_format_params() == params
-
-    def test_unanimous_unfused_flips_fusion(self):
-        entries = {
-            (op, "fp64"): choice(fused=False) for op in sorted(FUSED_OPS)
-        }
-        p = plan(entries)
-        assert p.solver_fusion() is False
-
-    def test_split_fusion_keeps_baseline(self):
-        ops = sorted(FUSED_OPS)
-        entries = {(ops[0], "fp64"): choice(fused=False)}
-        entries.update({(op, "fp64"): choice(fused=True) for op in ops[1:]})
-        p = plan(entries)
-        assert p.solver_fusion() is True
-
-    def test_applies_to_baseline_and_tuned_triples_only(self):
-        entries = {
-            (op, "fp64"): choice(fmt="csr", fused=True)
-            for op in sorted(MATRIX_OPS)
-        }
-        p = plan(entries)
-        assert p.applies_to("ell", (), True)  # the tuned-from baseline
-        assert p.applies_to("csr", (), True)  # the tuned consensus
-        assert not p.applies_to("sellcs", (("chunk", 32),), True)
-        assert not p.applies_to("ell", (), False)
+        assert p.applies_to("ell")  # the tuned-from baseline
+        assert p.applies_to("csr")  # the tuned consensus
+        untuned = plan({}, baseline_format="csr")
+        assert untuned.applies_to("csr") and not untuned.applies_to("ell")
 
 
 class TestInvariants:
@@ -184,25 +89,18 @@ class TestSerialization:
         rec = ProbeRecord(
             op="spmv",
             rung="fp64",
-            fmt="sellcs",
-            fmt_params=(("chunk", 16), ("sigma", 64)),
-            backend="numpy",
-            fused=True,
+            fmt="csr",
             seconds=1.5e-4,
             parity=True,
             selected=True,
         )
         p = plan(
-            {("spmv", "fp64"): choice(fmt="sellcs", params=rec.fmt_params)},
+            {("spmv", "fp64"): choice(fmt="csr")},
             probes=(rec,),
             machine={"fingerprint": "mach-fp"},
         )
         back = DispatchPlan.from_dict(p.to_dict())
-        assert back.operator_fingerprint == p.operator_fingerprint
-        assert back.machine_fingerprint == p.machine_fingerprint
-        assert back.entries == p.entries
-        assert back.probes == p.probes
-        assert back.machine == p.machine
+        assert back == p
 
     def test_probes_can_be_dropped_from_the_dict(self):
         p = plan({("spmv", "fp64"): choice()})
@@ -217,32 +115,19 @@ class TestSerialization:
 
 
 class TestReport:
-    def test_table_lists_variants_and_marks_selection(self):
-        rec = ProbeRecord(
-            op="spmv",
-            rung="fp64",
-            fmt="sellcs",
-            fmt_params=(("chunk", 16),),
-            backend="numpy",
-            fused=False,
-            seconds=1.0e-4,
-            parity=True,
-            selected=True,
+    def test_table_lists_formats_and_marks_selection(self):
+        recs = tuple(
+            ProbeRecord(
+                op="spmv",
+                rung="fp64",
+                fmt=fmt,
+                seconds=seconds,
+                parity=parity,
+                selected=fmt == "ell",
+            )
+            for fmt, seconds, parity in (("ell", 2e-4, True), ("csr", 1e-4, False))
         )
-        p = plan({}, probes=(rec,))
-        text = p.table()
-        assert "sellcs[chunk=16]/numpy/unfused" in text
-        assert "*" in text
-
-    def test_variant_label(self):
-        rec = ProbeRecord(
-            op="spmv",
-            rung="fp32",
-            fmt="ell",
-            fmt_params=(),
-            backend="numpy",
-            fused=True,
-            seconds=1.0,
-            parity=True,
-        )
-        assert rec.variant == "ell/numpy/fused"
+        header, _, csr, ell = plan({}, probes=recs).table().splitlines()
+        assert header.split() == list(HEADERS)
+        assert csr.split() == ["spmv", "fp64", "csr", "1.000e-04", "no"]
+        assert ell.split() == ["spmv", "fp64", "ell", "2.000e-04", "yes", "*"]
