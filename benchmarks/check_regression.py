@@ -45,12 +45,6 @@ metric regresses by more than the threshold:
   self-asserted ``bitwise_parity`` flag (coalesced solve == solo
   solve): the request-coalescing, shared-cache and single-pass-panel
   seams each have their own tripwire.
-- ``autotune_speedup`` — the dispatch plan's aggregate probe speedup
-  over the untuned baseline when ``--autotune`` is on.  Gated
-  higher-is-better at 2%, plus a hard >= 1.0 floor: the baseline
-  dispatch always competes in the probe and only bitwise-identical
-  variants are selectable, so a sub-1.0 value means the tuner's
-  selection invariant broke, not that the machine got slower.
 - ``resilience.*`` — the fault-injection phase's hard invariants when
   ``--fault-inject`` ran: clean-run bitwise parity, ABFT detection
   rate exactly 1.0 on covered sites, and checkpoint-replay recovery.
@@ -113,12 +107,6 @@ TRACKED_METRICS = {
 #: so a slip back toward 1.0 is a real amortization regression.
 HIGHER_BETTER_METRICS = {
     "panel_matrix_reuse": (False, 0.02),
-    # Measured autotuner (PR 9): the dispatch plan's aggregate probe
-    # speedup over the untuned baseline.  The baseline dispatch always
-    # competes in the probe, so the selection can never lose — the
-    # committed baseline records 1.0 and any drop below it means the
-    # tuner picked a variant it shouldn't have.
-    "autotune_speedup": (False, 0.02),
 }
 
 #: Key of the per-motif wall-clock breakdown in the gated record, and
@@ -134,11 +122,6 @@ TRACKED_MOTIFS = ("spmv", "symgs", "ortho", "halo")
 #: ``coalesce_width`` toward 1, a solver constructed past the shared
 #: cache drops ``setup_cache_hit_rate``, and a panel path re-charging
 #: the matrix per column drops ``panel_matrix_reuse``.
-#: Key of the autotune block in the gated record (PR 9): present and
-#: ``enabled`` when the run tuned its dispatch, in which case the
-#: flat ``autotune_speedup`` must hold at or above 1.0.
-AUTOTUNE_KEY = "autotune"
-
 SERVICE_KEY = "service"
 SERVICE_METRICS = {
     "coalesce_width": 0.02,
@@ -305,21 +288,6 @@ def compare(
             )
         else:
             notes.append(f"{SERVICE_KEY}.bitwise_parity: ok")
-    # Measured autotuner (PR 9): a tuned run's plan speedup is bounded
-    # below by 1.0 *by construction* (the untuned baseline dispatch
-    # always competes in the probe, and only bitwise-identical variants
-    # are selectable).  A value under 1.0 is therefore a broken
-    # selection invariant — a hard failure regardless of threshold.
-    cur_autotune = current.get(AUTOTUNE_KEY) or {}
-    if cur_autotune.get("enabled"):
-        speedup = float(current.get("autotune_speedup", 0.0))
-        if speedup < 1.0:
-            failures.append(
-                f"autotune_speedup: {speedup:.6g} < 1.0 with autotune "
-                f"enabled — the plan selection invariant is broken"
-            )
-        else:
-            notes.append(f"autotune_speedup: {speedup:.6g} (>= 1.0, ok)")
     # Resilience phase (PR 10): every invariant here is deterministic
     # by construction (the injector's schedule is a pure function of
     # the --fault-inject spec), so the gate holds the *current* record

@@ -28,8 +28,7 @@ Resolution order for ``lookup(op, fmt, prec)``:
 Lookups are cached; the cache is invalidated when registrations change
 or the active backend is switched.  The process-global state is two
 slots, :meth:`KernelRegistry.set_backend` and
-:meth:`KernelRegistry.set_wrapper`; a tuned plan never reaches the
-registry (it picks the solver's storage format, :mod:`repro.tune`).
+:meth:`KernelRegistry.set_wrapper`.
 """
 
 from __future__ import annotations

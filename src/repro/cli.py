@@ -41,23 +41,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         help="sparse storage layout (auto follows --impl)",
     )
     p.add_argument(
-        "--autotune",
-        choices=["off", "on", "force"],
-        default="off",
-        help="time the matrix motifs in CSR and ELL on a slice of the "
-        "actual operator and let the panel solvers adopt the fastest "
-        "bitwise-identical format ('force' re-probes even on a "
-        "tuning-cache hit)",
-    )
-    p.add_argument(
-        "--tune-cache",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="persistent tuning-cache file (default "
-        "~/.cache/repro/tune_cache.json, or $REPRO_TUNE_CACHE)",
-    )
-    p.add_argument(
         "--validation-mode", choices=["standard", "fullscale"], default="standard"
     )
     p.add_argument(
@@ -216,8 +199,6 @@ def cmd_run(args) -> int:
         nranks=args.nranks,
         impl=args.impl,
         matrix_format=args.matrix_format,
-        autotune=args.autotune,
-        tune_cache=args.tune_cache,
         validation_mode=args.validation_mode,
         precision_ladder=args.precision_ladder,
         escalation=not args.no_escalation,
@@ -258,7 +239,6 @@ def cmd_run(args) -> int:
                 "overlap_symgs": config.overlap_symgs,
                 "fusion": config.fusion,
                 "rhs_panel": config.rhs_panel,
-                "autotune": config.autotune,
             },
             **result.distributed.to_dict(),
         }
@@ -303,52 +283,6 @@ def cmd_run(args) -> int:
         with open(args.service_out, "w") as f:
             json.dump(result.service.to_dict(), f, indent=1)
         print(f"wrote service-phase metrics to {args.service_out}")
-    return 0
-
-
-def cmd_tune(args) -> int:
-    from repro.core import BenchmarkConfig
-    from repro.tune import PlanCache, apply_plan_to_config, tune_for_config
-
-    config = BenchmarkConfig(
-        local_nx=args.local_nx,
-        impl=args.impl,
-        matrix_format=args.matrix_format,
-        precision_ladder=args.precision_ladder,
-        autotune="force" if args.force else "on",
-        tune_cache=args.cache,
-    )
-    cache = PlanCache(config.tune_cache)
-    plan, cache_hit = tune_for_config(config, cache=cache, force=args.force)
-    tuned = apply_plan_to_config(config, plan)
-
-    if args.json:
-        out = plan.to_dict(probes=args.report)
-        out["cache_hit"] = cache_hit
-        out["cache"] = cache.stats()
-        print(json.dumps(out, indent=1))
-        return 0
-
-    print(f"operator {plan.operator_fingerprint}  "
-          f"machine {plan.machine_fingerprint}")
-    src = "tuning cache" if cache_hit else "fresh probe"
-    print(f"plan source: {src}  ({cache.path})")
-    print(
-        f"probe speedup over the {plan.baseline_format} baseline "
-        f"({plan.baseline_backend} backend): {plan.speedup():.3f}x"
-    )
-    print(f"solver-wide consensus: format={tuned.matrix_format}")
-    print("\nchosen format (per op x precision rung):")
-    for (op, rung), choice in sorted(plan.entries.items()):
-        print(f"  {op + '@' + rung:<22} -> {choice.fmt}  {choice.speedup:.3f}x")
-    if args.report:
-        print("\nprobe report (every measured format):")
-        print(plan.table())
-        stats = cache.stats()
-        print(
-            "\ntuning cache: "
-            + "  ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        )
     return 0
 
 
@@ -583,40 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="*", default=None)
     p.add_argument("--mixed", action="store_true")
     p.set_defaults(fn=cmd_fit)
-
-    p = sub.add_parser(
-        "tune", help="time CSR against ELL and print the format plan"
-    )
-    p.add_argument("--local-nx", type=int, default=32, help="local box edge")
-    p.add_argument("--impl", choices=["optimized", "reference"], default="optimized")
-    p.add_argument(
-        "--format",
-        dest="matrix_format",
-        choices=_format_choices(),
-        default="auto",
-        help="baseline sparse storage layout (auto follows --impl)",
-    )
-    p.add_argument("--precision-ladder", type=str, default=None, metavar="SPEC")
-    p.add_argument(
-        "--force",
-        action="store_true",
-        help="re-probe even when the tuning cache already has a plan",
-    )
-    p.add_argument(
-        "--cache",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="tuning-cache file (default ~/.cache/repro/tune_cache.json)",
-    )
-    p.add_argument(
-        "--report",
-        action="store_true",
-        help="also dump every measured format (timings, parity, "
-        "selection) and tuning-cache hit counters",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser(
         "compliance", help="check a configuration against the official rules"

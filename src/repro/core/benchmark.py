@@ -122,15 +122,6 @@ class DistributedPhaseMetrics:
     panel_halo_bytes: int = 0
     panel_halo_seconds: float = 0.0
     panel_halo_exchanges: int = 0
-    #: Measured format autotuning.  ``autotune_speedup`` is the plan's
-    #: aggregate probe-time speedup of the tuned vs the configured
-    #: format (1.0 when autotuning is off; >= 1.0 by construction when
-    #: on — the configured format competes in every probe);
-    #: ``autotune`` is the chosen-plan block (mode, cache hit/miss,
-    #: per-(op, rung) choices, machine probe) the benchmark JSON records
-    #: and ``check_regression.py`` gates.
-    autotune_speedup: float = 1.0
-    autotune: dict = field(default_factory=dict)
 
     @property
     def seconds_per_solve(self) -> float:
@@ -223,8 +214,6 @@ class DistributedPhaseMetrics:
             "overlap": self.overlap,
             "overlap_symgs": self.overlap_symgs,
             "fusion": self.fusion,
-            "autotune_speedup": self.autotune_speedup,
-            "autotune": dict(self.autotune),
         }
 
 
@@ -353,7 +342,6 @@ def _distributed_worker(
     config: BenchmarkConfig,
     policy: PrecisionPolicy,
     proc_shape: tuple[int, int, int],
-    plan=None,
 ) -> dict:
     """One rank of the distributed phase: overlapped solves on a budget."""
     proc = ProcessGrid(*proc_shape)
@@ -421,14 +409,6 @@ def _distributed_worker(
         from repro.solvers.setup_cache import SetupCache
 
         cache = SetupCache()
-        if plan is not None:
-            # The tuned plan rides the setup cache: every solver
-            # constructed through it against this operator adopts the
-            # parity-asserted format — the same seam the SolverService
-            # inherits it through.
-            from repro.solvers.setup_cache import operator_fingerprint
-
-            cache.store_plan(operator_fingerprint(problem.A), plan)
         pool = WorkspacePool("panel-bench", max_arenas=1)
         arena = pool.acquire()
 
@@ -513,42 +493,6 @@ def _distributed_worker(
     }
 
 
-def _maybe_autotune(config: BenchmarkConfig):
-    """Run the autotuner when the config asks for it.
-
-    Returns ``(config, plan, info)`` — the config unchanged, the
-    parity-asserted plan for the panel setup cache, and the JSON
-    ``autotune`` block.  ``autotune="off"`` returns the inputs untouched
-    with an empty info block.
-
-    The config's format is deliberately *not* folded: the plan's
-    consensus is machine-dependent (probe timings), while the phase's
-    byte-model metrics derive deterministically from the config and
-    gate CI at 2%.  The plan reaches solvers only through their setup
-    cache's plan adoption, never the modeled algorithm shape.  Callers
-    who want the consensus folded in (``repro tune``) use
-    :func:`repro.tune.apply_plan_to_config` directly.
-    """
-    if config.autotune == "off":
-        return config, None, {}
-    from repro.tune import PlanCache, tune_for_config
-
-    cache = PlanCache(config.tune_cache)
-    plan, cache_hit = tune_for_config(
-        config, cache=cache, force=(config.autotune == "force")
-    )
-    plan.assert_parity()
-    info = {
-        "enabled": True,
-        "mode": config.autotune,
-        "cache_hit": cache_hit,
-        "speedup": plan.speedup(),
-        "plan": plan.to_dict(probes=False),
-        "cache": cache.stats(),
-    }
-    return config, plan, info
-
-
 def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     """Run the weak-scaling-shaped distributed phase (``--distributed``).
 
@@ -557,23 +501,16 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     zero-allocation halo pipeline overlapped per ``config.overlap``
     (``"auto"``, the default, overlaps whenever ranks > 1) — and
     repeats whole mxp solves until the wall-clock budget is spent.
-
-    With ``config.autotune`` on, the phase first times CSR against
-    ELL on a representative slice of the operator (or loads the cached
-    plan for this operator x machine); the panel section seeds its
-    setup cache with the plan, so the panel solvers adopt the tuned
-    format the same way the solver service does.
     """
     if config.distributed_grid is None:
         raise ValueError("config.distributed_grid is not set")
     shape = parse_process_grid(config.distributed_grid)
     nranks = shape[0] * shape[1] * shape[2]
-    config, plan, autotune_info = _maybe_autotune(config)
     policy = config.mixed_policy()
     if nranks == 1:
-        records = [_distributed_worker(SerialComm(), config, policy, shape, plan)]
+        records = [_distributed_worker(SerialComm(), config, policy, shape)]
     else:
-        records = run_spmd(nranks, _distributed_worker, config, policy, shape, plan)
+        records = run_spmd(nranks, _distributed_worker, config, policy, shape)
 
     motifs: dict[str, float] = {}
     for rec in records:
@@ -680,8 +617,6 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
         panel_halo_bytes=panel_rec.get("panel_halo_bytes", 0),
         panel_halo_seconds=panel_rec.get("panel_halo_seconds", 0.0),
         panel_halo_exchanges=panel_rec.get("panel_halo_exchanges", 0),
-        autotune_speedup=autotune_info.get("speedup", 1.0),
-        autotune=autotune_info,
     )
 
 

@@ -177,16 +177,6 @@ class BenchmarkConfig:
     service_batch_window: float = 0.25
     #: Workspace arenas in the service phase's bounded pool.
     service_max_arenas: int = 2
-    #: Measured format autotuning (``repro.tune``): ``"off"`` runs the
-    #: configured format untouched; ``"on"`` times the matrix motifs in
-    #: CSR and ELL on a representative slice of the actual operator
-    #: (consulting the persistent plan cache first) and adopts the
-    #: parity-asserted consensus; ``"force"`` re-probes even on a cache
-    #: hit.
-    autotune: str = "off"
-    #: Plan-cache path override (default: ``REPRO_TUNE_CACHE`` or the
-    #: user cache dir).
-    tune_cache: str | None = None
     #: Fault-injection campaign spec (``--fault-inject``), e.g.
     #: ``"spmv:bitflip:2;service:transient:1;seed=7"`` — see
     #: :mod:`repro.resilience.faults` for the grammar.  When set, the
@@ -254,11 +244,6 @@ class BenchmarkConfig:
         if self.service_clients < 0:
             raise ValueError(
                 f"service_clients must be >= 0, got {self.service_clients}"
-            )
-        if self.autotune not in ("off", "on", "force"):
-            raise ValueError(
-                f"autotune must be 'off', 'on' or 'force', "
-                f"got {self.autotune!r}"
             )
         if self.fault_inject is not None:
             from repro.resilience.faults import parse_fault_spec

@@ -14,7 +14,7 @@ contracts on real solves:
 - **Recovery** — every faulted solve replays from its restart-boundary
   checkpoint and still converges to the request tolerance
   (``recovered_converged``); injected service transients are absorbed
-  by the batch retry/degradation path.
+  by the batch retry path.
 
 The schedule is a pure function of the spec (the seeded RNG only picks
 *what* to corrupt), so every campaign metric is deterministic and the
@@ -79,7 +79,7 @@ class ResiliencePhaseMetrics:
     #: Faulted solves that converged to the request tolerance.
     recovered_solves: int = 0
     recovered_converged: bool = True
-    #: Service-site counters (transient injection -> retry/degrade).
+    #: Service-site counters (transient injection -> batch retries).
     service_solves: int = 0
     service_transients: int = 0
     service_fault_retries: int = 0
@@ -168,7 +168,7 @@ def run_fault_inject_phase(config: BenchmarkConfig) -> ResiliencePhaseMetrics:
     injected_spmv = spmv_budget - injector.remaining("spmv")
     detection_rate = detected / injected_spmv if injected_spmv else 1.0
 
-    # --- 3) service transients: retry / graceful degradation ---
+    # --- 3) service transients: batch retries ---
     service_budget = injector.remaining("service")
     service_solves = 0
     svc_metrics = None

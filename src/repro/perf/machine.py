@@ -167,12 +167,10 @@ MACHINES: dict[str, MachineSpec] = {
 def machine_fingerprint() -> str:
     """A stable identity hash for this execution environment.
 
-    Keys the on-disk tuning-plan cache (``repro.tune``), so it hashes
+    Names the host in a recorded run's ``machine`` block, so it hashes
     only attributes that are *reproducible across runs* — platform,
     core count, NumPy/Python versions — never measured timings, which
-    jitter run-to-run and would defeat caching.  ``REPRO_MACHINE_ID``
-    overrides the whole fingerprint (shared filesystems spanning
-    heterogeneous nodes).
+    jitter run-to-run.
     """
     import hashlib
     import os
@@ -181,9 +179,6 @@ def machine_fingerprint() -> str:
 
     import numpy as np
 
-    forced = os.environ.get("REPRO_MACHINE_ID")
-    if forced:
-        return forced
     key = "|".join(
         (
             platform.system(),

@@ -16,13 +16,12 @@ package makes that failure surface testable offline:
 - recovery lives where the state lives: GMRES-IR checkpoints the
   iterate at restart boundaries and replays a corrupted cycle
   (promoting the binding rung through the precision plane's breakdown
-  path), the service retries transient faults and degrades to the
-  untuned/non-overlapped path when they persist.
+  path), the service retries a faulted batch up to twice before the
+  error reaches its clients.
 
 Everything is **off by default and zero-overhead when disabled**;
 with resilience enabled but no faults injected, solves are bitwise
-identical to a resilience-off run (the tuning subsystem's parity
-invariant, applied to robustness).
+identical to a resilience-off run.
 """
 
 from repro.parallel.comm import CommTimeoutError

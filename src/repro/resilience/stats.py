@@ -27,7 +27,7 @@ class ResilienceStats:
     recovered: int = 0
     #: Non-finite residual/Krylov guards that tripped.
     breakdowns: int = 0
-    #: Service-level falls back to untuned/non-overlapped dispatch.
+    #: Service batches that needed their third and last attempt.
     degradations: int = 0
     #: Typed halo/message deadline misses observed.
     comm_timeouts: int = 0

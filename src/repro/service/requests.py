@@ -181,9 +181,9 @@ class ServiceMetrics:
     pool_peak_leased: int = 0
     #: Injected transient worker faults observed by batches.
     transient_faults: int = 0
-    #: Batch re-runs after a fault (normal path retried).
+    #: Batch re-runs after a first fault.
     fault_retries: int = 0
-    #: Batch re-runs that fell back to untuned/non-overlapped dispatch.
+    #: Batch re-runs after a second fault (the third and last attempt).
     degradations: int = 0
     #: Client-side backoff retries taken by ``solve_with_retry``.
     retries: int = 0

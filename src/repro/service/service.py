@@ -187,15 +187,6 @@ class SolverService:
         self._problems.setdefault(fp, problem)
         return fp
 
-    def install_plan(self, fingerprint: str, plan) -> None:
-        """Attach a tuned dispatch plan to a registered operator.
-
-        Stored in the shared setup cache, so every batch solver the
-        service constructs against this operator adopts the plan's
-        parity-asserted format — tuning with no per-request plumbing.
-        """
-        self.setup_cache.store_plan(fingerprint, plan)
-
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Start the batching loop (idempotent)."""
@@ -453,16 +444,15 @@ class SolverService:
         self._deliver(live, outcome, solve_seconds)
 
     async def _attempt_batch(self, key: SolveKey, live: list[_Pending], arena):
-        """One batch with fault retry and graceful degradation.
+        """One batch with up to three attempts.
 
-        Attempt 1 runs the normal (tuned/overlapped) path.  A fault
-        error — an injected transient, an ABFT detection or a
+        A fault error — an injected transient, an ABFT detection or a
         numerical breakdown the solver's own replay budget could not
-        absorb — earns one more normal attempt; a second fault demotes
-        attempt 3 to the *degraded* path (untuned dispatch, no
-        overlap), on the operating assumption that a persistent fault
-        lives in the optimized path.  A third failure propagates to
-        every member's future.
+        absorb — earns a retry (counted in ``fault_retries``); a second
+        fault earns the last attempt (counted in ``degradations``).
+        Every attempt builds the same serial, non-overlapped solver, so
+        a retried batch answers bitwise what a clean one would.  A
+        third failure propagates to every member's future.
         """
         try:
             return await asyncio.to_thread(self._solve_batch, key, live, arena)
@@ -474,22 +464,14 @@ class SolverService:
         except _FAULT_ERRORS as exc:
             self._note_fault(exc)
             self.metrics.degradations += 1
-        return await asyncio.to_thread(
-            self._solve_batch, key, live, arena, degraded=True
-        )
+        return await asyncio.to_thread(self._solve_batch, key, live, arena)
 
     def _note_fault(self, exc: Exception) -> None:
         if isinstance(exc, TransientFaultError):
             self.metrics.transient_faults += 1
 
     # ------------------------------------------------------------------
-    def _solve_batch(
-        self,
-        key: SolveKey,
-        live: list[_Pending],
-        arena,
-        degraded: bool = False,
-    ):
+    def _solve_batch(self, key: SolveKey, live: list[_Pending], arena):
         """Worker thread: one coalesced panel solve."""
         # Service fault site: an injected transient raises here, before
         # any solver state is built (the retry path re-runs cleanly).
@@ -519,12 +501,6 @@ class SolverService:
             setup_cache=self.setup_cache,
             workspace=arena,
             resilience=self.resilience,
-            # Degraded retry: decline the tuned format plan and the
-            # overlapped schedules — the reference path a persistent
-            # fault on the optimized one falls back to.
-            adopt_plan=not degraded,
-            overlap=False if degraded else "auto",
-            overlap_symgs=False if degraded else "auto",
         )
         n = problem.nlocal
         B = np.empty((n, len(live)), dtype=np.float64, order="F")

@@ -177,7 +177,6 @@ class GMRESIRSolver:
         setup_cache: SetupCache | None = None,
         workspace: Workspace | None = None,
         resilience: ResilienceConfig | None = None,
-        adopt_plan: bool = True,
     ) -> None:
         if ortho not in ORTHO_METHODS:
             raise ValueError(f"unknown orthogonalization {ortho!r}")
@@ -226,21 +225,6 @@ class GMRESIRSolver:
         self._fingerprint = (
             operator_fingerprint(problem.A) if setup_cache is not None else None
         )
-        # Autotuned format: a plan stored next to this operator's
-        # cached hierarchy (repro.tune) retargets the storage format —
-        # a parity-asserted choice only, so adoption never changes
-        # numerics.  This is the seam through which solve_panel and the
-        # SolverService inherit the tuned format: they share the
-        # SetupCache, nothing else.  ``adopt_plan=False`` declines a
-        # stored plan outright — the service's degraded-retry path runs
-        # the untuned format when a fault persists on the tuned one.
-        self.dispatch_plan = None
-        if setup_cache is not None and adopt_plan:
-            plan = setup_cache.plan_for(self._fingerprint)
-            if plan is not None and plan.applies_to(self.matrix_format):
-                plan.assert_parity()
-                self.dispatch_plan = plan
-                self.matrix_format = plan.solver_format()
         # Fused CGS2: the second projection's GEMV, subtraction and
         # the norm's local reduction share one registry motif
         # (bitwise-identical composition under the reference backend).

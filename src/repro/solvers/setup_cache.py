@@ -108,26 +108,6 @@ class SetupCache:
             self._entries[key] = value
             return value
 
-    # ------------------------------------------------------------------
-    # Dispatch plans (repro.tune)
-    # ------------------------------------------------------------------
-    def store_plan(self, fingerprint: str, plan) -> None:
-        """Attach a tuned :class:`~repro.tune.plan.DispatchPlan` to an
-        operator fingerprint.
-
-        Solvers constructed against this operator through this cache
-        adopt the plan's parity-asserted format automatically — the
-        only route by which a plan reaches a solve (``solve_panel``,
-        the ``SolverService``).
-        """
-        with self._lock:
-            self._entries[(fingerprint, "__plan__", ())] = plan
-
-    def plan_for(self, fingerprint: str):
-        """The stored plan for an operator, or None."""
-        with self._lock:
-            return self._entries.get((fingerprint, "__plan__", ()))
-
     def invalidate(self, fingerprint: str | None = None) -> int:
         """Drop entries for one fingerprint (or all); returns the count.
 

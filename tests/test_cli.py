@@ -40,13 +40,12 @@ class TestParser:
         args = build_parser().parse_args(["run", "--format", fmt])
         assert args.matrix_format == fmt
 
-    @pytest.mark.parametrize("command", ["run", "tune"])
     @pytest.mark.parametrize("fmt", ["coo", "sell" + "cs"])
-    def test_format_flag_rejects_unknown(self, command, fmt, capsys):
+    def test_format_flag_rejects_unknown(self, fmt, capsys):
         """An unregistered format — including the retired sliced-ELL
         one — is argparse's choice error, naming the formats left."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--format", fmt])
+            build_parser().parse_args(["run", "--format", fmt])
         err = capsys.readouterr().err.replace("'", "")
         assert "invalid choice" in err and "choose from auto, csr, ell)" in err
 

@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers_distributed import BOTH_CLASSES
 
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.parallel import CommTimeoutError, HaloExchange, run_spmd
@@ -42,6 +43,8 @@ def spmd_rank_counts() -> list[int]:
 
 RANKS = spmd_rank_counts()
 MULTI_RANKS = [n for n in RANKS if n > 1] or [2]
+
+pytestmark = BOTH_CLASSES  # the transport must not care which kernels run
 
 #: Generous bound on how late past its deadline a timeout may surface
 #: (thread scheduling on loaded CI runners).

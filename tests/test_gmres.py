@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from helpers_distributed import scaled_rhs_panel
 
-from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
+from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY, EscalationConfig, PrecisionPolicy
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.parallel import SerialComm, run_spmd
+from repro.resilience import ResilienceConfig
 from repro.solvers import GMRESIRSolver, gmres_solve
-from repro.stencil import generate_problem
+from repro.stencil import ProblemSpec, generate_problem
 from repro.util.timers import MotifTimers
 
 
@@ -215,3 +217,132 @@ class TestDistributedGMRES:
         for converged, err in run_spmd(8, fn):
             assert converged
             assert err < 1e-5
+
+
+FP16_LADDER = PrecisionPolicy.from_ladder("fp16:fp32:fp64")
+
+
+def csr_vs_ell(nranks, box=(16, 16, 16), width=1, spec=None, maxiter=8, **solver_kw):
+    """Solve once per format on ``box`` (the global grid, split along x
+    across the ranks).  Per rank: whether the two solves agree bitwise
+    (answer, iterations, residual, precision events), and how many
+    precision events the ELL solve took."""
+    solver_kw.setdefault("mg_config", MGConfig(nlevels=2))
+
+    def fn(comm):
+        nx, ny, nz = box
+        sub = Subdomain(
+            BoxGrid(nx // comm.size, ny, nz), ProcessGrid(comm.size, 1, 1), comm.rank
+        )
+        prob = generate_problem(sub, spec=spec)
+        out = []
+        for fmt in ("ell", "csr"):
+            solver = GMRESIRSolver(
+                prob, comm, restart=5, matrix_format=fmt, **solver_kw
+            )
+            if width == 1:
+                x, stats = solver.solve(prob.b, tol=0.0, maxiter=maxiter)
+                stats = [stats]
+            else:
+                x, stats = solver.solve_panel(
+                    scaled_rhs_panel(prob.b, width), tol=0.0, maxiter=maxiter
+                )
+            out.append(
+                (x, [(s.iterations, s.final_relres, s.promotions) for s in stats])
+            )
+        (x_ell, s_ell), (x_csr, s_csr) = out
+        same = bool(np.array_equal(x_ell, x_csr)) and s_ell == s_csr
+        return same, sum(len(events) for _, _, events in s_ell)
+
+    return [fn(SerialComm())] if nranks == 1 else run_spmd(nranks, fn)
+
+
+@pytest.mark.parametrize("parity_class", ["scipy"], indirect=True)
+class TestFormatParity:
+    """In the SciPy class CSR and ELL run the same compiled row product
+    (ELL's padding only adds ``+0``), so the storage format changes no
+    bit of any solve.  The NumPy class sums CSR and ELL rows in
+    different orders and makes no such promise."""
+
+    @pytest.mark.parametrize("nranks", [1, 2])
+    @pytest.mark.parametrize("box", [(16, 16, 16), (12, 8, 4)], ids=["16^3", "12x8x4"])
+    @pytest.mark.parametrize("width", [1, 8], ids=["solve", "panel8"])
+    @pytest.mark.parametrize(
+        "policy",
+        [DOUBLE_POLICY, MIXED_DS_POLICY, FP16_LADDER],
+        ids=["double", "mixed", "fp16-ladder"],
+    )
+    def test_csr_bitwise_equals_ell(self, parity_class, policy, width, box, nranks):
+        results = csr_vs_ell(nranks, box=box, width=width, policy=policy)
+        assert all(same for same, _ in results)
+
+    @pytest.mark.parametrize(
+        "nranks,policy,spec,knobs",
+        [
+            # Each knob reaches the operator through a path of its own.
+            pytest.param(2, MIXED_DS_POLICY, None, dict(fusion=False), id="unfused"),
+            pytest.param(
+                2,
+                MIXED_DS_POLICY,
+                None,
+                dict(mg_config=MGConfig(nlevels=2, fused_restrict=False)),
+                id="whole-level-restriction",
+            ),
+            pytest.param(
+                2,
+                MIXED_DS_POLICY,
+                None,
+                dict(mg_config=MGConfig(nlevels=2, sweep="symmetric")),
+                id="symmetric-sweep",
+            ),
+            pytest.param(
+                1,
+                MIXED_DS_POLICY,
+                None,
+                dict(mg_config=MGConfig(nlevels=2, smoother="levelsched")),
+                id="levelsched",
+            ),
+            pytest.param(
+                2,
+                MIXED_DS_POLICY,
+                None,
+                dict(mg_config=MGConfig(nlevels=4)),
+                id="4-levels",
+            ),
+            pytest.param(
+                2, MIXED_DS_POLICY, None, dict(resilience=ResilienceConfig()), id="abft"
+            ),
+            pytest.param(1, MIXED_DS_POLICY, None, dict(overlap=True), id="serial-overlap"),
+            pytest.param(
+                2, MIXED_DS_POLICY, None, dict(overlap_symgs=False), id="no-overlap-symgs"
+            ),
+            pytest.param(
+                2,
+                FP16_LADDER,
+                None,
+                dict(escalation=EscalationConfig(stall_ratio=1e-6)),
+                id="escalation",
+            ),
+            pytest.param(
+                2, FP16_LADDER, None, dict(control="per-ingredient"), id="per-ingredient"
+            ),
+            pytest.param(
+                2,
+                MIXED_DS_POLICY,
+                ProblemSpec(kind="nonsymmetric"),
+                {},
+                id="nonsymmetric",
+            ),
+        ],
+    )
+    def test_csr_bitwise_equals_ell_under_each_knob(
+        self, parity_class, nranks, policy, spec, knobs
+    ):
+        """The contract is the operator's, not one configuration's.  Its
+        one boundary: on entries fp16 cannot hold exactly (the
+        nonsymmetric variant) the fp16 rung stores ELL row-equilibrated
+        and CSR plain, so the formats part there."""
+        results = csr_vs_ell(nranks, spec=spec, maxiter=15, policy=policy, **knobs)
+        assert all(same for same, _ in results)
+        if "escalation" in knobs:
+            assert all(events > 0 for _, events in results), "no rung change ran"

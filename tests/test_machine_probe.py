@@ -1,9 +1,8 @@
 """Machine probes and fingerprints (repro.perf.machine).
 
-The fingerprint keys the tuning cache, so it must be stable across
-calls within one machine and overridable for tests; the STREAM-style
-probes feed the benchmark JSON's machine block and the network fit's
-bandwidth prior.
+The fingerprint names the host in the benchmark JSON's machine block,
+so it must be stable across calls within one machine; the STREAM-style
+probes feed the same block and the network fit's bandwidth prior.
 """
 
 import json
@@ -22,14 +21,6 @@ class TestFingerprint:
         fp = machine_fingerprint()
         assert len(fp) == 16
         int(fp, 16)  # raises if not hex
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACHINE_ID", "ci-runner-42")
-        fp = machine_fingerprint()
-        monkeypatch.setenv("REPRO_MACHINE_ID", "ci-runner-43")
-        assert machine_fingerprint() != fp
-        monkeypatch.delenv("REPRO_MACHINE_ID")
-        assert machine_fingerprint() == machine_fingerprint()
 
 
 class TestProbe:

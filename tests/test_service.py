@@ -43,7 +43,7 @@ def make_service(**kw) -> SolverService:
     return SolverService(**kw)
 
 
-def solo_solve(problem, b, ladder=None, tol=0.0, maxiter=20):
+def solo_solve(problem, b, ladder=None, tol=0.0, maxiter=20, fmt="ell"):
     """The reference solo solve a coalesced request must match bitwise
     (identical construction knobs; cache/arena/coalescing must all be
     arithmetic-invisible per the PR 6 panel contract)."""
@@ -55,7 +55,7 @@ def solo_solve(problem, b, ladder=None, tol=0.0, maxiter=20):
         mg_config=MGConfig(nlevels=2),
         restart=10,
         ortho="cgs2",
-        matrix_format="ell",
+        matrix_format=fmt,
     )
     return solver.solve(b, tol=tol, maxiter=maxiter)
 
@@ -66,14 +66,16 @@ def rhs(b: np.ndarray, j: int) -> np.ndarray:
 
 @BOTH_CLASSES
 class TestCoalescedParity:
-    """The tentpole contract: coalescing is arithmetic-invisible."""
+    """The tentpole contract: coalescing is arithmetic-invisible, in
+    either storage format the service is built with."""
 
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("ladder", [None, LADDER])
-    def test_eight_clients_bitwise_equal_solo(self, problem16, ladder):
+    def test_eight_clients_bitwise_equal_solo(self, problem16, ladder, fmt):
         nclients = 8
 
         async def drive():
-            async with make_service() as svc:
+            async with make_service(matrix_format=fmt) as svc:
                 fp = svc.register_operator(problem16)
                 return await asyncio.gather(
                     *(
@@ -93,7 +95,9 @@ class TestCoalescedParity:
         responses, svc = asyncio.run(drive())
         assert len(responses) == nclients
         for j, resp in enumerate(responses):
-            x_solo, s_solo = solo_solve(problem16, rhs(problem16.b, j), ladder=ladder)
+            x_solo, s_solo = solo_solve(
+                problem16, rhs(problem16.b, j), ladder=ladder, fmt=fmt
+            )
             assert np.array_equal(resp.x, x_solo), f"client {j} diverged"
             assert resp.stats.iterations == s_solo.iterations
             assert resp.stats.final_relres == s_solo.final_relres
@@ -108,9 +112,10 @@ class TestCoalescedParity:
         assert svc.metrics.rhs_columns == nclients * svc.metrics.matrix_passes
         assert svc.metrics.panel_matrix_reuse == nclients
 
-    def test_incompatible_knobs_split_into_separate_batches(self, problem16):
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_incompatible_knobs_split_into_separate_batches(self, problem16, fmt):
         async def drive():
-            async with make_service() as svc:
+            async with make_service(matrix_format=fmt) as svc:
                 fp = svc.register_operator(problem16)
                 reqs = [
                     SolveRequest(
@@ -135,7 +140,7 @@ class TestCoalescedParity:
         for j, resp in enumerate(resps):
             ladder = None if j % 2 == 0 else LADDER
             x_solo, _ = solo_solve(
-                problem16, rhs(problem16.b, j), ladder=ladder, maxiter=10
+                problem16, rhs(problem16.b, j), ladder=ladder, maxiter=10, fmt=fmt
             )
             assert np.array_equal(resp.x, x_solo)
 
