@@ -10,10 +10,12 @@ cross-checks) are built on.
 import numpy as np
 import pytest
 
+from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.geometry import Subdomain
 from repro.mg.restriction import coarse_to_fine_map, fused_residual_restrict
 from repro.mg.smoothers import MulticolorGS
 from repro.parallel import SerialComm
+from repro.solvers import GMRESIRSolver
 from repro.solvers.ortho import cgs2
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.stencil import generate_problem
@@ -241,14 +243,23 @@ class TestGaussSeidel:
 
 
 class TestOrtho:
+    """One CGS2 step at k = 15 on the engine's own basis: each rung's
+    ``(n, restart+1)`` basis is the one ``GMRESIRSolver`` leases (so
+    both rungs time the layout the solver runs), its leading K + 1
+    columns orthonormal."""
+
     K = 15
 
     @pytest.fixture(scope="class")
     def basis(self, prob):
         rng = np.random.default_rng(1)
-        n = prob.nlocal
-        Q64 = np.linalg.qr(rng.standard_normal((n, self.K + 1)))[0]
-        return {"fp64": Q64.copy(), "fp32": Q64.astype(np.float32)}
+        orth = np.linalg.qr(rng.standard_normal((prob.nlocal, self.K + 1)))[0]
+        out = {}
+        for name, policy in (("fp64", DOUBLE_POLICY), ("fp32", MIXED_DS_POLICY)):
+            Q = GMRESIRSolver(prob, SerialComm(), policy=policy).Q
+            Q[:, : self.K + 1] = orth
+            out[name] = Q
+        return out
 
     def test_cgs2_fp64(self, benchmark, basis, prob):
         rng = np.random.default_rng(2)

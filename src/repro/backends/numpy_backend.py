@@ -509,9 +509,10 @@ def waxpby(alpha, x, beta, y, out=None, ws=None):
 def gemv(Q, k, coef, out=None):
     """``y = Q[:, :k] @ coef`` — the basis-combination GEMV.
 
-    ``Q[:, :k]`` is a leading-dimension view (rows contiguous), which
-    BLAS consumes without copying; with ``out`` the call is
-    allocation-free.
+    The engine's basis is column-major, so ``Q[:, :k]`` is a
+    leading-dimension view (columns contiguous) that BLAS streams
+    without copying and without touching the columns past ``k``; with
+    ``out`` the call is allocation-free.
     """
     if out is None:
         return Q[:, :k] @ coef

@@ -565,13 +565,21 @@ class GMRESIRSolver:
     def _slot(self, j: int) -> tuple[np.ndarray, GivensQR]:
         """Column slot ``j``'s Krylov basis (live rung) and Givens QR.
 
-        Leased, not allocated per solve — the basis from the workspace
-        arena (zeroed when first leased), the rung-independent QR from
-        a solver-owned list — so repeated solves re-warm nothing.
+        The basis is an F-order ``(nlocal, restart+1)`` panel: each
+        basis vector is contiguous and ``Q[:, :k]`` is one contiguous
+        leading block, so CGS2's GEMV / GEMVT and the solution update
+        stream only the ``k`` live columns.  Leased, not allocated per
+        solve — the basis from the workspace arena (zeroed when first
+        leased), the rung-independent QR from a solver-owned list — so
+        repeated solves re-warm nothing.
         """
-        shape = (self.problem.nlocal, self.restart + 1)
         misses = self.ws.misses
-        Q = self.ws.get(("gmres.basis", j), shape, self.policy.krylov_basis.dtype)
+        Q = self.ws.get_panel(
+            ("gmres.basis", j),
+            self.problem.nlocal,
+            self.restart + 1,
+            self.policy.krylov_basis.dtype,
+        )
         if self.ws.misses != misses:
             Q[:] = 0
         while len(self._qrs) <= j:
@@ -817,8 +825,8 @@ class GMRESIRSolver:
                         break
                     nw = len(cols)
                     # --- inner Arnoldi step, low precision allowed.
-                    # Basis columns are staged contiguous: the V-cycle
-                    # never sees the basis' row stride. ---
+                    # Each live column's basis vector is gathered into
+                    # one panel: the V-cycle never aliases a basis. ---
                     Qk = self.ws.get_panel("panel.qk", n, nw, basis_dtype)
                     for idx, j in enumerate(cols):
                         np.copyto(Qk[:, idx], slots[j][0][:, k])

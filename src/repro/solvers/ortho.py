@@ -15,9 +15,11 @@ trade-offs (paper §3):
 
 All variants operate on the leading ``k`` columns of the basis ``Q``
 (local rows), modify ``w`` in place, and return the global projection
-coefficients in float64.  The BLAS-2 passes route through the kernel
-registry (``gemv``/``gemvT``); with a workspace the only per-call
-allocations are the length-``k`` coefficient vectors.
+coefficients in float64.  The solver's basis is column-major, so
+``Q[:, :k]`` is one contiguous block and each BLAS-2 pass streams only
+the ``k`` live columns.  The passes route through the kernel registry
+(``gemv``/``gemvT``); with a workspace the only per-call allocations
+are the length-``k`` coefficient vectors.
 """
 
 from __future__ import annotations

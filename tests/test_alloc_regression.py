@@ -76,14 +76,17 @@ class TestInnerLoopAllocations:
         """PR 6 satellite: per-solve state (Givens QR, Hessenberg
         column, precision-cast scratch) outlives the solve, so a
         *second* solve re-warms nothing — same slot-0 QR object and
-        basis, zero new arena buffers, and the buffer count is flat."""
+        basis arena (each lease is a fresh F-order view of it), zero new
+        arena buffers, and the buffer count is flat."""
         Q0, qr0 = warm_solver._slot(0)
         nbuf0 = warm_solver.ws.nbuffers
         misses0 = warm_solver.ws.misses
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
         assert warm_solver._slot(0)[1] is qr0
-        assert warm_solver.Q is Q0
+        Q = warm_solver.Q
+        assert Q.base is Q0.base
+        assert Q.flags.f_contiguous
         assert warm_solver.ws.nbuffers == nbuf0
         assert warm_solver.ws.misses == misses0
 

@@ -1,10 +1,14 @@
-"""Engine golden: the one restart-cycle engine vs the parent's two loops.
+"""Engine golden: the one restart-cycle engine, pinned bitwise.
 
-``tests/golden/gmres_ir_digests.json`` was captured by running this
-file as a script at commit ``9d6f01d`` — *before* ``solve`` and
-``solve_panel`` were collapsed into one engine — so a green run proves
-the surviving loop is bitwise-equal to the parent's ``solve`` **and**
-the parent's ``solve_panel``, not merely to itself.
+``tests/golden/gmres_ir_digests.json`` was first captured at commit
+``9d6f01d`` — *before* ``solve`` and ``solve_panel`` were collapsed
+into one engine — so the merged loop was proven bitwise-equal to the
+old ``solve`` **and** the old ``solve_panel``, not merely to itself.
+Both class files were re-captured at the commit after ``2ee331d``,
+which leased the Krylov basis column-major: that moves BLAS's
+reduction order inside CGS2 and the solution update, so iterates moved
+while every double and mixed decision held (on the fp16 ladder, event
+residuals moved and one panel column takes 44 iterations, not 42).
 
 Every case records, for ``solve`` and for a 4-column ``solve_panel``
 (column 0 all-zero, column 2 converging a restart cycle early, so
@@ -22,10 +26,10 @@ CI/local divergence is visible rather than silent.
 
 One digest file per kernel parity class, and every test here runs once
 per class (conftest's ``parity_class``): ``gmres_ir_digests.json`` is
-the NumPy class, byte-identical since that capture; the SciPy class
+the NumPy class; ``gmres_ir_digests_scipy.json`` is the SciPy class
 (compiled sequential row sums — different arithmetic, not a drifted
-copy) was captured at the commit that introduced it, whose loop the
-NumPy file had just pinned.
+copy), first captured at the commit that introduced it, whose loop
+the NumPy file had just pinned.
 
 Regenerate the active class's file (only from a commit whose loops are
 trusted; ``REPRO_BACKEND=numpy`` selects the reference class)::

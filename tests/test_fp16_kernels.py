@@ -152,17 +152,19 @@ class TestFp16VectorOps:
         np.testing.assert_allclose(got.astype(np.float64), expect, atol=1e-2)
 
     def test_gemv_gemvT(self, rng):
-        Q = rng.standard_normal((200, 6)).astype(np.float16)
+        basis = rng.standard_normal((200, 6)).astype(np.float16)
         coef = rng.standard_normal(4).astype(np.float16)
-        got = dispatch.gemv(Q, 4, coef)
-        expect = Q[:, :4].astype(np.float64) @ coef.astype(np.float64)
-        np.testing.assert_allclose(got.astype(np.float64), expect, atol=5e-2)
         w = rng.standard_normal(200).astype(np.float16)
-        h = dispatch.gemvT(Q, 4, w)
-        # Coefficients stay fp32 — they feed the double Hessenberg.
-        assert h.dtype == np.float32
-        expect_h = Q[:, :4].astype(np.float64).T @ w.astype(np.float64)
-        np.testing.assert_allclose(h.astype(np.float64), expect_h, rtol=2e-3)
+        expect = basis[:, :4].astype(np.float64) @ coef.astype(np.float64)
+        expect_h = basis[:, :4].astype(np.float64).T @ w.astype(np.float64)
+        # The engine's basis is F-order; a C-order copy agrees.
+        for Q in (np.asfortranarray(basis), np.ascontiguousarray(basis)):
+            got = dispatch.gemv(Q, 4, coef)
+            np.testing.assert_allclose(got.astype(np.float64), expect, atol=5e-2)
+            h = dispatch.gemvT(Q, 4, w)
+            # Coefficients stay fp32 — they feed the double Hessenberg.
+            assert h.dtype == np.float32
+            np.testing.assert_allclose(h.astype(np.float64), expect_h, rtol=2e-3)
 
     def test_dot_does_not_overflow(self):
         a = np.full(100000, 8.0, dtype=np.float16)
