@@ -13,8 +13,9 @@ the optimized configuration at the official 320^3/GCD, 1 node:
 - device -> host-staged mixed-precision kernels (§3.2.5).
 
 Each configuration also reports an fp16 column ("mxp-half": the §5
-future-work mode with half-precision inner kernels), tracking how every
-optimization interacts with the precision ladder's newest rung.
+future-work projection with half-precision inner kernels — a model
+only; the solvers run fp32 and fp64), tracking how every optimization
+interacts with a narrower rung.
 
 Also cross-checks fused-vs-unfused with *real* kernel timings.
 """
@@ -45,8 +46,8 @@ def test_ablation_model(benchmark):
         model = ScalingModel(**kwargs)
         g = model.gflops_per_gcd("mxp", nranks)
         # fp16 column: the same configuration with half-precision inner
-        # kernels ("mxp-half", the §5 future-work mode) — tracks how
-        # each optimization interacts with the new precision axis.
+        # kernels ("mxp-half", the §5 future-work projection) — tracks
+        # how each optimization interacts with a narrower rung.
         g16 = model.gflops_per_gcd("mxp-half", nranks)
         s = model.speedup_overall(nranks)
         if base is None:

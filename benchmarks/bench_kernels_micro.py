@@ -35,18 +35,14 @@ def vectors(prob):
     return {
         "x64": x64,
         "x32": x64.astype(np.float32),
-        "x16": x64.astype(np.float16),
     }
 
 
 @pytest.fixture(scope="module")
 def mats(prob):
-    from repro.sparse import to_precision
-
     return {
         "ell64": prob.A,
         "ell32": prob.A.astype("fp32"),
-        "ell16": to_precision(prob.A, "fp16"),  # row-equilibrated fp16
         "csr64": prob.A.to_csr(),
         "csr32": prob.A.to_csr().astype("fp32"),
     }
@@ -68,12 +64,6 @@ class TestSpMV:
 
     def test_spmv_csr_fp32(self, benchmark, mats, vectors):
         benchmark(lambda: mats["csr32"].spmv(vectors["x32"]))
-
-    def test_spmv_ell_fp16(self, benchmark, mats, vectors):
-        """Row-equilibrated fp16 storage, fp32-accumulating kernel."""
-        from repro.backends import spmv
-
-        benchmark(lambda: spmv(mats["ell16"], vectors["x16"]))
 
     @pytest.mark.parametrize("fmt", ["ell", "csr"])
     def test_spmv_workspace_fp64(self, benchmark, mats, vectors, fmt):
@@ -356,15 +346,15 @@ class TestEndToEnd:
         benchmark(lambda: mg.apply(r))
 
     def test_mg_vcycle_ladder(self, benchmark, prob):
-        """Per-level ladder hierarchy (fp16 fine level) vs the uniform
-        fp32 V-cycle above — the byte-width win the precision ladder
-        buys on the fine (dominant) level."""
+        """Per-level ladder hierarchy (fp32 fine level, fp64 coarse
+        levels) vs the uniform fp32 V-cycle above — what the wider
+        coarse levels cost."""
         from repro.mg import MGConfig, MultigridPreconditioner
 
         mg = MultigridPreconditioner.build(
-            prob, SerialComm(), MGConfig(), precision="fp16:fp32:fp64"
+            prob, SerialComm(), MGConfig(), precision="fp32:fp64"
         )
-        r = prob.b.astype(np.float16)
+        r = prob.b.astype(np.float32)
         benchmark(lambda: mg.apply(r))
 
     def test_gmres_iteration_mxp(self, benchmark, prob):
@@ -378,18 +368,3 @@ class TestEndToEnd:
             iterations=1,
         )
 
-    def test_gmres_iteration_ladder_fp16(self, benchmark, prob):
-        """The fp16-ladder inner iteration the escalation controller
-        starts from; compare against the mxp row to see what half
-        precision buys per iteration in this NumPy engine."""
-        from repro.fp import HALF_LADDER_POLICY
-        from repro.solvers import GMRESIRSolver
-
-        solver = GMRESIRSolver(
-            prob, SerialComm(), policy=HALF_LADDER_POLICY, escalation=False
-        )
-        benchmark.pedantic(
-            lambda: solver.solve(prob.b, tol=0.0, maxiter=5),
-            rounds=2,
-            iterations=1,
-        )

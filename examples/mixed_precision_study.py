@@ -2,11 +2,10 @@
 
 The benchmark pins the outer residual and solution updates to double
 but frees everything else (Algorithm 3's blue steps).  This example
-sweeps the low precision (fp64 / fp32 / fp16) and also tries *partial*
-policies (only the preconditioner in low precision, only the
-orthogonalization, ...) on one problem, reporting iterations to 1e-9
-and the achieved accuracy — the paper's future-work direction of
-"half precision strategically for parts of operations".
+sweeps the low precision (fp64 / fp32), tries *partial* policies (only
+the preconditioner in low precision, only the orthogonalization, ...)
+and a per-MG-level ladder on one problem, reporting iterations to 1e-9
+and the achieved accuracy.
 
 Run:  python examples/mixed_precision_study.py
 """
@@ -19,8 +18,8 @@ from repro.solvers import GMRESIRSolver
 from repro.stencil import generate_problem
 
 
-def run_policy(problem, comm, policy, label, tol=1e-9, maxiter=3000, escalation=None):
-    solver = GMRESIRSolver(problem, comm, policy=policy, escalation=escalation)
+def run_policy(problem, comm, policy, label, tol=1e-9, maxiter=3000):
+    solver = GMRESIRSolver(problem, comm, policy=policy)
     x, stats = solver.solve(problem.b, tol=tol, maxiter=maxiter)
     err = np.abs(x - 1.0).max()
     flag = "converged" if stats.converged else "STALLED  "
@@ -39,12 +38,6 @@ def main() -> None:
     print("uniform low-precision sweeps (all blue steps):")
     base = run_policy(problem, comm, DOUBLE_POLICY, "fp64 (plain GMRES)")
     run_policy(problem, comm, DOUBLE_POLICY.with_low("fp32"), "fp32 GMRES-IR")
-    # A *pinned* fp16 policy (escalation off) shows the raw precision
-    # floor at a looser target; the ladder below climbs past it.
-    run_policy(
-        problem, comm, DOUBLE_POLICY.with_low("fp16"),
-        "fp16 GMRES-IR pinned (tol 1e-5)", tol=1e-5, escalation=False,
-    )
 
     print("\npartial policies (one ingredient in fp32, rest fp64):")
     for field in ("matrix", "mg_levels", "krylov_basis", "orthogonalization"):
@@ -54,15 +47,13 @@ def main() -> None:
         policy = replace(DOUBLE_POLICY, **{field: value})
         run_policy(problem, comm, policy, f"fp32 {field}")
 
-    print("\nladder policies (per-MG-level schedule, adaptive escalation):")
+    print("\nladder policies (per-MG-level schedule, fp32 fine level):")
     from repro.fp import PrecisionPolicy
 
-    stats = run_policy(
-        problem, comm, PrecisionPolicy.from_ladder("fp16:fp32:fp64"),
-        "fp16:fp32:fp64 ladder",
+    run_policy(
+        problem, comm, PrecisionPolicy.from_ladder("fp32:fp64"),
+        "fp32:fp64 ladder",
     )
-    for p in stats.promotions:
-        print(f"      promotion: {p.describe()}")
 
     print(
         f"\nreference: fp64 took {base.iterations} iterations; the penalty "

@@ -22,7 +22,6 @@ from repro.fp import (
     PrecisionPolicy,
     EscalationConfig,
     DOUBLE_POLICY,
-    HALF_LADDER_POLICY,
     MIXED_DS_POLICY,
 )
 from repro.core import (
@@ -47,7 +46,6 @@ __all__ = [
     "PrecisionPolicy",
     "EscalationConfig",
     "DOUBLE_POLICY",
-    "HALF_LADDER_POLICY",
     "MIXED_DS_POLICY",
     "BenchmarkConfig",
     "BenchmarkResult",

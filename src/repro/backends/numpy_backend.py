@@ -174,47 +174,32 @@ def spmv_csr(A, x, out=None, ws=None):
 #: to 24^3, which the small-operator fast path below relies on.
 CHUNK_ROWS = 2048
 
-#: ``dtype == np.float16`` builds a dtype from the type on every call
-#: (~1 us — a coarse-level kernel's whole arithmetic); comparing two
-#: dtype instances does not.
-_HALF = np.dtype(np.float16)
-
 
 def _ell_chunked(A, rows, X, Y, ws) -> None:
     """``Y[:, j] = (A @ X[:, j])[rows]`` for every column of a panel.
 
     THE ELL kernel body: full-matrix and row-subset, single vector
-    (an ``(n, 1)`` view) and panel, fp32/fp64 and fp16 storage all run
-    through it.  Rows are processed :data:`CHUNK_ROWS` at a time, so
-    all scratch is ``(chunk, width)`` — nothing scales with nnz.
+    (an ``(n, 1)`` view) and panel, fp32 and fp64 all run through it.
+    Rows are processed :data:`CHUNK_ROWS` at a time, so all scratch is
+    ``(chunk, width)`` — nothing scales with nnz.
     Per chunk the int32 column block is widened **once** into pooled
     ``intp`` scratch (``np.take`` would otherwise allocate that copy on
     every call) and then serves every column, so a panel streams each
     matrix chunk once.  Each row's reduction is one contiguous
     ``sum(axis=1)`` over its ``width`` slots whatever the chunking or
     panel width, which keeps every column bitwise-equal to its solo,
-    unchunked product.
-
-    ``rows=None`` means all rows.  fp16 storage accumulates in fp32 and
-    folds ``A.row_scale`` back in; the store into ``Y`` casts.
+    unchunked product.  ``rows=None`` means all rows.
     """
     w = A.cols.shape[1]
     m = A.cols.shape[0] if rows is None else len(rows)
     if m == 0:
         return
     c = min(CHUNK_ROWS, m)
-    half = A.vals.dtype == _HALF
-    scale = getattr(A, "row_scale", None) if half else None
     idx = ws.get("ell.chunk.idx", (c, w), np.intp)
     gather = ws.get("ell.chunk.gather", (c, w), X.dtype)
-    if half:
-        prod = ws.get("ell.chunk.prod", (c, w), np.float32)
-        rowsum = ws.get("ell.chunk.sum", (c,), np.float32)
     if rows is not None:
         vbuf = ws.get("ell.chunk.vals", (c, w), A.vals.dtype)
         cbuf = ws.get("ell.chunk.cols", (c, w), A.cols.dtype)
-        if scale is not None:
-            sbuf = ws.get("ell.chunk.scale", (c,), np.float32)
     # A view object costs as much as the arithmetic on a coarse level,
     # so operands that are one chunk (every level of a 16^3 hierarchy)
     # are used whole and only a ragged last chunk slices the scratch.
@@ -227,28 +212,16 @@ def _ell_chunked(A, rows, X, Y, ws) -> None:
             sel = rows if single else rows[lo:hi]
             v = np.take(A.vals, sel, axis=0, out=vbuf[:k], mode="clip")
             cols = np.take(A.cols, sel, axis=0, out=cbuf[:k], mode="clip")
-            if scale is not None:
-                s = np.take(scale, sel, out=sbuf[:k], mode="clip")
         elif single:
-            v, cols, s = A.vals, A.cols, scale
+            v, cols = A.vals, A.cols
         else:
             v, cols = A.vals[lo:hi], A.cols[lo:hi]
-            s = scale[lo:hi] if scale is not None else None
-        if half:
-            p, acc = prod[:k], rowsum[:k]
         np.copyto(ix, cols)
         for j in range(X.shape[1]):
             np.take(X[:, j], ix, out=g, mode="clip")
             y = Y[:, j] if single else Y[lo:hi, j]
-            if not half:
-                np.multiply(v, g, out=g)
-                g.sum(axis=1, dtype=v.dtype, out=y)
-                continue
-            np.multiply(v, g, out=p, dtype=np.float32)
-            p.sum(axis=1, dtype=np.float32, out=acc)
-            if scale is not None:
-                np.multiply(acc, s, out=acc)
-            y[:] = acc
+            np.multiply(v, g, out=g)
+            g.sum(axis=1, dtype=v.dtype, out=y)
 
 
 def _ell_vector(A, rows, x, out, ws) -> np.ndarray:
@@ -296,9 +269,7 @@ def spmv_rows_reference(A, rows, x, out=None, ws=None):
     the rows.  Nothing hot runs it — only ELL, which the level-scheduled
     smoother sweeps per wavefront, has a row-subset kernel; this serves
     the references (``matvec_split``, the index-set sweep on CSR).  The
-    product lands in ``out``'s dtype before the rows are taken, so an
-    fp16 matrix hands its fp32 row sums to an fp32 ``out`` unrounded, as
-    a row-subset kernel would."""
+    product lands in ``out``'s dtype before the rows are taken."""
     from repro.backends.dispatch import spmv
 
     dtype = A.dtype if out is None else out.dtype
@@ -397,16 +368,14 @@ def waxpby_dot(alpha, x, beta, y, out=None, ws=None):
 
 @register("spmv_multi", fmt="ell")
 def spmv_multi_ell(A, X, out=None, ws=None):
-    """Panel ELL SpMV, every rung: with ``ws`` each matrix chunk is
-    streamed once for all N columns; without, the allocating per-column
-    reference."""
+    """Panel ELL SpMV: with ``ws`` each matrix chunk is streamed once
+    for all N columns; without, the allocating per-column reference."""
     Y = _panel_out(A, X, out)
-    half = A.vals.dtype == _HALF
-    if ws is not None and (half or A.vals.dtype == X.dtype):
+    if ws is not None and A.vals.dtype == X.dtype:
         _check_cols(A, X)
         _ell_chunked(A, None, X, Y, ws)
     else:
-        _each_column(spmv_ell_fp16 if half else spmv_ell, A, X, Y, ws)
+        _each_column(spmv_ell, A, X, Y, ws)
     return Y
 
 
@@ -452,7 +421,7 @@ def gemv_sub_dot(Q, k, coef, w, ws=None) -> float:
     ``w`` in a fused backend.  This reference composes the registry's
     ``gemv``/``dot`` kernels operation-for-operation — bitwise-equal
     to the unfused ``_project_out`` + ``dot`` sequence — and the inner
-    lookups resolve the precision axis (fp16 basis included).
+    lookups resolve the basis precision.
     """
     from repro.backends import dispatch
 
@@ -533,22 +502,19 @@ def gemvT(Q, k, w, out=None):
 # Grid transfers
 # ----------------------------------------------------------------------
 # Panel ops (a vector is its ``(n, 1)`` view), one body each for every
-# rung.  fp32 / fp64 levels multiply in the matrix precision and
-# subtract in the defect's; fp16 storage does both in fp32 — in half
-# precision the near-cancelling ``r - A x`` loses every digit once the
-# residual is small — and only the store rounds.
+# rung: the product runs in the matrix precision, the subtraction in
+# the wider of the matrix's and the defect's, and only the store rounds.
 
 
 def _restrict_product(A, Xfull, ws) -> np.ndarray:
-    """``A X`` as an ``(A.nrows, N)`` accumulator panel (fp32 for fp16
-    storage, the matrix precision otherwise): one ``spmv_multi``."""
+    """``A X`` as an ``(A.nrows, N)`` panel in the matrix precision:
+    one ``spmv_multi``."""
     from repro.backends.dispatch import spmv_multi
 
     if Xfull.ndim == 1:
         Xfull = Xfull[:, None]
-    acc = np.float32 if A.dtype == _HALF else A.dtype
     # Column-major, as ``Workspace.get_panel`` lays panels out.
-    AX = _scratch(ws, "restrict.ax", (Xfull.shape[1], A.nrows), acc).T
+    AX = _scratch(ws, "restrict.ax", (Xfull.shape[1], A.nrows), A.dtype).T
     return spmv_multi(A, Xfull, out=AX, ws=ws)
 
 
@@ -611,199 +577,12 @@ def unfused_restrict(A, R, Xfull, f_c, out=None, ws=None):
 
 @register("prolong")
 def prolong(Xfull, Z_c, f_c, ws=None):
-    """Transpose-injection prolongation ``X[f_c(i), j] += Z_c[i, j]``;
-    into an fp16 iterate the correction is added in fp32."""
+    """Transpose-injection prolongation ``X[f_c(i), j] += Z_c[i, j]``."""
     if Xfull.ndim == 1:
         Xfull, Z_c = Xfull[:, None], Z_c[:, None]
-    m = len(f_c)
-    wide = np.float32 if Xfull.dtype == _HALF else None
-    b = _scratch(ws, "prolong.buf", (m,), Xfull.dtype)
-    acc = b if wide is None else _scratch(ws, "prolong.acc", (m,), wide)
+    b = _scratch(ws, "prolong.buf", (len(f_c),), Xfull.dtype)
     for j in range(Xfull.shape[1]):
         x = Xfull[:, j]
         np.take(x, f_c, out=b, mode="clip")
-        np.add(b, Z_c[:, j], out=acc, dtype=wide)
-        x[f_c] = acc
-
-
-# ----------------------------------------------------------------------
-# fp16 kernels: fp32 accumulation + row-equilibration support
-# ----------------------------------------------------------------------
-# Half precision has ~3 decimal digits and a max of 65504, so summing a
-# 27-wide stencil row (let alone a 10^5-length dot product) natively in
-# fp16 is numerically unusable.  Every kernel below therefore streams
-# fp16 *storage* but accumulates in fp32 (fp64 for global reductions),
-# the same split a GPU's half-precision FMA pipelines implement — and
-# the reason fp16 buys bandwidth without collapsing the solver.
-#
-# Matrices may carry a ``row_scale`` attribute (row-equilibrated
-# storage, :mod:`repro.sparse.scaled` holds ``D^{-1}A`` + ``D``); the
-# SpMV kernels fold the scale back into their output so callers always
-# see the original operator.  ``out=`` buffers of any float dtype are
-# accepted — the cast happens on the final store, which is what lets
-# ladder schedules restrict an fp16 level's defect straight into an
-# fp32 coarse buffer.
-
-
-def _store(acc: np.ndarray, out, dtype) -> np.ndarray:
-    """Write an fp32 accumulator to ``out`` (casting) or materialize."""
-    if out is None:
-        return acc.astype(dtype)
-    out[:] = acc
-    return out
-
-
-@register("spmv", fmt="ell", precision="fp16")
-def spmv_ell_fp16(A, x, out=None, ws=None):
-    """ELL SpMV: fp16 streaming, fp32 accumulation, optional row scale."""
-    _check_cols(A, x)
-    if ws is not None:
-        return _ell_vector(A, None, x, out, ws)
-    acc = np.multiply(A.vals, x[A.cols], dtype=np.float32)
-    y = acc.sum(axis=1, dtype=np.float32)
-    scale = getattr(A, "row_scale", None)
-    if scale is not None:
-        np.multiply(y, scale, out=y)
-    return _store(y, out, A.vals.dtype)
-
-
-@register("spmv_rows", fmt="ell", precision="fp16")
-def spmv_rows_ell_fp16(A, rows, x, out=None, ws=None):
-    """ELL row-subset SpMV with fp32 accumulation (fused restrict and
-    the index-set reference sweep)."""
-    if ws is not None:
-        return _ell_vector(A, rows, x, out, ws)
-    acc = np.multiply(A.vals[rows], x[A.cols[rows]], dtype=np.float32)
-    y = acc.sum(axis=1, dtype=np.float32)
-    scale = getattr(A, "row_scale", None)
-    if scale is not None:
-        y *= scale[rows]
-    return _store(y, out, A.vals.dtype)
-
-
-@_register_spmv("csr", precision="fp16")
-def spmv_csr_fp16(A, x, out=None, ws=None):
-    """CSR SpMV with fp32 products and segmented fp32 reduction.
-
-    With ``ws`` all floating-point traffic (gather, products, row sums)
-    is pooled, matching the generic CSR kernel's contract.
-    """
-    _check_cols(A, x)
-    n = A.nrows
-    scale = getattr(A, "row_scale", None)
-    if A.nnz == 0:
-        y = out if out is not None else np.zeros(n, dtype=A.data.dtype)
-        y[:] = 0
-        return y
-    plan = _csr_plan(A)
-    if ws is not None:
-        g = ws.get("csr.spmv16.gather", (A.nnz,), x.dtype)
-        np.take(x, A.indices, out=g, mode="clip")
-        products = ws.get("csr.spmv16.prod", (A.nnz,), np.float32)
-        np.multiply(A.data, g, out=products, dtype=np.float32)
-        y = ws.get("csr.spmv16.sum", (n,), np.float32)
-        if plan.nonempty_rows is None:
-            np.add.reduceat(products, plan.nonempty_starts, out=y)
-        else:
-            s = ws.get(
-                "csr.spmv16.seg", plan.nonempty_starts.shape, np.float32
-            )
-            np.add.reduceat(products, plan.nonempty_starts, out=s)
-            y[:] = 0
-            y[plan.nonempty_rows] = s
-    else:
-        products = np.multiply(A.data, x[A.indices], dtype=np.float32)
-        sums = np.add.reduceat(products, plan.nonempty_starts)
-        y = np.zeros(n, dtype=np.float32)
-        if plan.nonempty_rows is None:
-            y[:] = sums
-        else:
-            y[plan.nonempty_rows] = sums
-    if scale is not None:
-        np.multiply(y, scale, out=y)
-    return _store(y, out, A.data.dtype)
-
-
-@register("symgs_sweep", precision="fp16")
-def symgs_sweep_fp16(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
-    """Multicolor GS sweep at fp16 with fp32 relaxation arithmetic.
-
-    The update ``x[c] += (r[c] - (A x)[c]) / diag[c]`` subtracts two
-    nearly-equal quantities; doing that in fp16 loses every significant
-    digit once the residual is small, so the whole color pass computes
-    in fp32 and only the scatter back into the fp16 iterate rounds.
-    ``diag_sets`` may be fp32 (row-equilibrated matrices report their
-    unscaled diagonal in fp32) or the matrix precision.
-    """
-    from repro.backends.dispatch import spmv_rows
-
-    order = range(len(sets))
-    if direction == "backward":
-        order = reversed(order)
-    elif direction != "forward":
-        raise ValueError(f"unknown sweep direction {direction!r}")
-    for i in order:
-        rows = sets[i]
-        m = len(rows)
-        if m == 0:
-            continue
-        if ws is None:
-            ax = np.empty(m, dtype=np.float32)
-            spmv_rows(A, rows, xfull, out=ax)
-            upd = (r[rows] - ax) / np.asarray(diag_sets[i], dtype=np.float32)
-            xfull[rows] = xfull[rows] + upd.astype(np.float32)
-            continue
-        ax = ws.get(("gs16.ax", i), (m,), np.float32)
-        spmv_rows(A, rows, xfull, out=ax, ws=ws)
-        rb = ws.get(("gs16.r", i), (m,), r.dtype)
-        np.take(r, rows, out=rb, mode="clip")
-        acc = ws.get(("gs16.acc", i), (m,), np.float32)
-        np.subtract(rb, ax, out=acc)
-        np.divide(acc, diag_sets[i], out=acc)
-        xb = ws.get(("gs16.x", i), (m,), xfull.dtype)
-        np.take(xfull, rows, out=xb, mode="clip")
-        np.add(acc, xb, out=acc)
-        xfull[rows] = acc
-
-
-@register("dot", precision="fp16")
-def dot_fp16(a, b) -> float:
-    """fp16 dot with fp64 accumulation (an fp16 norm² would overflow)."""
-    return float(np.einsum("i,i->", a, b, dtype=np.float64))
-
-
-@register("waxpby", precision="fp16")
-def waxpby_fp16(alpha, x, beta, y, out=None, ws=None):
-    """``w = alpha x + beta y`` accumulated in fp32 (aliasing-safe)."""
-    if ws is None:
-        acc = np.float32(alpha) * x.astype(np.float32)
-        acc += np.float32(beta) * y.astype(np.float32)
-        return _store(acc, out, y.dtype)
-    t = ws.get("waxpby16.ax", y.shape, np.float32)
-    np.multiply(x, np.float32(alpha), out=t, dtype=np.float32)
-    u = ws.get("waxpby16.by", y.shape, np.float32)
-    np.multiply(y, np.float32(beta), out=u, dtype=np.float32)
-    np.add(t, u, out=t)
-    return _store(t, out, y.dtype)
-
-
-@register("gemv", precision="fp16")
-def gemv_fp16(Q, k, coef, out=None):
-    """Basis-combination GEMV with fp32 accumulation."""
-    y = np.einsum("ij,j->i", Q[:, :k], coef, dtype=np.float32)
-    return _store(y, out, Q.dtype)
-
-
-@register("gemvT", precision="fp16")
-def gemvT_fp16(Q, k, w, out=None):
-    """CGS2 projection GEMVT with fp32 accumulation.
-
-    Without ``out`` the length-``k`` coefficients stay fp32 — they land
-    in the (double) Hessenberg column, so rounding them back to fp16
-    would only destroy information.
-    """
-    h = np.einsum("ij,i->j", Q[:, :k], w, dtype=np.float32)
-    if out is None:
-        return h
-    out[:] = h
-    return out
+        np.add(b, Z_c[:, j], out=b)
+        x[f_c] = b

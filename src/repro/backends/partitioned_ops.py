@@ -6,10 +6,9 @@ column and compute while the halo is in flight; boundary rows run
 after the ghosts land in the vector tail.  Each half is one
 *full-matrix* panel kernel on the corresponding row block — the inner
 ``spmv_multi`` lookup re-dispatches on the block's own (format,
-precision) key, so every storage layout and every ladder rung
-(including the row-equilibrated fp16 kernels) is served by these
-registrations without further per-format code, and an ELL block is
-streamed once for the whole panel.
+precision) key, so every storage layout and every ladder rung is
+served by these registrations without further per-format code, and an
+ELL block is streamed once for the whole panel.
 
 The non-overlapped ``spmv`` on a partitioned matrix is, by
 construction, the same two block kernels run back to back: the
@@ -142,8 +141,6 @@ del _op, _fn, _name
 # functions; a 1-D vector is viewed as an ``(n, 1)`` panel on entry to
 # the body.
 
-_HALF, _SINGLE = np.dtype(np.float16), np.dtype(np.float32)
-
 
 def _block_panel(ws, key, shape, dtype):
     if ws is None:
@@ -156,9 +153,7 @@ def _relax_block(blk, R, Xfull, ws, zero_guess=False) -> None:
 
     The product lands in the matrix precision and the numerator
     ``r - A x`` in the defect's (they differ only across a scheduled
-    grid transfer); fp16 storage does both in fp32 — in half precision
-    the near-cancelling subtraction loses every digit once the residual
-    is small — and only the store into the fp16 iterate rounds.
+    grid transfer).
 
     ``zero_guess`` promises the whole iterate, ghosts included, is
     ``+0``: the product is then ``±0`` and is skipped, bitwise
@@ -171,11 +166,8 @@ def _relax_block(blk, R, Xfull, ws, zero_guess=False) -> None:
     R, Xfull = _as_panels(R, Xfull)
     r, x = R[lo:hi], Xfull[lo:hi]
     shape = (hi - lo, R.shape[1])
-    half = blk.A.dtype == _HALF
-    ax_dtype = _SINGLE if half else blk.A.dtype
-    acc_dtype = _SINGLE if half else R.dtype
-    AX = _block_panel(ws, "cgs.ax", shape, ax_dtype)
-    acc = AX if ax_dtype == acc_dtype else _block_panel(ws, "cgs.acc", shape, acc_dtype)
+    AX = _block_panel(ws, "cgs.ax", shape, blk.A.dtype)
+    acc = AX if AX.dtype == R.dtype else _block_panel(ws, "cgs.acc", shape, R.dtype)
     if zero_guess:
         np.copyto(acc, r)
     else:

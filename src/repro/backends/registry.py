@@ -5,7 +5,7 @@ a benchmark survives hardware generations only if the hot operations —
 SpMV, SymGS sweeps, CGS2's fused BLAS-2, WAXPBY, dots, grid transfers —
 are *dispatched*, not hard-wired into container classes.  This registry
 is that seam: every hot call in ``solvers/`` and ``mg/`` resolves a
-kernel through it, so a new storage layout, a new precision (fp16), or
+kernel through it, so a new storage layout, a new precision, or
 a new execution engine (SciPy's compiled row products; a GPU, MPI)
 plugs in by registering functions, without touching any caller.
 

@@ -18,9 +18,8 @@ its own **parity class**: it agrees with ``numpy`` to the rung's
 tolerance, and every bitwise contract (panel column ≡ solo, overlapped
 ≡ sequential, fused ≡ unfused, slice sweep ≡ index-set reference) holds
 *inside* it because ``spmv`` / ``spmv_multi`` / ``spmv_rows``, with or
-without ``ws`` / ``out``, are all this one sum.  fp16 rungs and
-every non-sparse op resolve through the registry's fallback chain
-to the NumPy kernels.
+without ``ws`` / ``out``, are all this one sum.  Every non-sparse op
+resolves through the registry's fallback chain to the NumPy kernels.
 
 Handed operands whose dtypes or strides do not match, ``csr_matvec``
 silently upcasts and copies O(nnz); the guards below (matrix = vector

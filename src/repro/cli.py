@@ -49,13 +49,14 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="per-MG-level precision ladder for the mxp phase, finest "
-        "level first (e.g. fp16:fp32:fp64); the first rung also sets "
+        "level first (e.g. fp32:fp64); the first rung also sets "
         "the inner matrix/basis precision",
     )
     p.add_argument(
         "--no-escalation",
         action="store_true",
-        help="pin the ladder policy (disable adaptive rung promotion)",
+        help="pin the rungs --precision-budget seeds (no adaptive "
+        "promotion); without a budget every policy is already fixed",
     )
     p.add_argument(
         "--precision-control",

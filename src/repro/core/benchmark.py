@@ -258,7 +258,6 @@ def _phase_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        escalation=config.escalation_config(),
         overlap=config.overlap,
         control=config.control_config(),
         overlap_symgs=config.overlap_symgs,
@@ -357,7 +356,6 @@ def _distributed_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        escalation=config.escalation_config(),
         overlap=config.overlap,
         control=config.control_config(),
         overlap_symgs=config.overlap_symgs,
@@ -421,7 +419,6 @@ def _distributed_worker(
                 restart=config.restart,
                 ortho=config.ortho,
                 matrix_format=config.matrix_format,
-                escalation=config.escalation_config(),
                 overlap=config.overlap,
                 control=config.control_config(),
                 overlap_symgs=config.overlap_symgs,

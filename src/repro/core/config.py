@@ -12,12 +12,7 @@ import os
 from dataclasses import dataclass, replace
 
 from repro.fp.controller import CONTROL_MODES, ControlConfig
-from repro.fp.ladder import (
-    EscalationConfig,
-    NO_ESCALATION,
-    parse_ascending_ladder,
-    parse_ladder,
-)
+from repro.fp.ladder import EscalationConfig, parse_ascending_ladder
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.fp.precision import Precision
 from repro.mg.multigrid import MGConfig
@@ -103,13 +98,13 @@ class BenchmarkConfig:
     impl: str = "optimized"
     low_precision: str = "fp32"
     #: Optional per-MG-level precision ladder for the mxp phase, e.g.
-    #: ``"fp16:fp32:fp64"`` (finest level first; the last rung extends
+    #: ``"fp32:fp64"`` (finest level first; the last rung extends
     #: to the remaining coarse levels).  Overrides ``low_precision``;
     #: the first rung also sets the inner matrix/basis/ortho precision.
     precision_ladder: str | None = None
-    #: Adaptive ladder escalation in the solver (promote one rung on
-    #: inner-stage stagnation).  Only ladder configurations escalate;
-    #: the classic fp32 mxp phase keeps the paper's fixed policy.
+    #: Lets the rungs a ``precision_budget`` seeds climb on inner-stage
+    #: stagnation (per-ingredient control); ``False`` pins them.  Every
+    #: other configuration keeps the paper's fixed policy either way.
     escalation: bool = True
     #: Precision control plane granularity: ``"policy"`` (the
     #: whole-policy escalator, bit-identical to the historical
@@ -314,9 +309,9 @@ class BenchmarkConfig:
     def mixed_policy(self) -> PrecisionPolicy:
         """The mxp phase's precision policy.
 
-        A ``precision_ladder`` builds the per-level ladder policy
-        (fp16-capable); otherwise the classic single-low-precision
-        configuration from ``low_precision``.
+        A ``precision_ladder`` builds the per-level ladder policy;
+        otherwise the classic single-low-precision configuration from
+        ``low_precision``.
         """
         if self.precision_ladder is not None:
             return PrecisionPolicy.from_ladder(self.precision_ladder)
@@ -324,20 +319,6 @@ class BenchmarkConfig:
 
     def double_policy(self) -> PrecisionPolicy:
         return DOUBLE_POLICY
-
-    def escalation_config(self) -> EscalationConfig:
-        """Ladder-escalation settings handed to the solvers.
-
-        Matches the solver's own default: only fp16 rungs escalate —
-        they cannot reach double tolerances without climbing — while
-        fp16-free configurations (the classic fp32 phase, but also an
-        explicit ``fp32:fp64`` ladder) keep the fixed policy the paper
-        specifies.  ``escalation=False`` pins everything.
-        """
-        if not self.escalation or self.precision_ladder is None:
-            return NO_ESCALATION
-        has_fp16 = Precision.HALF in parse_ladder(self.precision_ladder)
-        return EscalationConfig(enabled=has_fp16)
 
     @property
     def effective_precision_control(self) -> str:
@@ -359,29 +340,22 @@ class BenchmarkConfig:
     def control_config(self) -> ControlConfig:
         """Precision-control-plane settings handed to the solvers.
 
-        The detector settings come from :meth:`escalation_config`, so
-        ``"policy"`` mode reproduces the historical whole-policy
-        escalation decision-for-decision; ``"per-ingredient"`` adds
-        independent controllers and de-escalation on top of the same
-        detector.  A ``precision_budget`` rides along for the initial
-        rung assignment — and implies an *enabled* detector (unless
-        ``escalation=False`` pins everything): the chooser may seed
-        rungs below the configured ladder (e.g. fp16 coarse levels
-        under an fp16-free ladder), and a frozen detector could never
-        climb back out of them.
+        The detector is off — the paper's fixed policy — except under a
+        ``precision_budget`` with per-ingredient control, where it is on
+        unless ``escalation=False`` pins it: the chooser may seed rungs
+        below the configured ladder (e.g. fp32 coarse levels under an
+        fp64 ladder), and a frozen detector could never climb back out
+        of them.
         """
         mode = self.effective_precision_control
-        escalation = self.escalation_config()
-        if (
+        budgeted = (
             mode == "per-ingredient"
             and self.precision_budget is not None
             and self.escalation
-            and not escalation.enabled
-        ):
-            escalation = EscalationConfig(enabled=True)
+        )
         return ControlConfig(
             mode=mode,
-            escalation=escalation,
+            escalation=EscalationConfig(enabled=budgeted),
             budget=self.precision_budget,
         )
 

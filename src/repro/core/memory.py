@@ -70,15 +70,9 @@ def _coarse_hierarchy_bytes(
     """
     return sum(
         _matrix_bytes(d.n, policy.mg_level(lvl).bytes)
-        + _scale_bytes(d.n, policy.mg_level(lvl))
         for lvl, d in enumerate(dims)
         if lvl > 0
     )
-
-
-def _scale_bytes(n: int, prec: Precision) -> int:
-    """Row-equilibration scale vector (float32) fp16 storage carries."""
-    return n * 4 if prec is Precision.HALF else 0
 
 
 def solver_footprint(
@@ -112,13 +106,13 @@ def solver_footprint(
         # Matrix-free A in both precisions: codes only; the smoother
         # still needs the low-precision fine matrix.
         matrix_fp64 = n * ROW_WIDTH + n * ROW_WIDTH * IDX_BYTES
-        matrix_low = _matrix_bytes(n, low.bytes) + _scale_bytes(n, low)
+        matrix_low = _matrix_bytes(n, low.bytes)
     else:
         matrix_fp64 = _matrix_bytes(n, Precision.DOUBLE.bytes)
         if policy.is_uniform_double:
             matrix_low = 0  # single shared fp64 fine matrix
         else:
-            matrix_low = _matrix_bytes(n, low.bytes) + _scale_bytes(n, low)
+            matrix_low = _matrix_bytes(n, low.bytes)
 
     # Coarse levels of the preconditioner hierarchy, each on its own
     # ladder rung (the fine level is the shared matrix counted above).

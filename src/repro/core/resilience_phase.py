@@ -120,7 +120,6 @@ def run_fault_inject_phase(config: BenchmarkConfig) -> ResiliencePhaseMetrics:
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        escalation=config.escalation_config(),
         control=config.control_config(),
     )
     tol = config.validation_tol

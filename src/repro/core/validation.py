@@ -79,7 +79,6 @@ def _validation_solve(
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        escalation=config.escalation_config(),
         control=config.control_config(),
     )
     _, stats = solver.solve(

@@ -9,7 +9,7 @@ residual and solution updates to double.  This package provides:
 - :class:`~repro.fp.policy.PrecisionPolicy` — which GMRES-IR step runs in
   which precision (the paper's "blue" steps of Algorithm 3), including
   the per-multigrid-level schedule.
-- :mod:`~repro.fp.ladder` — the fp16 < fp32 < fp64 rung ordering,
+- :mod:`~repro.fp.ladder` — the fp32 < fp64 rung ordering,
   ladder-spec parsing, and the adaptive-escalation configuration.
 - :mod:`~repro.fp.controller` — the per-ingredient precision control
   plane: one :class:`~repro.fp.controller.IngredientController` per
@@ -34,7 +34,6 @@ from repro.fp.ladder import (
 from repro.fp.policy import (
     PrecisionPolicy,
     DOUBLE_POLICY,
-    HALF_LADDER_POLICY,
     MIXED_DS_POLICY,
 )
 from repro.fp.controller import (
@@ -68,7 +67,6 @@ __all__ = [
     "schedule_for_levels",
     "PrecisionPolicy",
     "DOUBLE_POLICY",
-    "HALF_LADDER_POLICY",
     "MIXED_DS_POLICY",
     "CONTROL_MODES",
     "ControlConfig",

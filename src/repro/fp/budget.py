@@ -85,13 +85,7 @@ def estimate_condition(A) -> ConditionEstimate:
     """
     diag = np.abs(np.asarray(A.diagonal(), dtype=np.float64))
     if hasattr(A, "vals"):  # ELL-family: padded (rows x width) block
-        vals = np.abs(np.asarray(A.vals, dtype=np.float64))
-        # Row-equilibrated storage: undo the scale so the estimate
-        # describes the operator the solver sees.
-        scale = getattr(A, "row_scale", None)
-        if scale is not None:
-            vals = vals * np.abs(np.asarray(scale, dtype=np.float64)[:, None])
-        row_sums = vals.sum(axis=1)
+        row_sums = np.abs(np.asarray(A.vals, dtype=np.float64)).sum(axis=1)
     else:  # CSR
         data = np.abs(np.asarray(A.data, dtype=np.float64))
         starts, ends = A.indptr[:-1], A.indptr[1:]

@@ -1,22 +1,27 @@
 """The precision ladder: ordered rungs and per-MG-level schedules.
 
-The paper evaluates double/single GMRES-IR and names fp16 as the next
-step (§5); Carson's inexactness framework motivates choosing a
-precision per solver ingredient against a roundoff budget.  This module
-provides the two pieces of machinery that generalization needs:
+The paper evaluates double/single GMRES-IR; Carson's inexactness
+framework motivates choosing a precision per solver ingredient against
+a roundoff budget.  This module provides the two pieces of machinery
+that generalization needs:
 
-- a **ladder** — the ordered rungs fp16 < fp32 < fp64 with
-  :func:`next_rung` ("promote") navigation, parsed from compact specs
-  like ``"fp16:fp32:fp64"``;
+- a **ladder** — the ordered rungs fp32 < fp64 with :func:`next_rung`
+  ("promote") navigation, parsed from compact specs like
+  ``"fp32:fp64"``;
 - a **per-level schedule** — one precision per multigrid level, so the
   coarse levels (which contribute less to the correction and tolerate
-  more roundoff) can run below the fine level.
+  more roundoff) can run on another rung than the fine level.
 
 A schedule shorter than the hierarchy extends its last entry to the
-remaining (coarser) levels, so ``"fp16:fp32"`` means "fp16 fine level,
-fp32 everywhere below".  :class:`EscalationConfig` carries the knobs of
-the adaptive controller in :mod:`repro.solvers.gmres_ir` that climbs
-the ladder when an inner stage stagnates at its precision floor.
+remaining (coarser) levels, so ``"fp32:fp64"`` means "fp32 fine level,
+fp64 everywhere below".  The ladder holds only the precisions this
+machine computes fast: fp16 (:attr:`Precision.HALF`) is a key of the
+:mod:`repro.perf` projection, never a solver rung, and every spec that
+names it is rejected by :func:`solver_rung` before anything is built.
+
+:class:`EscalationConfig` carries the knobs of the adaptive controller
+in :mod:`repro.solvers.gmres_ir` that climbs the ladder when an inner
+stage stagnates at its precision floor.
 """
 
 from __future__ import annotations
@@ -27,42 +32,54 @@ from typing import Iterable, Sequence
 from repro.fp.precision import Precision
 
 #: The rungs, lowest first.  Promotion moves one step right.
-LADDER: tuple[Precision, ...] = (
-    Precision.HALF,
-    Precision.SINGLE,
-    Precision.DOUBLE,
-)
+LADDER: tuple[Precision, ...] = (Precision.SINGLE, Precision.DOUBLE)
 
-#: Separator of textual ladder specs (``fp16:fp32:fp64``).
+#: Separator of textual ladder specs (``fp32:fp64``).
 LADDER_SEP = ":"
 
 
-def next_rung(prec: "Precision | str") -> Precision:
-    """The next-higher rung (fp16 -> fp32 -> fp64; fp64 is a fixpoint)."""
+def solver_rung(prec: "Precision | str") -> Precision:
+    """``prec`` as a rung of :data:`LADDER`, or a ``ValueError`` naming it.
+
+    The one check every policy field and schedule entry passes
+    (:func:`parse_ladder`, ``PrecisionPolicy.__post_init__``), so a
+    precision no solver kernel computes is refused before any storage
+    is built.
+    """
     p = Precision.from_any(prec)
-    i = LADDER.index(p)
+    if p not in LADDER:
+        raise ValueError(
+            f"rung {p.short_name!r} is not a solver precision; the "
+            f"ladder is {format_ladder(LADDER)!r}"
+        )
+    return p
+
+
+def next_rung(prec: "Precision | str") -> Precision:
+    """The next-higher rung (fp32 -> fp64; fp64 is a fixpoint)."""
+    i = LADDER.index(solver_rung(prec))
     return LADDER[min(i + 1, len(LADDER) - 1)]
 
 
 def prev_rung(prec: "Precision | str") -> Precision:
-    """The next-lower rung (fp64 -> fp32 -> fp16; fp16 is a fixpoint).
+    """The next-lower rung (fp64 -> fp32; fp32 is a fixpoint).
 
     The de-escalation move: like :func:`next_rung` at the top, the
     bottom of the ladder is an explicit no-op rather than an error, so
     controllers never need a bounds check before demoting.
     """
-    p = Precision.from_any(prec)
-    i = LADDER.index(p)
+    i = LADDER.index(solver_rung(prec))
     return LADDER[max(i - 1, 0)]
 
 
 def parse_ladder(spec: "str | Precision | Iterable") -> tuple[Precision, ...]:
     """Parse a ladder/schedule spec into a tuple of rungs.
 
-    Accepts a colon-separated string (``"fp16:fp32:fp64"``), a single
+    Accepts a colon-separated string (``"fp32:fp64"``), a single
     precision-like value, or any iterable of precision-like values.
-    Raises ``ValueError`` on empty specs or unknown precision names
-    (listing the valid ones, via :meth:`Precision.from_any`).
+    Raises ``ValueError`` on empty specs, unknown precision names
+    (listing the valid ones, via :meth:`Precision.from_any`) and
+    precisions off the ladder (:func:`solver_rung`).
     """
     if isinstance(spec, str):
         parts: Sequence = [s for s in spec.split(LADDER_SEP) if s.strip()]
@@ -72,11 +89,11 @@ def parse_ladder(spec: "str | Precision | Iterable") -> tuple[Precision, ...]:
         parts = list(spec)
     if not parts:
         raise ValueError(f"empty precision ladder spec: {spec!r}")
-    return tuple(Precision.from_any(p) for p in parts)
+    return tuple(solver_rung(p) for p in parts)
 
 
 def format_ladder(schedule: Iterable[Precision]) -> str:
-    """Inverse of :func:`parse_ladder`: ``"fp16:fp32:fp64"``."""
+    """Inverse of :func:`parse_ladder`: ``"fp32:fp64"``."""
     return LADDER_SEP.join(p.short_name for p in schedule)
 
 
@@ -104,7 +121,7 @@ def parse_ascending_ladder(
             raise ValueError(
                 f"rung {cur.short_name!r} after {prev.short_name!r} in "
                 f"ladder {format_ladder(rungs)!r}; ladder rungs must "
-                f"ascend (fp16 < fp32 < fp64)"
+                f"ascend (fp32 < fp64)"
             )
     return rungs
 

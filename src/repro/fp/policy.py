@@ -11,10 +11,12 @@ A :class:`PrecisionPolicy` records the precision for each group of
 steps.  The multigrid preconditioner is not one precision but a
 **level-indexed schedule** (``mg_levels``): the coarse levels — whose
 corrections are smoothed again on the way up — tolerate more roundoff
-than the fine level and may sit lower on the ladder.  The all-double
+than the fine level and may sit on another rung.  The all-double
 policy reproduces plain GMRES; the double-single policy is the
 configuration the paper evaluates; :meth:`PrecisionPolicy.from_ladder`
-builds the fp16-and-up configurations of the §5 future-work direction.
+builds per-level ladder configurations such as ``"fp32:fp64"``.  Every
+field is a rung of :data:`repro.fp.ladder.LADDER`: fp16 is refused at
+construction (:func:`repro.fp.ladder.solver_rung`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.fp.ladder import (
     next_rung,
     parse_ascending_ladder,
     parse_ladder,
+    solver_rung,
 )
 from repro.fp.precision import Precision
 
@@ -46,7 +49,7 @@ class PrecisionPolicy:
         sweeps, grid-transfer vectors; lines 18 and 47's ``M^{-1}``).
         Entry ``i`` is level ``i``'s precision, level 0 the finest; the
         last entry extends to any coarser level (see :meth:`mg_level`).
-        Accepts a ladder spec (``"fp16:fp32"``), a single precision, or
+        Accepts a ladder spec (``"fp32:fp64"``), a single precision, or
         a sequence at construction.
     krylov_basis:
         Storage precision of the Krylov basis vectors ``Q``.
@@ -74,6 +77,10 @@ class PrecisionPolicy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mg_levels", parse_ladder(self.mg_levels))
+        for name in (
+            "matrix", "krylov_basis", "orthogonalization", "least_squares"
+        ):
+            object.__setattr__(self, name, solver_rung(getattr(self, name)))
         if self.residual_update is not Precision.DOUBLE:
             raise ValueError(
                 "HPG-MxP requires the residual update in double precision"
@@ -146,7 +153,7 @@ class PrecisionPolicy:
 
     @classmethod
     def from_ladder(cls, spec: "str | tuple") -> "PrecisionPolicy":
-        """Build a ladder policy from a spec like ``"fp16:fp32:fp64"``.
+        """Build a ladder policy from a spec like ``"fp32:fp64"``.
 
         The first rung is the fine-level (Krylov-side) precision: it
         sets the inner matrix, the Krylov basis, the orthogonalization,
@@ -154,7 +161,7 @@ class PrecisionPolicy:
         The host-side least-squares and the pinned outer updates stay
         double, per the benchmark specification.
 
-        A ladder must climb strictly (fp16 < fp32 < fp64): duplicate or
+        A ladder must climb strictly (fp32 < fp64): duplicate or
         descending rungs are rejected with an error naming the
         offending rung (:func:`repro.fp.ladder.parse_ascending_ladder`).
         Use the :class:`PrecisionPolicy` constructor directly for
@@ -171,7 +178,7 @@ class PrecisionPolicy:
     def promote(self) -> "PrecisionPolicy":
         """One rung up the ladder for every blue step.
 
-        fp16 -> fp32 -> fp64 elementwise (the pinned outer updates and
+        fp32 -> fp64 elementwise (the pinned outer updates and
         the host least-squares are already double).  A uniform-double
         policy returns itself unchanged — the top of the ladder.
         """
@@ -205,7 +212,3 @@ DOUBLE_POLICY = PrecisionPolicy()
 
 #: The paper's double+single GMRES-IR configuration (the "mxp" phase).
 MIXED_DS_POLICY = PrecisionPolicy().with_low(Precision.SINGLE)
-
-#: The §5 future-work ladder: fp16 fine level escalating to fp32/fp64
-#: on the coarse levels, double outer updates.
-HALF_LADDER_POLICY = PrecisionPolicy.from_ladder("fp16:fp32:fp64")

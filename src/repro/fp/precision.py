@@ -2,8 +2,10 @@
 
 The HPG-MxP benchmark allows any precision format in most solver steps;
 the paper restricts itself to double (FP64) and single (FP32), with FP16
-named as future work.  All three are modeled here so the performance
-model can also answer "what if half precision" questions (paper §5).
+named as future work.  The solvers run FP32 and FP64 only (the rungs of
+:data:`repro.fp.ladder.LADDER`); :attr:`Precision.HALF` exists so the
+performance model can answer "what if half precision" questions
+(paper §5, :mod:`repro.perf`).
 """
 
 from __future__ import annotations

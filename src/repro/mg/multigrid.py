@@ -10,10 +10,9 @@ Table 2 and the full-scale validation probe.
 
 The preconditioner owns per-level matrices in a single storage format
 (any format registered with the kernel backend layer) and a **per-level
-precision schedule**: each level may sit on its own rung of the fp16 <
-fp32 < fp64 ladder (coarse levels, whose corrections get re-smoothed on
-the way up, tolerate more roundoff than the fine level).  fp16 levels
-get row-equilibrated matrix storage via :mod:`repro.sparse.scaled`.
+precision schedule**: each level may sit on its own rung of the fp32 <
+fp64 ladder (coarse levels, whose corrections get re-smoothed on the
+way up, tolerate more roundoff than the fine level).
 Every hot operation — smoother sweeps, the fused restriction,
 prolongation — dispatches through :mod:`repro.backends`, which resolves
 precision-specific kernels per level; cross-precision level boundaries
@@ -172,7 +171,7 @@ class MultigridPreconditioner:
         )
 
     def describe_schedule(self) -> str:
-        """Compact ladder spec of this hierarchy (``"fp16:fp32:..."``)."""
+        """Compact ladder spec of this hierarchy (``"fp32:fp64:..."``)."""
         return format_ladder(self.schedule)
 
     # ------------------------------------------------------------------
@@ -199,11 +198,11 @@ class MultigridPreconditioner:
         local dims to be divisible by ``2**(nlevels-1)``.
 
         ``precision`` is either one precision for every level or a
-        per-level ladder schedule — a ``"fp16:fp32:fp64"`` spec, a
-        sequence, or anything :func:`repro.fp.ladder.schedule_for_levels`
-        accepts; a schedule shorter than ``nlevels`` extends its last
-        rung to the remaining (coarser) levels.  fp16 levels store
-        row-equilibrated matrices (:mod:`repro.sparse.scaled`).
+        per-level ladder schedule — a ``"fp32:fp64"`` spec, a sequence,
+        or anything :func:`repro.fp.ladder.schedule_for_levels` accepts;
+        a schedule shorter than ``nlevels`` extends its last rung to the
+        remaining (coarser) levels.  A rung off the ladder is refused
+        before anything is built.
 
         ``fine_matrix`` lets the caller share an already-cast fine-level
         matrix (e.g. the solver's low-precision Krylov operator) instead
@@ -252,11 +251,6 @@ class MultigridPreconditioner:
         spec = problem.spec
         if config.smoother == "levelsched":
             matrix_format = "ell"
-            if any(p is Precision.HALF for p in schedule):
-                raise ValueError(
-                    "the level-scheduled smoother has no fp16 triangular "
-                    "path; use the multicolor smoother for fp16 levels"
-                )
         if fine_matrix is not None:
             if fine_matrix.dtype != schedule[0].dtype:
                 raise ValueError(

@@ -75,8 +75,8 @@ def unfused_residual_restrict(
     """Reference path (eqs. 4-5): full residual SpMV, then injection.
 
     Bitwise-equal to the fused op at every rung — the full product
-    lands in the same accumulator precision (fp32 for fp16 storage) and
-    the coarse rows go through the same subtract-and-store body; it
+    lands in the same precision and the coarse rows go through the
+    same subtract-and-store body; it
     exists so ablation benchmarks can charge the extra full-grid work
     the paper removes.
     """

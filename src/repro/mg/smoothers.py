@@ -23,10 +23,8 @@ exactly the benchmark's behaviour, where each subdomain is reordered
 and swept independently.
 
 Precision rides on the kernel registry: the sweep op resolves a
-precision-specific kernel from the matrix dtype, so an fp16 ladder
-level transparently gets the fp32-accumulating sweep (and its
-row-equilibrated diagonal, reported unscaled by the matrix class).
-The level-scheduled path is fp32/fp64-only and says so.
+precision-specific kernel from the matrix dtype, so each ladder level
+sweeps at its own rung.
 """
 
 from __future__ import annotations
@@ -176,8 +174,7 @@ class MulticolorGS(Smoother):
     extra copy of the matrix beside ``A`` (which the fine level's
     Krylov operator keeps using, in natural order; the restriction
     multiplies a block of its own).  Works with any format the
-    partition can extract rows of (CSR, ELL, row-equilibrated fp16
-    ELL).
+    partition can extract rows of (CSR, ELL).
     """
 
     def __init__(
@@ -285,13 +282,6 @@ class LevelScheduledGS(Smoother):
     """
 
     def __init__(self, A: ELLMatrix):
-        if A.dtype == np.float16 or getattr(A, "row_scale", None) is not None:
-            # The triangular split has no fp32-accumulating / scale-aware
-            # substitution path; fp16 ladder levels must use multicolor.
-            raise ValueError(
-                "LevelScheduledGS does not support fp16 or row-equilibrated "
-                "matrices; use the multicolor smoother"
-            )
         self.A = A
         self.L, self.U, self.diag = split_triangular(A)
         self.lower_sets = level_sets(lower_levels(self.L))

@@ -53,7 +53,7 @@ class _SPMDContext:
         Keyed by shape and dtype as well as the channel (like
         :class:`~repro.backends.workspace.Workspace` keys), because
         several ``HaloExchange`` instances — the fp64 outer operator,
-        the fp16/fp32 inner one, every MG level — legitimately share
+        the fp32 inner one, every MG level — legitimately share
         the same (src, dst, tag) with different message sizes; a
         channel-only key would make them evict each other's buffer
         every send.  Receivers that consume a message with

@@ -8,10 +8,9 @@ check one extra reduction per matvec: compare ``sum(y)`` against
 ``c·x`` at the active rung's tolerance and any corruption whose
 magnitude clears the rung's roundoff floor is caught.
 
-The checksums are computed once from the fp64 operator — the scaled
-low-precision kernels present the *original* operator (their row
-scales fold back into the output), so one fp64 ``c`` serves every
-rung; only the tolerance changes with the precision plane.  The check
+The checksums are computed once from the fp64 operator — every rung
+stores a plain cast of the same operator, so one fp64 ``c`` serves
+every rung; only the tolerance changes with the precision plane.  The check
 is read-only: with no fault present it changes no solver state, which
 is what keeps resilience-on runs bitwise identical to resilience-off.
 """

@@ -24,8 +24,7 @@ Fault models:
   upset lands in the exponent field, inflating the value far beyond
   any roundoff tolerance (a mantissa-tail flip is below the ABFT
   noise floor by construction and is not a useful test signal).
-- ``nan`` writes a quiet NaN (detected at every rung, including fp16
-  where exponent arithmetic saturates to inf/NaN anyway).
+- ``nan`` writes a quiet NaN (detected at every rung).
 - ``drop`` suppresses one outgoing message; ``corrupt`` flips a bit in
   its payload; ``delay`` holds it briefly; ``straggle`` sleeps before
   a collective, emulating a slow rank.

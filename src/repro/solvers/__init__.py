@@ -5,9 +5,9 @@ precision policies: ``MIXED_DS_POLICY`` gives Algorithm 3 (GMRES-IR
 with CGS2 reorthogonalization, low-precision inner steps, double outer
 updates) and ``DOUBLE_POLICY`` reduces it to plain restarted GMRES —
 mathematically Algorithm 2 with iterative-refinement restarts.  Ladder
-policies (``PrecisionPolicy.from_ladder("fp16:fp32:fp64")``) start the
-inner stage as low as fp16; the precision control plane
-(:mod:`repro.fp.controller`) adapts the rungs at run time — whole
+policies (``PrecisionPolicy.from_ladder("fp32:fp64")``) put each MG
+level on its own rung; with escalation opted in, the precision control
+plane (:mod:`repro.fp.controller`) adapts the rungs at run time — whole
 policy in ``"policy"`` mode, one controller per (ingredient, MG level)
 with de-escalation in ``"per-ingredient"`` mode — recording each
 promotion/demotion as a :class:`Promotion`

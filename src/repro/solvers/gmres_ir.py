@@ -11,10 +11,11 @@ One implementation serves both benchmark phases:
   the algorithm reduces to restarted GMRES (Algorithm 2 with restarts),
   the benchmark's "double" reference phase;
 - with a ladder policy (:meth:`PrecisionPolicy.from_ladder`, e.g.
-  ``"fp16:fp32:fp64"``) the inner stage starts as low as fp16 and the
-  **precision control plane** (:mod:`repro.fp.controller`) adapts the
-  rungs at run time.  In ``"policy"`` mode (the default, bit-identical
-  to the PR 2 escalator) a stalling restart cycle promotes the whole
+  ``"fp32:fp64"``) each MG level runs on its own rung, and with
+  escalation opted in the **precision control plane**
+  (:mod:`repro.fp.controller`) adapts the rungs at run time.  In
+  ``"policy"`` mode (the default, bit-identical to the PR 2
+  escalator) a stalling restart cycle promotes the whole
   policy one rung; in ``"per-ingredient"`` mode each (ingredient, MG
   level) pair — smoother per level, SpMV, grid transfers,
   orthogonalization — owns its rung: only the controllers on the
@@ -51,7 +52,7 @@ from repro.fp.controller import (
     PrecisionControlPlane,
     PrecisionEvent,
 )
-from repro.fp.ladder import EscalationConfig
+from repro.fp.ladder import NO_ESCALATION, EscalationConfig
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.fp.precision import Precision
 from repro.mg.multigrid import MGConfig, MultigridPreconditioner
@@ -143,9 +144,10 @@ class GMRESIRSolver:
     until its time budget is spent); the hot loop's buffers are leased
     from the workspace arena on first use and kept.
 
-    ``escalation`` configures the stall/floor detector; pass ``False``
-    (or :data:`repro.fp.ladder.NO_ESCALATION`) to pin the policy for
-    the whole solve.  ``control`` selects the precision control plane's
+    ``escalation`` configures the stall/floor detector; the default
+    (:data:`repro.fp.ladder.NO_ESCALATION`) pins the policy for the
+    whole solve, ``True`` or an enabled :class:`EscalationConfig` opts
+    in.  ``control`` selects the precision control plane's
     granularity: ``"policy"`` (default — the whole-policy escalator,
     bit-identical to PR 2), ``"per-ingredient"`` (independent
     controllers per ingredient and MG level, with de-escalation), or
@@ -169,7 +171,7 @@ class GMRESIRSolver:
         timers=None,
         precond: MultigridPreconditioner | None = None,
         matrix_format: str = "ell",
-        escalation: "EscalationConfig | bool | None" = None,
+        escalation: "EscalationConfig | bool" = NO_ESCALATION,
         overlap: "bool | str" = "auto",
         control: "ControlConfig | str | None" = None,
         overlap_symgs: "bool | str" = "auto",
@@ -231,15 +233,7 @@ class GMRESIRSolver:
         self._ortho_fused = (
             cgs2_fused if (self.fusion and ortho == "cgs2") else None
         )
-        if escalation is None:
-            # fp16 rungs cannot reach double tolerances without climbing,
-            # so the controller defaults on for them; fp32/fp64 policies
-            # keep the paper's fixed-policy behaviour unless the caller
-            # opts in explicitly.
-            escalation = EscalationConfig(
-                enabled=(policy.low is Precision.HALF)
-            )
-        elif escalation is True:
+        if escalation is True:
             escalation = EscalationConfig()
         elif escalation is False:
             escalation = EscalationConfig(enabled=False)
@@ -357,8 +351,7 @@ class GMRESIRSolver:
 
         # Inner operator in the policy's matrix precision.  GMRES-IR
         # stores this *second* copy of A (the memory overhead §5 notes);
-        # the uniform-double policy reuses the double operator.  fp16
-        # rungs get row-equilibrated storage (repro.sparse.scaled).
+        # the uniform-double policy reuses the double operator.
         if policy.matrix is Precision.DOUBLE:
             self.op_inner = self.op64
             self.A_low = self.A64
@@ -959,7 +952,7 @@ def gmres_solve(
     tol: float = 1e-9,
     maxiter: int = 300,
     ortho: str = "cgs2",
-    escalation: "EscalationConfig | bool | None" = None,
+    escalation: "EscalationConfig | bool" = NO_ESCALATION,
     control: "ControlConfig | str | None" = None,
 ) -> tuple[np.ndarray, SolverStats]:
     """One-shot convenience wrapper around :class:`GMRESIRSolver`."""

@@ -1,10 +1,10 @@
 """Operator-keyed setup cache for repeated and batched solves.
 
 Solver construction is the benchmark's setup phase: format conversion
-(``to_format``), the low-precision matrix copy with its
-row-equilibration scales (``to_precision``), the multigrid hierarchy
-(with its colorings and color-partitioned smoother layouts), and the
-interior/boundary partition of the overlap schedule.  A service that
+(``to_format``), the low-precision matrix copy (``to_precision``),
+the multigrid hierarchy (with its colorings and color-partitioned
+smoother layouts), and the interior/boundary partition of the overlap
+schedule.  A service that
 keeps solving against the *same* operator — the batched/many-RHS
 pipeline — pays all of that once per solver instance unless the
 pieces are cached.
@@ -39,7 +39,7 @@ def operator_fingerprint(A) -> str:
     """Content hash of a local matrix (hex digest).
 
     blake2b over the matrix's ndarray attributes (values, column
-    indices, row pointers, equilibration scales, permutations) plus
+    indices, row pointers, permutations) plus
     its type, dims and dtype.  Two matrices with identical content
     collide on purpose — that is what lets a rebuilt-but-equal
     operator reuse the cached hierarchy — while any in-place mutation

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.fp.ladder import solver_rung
 from repro.fp.precision import Precision
 from repro.mg.multigrid import MGConfig, MultigridPreconditioner
 from repro.parallel.comm import Communicator
@@ -52,7 +53,7 @@ def uniform_precision_gmres(
     mg_config: MGConfig | None = None,
 ) -> tuple[np.ndarray, UniformStats]:
     """Restarted GMRES entirely in one precision (outer loop included)."""
-    prec = Precision.from_any(precision)
+    prec = solver_rung(precision)
     dtype = prec.dtype
     A = problem.A.astype(prec)
     op = DistributedOperator(A, problem.halo, comm)

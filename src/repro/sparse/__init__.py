@@ -19,12 +19,7 @@ from repro.sparse.formats import (
     matrix_format_of,
     to_format,
 )
-from repro.sparse.scaled import (
-    ScaledELLMatrix,
-    equilibrated_half,
-    row_equilibration_scales,
-    to_precision,
-)
+from repro.sparse.scaled import to_precision
 from repro.sparse.partitioned import (
     ColorPartitionedMatrix,
     PartitionedMatrix,
@@ -58,9 +53,6 @@ __all__ = [
     "known_formats",
     "matrix_format_of",
     "to_format",
-    "ScaledELLMatrix",
-    "equilibrated_half",
-    "row_equilibration_scales",
     "to_precision",
     "ColorPartitionedMatrix",
     "PartitionedMatrix",

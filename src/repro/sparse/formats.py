@@ -41,8 +41,7 @@ def content_arrays(A):
     Yields ``(name, array)`` pairs in sorted attribute order — the
     deterministic byte stream the setup cache's operator fingerprint
     hashes.  Covers every registered format generically (CSR's
-    indptr/indices/data, ELL's cols/vals, plus row-equilibration
-    scales); non-array state
+    indptr/indices/data, ELL's cols/vals); non-array state
     (shapes, dtypes) is the caller's to fold in.
     """
     import numpy as np

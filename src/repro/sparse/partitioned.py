@@ -25,12 +25,6 @@ hot path, which is what makes the distributed loop allocation-free
 after warmup.  Every row keeps the slots it had in the source, so a
 block's row sums are bitwise those of the unpartitioned kernel.
 
-**Precision.**  Row-equilibrated fp16 storage
-(:class:`~repro.sparse.scaled.ScaledELLMatrix`) partitions with its
-``row_scale`` sliced per block, so ghost regions are stored and
-exchanged at the level's ladder rung while the equilibration scales are
-carried across the partition unchanged.
-
 **Color-partitioned SymGS (PR 5, PR 16, PR 19).**  The multicolor
 Gauss-Seidel sweep reads the same kind of layout via
 :func:`partition_colors`, which applies the paper's independent-set
@@ -71,7 +65,6 @@ from repro.geometry.halo import HaloPattern
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
 from repro.sparse.reorder import column_map, inverse_permutation
-from repro.sparse.scaled import ScaledELLMatrix
 
 
 class PartitionedMatrix:
@@ -192,13 +185,13 @@ def _csr_rows(csr: CSRMatrix, rows: np.ndarray, col_map=None) -> CSRMatrix:
 
 
 def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
-    """Row-subset block in A's own format, values and scales preserved.
+    """Row-subset block in A's own format, values preserved.
 
     The one packing every block layout is built from: the SpMV
     partition's interior/boundary blocks, the color blocks, and the
     multigrid restriction block (the coarse-mapped rows).  Every format
     keeps each row's slot layout, so block row sums are
-    bitwise-identical to the unpartitioned kernel's: ELL-family
+    bitwise-identical to the unpartitioned kernel's: ELL
     matrices slice their dense arrays, CSR slices its ranges (entry
     order kept).
 
@@ -208,13 +201,6 @@ def extract_rows(A, rows: np.ndarray, col_map: np.ndarray | None = None):
     the same vector entry once the vector is stored in the new order,
     and the row sums do not move a bit.
     """
-    if isinstance(A, ScaledELLMatrix):
-        return ScaledELLMatrix(
-            cols=_relabel(A.cols[rows], col_map),
-            vals=A.vals[rows],
-            ncols=A.ncols,
-            row_scale=A.row_scale[rows],
-        )
     if isinstance(A, ELLMatrix):
         return ELLMatrix(
             cols=_relabel(A.cols[rows], col_map), vals=A.vals[rows], ncols=A.ncols
@@ -231,17 +217,17 @@ def _local_adjacency_csr(A, nlocal: int) -> tuple[np.ndarray, np.ndarray]:
 
     Ghost columns (>= ``nlocal``) are excluded — they are frozen for a
     sweep and impose no ordering constraint beyond the interior test —
-    as are the diagonal and explicit zeros (a coupling stored as zero,
-    e.g. one flushed by fp16 equilibration, moves nothing and therefore
-    constrains nothing; classifying from the *stored* values keeps the
-    split self-consistent with what the kernels actually compute).
+    as are the diagonal and explicit zeros (a coupling stored as zero
+    moves nothing and therefore constrains nothing; classifying from
+    the *stored* values keeps the split self-consistent with what the
+    kernels actually compute).
     """
     if hasattr(A, "indptr"):  # CSR layout
         lens = np.diff(A.indptr)
         rows = np.repeat(np.arange(A.nrows, dtype=np.int64), lens)
         cols = A.indices.astype(np.int64)
         keep = (cols < nlocal) & (cols != rows) & (A.data != 0)
-    elif hasattr(A, "cols"):  # ELL-family (incl. row-equilibrated)
+    elif hasattr(A, "cols"):  # ELL
         n = A.nrows
         rows2d = np.arange(n, dtype=np.int64)[:, None]
         mask = (A.vals != 0) & (A.cols != rows2d) & (A.cols < nlocal)
@@ -349,8 +335,7 @@ class ColorPartitionedMatrix:
     in either direction — what every non-overlapped sweep runs) and
     ``symgs_interior`` / ``symgs_boundary`` (the halves of the
     overlapped forward sweep).  Block extraction reuses the SpMV
-    partition's row-subset machinery, so every format — including
-    row-equilibrated fp16 with per-block scales — is covered.
+    partition's row-subset machinery, so every format is covered.
 
     ``split=False`` is the layout without the halo split: every color
     is one whole block (its boundary range empty) and no dependency
@@ -425,9 +410,8 @@ def partition_colors(
 
     ``sets`` are the multicolor Gauss-Seidel color sets (ascending row
     order within each color, as :func:`repro.sparse.coloring.color_sets`
-    returns them); ``diag`` is the *unscaled* diagonal the relaxation
-    divides by, in natural order (defaults to ``A.diagonal()``, which
-    row-equilibrated storage already reports unscaled).
+    returns them); ``diag`` is the diagonal the relaxation divides by,
+    in natural order (defaults to ``A.diagonal()``).
 
     With a ``halo`` every color is split into its dependency-closed
     interior block and its boundary block (the overlapped schedule);

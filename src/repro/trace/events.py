@@ -94,10 +94,10 @@ def promotions_to_timeline(
     here so the trace layer keeps no solver import).  Per-ingredient
     events additionally expose ``ingredient``, ``level`` and
     ``direction``; the marker name then attributes the move, e.g.
-    ``"promote[stall] smoother@L0 fp16->fp32"`` or
-    ``"demote[recovered] smoother@L0 fp32->fp16"``.  Whole-policy
+    ``"promote[stall] smoother@L0 fp32->fp64"`` or
+    ``"demote[recovered] smoother@L0 fp64->fp32"``.  Whole-policy
     records (no ingredient attribute, or ``"policy"``) keep the
-    historical ``"promote[reason] fp16->fp32"`` form.  The time axis is
+    historical ``"promote[reason] fp32->fp64"`` form.  The time axis is
     the inner-iteration count, matching the convergence-history plots
     these markers annotate; the exporters render zero-width spans as
     instant events.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.backends.registry import registry
+from repro.fp import EscalationConfig
 
 #: Marks over conftest's ``parity_class`` fixture: run a bitwise contract
 #: inside every kernel parity class, or pin a comparison against recorded
@@ -31,12 +32,20 @@ def use_backend(name: str):
 RUNG_TOLS = {
     "fp64": (1e-13, 1e-13),
     "fp32": (1e-5, 1e-5),
-    "fp16": (2e-2, 5e-2),
 }
+
+#: The measured fp32 stall.  On the 16^3 problem with the seed-7 normal
+#: RHS, ``tol=1e-11`` and ``restart=STALL_RESTART``, an ``fp32:fp64``
+#: ladder under this detector promotes once with ``control="policy"``
+#: (a stall, fp32 -> fp64, at iteration 8 of 29) and three times with
+#: ``control="per-ingredient"`` (ortho, smoother and spmv at L0).  At
+#: the default ``stall_ratio=0.5``, or at 1e-3, nothing fires.
+STALL_ESCALATION = EscalationConfig(stall_ratio=1e-4)
+STALL_RESTART = 8
 
 
 def smooth_vector(sub) -> np.ndarray:
-    """An fp16-representable test vector keyed to global coordinates."""
+    """A smooth test vector keyed to global coordinates."""
     gx, gy, gz = sub.global_coords()
     gg = sub.global_grid
     return 0.5 + (gx + 2.0 * gy + 3.0 * gz) / (gg.nx + 2 * gg.ny + 3 * gg.nz)

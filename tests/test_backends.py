@@ -104,7 +104,7 @@ class TestRegistry:
         def full_wildcard(*a, **kw):
             pass
 
-        @reg.register("spmv", precision="fp16")
+        @reg.register("spmv", precision="fp32")
         def prec_wildcard(*a, **kw):
             pass
 
@@ -112,13 +112,13 @@ class TestRegistry:
         def fmt_wildcard(*a, **kw):
             pass
 
-        @reg.register("spmv", fmt="ell", precision="fp16")
+        @reg.register("spmv", fmt="ell", precision="fp32")
         def exact(*a, **kw):
             pass
 
-        assert reg.lookup("spmv", "ell", "fp16") is exact
+        assert reg.lookup("spmv", "ell", "fp32") is exact
         assert reg.lookup("spmv", "ell", "fp64") is fmt_wildcard
-        assert reg.lookup("spmv", "csr", "fp16") is prec_wildcard
+        assert reg.lookup("spmv", "csr", "fp32") is prec_wildcard
         assert reg.lookup("spmv", "csr", "fp64") is full_wildcard
         assert reg.lookup("spmv", None, None) is full_wildcard
 
@@ -131,11 +131,11 @@ class TestRegistry:
         def fmt_wildcard(*a, **kw):
             pass
 
-        @reg.register("spmv", precision="fp16")
+        @reg.register("spmv", precision="fp32")
         def prec_wildcard(*a, **kw):
             pass
 
-        assert reg.lookup("spmv", "ell", "fp16") is fmt_wildcard
+        assert reg.lookup("spmv", "ell", "fp32") is fmt_wildcard
 
     def test_env_override_beats_priority_autodetection(self, monkeypatch):
         """REPRO_BACKEND wins over priority-based auto-detection even
@@ -150,21 +150,6 @@ class TestRegistry:
         with pytest.raises(KernelNotFoundError, match="missing"):
             reg.autoselect_backend()
 
-    def test_fp16_kernels_registered_in_process_registry(self):
-        """The fp16 rung resolves precision-specific kernels for every
-        storage format (not the generic wildcard)."""
-        from repro.backends.registry import registry as proc_reg
-        from repro.backends import numpy_backend
-
-        for fmt, expected in [
-            ("ell", numpy_backend.spmv_ell_fp16),
-            ("csr", numpy_backend.spmv_csr_fp16),
-        ]:
-            assert (
-                proc_reg.lookup("spmv", fmt, "fp16", backend="numpy")
-                is expected
-            )
-
     def test_process_registry_has_all_formats(self):
         assert set(registered_formats()) >= {"csr", "ell"}
         assert "numpy" in available_backends()
@@ -177,7 +162,7 @@ class TestRegistry:
         layout only — a plain matrix has no panel sweep."""
         from repro.backends.registry import registry as proc_reg
 
-        for prec in ("fp64", "fp32", "fp16"):
+        for prec in ("fp64", "fp32"):
             for fmt in ("csr", "ell"):
                 assert proc_reg.lookup("spmv_multi", fmt, prec) is not None
                 assert proc_reg.lookup("fused_restrict", fmt, prec) is not None
@@ -188,8 +173,9 @@ class TestRegistry:
                 assert proc_reg.lookup(op, None, prec) is not None
 
     def test_registry_holds_only_dispatched_ops(self):
-        """ISSUE 17: the ops nothing dispatched are gone, not kept
-        beside, and the row-subset family is ELL plus one reference."""
+        """The ops nothing dispatched are gone, not kept beside; the
+        row-subset family is ELL plus one reference; and no kernel is
+        registered for a precision off the solver ladder."""
         from repro.backends.registry import registry as proc_reg
 
         ops = proc_reg.ops()
@@ -198,13 +184,18 @@ class TestRegistry:
             assert retired not in ops and not hasattr(dispatch, retired)
         assert [v for v in proc_reg.available_variants("spmv_rows")
                 if v[2] == "numpy"] == [
-            (None, None, "numpy"), ("ell", None, "numpy"), ("ell", "fp16", "numpy"),
+            (None, None, "numpy"), ("ell", None, "numpy"),
         ]
+        for op in ops:
+            assert all(
+                prec in (None, "fp32", "fp64")
+                for _, prec, _ in proc_reg.available_variants(op)
+            ), op
 
     def test_compiled_registrations_gated_on_the_private_import(self):
         """The optional backend registers only when its import works:
         the SciPy row products exist iff ``csr_matvec`` imported, and a
-        key the backend does not claim (fp16, the sweep)
+        key the backend does not claim (CSR row subsets, the sweep)
         falls back to the reference registration instead of erroring."""
         from repro.backends import scipy_backend
         from repro.backends.registry import registry as proc_reg
@@ -219,7 +210,6 @@ class TestRegistry:
             ("spmv_multi", "csr", "fp64", True),
             ("spmv_rows", "ell", "fp32", True),
             ("spmv_rows", "csr", "fp64", False),
-            ("spmv_multi", "ell", "fp16", False),
             ("symgs_interior", "color_partitioned", "fp64", False),
         ):
             fn = proc_reg.lookup(op, fmt, prec, backend="scipy")
@@ -324,7 +314,7 @@ class TestDispatch:
         np.testing.assert_allclose(xfull, expect)
 
     @pytest.mark.parametrize("use_ws", [False, True])
-    @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
+    @pytest.mark.parametrize("prec", ["fp64", "fp32"])
     def test_prolong_panel_columns_equal_solo(self, use_ws, prec):
         """One dispatch prolongs the whole panel; each column is
         bitwise the single-vector op on it."""

@@ -13,7 +13,7 @@ import pytest
 from helpers_distributed import scaled_rhs_panel
 
 from repro.backends.registry import registry
-from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
+from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.parallel import SerialComm
 from repro.solvers import GMRESIRSolver
 
@@ -21,7 +21,6 @@ RESTART = 8
 POLICIES = {
     "double": DOUBLE_POLICY,
     "mixed": MIXED_DS_POLICY,
-    "fp16-ladder": HALF_LADDER_POLICY,
 }
 
 

@@ -8,15 +8,14 @@ leave one chunk (a restriction block first does at 48^3); here
 the constant is patched to 97 rows (many chunks, a ragged tail) and to
 10^9 (one chunk) and every result must be ``np.array_equal`` across the
 two settings *and* to the allocating ``ws=None`` reference path — for
-fp64, fp32, plain fp16 and row-equilibrated fp16, with ``out=`` given
-and omitted, an empty row set, and a rectangular rank-local matrix with
-ghost columns.  One engine-golden case re-run under the 97-row chunk
+fp64 and fp32, with ``out=`` given and omitted, an empty row set, and a
+rectangular rank-local matrix with ghost columns.  One engine-golden case re-run under the 97-row chunk
 shows the solver's bits do not depend on the constant either.
 
 Everything here runs inside each kernel parity class: under ``scipy``
-only ``spmv_rows`` (and the fp16 rungs, which stay on NumPy) chunks at
-all, and the compiled full, row-subset and panel products must still be
-one sum, with and without ``ws`` / ``out``.
+only ``spmv_rows`` chunks at all, and the compiled full, row-subset
+and panel products must still be one sum, with and without ``ws`` /
+``out``.
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.backends import Workspace, numpy_backend, spmv, spmv_multi, spmv_rows
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import coarse_to_fine_map, fused_residual_restrict
 from repro.mg.smoothers import MulticolorGS
-from repro.sparse import to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
@@ -36,15 +34,7 @@ from repro.stencil import generate_problem
 pytestmark = BOTH_CLASSES
 
 CHUNKS = (97, 10**9)
-RUNGS = ("fp64", "fp32", "fp16", "fp16-scaled")
-
-
-def cast(A, rung):
-    """ELL at a rung; ``fp16`` is the plain cast, ``fp16-scaled`` the
-    row-equilibrated storage the ladder uses."""
-    if rung == "fp16-scaled":
-        return to_precision(A, "fp16")
-    return A.astype(rung)
+RUNGS = ("fp64", "fp32")
 
 
 @pytest.fixture(scope="module", params=[8, 16], ids=["8^3", "16^3"])
@@ -89,7 +79,7 @@ def vectors(A, seed, ncol=None):
 @pytest.mark.parametrize("with_out", [True, False], ids=["out", "no-out"])
 class TestChunkIndependence:
     def test_spmv(self, monkeypatch, box, rung, with_out):
-        A = cast(box.A, rung)
+        A = box.A.astype(rung)
         x = vectors(A, 1)
 
         def call(ws):
@@ -101,7 +91,7 @@ class TestChunkIndependence:
         assert np.array_equal(many, spmv(A, x))
 
     def test_spmv_rows(self, monkeypatch, box, rung, with_out):
-        A = cast(box.A, rung)
+        A = box.A.astype(rung)
         x = vectors(A, 2)
         rows = np.random.default_rng(3).permutation(A.nrows)[: A.nrows // 3]
         rows = np.sort(rows).astype(np.int64)
@@ -117,7 +107,7 @@ class TestChunkIndependence:
 
     @pytest.mark.parametrize("ncol", [1, 4])
     def test_spmv_multi(self, monkeypatch, box, rung, with_out, ncol):
-        A = cast(box.A, rung)
+        A = box.A.astype(rung)
         X = vectors(A, 4, ncol)
 
         def call(ws):
@@ -138,7 +128,7 @@ class TestChunkIndependence:
 @pytest.mark.parametrize("rung", RUNGS)
 class TestChunkEdges:
     def test_empty_row_set(self, monkeypatch, box, rung):
-        A = cast(box.A, rung)
+        A = box.A.astype(rung)
         x = vectors(A, 5)
         rows = np.zeros(0, dtype=np.int64)
         for y in per_chunk(monkeypatch, lambda ws: spmv_rows(A, rows, x, ws=ws)):
@@ -147,7 +137,7 @@ class TestChunkEdges:
         assert spmv_rows(A, rows, x, out=out, ws=Workspace()) is out
 
     def test_rectangular_block_with_ghost_columns(self, monkeypatch, rank_box, rung):
-        A = cast(rank_box.A, rung)
+        A = rank_box.A.astype(rung)
         x = vectors(A, 6)  # ghost tail populated
         rows = np.arange(0, A.nrows, 3, dtype=np.int64)
 
@@ -161,7 +151,7 @@ class TestChunkEdges:
 
     @pytest.mark.parametrize("ncol", [1, 4])
     def test_block_sweep_forward_backward(self, monkeypatch, box, rung, ncol):
-        A = cast(box.A, rung)
+        A = box.A.astype(rung)
         sets = color_sets(structured_coloring8(box.sub))
         R = vectors(A, 7, ncol)[: A.nrows]
         X0 = vectors(A, 8, ncol)
@@ -184,7 +174,7 @@ class TestChunkEdges:
         at 48^3 with the shipped constant): same bits per chunking, as
         the allocating path, and as the full product's coarse rows."""
         prob = rank_box16
-        A = cast(prob.A, rung)
+        A = prob.A.astype(rung)
         f_c = coarse_to_fine_map(prob.sub, prob.sub.coarsen())
         A_c = extract_rows(A, f_c)
         assert A_c.nrows == 512 > 97 and A_c.ncols == A.ncols > A.nrows
@@ -198,10 +188,9 @@ class TestChunkEdges:
         assert many.shape == (512, ncol) and many.dtype == A.dtype
         assert np.array_equal(many, one)
         assert np.array_equal(many, restrict(None))
-        acc = np.float32 if A.dtype == np.float16 else A.dtype
         for j in range(ncol):
-            ax = spmv(A, X[:, j], out=np.empty(A.nrows, dtype=acc))
-            assert np.array_equal(many[:, j], (R[f_c, j] - ax[f_c]).astype(A.dtype))
+            ax = spmv(A, X[:, j], out=np.empty(A.nrows, dtype=A.dtype))
+            assert np.array_equal(many[:, j], R[f_c, j] - ax[f_c])
 
 
 def test_engine_golden_does_not_depend_on_the_chunk(

@@ -72,17 +72,17 @@ class TestCommands:
         assert 0 < data["validation"]["penalty"] <= 1
 
     def test_run_precision_ladder(self, capsys):
-        """An fp16-laddered mxp phase runs end-to-end from the CLI."""
+        """A laddered mxp phase runs end-to-end from the CLI."""
         rc = main(
             [
                 "run", "--local-nx", "16", "--max-iters", "4",
                 "--validation-max-iters", "60",
-                "--precision-ladder", "fp16:fp32:fp64", "--json",
+                "--precision-ladder", "fp32:fp64", "--json",
             ]
         )
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["config"]["precision_ladder"] == "fp16:fp32:fp64"
+        assert data["config"]["precision_ladder"] == "fp32:fp64"
         assert data["mxp"]["iterations"] == 4
 
     def test_run_report(self, capsys):

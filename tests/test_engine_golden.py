@@ -7,8 +7,14 @@ old ``solve`` **and** the old ``solve_panel``, not merely to itself.
 Both class files were re-captured at the commit after ``2ee331d``,
 which leased the Krylov basis column-major: that moves BLAS's
 reduction order inside CGS2 and the solution update, so iterates moved
-while every double and mixed decision held (on the fp16 ladder, event
-residuals moved and one panel column takes 44 iterations, not 42).
+while every double and mixed decision held.  The four ``ladder-*``
+cases of both files were re-captured at the commit after ``8d163fa``,
+which retired the fp16 rung: they now run
+``PrecisionPolicy.from_ladder("fp32:fp64")`` with
+``EscalationConfig(stall_ratio=1e-4)``, so ``solve`` still records a
+rung change (one stall promotion fp32 -> fp64 under ``"policy"``,
+three per-ingredient ones); every other record is byte-identical to
+the file before it.
 
 Every case records, for ``solve`` and for a 4-column ``solve_panel``
 (column 0 all-zero, column 2 converging a restart cycle early, so
@@ -48,7 +54,12 @@ import numpy as np
 import pytest
 
 from repro.backends.registry import registry
-from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
+from repro.fp import (
+    DOUBLE_POLICY,
+    MIXED_DS_POLICY,
+    EscalationConfig,
+    PrecisionPolicy,
+)
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.parallel import SerialComm, run_spmd
@@ -70,11 +81,19 @@ RESTART = 8
 TOL = 1e-11
 MAXITER = 300
 
+#: The ladder cases opt in to escalation with a stall threshold the
+#: fp32 inner solve crosses on this problem, so they pin rung changes.
+LADDER = PrecisionPolicy.from_ladder("fp32:fp64")
+LADDER_ESCALATION = EscalationConfig(stall_ratio=1e-4)
 POLICIES = {
     "double": (DOUBLE_POLICY, {}),
     "mixed": (MIXED_DS_POLICY, {}),
-    "ladder-policy": (HALF_LADDER_POLICY, {"control": "policy"}),
-    "ladder-per-ingredient": (HALF_LADDER_POLICY, {"control": "per-ingredient"}),
+    "ladder-policy": (
+        LADDER, {"control": "policy", "escalation": LADDER_ESCALATION}
+    ),
+    "ladder-per-ingredient": (
+        LADDER, {"control": "per-ingredient", "escalation": LADDER_ESCALATION}
+    ),
 }
 SERIAL_CASES = [
     f"{policy}-{fmt}-{fusion}"

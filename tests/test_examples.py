@@ -47,7 +47,8 @@ class TestExamples:
     def test_mixed_precision_study(self):
         out = run_example("mixed_precision_study.py")
         assert "fp32 GMRES-IR" in out
-        assert "fp16" in out
+        assert "fp32:fp64 ladder" in out
+        assert "fp16" not in out
         assert "partial policies" in out
 
     def test_strategy_comparison(self):

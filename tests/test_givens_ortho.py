@@ -158,7 +158,7 @@ class TestFusedCGS2:
     """PR 6 satellite: the fused projection+norm motif is bitwise-equal
     to the unfused CGS2 followed by a local dot."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_fused_matches_unfused_bitwise(self, dtype):
         from repro.backends.workspace import Workspace
         from repro.solvers.ortho import cgs2_fused

@@ -144,15 +144,6 @@ class TestMixedGMRESIR:
         )
         assert s_m.final_relres < 1e-9
 
-    def test_half_precision_policy_runs(self, problem8, comm):
-        """FP16 (the paper's future work) at loose tolerance."""
-        policy = DOUBLE_POLICY.with_low("fp16")
-        x, stats = gmres_solve(
-            problem8, comm, policy=policy, tol=1e-4, maxiter=500
-        )
-        assert stats.converged
-        assert stats.final_relres < 1e-4
-
     def test_target_residual_mode(self, problem16, comm):
         """Full-scale validation converges to an absolute residual."""
         solver = GMRESIRSolver(problem16, comm, policy=MIXED_DS_POLICY)
@@ -219,7 +210,10 @@ class TestDistributedGMRES:
             assert err < 1e-5
 
 
-FP16_LADDER = PrecisionPolicy.from_ladder("fp16:fp32:fp64")
+LADDER = PrecisionPolicy.from_ladder("fp32:fp64")
+#: A stall threshold every 5-iteration fp32 cycle below crosses, so the
+#: escalation cases change rungs mid-solve.
+STALL = EscalationConfig(stall_ratio=1e-6)
 
 
 def csr_vs_ell(nranks, box=(16, 16, 16), width=1, spec=None, maxiter=8, **solver_kw):
@@ -269,8 +263,8 @@ class TestFormatParity:
     @pytest.mark.parametrize("width", [1, 8], ids=["solve", "panel8"])
     @pytest.mark.parametrize(
         "policy",
-        [DOUBLE_POLICY, MIXED_DS_POLICY, FP16_LADDER],
-        ids=["double", "mixed", "fp16-ladder"],
+        [DOUBLE_POLICY, MIXED_DS_POLICY, LADDER],
+        ids=["double", "mixed", "ladder"],
     )
     def test_csr_bitwise_equals_ell(self, parity_class, policy, width, box, nranks):
         results = csr_vs_ell(nranks, box=box, width=width, policy=policy)
@@ -316,15 +310,13 @@ class TestFormatParity:
             pytest.param(
                 2, MIXED_DS_POLICY, None, dict(overlap_symgs=False), id="no-overlap-symgs"
             ),
+            pytest.param(2, LADDER, None, dict(escalation=STALL), id="escalation"),
             pytest.param(
                 2,
-                FP16_LADDER,
+                LADDER,
                 None,
-                dict(escalation=EscalationConfig(stall_ratio=1e-6)),
-                id="escalation",
-            ),
-            pytest.param(
-                2, FP16_LADDER, None, dict(control="per-ingredient"), id="per-ingredient"
+                dict(control="per-ingredient", escalation=STALL),
+                id="per-ingredient",
             ),
             pytest.param(
                 2,
@@ -333,15 +325,19 @@ class TestFormatParity:
                 {},
                 id="nonsymmetric",
             ),
+            pytest.param(
+                2,
+                LADDER,
+                ProblemSpec(kind="nonsymmetric"),
+                dict(escalation=STALL),
+                id="nonsymmetric-escalation",
+            ),
         ],
     )
     def test_csr_bitwise_equals_ell_under_each_knob(
         self, parity_class, nranks, policy, spec, knobs
     ):
-        """The contract is the operator's, not one configuration's.  Its
-        one boundary: on entries fp16 cannot hold exactly (the
-        nonsymmetric variant) the fp16 rung stores ELL row-equilibrated
-        and CSR plain, so the formats part there."""
+        """The contract is the operator's, not one configuration's."""
         results = csr_vs_ell(nranks, spec=spec, maxiter=15, policy=policy, **knobs)
         assert all(same for same, _ in results)
         if "escalation" in knobs:

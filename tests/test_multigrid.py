@@ -20,7 +20,7 @@ from repro.sparse import to_format, to_precision
 from repro.sparse.partitioned import extract_rows
 from repro.stencil import generate_problem
 
-RUNGS = ("fp64", "fp32", "fp16")  # fp16 ELL is row-equilibrated
+RUNGS = ("fp64", "fp32")
 
 
 class TestCoarseFineMap:
@@ -65,17 +65,16 @@ class TestRestriction:
     ):
         """The fused op on the packed block is, bitwise, the defect the
         row-copying kernel it replaced computed per column:
-        ``r[f_c] - (A x)[f_c]`` with the row sums left in the
-        accumulator precision (fp32 for fp16 storage)."""
+        ``r[f_c] - (A x)[f_c]`` with the row sums in the matrix
+        precision."""
         A, f_c, R, X = self.operands(problem16, fmt, rung, ncol)
         A_c = extract_rows(A, f_c)
         ws = Workspace() if pooled else None
         got = fused_residual_restrict(A_c, R, X, f_c, ws=ws)
         assert got.shape == (len(f_c), ncol) and got.dtype == A.dtype
-        acc = np.float32 if rung == "fp16" else A.dtype
         for j in range(ncol):
-            ax = spmv_rows(A, f_c, X[:, j], out=np.empty(len(f_c), dtype=acc))
-            expect = (R[f_c, j] - ax).astype(A.dtype)
+            ax = spmv_rows(A, f_c, X[:, j], out=np.empty(len(f_c), dtype=A.dtype))
+            expect = R[f_c, j] - ax
             assert np.array_equal(got[:, j], expect)
             # ... and the single-vector entry is the width-1 panel.
             solo = fused_residual_restrict(A_c, R[:, j], X[:, j], f_c, ws=ws)
@@ -87,9 +86,8 @@ class TestRestriction:
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize("ncol", [1, 4])
     def test_fused_equals_unfused_bitwise(self, problem16, fmt, rung, ncol):
-        """The paper's optimization must be numerically identical — at
-        fp16 too, where the unfused path used to round ``A x`` to half
-        and subtract natively (a coarse defect off by its own size)."""
+        """The paper's optimization must be numerically identical, at
+        every rung and into every ladder store."""
         A, f_c, R, X = self.operands(problem16, fmt, rung, ncol)
         for out_dtype in (A.dtype, np.float32, np.float64):  # ladder stores
             fused = np.empty((len(f_c), ncol), dtype=out_dtype, order="F")
@@ -227,7 +225,7 @@ class TestMultigridPreconditioner:
 
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize(
-        "ladder", ["fp32", "fp16", "fp16:fp32:fp64", "fp64:fp32:fp16"]
+        "ladder", ["fp32", "fp32:fp64", "fp64:fp32"]
     )
     def test_unfused_cycle_is_bitwise_the_fused_one(
         self, problem16, comm, fmt, ladder

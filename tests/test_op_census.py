@@ -14,7 +14,7 @@ import pytest
 from helpers_distributed import SectionTimers, counted_dispatch
 
 from repro.backends.registry import registry
-from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
+from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY, EscalationConfig, PrecisionPolicy
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig, MultigridPreconditioner
 from repro.parallel import SerialComm, run_spmd
@@ -60,6 +60,8 @@ def _spmd2(**kw):
     run_spmd(2, rank)
 
 
+LADDER = PrecisionPolicy.from_ladder("fp32:fp64")
+
 #: name -> run(problem16): the configuration grid of the census.
 GRID = {
     **{
@@ -71,7 +73,7 @@ GRID = {
         for name, policy in (
             ("double", DOUBLE_POLICY),
             ("mixed", MIXED_DS_POLICY),
-            ("fp16-ladder", HALF_LADDER_POLICY),
+            ("ladder", LADDER),
         )
         for width in (1, 4)
     },
@@ -88,7 +90,11 @@ GRID = {
         mg_config=MGConfig(nlevels=4, sweep="symmetric", fused_restrict=False),
     ),
     "per-ingredient": lambda p: _solve(
-        p, SerialComm(), policy=HALF_LADDER_POLICY, control="per-ingredient"
+        p,
+        SerialComm(),
+        policy=LADDER,
+        control="per-ingredient",
+        escalation=EscalationConfig(stall_ratio=1e-6),
     ),
     "mgs": lambda p: _solve(p, SerialComm(), ortho="mgs"),
     "cgs": lambda p: _solve(p, SerialComm(), 4, ortho="cgs"),
@@ -138,7 +144,7 @@ def test_single_vector_aliases_are_their_multi_twins():
         ("partitioned", ("spmv", "spmv_interior", "spmv_boundary")),
     ):
         for op in ops:
-            for prec in ("fp64", "fp16"):
+            for prec in ("fp64", "fp32"):
                 assert registry.lookup(
                     op, fmt, prec, backend="numpy"
                 ) is registry.lookup(op + "_multi", fmt, prec, backend="numpy")

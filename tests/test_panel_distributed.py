@@ -75,7 +75,7 @@ def _solver(prob, comm, policy, **kw):
 class TestWideExchangeMatvecPanel:
     @pytest.mark.parametrize("nranks", RANKS)
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
-    @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
+    @pytest.mark.parametrize("prec", ["fp64", "fp32"])
     def test_panel_bitwise_equals_per_column_matvec(self, nranks, fmt, prec):
         """``matvec_panel`` behind one wide exchange == looping
         ``matvec`` (its own per-column exchanges), bitwise, for every

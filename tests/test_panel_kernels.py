@@ -43,7 +43,7 @@ from repro.sparse.partitioned import partition_colors
 from repro.stencil import generate_problem
 
 FORMATS = ("csr", "ell")
-PRECISIONS = ("fp64", "fp32", "fp16")
+PRECISIONS = ("fp64", "fp32")
 NCOL = 3
 
 
@@ -68,7 +68,7 @@ def make_panel(n, ncol, dtype, seed=0):
     rng = np.random.default_rng(seed)
     X = np.empty((n, ncol), dtype=dtype, order="F")
     for j in range(ncol):
-        # Values on a coarse lattice so fp16 represents them exactly.
+        # Values on a coarse lattice so every rung represents them exactly.
         X[:, j] = np.round(rng.uniform(-2, 2, size=n) * 8) / 8
     return X
 
@@ -168,9 +168,7 @@ class TestVectorPanelParity:
     """Format-free panel ops (vector motifs) across the rungs."""
 
     def dtype(self, prec):
-        return {"fp64": np.float64, "fp32": np.float32, "fp16": np.float16}[
-            prec
-        ]
+        return {"fp64": np.float64, "fp32": np.float32}[prec]
 
     def test_waxpby_dot_multi_columns_are_the_unfused_pair(self, prec):
         """The fused panel motif is, per column, ``waxpby`` then

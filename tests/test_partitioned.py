@@ -14,7 +14,6 @@ from helpers_distributed import RUNG_TOLS as TOLS
 from repro.backends import Workspace
 from repro.backends.dispatch import spmv_boundary, spmv_interior
 from repro.backends.registry import registry
-from repro.fp.precision import Precision
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.sparse import partition_matrix, to_format, to_precision
 from repro.stencil import generate_problem
@@ -100,7 +99,7 @@ class TestPartitionStructure:
 
 class TestPartitionedParity:
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("prec", ["fp64", "fp32", "fp16"])
+    @pytest.mark.parametrize("prec", ["fp64", "fp32"])
     def test_interior_plus_boundary_matches_reference(self, fmt, prec):
         """Partitioned SpMV == serial fp64 reference, per-rung tolerance."""
         prob = rank_problem(8, rank=0)
@@ -128,21 +127,6 @@ class TestPartitionedParity:
         A = to_format(prob.A, fmt)
         P = partition_matrix(A, prob.halo)
         assert np.array_equal(P.spmv(xfull), A.spmv(xfull))
-
-    def test_fp16_scales_carried_across_partition(self):
-        """Row-equilibration scales are sliced per block, so the fp16
-        partitioned operator still presents the original matrix."""
-        prob = rank_problem(8, rank=0)
-        A16 = to_precision(prob.A, Precision.HALF)
-        P = partition_matrix(A16, prob.halo)
-        assert hasattr(P.interior, "row_scale")
-        assert hasattr(P.boundary, "row_scale")
-        np.testing.assert_array_equal(
-            P.interior.row_scale, A16.row_scale[P.interior_rows]
-        )
-        np.testing.assert_array_equal(
-            P.boundary.row_scale, A16.row_scale[P.boundary_rows]
-        )
 
     def test_full_spmv_equals_halves(self):
         prob = rank_problem(8, rank=0)

@@ -110,8 +110,7 @@ class TestPrecisionPolicy:
 
     def test_low_is_lowest(self):
         assert MIXED_DS_POLICY.low is Precision.SINGLE
-        half = DOUBLE_POLICY.with_low("fp16")
-        assert half.low is Precision.HALF
+        assert DOUBLE_POLICY.low is Precision.DOUBLE
 
     def test_residual_update_must_be_double(self):
         with pytest.raises(ValueError):
@@ -122,9 +121,9 @@ class TestPrecisionPolicy:
             PrecisionPolicy(solution_update=Precision.SINGLE)
 
     def test_with_low_preserves_outer(self):
-        p = DOUBLE_POLICY.with_low("fp16")
+        p = DOUBLE_POLICY.with_low("fp32")
         assert p.residual_update is Precision.DOUBLE
-        assert p.matrix is Precision.HALF
+        assert p.matrix is Precision.SINGLE
 
     def test_describe(self):
         assert "fp64" in DOUBLE_POLICY.describe()

@@ -3,20 +3,19 @@
 Covers the controller algebra, the plane's observation protocol (the
 forced-stall fixture: smoother-only promotion, hysteresis-guarded
 de-escalation, the SpMV controller never moving), the whole-policy
-compatibility mode (bitwise-identical to the PR 2 escalator,
-regression-asserted), the Carson-style roundoff-budget chooser, the
+compatibility mode (bitwise-identical to the explicit escalator, on
+the measured fp32 stall), the Carson-style roundoff-budget chooser, the
 transfer-scheduled multigrid hierarchy, the live-schedule byte model,
 and the config/CLI wiring.
 """
 
 import numpy as np
 import pytest
-from helpers_distributed import NUMPY_CLASS, defect_panel_pooled
+from helpers_distributed import STALL_ESCALATION, STALL_RESTART, defect_panel_pooled
 
 from repro.fp import (
     ControlConfig,
     EscalationConfig,
-    HALF_LADDER_POLICY,
     IngredientController,
     IngredientSchedule,
     NO_CONTROL,
@@ -37,15 +36,26 @@ from repro.parallel import SerialComm
 from repro.solvers.gmres_ir import GMRESIRSolver
 from repro.stencil import generate_problem
 
-#: A policy whose only fp16 ingredient is the fine-level smoother —
+#: A policy whose only fp32 ingredient is the fine-level smoother —
 #: the forced-stall fixture: the smoother is the binding rung, the
 #: SpMV/ortho controllers sit one rung up and must never move.
-SMOOTHER_LOW_POLICY = PrecisionPolicy(
-    matrix=Precision.SINGLE,
-    mg_levels=("fp16", "fp32"),
-    krylov_basis=Precision.SINGLE,
-    orthogonalization=Precision.SINGLE,
-)
+SMOOTHER_LOW_POLICY = PrecisionPolicy(mg_levels=("fp32", "fp64"))
+
+#: The solver-facing ladder; with ``STALL_ESCALATION`` and
+#: ``STALL_RESTART`` it stalls on the seed-7 fixture below.
+LADDER_POLICY = PrecisionPolicy.from_ladder("fp32:fp64")
+
+
+def stall_solver(prob, control, **kwargs) -> GMRESIRSolver:
+    """The measured fp32 stall under ``control`` (a mode string)."""
+    return GMRESIRSolver(
+        prob,
+        SerialComm(),
+        policy=LADDER_POLICY,
+        restart=STALL_RESTART,
+        control=ControlConfig(mode=control, escalation=STALL_ESCALATION),
+        **kwargs,
+    )
 
 
 def make_plane(
@@ -96,12 +106,12 @@ class TestControlConfig:
         plane.observe_restart(1.0, 1.0, 0, 0)
         plane.cycle_completed()
         plane.observe_restart(0.5, 0.5, 30, 1)  # stall: promote smoother
-        assert plane.rung("smoother", 0) is Precision.SINGLE
+        assert plane.rung("smoother", 0) is Precision.DOUBLE
         plane.cycle_completed()
         # 0.04 <= 0.1 * 0.5: strong enough for the min() threshold.
         events = plane.observe_restart(0.04, 0.5, 60, 2)
         assert [e.direction for e in events] == ["demote"]
-        assert plane.rung("smoother", 0) is Precision.HALF
+        assert plane.rung("smoother", 0) is Precision.SINGLE
 
     def test_hysteresis_and_budget_validation(self):
         with pytest.raises(ValueError, match="hysteresis"):
@@ -142,21 +152,21 @@ class TestIngredientController:
             IngredientController("qr", 0, Precision.SINGLE, Precision.SINGLE)
         with pytest.raises(ValueError, match="floor"):
             IngredientController(
-                "spmv", 0, Precision.HALF, Precision.SINGLE
+                "spmv", 0, Precision.SINGLE, Precision.DOUBLE
             )
 
     def test_prev_rung_fixpoint(self):
-        assert prev_rung(Precision.HALF) is Precision.HALF
+        assert prev_rung(Precision.SINGLE) is Precision.SINGLE
         assert prev_rung("fp64") is Precision.SINGLE
 
 
 class TestPlaneSeeding:
     def test_controllers_match_policy(self):
-        plane = make_plane(HALF_LADDER_POLICY)
-        assert plane.rung("spmv") is Precision.HALF
-        assert plane.rung("ortho") is Precision.HALF
+        plane = make_plane(LADDER_POLICY.with_mg_schedule("fp32:fp32:fp64"))
+        assert plane.rung("spmv") is Precision.SINGLE
+        assert plane.rung("ortho") is Precision.SINGLE
         assert plane.smoother_schedule() == (
-            Precision.HALF,
+            Precision.SINGLE,
             Precision.SINGLE,
             Precision.DOUBLE,
             Precision.DOUBLE,
@@ -170,45 +180,45 @@ class TestPlaneSeeding:
         )
 
     def test_live_policy_round_trips_the_seed(self):
-        plane = make_plane(HALF_LADDER_POLICY)
+        plane = make_plane(LADDER_POLICY)
         live = plane.live_policy()
-        assert live.matrix is HALF_LADDER_POLICY.matrix
-        assert live.mg_levels == HALF_LADDER_POLICY.mg_schedule(4)
-        assert live.krylov_basis is HALF_LADDER_POLICY.krylov_basis
+        assert live.matrix is LADDER_POLICY.matrix
+        assert live.mg_levels == LADDER_POLICY.mg_schedule(4)
+        assert live.krylov_basis is LADDER_POLICY.krylov_basis
         assert live.least_squares is Precision.DOUBLE  # pinned
 
     def test_policy_mode_has_no_controllers(self):
         cfg = ControlConfig(mode="policy")
-        plane = PrecisionControlPlane(cfg, HALF_LADDER_POLICY, 4)
+        plane = PrecisionControlPlane(cfg, LADDER_POLICY, 4)
         assert not plane.controllers
-        assert plane.rung("smoother", 0) is Precision.HALF
+        assert plane.rung("smoother", 0) is Precision.SINGLE
         assert plane.transfer_schedule() is None
-        assert plane.snapshot() is HALF_LADDER_POLICY
+        assert plane.snapshot() is LADDER_POLICY
 
     def test_explicit_rungs_require_per_ingredient(self):
         with pytest.raises(ValueError, match="per-ingredient"):
             PrecisionControlPlane(
                 ControlConfig(mode="policy"),
-                HALF_LADDER_POLICY,
+                LADDER_POLICY,
                 4,
-                rungs={("spmv", 0): Precision.HALF},
+                rungs={("spmv", 0): Precision.SINGLE},
             )
 
     def test_snapshot_duck_types_the_policy_interface(self):
-        snap = make_plane(HALF_LADDER_POLICY).snapshot()
+        snap = make_plane(LADDER_POLICY).snapshot()
         assert isinstance(snap, IngredientSchedule)
-        assert snap.matrix is Precision.HALF
-        assert snap.krylov_basis is Precision.HALF
-        assert snap.mg_level(0) is Precision.HALF
+        assert snap.matrix is Precision.SINGLE
+        assert snap.krylov_basis is Precision.SINGLE
+        assert snap.mg_level(0) is Precision.SINGLE
         assert snap.mg_level(9) is Precision.DOUBLE  # last entry extends
-        assert snap.transfer_level(0) is Precision.SINGLE
-        assert "spmv=fp16" in snap.describe()
+        assert snap.transfer_level(0) is Precision.DOUBLE
+        assert "spmv=fp32" in snap.describe()
 
 
 class TestForcedStallFixture:
     """The satellite acceptance fixture, driven synthetically.
 
-    The smoother's fine level is the only fp16 ingredient.  A stall
+    The smoother's fine level is the only fp32 ingredient.  A stall
     must promote it — and nothing else; sustained recovery must demote
     it after the hysteresis window; the SpMV controller must never
     move.
@@ -232,12 +242,12 @@ class TestForcedStallFixture:
         (ev,) = events
         assert ev.level == 0 and ev.direction == "promote"
         assert ev.reason == "stall"
-        assert ev.from_low is Precision.HALF
-        assert ev.to_low is Precision.SINGLE
-        assert plane.rung("smoother", 0) is Precision.SINGLE
+        assert ev.from_low is Precision.SINGLE
+        assert ev.to_low is Precision.DOUBLE
+        assert plane.rung("smoother", 0) is Precision.DOUBLE
         # Untouched: the rest of the plane.
-        assert plane.rung("smoother", 1) is Precision.SINGLE
-        assert plane.rung("spmv") is Precision.SINGLE
+        assert plane.rung("smoother", 1) is Precision.DOUBLE
+        assert plane.rung("spmv") is Precision.DOUBLE
         assert spmv.moves == 0
 
         # Recovery: two consecutive strong-reduction cycles (the
@@ -248,12 +258,12 @@ class TestForcedStallFixture:
         (ev,) = events
         assert ev.ingredient == "smoother" and ev.level == 0
         assert ev.reason == "recovered"
-        assert ev.from_low is Precision.SINGLE
-        assert ev.to_low is Precision.HALF
-        assert plane.rung("smoother", 0) is Precision.HALF
+        assert ev.from_low is Precision.DOUBLE
+        assert ev.to_low is Precision.SINGLE
+        assert plane.rung("smoother", 0) is Precision.SINGLE
         # The acceptance clause: the SpMV controller never moved.
         assert spmv.moves == 0
-        assert spmv.rung is Precision.SINGLE
+        assert spmv.rung is Precision.DOUBLE
 
     def test_weak_progress_resets_the_streak(self):
         plane = make_plane(hysteresis=2)
@@ -263,21 +273,22 @@ class TestForcedStallFixture:
         # Progress, but above demote_ratio: streak resets.
         self.drive(plane, 0.09, relres=0.2)
         assert plane.controllers[("smoother", 0)].good_cycles == 0
-        assert plane.rung("smoother", 0) is Precision.SINGLE
+        assert plane.rung("smoother", 0) is Precision.DOUBLE
 
     def test_no_demotion_without_residual_headroom(self):
-        """Near the fp16 floor, demoting back would re-stall: hold."""
+        """Near the fp32 floor, demoting back would re-stall: hold."""
         plane = make_plane(hysteresis=1)
         self.drive(plane, 1.0)
         self.drive(plane, 0.9)  # promote
-        events = self.drive(plane, 0.2, relres=1e-6)  # tiny residual
+        # 1e-6 <= demote_headroom * floor_factor * eps(fp32) ~ 4.8e-6.
+        events = self.drive(plane, 0.2, relres=1e-6)
         assert events == []
-        assert plane.rung("smoother", 0) is Precision.SINGLE
+        assert plane.rung("smoother", 0) is Precision.DOUBLE
 
     def test_floor_reason_when_at_roundoff_floor(self):
         plane = make_plane()
         self.drive(plane, 1.0)
-        events = self.drive(plane, 0.9, relres=1e-4)  # <= 4 * eps(fp16)
+        events = self.drive(plane, 0.9, relres=1e-7)  # <= 4 * eps(fp32)
         assert events and events[0].reason == "floor"
 
     def test_breakdown_promotes_binding_rung(self):
@@ -287,14 +298,17 @@ class TestForcedStallFixture:
         assert events[0].reason == "breakdown"
 
     def test_mixed_live_schedule_models_fewer_bytes(self):
-        """Acceptance: after the smoother-only promotion the live
-        schedule models strictly fewer bytes than the whole-policy
-        promotion would have."""
+        """Acceptance: after the smoother's round trip (stall
+        promotion, then recovery demotion) the live schedule models
+        strictly fewer bytes than the whole-policy promotion, which
+        never demotes."""
         from repro.perf.scaling import ScalingModel
 
         plane = make_plane()
         self.drive(plane, 1.0)
         self.drive(plane, 0.9)  # smoother L0 promoted, rest untouched
+        self.drive(plane, 0.2, relres=0.2)
+        assert self.drive(plane, 0.04, relres=0.2)  # demoted again
         model = ScalingModel()
         mixed = model.cycle_traffic_bytes(plane.snapshot())["total"]
         whole = model.cycle_traffic_bytes(
@@ -303,7 +317,7 @@ class TestForcedStallFixture:
         assert mixed < whole
 
     def test_off_mode_never_moves(self):
-        plane = PrecisionControlPlane(NO_CONTROL, HALF_LADDER_POLICY, 4)
+        plane = PrecisionControlPlane(NO_CONTROL, LADDER_POLICY, 4)
         assert plane.observe_restart(1.0, 1.0, 0, 0) == []
         plane.cycle_completed()
         assert plane.observe_restart(1.0, 1.0, 30, 1) == []
@@ -314,14 +328,14 @@ class TestForcedStallFixture:
         self.drive(plane, 1.0)
         self.drive(plane, 0.9)  # promote
         plane.reset_observation()
-        assert plane.rung("smoother", 0) is Precision.SINGLE  # kept
+        assert plane.rung("smoother", 0) is Precision.DOUBLE  # kept
         # No history: the first post-reset stall check gets a free pass.
         assert self.drive(plane, 0.9) == []
 
 
 class TestPolicyModeBitwise:
-    """`--precision-control policy` must reproduce the PR 2 whole-policy
-    escalator bit for bit."""
+    """`--precision-control policy` must reproduce the whole-policy
+    escalator driven by a bare ``escalation=`` bit for bit."""
 
     @pytest.fixture(scope="class")
     def hard_problem(self):
@@ -336,43 +350,25 @@ class TestPolicyModeBitwise:
         legacy = GMRESIRSolver(
             prob,
             SerialComm(),
-            policy=HALF_LADDER_POLICY,
-            escalation=EscalationConfig(),
+            policy=LADDER_POLICY,
+            restart=STALL_RESTART,
+            escalation=STALL_ESCALATION,
         )
         x_legacy, st_legacy = legacy.solve(b, tol=1e-11, maxiter=300)
-        explicit = GMRESIRSolver(
-            prob, SerialComm(), policy=HALF_LADDER_POLICY, control="policy"
-        )
+        explicit = stall_solver(prob, "policy")
         x_policy, st_policy = explicit.solve(b, tol=1e-11, maxiter=300)
         assert np.array_equal(x_legacy, x_policy)  # bitwise
         assert st_legacy.final_relres == st_policy.final_relres
-        assert [
-            (p.iteration, p.restart, p.reason, p.from_low, p.to_low)
-            for p in st_legacy.promotions
-        ] == [
+        events = [
             (p.iteration, p.restart, p.reason, p.from_low, p.to_low)
             for p in st_policy.promotions
         ]
-
-    @NUMPY_CLASS
-    def test_policy_mode_reproduces_the_pr2_golden_decisions(
-        self, hard_problem, parity_class
-    ):
-        """Decision-level golden captured from the PR 2 implementation
-        on this fixture (seed commit 78c1f80): one promotion at inner
-        iteration 46 / restart 3, reason "floor", fp16 -> fp32."""
-        prob, b = hard_problem
-        solver = GMRESIRSolver(
-            prob, SerialComm(), policy=HALF_LADDER_POLICY, control="policy"
-        )
-        _, st = solver.solve(b, tol=1e-11, maxiter=300)
-        assert st.converged
-        assert [
+        assert events == [
             (p.iteration, p.restart, p.reason, p.from_low, p.to_low)
-            for p in st.promotions
-        ] == [(46, 3, "floor", Precision.HALF, Precision.SINGLE)]
-        assert st.promotions[0].ingredient == "policy"
-        assert st.promotions[0].direction == "promote"
+            for p in st_legacy.promotions
+        ]
+        assert events == [(8, 1, "stall", Precision.SINGLE, Precision.DOUBLE)]
+        assert st_policy.promotions[0].ingredient == "policy"
 
     def test_promotion_alias_still_importable(self):
         from repro.solvers.gmres_ir import Promotion
@@ -389,61 +385,24 @@ class TestPerIngredientSolver:
 
     def test_converges_with_attributed_events(self, hard_problem):
         prob, b = hard_problem
-        solver = GMRESIRSolver(
-            prob,
-            SerialComm(),
-            policy=HALF_LADDER_POLICY,
-            control="per-ingredient",
-        )
+        solver = stall_solver(prob, "per-ingredient")
         x, st = solver.solve(b, tol=1e-11, maxiter=300)
         assert st.converged and st.final_relres <= 1e-11
-        assert st.promotions
         # Every event is attributed to a real ingredient.
         for ev in st.promotions:
             assert ev.ingredient in ("smoother", "transfer", "spmv", "ortho")
             assert ev.level is not None
-        # Only the binding fp16 rung promoted: the fp32/fp64 coarse
-        # smoother levels never moved.
-        touched = {(e.ingredient, e.level) for e in st.promotions}
-        assert ("smoother", 1) not in touched
-        assert ("smoother", 2) not in touched
+        # Only the binding fp32 rung promoted: the fp64 coarse smoother
+        # levels and transfers never moved.
+        touched = [(e.ingredient, e.level) for e in st.promotions]
+        assert touched == [("ortho", 0), ("smoother", 0), ("spmv", 0)]
+        assert {(e.iteration, e.reason) for e in st.promotions} == {(8, "stall")}
         # The solver's bound policy tracks the live plane.
         assert solver.policy == solver.plane.live_policy()
 
-    def test_live_schedule_models_fewer_bytes_than_whole_policy(
-        self, hard_problem
-    ):
-        """Acceptance: the per-ingredient run's live schedule models
-        strictly fewer bytes than the whole-policy run's promoted
-        policy on the same fixture."""
-        from repro.perf.scaling import ScalingModel
-
-        prob, b = hard_problem
-        per_ing = GMRESIRSolver(
-            prob,
-            SerialComm(),
-            policy=HALF_LADDER_POLICY,
-            control="per-ingredient",
-        )
-        per_ing.solve(b, tol=1e-11, maxiter=300)
-        whole = GMRESIRSolver(
-            prob, SerialComm(), policy=HALF_LADDER_POLICY, control="policy"
-        )
-        whole.solve(b, tol=1e-11, maxiter=300)
-        assert whole.plane.snapshot().low.bytes > Precision.HALF.bytes
-        model = ScalingModel()
-        mixed = model.cycle_traffic_bytes(per_ing.plane.snapshot())["total"]
-        policy = model.cycle_traffic_bytes(whole.plane.snapshot())["total"]
-        assert mixed < policy
-
     def test_transfer_schedule_reaches_the_hierarchy(self, hard_problem):
         prob, _ = hard_problem
-        solver = GMRESIRSolver(
-            prob,
-            SerialComm(),
-            policy=HALF_LADDER_POLICY,
-            control="per-ingredient",
-        )
+        solver = stall_solver(prob, "per-ingredient")
         assert solver.M.transfer_schedule == solver.plane.transfer_schedule()
 
     def test_control_rejects_bad_types(self, hard_problem):
@@ -457,13 +416,13 @@ class TestPerIngredientSolver:
         st = SolverStats()
         st.promotions.append(
             PrecisionEvent(
-                1, 1, 0.5, "stall", Precision.HALF, Precision.SINGLE,
+                1, 1, 0.5, "stall", Precision.SINGLE, Precision.DOUBLE,
                 ingredient="smoother", level=0,
             )
         )
         st.promotions.append(
             PrecisionEvent(
-                9, 3, 0.1, "recovered", Precision.SINGLE, Precision.HALF,
+                9, 3, 0.1, "recovered", Precision.DOUBLE, Precision.SINGLE,
                 ingredient="smoother", level=0, direction="demote",
             )
         )
@@ -503,7 +462,7 @@ class TestBudgetChooser:
         kappa = 100.0
         loose = choose_rung(1.0, kappa, budget=1.0)
         tight = choose_rung(1.0, kappa, budget=1e-8)
-        assert loose is Precision.HALF
+        assert loose is Precision.SINGLE
         assert tight is Precision.DOUBLE  # nothing fits: top of ladder
 
     def test_tighter_budget_never_lowers_a_rung(self, A):
@@ -515,9 +474,9 @@ class TestBudgetChooser:
             )
 
     def test_coarse_smoother_levels_sit_lower(self, A):
-        rep = choose_plane(A, 4, budget=1e-2)
+        rep = choose_plane(A, 4, budget=1e-5)
         sched = rep.ladder_for("smoother", 4)
-        assert sched[-1].bytes <= sched[0].bytes
+        assert sched[-1].bytes < sched[0].bytes
         assert rep.contributions[("smoother", 3)] <= rep.budget
         assert "smoother@L3" in rep.describe()
 
@@ -531,29 +490,30 @@ class TestBudgetChooser:
         solver = GMRESIRSolver(
             prob,
             SerialComm(),
-            policy=HALF_LADDER_POLICY,
-            control=ControlConfig(mode="per-ingredient", budget=1e-2),
+            policy=LADDER_POLICY,
+            control=ControlConfig(mode="per-ingredient", budget=1e-5),
         )
         # The chooser overrode the flat ladder: fine smoother above
-        # fp16 (kappa forbids it), coarse levels allowed down to fp16.
-        assert solver.plane.rung("smoother", 0).bytes > Precision.HALF.bytes
+        # fp32 (kappa forbids it), coarse levels allowed down to fp32.
+        assert solver.plane.rung("smoother", 0) is Precision.DOUBLE
+        assert solver.plane.rung("smoother", 3) is Precision.SINGLE
         x, st = solver.solve(b, tol=1e-11, maxiter=300)
         assert st.converged
 
     def test_budget_rungs_below_the_ladder_can_still_escalate(
         self, monkeypatch
     ):
-        """A budget may seed fp16 rungs under an fp16-free ladder; the
-        detector must then be enabled (unless escalation=False) or the
-        solve would freeze at the fp16 floor and silently fail."""
+        """A budget may seed fp32 rungs under an fp64 ladder; the
+        detector must then be enabled (unless escalation=False) or a
+        solve stalling at the fp32 floor could never climb out."""
         from repro.core import BenchmarkConfig
         from repro.core.config import PRECISION_CONTROL_ENV
 
         monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
         cfg = BenchmarkConfig(
-            precision_ladder="fp32:fp64",
+            precision_ladder="fp64",
             precision_control="per-ingredient",
-            precision_budget=1.0,  # loose: everything drops to fp16
+            precision_budget=1.0,  # loose: everything drops to fp32
         )
         cc = cfg.control_config()
         assert cc.escalation.enabled and cc.active
@@ -562,10 +522,10 @@ class TestBudgetChooser:
         solver = GMRESIRSolver(
             prob, SerialComm(), policy=cfg.mixed_policy(), control=cc
         )
-        assert solver.plane.rung("smoother", 0) is Precision.HALF
+        assert cfg.mixed_policy().is_uniform_double
+        assert solver.plane.rung("smoother", 0) is Precision.SINGLE
         _, st = solver.solve(b, tol=1e-11, maxiter=200)
         assert st.converged
-        assert any(e.from_low is Precision.HALF for e in st.promotions)
         # escalation=False still pins everything.
         pinned = cfg.with_updates(escalation=False).control_config()
         assert not pinned.active
@@ -575,7 +535,7 @@ class TestBudgetChooser:
         with pytest.raises(ValueError, match="budget"):
             PrecisionControlPlane.from_budget(
                 ControlConfig(mode="per-ingredient"),
-                HALF_LADDER_POLICY,
+                LADDER_POLICY,
                 4,
                 prob.A,
             )
@@ -586,7 +546,7 @@ class TestTransferScheduledHierarchy:
         from repro.mg import MGConfig, MultigridPreconditioner
 
         mg = MultigridPreconditioner.build(
-            problem16, comm, MGConfig(), precision="fp16:fp32:fp64"
+            problem16, comm, MGConfig(), precision="fp32:fp32:fp64"
         )
         # Historical behaviour: each boundary at the coarser level's
         # rung — bitwise compatibility for policy mode.
@@ -597,6 +557,7 @@ class TestTransferScheduledHierarchy:
         )
         mg.apply(problem16.b)
         assert defect_panel_pooled(mg, 0, np.float32)
+        assert defect_panel_pooled(mg, 1, np.float64)
         assert mg.levels[-1].transfer_precision is None
 
     def test_explicit_transfer_schedule_sets_buffer_dtypes(
@@ -690,10 +651,10 @@ class TestLiveScheduleByteModel:
         from repro.perf.scaling import ScalingModel
 
         model = ScalingModel()
-        plane = make_plane(HALF_LADDER_POLICY)
+        plane = make_plane(LADDER_POLICY)
         snap_bytes = model.cycle_traffic_bytes(plane.snapshot())
         pol_bytes = model.cycle_traffic_bytes(
-            PrecisionPolicy.from_ladder("fp16:fp32:fp64")
+            PrecisionPolicy.from_ladder("fp32:fp64")
         )
         assert snap_bytes["spmv"] == pol_bytes["spmv"]
         assert snap_bytes["ortho"] == pol_bytes["ortho"]
@@ -706,31 +667,31 @@ class TestTimelineMarkers:
 
         events = [
             PrecisionEvent(
-                5, 1, 0.3, "stall", Precision.HALF, Precision.SINGLE,
+                5, 1, 0.3, "stall", Precision.SINGLE, Precision.DOUBLE,
                 ingredient="smoother", level=2,
             ),
             PrecisionEvent(
-                9, 3, 0.1, "recovered", Precision.SINGLE, Precision.HALF,
+                9, 3, 0.1, "recovered", Precision.DOUBLE, Precision.SINGLE,
                 ingredient="smoother", level=2, direction="demote",
             ),
         ]
         tl = promotions_to_timeline(events)
         names = [e.name for e in tl.events]
-        assert names[0] == "promote[stall] smoother@L2 fp16->fp32"
-        assert names[1] == "demote[recovered] smoother@L2 fp32->fp16"
+        assert names[0] == "promote[stall] smoother@L2 fp32->fp64"
+        assert names[1] == "demote[recovered] smoother@L2 fp64->fp32"
 
     def test_whole_policy_markers_keep_historical_form(self):
         from repro.trace import promotions_to_timeline
 
         ev = PrecisionEvent(
-            5, 1, 0.3, "floor", Precision.HALF, Precision.SINGLE
+            5, 1, 0.3, "floor", Precision.SINGLE, Precision.DOUBLE
         )
         tl = promotions_to_timeline([ev])
-        assert tl.events[0].name == "promote[floor] fp16->fp32"
+        assert tl.events[0].name == "promote[floor] fp32->fp64"
 
     def test_describe_attributes_the_move(self):
         ev = PrecisionEvent(
-            5, 1, 0.3, "stall", Precision.HALF, Precision.SINGLE,
+            5, 1, 0.3, "stall", Precision.SINGLE, Precision.DOUBLE,
             ingredient="transfer", level=1,
         )
         assert "transfer@L1" in ev.describe()
@@ -738,23 +699,23 @@ class TestTimelineMarkers:
 
 class TestLadderStrictness:
     def test_from_ladder_rejects_descending_naming_rung(self):
-        with pytest.raises(ValueError, match="fp16.*ascend"):
-            PrecisionPolicy.from_ladder("fp32:fp16")
+        with pytest.raises(ValueError, match="fp32.*ascend"):
+            PrecisionPolicy.from_ladder("fp64:fp32")
 
     def test_from_ladder_rejects_duplicates_naming_rung(self):
-        with pytest.raises(ValueError, match="duplicate rung 'fp16'"):
-            PrecisionPolicy.from_ladder("fp16:fp16:fp32")
+        with pytest.raises(ValueError, match="duplicate rung 'fp32'"):
+            PrecisionPolicy.from_ladder("fp32:fp32:fp64")
 
     def test_config_rejects_non_ascending_ladder(self):
         from repro.core import BenchmarkConfig
 
         with pytest.raises(ValueError, match="ascend"):
-            BenchmarkConfig(precision_ladder="fp32:fp16")
+            BenchmarkConfig(precision_ladder="fp64:fp32")
 
     def test_constructor_schedules_stay_free_form(self):
         # Per-level MG schedules may legitimately descend.
-        p = PrecisionPolicy(mg_levels=("fp32", "fp16"))
-        assert p.mg_levels == (Precision.SINGLE, Precision.HALF)
+        p = PrecisionPolicy(mg_levels=("fp64", "fp32"))
+        assert p.mg_levels == (Precision.DOUBLE, Precision.SINGLE)
 
 
 class TestConfigAndCLI:
@@ -793,13 +754,13 @@ class TestConfigAndCLI:
 
         monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
         cfg = BenchmarkConfig(
-            precision_ladder="fp16:fp32:fp64",
+            precision_ladder="fp32:fp64",
             precision_control="per-ingredient",
             precision_budget=1e-3,
         )
         cc = cfg.control_config()
         assert cc.mode == "per-ingredient"
-        assert cc.escalation.enabled  # fp16 ladder escalates
+        assert cc.escalation.enabled  # a budget's rungs may climb
         assert cc.budget == 1e-3
 
     def test_cli_flags_parse(self):

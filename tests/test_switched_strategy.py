@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
+from repro.fp import MIXED_DS_POLICY
 from repro.parallel import SerialComm
 from repro.solvers import SwitchedGMRESSolver, gmres_solve
 from repro.stencil import ProblemSpec, generate_problem
@@ -50,13 +50,6 @@ class TestSwitchedGMRES:
         assert sw.converged and ir.converged
         assert sw.iterations < 3 * ir.iterations
         assert ir.iterations < 3 * sw.iterations
-
-    def test_fp16_low_stage(self, problem8, comm):
-        policy = DOUBLE_POLICY.with_low("fp16")
-        solver = SwitchedGMRESSolver(problem8, comm, low_policy=policy)
-        x, stats = solver.solve(problem8.b, tol=1e-9, maxiter=1000)
-        assert stats.converged
-        assert np.abs(x - 1.0).max() < 1e-6
 
 
 class TestSymmetricVsNonsymmetric:

@@ -58,32 +58,6 @@ class TestUniformFP32:
         assert stats.converged
         assert np.abs(x - 1.0).max() < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_uniform_fp16_cannot_truly_reach_1e9(self):
-        """fp16 without safeguards overflows, stalls, or *falsely*
-        converges (the fp16 residual rounds to zero while the true
-        fp64 residual is far above 1e-9) — why the paper calls fp16
-        use 'strategic' future work.  Judge by the fp64 residual.
-
-        Uses a random rhs: the standard all-ones solution is *exactly
-        representable* in fp16, and the fp32-accumulating fp16 kernels
-        are good enough to snap onto it — a generic solution is not,
-        and there the iterate itself (held in fp16, ~3 decimal digits)
-        bounds the reachable residual far above 1e-9.
-        """
-        prob = generate_problem(Subdomain.serial(16, 16, 16))
-        b64 = prob.b.copy()
-        prob.b[:] = np.random.default_rng(5).standard_normal(prob.nlocal)
-        try:
-            x, stats = uniform_precision_gmres(
-                prob, SerialComm(), precision="fp16", tol=1e-9, maxiter=100
-            )
-            r = prob.b - prob.A.spmv(x.astype(np.float64))
-            true_relres = np.linalg.norm(r) / np.linalg.norm(prob.b)
-        finally:
-            prob.b[:] = b64
-        assert not np.isfinite(true_relres) or true_relres > 1e-7
-
     def test_zero_rhs(self):
         prob = generate_problem(Subdomain.serial(8, 8, 8))
         prob.b[:] = 0.0
