@@ -9,8 +9,9 @@ the constant is patched to 97 rows (many chunks, a ragged tail) and to
 10^9 (one chunk) and every result must be ``np.array_equal`` across the
 two settings *and* to the allocating ``ws=None`` reference path — for
 fp64 and fp32, with ``out=`` given and omitted, an empty row set, and a
-rectangular rank-local matrix with ghost columns.  One engine-golden case re-run under the 97-row chunk
-shows the solver's bits do not depend on the constant either.
+rectangular rank-local matrix with ghost columns.  One engine-golden
+case re-run under the 97-row chunk shows the solver's bits do not
+depend on the constant either.
 
 Everything here runs inside each kernel parity class: under ``scipy``
 only ``spmv_rows`` chunks at all, and the compiled full, row-subset
@@ -37,10 +38,16 @@ CHUNKS = (97, 10**9)
 RUNGS = ("fp64", "fp32")
 
 
-@pytest.fixture(scope="module", params=[8, 16], ids=["8^3", "16^3"])
+@pytest.fixture(
+    scope="module",
+    params=[(8, 8, 8), (16, 16, 16), (7, 6, 5)],
+    ids=["8^3", "16^3", "7x6x5"],
+)
 def box(request):
-    n = request.param
-    return generate_problem(Subdomain.serial(n, n, n))
+    """Serial boxes: 512 rows (five 97-row chunks and a 27-row tail),
+    4096 rows, and an odd 7x6x5 box of 210 rows (two chunks and a
+    16-row tail) whose color sets are of unequal length."""
+    return generate_problem(Subdomain.serial(*request.param))
 
 
 @pytest.fixture(scope="module")

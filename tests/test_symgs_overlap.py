@@ -305,10 +305,15 @@ LAYOUT_PAIRS = [
 ]
 
 #: Local boxes the layout suites run on: the 8^3 cube, whose eight
-#: color blocks are equal (64 rows each), and an odd 7x6x5 box, whose
+#: color blocks are equal (64 rows each); an odd 7x6x5 box, whose
 #: color blocks are 18 to 36 rows long — no block boundary lands where
-#: the cube's do.
-BOXES = pytest.mark.parametrize("box", [(8, 8, 8), (7, 6, 5)], ids=["8x8x8", "7x6x5"])
+#: the cube's do; and 2x2x2, the coarsest level of a 16^3 four-level
+#: hierarchy, where every color block is one row and, split along the
+#: halo, seven colors have an empty interior block and one an empty
+#: boundary block.
+BOXES = pytest.mark.parametrize(
+    "box", [(8, 8, 8), (7, 6, 5), (2, 2, 2)], ids=["8x8x8", "7x6x5", "2x2x2"]
+)
 
 
 def layout_case(fmt, prec, layout, ws=None, box=(8, 8, 8)):
@@ -822,6 +827,24 @@ class TestFusedMotifs:
         assert local == dot(r_u, r_u)
         assert np.array_equal(op.residual(b, x), r_u)  # fusion=False path
 
+    @pytest.mark.parametrize("fmt", ["csr", "ell"])
+    def test_fp32_fused_residual_matches_unfused_bitwise(self, fmt):
+        """The same fusion on the low rung's operator: an fp32 matrix
+        and fp32 vectors give an fp32 residual, bitwise the unfused
+        ``b - A x`` and its fp32 dot."""
+        prob = generate_problem(Subdomain.serial(8, 8, 8))
+        A = to_precision(to_format(prob.A, fmt), "fp32")
+        op = DistributedOperator(A, prob.halo, SerialComm())
+        rng = np.random.default_rng(0)
+        x, b = rng.standard_normal((2, A.nrows)).astype(np.float32)
+        r_f = np.empty(A.nrows, dtype=np.float32)
+        local = op.residual_norm2_local(b, x, out=r_f)
+        r_u = b - spmv(A, x)
+        assert r_u.dtype == np.float32
+        assert np.array_equal(r_f, r_u)
+        assert local == dot(r_u, r_u)
+        assert np.array_equal(op.residual(b, x), r_u)
+
     def test_fused_residual_pools_its_scratch(self):
         _, op, x, b = self.residual_case("ell")
         out = np.empty(op.nlocal)
@@ -840,6 +863,20 @@ class TestFusedMotifs:
         _, local = waxpby_dot(-0.37, x, 1.0, y, out=out, ws=ws)
         ref = waxpby(-0.37, x, 1.0, y.copy(), out=y.copy(), ws=Workspace())
         assert np.array_equal(out, ref)
+        assert local == dot(ref, ref)
+
+    def test_fp32_waxpby_dot_stays_on_its_rung(self):
+        """The wildcard fused kernel re-dispatches per precision: fp32
+        vectors get an fp32 result, bitwise the fp32 ``waxpby`` then
+        the fp32 ``dot``."""
+        prob = generate_problem(Subdomain.serial(8, 8, 8))
+        x = (100 * smooth_vector(prob.sub)).astype(np.float32)
+        y = (50 * smooth_vector(prob.sub)).astype(np.float32)
+        w, local = waxpby_dot(1.0, x, -0.5, y)
+        assert w.dtype == np.float32
+        ref = waxpby(1.0, x, -0.5, y)
+        assert ref.dtype == np.float32
+        assert np.array_equal(w, ref)
         assert local == dot(ref, ref)
 
     def test_waxpby_dot_aliasing_safe(self):
