@@ -168,8 +168,10 @@ class SolverService:
         self.metrics = ServiceMetrics()
         self._problems: dict[str, Problem] = {}
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
-        self._depth = 0  # queued-but-not-launched requests
+        self._depth = 0  # requests queued, or batched behind their operator
         self._op_locks: dict[str, asyncio.Lock] = {}
+        #: Admitted batches per operator, running or queued on its lock.
+        self._op_batches: dict[str, int] = {}
         self._batcher: asyncio.Task | None = None
         self._tasks: set[asyncio.Task] = set()
         self._closed = False
@@ -407,27 +409,34 @@ class SolverService:
         live = [p for p in chunk if not p.future.done()]
         if not live:
             return
-        # Admission control, stage 2: no arena, no batch.  Rejected
-        # requests get the same retry-after contract as a full queue.
-        arena = self.pool.try_acquire()
-        if arena is None:
-            exc = ServiceOverloadedError(
-                f"solver service overloaded: workspace pool "
-                f"{self.pool.name!r} has all {self.pool.max_arenas} "
-                f"arenas leased; retry after {self.retry_after:.3g}s",
-                retry_after=self.retry_after,
-            )
-            for p in live:
-                if not p.future.done():
-                    self.metrics.rejected += 1
-                    p.future.set_exception(exc)
-            return
+        # One operator fingerprint = one cached MG hierarchy (with one
+        # warm internal workspace): same-operator batches serialize;
+        # different operators overlap.  Admission control, stage 2: no
+        # arena, no batch — rejected requests get the same retry-after
+        # contract as a full queue.  A batch whose operator has one
+        # running or queued waits behind it without a lease (held, it
+        # would refuse other operators' batches) and leases on its
+        # turn; its requests count as pending until then.
+        lock = self._op_locks.setdefault(key.operator, asyncio.Lock())
+        ahead = self._op_batches.get(key.operator, 0)  # running or queued
+        arena = None
+        if not ahead:
+            arena = self.pool.try_acquire()
+            if arena is None:
+                self._refuse(live)
+                return
+        self._op_batches[key.operator] = ahead + 1
+        waiting = 0 if arena is not None else len(live)
+        self._depth += waiting
         try:
-            # One operator fingerprint = one cached MG hierarchy (with
-            # one warm internal workspace): same-operator batches
-            # serialize; different operators overlap.
-            lock = self._op_locks.setdefault(key.operator, asyncio.Lock())
             async with lock:
+                self._depth -= waiting
+                waiting = 0
+                if arena is None:
+                    arena = self.pool.try_acquire()
+                    if arena is None:
+                        self._refuse(live)
+                        return
                 t0 = time.monotonic()
                 try:
                     outcome = await self._attempt_batch(key, live, arena)
@@ -440,8 +449,23 @@ class SolverService:
         finally:
             # Every exit path — result, error, timeout, cancellation —
             # returns the lease; the pool cannot leak arenas.
-            self.pool.release(arena)
+            self._op_batches[key.operator] -= 1
+            self._depth -= waiting
+            if arena is not None:
+                self.pool.release(arena)
         self._deliver(live, outcome, solve_seconds)
+
+    def _refuse(self, live: list[_Pending]) -> None:
+        exc = ServiceOverloadedError(
+            f"solver service overloaded: workspace pool "
+            f"{self.pool.name!r} has all {self.pool.max_arenas} "
+            f"arenas leased; retry after {self.retry_after:.3g}s",
+            retry_after=self.retry_after,
+        )
+        for p in live:
+            if not p.future.done():
+                self.metrics.rejected += 1
+                p.future.set_exception(exc)
 
     async def _attempt_batch(self, key: SolveKey, live: list[_Pending], arena):
         """One batch with up to three attempts.

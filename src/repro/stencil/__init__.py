@@ -13,12 +13,10 @@ from repro.stencil.poisson27 import (
     generate_problem,
 )
 from repro.stencil.operator import stencil_apply_dense
-from repro.stencil.matfree import MatrixFreeStencilOperator
 
 __all__ = [
     "Problem",
     "ProblemSpec",
     "generate_problem",
     "stencil_apply_dense",
-    "MatrixFreeStencilOperator",
 ]

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.backends import scipy_backend
 from repro.backends.registry import registry
 from repro.fp import EscalationConfig
 
@@ -25,6 +26,22 @@ def use_backend(name: str):
         yield name
     finally:
         registry.set_backend(previous)
+
+
+def index_free_where(pred):
+    """An autouse fixture that forces the SciPy class's diagonal plan on
+    at every size (``DIA_MIN_ROWS = 0``: the shipped threshold keeps it
+    off on every tier-1 operator) in the tests whose parameters satisfy
+    ``pred``, so their bitwise contracts cover the index-free products.
+    Bind it to a name in a test module or class to use it."""
+
+    @pytest.fixture(autouse=True)
+    def index_free(request, monkeypatch):
+        spec = getattr(request.node, "callspec", None)
+        if spec is not None and pred(spec.params):
+            monkeypatch.setattr(scipy_backend, "DIA_MIN_ROWS", 0)
+
+    return index_free
 
 
 #: Rung-appropriate comparison tolerances (relative, absolute) for

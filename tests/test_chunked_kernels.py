@@ -21,7 +21,7 @@ and panel products must still be one sum, with and without ``ws`` /
 
 import numpy as np
 import pytest
-from helpers_distributed import BOTH_CLASSES
+from helpers_distributed import BOTH_CLASSES, index_free_where
 from test_engine_golden import _check, golden, run_serial  # noqa: F401
 
 from repro.backends import Workspace, numpy_backend, spmv, spmv_multi, spmv_rows
@@ -36,6 +36,10 @@ pytestmark = BOTH_CLASSES
 
 CHUNKS = (97, 10**9)
 RUNGS = ("fp64", "fp32")
+
+#: fp32 legs run the SciPy class's diagonal plan on every operator and
+#: block it fits (the 8^3 and 16^3 operators and their colour blocks).
+index_free = index_free_where(lambda params: params.get("rung") == "fp32")
 
 
 @pytest.fixture(

@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends import scipy_backend
 from repro.backends.registry import registry
 from repro.fp import (
     DOUBLE_POLICY,
@@ -346,6 +347,31 @@ def _check(case: str, got, golden: dict) -> None:
 @pytest.mark.parametrize("case", SERIAL_CASES)
 def test_serial_grid_matches_parent(case, problem16, golden):
     _check(case, run_serial(case, problem16), golden)
+
+
+@pytest.mark.skipif(
+    scipy_backend.dia_matvec is None, reason="this SciPy has no dia_matvec"
+)
+@pytest.mark.parametrize("parity_class", ["scipy"], indirect=True)
+@pytest.mark.parametrize(
+    "case", [c for c in SERIAL_CASES if "-ell-" in c and "double" not in c]
+)
+def test_index_free_products_match_parent(case, problem16, golden, monkeypatch):
+    """The SciPy class's fp32 ELL products forced through the diagonal
+    plan at 16^3 (the shipped ``DIA_MIN_ROWS`` keeps every matrix here
+    on the row product): the operator and its colour blocks take it,
+    and every recorded bit holds."""
+    calls = []
+    real = scipy_backend.dia_matvec
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(scipy_backend, "DIA_MIN_ROWS", 0)
+    monkeypatch.setattr(scipy_backend, "dia_matvec", counting)
+    _check(case, run_serial(case, problem16), golden)
+    assert calls, "no product took the diagonal plan"
 
 
 @pytest.mark.parametrize("case", SPMD_CASES)

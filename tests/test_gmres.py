@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers_distributed import scaled_rhs_panel
+from helpers_distributed import index_free_where, scaled_rhs_panel
 
 from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY, EscalationConfig, PrecisionPolicy
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
@@ -251,12 +251,21 @@ def csr_vs_ell(nranks, box=(16, 16, 16), width=1, spec=None, maxiter=8, **solver
     return [fn(SerialComm())] if nranks == 1 else run_spmd(nranks, fn)
 
 
+#: TestFormatParity's mixed and ladder legs (the only tests here with a
+#: ``policy`` parameter) force the diagonal plan on at every size.
+index_free = index_free_where(
+    lambda params: params.get("policy") not in (None, DOUBLE_POLICY)
+)
+
+
 @pytest.mark.parametrize("parity_class", ["scipy"], indirect=True)
 class TestFormatParity:
     """In the SciPy class CSR and ELL run the same compiled row product
     (ELL's padding only adds ``+0``), so the storage format changes no
     bit of any solve.  The NumPy class sums CSR and ELL rows in
-    different orders and makes no such promise."""
+    different orders and makes no such promise.  The mixed and ladder
+    legs run ELL's fp32 products through the diagonal plan wherever a
+    matrix fits it, and still match CSR bit for bit."""
 
     @pytest.mark.parametrize("nranks", [1, 2])
     @pytest.mark.parametrize("box", [(16, 16, 16), (12, 8, 4)], ids=["16^3", "12x8x4"])

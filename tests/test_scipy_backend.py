@@ -9,10 +9,13 @@ contracts *inside* the class run where they always did, parametrized
 over conftest's ``parity_class``.
 """
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,14 @@ from helpers_distributed import RUNG_TOLS as TOLS
 from helpers_distributed import level_order, natural_order, use_backend
 from test_alloc_regression import transient_peak
 
-from repro.backends import Workspace, scipy_backend, spmv, spmv_multi, spmv_rows
+from repro.backends import (
+    Workspace,
+    numpy_backend,
+    scipy_backend,
+    spmv,
+    spmv_multi,
+    spmv_rows,
+)
 from repro.backends.registry import registry
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig, MultigridPreconditioner
@@ -30,7 +40,7 @@ from repro.parallel import SerialComm, run_spmd
 from repro.sparse import to_format, to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.partitioned import partition_colors
+from repro.sparse.partitioned import partition_colors, partition_matrix
 from repro.stencil import generate_problem
 
 pytestmark = pytest.mark.skipif(
@@ -61,6 +71,44 @@ def assert_rung_close(got, ref, prec):
         rtol=rtol,
         atol=atol * scale,
     )
+
+
+def csr_product(A, x):
+    """The compiled row product itself, whatever path ``spmv`` takes."""
+    y = np.zeros(A.nrows, dtype=A.dtype)
+    scipy_backend.csr_matvec(A.nrows, A.ncols, *scipy_backend._operands(A), x, y)
+    return y
+
+
+def colour_block(prob, A):
+    """The first colour block of ``A``'s serial colour-major layout."""
+    sets = color_sets(structured_coloring8(prob.sub))
+    return partition_colors(A, None, sets).passes[0][0].A
+
+
+@pytest.fixture
+def compiled_calls(monkeypatch):
+    """Counts of the two compiled entries (``"dia"`` / ``"csr"``), so a
+    test can tell which product ran."""
+    calls = {"dia": 0, "csr": 0}
+
+    def counted(name):
+        real = getattr(scipy_backend, name + "_matvec")
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(scipy_backend, name + "_matvec", counted(name))
+    return calls
+
+
+def index_free(monkeypatch):
+    """Build diagonal plans at every size (8^3 and 16^3 included)."""
+    monkeypatch.setattr(scipy_backend, "DIA_MIN_ROWS", 0)
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +148,81 @@ class TestPrivateSignature:
             assert backends.available_backends() == ["numpy"]
             assert backends.active_backend() == "numpy"
             prob = generate_problem(Subdomain.serial(8, 8, 8))
+            solver = GMRESIRSolver(
+                prob, SerialComm(), policy=MIXED_DS_POLICY,
+                mg_config=MGConfig(nlevels=2),
+            )
+            x, st = solver.solve(prob.b, tol=1e-9)
+            assert st.converged and abs(x - 1.0).max() < 1e-7
+            print("ok")
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**env, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    @pytest.mark.skipif(scipy_backend.dia_matvec is None, reason="no dia_matvec")
+    def test_dia_matvec_accumulates_diagonals_in_array_order(self):
+        """``dia_matvec(n_row, n_col, n_diags, L, offsets, diags, x, y)``:
+        ``y += A x``, ``diags[i, j]`` the coefficient of column ``j`` on
+        diagonal ``offsets[i]``, each row's terms added diagonal by
+        diagonal in array order — the plan's bitwise row sum relies on
+        all three."""
+        from scipy.sparse._sparsetools import dia_matvec
+
+        offsets = np.array([1, -1, 0], dtype=np.int32)  # not sorted
+        diags = np.array([[0.0, 2, 3], [4, 5, 0], [6, 7, 8]])
+        x = np.array([1.0, 10.0, 100.0])
+        y = np.array([0.5, 0.25, 0.125])
+        assert dia_matvec(3, 3, 3, 3, offsets, diags, x, y) is None
+        assert np.array_equal(y, [26.5, 374.25, 850.125])
+        # fp32: (1e8 - 1e8) + 1 is 1; reversed, (1 - 1e8) + 1e8 is 0.
+        terms = np.array([[1e8], [-1e8], [1.0]], dtype=np.float32)
+        y = np.zeros(1, dtype=np.float32)
+        x = np.ones(1, dtype=np.float32)
+        dia_matvec(1, 1, 3, 1, np.zeros(3, dtype=np.int32), terms, x, y)
+        assert y[0] == 1.0
+
+    def test_dia_import_failure_keeps_the_compiled_ell_path(self):
+        """A SciPy without ``dia_matvec``: the class still registers,
+        fp32 ELL keeps ``csr_matvec`` at every size, and a solve is
+        green."""
+        script = textwrap.dedent(
+            """
+            import sys, types
+            import scipy.sparse._sparsetools as real
+            stub = types.ModuleType("scipy.sparse._sparsetools")
+            stub.csr_matvec = real.csr_matvec
+            sys.modules["scipy.sparse._sparsetools"] = stub  # no dia_matvec
+            import numpy as np
+            import repro.backends as backends
+            from repro.backends import scipy_backend, spmv
+            from repro.fp import MIXED_DS_POLICY
+            from repro.geometry import Subdomain
+            from repro.mg import MGConfig
+            from repro.parallel import SerialComm
+            from repro.solvers import GMRESIRSolver
+            from repro.stencil import generate_problem
+
+            assert scipy_backend.dia_matvec is None
+            assert backends.active_backend() == "scipy"
+            scipy_backend.DIA_MIN_ROWS = 0
+            prob = generate_problem(Subdomain.serial(8, 8, 8))
+            A = prob.A.astype("fp32")
+            x = np.random.default_rng(0).standard_normal(A.ncols)
+            x = x.astype(np.float32)
+            y = spmv(A, x)
+            assert scipy_backend._dia_plan(A) is None
+            ref = np.zeros(A.nrows, dtype=np.float32)
+            real.csr_matvec(A.nrows, A.ncols, *scipy_backend._operands(A), x, ref)
+            assert np.array_equal(y, ref)
             solver = GMRESIRSolver(
                 prob, SerialComm(), policy=MIXED_DS_POLICY,
                 mg_config=MGConfig(nlevels=2),
@@ -179,6 +302,49 @@ class TestZeroCopy:
         if fmt == "ell":
             call = lambda: spmv_rows(A, rows, X[:, 1], out=yr, ws=ws)  # noqa: E731
             assert transient_peak(call) < limit
+
+
+    @pytest.mark.parametrize("which", ["operator", "block"])
+    def test_plan_products_allocate_nothing(
+        self, scipy_class, monkeypatch, problem16, which
+    ):
+        """A warmed index-free product — one ``dia_matvec`` on the
+        operator, one per diagonal on a colour block — allocates
+        nothing that scales with the matrix."""
+        index_free(monkeypatch)
+        A = problem16.A.astype("fp32")
+        B = A if which == "operator" else colour_block(problem16, A)
+        assert scipy_backend._dia_plan(B) is not None
+        rng = np.random.default_rng(2)
+        X = np.asfortranarray(rng.standard_normal((B.ncols, 4)).astype(B.dtype))
+        Y = np.empty((B.nrows, 4), dtype=B.dtype, order="F")
+        ws = Workspace()
+        limit = 16 * 1024
+        assert transient_peak(lambda: spmv(B, X[:, 0], out=Y[:, 0], ws=ws)) < limit
+        assert transient_peak(lambda: spmv_multi(B, X, out=Y, ws=ws)) < limit
+
+    @pytest.mark.parametrize("which", ["operator", "block"])
+    def test_plan_build_holds_the_plan_and_one_chunk(
+        self, monkeypatch, problem16, which
+    ):
+        """The build validates and places a row chunk at a time: its
+        transient peak is the plan plus at most one chunk of the ELL
+        block (the 16^3 operator is two chunks)."""
+        index_free(monkeypatch)
+        A = problem16.A.astype("fp32")
+        B = A if which == "operator" else colour_block(problem16, A)
+        scipy_backend._operands(B)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = scipy_backend._dia_plan(B)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        chunk = numpy_backend.CHUNK_ROWS * B.width * (B.vals.itemsize + 4)
+        assert plan is not None and plan.coef.shape == (B.width, B.nrows)
+        assert peak <= plan.coef.nbytes + chunk
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +443,117 @@ class TestGuards:
         B.cols[5, 3] = B.ncols
         spmv(B, x, ws=Workspace())
         assert scipy_backend._operands(B) is None and not calls
+
+    @pytest.mark.parametrize("which", ["operator", "block"])
+    def test_plan_product_is_the_row_product(
+        self, scipy_class, monkeypatch, compiled_calls, problem16, which
+    ):
+        """A square operator is one ``dia_matvec`` per column, a colour
+        block one per diagonal; either way every column is bitwise the
+        ``csr_matvec`` product, and the plan is built once."""
+        index_free(monkeypatch)
+        A = problem16.A.astype("fp32")
+        B = A if which == "operator" else colour_block(problem16, A)
+        rng = np.random.default_rng(3)
+        X = np.asfortranarray(rng.standard_normal((B.ncols, 3)).astype(B.dtype))
+        y = spmv(B, X[:, 0], ws=Workspace())
+        Y = spmv_multi(B, X)
+        plan = scipy_backend._dia_plan(B)
+        assert plan is not None and scipy_backend._dia_plan(B) is plan
+        per_product = 1 if which == "operator" else len(plan.diagonals)
+        assert compiled_calls == {"dia": 4 * per_product, "csr": 0}
+        assert np.array_equal(y, csr_product(B, X[:, 0]))
+        for j in range(3):
+            assert np.array_equal(Y[:, j], csr_product(B, X[:, j]))
+        again = scipy_backend._build_dia(B)  # a racing build: an equal plan
+        assert np.array_equal(again.offsets, plan.offsets)
+        assert np.array_equal(again.coef, plan.coef)
+
+    def test_racing_first_products_agree(self, scipy_class, monkeypatch, problem16):
+        """Four threads (two cores) make the first products of fresh
+        matrices at once, so each may build and cache the plan: every
+        product is bitwise the row product, nothing escapes a thread,
+        and the plan left cached is the one a lone build makes."""
+        index_free(monkeypatch)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(problem16.A.ncols).astype(np.float32)
+        errors, results = [], []
+
+        def first_product(A):
+            try:
+                results.append((A, spmv(A, x, ws=Workspace())))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                A = problem16.A.astype("fp32")  # nothing cached on it
+                threads = [
+                    threading.Thread(target=first_product, args=(A,))
+                    for _ in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and len(results) == 12
+        for A, y in results:
+            assert np.array_equal(y, csr_product(A, x))
+            assert np.array_equal(
+                scipy_backend._dia_plan(A).coef, scipy_backend._build_dia(A).coef
+            )
+
+    @pytest.mark.parametrize(
+        "case", ["ghost-tail", "row-subset", "2x2x2", "fp64", "below-threshold"]
+    )
+    def test_off_plan_matrices_keep_the_row_product(
+        self, scipy_class, monkeypatch, compiled_calls, problem16, case
+    ):
+        """Every matrix off the plan's rule caches ``None`` and returns
+        the ``csr_matvec`` product bitwise: a ghost tail and a row
+        subset break the diagonal pattern, the 2x2x2 box has no row
+        whose diagonals every other row shares, fp64 stays on ELL, and
+        a 16^3 operator is below the shipped ``DIA_MIN_ROWS``."""
+        if case != "below-threshold":
+            index_free(monkeypatch)
+        if case in ("ghost-tail", "row-subset"):
+            prob = rank_local(16, "split")
+            A = prob.A.astype("fp32")
+            if case == "row-subset":
+                A = partition_matrix(A, prob.halo).interior
+        elif case == "2x2x2":
+            A = generate_problem(Subdomain.serial(2, 2, 2)).A.astype("fp32")
+        else:
+            A = problem16.A.astype("fp64" if case == "fp64" else "fp32")
+            assert A.nrows < scipy_backend.DIA_MIN_ROWS or case == "fp64"
+        x = np.random.default_rng(4).standard_normal(A.ncols).astype(A.dtype)
+        y = spmv(A, x, ws=Workspace())
+        assert scipy_backend._dia_plan(A) is None and A._dia_plan is None
+        assert compiled_calls == {"dia": 0, "csr": 1}
+        assert np.array_equal(y, csr_product(A, x))
+
+    def test_strided_operands_reach_neither_compiled_product(
+        self, scipy_class, monkeypatch, compiled_calls, problem16
+    ):
+        """A strided vector or value block runs the NumPy body, as it did
+        before there was a plan; a strided value block caches ``None``."""
+        index_free(monkeypatch)
+        A = problem16.A.astype("fp32")
+        x = np.random.default_rng(5).standard_normal(A.ncols).astype(A.dtype)
+        ref = self.numpy_product(A, x, ws=Workspace())
+        wide = np.zeros(2 * A.ncols, dtype=A.dtype)
+        wide[::2] = x
+        assert np.array_equal(spmv(A, wide[::2], ws=Workspace()), ref)
+        B = A.astype("fp32")
+        B.vals = np.repeat(B.vals, 2, axis=1)[:, ::2]
+        assert np.array_equal(spmv(B, x, ws=Workspace()), ref)
+        assert scipy_backend._dia_plan(B) is None
+        assert compiled_calls == {"dia": 0, "csr": 0}
 
     @pytest.mark.parametrize("fmt", ["ell", "csr"])
     def test_short_operands_are_errors(self, scipy_class, problem8, fmt):

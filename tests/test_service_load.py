@@ -13,11 +13,14 @@ and an idle pool.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import sys
 
 import numpy as np
 import pytest
+from helpers_distributed import use_backend
 
+from repro.backends import scipy_backend
 from repro.backends.workspace import WorkspacePool
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.mg import MGConfig
@@ -102,24 +105,26 @@ def test_mixed_precision_burst_splits_and_stays_bitwise(problem16):
     assert svc.metrics.completed == 8
 
 
-def test_forced_pool_exhaustion_then_retry(problem16):
-    """Two incompatible batches race one arena: the second is rejected
+def test_forced_pool_exhaustion_then_retry(problem8, problem16):
+    """Two operators' batches race one arena: the second is rejected
     with retry-after (never buffered), and its clients succeed on
-    retry once the arena frees up."""
+    retry once the arena frees up.  (A second batch of the *same*
+    operator queues behind the first instead:
+    ``test_queued_batch_holds_no_arena``.)"""
     pool = WorkspacePool("load-test", max_arenas=1)
+    problems = [problem16] * 4 + [problem8] * 4
 
     async def drive():
         async with make_service(pool=pool, retry_after=0.02) as svc:
-            fp = svc.register_operator(problem16)
-            make = lambda j, it: SolveRequest(  # noqa: E731
-                operator=fp, b=rhs(problem16.b, j), tol=0.0, maxiter=it
-            )
-            # One burst, two compatibility keys (different maxiter):
-            # the batcher launches two batches back-to-back; the first
-            # leases the only arena before it suspends into its solve
-            # thread, so the second's try_acquire deterministically
-            # fails.
-            reqs = [make(j, 10 if j < 4 else 12) for j in range(8)]
+            fps = {id(p): svc.register_operator(p) for p in (problem16, problem8)}
+            reqs = [
+                SolveRequest(operator=fps[id(p)], b=rhs(p.b, j), tol=0.0, maxiter=10)
+                for j, p in enumerate(problems)
+            ]
+            # One burst, two operators: the batcher launches two
+            # batches back-to-back; the first leases the only arena
+            # before it suspends into its solve thread, so the second's
+            # try_acquire deterministically fails.
             results = await asyncio.gather(
                 *(svc.solve(q) for q in reqs), return_exceptions=True
             )
@@ -130,25 +135,57 @@ def test_forced_pool_exhaustion_then_retry(problem16):
             ]
             # Exactly one whole key-group bounced; no partial batches.
             assert len(rejected) == 4
-            assert len({reqs[j].maxiter for j in rejected}) == 1
+            assert len({reqs[j].operator for j in rejected}) == 1
             assert all(results[j].retry_after == 0.02 for j in rejected)
             await asyncio.sleep(results[rejected[0]].retry_after)
             retried = await asyncio.gather(*(svc.solve(reqs[j]) for j in rejected))
-            return results, rejected, retried, reqs, svc
+            return results, rejected, retried, svc
 
-    results, rejected, retried, reqs, svc = asyncio.run(drive())
+    results, rejected, retried, svc = asyncio.run(drive())
     assert pool.exhaustions == 1
     assert pool.leased == 0
     # Retried clients and first-round survivors are all bitwise-faithful.
     for j, resp in zip(rejected, retried):
-        x_solo, _ = solo_solve(problem16, rhs(problem16.b, j), maxiter=reqs[j].maxiter)
+        x_solo, _ = solo_solve(problems[j], rhs(problems[j].b, j), maxiter=10)
         assert np.array_equal(resp.x, x_solo)
     survivors = [j for j in range(8) if j not in rejected]
     for j in survivors[:1]:
-        x_solo, _ = solo_solve(problem16, rhs(problem16.b, j), maxiter=reqs[j].maxiter)
+        x_solo, _ = solo_solve(problems[j], rhs(problems[j].b, j), maxiter=10)
         assert np.array_equal(results[j].x, x_solo)
     assert_conserved(svc, pool_rejections=4)
     assert svc.metrics.completed == 8  # 4 survivors + 4 retries
+
+
+@pytest.mark.parametrize("order", ["aab", "aba"])
+def test_queued_batch_holds_no_arena(problem8, problem16, order):
+    """Two batches of one operator (two compatibility keys) and one of
+    another, two arenas, in either arrival order: the second
+    same-operator batch queues behind the first without a lease, so
+    the other operator's batch is admitted ("aab"), and it is not
+    refused while the two others hold both arenas ("aba").  Leasing
+    before queueing refused the other operator in the first order, the
+    queued batch in the second, and a client whose retries all met
+    such a state gave up (``retry_giveups``)."""
+
+    async def drive():
+        async with make_service(max_arenas=2, batch_window=0.01) as svc:
+            ops = {"a": problem8, "b": problem16}
+            fps = {k: svc.register_operator(p) for k, p in ops.items()}
+            reqs = [
+                SolveRequest(operator=fps[k], b=ops[k].b, tol=0.0, maxiter=8 + j)
+                for j, k in enumerate(order)
+            ]
+            results = await asyncio.wait_for(
+                asyncio.gather(*(svc.solve(q) for q in reqs), return_exceptions=True),
+                timeout=60,
+            )
+            return svc, results
+
+    svc, results = asyncio.run(drive())
+    assert not [r for r in results if isinstance(r, Exception)], results
+    assert svc.metrics.rejected == 0 and svc.pool.exhaustions == 0
+    assert svc.metrics.batches == 3
+    assert_conserved(svc)
 
 
 def test_cancellation_under_load_leaks_no_lease(problem16):
@@ -226,7 +263,12 @@ def test_sustained_rounds_reuse_warm_arena(problem16):
     assert_conserved(svc)
 
 
-def test_two_operators_overlapping_on_workers_stay_bitwise(problem8, problem16):
+@pytest.mark.parametrize(
+    "ladder,index_free", [(None, False), (LADDER, True)], ids=["double", "index-free"]
+)
+def test_two_operators_overlapping_on_workers_stay_bitwise(
+    problem8, problem16, monkeypatch, ladder, index_free
+):
     """An 8^3 and a 16^3 operator solved concurrently on the service's
     worker threads, arrival order alternating so each batch leases the
     arena the other operator's batch held last: every response stays
@@ -236,7 +278,24 @@ def test_two_operators_overlapping_on_workers_stay_bitwise(problem8, problem16):
     the pool arena of the batch that built it would share those
     buffers with whichever batch leases the arena next — on another
     thread (first seen as non-converged ``service16`` answers under
-    1024-row chunks)."""
+    1024-row chunks).
+
+    The ``index-free`` leg solves on the fp32 ladder in the SciPy class
+    with the diagonal plan forced on at every size: both operators'
+    fp32 matrices and colour blocks then build their plans lazily, on
+    the two workers at once, and no exception may escape a batch."""
+    calls = []
+    if index_free:
+        if scipy_backend.dia_matvec is None:
+            pytest.skip("this SciPy has no dia_matvec")
+        real = scipy_backend.dia_matvec
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(scipy_backend, "DIA_MIN_ROWS", 0)
+        monkeypatch.setattr(scipy_backend, "dia_matvec", counting)
     problems = (problem8, problem16)
     widths = (6, 1)  # the small operator's panel lasts as long as the big solve
     rounds = 6
@@ -261,6 +320,7 @@ def test_two_operators_overlapping_on_workers_stay_bitwise(problem8, problem16):
                                     b=rhs(problems[k].b, j),
                                     tol=0.0,
                                     maxiter=20,
+                                    ladder=ladder,
                                 )
                             )
                             for k, j in requests
@@ -271,16 +331,19 @@ def test_two_operators_overlapping_on_workers_stay_bitwise(problem8, problem16):
                 out.extend(zip(requests, resps))
             return svc, out
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # hand the GIL over inside every kernel
-    try:
-        svc, out = asyncio.run(drive())
-    finally:
-        sys.setswitchinterval(interval)
-    assert svc.pool.peak_leased == 2  # the two operators did overlap
-    solo = {}
-    for (k, j), resp in out:
-        if (k, j) not in solo:
-            solo[k, j], _ = solo_solve(problems[k], rhs(problems[k].b, j))
-        assert np.array_equal(resp.x, solo[k, j]), (k, j)
+    with use_backend("scipy") if index_free else contextlib.nullcontext():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over inside every kernel
+        try:
+            svc, out = asyncio.run(drive())
+        finally:
+            sys.setswitchinterval(interval)
+        assert not index_free or calls, "no product took the diagonal plan"
+        assert svc.pool.peak_leased == 2  # the two operators did overlap
+        solo = {}
+        for (k, j), resp in out:
+            if (k, j) not in solo:
+                b = rhs(problems[k].b, j)
+                solo[k, j], _ = solo_solve(problems[k], b, ladder)
+            assert np.array_equal(resp.x, solo[k, j]), (k, j)
     assert_conserved(svc)

@@ -22,6 +22,7 @@ from helpers_distributed import (
     BOTH_CLASSES,
     SectionTimers,
     counted_dispatch,
+    index_free_where,
     level_order,
     natural_order,
     smooth_vector,
@@ -68,6 +69,11 @@ def spmd_rank_counts() -> list[int]:
 
 
 RANKS = spmd_rank_counts()
+
+#: fp32 legs sweep through the SciPy class's diagonal plan wherever a
+#: block fits it (the 8^3 serial blocks; the 7x6x5 and 2x2x2 blocks and
+#: every block split along a halo fall back to the row product).
+index_free = index_free_where(lambda params: params.get("prec") == "fp32")
 
 
 def run_ranks(nranks: int, fn, *args) -> list:
