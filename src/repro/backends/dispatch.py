@@ -10,6 +10,8 @@ call site at once.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.backends.registry import registry
@@ -159,6 +161,21 @@ def spmv_multi(A, X: np.ndarray, out: np.ndarray | None = None, ws=None):
     """
     fn = registry.lookup("spmv_multi", matrix_format(A), _prec(A.dtype))
     return fn(A, X, out=out, ws=ws)
+
+
+def bind_spmv_multi(A):
+    """``spmv_multi`` on ``A``, resolved now: ``product(X, out=, ws=)``
+    is ``spmv_multi(A, X, out=out, ws=ws)`` without the lookup.
+
+    A kernel that carries a ``bind`` attribute (the SciPy class's)
+    returns its own product, which resolves ``A``'s operands once; any
+    other kernel — a wrapped one included, so the installed wrapper sees
+    every call — comes back with ``A`` bound.  The product is as fresh
+    as ``registry.generation``: a caller that keeps it checks that.
+    """
+    fn = registry.lookup("spmv_multi", matrix_format(A), _prec(A.dtype))
+    bind = getattr(fn, "bind", None)
+    return partial(fn, A) if bind is None else bind(A)
 
 
 def spmv_interior_multi(P, X: np.ndarray, out=None, ws=None):

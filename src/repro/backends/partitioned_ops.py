@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.dispatch import spmv_multi
-from repro.backends.registry import register
+from repro.backends.dispatch import bind_spmv_multi, spmv_multi
+from repro.backends.registry import register, registry
 
 
 def _as_panels(r, xfull):
@@ -120,10 +120,16 @@ del _op, _fn, _name
 # every color's boundary block after the ghosts land (the forward
 # sweep's overlap split).  Each block relaxation is
 # ``x[lo:hi] += (r[lo:hi] - A_blk x) / diag[lo:hi]`` through a
-# *full-matrix* block kernel, so the inner ``spmv_multi`` lookup
-# re-dispatches on the block's own (format, precision) key — every
-# storage layout, every ladder rung and every backend is served by
-# these registrations without per-format code.
+# *full-matrix* block product, so every storage layout, every ladder
+# rung and every backend is served by these registrations without
+# per-format code.
+#
+# The block product is *bound*: ``dispatch.bind_spmv_multi`` resolves
+# each block's ``spmv_multi`` once — through the registry and its
+# wrapper, so a wrapper still sees every block product — and the bound
+# products are cached on the layout with the registry generation they
+# were resolved under.  A sweep makes no lookup until a wrapper or
+# backend change moves the generation; the next sweep then rebinds.
 #
 # The whole-color and the split schedules execute identical reads and
 # writes thanks to the dependency closure (see
@@ -133,13 +139,13 @@ del _op, _fn, _name
 # slot still reads the same vector entry, so a block row sum is the
 # unpartitioned row sum).
 #
-# One relaxation body, taking ``(n, N)`` panels: the block SpMV is one
-# ``spmv_multi`` (ELL streams each matrix chunk once for all N
-# columns) and the update is three panel-wide ufunc calls on slices;
+# One relaxation body, taking ``(n, N)`` panels: the block product is
+# one bound ``spmv_multi`` (ELL streams each matrix chunk once for all
+# N columns) and the update is three panel-wide ufunc calls on slices;
 # elementwise, so a column's bits do not depend on its panel-mates.
 # The ``_multi`` ops and their single-vector twins are the same
 # functions; a 1-D vector is viewed as an ``(n, 1)`` panel on entry to
-# the body.
+# the sweep.
 
 
 def _block_panel(ws, key, shape, dtype):
@@ -148,66 +154,98 @@ def _block_panel(ws, key, shape, dtype):
     return ws.get_panel(key, *shape, dtype)
 
 
-def _relax_block(blk, R, Xfull, ws, zero_guess=False) -> None:
-    """One block's relaxation pass: one product, three ufunc calls.
+def _bind(blk):
+    """``(lo, hi, product, diag)`` of a block — its bound product and
+    its diagonal as an ``(m, 1)`` column — or ``None`` for an empty
+    range."""
+    if blk.lo == blk.hi:
+        return None
+    return (blk.lo, blk.hi, bind_spmv_multi(blk.A), blk.diag[:, None])
 
-    The product lands in the matrix precision and the numerator
-    ``r - A x`` in the defect's (they differ only across a scheduled
-    grid transfer).
+
+def _bound_passes(P):
+    """``(passes, tallest)``: ``P.passes`` with every block bound (see
+    :func:`_bind`) and the most rows any block has.  Resolved under the
+    registry's current generation and cached on ``P`` with one
+    assignment; threads that race to bind cache equal products."""
+    generation = registry.generation
+    bound = getattr(P, "_bound", None)
+    if bound is None or bound[0] != generation:
+        passes = [tuple(map(_bind, pair)) for pair in P.passes]
+        tallest = max((b.hi - b.lo for pair in P.passes for b in pair), default=0)
+        bound = P._bound = (generation, passes, tallest)
+    return bound[1], bound[2]
+
+
+def _sweep_operands(P, R, Xfull, ws):
+    """A sweep's bound passes, its operands as panels, and its two
+    scratch panels, leased once: the block product (matrix precision)
+    and the numerator ``r - A x`` (the defect's; the same panel when the
+    two agree — they differ only across a scheduled grid transfer).
+    Each is as tall as the tallest block, and a block uses its head."""
+    passes, tallest = _bound_passes(P)
+    R, Xfull = _as_panels(R, Xfull)
+    shape = (tallest, R.shape[1])
+    AX = _block_panel(ws, "cgs.ax", shape, P.dtype)
+    acc = AX if P.dtype == R.dtype else _block_panel(ws, "cgs.acc", shape, R.dtype)
+    return passes, R, Xfull, AX, acc
+
+
+def _relax_block(block, R, Xfull, AX, acc, ws, zero_guess=False) -> None:
+    """One bound block's relaxation pass: one product, three ufunc
+    calls.
 
     ``zero_guess`` promises the whole iterate, ghosts included, is
     ``+0``: the product is then ``±0`` and is skipped, bitwise
     (``r - ±0`` differs from ``r`` only in a zero's sign, which adding
     to ``+0`` settles the same way).
     """
-    lo, hi = blk.lo, blk.hi
-    if lo == hi:
+    if block is None:
         return
-    R, Xfull = _as_panels(R, Xfull)
-    r, x = R[lo:hi], Xfull[lo:hi]
-    shape = (hi - lo, R.shape[1])
-    AX = _block_panel(ws, "cgs.ax", shape, blk.A.dtype)
-    acc = AX if AX.dtype == R.dtype else _block_panel(ws, "cgs.acc", shape, R.dtype)
+    lo, hi, product, diag = block
+    m = hi - lo
+    r, x, acc = R[lo:hi], Xfull[lo:hi], acc[:m]
     if zero_guess:
         np.copyto(acc, r)
     else:
-        spmv_multi(blk.A, Xfull, out=AX, ws=ws)
-        np.subtract(r, AX, out=acc)
-    np.divide(acc, blk.diag[:, None], out=acc)
+        ax = AX[:m]
+        product(Xfull, out=ax, ws=ws)
+        np.subtract(r, ax, out=acc)
+    np.divide(acc, diag, out=acc)
     np.add(x, acc, out=x)
 
 
-def _sweep_region(P, R, Xfull, region, ws, relax) -> None:
+def _sweep_region(P, R, Xfull, region, ws) -> None:
     idx = 0 if region == "interior" else 1
-    for blocks in P.passes:
-        relax(blocks[idx], R, Xfull, ws)
+    passes, R, Xfull, AX, acc = _sweep_operands(P, R, Xfull, ws)
+    for blocks in passes:
+        _relax_block(blocks[idx], R, Xfull, AX, acc, ws)
 
 
-def _symgs_sweep_cp(P, R, Xfull, direction, ws, relax, zero_guess=False) -> None:
+def _symgs_sweep_cp(P, R, Xfull, direction, ws, zero_guess=False) -> None:
     """Whole colors in sweep order.  A ``zero_guess`` sweep skips the
     first color's products: later colors read what it wrote."""
-    if direction == "forward":
-        passes = P.passes
-    elif direction == "backward":
-        passes = reversed(P.passes)
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError(f"unknown sweep direction {direction!r}")
+    passes, R, Xfull, AX, acc = _sweep_operands(P, R, Xfull, ws)
+    if direction == "backward":
+        passes = reversed(passes)
     for interior, boundary in passes:
-        relax(interior, R, Xfull, ws, zero_guess)
-        relax(boundary, R, Xfull, ws, zero_guess)
+        _relax_block(interior, R, Xfull, AX, acc, ws, zero_guess)
+        _relax_block(boundary, R, Xfull, AX, acc, ws, zero_guess)
         zero_guess = False
 
 
 def symgs_interior(P, R, Xfull, ws=None):
     """Interior half of the overlapped forward sweep (no ghost columns
     read)."""
-    _sweep_region(P, R, Xfull, "interior", ws, _relax_block)
+    _sweep_region(P, R, Xfull, "interior", ws)
 
 
 def symgs_boundary(P, R, Xfull, ws=None):
     """Boundary half of the overlapped forward sweep (requires landed
     ghosts)."""
-    _sweep_region(P, R, Xfull, "boundary", ws, _relax_block)
+    _sweep_region(P, R, Xfull, "boundary", ws)
 
 
 def symgs_sweep(
@@ -223,7 +261,7 @@ def symgs_sweep(
     """What every non-overlapped smoother sweep runs (the color ranges
     live in the partition; ``sets`` / ``diag_sets`` only mirror the
     index-set kernel's signature)."""
-    _symgs_sweep_cp(P, R, Xfull, direction, ws, _relax_block, zero_guess)
+    _symgs_sweep_cp(P, R, Xfull, direction, ws, zero_guess)
 
 
 for _op, _fn in (

@@ -25,10 +25,13 @@ Resolution order for ``lookup(op, fmt, prec)``:
    ``(fmt, prec)`` → ``(fmt, None)`` → ``(None, prec)`` → ``(None, None)``
    (``None`` registrations are wildcards).
 
-Lookups are cached; the cache is invalidated when registrations change
-or the active backend is switched.  The process-global state is two
-slots, :meth:`KernelRegistry.set_backend` and
-:meth:`KernelRegistry.set_wrapper`.
+Lookups are cached; the cache is invalidated when registrations change,
+the active backend is switched or a wrapper is installed, and each
+invalidation bumps :attr:`KernelRegistry.generation`.  A caller that
+keeps a resolved kernel past one call (the colour sweep binds each
+block's product once) keeps the generation beside it and resolves again
+when it moves.  The process-global state is two slots,
+:meth:`KernelRegistry.set_backend` and :meth:`KernelRegistry.set_wrapper`.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ class KernelRegistry:
     _cache: dict[tuple, Callable] = field(default_factory=dict)
     _active: str = NUMPY_BACKEND
     _wrapper: Callable | None = None
+    #: Bumped by every cache invalidation: a kernel resolved under an
+    #: older generation may be stale.
+    generation: int = 0
 
     # ------------------------------------------------------------------
     # Registration
@@ -79,7 +85,7 @@ class KernelRegistry:
     ) -> None:
         """Declare a backend (idempotent)."""
         self._backends[name] = BackendInfo(name, priority, description)
-        self._cache.clear()
+        self._invalidate()
 
     def register(
         self,
@@ -100,7 +106,7 @@ class KernelRegistry:
 
         def deco(fn: Callable) -> Callable:
             self._kernels[(op, fmt, prec, backend)] = fn
-            self._cache.clear()
+            self._invalidate()
             return fn
 
         return deco
@@ -119,7 +125,7 @@ class KernelRegistry:
                 f"unknown backend {name!r}; registered: {self.backends()}"
             )
         self._active = name
-        self._cache.clear()
+        self._invalidate()
 
     def backends(self) -> list[str]:
         """Registered backend names, highest priority first."""
@@ -135,7 +141,7 @@ class KernelRegistry:
             return forced
         if self._backends:
             self._active = self.backends()[0]
-            self._cache.clear()
+            self._invalidate()
         return self._active
 
     # ------------------------------------------------------------------
@@ -181,10 +187,16 @@ class KernelRegistry:
         Wrapped callables are cached like plain ones, and clearing the
         wrapper drops them — with no wrapper installed, lookup takes
         exactly the pre-existing path, so the disabled case costs
-        nothing and dispatch stays bitwise identical.
+        nothing and dispatch stays bitwise identical.  Kernels bound
+        before the call see the new wrapper too: the generation moves,
+        and they resolve again.
         """
         self._wrapper = wrapper
+        self._invalidate()
+
+    def _invalidate(self) -> None:
         self._cache.clear()
+        self.generation += 1
 
     # ------------------------------------------------------------------
     # Lookup

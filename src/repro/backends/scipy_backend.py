@@ -39,6 +39,8 @@ product is bitwise ``csr_matvec``'s and the class is unchanged.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.backends import numpy_backend
@@ -281,6 +283,44 @@ def _register(fmt, prec):
             y.fill(0)
             matvec(A, ops, X[:, j], y)
         return Y
+
+    def bind_multi(A):
+        """``spmv_multi`` with ``A``'s operands and plan resolved once.
+        What ``_streams`` tests is checked per call by identity and
+        shape; an operand that fails it takes ``spmv_multi`` itself,
+        which raises on a short one and routes a mismatched one to the
+        NumPy body, so neither reaches a compiled product."""
+        ops = _operands(A)
+        if ops is None:
+            return partial(spmv_multi, A)
+        plan = _dia_plan(A) if index_free else None
+        m, n, dtype = A.nrows, A.ncols, A.dtype
+        step = dtype.itemsize
+
+        def product(X, out, ws=None):
+            if (
+                X.dtype is not dtype
+                or out.dtype is not dtype
+                or X.shape[0] != n
+                or out.shape[0] != m
+                or X.ndim != 2
+                or out.shape[1] != X.shape[1]
+                or X.strides[0] != step
+                or out.strides[0] != step
+            ):
+                return spmv_multi(A, X, out=out, ws=ws)
+            for j in range(X.shape[1]):
+                y = out[:, j]
+                y.fill(0)
+                if plan is None:
+                    csr_matvec(m, n, *ops, X[:, j], y)
+                else:
+                    plan.apply(X[:, j], y)
+            return out
+
+        return product
+
+    spmv_multi.bind = bind_multi
 
     if fmt != "ell":
         return  # the generic ``spmv_rows`` reference calls ``spmv``

@@ -335,7 +335,9 @@ class ColorPartitionedMatrix:
     in either direction — what every non-overlapped sweep runs) and
     ``symgs_interior`` / ``symgs_boundary`` (the halves of the
     overlapped forward sweep).  Block extraction reuses the SpMV
-    partition's row-subset machinery, so every format is covered.
+    partition's row-subset machinery, so every format is covered.  The
+    sweeps cache each block's bound product on the layout (``_bound``,
+    see ``repro.backends.partitioned_ops``).
 
     ``split=False`` is the layout without the halo split: every color
     is one whole block (its boundary range empty) and no dependency

@@ -32,6 +32,7 @@ from repro.backends import (
     spmv_multi,
     spmv_rows,
 )
+from repro.backends.dispatch import bind_spmv_multi
 from repro.backends.registry import registry
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig, MultigridPreconditioner
@@ -533,9 +534,12 @@ class TestGuards:
             assert A.nrows < scipy_backend.DIA_MIN_ROWS or case == "fp64"
         x = np.random.default_rng(4).standard_normal(A.ncols).astype(A.dtype)
         y = spmv(A, x, ws=Workspace())
+        Y = np.empty((A.nrows, 1), dtype=A.dtype, order="F")
+        bind_spmv_multi(A)(x[:, None], out=Y, ws=Workspace())  # the bound path
         assert scipy_backend._dia_plan(A) is None and A._dia_plan is None
-        assert compiled_calls == {"dia": 0, "csr": 1}
+        assert compiled_calls == {"dia": 0, "csr": 2}
         assert np.array_equal(y, csr_product(A, x))
+        assert np.array_equal(Y[:, 0], y)
 
     def test_strided_operands_reach_neither_compiled_product(
         self, scipy_class, monkeypatch, compiled_calls, problem16
@@ -553,7 +557,64 @@ class TestGuards:
         B.vals = np.repeat(B.vals, 2, axis=1)[:, ::2]
         assert np.array_equal(spmv(B, x, ws=Workspace()), ref)
         assert scipy_backend._dia_plan(B) is None
+        Y = np.empty((A.nrows, 1), dtype=A.dtype, order="F")
+        wide_panel = wide.reshape(A.ncols, 2)[:, :1]  # every other entry
+        bind_spmv_multi(A)(wide_panel, out=Y, ws=Workspace())
+        assert np.array_equal(Y[:, 0], ref)
+        bind_spmv_multi(B)(x[:, None], out=Y, ws=Workspace())
+        assert np.array_equal(Y[:, 0], ref)
         assert compiled_calls == {"dia": 0, "csr": 0}
+
+    @pytest.mark.parametrize("block", ["plan", "ghost-tail"])
+    @pytest.mark.parametrize(
+        "case",
+        ["matching", "short-ghost-tail", "strided-column", "x-dtype", "out-dtype"],
+    )
+    def test_bound_block_product_keeps_the_guards(
+        self, scipy_class, monkeypatch, compiled_calls, problem16, block, case
+    ):
+        """A bound colour-block product tests per call what ``_streams``
+        tests.  Matching operands take the compiled product; an operand
+        that fails never reaches ``csr_matvec`` or ``dia_matvec`` and is
+        routed as ``spmv_multi`` routes it: a short ghost tail is an
+        error, a strided column or a mismatched dtype runs the NumPy
+        body (its bits, as the dispatched product's)."""
+        index_free(monkeypatch)
+        if block == "plan":  # a serial fp32 block: one call per diagonal
+            B = colour_block(problem16, problem16.A.astype("fp32"))
+            assert scipy_backend._dia_plan(B) is not None
+        else:  # rank 0 of two: the block reads a ghost tail
+            prob = rank_local(16, "split")
+            sets = color_sets(structured_coloring8(prob.sub))
+            P = partition_colors(prob.A, prob.halo, sets)
+            B = next(b.A for _, b in P.passes if b.A is not None)
+            assert B.ncols > prob.nlocal
+        product = bind_spmv_multi(B)
+        rng = np.random.default_rng(7)
+        X = np.asfortranarray(rng.standard_normal((B.ncols, 2)).astype(B.dtype))
+        Y = np.empty((B.nrows, 2), dtype=B.dtype, order="F")
+        if case == "short-ghost-tail":
+            with pytest.raises(ValueError, match="columns"):
+                product(X[:-1], out=Y, ws=Workspace())
+            assert compiled_calls == {"dia": 0, "csr": 0}
+            return
+        if case == "strided-column":
+            X = np.ascontiguousarray(X)
+        elif case == "x-dtype":
+            X = X.astype(np.float64 if B.dtype == np.float32 else np.float32)
+        elif case == "out-dtype":
+            Y = Y.astype(np.float64 if B.dtype == np.float32 else np.float32)
+        ref = spmv_multi(B, X, out=np.empty_like(Y), ws=Workspace())
+        dispatched = dict(compiled_calls)
+        assert product(X, out=Y, ws=Workspace()) is Y
+        assert np.array_equal(Y, ref)
+        if case == "matching":  # the same compiled calls as the dispatch
+            assert compiled_calls == {k: 2 * n for k, n in dispatched.items()}
+            assert sum(dispatched.values()) > 0
+            for j in range(2):
+                assert np.array_equal(Y[:, j], csr_product(B, X[:, j]))
+        else:
+            assert compiled_calls == {"dia": 0, "csr": 0}
 
     @pytest.mark.parametrize("fmt", ["ell", "csr"])
     def test_short_operands_are_errors(self, scipy_class, problem8, fmt):
