@@ -4,6 +4,13 @@ The benchmark's reportable configuration is fixed (Table 1 plus the
 spec's structural rules).  A scaled-down research run deviates in known
 ways; this checker enumerates every deviation so results are labeled
 honestly — the reproduction analog of HPCG's "official run" rules.
+
+The restart length stays the official 30.  GMRES-IR's inner stop
+(``repro.solvers.gmres_ir.ATTAINABLE_FACTOR``) may end a restart cycle
+of a solve with a residual target before 30 steps, once the cycle has
+reached the reduction its lowest rung can deliver; it only ever
+shortens a cycle, never lengthens one.  Fixed-budget solves (``tol=0``:
+the timed phase and every warm-up) keep full 30-step cycles.
 """
 
 from __future__ import annotations

@@ -27,8 +27,10 @@ One implementation serves both benchmark phases:
 
 Convergence checking follows the benchmark: the implicit residual from
 the Givens-transformed rhs (``|t_{k+1}|``) is monitored every inner
-step; the true double-precision residual is recomputed at every outer
-(restart) boundary and has final say.  Iteration counts — the quantity
+step, and a cycle ends at the target or at the reduction its lowest
+rung can deliver (:data:`ATTAINABLE_FACTOR`); the true double-precision
+residual is recomputed at every outer (restart) boundary and has final
+say.  Iteration counts — the quantity
 the validation phase penalizes — count inner Arnoldi steps.
 
 There is one restart-cycle loop, :meth:`GMRESIRSolver.solve_panel`;
@@ -81,6 +83,17 @@ from repro.util.timers import NullTimers
 #: :class:`~repro.fp.controller.PrecisionEvent` (a superset — it also
 #: covers demotions and carries the ingredient + MG level).
 Promotion = PrecisionEvent
+
+#: A restart cycle of a solve with a residual target ends once a
+#: column's implicit residual is within ``ATTAINABLE_FACTOR`` unit
+#: roundoffs (of the lowest live rung) of the cycle's starting fp64
+#: residual: that is the reduction one cycle at that rung can deliver,
+#: and the next refinement step, from a fresh fp64 residual, goes on
+#: from there.  A fixed budget (``tol=0``) keeps full-length cycles.
+#: Measured: larger factors end cycles so early that a further cycle
+#: is needed (4 and 8 cost iterations at 32^3).  At fp64 the floor sits
+#: far below any solve's target, so double solves never reach it.
+ATTAINABLE_FACTOR = 2.0
 
 
 @dataclass
@@ -438,6 +451,20 @@ class GMRESIRSolver:
         # update's ``y`` cast), sliced per cycle length.  Everything
         # O(n) is leased from the arena per rung (``_slot``/``get_panel``).
         self._ycast = np.zeros(self.restart, dtype=policy.krylov_basis.dtype)
+
+        # Unit roundoff of the lowest live rung (inner matrix, Krylov
+        # basis, orthogonalization, every MG level and transfer):
+        # re-read on every rebind, so a promotion raises it.
+        self.eps_low = max(
+            p.eps
+            for p in (
+                policy.matrix,
+                policy.krylov_basis,
+                policy.orthogonalization,
+                *self.M.schedule,
+                *self.M.transfer_schedule,
+            )
+        )
 
     # ------------------------------------------------------------------
     def _halo_exchanges(self) -> list:
@@ -800,13 +827,18 @@ class GMRESIRSolver:
                 basis_dtype = self.policy.krylov_basis.dtype
                 op_dtype = self.op_inner.dtype
                 prec_dtype = self.M.precision.dtype
+                floor = ATTAINABLE_FACTOR * self.eps_low
                 slots = {j: self._slot(j) for j in active}
 
                 # --- start a lockstep restart cycle (lines 11-13) ---
                 klast = dict.fromkeys(active, 0)  # cycle length per column
+                stop = {}  # implicit residual that ends the column's cycle
                 for i, j in cycle_cols:
                     Q, qr = slots[j]
                     qr.start(rhos[i])
+                    stop[j] = (
+                        max(abs_tol[j], floor * rhos[i]) if abs_tol[j] > 0 else 0.0
+                    )
                     np.divide(Ract[:, i], rhos[i], out=Q[:, 0])  # casts to basis dtype
                     stats[j].restarts += 1
 
@@ -880,10 +912,11 @@ class GMRESIRSolver:
                             rho_j = qr.add_column(col)  # lines 31-43
                         klast[j] = k + 1
                         stats[j].implicit_history.append(rho_j / rho0[j])
-                        if rho_j > abs_tol[j]:
+                        if rho_j > stop[j]:
                             still.append(j)
-                        # else: implicit convergence (lines 15-17);
-                        # the boundary's true residual has final say.
+                        # else: implicit convergence (lines 15-17) or
+                        # the cycle's attainable accuracy; the
+                        # boundary's true residual has final say.
                     cols = still
                     k += 1
                 self.plane.cycle_completed()

@@ -14,7 +14,9 @@ which retired the fp16 rung: they now run
 ``EscalationConfig(stall_ratio=1e-4)``, so ``solve`` still records a
 rung change (one stall promotion fp32 -> fp64 under ``"policy"``,
 three per-ingredient ones); every other record is byte-identical to
-the file before it.
+the file before it.  The two ``floor-*`` cases (restart 30, whose
+first cycle ends at the fp32 cycle's attainable accuracy) were added
+when that stop landed, with every earlier record left byte-identical.
 
 Every case records, for ``solve`` and for a 4-column ``solve_panel``
 (column 0 all-zero, column 2 converging a restart cycle early, so
@@ -103,6 +105,11 @@ SERIAL_CASES = [
     for fusion in ("fused", "unfused")
 ]
 SPMD_CASES = ["spmd2-overlap", "spmd2-sequential"]
+#: Restart-30 records (ELL, fused) whose first cycle ends at the fp32
+#: cycle's attainable accuracy (``gmres_ir.ATTAINABLE_FACTOR``); the
+#: ``RESTART`` cycles above stop short of that floor every time.
+FLOOR_RESTART = 30
+FLOOR_CASES = ["floor-mixed", "floor-ladder-policy"]
 EXIT_CASES = ["x0", "target-residual", "maxiter", "cancel"]
 
 
@@ -188,6 +195,18 @@ def run_serial(case: str, prob) -> dict:
             restart=RESTART,
             fusion=(fusion == "fused"),
             **kw,
+        )
+
+    return _solve_and_panel(make, b, B, dict(tol=TOL, maxiter=MAXITER))
+
+
+def run_floor(case: str, prob) -> dict:
+    policy, kw = POLICIES[case.removeprefix("floor-")]
+    b, B = _rhs(prob, 7)
+
+    def make():
+        return GMRESIRSolver(
+            prob, SerialComm(), policy=policy, restart=FLOOR_RESTART, **kw
         )
 
     return _solve_and_panel(make, b, B, dict(tol=TOL, maxiter=MAXITER))
@@ -283,6 +302,7 @@ def capture() -> dict:
     cases = {c: run_serial(c, prob) for c in SERIAL_CASES}
     cases.update({c: run_spmd2(c) for c in SPMD_CASES})
     cases.update({c: run_exit(c, prob) for c in EXIT_CASES})
+    cases.update({c: run_floor(c, prob) for c in FLOOR_CASES})
     return {"fingerprint": fingerprint(), "cases": cases}
 
 
@@ -382,6 +402,15 @@ def test_two_ranks_match_parent(case, golden):
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_exit_paths_match_parent(case, problem16, golden):
     _check(case, run_exit(case, problem16), golden)
+
+
+@pytest.mark.parametrize("case", FLOOR_CASES)
+def test_floor_cycles_match_parent(case, problem16, golden):
+    got = run_floor(case, problem16)
+    # Cycle 1 ended before the restart length without converging.
+    assert len(got["solve"]["cycle_lengths"]) > 1
+    assert got["solve"]["cycle_lengths"][0] < FLOOR_RESTART
+    _check(case, got, golden)
 
 
 if __name__ == "__main__":
