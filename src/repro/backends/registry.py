@@ -208,7 +208,20 @@ class KernelRegistry:
         precision: "Precision | str | None" = None,
         backend: str | None = None,
     ) -> Callable:
-        """Resolve the kernel for an operation (cached)."""
+        """Resolve the kernel for an operation (cached).
+
+        A hit is one dict probe on the arguments as passed; only a miss
+        normalises them and walks the resolution order.
+        """
+        fn = self._cache.get((op, fmt, precision, backend))
+        if fn is None:
+            fn = self._resolve(op, fmt, precision, backend)
+            self._cache[(op, fmt, precision, backend)] = fn
+        return fn
+
+    def _resolve(self, op, fmt, precision, backend) -> Callable:
+        """``lookup``'s miss path: the normalised key, resolved (and
+        wrapped) once however its precision and backend were spelled."""
         prec = None if precision is None else Precision.from_any(precision)
         want = backend or self._active
         cache_key = (op, fmt, prec, want)

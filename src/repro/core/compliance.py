@@ -11,6 +11,14 @@ of a solve with a residual target before 30 steps, once the cycle has
 reached the reduction its lowest rung can deliver; it only ever
 shortens a cycle, never lengthens one.  Fixed-budget solves (``tol=0``:
 the timed phase and every warm-up) keep full 30-step cycles.
+
+The multigrid V-cycle keeps the spec's shape (4 levels, one sweep each
+way, one coarsest sweep).  Serially, the V-cycle from the finest level
+with at most ``repro.mg.multigrid.COARSE_MAP_MAX`` unknowns down is
+applied as one dense map ``C`` formed at set-up from that very
+recursion (``MGLevel.coarse_map``): the same preconditioner in exact
+arithmetic, rounded differently.  The rated GFLOP/s keeps the spec's
+flop count for every level (``repro.core.flops``), never the map's.
 """
 
 from __future__ import annotations

@@ -27,6 +27,11 @@ class Precision(enum.Enum):
     SINGLE = "float32"
     DOUBLE = "float64"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==`` — and, unlike ``Enum.__hash__`` (a Python
+    # function), costs no interpreter frame on every kernel dispatch.
+    __hash__ = object.__hash__
+
     @property
     def dtype(self) -> np.dtype:
         """Numpy dtype for this format."""

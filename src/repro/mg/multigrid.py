@@ -27,6 +27,15 @@ plan's send indices and its grid-transfer maps are all in that order,
 fixed once at build, so a color block relaxes a slice.  Only
 :meth:`MultigridPreconditioner.apply_panel` sees natural order: it
 permutes the defect in and the correction out, at the fine level.
+
+From a zero guess the V-cycle below a level is a linear map of that
+level's defect.  Serially, the finest level with at most
+:data:`COARSE_MAP_MAX` unknowns keeps that map as one dense matrix,
+formed at build by running the recursion over an identity panel, and a
+V-cycle applies it in place of every level from there down: a few dozen
+kernel dispatches on tiny arrays become one ``gemv`` per column.  The
+levels below stay built (the flop and byte models read their sizes);
+no solve runs them.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import dispatch
+from repro.backends.registry import registry
 from repro.backends.workspace import Workspace
 from repro.fp.ladder import format_ladder, schedule_for_levels
 from repro.fp.precision import Precision
@@ -58,6 +69,17 @@ from repro.sparse.reorder import column_map
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem, generate_problem
 from repro.util.timers import NullTimers
+
+
+#: Most unknowns a level may hold for the V-cycle from it down to be
+#: compiled into one dense map.  At 64 the map is 32 KB in fp64 and one
+#: ``gemv`` per column costs a few microseconds, against ~200-300 us of
+#: dispatches for a 16^3 hierarchy's levels 2-3; forming it (one panel
+#: V-cycle over the 64 identity columns) costs a few milliseconds of
+#: set-up.  The cut falls at 16^3's level 2 and at the coarsest level of
+#: 24^3 and 32^3; 48^3's coarsest level (216 unknowns) stays a
+#: recursion.
+COARSE_MAP_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -118,6 +140,11 @@ class MGLevel:
     #: coarser level's rung — the historical behaviour — unless the
     #: precision control plane schedules the transfer ingredient apart.
     transfer_precision: Precision | None = None
+    #: The V-cycle from this level down as one dense F-order matrix at
+    #: this level's rung (``z = C r`` in the level's order), or ``None``
+    #: where the recursion runs.  Column ``j`` is, bitwise, the
+    #: recursion applied to ``e_j``.
+    coarse_map: np.ndarray | None = None
 
     @property
     def nlocal(self) -> int:
@@ -155,6 +182,9 @@ class MultigridPreconditioner:
         #: blocks are split along the halo, built by :meth:`build`
         #: with ``overlap=True``).
         self.overlap = overlap
+        #: The kernel backend the coarse map was formed under (``None``
+        #: without a map): its bits are that parity class's.
+        self._map_backend: str | None = None
 
     @property
     def schedule(self) -> tuple[Precision, ...]:
@@ -168,6 +198,14 @@ class MultigridPreconditioner:
             lv.transfer_precision
             for lv in self.levels
             if lv.transfer_precision is not None
+        )
+
+    @property
+    def coarse_level(self) -> int | None:
+        """Index of the level whose V-cycle is a dense map, if any."""
+        return next(
+            (i for i, lv in enumerate(self.levels) if lv.coarse_map is not None),
+            None,
         )
 
     def describe_schedule(self) -> str:
@@ -230,6 +268,9 @@ class MultigridPreconditioner:
         multiplies a packed copy of the level's coarse-mapped rows
         (``MGLevel.A_c``, one eighth of the level) — whatever the
         smoother kind.
+        On a one-rank communicator the V-cycle from the finest level
+        with at most :data:`COARSE_MAP_MAX` unknowns down is formed into
+        that level's ``coarse_map`` (see :meth:`_form_coarse_map`).
         ``overlap=True`` additionally splits each color along the
         level's halo, so every forward sweep posts its halo exchange
         first and hides it behind the dependency-closed interior color
@@ -319,9 +360,36 @@ class MultigridPreconditioner:
                     ),
                 )
             )
-        return cls(
-            levels, config, schedule[0], timers, workspace=ws, overlap=overlap
+        mg = cls(levels, config, schedule[0], timers, workspace=ws, overlap=overlap)
+        if comm.size == 1:
+            mg._form_coarse_map()
+        return mg
+
+    def _form_coarse_map(self) -> None:
+        """Form the V-cycle below the cut level as one dense map.
+
+        The cut is the finest level with at most :data:`COARSE_MAP_MAX`
+        unknowns.  One panel V-cycle from it over the identity, at the
+        level's own rung, gives ``C``: by the panel contract column
+        ``j`` is bitwise the recursion applied to ``e_j``.  The timers
+        see none of it; it is set-up.  A V-cycle after the active kernel
+        backend changed forms the map again, under the new parity class.
+        """
+        cut = next(
+            (i for i, lv in enumerate(self.levels) if lv.nlocal <= COARSE_MAP_MAX),
+            None,
         )
+        if cut is None:
+            return
+        level = self.levels[cut]
+        level.coarse_map = None
+        eye = np.eye(level.nlocal, dtype=level.precision.dtype, order="F")
+        timers, self.timers = self.timers, NullTimers()
+        try:
+            level.coarse_map = np.array(self._vcycle_panel(cut, eye), order="F")
+        finally:
+            self.timers = timers
+        self._map_backend = registry.active_backend
 
     @staticmethod
     def _build_smoother(
@@ -381,6 +449,8 @@ class MultigridPreconditioner:
         """
         n, ncol = R.shape
         dtype = self.precision.dtype
+        if self._map_backend not in (None, registry.active_backend):
+            self._form_coarse_map()
         Z = out if out is not None else self.ws.get_panel("mg.panel.z", n, ncol, dtype)
         if R.dtype == dtype:
             R_prec = R
@@ -423,6 +493,8 @@ class MultigridPreconditioner:
             ncol,
             level.precision.dtype,
         )
+        if level.coarse_map is not None:
+            return self._apply_coarse_map(lvl, R, ZF)
         ZF[:] = 0.0
 
         if lvl == len(self.levels) - 1:
@@ -458,6 +530,23 @@ class MultigridPreconditioner:
 
         self._smooth(level, R, ZF, cfg.npost)
         return ZF[: level.nlocal, :]
+
+    def _apply_coarse_map(self, lvl: int, R: np.ndarray, ZF: np.ndarray) -> np.ndarray:
+        """``Z = C R`` one column at a time, as the panel contract asks.
+
+        A defect stored at another rung (a transfer scheduled apart
+        from the level) is cast once into a pooled panel at ``C``'s.
+        """
+        C = self.levels[lvl].coarse_map
+        n, ncol = R.shape
+        if R.dtype != C.dtype:
+            R_map = self.ws.get_panel(("mg.panel.rmap", lvl), n, ncol, C.dtype)
+            np.copyto(R_map, R)
+            R = R_map
+        Z = ZF[:n, :]
+        for j in range(ncol):
+            dispatch.gemv(C, n, R[:, j], out=Z[:, j])
+        return Z
 
     def _smooth(
         self,

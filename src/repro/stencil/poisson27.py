@@ -88,7 +88,10 @@ def generate_problem(
     """Generate the local rows of the 27-point stencil problem.
 
     Fully vectorized: one pass per stencil slot (27 slots), each a flat
-    array operation over all local points.
+    masked write of one contiguous slot-major row over all local points;
+    one transpose at the end gives the row-major ELL block.  Slots whose
+    neighbour falls outside the global domain stay padding (column 0,
+    value 0).
     """
     spec = spec or ProblemSpec()
     halo = halo or build_halo_pattern(sub)
@@ -96,37 +99,40 @@ def generate_problem(
 
     n = sub.nlocal
     local = sub.local
+    nx, ny, _ = local.shape
     gg = sub.global_grid
     ix, iy, iz = local.all_coords()
     gx0, gy0, gz0 = sub.origin
     gx, gy, gz = ix + gx0, iy + gy0, iz + gz0
+    rows = np.arange(n, dtype=np.int32)
 
-    cols = np.zeros((n, 27), dtype=np.int32)
-    vals = np.zeros((n, 27), dtype=vdtype)
-
-    # Global linear index of each row, for the nonsymmetric lower/upper
-    # classification (must be consistent across ranks, hence global).
-    g_row = gg.linear_index(gx, gy, gz)
-
+    cols = np.zeros((27, n), dtype=np.int32)
+    vals = np.zeros((27, n), dtype=vdtype)
     for slot, (ox, oy, oz) in enumerate(STENCIL_OFFSETS):
         if slot == CENTER_SLOT:
-            cols[:, slot] = np.arange(n, dtype=np.int32)
-            vals[:, slot] = spec.diag_value
+            cols[slot] = rows
+            vals[slot] = spec.diag_value
             continue
-        ngx, ngy, ngz = gx + ox, gy + oy, gz + oz
-        valid = gg.contains(ngx, ngy, ngz)
+        valid = gg.contains(gx + ox, gy + oy, gz + oz)
         if not valid.any():
             continue
-        lx, ly, lz = ix + ox, iy + oy, iz + oz
-        col_valid = halo.ghost_columns(lx[valid], ly[valid], lz[valid])
-        cols[valid, slot] = col_valid.astype(np.int32)
-        if spec.kind == "symmetric":
-            vals[valid, slot] = spec.offdiag_value
+        if halo.n_ghost:
+            cols[slot, valid] = halo.ghost_columns(
+                ix[valid] + ox, iy[valid] + oy, iz[valid] + oz
+            )
         else:
-            g_nb = gg.linear_index(ngx[valid], ngy[valid], ngz[valid])
-            lower = g_nb < g_row[valid]
-            scale = np.where(lower, 1.0 + spec.nonsym_delta, 1.0 - spec.nonsym_delta)
-            vals[valid, slot] = spec.offdiag_value * scale
+            # Serially every neighbour is owned, one fixed offset away.
+            np.add(rows, ox + nx * (oy + ny * oz), out=cols[slot], where=valid)
+        value = spec.offdiag_value
+        if spec.kind == "nonsymmetric":
+            # The global index is lexicographic (x fastest), so an
+            # in-domain neighbour precedes the row exactly when its
+            # offset does, z first: "lower" is one answer per slot.
+            lower = (oz, oy, ox) < (0, 0, 0)
+            value *= 1.0 + spec.nonsym_delta if lower else 1.0 - spec.nonsym_delta
+        np.copyto(vals[slot], value, where=valid)
+    cols = np.ascontiguousarray(cols.T)
+    vals = np.ascontiguousarray(vals.T)
 
     A = ELLMatrix(cols=cols, vals=vals, ncols=n + halo.n_ghost)
     # b = A @ ones (global ones, so ghost entries contribute too):

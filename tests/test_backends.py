@@ -122,6 +122,39 @@ class TestRegistry:
         assert reg.lookup("spmv", "csr", "fp64") is full_wildcard
         assert reg.lookup("spmv", None, None) is full_wildcard
 
+    def test_cache_hit_is_one_probe_and_spellings_share_a_resolution(
+        self, monkeypatch
+    ):
+        """A repeated lookup touches neither the precision normaliser nor
+        the resolution chain; every spelling of one key resolves, and is
+        wrapped, once."""
+        reg = self.make_registry()
+
+        @reg.register("spmv", fmt="ell", precision="fp32")
+        def k(*a, **kw):
+            pass
+
+        wrapped = []
+
+        def wrapper(op, fn):
+            wrapped.append(op)
+            return fn
+
+        reg.set_wrapper(wrapper)
+        assert reg.lookup("spmv", "ell", Precision.SINGLE) is k
+        for spelling in ("fp32", np.dtype(np.float32), np.float32, "single"):
+            assert reg.lookup("spmv", "ell", spelling) is k
+        assert reg.lookup("spmv", "ell", "fp32", backend="numpy") is k
+        assert wrapped == ["spmv"]
+
+        def boom(*a, **kw):
+            raise AssertionError("a cache hit normalised its key")
+
+        monkeypatch.setattr(Precision, "from_any", boom)
+        monkeypatch.setattr(reg, "_resolve", boom)
+        assert reg.lookup("spmv", "ell", Precision.SINGLE) is k
+        assert reg.lookup("spmv", "ell", "fp32") is k
+
     def test_format_wildcard_beats_precision_wildcard(self):
         """When both partial wildcards match, the format-specific
         registration wins (it sits earlier in the chain)."""

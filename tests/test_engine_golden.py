@@ -17,6 +17,15 @@ three per-ingredient ones); every other record is byte-identical to
 the file before it.  The two ``floor-*`` cases (restart 30, whose
 first cycle ends at the fp32 cycle's attainable accuracy) were added
 when that stop landed, with every earlier record left byte-identical.
+Every serial case of both files was re-captured at the commit after
+``c054b8e``, which compiled the V-cycle below 64 unknowns into one
+dense map (``MGLevel.coarse_map``): its ``gemv`` rounds differently
+from the recursion it replaces, so iterates moved, while every
+iteration count, cycle length and event held except the SciPy file's
+``floor-mixed`` panel column 3 (24 -> 23 iterations, cycles (14, 10) ->
+(14, 9)).  The ``spmd2-*`` records (no map on more than one rank) and
+``floor-ladder-policy`` (its fp64 coarse levels round into an fp32
+fine level) are byte-identical.
 
 Every case records, for ``solve`` and for a 4-column ``solve_panel``
 (column 0 all-zero, column 2 converging a restart cycle early, so

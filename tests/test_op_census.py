@@ -152,15 +152,18 @@ def test_single_vector_aliases_are_their_multi_twins():
 
 @pytest.mark.parametrize("ncol", [1, 4])
 def test_vcycle_dispatch_counts(problem16, ncol, parity_class):
-    """Per V-cycle, at any panel width: the restriction is 3 ops on 3
-    packed blocks, the prolongation 3 ops, the smoother 7 sweeps of one
-    block product per color — less the first color of the four sweeps
-    that start from the zero guess (3 pre-smooths + the coarse solve) —
-    and no row-copying kernel anywhere."""
+    """Per V-cycle, at any panel width: levels 0-1 recurse and level 2
+    (64 unknowns) is the dense coarse map.  The restriction is 2 ops on
+    2 packed blocks, the prolongation 2 ops, the smoother 4 sweeps of
+    one block product per color — less the first color of the two
+    pre-smooths that start from the zero guess — the map one ``gemv``
+    per column outside every motif section, and no row-copying kernel
+    anywhere."""
     sections = SectionTimers()
     mg = MultigridPreconditioner.build(
         problem16, SerialComm(), MGConfig(), precision="fp32", timers=sections
     )
+    assert mg.coarse_level == 2
     R = np.asfortranarray(
         np.repeat(problem16.b.astype(np.float32)[:, None], ncol, axis=1)
     )
@@ -168,9 +171,10 @@ def test_vcycle_dispatch_counts(problem16, ncol, parity_class):
         mg.apply_panel(R)
     by_section = {
         sec: {op: n for (s, op), n in counts.items() if s == sec}
-        for sec in ("gs", "restrict", "prolong")
+        for sec in ("gs", "restrict", "prolong", None)
     }
-    assert by_section["gs"] == {"symgs_sweep_multi": 7, "spmv_multi": 7 * 8 - 4}
-    assert by_section["restrict"] == {"fused_restrict": 3, "spmv_multi": 3}
-    assert by_section["prolong"] == {"prolong": 3}
+    assert by_section["gs"] == {"symgs_sweep_multi": 4, "spmv_multi": 4 * 8 - 2}
+    assert by_section["restrict"] == {"fused_restrict": 2, "spmv_multi": 2}
+    assert by_section["prolong"] == {"prolong": 2}
+    assert by_section[None] == {"gemv": ncol}
     assert not any(op == "spmv_rows" for _, op in counts)

@@ -574,10 +574,13 @@ class TestTransferScheduledHierarchy:
         )
         assert mg.transfer_schedule == (Precision.DOUBLE,) * 3
         mg.apply(problem16.b)
-        assert all(
-            defect_panel_pooled(mg, lvl, np.float64)
-            for lvl in range(len(mg.levels) - 1)
-        )
+        # Every transfer a V-cycle runs — down to the coarse map's level
+        # — stores its defect at fp64; the map casts it to its fp32 once.
+        cut = mg.coarse_level
+        assert all(defect_panel_pooled(mg, lvl, np.float64) for lvl in range(cut))
+        misses = mg.ws.misses
+        mg.ws.get_panel(("mg.panel.rmap", cut), mg.levels[cut].nlocal, 1, np.float32)
+        assert mg.ws.misses == misses
         dims = mg.level_dims()
         assert dims[0]["transfer_precision"] == "fp64"
         assert dims[-1]["transfer_precision"] is None

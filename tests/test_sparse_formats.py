@@ -117,6 +117,31 @@ class TestELL:
     def test_diagonal_stencil(self, problem16):
         np.testing.assert_allclose(problem16.A.diagonal(), 26.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_diagonal_gathers_the_diagonal_slot(self, dtype):
+        """Each row's nonzero entries in its own column, summed; a row
+        without one (missing, an explicit zero, padding aliasing column
+        0) reads +0, in the matrix dtype."""
+        rng = np.random.default_rng(4)
+        n, w = 40, 5
+        cols = rng.integers(1, n, size=(n, w)).astype(np.int32)
+        cols[cols == np.arange(n)[:, None]] = 0
+        vals = rng.standard_normal((n, w)).astype(dtype)
+        for i in range(0, n, 2):  # every other row holds its diagonal
+            cols[i, i % w] = i
+        cols[4, 3] = 4  # ... twice
+        vals[6, 6 % w] = 0  # an explicit diagonal zero
+        vals[0, cols[0] == 0] = 0  # row 0's padding
+        A = ELLMatrix(cols, vals, n)
+        expect = np.zeros(n, dtype=dtype)
+        for i in range(n):
+            for k in range(w):
+                if cols[i, k] == i and vals[i, k] != 0:
+                    expect[i] += vals[i, k]
+        got = A.diagonal()
+        assert got.dtype == dtype
+        assert got.tobytes() == expect.tobytes()
+
     def test_nnz_matches_csr(self, problem16):
         assert problem16.A.nnz == problem16.A.to_csr().nnz
 

@@ -443,12 +443,13 @@ class TestOneSweepLayout:
             mg.apply(r, out=np.empty_like(r))
         assert not any(op == "spmv_rows" for _, op in counts)
         assert counts["gs", "symgs_sweep"] == 0  # nor the index-set kernel's op
-        assert counts["gs", "symgs_sweep_multi"] == 7  # 3 pre + coarse + 3 post
-        # One block SpMV per color, but the first color of the four
-        # zero-guess sweeps (3 pre + coarse) multiplies zeros and skips.
-        assert counts["gs", "spmv_multi"] == 7 * 8 - 4
-        assert counts["restrict", "fused_restrict"] == 3
-        assert counts["restrict", "spmv_multi"] == 3  # on the packed block
+        # Levels 0-1 recurse (level 2 is the dense coarse map).
+        assert counts["gs", "symgs_sweep_multi"] == 4  # 2 pre + 2 post
+        # One block SpMV per color, but the first color of the two
+        # zero-guess pre-smooths multiplies zeros and skips.
+        assert counts["gs", "spmv_multi"] == 4 * 8 - 2
+        assert counts["restrict", "fused_restrict"] == 2
+        assert counts["restrict", "spmv_multi"] == 2  # on the packed block
 
     def test_unsplit_build_skips_the_closure_pass(self, monkeypatch):
         """Serial and blocking-SPMD hierarchies never pay the O(nnz)
