@@ -19,15 +19,7 @@ metric regresses by more than the threshold:
 - ``seconds_per_solve`` — wall clock per solve.  Noisy on shared CI
   runners, hence the generous default threshold; the byte metrics are
   the precise tripwires, the wall clock catches order-of-magnitude
-  slips (an accidentally-quadratic setup, a lost overlap).
-- ``exposed_comm_fraction`` — measured exposed / total halo seconds.
-  Scale-free (a slow runner inflates numerator and denominator
-  together) and tightly bounded in practice: overlap-on runs measure
-  ~0.96 on this config, overlap-off ~0.99, so it gates at its own
-  1.5% override — enough headroom over run-to-run noise (<0.5%) while
-  a lost SymGS/SpMV overlap (>= +2.5%) still trips it.  The metric is
-  bounded at 1.0, so the baseline must stay close below it for the
-  gate to have room to fire.
+  slips (an accidentally-quadratic setup, an extra exchange).
 - ``bytes_per_rhs`` — the byte model's per-RHS total at the configured
   RHS panel width (deterministic): a panel kernel silently re-charged
   per column regrows this immediately.
@@ -55,7 +47,7 @@ metric regresses by more than the threshold:
   of an already-noisy measurement), so motifs gate only on
   catastrophic regressions (``--motif-threshold``, default 4.0 = a
   5x slowdown) — the tripwire for a single motif silently losing its
-  overlap or format fast path while the total hides it.
+  format fast path while the total hides it.
 
 Usage::
 
@@ -78,14 +70,13 @@ import sys
 #: deterministic for a given configuration, so they gate at a tight
 #: 2% regardless of the CLI threshold (a smoother silently falling
 #: back off the color-partitioned layout costs ~5% symgs bytes —
-#: under the default 20% but well over 2%); wall-clock and fraction
-#: metrics ride the generous CLI threshold.
+#: under the default 20% but well over 2%); the wall clock rides the
+#: generous CLI threshold.
 TRACKED_METRICS = {
     "comm_bytes_per_iteration": (False, 0.02),
     "model_bytes_per_cycle": (False, 0.02),
     "model_symgs_bytes_per_cycle": (False, 0.02),
     "seconds_per_solve": (True, None),
-    "exposed_comm_fraction": (True, 0.015),
     # Batched multi-RHS phase (PR 6): the byte model's per-RHS total at
     # the configured panel width.  Deterministic, so it gates tight —
     # a panel kernel silently falling back to per-column matrix

@@ -57,7 +57,7 @@ def spmv_rows(A, rows: np.ndarray, x: np.ndarray, out=None, ws=None):
 
 
 def spmv_interior(P, x: np.ndarray, out=None, ws=None):
-    """Interior-rows half of a partitioned SpMV (overlap schedule)."""
+    """Interior-rows half of a partitioned SpMV (rows touching no ghost)."""
     fn = registry.lookup("spmv_interior", matrix_format(P), _prec(P.dtype))
     return fn(P, x, out=out, ws=ws)
 
@@ -81,23 +81,6 @@ def symgs_sweep(
     plain matrix, the index-set reference the block sweep is pinned to."""
     fn = registry.lookup("symgs_sweep", matrix_format(A), _prec(A.dtype))
     return fn(A, r, xfull, sets, diag_sets, direction=direction, ws=ws)
-
-
-def symgs_interior(P, r: np.ndarray, xfull: np.ndarray, ws=None) -> None:
-    """Interior half of the overlapped (forward) multicolor GS sweep.
-
-    ``P`` is a color-partitioned matrix, ``r`` / ``xfull`` are in its
-    order; every color's dependency-closed interior block runs (in
-    sweep order) while the halo is in flight.
-    """
-    fn = registry.lookup("symgs_interior", matrix_format(P), _prec(P.dtype))
-    return fn(P, r, xfull, ws=ws)
-
-
-def symgs_boundary(P, r: np.ndarray, xfull: np.ndarray, ws=None) -> None:
-    """Boundary half of the overlapped sweep (after the ghosts land)."""
-    fn = registry.lookup("symgs_boundary", matrix_format(P), _prec(P.dtype))
-    return fn(P, r, xfull, ws=ws)
 
 
 def fused_restrict(A_c, R, Xfull, f_c, out=None, ws=None):
@@ -176,38 +159,6 @@ def bind_spmv_multi(A):
     fn = registry.lookup("spmv_multi", matrix_format(A), _prec(A.dtype))
     bind = getattr(fn, "bind", None)
     return partial(fn, A) if bind is None else bind(A)
-
-
-def spmv_interior_multi(P, X: np.ndarray, out=None, ws=None):
-    """Interior-rows half of a partitioned panel SpMV.
-
-    The whole panel's interior compute runs while one *wide* halo
-    exchange is in flight — the panel-native §3.2.3 schedule.
-    """
-    fn = registry.lookup("spmv_interior_multi", matrix_format(P), _prec(P.dtype))
-    return fn(P, X, out=out, ws=ws)
-
-
-def spmv_boundary_multi(P, X: np.ndarray, out=None, ws=None):
-    """Boundary-rows half of a partitioned panel SpMV (ghosts landed)."""
-    fn = registry.lookup("spmv_boundary_multi", matrix_format(P), _prec(P.dtype))
-    return fn(P, X, out=out, ws=ws)
-
-
-def symgs_interior_multi(P, R: np.ndarray, Xfull: np.ndarray, ws=None) -> None:
-    """Interior half of the overlapped panel GS sweep (all columns)."""
-    fn = registry.lookup(
-        "symgs_interior_multi", matrix_format(P), _prec(P.dtype)
-    )
-    return fn(P, R, Xfull, ws=ws)
-
-
-def symgs_boundary_multi(P, R: np.ndarray, Xfull: np.ndarray, ws=None) -> None:
-    """Boundary half of the overlapped panel GS sweep (ghosts landed)."""
-    fn = registry.lookup(
-        "symgs_boundary_multi", matrix_format(P), _prec(P.dtype)
-    )
-    return fn(P, R, Xfull, ws=ws)
 
 
 def symgs_sweep_multi(

@@ -268,7 +268,7 @@ def spmv_rows_reference(A, rows, x, out=None, ws=None):
     """(A @ x) on a row subset, format-generic: the full product, then
     the rows.  Nothing hot runs it — only ELL, which the level-scheduled
     smoother sweeps per wavefront, has a row-subset kernel; this serves
-    the references (``matvec_split``, the index-set sweep on CSR).  The
+    the references (the index-set sweep on CSR).  The
     product lands in ``out``'s dtype before the rows are taken."""
     from repro.backends.dispatch import spmv
 
@@ -338,7 +338,7 @@ def symgs_sweep(A, r, xfull, sets, diag_sets, direction="forward", ws=None):
 # single-pass kernel against the same key.  GMRES-IR's
 # residual check fuses at the vector pass (``waxpby_dot`` on ``b`` and
 # ``A x``), so the SpMV in front of it keeps its own schedule (halo
-# overlap, ABFT).
+# exchange, ABFT).
 
 
 @register("waxpby_dot")

@@ -1,29 +1,20 @@
 """Registry ops for the ghost-aware partitioned format.
 
-``spmv_interior`` / ``spmv_boundary`` are the two halves of the
-distributed overlap schedule (§3.2.3): interior rows touch no ghost
-column and compute while the halo is in flight; boundary rows run
-after the ghosts land in the vector tail.  Each half is one
-*full-matrix* panel kernel on the corresponding row block — the inner
-``spmv_multi`` lookup re-dispatches on the block's own (format,
-precision) key, so every storage layout and every ladder rung is
-served by these registrations without further per-format code, and an
-ELL block is streamed once for the whole panel.
-
-The non-overlapped ``spmv`` on a partitioned matrix is, by
-construction, the same two block kernels run back to back: the
-overlapped and sequential schedules execute identical arithmetic in
-identical order and are therefore bitwise-equal — the property the
-overlap-correctness tests assert.
-
-One body serves vectors and panels: each op and its ``_multi`` twin
-are the same function (a 1-D vector is viewed as an ``(n, 1)`` panel
-on entry), and a column's bits do not depend on its panel-mates.
+``spmv_interior`` / ``spmv_boundary`` are the two halves of the paper's
+overlap schedule (§3.2.3): interior rows touch no ghost column,
+boundary rows need the landed ghosts.  No solver path dispatches them —
+every distributed product is a blocking exchange and one whole-matrix
+kernel — but the benchmark suite times the pair against the whole
+product.  ``spmv`` on a partitioned matrix is the two halves back to
+back.  Each half is one *full-matrix* panel kernel on its row block:
+the inner ``spmv_multi`` lookup re-dispatches on the block's own
+(format, precision) key, so every storage layout and every ladder rung
+is served without per-format code.  A 1-D vector is viewed as an
+``(n, 1)`` panel on entry.
 
 Contract: ``out`` (when given) is the full owned-length result; each
 half scatters only its own rows.  With ``ws`` the block results land
-in pooled buffers keyed by region, so the distributed SpMV is
-allocation-free after warmup.
+in pooled buffers keyed by region.
 """
 
 from __future__ import annotations
@@ -102,23 +93,17 @@ for _op, _fn in (
     ("spmv_boundary", spmv_boundary),
     ("spmv", spmv_partitioned),
 ):
-    for _name in (_op, _op + "_multi"):
-        register(_name, fmt="partitioned")(_fn)
-del _op, _fn, _name
+    register(_op, fmt="partitioned")(_fn)
+del _op, _fn
 
 
 # ----------------------------------------------------------------------
 # Color-partitioned SymGS: slices of the level's order under every sweep
 # ----------------------------------------------------------------------
-# Every multicolor smoother sweeps this layout — serial, blocking SPMD
-# and overlapped SPMD alike — and the level's vectors are stored in its
-# order, so a color block owns the slice ``[lo, hi)`` of the iterate.
-# ``symgs_sweep`` relaxes whole colors (interior block, then boundary
-# block; serial layouts have one block per color) in either direction;
-# ``symgs_interior`` sweeps every color's dependency-closed interior
-# block while the halo is in flight and ``symgs_boundary`` finishes
-# every color's boundary block after the ghosts land (the forward
-# sweep's overlap split).  Each block relaxation is
+# Every multicolor smoother sweeps this layout and the level's vectors
+# are stored in its order, so a color block owns the slice ``[lo, hi)``
+# of the iterate.  ``symgs_sweep`` relaxes whole colors in either
+# direction.  Each block relaxation is
 # ``x[lo:hi] += (r[lo:hi] - A_blk x) / diag[lo:hi]`` through a
 # *full-matrix* block product, so every storage layout, every ladder
 # rung and every backend is served by these registrations without
@@ -131,13 +116,10 @@ del _op, _fn, _name
 # were resolved under.  A sweep makes no lookup until a wrapper or
 # backend change moves the generation; the next sweep then rebinds.
 #
-# The whole-color and the split schedules execute identical reads and
-# writes thanks to the dependency closure (see
-# ``repro.sparse.partitioned``), and both are bitwise-equal, after
-# un-permuting, to the format-generic index-set ``symgs_sweep`` on
-# natural-order vectors (blocks keep each row's slot layout and every
-# slot still reads the same vector entry, so a block row sum is the
-# unpartitioned row sum).
+# After un-permuting, a sweep is bitwise-equal to the format-generic
+# index-set ``symgs_sweep`` on natural-order vectors (blocks keep each
+# row's slot layout and every slot still reads the same vector entry,
+# so a block row sum is the unpartitioned row sum).
 #
 # One relaxation body, taking ``(n, N)`` panels: the block product is
 # one bound ``spmv_multi`` (ELL streams each matrix chunk once for all
@@ -171,8 +153,8 @@ def _bound_passes(P):
     generation = registry.generation
     bound = getattr(P, "_bound", None)
     if bound is None or bound[0] != generation:
-        passes = [tuple(map(_bind, pair)) for pair in P.passes]
-        tallest = max((b.hi - b.lo for pair in P.passes for b in pair), default=0)
+        passes = [_bind(blk) for blk in P.passes]
+        tallest = max((blk.hi - blk.lo for blk in P.passes), default=0)
         bound = P._bound = (generation, passes, tallest)
     return bound[1], bound[2]
 
@@ -215,39 +197,6 @@ def _relax_block(block, R, Xfull, AX, acc, ws, zero_guess=False) -> None:
     np.add(x, acc, out=x)
 
 
-def _sweep_region(P, R, Xfull, region, ws) -> None:
-    idx = 0 if region == "interior" else 1
-    passes, R, Xfull, AX, acc = _sweep_operands(P, R, Xfull, ws)
-    for blocks in passes:
-        _relax_block(blocks[idx], R, Xfull, AX, acc, ws)
-
-
-def _symgs_sweep_cp(P, R, Xfull, direction, ws, zero_guess=False) -> None:
-    """Whole colors in sweep order.  A ``zero_guess`` sweep skips the
-    first color's products: later colors read what it wrote."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown sweep direction {direction!r}")
-    passes, R, Xfull, AX, acc = _sweep_operands(P, R, Xfull, ws)
-    if direction == "backward":
-        passes = reversed(passes)
-    for interior, boundary in passes:
-        _relax_block(interior, R, Xfull, AX, acc, ws, zero_guess)
-        _relax_block(boundary, R, Xfull, AX, acc, ws, zero_guess)
-        zero_guess = False
-
-
-def symgs_interior(P, R, Xfull, ws=None):
-    """Interior half of the overlapped forward sweep (no ghost columns
-    read)."""
-    _sweep_region(P, R, Xfull, "interior", ws)
-
-
-def symgs_boundary(P, R, Xfull, ws=None):
-    """Boundary half of the overlapped forward sweep (requires landed
-    ghosts)."""
-    _sweep_region(P, R, Xfull, "boundary", ws)
-
-
 def symgs_sweep(
     P,
     R,
@@ -258,17 +207,21 @@ def symgs_sweep(
     ws=None,
     zero_guess=False,
 ):
-    """What every non-overlapped smoother sweep runs (the color ranges
-    live in the partition; ``sets`` / ``diag_sets`` only mirror the
-    index-set kernel's signature)."""
-    _symgs_sweep_cp(P, R, Xfull, direction, ws, zero_guess)
+    """Whole colors in sweep order — what every multicolor smoother
+    sweep runs.  A ``zero_guess`` sweep skips the first color's
+    products: later colors read what it wrote.  (The color ranges live
+    in the partition; ``sets`` / ``diag_sets`` only mirror the
+    index-set kernel's signature.)"""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown sweep direction {direction!r}")
+    passes, R, Xfull, AX, acc = _sweep_operands(P, R, Xfull, ws)
+    if direction == "backward":
+        passes = reversed(passes)
+    for block in passes:
+        _relax_block(block, R, Xfull, AX, acc, ws, zero_guess)
+        zero_guess = False
 
 
-for _op, _fn in (
-    ("symgs_interior", symgs_interior),
-    ("symgs_boundary", symgs_boundary),
-    ("symgs_sweep", symgs_sweep),
-):
-    for _name in (_op, _op + "_multi"):
-        register(_name, fmt="color_partitioned")(_fn)
-del _op, _fn, _name
+for _name in ("symgs_sweep", "symgs_sweep_multi"):
+    register(_name, fmt="color_partitioned")(symgs_sweep)
+del _name

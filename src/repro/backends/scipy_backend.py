@@ -15,8 +15,8 @@ beside its int32 column indices.
 
 The row sum is sequential where NumPy's is pairwise, so this backend is
 its own **parity class**: it agrees with ``numpy`` to the rung's
-tolerance, and every bitwise contract (panel column ≡ solo, overlapped
-≡ sequential, fused ≡ unfused, slice sweep ≡ index-set reference) holds
+tolerance, and every bitwise contract (panel column ≡ solo, fused ≡
+unfused, slice sweep ≡ index-set reference) holds
 *inside* it because ``spmv`` / ``spmv_multi`` / ``spmv_rows``, with or
 without ``ws`` / ``out``, are all this one sum.  Every non-sparse op
 resolves through the registry's fallback chain to the NumPy kernels.

@@ -82,18 +82,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--num-solves", type=int, default=1)
     p.add_argument("--validation-max-iters", type=int, default=500)
     p.add_argument(
-        "--no-overlap",
-        action="store_true",
-        help="disable the interior/boundary halo-compute overlap",
-    )
-    p.add_argument(
-        "--no-overlap-symgs",
-        action="store_true",
-        help="disable the smoother's color-partitioned halo-compute "
-        "overlap (SymGS keeps the blocking exchange; SpMV overlap "
-        "is unaffected)",
-    )
-    p.add_argument(
         "--no-fusion",
         action="store_true",
         help="disable the fused-motif kernels (waxpby_dot / gemv_sub_dot); "
@@ -208,8 +196,6 @@ def cmd_run(args) -> int:
         max_iters_per_solve=args.max_iters,
         num_solves=args.num_solves,
         validation_max_iters=args.validation_max_iters,
-        overlap=False if args.no_overlap else "auto",
-        overlap_symgs=False if args.no_overlap_symgs else "auto",
         fusion=not args.no_fusion,
         distributed_grid=args.distributed,
         distributed_budget_seconds=args.distributed_budget,
@@ -237,7 +223,6 @@ def cmd_run(args) -> int:
                 "precision_ladder": config.precision_ladder,
                 "restart": config.restart,
                 "max_iters_per_solve": config.max_iters_per_solve,
-                "overlap_symgs": config.overlap_symgs,
                 "fusion": config.fusion,
                 "rhs_panel": config.rhs_panel,
             },

@@ -70,26 +70,15 @@ class DistributedPhaseMetrics:
     allreduce_bytes: int
     comm_bytes_per_iteration: float
     model_bytes_per_cycle: float
-    overlap: bool = True
     send_messages: int = 0
     halo_seconds: float = 0.0
     halo_exchanges: int = 0
     halo_bytes_measured_per_iteration: float = 0.0
     halo_bytes_modeled_per_iteration: float = 0.0
-    #: PR 5: the overlap-health metrics.  ``halo_exposed_seconds`` is
-    #: the measured wall clock in halo communication no compute hid
-    #: (blocking exchanges + landing waits); per-level it localizes
-    #: the Fig. 9b coarse-level exposure.  The modeled wire bytes are
-    #: split the same way (``ScalingModel.halo_traffic_split``), and
     #: ``model_symgs_bytes_per_cycle`` isolates the dominant motif's
-    #: modeled HBM stream — both gated by ``check_regression.py``.
-    overlap_symgs: bool = True
+    #: modeled HBM stream (gated by ``check_regression.py``).
     fusion: bool = True
-    halo_exposed_seconds: float = 0.0
-    exposed_seconds_per_level: list[float] = field(default_factory=list)
     model_symgs_bytes_per_cycle: float = 0.0
-    model_halo_overlapped_bytes_per_cycle: float = 0.0
-    model_halo_exposed_bytes_per_cycle: float = 0.0
     #: PR 6: the batched multi-RHS phase.  ``rhs_panel`` is the panel
     #: width; ``panel_matrix_reuse`` is the *measured* RHS columns
     #: served per matrix stream (``rhs_columns / matrix_passes`` over
@@ -128,18 +117,6 @@ class DistributedPhaseMetrics:
         return self.wall_seconds / self.solves if self.solves else 0.0
 
     @property
-    def exposed_comm_fraction(self) -> float:
-        """Share of measured halo wall clock that was exposed.
-
-        1.0 means every communication second sat on the critical path
-        (no overlap); the overlapped SpMV + SymGS schedules drive it
-        down.  0 when no halo time was measured at all (serial).
-        """
-        if self.halo_seconds <= 0:
-            return 0.0
-        return self.halo_exposed_seconds / self.halo_seconds
-
-    @property
     def halo_model_ratio(self) -> float:
         """Measured / modeled halo bytes per iteration (0 when serial)."""
         if self.halo_bytes_modeled_per_iteration <= 0:
@@ -154,8 +131,8 @@ class DistributedPhaseMetrics:
 
         ``halo`` is measured inside the halo-exchange plans and *also*
         contributes to the motif whose kernel triggered the exchange
-        (spmv/symgs) — it is reported to expose lost overlap, not to
-        sum with the others.
+        (spmv/symgs) — it is reported on its own, not to sum with the
+        others.
         """
         solves = self.solves or 1
         motifs = self.seconds_by_motif
@@ -188,16 +165,7 @@ class DistributedPhaseMetrics:
                 self.halo_bytes_modeled_per_iteration
             ),
             "halo_model_ratio": self.halo_model_ratio,
-            "halo_exposed_seconds": self.halo_exposed_seconds,
-            "exposed_comm_fraction": self.exposed_comm_fraction,
-            "exposed_seconds_per_level": list(self.exposed_seconds_per_level),
             "model_symgs_bytes_per_cycle": self.model_symgs_bytes_per_cycle,
-            "model_halo_overlapped_bytes_per_cycle": (
-                self.model_halo_overlapped_bytes_per_cycle
-            ),
-            "model_halo_exposed_bytes_per_cycle": (
-                self.model_halo_exposed_bytes_per_cycle
-            ),
             "rhs_panel": self.rhs_panel,
             "panel_matrix_reuse": self.panel_matrix_reuse,
             "bytes_per_rhs": self.bytes_per_rhs,
@@ -211,8 +179,6 @@ class DistributedPhaseMetrics:
             "panel_halo_exchanges": self.panel_halo_exchanges,
             "seconds_by_motif": dict(self.seconds_by_motif),
             "motif_seconds_per_solve": self.motif_seconds_per_solve(),
-            "overlap": self.overlap,
-            "overlap_symgs": self.overlap_symgs,
             "fusion": self.fusion,
         }
 
@@ -258,9 +224,7 @@ def _phase_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        overlap=config.overlap,
         control=config.control_config(),
-        overlap_symgs=config.overlap_symgs,
         fusion=config.fusion,
     )
     setup_seconds = time.perf_counter() - t_setup0
@@ -342,7 +306,7 @@ def _distributed_worker(
     policy: PrecisionPolicy,
     proc_shape: tuple[int, int, int],
 ) -> dict:
-    """One rank of the distributed phase: overlapped solves on a budget."""
+    """One rank of the distributed phase: mxp solves on a budget."""
     proc = ProcessGrid(*proc_shape)
     sub = Subdomain(BoxGrid(*config.local_dims), proc, comm.rank)
     problem = generate_problem(sub, spec=ProblemSpec(kind=config.matrix_kind))
@@ -356,9 +320,7 @@ def _distributed_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        overlap=config.overlap,
         control=config.control_config(),
-        overlap_symgs=config.overlap_symgs,
         fusion=config.fusion,
     )
     # Warmup solve: populates every workspace buffer and transport
@@ -419,9 +381,7 @@ def _distributed_worker(
                 restart=config.restart,
                 ortho=config.ortho,
                 matrix_format=config.matrix_format,
-                overlap=config.overlap,
                 control=config.control_config(),
-                overlap_symgs=config.overlap_symgs,
                 fusion=config.fusion,
                 setup_cache=cache,
                 workspace=arena,
@@ -477,10 +437,6 @@ def _distributed_worker(
         "allreduce_bytes": allreduce_bytes,
         "halo_seconds": solver.halo_seconds(),
         "halo_exchanges": solver.halo_exchange_count(),
-        "halo_exposed_seconds": solver.halo_exposed_seconds(),
-        "exposed_seconds_per_level": solver.exposed_comm_seconds_by_level(),
-        "overlap": solver.overlap,
-        "overlap_symgs": solver.overlap_symgs,
         "fusion": solver.fusion,
         # The live per-ingredient schedule at the end of the timed
         # window — the byte model charges each ingredient at its
@@ -494,10 +450,9 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     """Run the weak-scaling-shaped distributed phase (``--distributed``).
 
     Launches the configured ``PXxPYxPZ`` process grid on the
-    thread-SPMD runtime — every rank owning the same local box, the
-    zero-allocation halo pipeline overlapped per ``config.overlap``
-    (``"auto"``, the default, overlaps whenever ranks > 1) — and
-    repeats whole mxp solves until the wall-clock budget is spent.
+    thread-SPMD runtime — every rank owning the same local box, behind
+    the zero-allocation blocking halo pipeline — and repeats whole mxp
+    solves until the wall-clock budget is spent.
     """
     if config.distributed_grid is None:
         raise ValueError("config.distributed_grid is not set")
@@ -519,12 +474,6 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     allreduce_bytes = max(rec["allreduce_bytes"] for rec in records)
     halo_seconds = max(rec["halo_seconds"] for rec in records)
     halo_exchanges = max(rec["halo_exchanges"] for rec in records)
-    halo_exposed = max(rec["halo_exposed_seconds"] for rec in records)
-    # Slowest rank per level: exposure localizes per level (Fig. 9b).
-    exposed_per_level = [
-        max(rec["exposed_seconds_per_level"][i] for rec in records)
-        for i in range(len(records[0]["exposed_seconds_per_level"]))
-    ]
     iterations = records[0]["iterations"]
     comm_per_iter = (
         (send_bytes + allreduce_bytes) / iterations if iterations else 0.0
@@ -538,11 +487,8 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
         restart=config.restart,
         nlevels=config.nlevels,
         matrix_format=config.matrix_format,
-        # "auto" resolves to the solver's actual decisions at this
-        # rank count, so the modeled schedules (and the halo
-        # overlapped/exposed split) match what was measured.
-        overlap=records[0]["overlap"],
-        overlap_symgs=records[0]["overlap_symgs"],
+        # The schedule the solver runs: every exchange blocks.
+        overlap=False,
         fusion=config.fusion,
     )
     # Charge the byte model at the *live* schedule the solver ended on
@@ -558,11 +504,6 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
         else 0.0
     )
     halo_measured_per_iter = send_bytes / iterations if iterations else 0.0
-    halo_split = (
-        model.halo_traffic_split(schedule)
-        if nranks > 1
-        else {"overlapped": 0.0, "exposed": 0.0}
-    )
     # Batched multi-RHS phase: modeled bytes-per-RHS at the configured
     # panel width (total / width; equals model_bytes_per_cycle at
     # width 1) next to the measured matrix-reuse amortization.
@@ -590,19 +531,13 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
         allreduce_bytes=allreduce_bytes,
         comm_bytes_per_iteration=comm_per_iter,
         model_bytes_per_cycle=model_bytes,
-        overlap=records[0]["overlap"],
         send_messages=send_messages,
         halo_seconds=halo_seconds,
         halo_exchanges=halo_exchanges,
         halo_bytes_measured_per_iteration=halo_measured_per_iter,
         halo_bytes_modeled_per_iteration=halo_modeled_per_iter,
-        overlap_symgs=records[0]["overlap_symgs"],
         fusion=records[0]["fusion"],
-        halo_exposed_seconds=halo_exposed,
-        exposed_seconds_per_level=exposed_per_level,
         model_symgs_bytes_per_cycle=model.cycle_symgs_bytes(schedule),
-        model_halo_overlapped_bytes_per_cycle=halo_split["overlapped"],
-        model_halo_exposed_bytes_per_cycle=halo_split["exposed"],
         rhs_panel=config.rhs_panel,
         panel_matrix_reuse=panel_rec.get("panel_matrix_reuse", 0.0),
         bytes_per_rhs=bytes_per_rhs,

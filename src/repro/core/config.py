@@ -127,18 +127,6 @@ class BenchmarkConfig:
     #: "auto" to follow ``impl`` (optimized -> ell, reference -> csr).
     #: Resolved to a concrete format name at construction.
     matrix_format: str = "auto"
-    #: Overlap interior SpMV with the halo exchange through the
-    #: ghost-aware partitioned layout.  ``"auto"`` enables the overlap
-    #: whenever a phase runs on more than one rank; ``True``/``False``
-    #: force it (the single-rank ``True`` case exercises the schedule
-    #: with an empty boundary, useful for validation).
-    overlap: "bool | str" = "auto"
-    #: Overlap the *smoother's* halo exchange with its interior color
-    #: blocks (the PR 5 color-partitioned SymGS schedule, bitwise-equal
-    #: to the sequential sweep).  ``"auto"`` follows ``overlap``; an
-    #: explicit bool decouples the two for ablation
-    #: (``--no-overlap-symgs``).
-    overlap_symgs: "bool | str" = "auto"
     #: Fused-motif kernels (``waxpby_dot`` / ``gemv_sub_dot``): the
     #: residual check's subtraction and dot share one vector pass, as
     #: do CGS2's second projection and norm.  Numerically identical to
@@ -146,7 +134,7 @@ class BenchmarkConfig:
     fusion: bool = True
     #: Optional ``"PXxPYxPZ"`` process grid for the distributed phase:
     #: a weak-scaling-shaped run (same local box per rank) on the
-    #: thread-SPMD runtime with the overlapped halo pipeline, repeated
+    #: thread-SPMD runtime with the blocking halo pipeline, repeated
     #: until ``distributed_budget_seconds`` of wall clock is spent.
     distributed_grid: str | None = None
     distributed_budget_seconds: float = 1.0
@@ -219,15 +207,6 @@ class BenchmarkConfig:
             )
         if self.precision_budget is not None and self.precision_budget <= 0:
             raise ValueError("precision_budget must be positive")
-        if self.overlap not in (True, False, "auto"):
-            raise ValueError(
-                f"overlap must be True, False or 'auto', got {self.overlap!r}"
-            )
-        if self.overlap_symgs not in (True, False, "auto"):
-            raise ValueError(
-                f"overlap_symgs must be True, False or 'auto', "
-                f"got {self.overlap_symgs!r}"
-            )
         if self.distributed_grid is not None:
             parse_process_grid(self.distributed_grid)  # fail fast
             if self.distributed_budget_seconds <= 0:

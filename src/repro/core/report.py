@@ -55,10 +55,9 @@ def format_report(result: BenchmarkResult) -> str:
     if result.distributed is not None:
         d = result.distributed
         add("")
-        pipeline = "overlapped" if d.overlap else "sequential"
         add(
             f"[Phase: distributed]  grid {d.grid[0]}x{d.grid[1]}x{d.grid[2]}"
-            f" ({d.nranks} rank(s)), {pipeline} halo pipeline"
+            f" ({d.nranks} rank(s)), blocking halo pipeline"
         )
         add(
             f"  wall seconds: {d.wall_seconds:.3f}  "
@@ -68,18 +67,10 @@ def format_report(result: BenchmarkResult) -> str:
         add(f"  model bytes/cycle (HBM+halo):    {d.model_bytes_per_cycle:.0f}")
         add(f"  model symgs bytes/cycle:         {d.model_symgs_bytes_per_cycle:.0f}")
         if d.halo_seconds > 0:
-            smoother = "overlapped" if d.overlap_symgs else "blocking"
-            per_level = "  ".join(
-                f"L{i}={s * 1e3:.1f}ms"
-                for i, s in enumerate(d.exposed_seconds_per_level)
-            )
             add(
-                f"  exposed comm: {d.halo_exposed_seconds:.3f} s of "
-                f"{d.halo_seconds:.3f} s halo "
-                f"({100 * d.exposed_comm_fraction:.1f}%, "
-                f"{smoother} smoother)"
+                f"  halo comm: {d.halo_seconds:.3f} s in "
+                f"{d.halo_exchanges} blocking exchange(s)"
             )
-            add(f"    per level: {per_level}")
         if d.rhs_panel > 1:
             add(
                 f"  batched solves: panel of {d.rhs_panel} RHS in "

@@ -64,7 +64,7 @@ from repro.parallel.comm import Communicator
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.coloring import color_sets, structured_coloring8
 from repro.sparse.formats import matrix_format_of, to_format
-from repro.sparse.partitioned import extract_rows, partition_colors
+from repro.sparse.partitioned import extract_rows
 from repro.sparse.reorder import column_map
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem, generate_problem
@@ -169,7 +169,6 @@ class MultigridPreconditioner:
         precision: Precision,
         timers=None,
         workspace: Workspace | None = None,
-        overlap: bool = False,
     ) -> None:
         self.levels = levels
         self.config = config
@@ -177,11 +176,6 @@ class MultigridPreconditioner:
         self.precision = precision
         self.timers = timers if timers is not None else NullTimers()
         self.ws = workspace if workspace is not None else Workspace("mg")
-        #: Overlap each smoother sweep's halo exchange with its
-        #: interior color blocks (requires smoothers whose color
-        #: blocks are split along the halo, built by :meth:`build`
-        #: with ``overlap=True``).
-        self.overlap = overlap
         #: The kernel backend the coarse map was formed under (``None``
         #: without a map): its bits are that parity class's.
         self._map_backend: str | None = None
@@ -227,7 +221,6 @@ class MultigridPreconditioner:
         matrix_format: str = "ell",
         workspace: Workspace | None = None,
         transfer_precision: "str | Precision | tuple | None" = None,
-        overlap: bool = False,
     ) -> "MultigridPreconditioner":
         """Build the hierarchy under ``problem``'s fine grid.
 
@@ -271,14 +264,8 @@ class MultigridPreconditioner:
         On a one-rank communicator the V-cycle from the finest level
         with at most :data:`COARSE_MAP_MAX` unknowns down is formed into
         that level's ``coarse_map`` (see :meth:`_form_coarse_map`).
-        ``overlap=True`` additionally splits each color along the
-        level's halo, so every forward sweep posts its halo exchange
-        first and hides it behind the dependency-closed interior color
-        blocks — bitwise-equal to the sequential schedule.  Without it
-        (serial, or SPMD behind a blocking exchange) each color is one
-        whole block and the O(nnz) closure pass is skipped.  The
-        level-scheduled smoother has no split, keeps natural order and
-        silently keeps the blocking exchange.
+        Every sweep on more than one rank runs behind a blocking halo
+        exchange.  The level-scheduled smoother keeps natural order.
         """
         config = config or MGConfig()
         schedule = schedule_for_levels(precision, config.nlevels)
@@ -313,9 +300,7 @@ class MultigridPreconditioner:
             else:
                 A = to_precision(to_format(level_problem.A, matrix_format), prec)
             diag = A.diagonal()
-            smoother = cls._build_smoother(
-                A, diag, sub, config, ws, level_problem.halo if overlap else None
-            )
+            smoother = cls._build_smoother(A, diag, sub, config, ws)
             built.append((sub, level_problem.halo, A, diag, smoother))
             if lvl < config.nlevels - 1:
                 sub = sub.coarsen(2)
@@ -360,7 +345,7 @@ class MultigridPreconditioner:
                     ),
                 )
             )
-        mg = cls(levels, config, schedule[0], timers, workspace=ws, overlap=overlap)
+        mg = cls(levels, config, schedule[0], timers, workspace=ws)
         if comm.size == 1:
             mg._form_coarse_map()
         return mg
@@ -398,18 +383,10 @@ class MultigridPreconditioner:
         sub: Subdomain,
         config: MGConfig,
         ws: Workspace,
-        halo=None,
     ) -> Smoother:
         if config.smoother == "multicolor":
             sets = color_sets(structured_coloring8(sub))
-            return make_smoother(
-                A,
-                "multicolor",
-                diag=diag,
-                sets=sets,
-                ws=ws,
-                partition=partition_colors(A, halo, sets, diag=diag),
-            )
+            return make_smoother(A, "multicolor", diag=diag, sets=sets, ws=ws)
         # build() stores levelsched hierarchies in ELL, so A is the
         # matrix the triangular machinery splits — no duplicate copy.
         return make_smoother(A, "levelsched")
@@ -566,7 +543,6 @@ class MultigridPreconditioner:
                     R,
                     ZF,
                     self.config.sweep,
-                    overlap=self.overlap,
                     zero_guess=zero_guess and k == 0,
                 )
 

@@ -20,7 +20,11 @@ Two parallelization strategies, matching the paper's contrast (§2,
 Across ranks both smoothers freeze ghost values for the duration of a
 sweep (block-Jacobi coupling), exchanging the halo once per sweep —
 exactly the benchmark's behaviour, where each subdomain is reordered
-and swept independently.
+and swept independently.  The exchange is blocking: the paper hides
+it behind interior color blocks (§3.2.3), but thread ranks share one
+interpreter lock and have no second engine to overlap with, and the
+overlapped schedule measured slower than this one, bit for bit the
+same.
 
 Precision rides on the kernel registry: the sweep op resolves a
 precision-specific kernel from the matrix dtype, so each ladder level
@@ -33,12 +37,7 @@ import abc
 
 import numpy as np
 
-from repro.backends.dispatch import (
-    spmv,
-    symgs_boundary_multi,
-    symgs_interior_multi,
-    symgs_sweep_multi,
-)
+from repro.backends.dispatch import spmv, symgs_sweep_multi
 from repro.backends.workspace import Workspace
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.ell import ELLMatrix
@@ -123,43 +122,6 @@ class Smoother(abc.ABC):
         else:
             raise ValueError(f"unknown sweep direction {direction!r}")
 
-    #: Whether :meth:`sweep_overlapped_panel` actually hides the
-    #: exchange (smoothers without a color partition fall back to the
-    #: blocking exchange-then-sweep schedule).
-    supports_overlap = False
-
-    def sweep_overlapped_panel(
-        self,
-        halo_ex: HaloExchange,
-        R: np.ndarray,
-        Xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """One distributed panel sweep with the exchange as early as
-        possible.
-
-        Base implementation: the sequential schedule — one blocking
-        wide exchange (every column's ghosts in one message per
-        neighbor), then the panel sweep.  Partitioned smoothers
-        override with the begin/interior/finish/boundary pipeline so
-        the whole panel's interior compute hides the wide exchange.
-        """
-        halo_ex.exchange_panel(Xfull)
-        self.sweep_panel(R, Xfull, direction)
-
-    def sweep_overlapped(
-        self,
-        halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """Single-vector entry point: the width-1 panel sweep."""
-        self.sweep_overlapped_panel(
-            halo_ex, r[:, None], xfull[:, None], direction
-        )
-
-
 class MulticolorGS(Smoother):
     """Multicolor Gauss-Seidel in one-sweep relaxation form (§3.2.1).
 
@@ -183,31 +145,16 @@ class MulticolorGS(Smoother):
         diag: np.ndarray,
         sets: list[np.ndarray],
         ws: Workspace | None = None,
-        partition=None,
     ):
         self.A = A
         self.diag = diag
         self.sets = sets
         self.ws = ws
         self.num_passes = len(sets)
-        #: The color-ordered layout every sweep dispatches on.  Built
-        #: here without the halo split unless the caller hands in a
-        #: split one (:func:`~repro.sparse.partitioned.partition_colors`
-        #: with the level's halo), which adds the overlapped forward
-        #: sweep: every color's dependency-closed interior block runs
-        #: while the halo is in flight, its boundary block after the
-        #: ghosts land — bitwise-equal to the sequential sweep.
-        self.partition = (
-            partition
-            if partition is not None
-            else partition_colors(A, None, sets, diag=diag)
-        )
+        #: The color-ordered layout every sweep dispatches on.
+        self.partition = partition_colors(A, sets, diag=diag)
         self.order = self.partition.order
         self.rank = self.partition.rank
-
-    @property
-    def supports_overlap(self) -> bool:
-        return self.partition.split
 
     def forward(self, r: np.ndarray, xfull: np.ndarray) -> None:
         self.forward_panel(r[:, None], xfull[:, None])
@@ -238,38 +185,6 @@ class MulticolorGS(Smoother):
             ws=self.ws,
             zero_guess=zero_guess,
         )
-
-    def sweep_overlapped_panel(
-        self,
-        halo_ex: HaloExchange,
-        R: np.ndarray,
-        Xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """Forward panel sweep behind one wide exchange, interior
-        compute first.
-
-        The paper's §3.2.3 schedule applied to the smoother, extended
-        to the dependency-closed interior of *every* color: post
-        **one** wide exchange (all columns, one message per neighbor),
-        relax every column's interior color blocks while it flies,
-        land all ghosts at once, finish every column's boundary
-        blocks.  The block kernels run in the same order at every
-        width, so a column's sweep does not depend on its panel-mates.
-        The level's order is the *forward* closure's, so a backward
-        sweep — and any sweep on a layout without the halo split —
-        takes the sequential exchange-then-sweep schedule.
-        """
-        if direction != "forward" or not self.supports_overlap:
-            super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
-            return
-        pending = halo_ex.exchange_begin_panel(Xfull)
-        # Interior colors compute while the messages are in transit ...
-        symgs_interior_multi(self.partition, R, Xfull, ws=self.ws)
-        # ... land the ghosts, then finish every color's boundary rows.
-        halo_ex.exchange_finish_panel(pending, Xfull)
-        symgs_boundary_multi(self.partition, R, Xfull, ws=self.ws)
-
 
 class LevelScheduledGS(Smoother):
     """Lexicographic Gauss-Seidel via level-scheduled SpTRSV (§3.1).
@@ -319,13 +234,12 @@ def make_smoother(
     diag: np.ndarray | None = None,
     sets: list[np.ndarray] | None = None,
     ws: Workspace | None = None,
-    partition=None,
 ) -> Smoother:
     """Factory: ``"multicolor"`` (needs diag+sets) or ``"levelsched"``."""
     if kind == "multicolor":
         if diag is None or sets is None:
             raise ValueError("multicolor smoother needs diag and color sets")
-        return MulticolorGS(A, diag, sets, ws=ws, partition=partition)
+        return MulticolorGS(A, diag, sets, ws=ws)
     if kind == "levelsched":
         return LevelScheduledGS(A)
     raise ValueError(f"unknown smoother kind {kind!r}")
@@ -337,21 +251,16 @@ def smooth_distributed_panel(
     R: np.ndarray,
     Xfull: np.ndarray,
     direction: str = "forward",
-    overlap: bool = False,
     zero_guess: bool = False,
 ) -> None:
     """One distributed panel sweep: one wide exchange per sweep.
 
     The halo crossing before each directional sweep ships every column
     in one wide message per neighbor, so the smoother's message count
-    is O(1) in the panel width.  With ``overlap=True`` each directional
-    sweep runs through :meth:`Smoother.sweep_overlapped_panel` — the
-    wide exchange posts first and the whole panel's interior color
-    blocks hide it (bitwise-equal to the sequential schedule; backward
-    sweeps and smoothers without a split partition fall back to it).  A
-    symmetric sweep is the forward sweep then the backward one, each
-    behind its own exchange.  Per column the schedule composes the same
-    kernels in the same order at every panel width.
+    is O(1) in the panel width.  A symmetric sweep is the forward sweep
+    then the backward one, each behind its own exchange.  Per column
+    the schedule composes the same kernels in the same order at every
+    panel width.
 
     ``zero_guess`` is what the V-cycle knows right after it zeroed the
     level iterate — ``Xfull`` is ``+0`` on every rank, ghosts included:
@@ -360,14 +269,10 @@ def smooth_distributed_panel(
     """
     steps = ("forward", "backward") if direction == "symmetric" else (direction,)
     for step in steps:
-        if zero_guess:
-            smoother.sweep_panel(R, Xfull, step, zero_guess=True)
-            zero_guess = False
-        elif overlap:
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, step)
-        else:
+        if not zero_guess:
             halo_ex.exchange_panel(Xfull)
-            smoother.sweep_panel(R, Xfull, step)
+        smoother.sweep_panel(R, Xfull, step, zero_guess=zero_guess)
+        zero_guess = False
 
 
 def smooth_distributed(
@@ -376,9 +281,6 @@ def smooth_distributed(
     r: np.ndarray,
     xfull: np.ndarray,
     direction: str = "forward",
-    overlap: bool = False,
 ) -> None:
     """Single-vector entry point: the width-1 panel sweep."""
-    smooth_distributed_panel(
-        smoother, halo_ex, r[:, None], xfull[:, None], direction, overlap
-    )
+    smooth_distributed_panel(smoother, halo_ex, r[:, None], xfull[:, None], direction)

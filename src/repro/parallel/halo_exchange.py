@@ -7,11 +7,9 @@ receive buffer — no unpack copy).  With the queue-backed runtime sends
 are buffered and never block, so the exchange posts all sends first
 and then drains receives — the same structure as the paper's
 asynchronous scheme, where buffer packing and host-device copies run
-on a dedicated stream (§3.2.3).
-
-The class also exposes the interior/boundary row split so callers can
-mirror the overlap pattern: compute interior rows, exchange, compute
-boundary rows.
+on a dedicated stream (§3.2.3).  Every exchange blocks: thread ranks
+share one interpreter lock and have no second engine to hide the
+messages behind compute.
 """
 
 from __future__ import annotations
@@ -90,16 +88,6 @@ class HaloExchange:
         #: gates.
         self.messages = 0
         self.sent_bytes = 0
-        #: The *exposed* subset of :attr:`seconds`: time in blocking
-        #: full exchanges plus the landing waits of split exchanges —
-        #: communication no compute hid.  The posting side of a split
-        #: exchange (:meth:`exchange_begin`) counts toward ``seconds``
-        #: only: its messages are in flight while the caller computes,
-        #: which is the §3.2.3 overlap this counter exists to audit.
-        #: With an overlap schedule active the landing wait shrinks
-        #: (messages arrive during interior compute), so the
-        #: exposed/total ratio is the measured Fig. 9b quantity.
-        self.exposed_seconds = 0.0
         # Precompute (neighbor, send-indices, send-tag, recv-tag,
         # ghost-slice) tuples in canonical direction order.
         self._plan: list[tuple[int, np.ndarray, int, int, slice]] = []
@@ -124,8 +112,7 @@ class HaloExchange:
         Only where the sender *reads* each point moves: a message keeps
         its point order, so the receiver's ghost blocks — and the ghost
         tail every matrix column refers to — are untouched.  (The
-        pattern, and with it :attr:`interior_rows` /
-        :attr:`boundary_rows`, stays in natural numbering.)
+        pattern stays in natural numbering.)
         """
         self._plan = [
             (nb, rank[send_idx], send_tag, recv_tag, ghost_slice)
@@ -149,72 +136,41 @@ class HaloExchange:
     # buffer species and the loop is zero-allocation after warmup.  One
     # wide round counts as **one** exchange (not N), while
     # :attr:`messages` / :attr:`sent_bytes` record the true wire
-    # traffic.  The single-vector entry points below are the width-1
-    # case: they view the vector as an ``(n, 1)`` panel and forward.
+    # traffic.  The single-vector entry point below is the width-1
+    # case: it views the vector as an ``(n, 1)`` panel and forwards.
 
     def exchange_panel(self, XF: np.ndarray) -> None:
         """Fill every column's ghost rows from neighbor ranks.
 
         The owned rows ``XF[:nlocal]`` must already hold current
         values.  No-op on a serial communicator (no neighbors exist).
-        Fully exposed: nothing computes while the messages fly.
+        All sends are packed into pooled staging buffers and posted
+        first (buffered, so the buffers are reusable at once); then
+        each neighbor's message is received straight into its ``XF``
+        ghost rows (``recv_into``), with no unpack staging.
         """
         if not self._plan:
             return
         t0 = time.perf_counter()
-        self._finish(self._begin(XF), XF)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-        self.exchanges += 1
-
-    def exchange_begin_panel(self, XF: np.ndarray) -> list:
-        """Pack and post one wide send per neighbor; return the pending
-        receive plan.
-
-        This is the paper's asynchronous structure (§3.2.3): the halo
-        is put in flight, the caller computes interior rows, and
-        :meth:`exchange_finish_panel` lands the ghosts before boundary
-        rows.  Sends are buffered (the transport copies into a recycled
-        message buffer before returning), so the pooled staging buffers
-        are immediately reusable and the whole begin/finish pair
-        allocates nothing after warmup.
-        """
-        if not self._plan:
-            return []
-        t0 = time.perf_counter()
-        pending = self._begin(XF)
+        comm = self.comm
+        ncol = XF.shape[1]
+        seq = self._seq_offset()
+        for i, (nb, send_idx, send_tag, _, _) in enumerate(self._plan):
+            buf = self.ws.get(("halo.send", i), (len(send_idx), ncol), XF.dtype)
+            np.take(XF, send_idx, axis=0, out=buf, mode="clip")
+            comm.isend(buf, nb, send_tag + seq)
+            self.messages += 1
+            self.sent_bytes += buf.nbytes
+        for nb, _, _, recv_tag, ghost_slice in self._plan:
+            comm.recv_into(
+                nb, recv_tag + seq, XF[ghost_slice, :], timeout=self.deadline
+            )
         self.seconds += time.perf_counter() - t0
         self.exchanges += 1
-        return pending
-
-    def exchange_finish_panel(self, pending: list, XF: np.ndarray) -> None:
-        """Land each neighbor's wide message in the panel's ghost rows.
-
-        The ghost-tail layout *is* the receive buffer: each message is
-        received straight into its ``XF`` rows (``recv_into``), with no
-        unpack staging.
-        """
-        if not pending:
-            return
-        t0 = time.perf_counter()
-        self._finish(pending, XF)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
 
     def exchange(self, xfull: np.ndarray) -> None:
         """Blocking exchange of one full vector (the width-1 panel)."""
         self.exchange_panel(xfull[:, None])
-
-    def exchange_begin(self, xfull: np.ndarray) -> list:
-        """Post one vector's halo (the width-1 panel); see
-        :meth:`exchange_begin_panel`."""
-        return self.exchange_begin_panel(xfull[:, None])
-
-    def exchange_finish(self, pending: list, xfull: np.ndarray) -> None:
-        """Land one vector's ghosts (the width-1 panel)."""
-        self.exchange_finish_panel(pending, xfull[:, None])
 
     def _seq_offset(self) -> int:
         """Advance the exchange round; return its tag offset."""
@@ -222,47 +178,12 @@ class HaloExchange:
         self._seq += 1
         return off
 
-    def _begin(self, XF: np.ndarray) -> list:
-        comm = self.comm
-        ncol = XF.shape[1]
-        seq = self._seq_offset()
-        pending = []
-        for i, (nb, send_idx, send_tag, recv_tag, ghost_slice) in enumerate(
-            self._plan
-        ):
-            buf = self.ws.get(("halo.send", i), (len(send_idx), ncol), XF.dtype)
-            np.take(XF, send_idx, axis=0, out=buf, mode="clip")
-            comm.isend(buf, nb, send_tag + seq)
-            self.messages += 1
-            self.sent_bytes += buf.nbytes
-            pending.append((nb, recv_tag + seq, ghost_slice))
-        return pending
-
-    def _finish(self, pending: list, XF: np.ndarray) -> None:
-        comm = self.comm
-        for nb, recv_tag, ghost_slice in pending:
-            comm.recv_into(
-                nb, recv_tag, XF[ghost_slice, :], timeout=self.deadline
-            )
-
     def reset_counters(self) -> None:
         """Restart the measured seconds/exchange/wire counters."""
         self.seconds = 0.0
         self.exchanges = 0
-        self.exposed_seconds = 0.0
         self.messages = 0
         self.sent_bytes = 0
-
-    # Overlap split ---------------------------------------------------
-    @property
-    def interior_rows(self) -> np.ndarray:
-        """Rows whose stencil touches no ghost (computable pre-exchange)."""
-        return self.pattern.interior_rows
-
-    @property
-    def boundary_rows(self) -> np.ndarray:
-        """Rows that must wait for the exchange."""
-        return self.pattern.boundary_rows
 
     def exchange_bytes(self, itemsize: int) -> int:
         """Bytes this rank sends per exchange (for the perf model)."""

@@ -121,9 +121,8 @@ class KernelModel:
         One matrix pass total, plus r read, x read-modify-write, and
         the gather; one kernel launch per color.
 
-        ``color_blocks=True`` (the default, matching the optimized
-        configuration's overlapped smoother and the historical byte
-        totals) is the color-partitioned layout: each pass is a dense
+        ``color_blocks=True`` (the default, what every multicolor
+        sweep of the solver streams) is the color-partitioned layout: each pass is a dense
         block kernel over pre-extracted rows.  ``color_blocks=False``
         is the legacy index-set layout — every pass streams its
         color's int64 row-index array and stages the gathered r/x

@@ -150,9 +150,11 @@ class ScalingModel:
         )
         self.fused = fused_restrict if fused_restrict is not None else opt
         self.overlap = overlap if overlap is not None else opt
-        # Smoother overlap (PR 5) defaults to the SpMV overlap
-        # decision; fused motifs (spmv_dot / waxpby_dot) ride the
-        # optimized bundle.  Both detach for one-at-a-time ablation.
+        # The smoother's modelled halo window defaults to the SpMV
+        # overlap decision; fused motifs (spmv_dot / waxpby_dot) ride
+        # the optimized bundle.  Both detach for one-at-a-time ablation.
+        # Neither changes a modelled byte: every multicolor sweep is
+        # charged on the color-packed layout.
         self.overlap_symgs = (
             overlap_symgs if overlap_symgs is not None else self.overlap
         )
@@ -269,9 +271,7 @@ class ScalingModel:
         imb = imbalance_factor(m, nodes)
         fmt_eff = m.csr_bw_efficiency if self.fmt == "csr" else 1.0
         if self.smoother == "multicolor":
-            cost = self.km.gs_sweep(
-                n, prec, fmt=self.fmt, color_blocks=self.overlap_symgs
-            )
+            cost = self.km.gs_sweep(n, prec, fmt=self.fmt)
             t_kernel = m.kernel_time(
                 cost.nbytes, cost.flops, prec, launches=cost.launches,
                 bw_efficiency=fmt_eff,
@@ -280,11 +280,9 @@ class ScalingModel:
                 # Overlapped SymGS: the first color pass hides the
                 # halo path (§3.2.3); any excess is exposed (Fig. 9b).
                 # The paper's traces — which this model is calibrated
-                # against — show exactly this window; the
-                # dependency-closed multi-color window the PR 5
-                # implementation runs can hide more, which the
-                # *measured* exposed-comm counters report while the
-                # model stays paper-faithful.
+                # against — show exactly this window.  It models the
+                # paper's GPU: the thread-SPMD solver here blocks on
+                # every exchange.
                 t_first_color = t_kernel / cost.launches
                 exposed = max(0.0, t_comm - t_first_color)
                 return t_kernel * imb + exposed
@@ -415,25 +413,24 @@ class ScalingModel:
     def mg_vcycle_byte_breakdown(self, policy, panel: int = 1) -> dict[str, float]:
         """One V-cycle's modeled HBM bytes, split ``symgs``/``transfer``.
 
-        ``symgs`` is the smoother-sweep traffic (all levels, charged
-        on the color-partitioned layout when the smoother overlap is
-        on — the index-set indirection disappears with it; a multicolor
-        sweep from the zero guess does not stream its first color's
-        matrix block, see :meth:`_level_sweeps`);
+        ``symgs`` is the smoother-sweep traffic (all levels; a
+        multicolor sweep runs on the color-partitioned layout, with no
+        index-set indirection, and a sweep from the zero guess does not
+        stream its first color's matrix block, see
+        :meth:`_level_sweeps`);
         ``transfer`` covers the restrictions and prolongations.  The
         split is what lets the benchmark record and its CI gate track
         the dominant motif's modeled bytes on their own.
         """
         transfer_of = getattr(policy, "transfer_level", None)
         multicolor = self.smoother == "multicolor"
-        color_blocks = self.overlap_symgs and multicolor
         symgs = transfer = 0.0
         for lvl in range(self.nlevels):
             prec = policy.mg_level(lvl)
             n = self.level_nlocal(lvl)
             sweeps, from_zero = self._level_sweeps(lvl)
             cost = self.km.gs_sweep(
-                n, prec, fmt=self.fmt, color_blocks=color_blocks, panel=panel
+                n, prec, fmt=self.fmt, color_blocks=multicolor, panel=panel
             )
             symgs += sweeps * cost.nbytes
             if multicolor:

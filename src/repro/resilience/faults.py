@@ -48,17 +48,16 @@ import numpy as np
 from repro.resilience.errors import TransientFaultError
 from repro.resilience.stats import ResilienceStats
 
-#: Registry ops the kernel fault site corrupts.  ``spmv`` and
-#: ``spmv_boundary`` are the ABFT-covered SpMV outputs: the plain full
-#: matvec and the boundary half of an overlapped one (the final write
-#: on that path, so the corruption always survives to the checksum
-#: verification).  ``spmv_multi`` is the panel product an unverified
+#: Registry ops the kernel fault site corrupts.  ``spmv`` is the
+#: ABFT-covered SpMV output: a verified matvec runs column by column
+#: through it, so the corruption always survives to the checksum
+#: verification.  ``spmv_multi`` is the panel product an unverified
 #: operator application dispatches: a backend may serve it in one
 #: matrix pass without ever calling the single-vector kernel (NumPy's
 #: ELL kernel does), so the panel op is a site of its own — uncovered
 #: campaigns only, since verified applications run column by column
 #: through ``spmv``.
-KERNEL_FAULT_OPS = ("spmv", "spmv_multi", "spmv_boundary")
+KERNEL_FAULT_OPS = ("spmv", "spmv_multi")
 
 _SITES = {
     "spmv": ("bitflip", "nan"),

@@ -474,7 +474,7 @@ class SolverService:
         numerical breakdown the solver's own replay budget could not
         absorb — earns a retry (counted in ``fault_retries``); a second
         fault earns the last attempt (counted in ``degradations``).
-        Every attempt builds the same serial, non-overlapped solver, so
+        Every attempt builds the same serial solver, so
         a retried batch answers bitwise what a clean one would.  A
         third failure propagates to every member's future.
         """

@@ -73,7 +73,6 @@ from repro.solvers.operator import DistributedOperator
 from repro.solvers.ortho import ORTHO_METHODS, cgs2_fused
 from repro.solvers.setup_cache import SetupCache, operator_fingerprint
 from repro.sparse.formats import known_formats, to_format
-from repro.sparse.partitioned import partition_matrix
 from repro.sparse.scaled import to_precision
 from repro.stencil.poisson27 import Problem
 from repro.util.timers import NullTimers
@@ -185,9 +184,7 @@ class GMRESIRSolver:
         precond: MultigridPreconditioner | None = None,
         matrix_format: str = "ell",
         escalation: "EscalationConfig | bool" = NO_ESCALATION,
-        overlap: "bool | str" = "auto",
         control: "ControlConfig | str | None" = None,
-        overlap_symgs: "bool | str" = "auto",
         fusion: bool = True,
         setup_cache: SetupCache | None = None,
         workspace: Workspace | None = None,
@@ -205,23 +202,6 @@ class GMRESIRSolver:
         self.restart = restart
         self.ortho_name = ortho
         self.matrix_format = matrix_format
-        # Overlap interior SpMV with the halo exchange through the
-        # ghost-aware partitioned layout.  "auto": on whenever there
-        # are neighbor ranks to exchange with (the partition is pure
-        # overhead on a serial communicator, but remains selectable
-        # for tests and single-rank validation of the schedule).
-        if overlap == "auto":
-            self.overlap = comm.size > 1
-        else:
-            self.overlap = bool(overlap)
-        # Overlap the *smoother's* halo exchanges with its interior
-        # color blocks (the PR 5 schedule).  "auto" follows the SpMV
-        # overlap decision; an explicit bool decouples the two for
-        # ablation (--no-overlap-symgs).
-        if overlap_symgs == "auto":
-            self.overlap_symgs = self.overlap
-        else:
-            self.overlap_symgs = bool(overlap_symgs)
         # Fused-motif kernels (waxpby_dot / gemv_sub_dot): the residual
         # check's subtraction and dot share one vector pass.
         # Numerically identical to the unfused sequence (bitwise under
@@ -234,7 +214,7 @@ class GMRESIRSolver:
         # WorkspacePool; the solver otherwise owns a fresh one.
         self.ws = workspace if workspace is not None else Workspace("gmres-ir")
         # Operator-keyed setup cache: format conversions, precision
-        # copies, partitions and the MG hierarchy are reused across
+        # copies and the MG hierarchy are reused across
         # solver instances bound to content-identical operators.
         self.setup_cache = setup_cache
         self._fingerprint = (
@@ -280,12 +260,7 @@ class GMRESIRSolver:
         # policy-independent (always fp64), so it survives ladder
         # promotions unchanged.
         self.op64 = DistributedOperator(
-            self.A64,
-            problem.halo,
-            comm,
-            workspace=self.ws,
-            overlap=self.overlap,
-            partition=self._setup_partition(self.A64, "fp64"),
+            self.A64, problem.halo, comm, workspace=self.ws
         )
 
         # Resilience: ABFT column-sum checksums, computed ONCE in fp64
@@ -334,16 +309,6 @@ class GMRESIRSolver:
             self._fingerprint, kind, params, builder
         )
 
-    def _setup_partition(self, A, prec_name: str):
-        """Cached interior/boundary partition for the overlap schedule."""
-        if not self.overlap:
-            return None
-        return self._setup(
-            "partition",
-            (self.matrix_format, prec_name, self.comm.size, self.comm.rank),
-            lambda: partition_matrix(A, self.problem.halo),
-        )
-
     def _abft_tol(self, dtype) -> float:
         """ABFT relative tolerance for one rung's arithmetic."""
         if self.resilience is not None and self.resilience.abft_rel_tol:
@@ -376,12 +341,7 @@ class GMRESIRSolver:
                 lambda: to_precision(self.A64, policy.matrix),
             )
             self.op_inner = DistributedOperator(
-                self.A_low,
-                self.problem.halo,
-                self.comm,
-                workspace=self.ws,
-                overlap=self.overlap,
-                partition=self._setup_partition(self.A_low, prec_name),
+                self.A_low, self.problem.halo, self.comm, workspace=self.ws
             )
             if self._abft is not None:
                 # Same fp64 checksums (the scaled kernels present the
@@ -425,10 +385,9 @@ class GMRESIRSolver:
                     # historical coarse-rung coupling (the
                     # "policy"-mode bitwise guarantee).
                     transfer_precision=transfer_schedule,
-                    overlap=self.overlap_symgs,
                 )
 
-            # The cached hierarchy carries its colorings, partitioned
+            # The cached hierarchy carries its colorings, color-ordered
             # smoother layouts and its own warm workspace with it; only
             # the timers rebind to the acquiring solver.
             self.M = self._setup(
@@ -438,7 +397,6 @@ class GMRESIRSolver:
                     tuple(mg_schedule),
                     tuple(transfer_schedule) if transfer_schedule else None,
                     self.mg_config,
-                    self.overlap_symgs,
                     shared is not None,
                     self.comm.size,
                     self.comm.rank,
@@ -504,23 +462,12 @@ class GMRESIRSolver:
         return sum(ex.sent_bytes for ex in self._halo_exchanges())
 
     def halo_exposed_seconds(self) -> float:
-        """Measured wall clock in *exposed* halo communication.
+        """Measured wall clock in halo communication no compute hid.
 
-        The subset of :meth:`halo_seconds` no compute hid: blocking
-        full exchanges plus the landing waits of overlapped exchanges.
-        The exposed/total ratio is the benchmark's Fig. 9b health
-        metric — overlap schedules (SpMV and SymGS) drive it down.
+        Every exchange blocks, so this is :meth:`halo_seconds`; the
+        benchmark suite reads the name for its exposed share.
         """
-        return sum(ex.exposed_seconds for ex in self._halo_exchanges())
-
-    def exposed_comm_seconds_by_level(self) -> list[float]:
-        """Exposed halo seconds per MG level (finest first).
-
-        The per-level view of :meth:`halo_exposed_seconds` the
-        distributed benchmark phase reports: coarse levels' tiny
-        interior windows are where exposure concentrates (Fig. 9b).
-        """
-        return [lv.halo_ex.exposed_seconds for lv in self.M.levels]
+        return self.halo_seconds()
 
     def reset_halo_counters(self) -> None:
         for ex in self._halo_exchanges():

@@ -2,12 +2,10 @@
 
 Solver construction is the benchmark's setup phase: format conversion
 (``to_format``), the low-precision matrix copy (``to_precision``),
-the multigrid hierarchy (with its colorings and color-partitioned
-smoother layouts), and the interior/boundary partition of the overlap
-schedule.  A service that
-keeps solving against the *same* operator — the batched/many-RHS
-pipeline — pays all of that once per solver instance unless the
-pieces are cached.
+and the multigrid hierarchy (with its colorings and color-ordered
+smoother layouts).  A service that keeps solving against the *same*
+operator — the batched/many-RHS pipeline — pays all of that once per
+solver instance unless the pieces are cached.
 
 This module keys every derived setup product by a cheap **content
 fingerprint** of the source operator plus the derivation parameters:
@@ -17,8 +15,8 @@ fingerprint** of the source operator plus the derivation parameters:
   content-addressed, so mutating a matrix entry *invalidates* every
   product derived from it (a fresh fingerprint simply misses).
 - products: whatever ``get_or_build`` is asked for — the solvers use
-  it for the format-converted fp64 matrix, the low-precision copies,
-  the MG hierarchy and the partitioned layouts.
+  it for the format-converted fp64 matrix, the low-precision copies
+  and the MG hierarchy.
 
 The cache is per process (each SPMD rank holds its own, mirroring
 per-rank device memory) and bounded: beyond ``max_entries`` the oldest
@@ -83,7 +81,7 @@ class SetupCache:
         self.max_entries = max_entries
         self._entries: dict[tuple, Any] = {}
         # RLock: a builder may consult the same cache for a nested
-        # product (e.g. a hierarchy builder reusing a cached partition).
+        # product (e.g. a hierarchy builder reusing a cached matrix copy).
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0

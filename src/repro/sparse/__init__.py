@@ -25,7 +25,6 @@ from repro.sparse.partitioned import (
     PartitionedMatrix,
     partition_colors,
     partition_matrix,
-    sweep_overlap_split,
 )
 from repro.sparse.coloring import (
     greedy_coloring,
@@ -58,7 +57,6 @@ __all__ = [
     "PartitionedMatrix",
     "partition_colors",
     "partition_matrix",
-    "sweep_overlap_split",
     "greedy_coloring",
     "jpl_coloring",
     "structured_coloring8",

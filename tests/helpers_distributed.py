@@ -1,6 +1,7 @@
-"""Shared helpers for the partitioned-format / overlap / multigrid test suites."""
+"""Shared helpers for the partitioned-format / distributed / multigrid test suites."""
 
 import contextlib
+import os
 from collections import Counter
 
 import numpy as np
@@ -9,12 +10,32 @@ import pytest
 from repro.backends import scipy_backend
 from repro.backends.registry import registry
 from repro.fp import EscalationConfig
+from repro.parallel import SerialComm, run_spmd
 
 #: Marks over conftest's ``parity_class`` fixture: run a bitwise contract
 #: inside every kernel parity class, or pin a comparison against recorded
 #: NumPy bits to the reference class.
 BOTH_CLASSES = pytest.mark.usefixtures("parity_class")
 NUMPY_CLASS = pytest.mark.parametrize("parity_class", ["numpy"], indirect=True)
+
+
+def spmd_rank_counts() -> list[int]:
+    """Rank counts under test: ``REPRO_RANKS`` (one count or a list;
+    the CI distributed legs set 1, 2 and 8), else ``1,2,4``."""
+    env = os.environ.get("REPRO_RANKS", "").strip()
+    if env:
+        return [int(tok) for tok in env.replace(",", " ").split()]
+    return [1, 2, 4]
+
+
+RANKS = spmd_rank_counts()
+
+
+def run_ranks(nranks: int, fn, *args) -> list:
+    """``fn(comm, *args)`` on every rank (a serial comm at p=1)."""
+    if nranks == 1:
+        return [fn(SerialComm(), *args)]
+    return run_spmd(nranks, fn, *args)
 
 
 @contextlib.contextmanager

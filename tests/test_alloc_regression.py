@@ -265,7 +265,7 @@ class TestDistributedLoopAllocations:
     """
 
     def test_distributed_halo_loop_no_vector_growth(self):
-        """tracemalloc across a 2-rank overlapped solve: no allocation
+        """tracemalloc across a 2-rank solve: no allocation
         site grows beyond a few vectors after warmup (all rank threads
         are inside the measurement window)."""
         from repro.fp import MIXED_DS_POLICY
@@ -284,7 +284,6 @@ class TestDistributedLoopAllocations:
                 comm,
                 policy=MIXED_DS_POLICY,
                 mg_config=MGConfig(nlevels=2),
-                overlap=True,
             )
             solver.solve(prob.b, tol=0.0, maxiter=10)  # warmup
             comm.barrier()

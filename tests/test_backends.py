@@ -212,8 +212,18 @@ class TestRegistry:
         from repro.backends.registry import registry as proc_reg
 
         ops = proc_reg.ops()
-        assert len(ops) == 23
-        for retired in ("spmv_dot", "spmv_dot_multi", "waxpby_multi"):
+        assert len(ops) == 17
+        for retired in (
+            "spmv_dot",
+            "spmv_dot_multi",
+            "waxpby_multi",
+            "symgs_interior",
+            "symgs_interior_multi",
+            "symgs_boundary",
+            "symgs_boundary_multi",
+            "spmv_interior_multi",
+            "spmv_boundary_multi",
+        ):
             assert retired not in ops and not hasattr(dispatch, retired)
         assert [v for v in proc_reg.available_variants("spmv_rows")
                 if v[2] == "numpy"] == [
@@ -243,7 +253,7 @@ class TestRegistry:
             ("spmv_multi", "csr", "fp64", True),
             ("spmv_rows", "ell", "fp32", True),
             ("spmv_rows", "csr", "fp64", False),
-            ("symgs_interior", "color_partitioned", "fp64", False),
+            ("symgs_sweep", "color_partitioned", "fp64", False),
         ):
             fn = proc_reg.lookup(op, fmt, prec, backend="scipy")
             assert (fn.__module__ == "repro.backends.scipy_backend") == own

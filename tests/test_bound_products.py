@@ -8,9 +8,8 @@ What that must not cost:
 - a wrapper or backend installed after warm-up still governs every
   block product (the counting wrapper, the fault injector, a switch of
   parity class): the layout rebinds when the generation moves;
-- a warmed sweep resolves nothing: zero ``registry.lookup`` calls, on
-  whole and halo-split layouts, at every rank count the distributed
-  legs run (``REPRO_RANKS``).
+- a warmed sweep resolves nothing: zero ``registry.lookup`` calls, at
+  every rank count the distributed legs run (``REPRO_RANKS``).
 
 The SciPy class's guards on a bound product live with the other guards
 in ``tests/test_scipy_backend.py``.
@@ -24,12 +23,12 @@ import numpy as np
 import pytest
 from helpers_distributed import (
     BOTH_CLASSES,
+    RANKS,
     SectionTimers,
     counted_dispatch,
     level_order,
     use_backend,
 )
-from test_symgs_overlap import RANKS
 
 from repro.backends.registry import registry
 from repro.backends.workspace import Workspace
@@ -41,21 +40,18 @@ from repro.resilience.faults import parse_fault_spec
 from repro.solvers import GMRESIRSolver
 from repro.sparse import to_format, to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
-from repro.sparse.partitioned import partition_colors
 from repro.stencil import generate_problem
 
 POLICIES = {"double": DOUBLE_POLICY, "mixed": MIXED_DS_POLICY}
 
 
-def smoother(sub, fmt="ell", prec="fp64", split=False, ws=None):
+def smoother(sub, fmt="ell", prec="fp64", ws=None):
     """A colour-partitioned smoother of ``sub``'s local matrix and its
-    problem; ``split`` splits every colour along the halo."""
+    problem."""
     prob = generate_problem(sub)
     A = to_precision(to_format(prob.A, fmt), prec)
-    diag = A.diagonal()
     sets = color_sets(structured_coloring8(sub))
-    P = partition_colors(A, prob.halo if split else None, sets, diag=diag)
-    return MulticolorGS(A, diag, sets, ws=ws or Workspace(), partition=P), prob
+    return MulticolorGS(A, A.diagonal(), sets, ws=ws or Workspace()), prob
 
 
 def panel(gs, prob, ncol=2, seed=3):
@@ -68,7 +64,7 @@ def panel(gs, prob, ncol=2, seed=3):
 
 
 def nonempty_blocks(P) -> int:
-    return sum(blk.hi > blk.lo for pair in P.passes for blk in pair)
+    return sum(blk.hi > blk.lo for blk in P.passes)
 
 
 @pytest.fixture
@@ -112,41 +108,24 @@ class TestNoLookup:
         armed.on = False
         assert not counts
 
-    def test_split_halves_make_no_lookup(self, lookups):
-        counts, armed = lookups
-        sub = Subdomain(BoxGrid(8, 8, 8), ProcessGrid(2, 1, 1), 0)
-        gs, prob = smoother(sub, split=True)
-        R, X = panel(gs, prob)
-        halves = [
-            registry.lookup(op, "color_partitioned", "fp64")
-            for op in ("symgs_interior_multi", "symgs_boundary_multi")
-        ]
-        for warm in (True, False):
-            armed.on = not warm
-            for half in halves:
-                half(gs.partition, R, X, ws=gs.ws)
-        armed.on = False
-        assert not counts
-
     @pytest.mark.parametrize("nranks", RANKS)
-    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
-    def test_warmed_rank_sweeps_make_no_product_lookup(self, lookups, nranks, split):
-        """Every rank's smoothing pass — overlapped on a split layout,
-        behind a blocking exchange on a whole one — relaxes its blocks
-        through the products bound on its first pass."""
+    def test_warmed_rank_sweeps_make_no_product_lookup(self, lookups, nranks):
+        """Every rank's smoothing pass, behind its blocking exchange,
+        relaxes its blocks through the products bound on its first
+        pass."""
         counts, armed = lookups
 
         def rank(comm):
             pg = ProcessGrid.from_size(comm.size)
             sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
-            gs, prob = smoother(sub, split=split)
+            gs, prob = smoother(sub)
             halo = HaloExchange(prob.halo, comm)
             halo.renumber(gs.partition.rank)
             R, X = panel(gs, prob, seed=comm.rank)
             for warm in (True, False):
                 armed.on = not warm
                 for direction in ("forward", "backward"):
-                    smooth_distributed_panel(gs, halo, R, X, direction, overlap=split)
+                    smooth_distributed_panel(gs, halo, R, X, direction)
             armed.on = False
             return nonempty_blocks(gs.partition)
 

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from helpers_distributed import (
     BOTH_CLASSES,
+    RANKS,
     RUNG_TOLS,
     STALL_ESCALATION,
     STALL_RESTART,
     use_backend,
 )
-from test_symgs_overlap import RANKS
 
 import repro.mg.multigrid as multigrid
 from repro.backends.registry import registry

@@ -37,9 +37,12 @@ class TestProcessGridParsing:
         with pytest.raises(ValueError, match="budget"):
             BenchmarkConfig(distributed_grid="2x1x1", distributed_budget_seconds=0)
 
-    def test_config_validates_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            BenchmarkConfig(overlap="sometimes")
+    def test_config_has_no_overlap_knob(self):
+        """The SPMD schedule is the blocking one; nothing selects
+        another."""
+        for knob in ("overlap", "overlap_symgs"):
+            with pytest.raises(TypeError, match=knob):
+                BenchmarkConfig(**{knob: False})
 
     def test_config_validates_rhs_panel(self):
         with pytest.raises(ValueError, match="rhs_panel"):
@@ -105,13 +108,15 @@ class TestCLIDistributed:
 
         args = build_parser().parse_args(
             ["run", "--distributed", "2x1x1", "--distributed-budget", "0.3",
-             "--bench-out", "x.json", "--no-overlap", "--rhs-panel", "8"]
+             "--bench-out", "x.json", "--rhs-panel", "8"]
         )
         assert args.distributed == "2x1x1"
         assert args.distributed_budget == 0.3
         assert args.bench_out == "x.json"
-        assert args.no_overlap
         assert args.rhs_panel == 8
+        for flag in ("--no-overlap", "--no-overlap-symgs"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", flag])
 
     def test_run_with_distributed_and_bench_out(self, capsys, tmp_path):
         from repro.cli import main
@@ -185,6 +190,28 @@ class TestCheckRegression:
         failures, _ = gate.compare(cur, base, threshold=0.2)
         assert len(failures) == 1  # ... but over the 2% byte gate
         assert "bytes_per_rhs" in failures[0]
+
+    def test_symgs_bytes_gate_tightly(self, gate):
+        """The smoother's modelled stream gates at 2%: a sweep that falls
+        off the color-packed layout costs ~5%."""
+        base = {"model_symgs_bytes_per_cycle": 100.0}
+        failures, _ = gate.compare(
+            {"model_symgs_bytes_per_cycle": 100.5}, base, threshold=0.2
+        )
+        assert failures == []
+        failures, _ = gate.compare(
+            {"model_symgs_bytes_per_cycle": 105.0}, base, threshold=0.2
+        )
+        assert len(failures) == 1
+
+    def test_exposed_comm_fraction_is_not_gated(self, gate):
+        """Every SPMD exchange blocks, so the exposed share reads 1.0 by
+        construction and is no longer tracked."""
+        assert "exposed_comm_fraction" not in gate.TRACKED_METRICS
+        failures, _ = gate.compare(
+            {"exposed_comm_fraction": 1.0}, {"exposed_comm_fraction": 0.5}, 0.2
+        )
+        assert failures == []
 
     def test_panel_reuse_drop_fails(self, gate):
         # Higher-is-better: a reuse *drop* beyond 2% fails ...

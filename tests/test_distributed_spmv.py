@@ -1,25 +1,22 @@
-"""Overlap correctness on the thread-SPMD runtime.
+"""Distributed SpMV on the thread-SPMD runtime.
 
-Acceptance (ISSUE 3): the overlapped interior/boundary SpMV is
-bitwise-equal (fp64) / tolerance-equal (fp32) to the
-non-overlapped path at 1, 2, and 8 SPMD ranks, and the distributed
-halo loop is allocation-free after warmup.
-
-Rank counts come from the ``REPRO_RANKS`` environment variable (a
-single count or a comma-separated list; the CI distributed matrix legs
-set 1, 2 and 8), defaulting to ``1,2,4`` for local runs.
+Every distributed product is one blocking halo exchange followed by the
+whole-matrix kernel.  At 1, 2 and 8 SPMD ranks (``REPRO_RANKS``;
+``1,2,4`` locally) it matches the serial product on the assembled
+global problem — bitwise-close at fp64, to rung tolerance at fp32, for
+every format — the solver takes no option that would schedule it
+otherwise, and the distributed loop allocates nothing after warmup.
 """
-
-import os
 
 import numpy as np
 import pytest
+from helpers_distributed import RANKS, run_ranks
 from helpers_distributed import RUNG_TOLS as TOLS
 from helpers_distributed import smooth_vector as smooth_local_vector
 
 from repro.fp import MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
-from repro.mg import MGConfig
+from repro.mg import MGConfig, MultigridPreconditioner
 from repro.parallel import SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
 from repro.solvers.operator import DistributedOperator
@@ -27,46 +24,14 @@ from repro.sparse import to_format, to_precision
 from repro.stencil import generate_problem
 
 
-def spmd_rank_counts() -> list[int]:
-    """Rank counts under test (``REPRO_RANKS`` env override)."""
-    env = os.environ.get("REPRO_RANKS", "").strip()
-    if env:
-        return [int(tok) for tok in env.replace(",", " ").split()]
-    return [1, 2, 4]
-
-
-RANKS = spmd_rank_counts()
-
-
-def run_ranks(nranks: int, fn) -> list:
-    """Run ``fn(comm)`` on the SPMD runtime (serial comm at p=1)."""
-    if nranks == 1:
-        return [fn(SerialComm())]
-    return run_spmd(nranks, fn)
-
-
-class TestOverlappedSpMV:
-    @pytest.mark.parametrize("nranks", RANKS)
-    def test_fp64_bitwise_equal_to_sequential(self, nranks):
-        def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
-            prob = generate_problem(sub)
-            op = DistributedOperator(prob.A, prob.halo, comm, overlap=True)
-            x = smooth_local_vector(sub)
-            return bool(
-                np.array_equal(op.matvec_overlapped(x), op.matvec_sequential(x))
-            )
-
-        assert all(run_ranks(nranks, fn))
-
+class TestDistributedSpMV:
     @pytest.mark.parametrize("nranks", RANKS)
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
     @pytest.mark.parametrize("prec", ["fp64", "fp32"])
     def test_cross_rank_parity_vs_serial_reference(self, nranks, fmt, prec):
-        """Partitioned overlapped SpMV at p ranks == serial fp64 SpMV
-        on the assembled global problem, to rung tolerance — for every
-        format and every ladder rung."""
+        """Distributed SpMV at p ranks == serial fp64 SpMV on the
+        assembled global problem, to rung tolerance — for every format
+        and every ladder rung."""
         pg = ProcessGrid.from_size(nranks)
         local = (4, 4, 4)
 
@@ -74,9 +39,9 @@ class TestOverlappedSpMV:
             sub = Subdomain(BoxGrid(*local), pg, comm.rank)
             prob = generate_problem(sub)
             A = to_precision(to_format(prob.A, fmt), prec)
-            op = DistributedOperator(A, prob.halo, comm, overlap=True)
+            op = DistributedOperator(A, prob.halo, comm)
             x = smooth_local_vector(sub).astype(A.dtype)
-            y = op.matvec(x)  # overlapped schedule
+            y = op.matvec(x)
             gx, gy, gz = sub.global_coords()
             gids = sub.global_grid.linear_index(gx, gy, gz)
             return np.asarray(y, dtype=np.float64), gids
@@ -93,64 +58,25 @@ class TestOverlappedSpMV:
         for y, gids in results:
             np.testing.assert_allclose(y, ys[gids], rtol=rtol, atol=atol)
 
-    @pytest.mark.parametrize("nranks", RANKS)
-    def test_overlap_matches_row_subset_split(self, nranks):
-        """The partitioned overlap agrees with the independent
-        ``spmv_rows``-based split implementation."""
-
-        def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
-            prob = generate_problem(sub)
-            op = DistributedOperator(prob.A, prob.halo, comm, overlap=True)
-            x = smooth_local_vector(sub)
-            a = op.matvec_overlapped(x)
-            b = op.matvec_split(x)
-            return bool(np.allclose(a, b, rtol=1e-14))
-
-        assert all(run_ranks(nranks, fn))
-
-
-class TestOverlappedSolver:
-    @pytest.mark.parametrize("nranks", RANKS)
-    def test_solver_bitwise_equal_with_and_without_overlap(self, nranks):
-        """End-to-end GMRES-IR: the overlap changes communication
-        scheduling only, so the mxp solve is bitwise-reproducible."""
-
-        def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
-            prob = generate_problem(sub)
-            x_ov, st_ov = GMRESIRSolver(
-                prob,
-                comm,
-                policy=MIXED_DS_POLICY,
-                mg_config=MGConfig(nlevels=2),
-                overlap=True,
-            ).solve(prob.b, tol=1e-9, maxiter=300)
-            x_no, st_no = GMRESIRSolver(
-                prob,
-                comm,
-                policy=MIXED_DS_POLICY,
-                mg_config=MGConfig(nlevels=2),
-                overlap=False,
-            ).solve(prob.b, tol=1e-9, maxiter=300)
-            return (
-                st_ov.converged,
-                st_no.converged,
-                st_ov.iterations == st_no.iterations,
-                bool(np.array_equal(x_ov, x_no)),
-            )
-
-        for rec in run_ranks(nranks, fn):
-            assert rec == (True, True, True, True)
+class TestNoScheduleKnob:
+    @pytest.mark.parametrize("knob", ["overlap", "overlap_symgs"])
+    def test_solver_and_operator_take_no_overlap_option(self, knob):
+        """Serial and SPMD solves run the one blocking schedule; nothing
+        selects another."""
+        prob = generate_problem(Subdomain.serial(8, 8, 8))
+        with pytest.raises(TypeError, match=knob):
+            GMRESIRSolver(prob, SerialComm(), **{knob: True})
+        with pytest.raises(TypeError, match=knob):
+            DistributedOperator(prob.A, prob.halo, SerialComm(), **{knob: True})
+        with pytest.raises(TypeError, match=knob):
+            MultigridPreconditioner.build(prob, SerialComm(), **{knob: True})
 
 
 class TestDistributedHaloAllocations:
     @pytest.mark.parametrize("nranks", RANKS)
     def test_workspace_arena_stable_after_warmup(self, nranks):
-        """The overlapped distributed loop allocates no new arena
-        buffers after the warmup solve — at every rank count."""
+        """The distributed loop allocates no new arena buffers after
+        the warmup solve — at every rank count."""
 
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)
@@ -161,7 +87,6 @@ class TestDistributedHaloAllocations:
                 comm,
                 policy=MIXED_DS_POLICY,
                 mg_config=MGConfig(nlevels=2),
-                overlap=True,
             )
             solver.solve(prob.b, tol=0.0, maxiter=10)  # warmup
             misses0 = solver.ws.misses

@@ -315,10 +315,6 @@ class TestFormatParity:
             pytest.param(
                 2, MIXED_DS_POLICY, None, dict(resilience=ResilienceConfig()), id="abft"
             ),
-            pytest.param(1, MIXED_DS_POLICY, None, dict(overlap=True), id="serial-overlap"),
-            pytest.param(
-                2, MIXED_DS_POLICY, None, dict(overlap_symgs=False), id="no-overlap-symgs"
-            ),
             pytest.param(2, LADDER, None, dict(escalation=STALL), id="escalation"),
             pytest.param(
                 2,

@@ -1,10 +1,14 @@
 """Integration tests: halo exchange and the distributed operator."""
 
 import numpy as np
+import pytest
+from helpers_distributed import RANKS, run_ranks
 
+from repro.fp import MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
-from repro.parallel import HaloExchange, run_spmd
-from repro.solvers import DistributedOperator
+from repro.mg import MGConfig
+from repro.parallel import HaloExchange, SerialComm, run_spmd
+from repro.solvers import DistributedOperator, GMRESIRSolver
 from repro.stencil import generate_problem
 
 
@@ -80,8 +84,6 @@ class TestHaloExchange:
             assert sends == recvs == nbrs == 7  # 2x2x2 corner ranks
 
     def test_serial_exchange_is_noop(self):
-        from repro.parallel import SerialComm
-
         prob = generate_problem(Subdomain.serial(4))
         halo = HaloExchange(prob.halo, SerialComm())
         xfull = halo.full_vector(np.ones(64))
@@ -132,17 +134,6 @@ class TestDistributedOperator:
 
         assert all(run_spmd(8, fn))
 
-    def test_split_matches_plain(self):
-        def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
-            prob = generate_problem(sub)
-            op = DistributedOperator(prob.A, prob.halo, comm)
-            x = global_test_vector(sub)
-            return np.allclose(op.matvec(x), op.matvec_split(x), rtol=1e-14)
-
-        assert all(run_spmd(8, fn))
-
     def test_csr_operator_matches_ell(self):
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)
@@ -177,3 +168,50 @@ class TestDistributedOperator:
             return np.allclose(y, y_serial[gids], rtol=1e-13)
 
         assert all(run_spmd(3, fn))
+
+
+class TestHaloCounters:
+    def test_blocking_exchange_counts_one_round(self):
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
+            prob = generate_problem(sub)
+            ex = HaloExchange(prob.halo, comm)
+            xf = np.zeros(prob.A.ncols)
+            ex.exchange(xf)
+            return ex.seconds, ex.exchanges, ex.messages, ex.sent_bytes
+
+        for secs, n, msgs, nbytes in run_spmd(2, fn):
+            assert n == 1
+            assert secs > 0
+            assert msgs == 1  # one neighbor on a 2x1x1 grid
+            assert nbytes == 16 * 8  # one 4x4 face of float64
+
+    def test_counters_reset(self):
+        prob = generate_problem(Subdomain.serial(4, 4, 4))
+        ex = HaloExchange(prob.halo, SerialComm())
+        ex.seconds, ex.exchanges, ex.messages, ex.sent_bytes = 1.0, 2, 3, 4
+        ex.reset_counters()
+        assert ex.seconds == 0.0
+        assert ex.exchanges == ex.messages == ex.sent_bytes == 0
+
+    @pytest.mark.parametrize("nranks", RANKS[:2])
+    def test_solver_exposed_seconds_are_its_halo_seconds(self, nranks):
+        """Every exchange blocks, so no halo second is hidden."""
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
+            prob = generate_problem(sub)
+            solver = GMRESIRSolver(
+                prob,
+                comm,
+                policy=MIXED_DS_POLICY,
+                mg_config=MGConfig(nlevels=2),
+            )
+            solver.solve(prob.b, tol=0.0, maxiter=5)
+            return solver.halo_exposed_seconds(), solver.halo_seconds()
+
+        for exposed, total in run_ranks(nranks, fn):
+            assert exposed == total
+            assert (total > 0) == (nranks > 1)

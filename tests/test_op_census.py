@@ -2,8 +2,8 @@
 
 A counting ``registry.set_wrapper`` runs under a grid of solver
 configurations — every precision policy, panel width, storage format,
-smoother, orthogonalization, fusion / resilience / overlap setting and
-the PCG cross-benchmark — and the set of ops it sees must be exactly
+smoother, orthogonalization, fusion / resilience setting, two SPMD
+ranks and the PCG cross-benchmark — and the set of ops it sees must be exactly
 ``registry.ops()`` minus the short allow-list below.  A new op that no
 path dispatches, or a hot path that stops dispatching a registered one,
 fails here rather than surviving as dead weight.
@@ -31,14 +31,12 @@ NOT_DISPATCHED = {
     # color-packed layout the name is an alias of ``symgs_sweep_multi``,
     # which smoothers dispatch at every width.)
     "symgs_sweep",
-    # Single-vector names of ops the engine dispatches under their
-    # ``_multi`` name at every width — the same function objects
-    # (asserted below), kept so a vector call needs no ``[:, None]``.
-    "symgs_interior",
-    "symgs_boundary",
-    # ... and this one is what ``benchmarks/suite`` times
-    # (``backends.spmv_split_overhead``).
+    # The two halves of the paper's overlapped SpMV on the
+    # interior/boundary layout: no solver path runs that schedule
+    # (every SPMD exchange blocks), but ``benchmarks/suite`` times the
+    # pair against the whole product (``backends.spmv_split_overhead``).
     "spmv_interior",
+    "spmv_boundary",
 }
 
 
@@ -100,11 +98,8 @@ GRID = {
     "cgs": lambda p: _solve(p, SerialComm(), 4, ortho="cgs"),
     "fusion-off": lambda p: _solve(p, SerialComm(), 4, fusion=False),
     "resilience": lambda p: _solve(p, SerialComm(), resilience=ResilienceConfig()),
-    "spmd2-overlap": lambda p: _spmd2(policy=MIXED_DS_POLICY, overlap=True),
-    "spmd2-sequential": lambda p: _spmd2(overlap=False),
-    "spmd2-overlap-abft-panel": lambda p: _spmd2(
-        width=4, overlap=True, resilience=ResilienceConfig()
-    ),
+    "spmd2": lambda p: _spmd2(policy=MIXED_DS_POLICY),
+    "spmd2-abft-panel": lambda p: _spmd2(width=4, resilience=ResilienceConfig()),
     "pcg": lambda p: pcg_solve(p, SerialComm(), tol=0.0, maxiter=3),
 }
 
@@ -129,7 +124,7 @@ def census(problem16, parity_class):
 
 def test_registered_ops_are_the_dispatched_ops(census):
     registered = set(registry.ops())
-    assert len(registered) == 23
+    assert len(registered) == 17
     assert NOT_DISPATCHED <= registered
     assert set(census) == registered - NOT_DISPATCHED, {
         "dispatched but unregistered?": set(census) - registered,
@@ -138,16 +133,13 @@ def test_registered_ops_are_the_dispatched_ops(census):
     }
 
 
-def test_single_vector_aliases_are_their_multi_twins():
-    for fmt, ops in (
-        ("color_partitioned", ("symgs_sweep", "symgs_interior", "symgs_boundary")),
-        ("partitioned", ("spmv", "spmv_interior", "spmv_boundary")),
-    ):
-        for op in ops:
-            for prec in ("fp64", "fp32"):
-                assert registry.lookup(
-                    op, fmt, prec, backend="numpy"
-                ) is registry.lookup(op + "_multi", fmt, prec, backend="numpy")
+def test_single_vector_alias_is_its_multi_twin():
+    for prec in ("fp64", "fp32"):
+        assert registry.lookup(
+            "symgs_sweep", "color_partitioned", prec, backend="numpy"
+        ) is registry.lookup(
+            "symgs_sweep_multi", "color_partitioned", prec, backend="numpy"
+        )
 
 
 @pytest.mark.parametrize("ncol", [1, 4])

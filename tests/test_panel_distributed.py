@@ -1,10 +1,9 @@
 """Panel-native distributed pipeline (PR 7).
 
-Acceptance: the panel-overlapped schedule — one *wide* halo exchange
-per round carrying every RHS column, hidden behind whole-panel
-interior compute — must be bitwise-per-column equal to the looped
-PR 6 schedule at 1, 2 and 8 SPMD ranks for every matrix format and
-ladder rung; the halo message count per solve must drop ~N× (measured
+Acceptance: the panel schedule — one *wide* halo exchange per round
+carrying every RHS column, then one panel product — must be
+bitwise-per-column equal to the looped schedule at 1, 2 and 8 SPMD
+ranks for every matrix format and ladder rung; the halo message count per solve must drop ~N× (measured
 counters, bytes unchanged); ``solve_panel``'s restart-boundary
 collectives must be O(1) in the panel width; and the wide-exchange
 loop must stay allocation-free after warmup.
@@ -14,19 +13,18 @@ set 1, 2 and 8), defaulting to ``1,2,4`` locally.
 """
 
 import gc
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers_distributed import BOTH_CLASSES
+from helpers_distributed import BOTH_CLASSES, RANKS, run_ranks
 from helpers_distributed import smooth_vector as smooth_local_vector
 
 from repro.backends.registry import registry
 from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
-from repro.parallel import SerialComm, run_spmd
+from repro.parallel import run_spmd
 from repro.parallel.distributed import (
     dnorm2_from_local,
     dnorm2_panel_from_local,
@@ -35,22 +33,6 @@ from repro.solvers import GMRESIRSolver
 from repro.solvers.operator import DistributedOperator
 from repro.sparse import to_format, to_precision
 from repro.stencil import generate_problem
-
-
-def spmd_rank_counts() -> list[int]:
-    env = os.environ.get("REPRO_RANKS", "").strip()
-    if env:
-        return [int(tok) for tok in env.replace(",", " ").split()]
-    return [1, 2, 4]
-
-
-RANKS = spmd_rank_counts()
-
-
-def run_ranks(nranks: int, fn) -> list:
-    if nranks == 1:
-        return [fn(SerialComm())]
-    return run_spmd(nranks, fn)
 
 
 def make_rhs_panel(b: np.ndarray, ncol: int) -> np.ndarray:
@@ -86,7 +68,7 @@ class TestWideExchangeMatvecPanel:
             sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
             prob = generate_problem(sub)
             A = to_precision(to_format(prob.A, fmt), prec)
-            op = DistributedOperator(A, prob.halo, comm, overlap=True)
+            op = DistributedOperator(A, prob.halo, comm)
             x = smooth_local_vector(sub).astype(A.dtype)
             X = np.empty((x.shape[0], 4), dtype=A.dtype, order="F")
             for j in range(4):
@@ -99,26 +81,8 @@ class TestWideExchangeMatvecPanel:
 
         assert all(run_ranks(nranks, fn))
 
-    @pytest.mark.parametrize("nranks", RANKS)
-    def test_overlapped_equals_sequential_panel(self, nranks):
-        """The overlapped panel schedule == the non-overlapped one
-        (full wide exchange, then ``spmv_multi``), bitwise at fp64."""
 
-        def fn(comm):
-            pg = ProcessGrid.from_size(comm.size)
-            sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
-            prob = generate_problem(sub)
-            ov = DistributedOperator(prob.A, prob.halo, comm, overlap=True)
-            no = DistributedOperator(prob.A, prob.halo, comm, overlap=False)
-            X = make_rhs_panel(smooth_local_vector(sub), 4)
-            Y_ov = np.array(ov.matvec_panel(X), copy=True)
-            Y_no = np.array(no.matvec_panel(X), copy=True)
-            return bool(np.array_equal(Y_ov, Y_no))
-
-        assert all(run_ranks(nranks, fn))
-
-
-class TestPanelOverlapSolverParity:
+class TestPanelSolverParity:
     @pytest.mark.parametrize("nranks", RANKS)
     @pytest.mark.parametrize(
         "parity_class,fmt",
@@ -126,13 +90,11 @@ class TestPanelOverlapSolverParity:
         indirect=["parity_class"],
     )
     @pytest.mark.parametrize("policy", [DOUBLE_POLICY, MIXED_DS_POLICY])
-    def test_panel_overlap_bitwise_vs_looped_schedule(
+    def test_panel_bitwise_vs_looped_schedule(
         self, nranks, parity_class, fmt, policy
     ):
         """End-to-end ``solve_panel`` == the looped per-column solve,
-        bitwise, on *both* the panel-overlapped and the non-overlapped
-        schedule — and the two schedules == each other — for every
-        format × rung × rank count."""
+        bitwise, for every format × rung × rank count."""
 
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)
@@ -140,18 +102,14 @@ class TestPanelOverlapSolverParity:
             prob = generate_problem(sub)
             ncol = 4
             B = make_rhs_panel(prob.b, ncol)
-            kw = {"matrix_format": fmt}
+            pan = _solver(prob, comm, policy, matrix_format=fmt)
+            X, _ = pan.solve_panel(B, tol=0.0, maxiter=10)
             ok = True
-            panels = []
-            for overlap in (True, False):
-                pan = _solver(prob, comm, policy, overlap=overlap, **kw)
-                X, _ = pan.solve_panel(B, tol=0.0, maxiter=10)
-                panels.append(X)
-                for j in range(ncol):
-                    seq = _solver(prob, comm, policy, overlap=overlap, **kw)
-                    xj, _ = seq.solve(B[:, j].copy(), tol=0.0, maxiter=10)
-                    ok = ok and np.array_equal(X[:, j], xj)
-            return ok and np.array_equal(*panels)
+            for j in range(ncol):
+                seq = _solver(prob, comm, policy, matrix_format=fmt)
+                xj, _ = seq.solve(B[:, j].copy(), tol=0.0, maxiter=10)
+                ok = ok and np.array_equal(X[:, j], xj)
+            return ok
 
         assert all(run_ranks(nranks, fn))
 
@@ -230,7 +188,7 @@ class TestHaloMessageReduction:
             prob = generate_problem(sub)
             ncol = 4
             B = make_rhs_panel(prob.b, ncol)
-            pan = _solver(prob, comm, MIXED_DS_POLICY, overlap=True)
+            pan = _solver(prob, comm, MIXED_DS_POLICY)
             pan.reset_halo_counters()
             pan.solve_panel(B, tol=0.0, maxiter=10)
             panel = (
@@ -240,7 +198,7 @@ class TestHaloMessageReduction:
             )
             looped = [0, 0, 0]
             for j in range(ncol):
-                seq = _solver(prob, comm, MIXED_DS_POLICY, overlap=True)
+                seq = _solver(prob, comm, MIXED_DS_POLICY)
                 seq.reset_halo_counters()
                 seq.solve(B[:, j].copy(), tol=0.0, maxiter=10)
                 looped[0] += seq.halo_message_count()
@@ -258,7 +216,7 @@ class TestHaloMessageReduction:
 
 class TestWideExchangeAllocations:
     def test_panel_halo_loop_no_vector_growth(self):
-        """tracemalloc across a 2-rank panel-overlapped solve: the
+        """tracemalloc across a 2-rank panel solve: the
         wide-exchange loop (panel packing, transport, ghost-tail
         landings) allocates nothing vector-sized after warmup."""
         vector_bytes_8 = 512 * 8
@@ -267,7 +225,7 @@ class TestWideExchangeAllocations:
             pg = ProcessGrid.from_size(comm.size)
             sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
             prob = generate_problem(sub)
-            solver = _solver(prob, comm, MIXED_DS_POLICY, overlap=True)
+            solver = _solver(prob, comm, MIXED_DS_POLICY)
             B = make_rhs_panel(prob.b, 4)
             solver.solve_panel(B, tol=0.0, maxiter=10)  # warmup
             misses0 = solver.ws.misses

@@ -6,18 +6,18 @@ single-pass backend amortize the matrix stream across the panel
 without perturbing any column's arithmetic.  Checked for every
 registered format at every precision rung serially, and through the
 distributed operator's ``matvec_panel`` / fused panel residual at 1,
-2 and 8 SPMD ranks (``REPRO_RANKS`` override, as in the overlap
-suite).
+2 and 8 SPMD ranks (``REPRO_RANKS`` override, as in the distributed
+suites).
 """
-
-import os
 
 import numpy as np
 import pytest
 from helpers_distributed import (
+    RANKS,
     counted_dispatch,
     level_order,
     natural_order,
+    run_ranks,
     smooth_vector,
 )
 
@@ -35,7 +35,6 @@ from repro.backends.dispatch import (
 from repro.backends.registry import KernelNotFoundError, registry
 from repro.backends.workspace import Workspace
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
-from repro.parallel import SerialComm, run_spmd
 from repro.solvers.operator import DistributedOperator
 from repro.sparse import to_format, to_precision
 from repro.sparse.coloring import color_sets, structured_coloring8
@@ -45,22 +44,6 @@ from repro.stencil import generate_problem
 FORMATS = ("csr", "ell")
 PRECISIONS = ("fp64", "fp32")
 NCOL = 3
-
-
-def spmd_rank_counts() -> list[int]:
-    env = os.environ.get("REPRO_RANKS", "").strip()
-    if env:
-        return [int(tok) for tok in env.replace(",", " ").split()]
-    return [1, 2, 4]
-
-
-RANKS = spmd_rank_counts()
-
-
-def run_ranks(nranks: int, fn) -> list:
-    if nranks == 1:
-        return [fn(SerialComm())]
-    return run_spmd(nranks, fn)
 
 
 def make_panel(n, ncol, dtype, seed=0):
@@ -118,7 +101,7 @@ class TestSerialPanelParity:
         sets = color_sets(structured_coloring8(problem16.sub))
         diag = A.diagonal()
         diag_sets = [diag[rows] for rows in sets]
-        P = partition_colors(A, None, sets, diag=diag)
+        P = partition_colors(A, sets, diag=diag)
         R = make_panel(A.nrows, NCOL, A.dtype)
         for direction in ("forward", "backward"):
             Xp = np.zeros((A.ncols, NCOL), dtype=A.dtype, order="F")
@@ -226,14 +209,13 @@ class TestGetPanelContract:
 
 
 @pytest.mark.parametrize("nranks", RANKS)
-@pytest.mark.parametrize("overlap", [False, True])
 class TestDistributedPanelParity:
-    def test_matvec_panel_bitwise_per_column(self, nranks, overlap):
+    def test_matvec_panel_bitwise_per_column(self, nranks):
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)
             sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
             prob = generate_problem(sub)
-            op = DistributedOperator(prob.A, prob.halo, comm, overlap=overlap)
+            op = DistributedOperator(prob.A, prob.halo, comm)
             n = prob.nlocal
             X = np.empty((n, NCOL), order="F")
             for j in range(NCOL):
@@ -250,12 +232,12 @@ class TestDistributedPanelParity:
 
         assert all(run_ranks(nranks, fn))
 
-    def test_residual_panel_matches_single(self, nranks, overlap):
+    def test_residual_panel_matches_single(self, nranks):
         def fn(comm):
             pg = ProcessGrid.from_size(comm.size)
             sub = Subdomain(BoxGrid(4, 4, 4), pg, comm.rank)
             prob = generate_problem(sub)
-            op = DistributedOperator(prob.A, prob.halo, comm, overlap=overlap)
+            op = DistributedOperator(prob.A, prob.halo, comm)
             n = prob.nlocal
             X = np.empty((n, NCOL), order="F")
             B = np.empty((n, NCOL), order="F")

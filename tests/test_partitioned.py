@@ -8,12 +8,11 @@ serial reference — each precision to its rung-appropriate tolerance.
 
 import numpy as np
 import pytest
-from helpers_distributed import BOTH_CLASSES, smooth_vector, use_backend
+from helpers_distributed import smooth_vector
 from helpers_distributed import RUNG_TOLS as TOLS
 
 from repro.backends import Workspace
 from repro.backends.dispatch import spmv_boundary, spmv_interior
-from repro.backends.registry import registry
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.sparse import partition_matrix, to_format, to_precision
 from repro.stencil import generate_problem
@@ -84,17 +83,18 @@ class TestPartitionStructure:
         with pytest.raises(ValueError, match="does not match"):
             partition_matrix(other.A, prob.halo)
 
-    def test_interior_fraction(self):
+    def test_interior_rows_count(self):
         prob = rank_problem(8, rank=0, dims=(8, 8, 8))
         P = partition_matrix(prob.A, prob.halo)
         # Corner rank of a 2x2x2 grid: 7^3 interior of 8^3 owned.
-        assert P.interior_fraction == pytest.approx(343 / 512)
+        assert len(P.interior_rows) == 343
+        assert len(P.boundary_rows) == 512 - 343
 
     def test_serial_partition_has_empty_boundary(self):
         prob = generate_problem(Subdomain.serial(4, 4, 4))
         P = partition_matrix(prob.A, prob.halo)
         assert len(P.boundary_rows) == 0
-        assert P.interior_fraction == 1.0
+        assert len(P.interior_rows) == 64
 
 
 class TestPartitionedParity:
@@ -160,58 +160,3 @@ class TestPartitionedWorkspace:
             spmv_boundary(P, xfull, out=y, ws=ws)
         assert ws.misses == misses0
         assert ws.hits > 0
-
-
-@BOTH_CLASSES
-class TestPanelHalves:
-    """The panel halves of the overlap schedule, inside each kernel
-    parity class: ``spmv_interior_multi`` / ``spmv_boundary_multi``
-    multiply one region block per panel (ghost columns included), agree
-    with the reference class's column loop to rung tolerance and are
-    exactly column-independent (column j of a panel == the 1-wide panel
-    of column j)."""
-
-    PANEL_OPS = ("spmv_interior_multi", "spmv_boundary_multi")
-
-    def _panel(self, prob, dtype, ncol=5):
-        xfull = full_vector_with_ghosts(prob)
-        X = np.empty((xfull.shape[0], ncol), dtype=dtype, order="F")
-        for j in range(ncol):
-            X[:, j] = (1.0 + 0.5 * j) * xfull
-        return X
-
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
-    @pytest.mark.parametrize("prec", ["fp32", "fp64"])
-    def test_panel_matches_reference_class(self, fmt, prec):
-        prob = rank_problem(8, rank=0)
-        A = to_precision(to_format(prob.A, fmt), prec)
-        P = partition_matrix(A, prob.halo)
-        X = self._panel(prob, A.dtype)
-        rtol, atol = TOLS[prec]
-        Y = np.zeros((P.nlocal, X.shape[1]), dtype=A.dtype, order="F")
-        Yr = np.zeros_like(Y)
-        for op in self.PANEL_OPS:
-            registry.lookup(op, "partitioned", prec)(P, X, out=Y)
-        with use_backend("numpy"):
-            for op in self.PANEL_OPS:
-                registry.lookup(op, "partitioned", prec)(P, X, out=Yr)
-        np.testing.assert_allclose(
-            Y.astype(np.float64), Yr.astype(np.float64), rtol=rtol, atol=atol
-        )
-
-    @pytest.mark.parametrize("fmt", ["csr", "ell"])
-    def test_columns_independent_bitwise(self, fmt):
-        """The property the service's coalescing contract (batched ==
-        solo) reduces to at the kernel level."""
-        prob = rank_problem(8, rank=0)
-        A = to_format(prob.A, fmt)
-        P = partition_matrix(A, prob.halo)
-        X = self._panel(prob, A.dtype)
-        for op in self.PANEL_OPS:
-            kernel = registry.lookup(op, "partitioned", "fp64")
-            Y = np.zeros((P.nlocal, X.shape[1]), dtype=A.dtype, order="F")
-            kernel(P, X, out=Y)
-            for j in range(X.shape[1]):
-                yj = np.zeros((P.nlocal, 1), dtype=A.dtype, order="F")
-                kernel(P, np.asfortranarray(X[:, j : j + 1]), out=yj)
-                assert np.array_equal(Y[:, j], yj[:, 0]), (op, j)

@@ -80,6 +80,16 @@ class TestMotifTimers:
         t.merge(MotifTimers())
         t.reset()
 
+    def test_null_section_is_one_shared_context(self):
+        """Untimed sections build nothing: every call, on every
+        instance, returns the same do-nothing context, and an exception
+        inside it propagates."""
+        a, b = NullTimers(), NullTimers()
+        assert a.section("gs") is b.section("spmv")
+        with pytest.raises(ValueError):
+            with a.section("gs"):
+                raise ValueError
+
 
 class TestReportVariants:
     @pytest.fixture(scope="class")

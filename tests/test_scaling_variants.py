@@ -83,27 +83,38 @@ class TestAblationFlags:
             assert g < base, kwargs
 
     def test_overlap_matters_only_with_ranks(self):
-        """Without neighbors there is no communication to hide.
-
-        The smoother layout is held fixed (``overlap_symgs=True``
-        keeps the color-partitioned blocks): the layout's byte model
-        differs even serial, the *overlap* itself must not.
-        """
+        """Without neighbors there is no communication to hide."""
         on = ScalingModel(overlap=True).gflops_per_gcd("mxp", 1)
-        model_off = ScalingModel(overlap=False, overlap_symgs=True)
-        off = model_off.gflops_per_gcd("mxp", 1)
+        off = ScalingModel(overlap=False).gflops_per_gcd("mxp", 1)
         assert on == pytest.approx(off)
 
-    def test_symgs_layout_charges_indirection_serial(self):
+    def test_symgs_layout_charges_indirection(self):
         """The index-set layout streams row indices + staging; the
-        color-partitioned layout (the overlapped smoother's) does not
-        — visible in the byte model even without ranks."""
+        color-partitioned layout does not."""
+        from repro.fp.precision import Precision
+        from repro.perf.kernels import KernelModel
+
+        km = KernelModel()
+        for prec in (Precision.SINGLE, Precision.DOUBLE):
+            for panel in (1, 8):
+                blocks = km.gs_sweep(32**3, prec, color_blocks=True, panel=panel)
+                indexed = km.gs_sweep(32**3, prec, color_blocks=False, panel=panel)
+                assert blocks.nbytes < indexed.nbytes
+
+    def test_smoother_overlap_moves_no_symgs_bytes(self):
+        """Every multicolor sweep runs on the color-packed layout, so the
+        smoother's modelled halo window changes time, never bytes."""
         from repro.fp import MIXED_DS_POLICY
 
-        blocks = ScalingModel(overlap_symgs=True)
-        indexed = ScalingModel(overlap_symgs=False)
-        policy = MIXED_DS_POLICY
-        assert blocks.cycle_symgs_bytes(policy) < indexed.cycle_symgs_bytes(policy)
+        on, off = ScalingModel(overlap_symgs=True), ScalingModel(overlap_symgs=False)
+        for panel in (1, 8):
+            assert on.cycle_symgs_bytes(MIXED_DS_POLICY, panel) == (
+                off.cycle_symgs_bytes(MIXED_DS_POLICY, panel)
+            )
+            assert on.cycle_traffic_bytes(MIXED_DS_POLICY, panel=panel) == (
+                off.cycle_traffic_bytes(MIXED_DS_POLICY, panel=panel)
+            )
+        assert on.gflops_per_gcd("mxp", 8) > off.gflops_per_gcd("mxp", 8)
 
     def test_host_mixed_ops_leaves_double_untouched(self):
         a = ScalingModel().cycle_profile("double", 8).total_seconds
@@ -149,3 +160,29 @@ class TestK80WeakScaling:
             k80.gflops_per_gcd("mxp", 4)
             < 0.25 * frontier.gflops_per_gcd("mxp", 8)
         )
+
+
+class TestHaloSplitModel:
+    """The paper machine's halo window: bytes hidden behind compute
+    versus exposed, by which overlap the model switches on."""
+
+    def test_split_sums_to_halo_total(self):
+        from repro.fp import MIXED_DS_POLICY
+
+        for kwargs in ({}, {"overlap": False}, {"overlap_symgs": False}):
+            model = ScalingModel(**kwargs)
+            split = model.halo_traffic_split(MIXED_DS_POLICY)
+            assert split["overlapped"] + split["exposed"] == pytest.approx(
+                model.halo_traffic_bytes(MIXED_DS_POLICY)
+            )
+
+    def test_overlap_flags_move_bytes_between_buckets(self):
+        from repro.fp import MIXED_DS_POLICY
+
+        full = ScalingModel().halo_traffic_split(MIXED_DS_POLICY)
+        no_gs = ScalingModel(overlap_symgs=False).halo_traffic_split(MIXED_DS_POLICY)
+        none = ScalingModel(overlap=False).halo_traffic_split(MIXED_DS_POLICY)
+        assert full["exposed"] == 0.0  # everything scheduled over compute
+        assert no_gs["exposed"] > 0.0  # the sweeps' exchanges exposed
+        assert none["overlapped"] == 0.0
+        assert none["exposed"] > no_gs["exposed"]

@@ -84,7 +84,7 @@ def csr_product(A, x):
 def colour_block(prob, A):
     """The first colour block of ``A``'s serial colour-major layout."""
     sets = color_sets(structured_coloring8(prob.sub))
-    return partition_colors(A, None, sets).passes[0][0].A
+    return partition_colors(A, sets).passes[0].A
 
 
 @pytest.fixture
@@ -586,8 +586,7 @@ class TestGuards:
         else:  # rank 0 of two: the block reads a ghost tail
             prob = rank_local(16, "split")
             sets = color_sets(structured_coloring8(prob.sub))
-            P = partition_colors(prob.A, prob.halo, sets)
-            B = next(b.A for _, b in P.passes if b.A is not None)
+            B = partition_colors(prob.A, sets).passes[0].A
             assert B.ncols > prob.nlocal
         product = bind_spmv_multi(B)
         rng = np.random.default_rng(7)
@@ -676,9 +675,8 @@ class TestCrossClassAgreement:
         A = to_precision(to_format(prob.A, fmt), prec)
         diag = A.diagonal()
         sets = color_sets(structured_coloring8(prob.sub))
-        halo = prob.halo if layout == "split" else None
-        P = partition_colors(A, halo, sets, diag=diag)
-        gs = MulticolorGS(A, diag, sets, ws=Workspace(), partition=P)
+        gs = MulticolorGS(A, diag, sets, ws=Workspace())
+        P = gs.partition
         rng = np.random.default_rng(n + 1)
         r = level_order(P, rng.standard_normal(A.nrows).astype(A.dtype))
         x0 = level_order(P, rng.standard_normal(A.ncols).astype(A.dtype))
