@@ -59,24 +59,13 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
         "promotion); without a budget every policy is already fixed",
     )
     p.add_argument(
-        "--precision-control",
-        choices=["auto", "per-ingredient", "policy", "off"],
-        default="auto",
-        help="precision control plane granularity: 'policy' promotes "
-        "the whole policy on stagnation (historical behaviour), "
-        "'per-ingredient' gives each (ingredient, MG level) its own "
-        "controller with de-escalation; 'auto' follows "
-        "REPRO_PRECISION_CONTROL, defaulting to 'policy'",
-    )
-    p.add_argument(
         "--precision-budget",
         type=float,
         default=None,
         metavar="EPS",
         help="Carson-style per-cycle roundoff budget (e.g. 1e-4): "
         "derive the initial per-ingredient rungs from the matrix's "
-        "norm/condition estimates instead of the flat ladder "
-        "(per-ingredient control only)",
+        "norm/condition estimates instead of the flat ladder",
     )
     p.add_argument("--max-iters", type=int, default=40, help="iterations per solve")
     p.add_argument("--num-solves", type=int, default=1)
@@ -191,7 +180,6 @@ def cmd_run(args) -> int:
         validation_mode=args.validation_mode,
         precision_ladder=args.precision_ladder,
         escalation=not args.no_escalation,
-        precision_control=args.precision_control,
         precision_budget=args.precision_budget,
         max_iters_per_solve=args.max_iters,
         num_solves=args.num_solves,

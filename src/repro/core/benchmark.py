@@ -48,7 +48,7 @@ class DistributedPhaseMetrics:
     + collective traffic divided by inner iterations) and
     ``model_bytes_per_cycle`` is the byte model's per-restart-cycle
     total (HBM + halo at rung widths, charged at the solver's *live*
-    per-ingredient schedule) — the two quantities the CI regression
+    rungs) — the two quantities the CI regression
     gate tracks, next to the noisy per-solve wall clock.
 
     The halo pipeline additionally reports its measured wire bytes and
@@ -207,8 +207,10 @@ def _phase_worker(
     comm: Communicator,
     config: BenchmarkConfig,
     policy: PrecisionPolicy,
+    budget: float | None = None,
 ) -> dict:
-    """One rank's timed phase: setup, then ``num_solves`` fixed solves."""
+    """One rank's timed phase: setup, then ``num_solves`` fixed solves
+    (``budget`` seeds the mxp phase's rungs, :mod:`repro.fp.budget`)."""
     proc = ProcessGrid.from_size(comm.size)
     sub = Subdomain(BoxGrid(*config.local_dims), proc, comm.rank)
     problem = generate_problem(sub, spec=ProblemSpec(kind=config.matrix_kind))
@@ -224,7 +226,8 @@ def _phase_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        control=config.control_config(),
+        escalation=config.escalation_config(),
+        budget=budget,
         fusion=config.fusion,
     )
     setup_seconds = time.perf_counter() - t_setup0
@@ -320,7 +323,8 @@ def _distributed_worker(
         ortho=config.ortho,
         timers=timers,
         matrix_format=config.matrix_format,
-        control=config.control_config(),
+        escalation=config.escalation_config(),
+        budget=config.precision_budget,
         fusion=config.fusion,
     )
     # Warmup solve: populates every workspace buffer and transport
@@ -381,7 +385,8 @@ def _distributed_worker(
                 restart=config.restart,
                 ortho=config.ortho,
                 matrix_format=config.matrix_format,
-                control=config.control_config(),
+                escalation=config.escalation_config(),
+                budget=config.precision_budget,
                 fusion=config.fusion,
                 setup_cache=cache,
                 workspace=arena,
@@ -438,11 +443,11 @@ def _distributed_worker(
         "halo_seconds": solver.halo_seconds(),
         "halo_exchanges": solver.halo_exchange_count(),
         "fusion": solver.fusion,
-        # The live per-ingredient schedule at the end of the timed
-        # window — the byte model charges each ingredient at its
-        # *current* rung (a plain policy when the plane ran in
-        # whole-policy mode).
-        "live_schedule": solver.plane.snapshot(),
+        # The live rungs at the end of the timed window: the byte
+        # model charges each ingredient (and a budget-seeded grid
+        # transfer) at its *current* rung.
+        "live_policy": solver.policy,
+        "live_transfers": solver.escalator.transfers,
     }
 
 
@@ -491,11 +496,12 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
         overlap=False,
         fusion=config.fusion,
     )
-    # Charge the byte model at the *live* schedule the solver ended on
-    # (identical to the configured policy unless the control plane
-    # moved a rung mid-run).
-    schedule = records[0].get("live_schedule", policy)
-    model_bytes = model.cycle_traffic_bytes(schedule)["total"]
+    # Charge the byte model at the *live* rungs the solver ended on
+    # (the configured policy unless a budget seeded them or the
+    # escalator promoted them mid-run).
+    schedule = records[0]["live_policy"]
+    transfers = records[0]["live_transfers"]
+    model_bytes = model.cycle_traffic_bytes(schedule, transfers=transfers)["total"]
     # The network model's prediction for this rank's wire traffic: the
     # per-cycle halo total spread over the cycle's inner iterations.
     halo_modeled_per_iter = (
@@ -509,7 +515,9 @@ def run_distributed_phase(config: BenchmarkConfig) -> DistributedPhaseMetrics:
     # width 1) next to the measured matrix-reuse amortization.
     panel_rec = records[0].get("panel") or {}
     bytes_per_rhs = (
-        model.cycle_traffic_bytes(schedule, panel=config.rhs_panel)["total"]
+        model.cycle_traffic_bytes(
+            schedule, panel=config.rhs_panel, transfers=transfers
+        )["total"]
         / config.rhs_panel
     )
     # The wide exchange's latency win: the modeled per-cycle message
@@ -558,11 +566,13 @@ class HPGMxPBenchmark:
     def __init__(self, config: BenchmarkConfig | None = None) -> None:
         self.config = config or BenchmarkConfig()
 
-    def _run_phase(self, policy: PrecisionPolicy) -> list[dict]:
+    def _run_phase(
+        self, policy: PrecisionPolicy, budget: float | None = None
+    ) -> list[dict]:
         cfg = self.config
         if cfg.nranks == 1:
-            return [_phase_worker(SerialComm(), cfg, policy)]
-        return run_spmd(cfg.nranks, _phase_worker, cfg, policy)
+            return [_phase_worker(SerialComm(), cfg, policy, budget)]
+        return run_spmd(cfg.nranks, _phase_worker, cfg, policy, budget)
 
     def run(self) -> BenchmarkResult:
         """Execute all three phases and assemble the result."""
@@ -570,7 +580,7 @@ class HPGMxPBenchmark:
 
         validation = run_validation(cfg)
 
-        mxp_records = self._run_phase(cfg.mixed_policy())
+        mxp_records = self._run_phase(cfg.mixed_policy(), cfg.precision_budget)
         mxp, setup_mxp = _merge_phase("mxp", cfg, mxp_records, validation.penalty)
 
         dbl_records = self._run_phase(cfg.double_policy())

@@ -8,19 +8,12 @@ official value visible via :meth:`BenchmarkConfig.table1`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
-from repro.fp.controller import CONTROL_MODES, ControlConfig
 from repro.fp.ladder import EscalationConfig, parse_ascending_ladder
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.fp.precision import Precision
 from repro.mg.multigrid import MGConfig
-
-#: Environment override for ``precision_control="auto"`` — the CI
-#: matrix leg sets ``REPRO_PRECISION_CONTROL=per-ingredient`` to run
-#: the whole suite's config-driven solves through the control plane.
-PRECISION_CONTROL_ENV = "REPRO_PRECISION_CONTROL"
 
 
 def parse_process_grid(spec: str) -> tuple[int, int, int]:
@@ -103,21 +96,13 @@ class BenchmarkConfig:
     #: the first rung also sets the inner matrix/basis/ortho precision.
     precision_ladder: str | None = None
     #: Lets the rungs a ``precision_budget`` seeds climb on inner-stage
-    #: stagnation (per-ingredient control); ``False`` pins them.  Every
-    #: other configuration keeps the paper's fixed policy either way.
+    #: stagnation; ``False`` pins them.  Every other configuration
+    #: keeps the paper's fixed policy either way.
     escalation: bool = True
-    #: Precision control plane granularity: ``"policy"`` (the
-    #: whole-policy escalator, bit-identical to the historical
-    #: behaviour), ``"per-ingredient"`` (independent controllers per
-    #: (ingredient, MG level) with de-escalation), ``"off"``, or
-    #: ``"auto"`` — the ``REPRO_PRECISION_CONTROL`` environment
-    #: variable when set, else ``"policy"``.
-    precision_control: str = "auto"
     #: Optional Carson-style roundoff budget (per-cycle relative
-    #: allowance, e.g. ``1e-4``) for the *initial* per-ingredient rung
-    #: assignment — derived from the matrix's norm/condition estimates
-    #: instead of the flat ladder string.  Requires (and implies
-    #: meaning only with) per-ingredient control.
+    #: allowance, e.g. ``1e-4``) for the *initial* rungs of every
+    #: ingredient, grid transfers included — derived from the matrix's
+    #: norm/condition estimates instead of the flat ladder string.
     precision_budget: float | None = None
     matrix_kind: str = "symmetric"
     ortho: str = "cgs2"
@@ -200,11 +185,6 @@ class BenchmarkConfig:
             # Fail fast on bad specs; ladders must climb strictly
             # (duplicate/descending rungs are rejected by name).
             parse_ascending_ladder(self.precision_ladder)
-        if self.precision_control not in ("auto", *CONTROL_MODES):
-            raise ValueError(
-                f"unknown precision control {self.precision_control!r}; "
-                f"valid: 'auto', {', '.join(repr(m) for m in CONTROL_MODES)}"
-            )
         if self.precision_budget is not None and self.precision_budget <= 0:
             raise ValueError("precision_budget must be positive")
         if self.distributed_grid is not None:
@@ -299,43 +279,17 @@ class BenchmarkConfig:
     def double_policy(self) -> PrecisionPolicy:
         return DOUBLE_POLICY
 
-    @property
-    def effective_precision_control(self) -> str:
-        """The resolved control-plane mode (``"auto"`` consults the
-        ``REPRO_PRECISION_CONTROL`` environment variable, defaulting to
-        the historical whole-policy escalator)."""
-        if self.precision_control != "auto":
-            return self.precision_control
-        env = os.environ.get(PRECISION_CONTROL_ENV, "").strip()
-        if env:
-            if env not in CONTROL_MODES:
-                raise ValueError(
-                    f"bad {PRECISION_CONTROL_ENV}={env!r}; valid: "
-                    f"{', '.join(repr(m) for m in CONTROL_MODES)}"
-                )
-            return env
-        return "policy"
+    def escalation_config(self) -> EscalationConfig:
+        """The escalator settings handed to the solvers.
 
-    def control_config(self) -> ControlConfig:
-        """Precision-control-plane settings handed to the solvers.
-
-        The detector is off — the paper's fixed policy — except under a
-        ``precision_budget`` with per-ingredient control, where it is on
-        unless ``escalation=False`` pins it: the chooser may seed rungs
-        below the configured ladder (e.g. fp32 coarse levels under an
-        fp64 ladder), and a frozen detector could never climb back out
-        of them.
+        Off — the paper's fixed policy — except under a
+        ``precision_budget``, where it is on unless ``escalation=False``
+        pins it: the chooser may seed rungs below the configured ladder
+        (e.g. fp32 coarse levels under an fp64 ladder), and a frozen
+        escalator could never climb back out of them.
         """
-        mode = self.effective_precision_control
-        budgeted = (
-            mode == "per-ingredient"
-            and self.precision_budget is not None
-            and self.escalation
-        )
-        return ControlConfig(
-            mode=mode,
-            escalation=EscalationConfig(enabled=budgeted),
-            budget=self.precision_budget,
+        return EscalationConfig(
+            enabled=self.precision_budget is not None and self.escalation
         )
 
     def with_updates(self, **kwargs) -> "BenchmarkConfig":

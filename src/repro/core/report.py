@@ -149,7 +149,6 @@ def result_to_dict(result: BenchmarkResult) -> dict:
             "validation_mode": result.config.validation_mode,
             "precision_ladder": result.config.precision_ladder,
             "escalation": result.config.escalation,
-            "precision_control": result.config.effective_precision_control,
             "precision_budget": result.config.precision_budget,
         },
         "validation": {

@@ -120,7 +120,8 @@ def run_fault_inject_phase(config: BenchmarkConfig) -> ResiliencePhaseMetrics:
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        control=config.control_config(),
+        escalation=config.escalation_config(),
+        budget=config.precision_budget,
     )
     tol = config.validation_tol
     maxiter = config.validation_max_iters

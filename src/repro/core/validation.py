@@ -68,8 +68,10 @@ def _validation_solve(
     config: BenchmarkConfig,
     policy: PrecisionPolicy,
     target_residual: float | None,
+    budget: float | None,
 ) -> SolverStats:
-    """One validation solve on the phase communicator, zero guess."""
+    """One validation solve on the phase communicator, zero guess
+    (``budget`` seeds GMRES-IR's rungs, :mod:`repro.fp.budget`)."""
     problem = _build_problem(config, comm)
     solver = GMRESIRSolver(
         problem,
@@ -79,7 +81,8 @@ def _validation_solve(
         restart=config.restart,
         ortho=config.ortho,
         matrix_format=config.matrix_format,
-        control=config.control_config(),
+        escalation=config.escalation_config(),
+        budget=budget,
     )
     _, stats = solver.solve(
         problem.b,
@@ -95,12 +98,15 @@ def _run_phase(
     config: BenchmarkConfig,
     policy: PrecisionPolicy,
     target_residual: float | None = None,
+    budget: float | None = None,
 ) -> SolverStats:
     """Run a validation solve on ``nranks`` (serial fast-path for 1)."""
     if nranks == 1:
-        return _validation_solve(SerialComm(), config, policy, target_residual)
+        return _validation_solve(
+            SerialComm(), config, policy, target_residual, budget
+        )
     results = run_spmd(
-        nranks, _validation_solve, config, policy, target_residual
+        nranks, _validation_solve, config, policy, target_residual, budget
     )
     return results[0]  # identical on every rank
 
@@ -110,7 +116,9 @@ def run_validation(config: BenchmarkConfig) -> ValidationResult:
     if config.validation_mode == "standard":
         ranks = config.effective_validation_ranks
         d_stats = _run_phase(ranks, config, config.double_policy())
-        ir_stats = _run_phase(ranks, config, config.mixed_policy())
+        ir_stats = _run_phase(
+            ranks, config, config.mixed_policy(), budget=config.precision_budget
+        )
         target = None
     else:  # fullscale
         ranks = config.nranks
@@ -120,7 +128,9 @@ def run_validation(config: BenchmarkConfig) -> ValidationResult:
         target = d_stats.final_relres * d_stats.rho0
         # Guard against a zero target when double hit machine floor.
         target = max(target, np.finfo(np.float64).tiny)
-        ir_stats = _run_phase(ranks, config, config.mixed_policy(), target)
+        ir_stats = _run_phase(
+            ranks, config, config.mixed_policy(), target, config.precision_budget
+        )
 
     return ValidationResult(
         mode=config.validation_mode,

@@ -10,25 +10,25 @@ residual and solution updates to double.  This package provides:
   which precision (the paper's "blue" steps of Algorithm 3), including
   the per-multigrid-level schedule.
 - :mod:`~repro.fp.ladder` — the fp32 < fp64 rung ordering,
-  ladder-spec parsing, and the adaptive-escalation configuration.
-- :mod:`~repro.fp.controller` — the per-ingredient precision control
-  plane: one :class:`~repro.fp.controller.IngredientController` per
-  (ingredient, MG level), with promotion *and* hysteresis-guarded
-  de-escalation, plus the whole-policy compatibility mode.
+  ladder-spec parsing, and the :class:`~repro.fp.ladder.Escalator`
+  that promotes the whole policy one rung on stall, floor, breakdown
+  or fault, emitting one :class:`~repro.fp.ladder.PrecisionEvent`.
 - :mod:`~repro.fp.budget` — the Carson-style roundoff-budget chooser
-  that derives the initial per-ingredient rungs from the matrix's
-  norm/condition estimates instead of a flat CLI string.
+  that derives the *initial* rungs (a policy plus the grid-transfer
+  rungs) from the matrix's norm/condition estimates instead of a flat
+  CLI string.
 """
 
 from repro.fp.precision import Precision, as_dtype, cast, machine_eps
 from repro.fp.ladder import (
     EscalationConfig,
+    Escalator,
     NO_ESCALATION,
+    PrecisionEvent,
     format_ladder,
     next_rung,
     parse_ascending_ladder,
     parse_ladder,
-    prev_rung,
     schedule_for_levels,
 )
 from repro.fp.policy import (
@@ -36,17 +36,8 @@ from repro.fp.policy import (
     DOUBLE_POLICY,
     MIXED_DS_POLICY,
 )
-from repro.fp.controller import (
-    CONTROL_MODES,
-    ControlConfig,
-    INGREDIENTS,
-    IngredientController,
-    IngredientSchedule,
-    NO_CONTROL,
-    PrecisionControlPlane,
-    PrecisionEvent,
-)
 from repro.fp.budget import (
+    INGREDIENTS,
     BudgetReport,
     choose_plane,
     estimate_condition,
@@ -58,24 +49,18 @@ __all__ = [
     "cast",
     "machine_eps",
     "EscalationConfig",
+    "Escalator",
     "NO_ESCALATION",
+    "PrecisionEvent",
     "format_ladder",
     "next_rung",
-    "prev_rung",
     "parse_ascending_ladder",
     "parse_ladder",
     "schedule_for_levels",
     "PrecisionPolicy",
     "DOUBLE_POLICY",
     "MIXED_DS_POLICY",
-    "CONTROL_MODES",
-    "ControlConfig",
     "INGREDIENTS",
-    "IngredientController",
-    "IngredientSchedule",
-    "NO_CONTROL",
-    "PrecisionControlPlane",
-    "PrecisionEvent",
     "BudgetReport",
     "choose_plane",
     "estimate_condition",

@@ -1,13 +1,12 @@
-"""Carson-style roundoff-budget chooser for the initial ladder.
+"""Carson-style roundoff-budget chooser for the initial rungs.
 
 Instead of a flat CLI ladder string applied to every ingredient, the
-chooser assigns each ``(ingredient, MG level)`` controller the lowest
-rung whose expected per-cycle roundoff contribution fits a caller
-budget — the inexactness-balancing idea of Carson's mixed-precision
-analysis: an ingredient running at unit roundoff ``u`` perturbs the
-outer residual by roughly ``w * u * kappa(A)``, where the weight ``w``
-captures how strongly the algorithm amplifies that ingredient's
-rounding.
+chooser gives each ``(ingredient, MG level)`` the lowest rung whose
+expected per-cycle roundoff contribution fits a caller budget — the
+inexactness-balancing idea of Carson's mixed-precision analysis: an
+ingredient at unit roundoff ``u`` perturbs the outer residual by
+roughly ``w * u * kappa(A)``, the weight ``w`` being how strongly the
+algorithm amplifies that ingredient's rounding.
 
 Weights, coarsest model that reproduces the paper's qualitative
 ordering:
@@ -29,17 +28,24 @@ Condition estimation stays cheap and deterministic: ``||A||_inf`` from
 row sums and a Gershgorin-flavoured ``kappa`` bound from the diagonal
 (the benchmark stencil is near-singular, so the bound is clamped; the
 chooser only needs the right order of magnitude).
+
+The rungs are only the solver's *initial* schedule
+(:meth:`BudgetReport.seed`: a policy plus the transfer rungs); the
+:class:`~repro.fp.ladder.Escalator` raises them like any other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.fp.controller import INGREDIENTS
 from repro.fp.ladder import LADDER
+from repro.fp.policy import PrecisionPolicy
 from repro.fp.precision import Precision
+
+#: The solver ingredients the chooser assigns a rung to (weights above).
+INGREDIENTS = ("smoother", "transfer", "spmv", "ortho")
 
 #: Amplification weight per ingredient at level 0; levels decay 4**-l.
 INGREDIENT_WEIGHTS = {
@@ -105,7 +111,7 @@ def estimate_condition(A) -> ConditionEstimate:
 
 
 def ingredient_weight(ingredient: str, level: int, restart: int = 30) -> float:
-    """Roundoff-amplification weight of one controller."""
+    """Roundoff-amplification weight of one ``(ingredient, level)``."""
     if ingredient not in INGREDIENTS:
         raise ValueError(f"unknown ingredient {ingredient!r}; valid: {INGREDIENTS}")
     w = INGREDIENT_WEIGHTS[ingredient]
@@ -124,6 +130,7 @@ class BudgetReport:
     condition: ConditionEstimate
     assignments: dict  # (ingredient, level) -> Precision
     contributions: dict  # (ingredient, level) -> chosen w * u * kappa
+    nlevels: int
 
     def ladder_for(self, ingredient: str, nlevels: int) -> tuple:
         """The per-level rungs chosen for one ingredient."""
@@ -132,6 +139,23 @@ class BudgetReport:
             for lvl in range(nlevels)
             if (ingredient, lvl) in self.assignments
         )
+
+    def seed(
+        self, policy: PrecisionPolicy
+    ) -> "tuple[PrecisionPolicy, tuple[Precision, ...] | None]":
+        """``policy`` on the chosen rungs (SpMV: the inner matrix;
+        ortho: basis and orthogonalization; smoother: the MG schedule),
+        and the hierarchy's ``transfer_precision`` (``None`` on one
+        level)."""
+        ortho = self.assignments[("ortho", 0)]
+        seeded = replace(
+            policy,
+            matrix=self.assignments[("spmv", 0)],
+            mg_levels=self.ladder_for("smoother", self.nlevels),
+            krylov_basis=ortho,
+            orthogonalization=ortho,
+        )
+        return seeded, self.ladder_for("transfer", self.nlevels) or None
 
     def describe(self) -> str:
         lines = [f"roundoff budget {self.budget:.2e} ({self.condition.describe()})"]
@@ -191,4 +215,5 @@ def choose_plane(A, nlevels: int, budget: float, restart: int = 30) -> BudgetRep
         condition=cond,
         assignments=assignments,
         contributions=contributions,
+        nlevels=nlevels,
     )

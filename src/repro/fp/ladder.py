@@ -1,9 +1,6 @@
 """The precision ladder: ordered rungs and per-MG-level schedules.
 
-The paper evaluates double/single GMRES-IR; Carson's inexactness
-framework motivates choosing a precision per solver ingredient against
-a roundoff budget.  This module provides the two pieces of machinery
-that generalization needs:
+The paper evaluates double/single GMRES-IR; this module generalizes it:
 
 - a **ladder** — the ordered rungs fp32 < fp64 with :func:`next_rung`
   ("promote") navigation, parsed from compact specs like
@@ -19,17 +16,24 @@ machine computes fast: fp16 (:attr:`Precision.HALF`) is a key of the
 :mod:`repro.perf` projection, never a solver rung, and every spec that
 names it is rejected by :func:`solver_rung` before anything is built.
 
-:class:`EscalationConfig` carries the knobs of the adaptive controller
-in :mod:`repro.solvers.gmres_ir` that climbs the ladder when an inner
-stage stagnates at its precision floor.
+The :class:`Escalator` (knobs: :class:`EscalationConfig`) is consulted
+by :class:`~repro.solvers.gmres_ir.GMRESIRSolver` at every restart
+boundary: when an inner stage stalls at its precision floor, breaks
+down or faults, it promotes the whole policy one rung — HPL-MxP's
+fall-back to higher precision.  On two rungs that moves every fp32
+ingredient to fp64 at once, the only move a per-ingredient controller
+could make too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.fp.precision import Precision
+
+if TYPE_CHECKING:
+    from repro.fp.policy import PrecisionPolicy
 
 #: The rungs, lowest first.  Promotion moves one step right.
 LADDER: tuple[Precision, ...] = (Precision.SINGLE, Precision.DOUBLE)
@@ -61,17 +65,6 @@ def next_rung(prec: "Precision | str") -> Precision:
     return LADDER[min(i + 1, len(LADDER) - 1)]
 
 
-def prev_rung(prec: "Precision | str") -> Precision:
-    """The next-lower rung (fp64 -> fp32; fp32 is a fixpoint).
-
-    The de-escalation move: like :func:`next_rung` at the top, the
-    bottom of the ladder is an explicit no-op rather than an error, so
-    controllers never need a bounds check before demoting.
-    """
-    i = LADDER.index(solver_rung(prec))
-    return LADDER[max(i - 1, 0)]
-
-
 def parse_ladder(spec: "str | Precision | Iterable") -> tuple[Precision, ...]:
     """Parse a ladder/schedule spec into a tuple of rungs.
 
@@ -100,15 +93,11 @@ def format_ladder(schedule: Iterable[Precision]) -> str:
 def parse_ascending_ladder(
     spec: "str | Precision | Iterable",
 ) -> tuple[Precision, ...]:
-    """Parse a *ladder* spec: rungs must be strictly ascending.
+    """Parse a *ladder* spec, whose rungs must strictly ascend.
 
-    Per-level MG schedules may legitimately run coarse levels higher
-    (or, experimentally, lower) than their neighbors, so
-    :func:`parse_ladder` accepts any ordering; a *ladder* — the
-    escalation path fed to :meth:`PrecisionPolicy.from_ladder` — must
-    climb strictly, or promotion would revisit (duplicate rung) or
-    descend (non-ascending) and the controller could loop.  The error
-    names the offending rung.
+    Unlike a per-level MG schedule (:func:`parse_ladder`, any order),
+    the spec fed to :meth:`PrecisionPolicy.from_ladder` must climb; the
+    error names a duplicate or descending rung.
     """
     rungs = parse_ladder(spec)
     for prev, cur in zip(rungs, rungs[1:]):
@@ -149,30 +138,17 @@ def promote_schedule(schedule: Iterable[Precision]) -> tuple[Precision, ...]:
 
 @dataclass(frozen=True)
 class EscalationConfig:
-    """Knobs of the adaptive ladder-escalation controller.
+    """Knobs of the :class:`Escalator`.
 
-    The controller watches the *outer* (fp64) residual at every restart
-    boundary.  An inner stage running at precision ``u`` cannot reduce
-    the outer residual below roughly ``u * kappa(A)`` per cycle; when
-    the per-cycle reduction degrades past ``stall_ratio`` the stage has
-    hit that floor and the whole policy is promoted one rung.
+    An inner stage at unit roundoff ``u`` cannot push the outer (fp64)
+    residual below roughly ``u * kappa(A)`` per cycle, so a cycle that
+    fails to shrink it to ``stall_ratio * previous`` has hit that floor.
 
-    Attributes
-    ----------
-    enabled:
-        Master switch; a disabled controller never promotes (the solver
-        then behaves exactly like the fixed-policy GMRES-IR).
-    stall_ratio:
-        A restart cycle must shrink the true residual to at most
-        ``stall_ratio * previous`` or it counts as stagnation.
-    floor_factor:
-        Classification only: a stagnation with relative residual at or
-        below ``floor_factor * eps(active low precision)`` is labeled
-        ``"floor"`` (stuck at the precision's roundoff floor) rather
-        than ``"stall"``.
-    min_cycles:
-        Completed cycles at the active rung before stagnation is
-        judged (the first cycle after a promotion gets a free pass).
+    ``enabled`` is the master switch (off: the fixed-policy GMRES-IR).
+    ``floor_factor`` only classifies: a stagnation at relative residual
+    ``<= floor_factor * eps(lowest rung)`` reads ``"floor"``, else
+    ``"stall"``.  ``min_cycles`` completed cycles pass before the first
+    judgement of a solve or after a promotion.
     """
 
     enabled: bool = True
@@ -189,3 +165,95 @@ class EscalationConfig:
 
 #: Escalation disabled — the fixed-policy historical behaviour.
 NO_ESCALATION = EscalationConfig(enabled=False)
+
+
+@dataclass(frozen=True)
+class PrecisionEvent:
+    """One promotion during a solve (``SolverStats.promotions``).
+
+    ``from_low`` / ``to_low`` are the lowest live rung before and after;
+    ``ingredient`` names what moved, always the whole ``"policy"``.
+    """
+
+    iteration: int  # inner-iteration count when the event fired
+    restart: int  # restart cycles completed at that point
+    relres: float  # outer relative residual that triggered it
+    reason: str  # "stall" | "floor" | "breakdown" | "fault"
+    from_low: Precision
+    to_low: Precision
+    ingredient: str = "policy"
+
+    def describe(self) -> str:
+        return (
+            f"iter {self.iteration}: promote {self.ingredient} "
+            f"{self.from_low.short_name}->{self.to_low.short_name} "
+            f"({self.reason}, relres={self.relres:.2e})"
+        )
+
+
+class Escalator:
+    """The live rungs of one solver, and the rule that raises them.
+
+    ``policy`` and ``transfers`` (one rung per MG level boundary;
+    ``None`` couples each to the coarser level's rung) persist across
+    solves, so a promotion's setup is paid once; :meth:`reset` forgets
+    only the residual history and the cycles since the last promotion.
+    """
+
+    def __init__(
+        self,
+        config: EscalationConfig,
+        policy: "PrecisionPolicy",
+        transfers: "tuple[Precision, ...] | None" = None,
+    ) -> None:
+        self.config = config
+        self.policy = policy
+        self.transfers = transfers
+        self.reset()
+
+    def reset(self) -> None:
+        self._prev_rho: float | None = None
+        self._cycles = 0
+
+    def cycle_completed(self) -> None:
+        self._cycles += 1
+
+    @property
+    def low(self) -> Precision:
+        """The lowest live rung, transfers included."""
+        return min(
+            (self.policy.low, *(self.transfers or ())), key=lambda p: p.bytes
+        )
+
+    def observe_restart(
+        self, rho: float, relres: float, iteration: int, restarts: int
+    ) -> list[PrecisionEvent]:
+        """Judge the outer residual ``rho`` at a restart boundary: a
+        cycle that failed to shrink it to ``stall_ratio`` of the last
+        one promotes (``"floor"`` at the rung's roundoff, else
+        ``"stall"``)."""
+        prev, self._prev_rho = self._prev_rho, rho
+        esc = self.config
+        if not esc.enabled or prev is None or self._cycles < esc.min_cycles:
+            return []
+        if rho <= esc.stall_ratio * prev:
+            return []
+        reason = "floor" if relres <= esc.floor_factor * self.low.eps else "stall"
+        return self.promote(reason, relres, iteration, restarts)
+
+    def promote(
+        self, reason: str, relres: float, iteration: int, restarts: int
+    ) -> list[PrecisionEvent]:
+        """Every live rung one up; ``[]`` when disabled or at fp64.
+
+        A breakdown or fault calls this directly (no stall window); the
+        boundary after any promotion starts without residual history.
+        """
+        frm = self.low
+        if not self.config.enabled or frm is Precision.DOUBLE:
+            return []
+        self.policy = self.policy.promote()
+        if self.transfers is not None:
+            self.transfers = promote_schedule(self.transfers)
+        self.reset()
+        return [PrecisionEvent(iteration, restarts, relres, reason, frm, self.low)]

@@ -137,8 +137,8 @@ class MGLevel:
     #: Rung of the grid transfer *out of* this level: the coarse-defect
     #: vector crossing the boundary to ``lvl+1`` is stored at this
     #: precision (``None`` on the coarsest level).  Defaults to the
-    #: coarser level's rung — the historical behaviour — unless the
-    #: precision control plane schedules the transfer ingredient apart.
+    #: coarser level's rung unless a roundoff budget
+    #: (:mod:`repro.fp.budget`) schedules the transfers apart.
     transfer_precision: Precision | None = None
     #: The V-cycle from this level down as one dense F-order matrix at
     #: this level's rung (``z = C r`` in the level's order), or ``None``
@@ -252,8 +252,7 @@ class MultigridPreconditioner:
         (the fused restriction casts once on the store into it, the
         coarse level consumes it as its rhs).  ``None`` keeps the
         historical coupling — each boundary at the coarser level's
-        rung.  This is the seam the per-ingredient precision control
-        plane drives.
+        rung.  A roundoff budget's seeded transfers arrive here.
 
         Every multicolor smoother sweeps a color-ordered copy of its
         level matrix (:func:`repro.sparse.partitioned.partition_colors`)

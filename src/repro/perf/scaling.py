@@ -387,7 +387,7 @@ class ScalingModel:
     # ------------------------------------------------------------------
     # Byte-traffic accounting (policy-driven, per-level widths)
     # ------------------------------------------------------------------
-    def mg_vcycle_bytes(self, policy, panel: int = 1) -> float:
+    def mg_vcycle_bytes(self, policy, panel: int = 1, transfers=None) -> float:
         """Modeled HBM bytes of one V-cycle under a policy (per GCD).
 
         Each level is charged at its own ladder rung
@@ -395,22 +395,22 @@ class ScalingModel:
         streams measurably less than an all-fp32 hierarchy — the
         memory-wall argument for the ladder, level by level.
 
-        When the schedule exposes a separate grid-transfer rung
-        (``transfer_level``, the per-ingredient control plane's
-        :class:`~repro.fp.controller.IngredientSchedule`), the coarse
-        defect written by the restriction is charged at *that* rung
-        instead of the level's — the transfer ingredient's live width.
-        A plain :class:`~repro.fp.policy.PrecisionPolicy` carries no
-        transfer axis and is charged exactly as before.
+        ``transfers`` (one rung per level boundary, finest first: a
+        roundoff budget's seeded transfers, the hierarchy's
+        ``transfer_schedule``) charges the coarse defect the
+        restriction writes at *that* rung instead of the level's.
+        ``None`` charges it at the level's rung.
 
         ``panel > 1`` charges the multi-RHS V-cycle: each sweep's and
         transfer's matrix block streams once, the vector traffic
         scales per column (the :class:`KernelModel` panel semantics).
         """
-        by = self.mg_vcycle_byte_breakdown(policy, panel=panel)
+        by = self.mg_vcycle_byte_breakdown(policy, panel=panel, transfers=transfers)
         return by["symgs"] + by["transfer"]
 
-    def mg_vcycle_byte_breakdown(self, policy, panel: int = 1) -> dict[str, float]:
+    def mg_vcycle_byte_breakdown(
+        self, policy, panel: int = 1, transfers=None
+    ) -> dict[str, float]:
         """One V-cycle's modeled HBM bytes, split ``symgs``/``transfer``.
 
         ``symgs`` is the smoother-sweep traffic (all levels; a
@@ -422,7 +422,6 @@ class ScalingModel:
         split is what lets the benchmark record and its CI gate track
         the dominant motif's modeled bytes on their own.
         """
-        transfer_of = getattr(policy, "transfer_level", None)
         multicolor = self.smoother == "multicolor"
         symgs = transfer = 0.0
         for lvl in range(self.nlevels):
@@ -449,11 +448,11 @@ class ScalingModel:
             # Prolongation is pure vector traffic: every byte scales
             # with the panel.
             transfer += self.km.prolong_correct(n_c, prec).nbytes * panel
-            if transfer_of is not None:
+            if transfers is not None:
                 # Re-charge the restriction's coarse-defect store at
-                # the live transfer rung (the kernel models above
-                # charged it at the level rung).
-                transfer += n_c * (transfer_of(lvl).bytes - prec.bytes) * panel
+                # the transfer rung (the kernel models above charged
+                # it at the level rung).
+                transfer += n_c * (transfers[lvl].bytes - prec.bytes) * panel
         return {"symgs": symgs, "transfer": transfer}
 
     def halo_traffic_bytes(self, policy) -> float:
@@ -582,7 +581,9 @@ class ScalingModel:
             policy, panel=panel
         )["symgs"]
 
-    def cycle_traffic_bytes(self, policy, panel: int = 1) -> dict[str, float]:
+    def cycle_traffic_bytes(
+        self, policy, panel: int = 1, transfers=None
+    ) -> dict[str, float]:
         """Modeled bytes of one full restart cycle under a policy.
 
         The per-motif breakdown mirrors :meth:`cycle_profile` but
@@ -594,13 +595,11 @@ class ScalingModel:
         the exchanging level's rung width.  Returns motif bytes plus
         ``"total"``.
 
-        The precision control plane's live schedule plugs in directly:
-        pass ``solver.plane.snapshot()`` (an
-        :class:`~repro.fp.controller.IngredientSchedule` in
-        per-ingredient mode) and every ingredient — SpMV, ortho, each
-        smoother level, each transfer — is charged at its *current*
-        rung, so modeled traffic tracks run-time promotions and
-        demotions rather than the static configuration.
+        Pass a solver's live ``policy`` and ``escalator.transfers`` and
+        every ingredient — SpMV, ortho, each smoother level, each
+        budget-seeded transfer (:meth:`mg_vcycle_bytes`) — is charged at
+        its *current* rung, so modeled traffic tracks run-time
+        promotions rather than the static configuration.
 
         ``panel > 1`` models the batched multi-RHS cycle: every sparse
         kernel's matrix block is charged **once** per application while
@@ -614,7 +613,7 @@ class ScalingModel:
         n = self.level_nlocal(0)
         km = self.km
         by: dict[str, float] = {}
-        vcycle = self.mg_vcycle_bytes(policy, panel=panel)
+        vcycle = self.mg_vcycle_bytes(policy, panel=panel, transfers=transfers)
         by["mg"] = (m + 1) * vcycle  # m inner + 1 solution-update cycle
         by["spmv"] = m * km.spmv(n, policy.matrix, fmt=self.fmt, panel=panel).nbytes
         # Halo exchanges ship each column's ghosts (vector traffic —

@@ -15,8 +15,8 @@ package makes that failure surface testable offline:
   compared against ``(eᵀA)·x`` at the active rung's tolerance.
 - recovery lives where the state lives: GMRES-IR checkpoints the
   iterate at restart boundaries and replays a corrupted cycle
-  (promoting the binding rung through the precision plane's breakdown
-  path), the service retries a faulted batch up to twice before the
+  (promoting the policy one rung through the solver's escalator), the
+  service retries a faulted batch up to twice before the
   error reaches its clients.
 
 Everything is **off by default and zero-overhead when disabled**;

@@ -10,7 +10,7 @@ magnitude clears the rung's roundoff floor is caught.
 
 The checksums are computed once from the fp64 operator — every rung
 stores a plain cast of the same operator, so one fp64 ``c`` serves
-every rung; only the tolerance changes with the precision plane.  The check
+every rung; only the tolerance changes with the rung.  The check
 is read-only: with no fault present it changes no solver state, which
 is what keeps resilience-on runs bitwise identical to resilience-off.
 """

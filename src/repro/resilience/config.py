@@ -5,8 +5,8 @@ Passing a :class:`ResilienceConfig` to
 (ABFT checksum verification on the SpMV paths, finite guards on the
 outer residual) and recovery (checkpoint the iterate at every restart
 boundary; on a detected fault discard the cycle, replay from the
-checkpoint, and promote the binding rung through the precision plane's
-breakdown path).  The default-constructed config enables everything;
+checkpoint, and promote the policy one rung through the solver's
+escalator).  The default-constructed config enables everything;
 ``None`` (the solver default) costs nothing — no checkpoint copy, no
 checksum, no extra branch on the hot path beyond one ``is None`` test
 per restart.

@@ -2,10 +2,9 @@
 
 A :class:`SolveRequest` carries everything one client wants from one
 solve: the operator (by content fingerprint — the client registered it
-up front), the right-hand side, and the *per-request* solver knobs the
-precision control plane exposes — the precision ladder, an optional
-Carson-style roundoff budget, the tolerance/iteration caps, and a
-wall-clock timeout.
+up front), the right-hand side, and the *per-request* solver knobs —
+the precision ladder, an optional Carson-style roundoff budget, the
+tolerance/iteration caps, and a wall-clock timeout.
 
 Requests are **coalesced** by :class:`~repro.service.SolverService`:
 requests whose :meth:`SolveRequest.key` compare equal may share one
@@ -94,8 +93,9 @@ class SolveRequest:
         request's inner stage; ``None`` solves in uniform double.
     budget:
         Optional Carson-style per-cycle roundoff budget: the initial
-        per-ingredient rungs derive from the matrix's norm/condition
-        estimates (per-ingredient control), not the flat ladder.
+        rungs of every ingredient, grid transfers included, derive from
+        the matrix's norm/condition estimates, not the flat ladder, and
+        the escalator may promote them.
     timeout:
         Optional wall-clock deadline in seconds, measured from
         submission.  Expiry fails the request with

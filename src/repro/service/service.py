@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backends.workspace import WorkspacePool
-from repro.fp.controller import ControlConfig
-from repro.fp.ladder import EscalationConfig
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.mg.multigrid import MGConfig
 from repro.parallel.comm import SerialComm
@@ -506,13 +504,7 @@ class SolverService:
             if key.ladder
             else DOUBLE_POLICY
         )
-        control: ControlConfig | None = None
-        if key.budget is not None:
-            control = ControlConfig(
-                mode="per-ingredient",
-                escalation=EscalationConfig(enabled=True),
-                budget=key.budget,
-            )
+        # A budget's seeded rungs may climb; a bare ladder stays fixed.
         solver = GMRESIRSolver(
             problem,
             SerialComm(),
@@ -521,7 +513,8 @@ class SolverService:
             restart=self.restart,
             ortho=self.ortho,
             matrix_format=self.matrix_format,
-            control=control,
+            escalation=key.budget is not None,
+            budget=key.budget,
             setup_cache=self.setup_cache,
             workspace=arena,
             resilience=self.resilience,

@@ -6,12 +6,11 @@ with CGS2 reorthogonalization, low-precision inner steps, double outer
 updates) and ``DOUBLE_POLICY`` reduces it to plain restarted GMRES —
 mathematically Algorithm 2 with iterative-refinement restarts.  Ladder
 policies (``PrecisionPolicy.from_ladder("fp32:fp64")``) put each MG
-level on its own rung; with escalation opted in, the precision control
-plane (:mod:`repro.fp.controller`) adapts the rungs at run time — whole
-policy in ``"policy"`` mode, one controller per (ingredient, MG level)
-with de-escalation in ``"per-ingredient"`` mode — recording each
-promotion/demotion as a :class:`Promotion`
-(:class:`~repro.fp.controller.PrecisionEvent`).
+level on its own rung; with escalation opted in, the
+:class:`~repro.fp.ladder.Escalator` promotes the whole policy one rung
+when a restart cycle stalls, breaks down or faults, recording each
+promotion as a :class:`Promotion`
+(:class:`~repro.fp.ladder.PrecisionEvent`).
 """
 
 from repro.solvers.givens import GivensQR, givens_coefficients

@@ -11,19 +11,14 @@ One implementation serves both benchmark phases:
   the algorithm reduces to restarted GMRES (Algorithm 2 with restarts),
   the benchmark's "double" reference phase;
 - with a ladder policy (:meth:`PrecisionPolicy.from_ladder`, e.g.
-  ``"fp32:fp64"``) each MG level runs on its own rung, and with
-  escalation opted in the **precision control plane**
-  (:mod:`repro.fp.controller`) adapts the rungs at run time.  In
-  ``"policy"`` mode (the default, bit-identical to the PR 2
-  escalator) a stalling restart cycle promotes the whole
-  policy one rung; in ``"per-ingredient"`` mode each (ingredient, MG
-  level) pair — smoother per level, SpMV, grid transfers,
-  orthogonalization — owns its rung: only the controllers on the
-  binding (lowest) rung promote, and sustained recovery of the outer
-  residual demotes promoted controllers back down after a hysteresis
-  window.  Every rung change rebuilds the affected low-precision
-  state and is recorded in :class:`SolverStats` (with its ingredient
-  and level) and exportable as timeline events (:mod:`repro.trace`).
+  ``"fp32:fp64"``) each MG level runs on its own rung, and a roundoff
+  ``budget`` (:mod:`repro.fp.budget`) seeds every ingredient's rung,
+  grid transfers included, from the matrix.  With escalation opted in,
+  the :class:`~repro.fp.ladder.Escalator` promotes the whole policy one
+  rung when a restart cycle stalls, breaks down or faults; the
+  promotion rebuilds the low-precision state, is recorded in
+  :class:`SolverStats` and is exportable as a timeline event
+  (:mod:`repro.trace`).
 
 Convergence checking follows the benchmark: the implicit residual from
 the Givens-transformed rhs (``|t_{k+1}|``) is monitored every inner
@@ -49,12 +44,8 @@ import numpy as np
 
 from repro.backends.dispatch import dot_multi, gemv
 from repro.backends.workspace import Workspace
-from repro.fp.controller import (
-    ControlConfig,
-    PrecisionControlPlane,
-    PrecisionEvent,
-)
-from repro.fp.ladder import NO_ESCALATION, EscalationConfig
+from repro.fp.budget import choose_plane
+from repro.fp.ladder import NO_ESCALATION, EscalationConfig, Escalator, PrecisionEvent
 from repro.fp.policy import DOUBLE_POLICY, PrecisionPolicy
 from repro.fp.precision import Precision
 from repro.mg.multigrid import MGConfig, MultigridPreconditioner
@@ -78,9 +69,7 @@ from repro.stencil.poisson27 import Problem
 from repro.util.timers import NullTimers
 
 
-#: Backward-compatible alias: a "promotion" record is now one
-#: :class:`~repro.fp.controller.PrecisionEvent` (a superset — it also
-#: covers demotions and carries the ingredient + MG level).
+#: Backward-compatible alias of :class:`~repro.fp.ladder.PrecisionEvent`.
 Promotion = PrecisionEvent
 
 #: A restart cycle of a solve with a residual target ends once a
@@ -107,9 +96,7 @@ class SolverStats:
     implicit_history: list[float] = field(default_factory=list)
     cycle_lengths: list[int] = field(default_factory=list)
     breakdown: bool = False  # "happy breakdown" (exact solution in span)
-    #: Per-ingredient precision event log: every promotion *and*
-    #: demotion, in firing order, with its ingredient and MG level
-    #: (whole-policy events carry ``ingredient="policy"``).
+    #: The escalator's promotions, in firing order.
     promotions: list[PrecisionEvent] = field(default_factory=list)
     #: Setup-cache counters (cumulative for the solver's cache at the
     #: time the solve finished; both zero without a cache).
@@ -123,21 +110,13 @@ class SolverStats:
     #: (so pre-existing stats consumers and JSON records are unchanged).
     resilience: "ResilienceStats | None" = None
 
-    @property
-    def demotions(self) -> list[PrecisionEvent]:
-        """The de-escalation subset of the event log."""
-        return [p for p in self.promotions if p.direction == "demote"]
-
     def summary(self) -> str:
         if self.cancelled:
             state = "cancelled"
         else:
             state = "converged" if self.converged else "NOT converged"
-        n_demote = len(self.demotions)
-        n_promote = len(self.promotions) - n_demote
-        promo = f", {n_promote} promotion(s)" if n_promote else ""
-        if n_demote:
-            promo += f", {n_demote} demotion(s)"
+        n = len(self.promotions)
+        promo = f", {n} promotion(s)" if n else ""
         return (
             f"{state} in {self.iterations} iterations "
             f"({self.restarts} restarts{promo}), "
@@ -159,17 +138,12 @@ class GMRESIRSolver:
     ``escalation`` configures the stall/floor detector; the default
     (:data:`repro.fp.ladder.NO_ESCALATION`) pins the policy for the
     whole solve, ``True`` or an enabled :class:`EscalationConfig` opts
-    in.  ``control`` selects the precision control plane's
-    granularity: ``"policy"`` (default — the whole-policy escalator,
-    bit-identical to PR 2), ``"per-ingredient"`` (independent
-    controllers per ingredient and MG level, with de-escalation), or
-    ``"off"``; a full :class:`~repro.fp.controller.ControlConfig` may
-    be passed instead, optionally carrying a roundoff ``budget`` that
-    derives the *initial* per-ingredient rungs from the matrix
-    (:mod:`repro.fp.budget`) rather than the flat policy.  After a
-    rung change the solver *stays* on the new schedule for subsequent
-    ``solve`` calls — rebuilding per solve would repay the setup cost
-    the change already bought.
+    in.  A roundoff ``budget`` replaces ``policy``'s ingredient rungs,
+    and schedules the grid transfers apart, from the matrix
+    (:meth:`repro.fp.budget.BudgetReport.seed`).  After a promotion the
+    solver *stays* on the new rungs for subsequent ``solve`` calls —
+    rebuilding per solve would repay the setup cost the change already
+    bought.
     """
 
     def __init__(
@@ -184,7 +158,7 @@ class GMRESIRSolver:
         precond: MultigridPreconditioner | None = None,
         matrix_format: str = "ell",
         escalation: "EscalationConfig | bool" = NO_ESCALATION,
-        control: "ControlConfig | str | None" = None,
+        budget: float | None = None,
         fusion: bool = True,
         setup_cache: SetupCache | None = None,
         workspace: Workspace | None = None,
@@ -230,23 +204,7 @@ class GMRESIRSolver:
             escalation = EscalationConfig()
         elif escalation is False:
             escalation = EscalationConfig(enabled=False)
-        # The control plane: a ControlConfig wins outright (it carries
-        # its own detector settings); a bare mode string combines with
-        # the escalation resolution above; None is the historical
-        # whole-policy escalator.
-        if isinstance(control, ControlConfig):
-            escalation = control.escalation
-        elif isinstance(control, str):
-            control = ControlConfig(mode=control, escalation=escalation)
-        elif control is None:
-            control = ControlConfig(mode="policy", escalation=escalation)
-        else:
-            raise TypeError(
-                f"control must be a ControlConfig, a mode string or "
-                f"None, got {control!r}"
-            )
         self.escalation = escalation
-        self.control = control
 
         # Krylov-loop matrix in the requested storage format (the
         # reference implementation uses CSR, the optimized one ELL).
@@ -288,17 +246,14 @@ class GMRESIRSolver:
 
         self.mg_config = mg_config or MGConfig()
         self._shared_precond = precond
-        nlevels = self.mg_config.nlevels
-        if control.mode == "per-ingredient" and control.budget is not None:
-            # Carson-style chooser: the initial per-ingredient rungs
-            # come from the matrix's norm/condition estimates, not the
-            # flat policy spec.
-            self.plane = PrecisionControlPlane.from_budget(
-                control, policy, nlevels, self.A64, restart=restart
+        transfers = None
+        if budget is not None:
+            report = choose_plane(
+                self.A64, self.mg_config.nlevels, budget, restart=restart
             )
-        else:
-            self.plane = PrecisionControlPlane(control, policy, nlevels)
-        self._bind_policy(self.plane.live_policy())
+            policy, transfers = report.seed(policy)
+        self.escalator = Escalator(escalation, policy, transfers)
+        self._bind_policy(policy)
 
     # ------------------------------------------------------------------
     def _setup(self, kind: str, params: tuple, builder):
@@ -319,11 +274,11 @@ class GMRESIRSolver:
     def _bind_policy(self, policy: PrecisionPolicy) -> None:
         """(Re)build every precision-dependent piece for ``policy``.
 
-        Called at construction and again by the escalation controller
-        after each promotion: the inner operator and the multigrid
-        hierarchy (on the policy's per-level schedule) are rebuilt; the
-        Krylov bases and hot-loop panels are arena leases keyed by
-        dtype, so they follow the rung on their next lease.
+        Called at construction and again after each promotion: the
+        inner operator and the multigrid hierarchy (on the policy's
+        per-level schedule) are rebuilt; the Krylov bases and hot-loop
+        panels are arena leases keyed by dtype, so they follow the rung
+        on their next lease.
         """
         self.policy = policy
 
@@ -363,7 +318,7 @@ class GMRESIRSolver:
                 else None
             )
             mg_schedule = policy.mg_schedule(self.mg_config.nlevels)
-            transfer_schedule = self.plane.transfer_schedule()
+            transfer_schedule = self.escalator.transfers
 
             def _build_mg():
                 return MultigridPreconditioner.build(
@@ -380,10 +335,8 @@ class GMRESIRSolver:
                     # solver's to another operator's batch on another
                     # thread): it owns its arena, never the solver's.
                     workspace=self.ws if self.setup_cache is None else None,
-                    # Per-ingredient mode schedules the grid transfers
-                    # apart from the levels; None preserves the
-                    # historical coarse-rung coupling (the
-                    # "policy"-mode bitwise guarantee).
+                    # A budget schedules the grid transfers apart from
+                    # the levels; None couples each to the coarser rung.
                     transfer_precision=transfer_schedule,
                 )
 
@@ -395,7 +348,7 @@ class GMRESIRSolver:
                 (
                     self.matrix_format,
                     tuple(mg_schedule),
-                    tuple(transfer_schedule) if transfer_schedule else None,
+                    transfer_schedule,
                     self.mg_config,
                     shared is not None,
                     self.comm.size,
@@ -477,19 +430,18 @@ class GMRESIRSolver:
     def _apply_events(
         self, stats: list[SolverStats], events: list[PrecisionEvent]
     ) -> None:
-        """Record the plane's rung changes (on every column still in
-        the panel: one schedule serves them all) and rebuild the inner
-        stage.
+        """Record a promotion (on every column still in the panel: one
+        schedule serves them all) and rebuild the inner stage.
 
         A caller-supplied preconditioner is abandoned here: it sits on
         the old schedule — often containing the very component whose
         roundoff floor triggered the change — so the rebuild constructs
-        a fresh hierarchy on the plane's live schedule instead.
+        a fresh hierarchy on the promoted rungs instead.
         """
         for s in stats:
             s.promotions.extend(events)
         self._shared_precond = None
-        self._bind_policy(self.plane.live_policy())
+        self._bind_policy(self.escalator.policy)
 
     def _replay_fault(self, fault: Exception, live: list[SolverStats]) -> bool:
         """Judge a fault detected inside the restart cycle of ``live``.
@@ -497,9 +449,10 @@ class GMRESIRSolver:
         The lockstep cycle is shared, so every active column records
         the fault and the replay.  ``True`` tells the caller to restore
         the restart-boundary checkpoint and go again: the replay budget
-        is charged and the binding ingredient promoted one rung through
-        the control plane's breakdown path (a corrupted low-precision
-        unit retries with more headroom).  ``False`` means re-raise —
+        is charged and the policy promoted one rung (a corrupted
+        low-precision unit retries with more headroom; at fp64 the
+        replay retries the same rungs, which handles transient upsets).
+        ``False`` means re-raise —
         resilience off, finite guards off for a breakdown, or the
         replay budget spent (the persistent-fault escape hatch).
         """
@@ -520,7 +473,8 @@ class GMRESIRSolver:
             return False
         for s in live:
             s.resilience.replays += 1
-        events = self.plane.observe_fault(
+        events = self.escalator.promote(
+            "fault",
             max(s.final_relres for s in live),
             max(s.iterations for s in live),
             max(s.restarts for s in live),
@@ -667,9 +621,9 @@ class GMRESIRSolver:
         Columns **deflate**: one that converges, is cancelled, or
         exhausts ``maxiter`` leaves the panel at the restart boundary
         that recorded its final true residual, and later cycles run
-        narrower.  The precision control plane is consulted once per
-        boundary (on the worst active column); a rung change rebinds
-        the whole panel — one schedule for all columns.  With a
+        narrower.  The escalator is consulted once per boundary (on the
+        worst active column); a promotion rebinds the whole panel — one
+        schedule for all columns.  With a
         :class:`~repro.resilience.config.ResilienceConfig` the active
         columns are checkpointed at every boundary, and a fault
         detected inside the cycle (ABFT mismatch, non-finite residual)
@@ -688,7 +642,7 @@ class GMRESIRSolver:
         if X0 is not None:
             X[:] = X0
         stats = [SolverStats() for _ in range(ncol)]
-        self.plane.reset_observation()
+        self.escalator.reset()
 
         with timers.section("dot"):
             # Batched: N local dots, then ONE vector all-reduce — each
@@ -757,11 +711,9 @@ class GMRESIRSolver:
                     break
                 cycling = [stats[j] for j in active]
 
-                # --- precision control plane: one verdict per panel.
-                # Stagnation promotes the binding rung (whole policy in
-                # "policy" mode, the lowest-rung controllers otherwise);
-                # sustained recovery demotes after the hysteresis window.
-                events = self.plane.observe_restart(
+                # --- escalation: one verdict per panel; stagnation
+                # promotes the whole policy one rung.
+                events = self.escalator.observe_restart(
                     worst[0],
                     worst[1],
                     max(s.iterations for s in cycling),
@@ -866,7 +818,7 @@ class GMRESIRSolver:
                         # boundary's true residual has final say.
                     cols = still
                     k += 1
-                self.plane.cycle_completed()
+                self.escalator.cycle_completed()
 
                 # --- solution update (lines 45-47): per-column host QR
                 # back-solves and basis GEMVs feed ONE panel V-cycle ---
@@ -894,12 +846,12 @@ class GMRESIRSolver:
 
                 # Empty-cycle breakdown: this precision cannot extend
                 # the column's basis at all.  With rungs left, one
-                # panel-wide promotion retries it next boundary; on a
-                # fixed plane it halts (further restarts would spin).
+                # panel-wide promotion retries it next boundary; on
+                # fixed rungs it halts (further restarts would spin).
                 stuck = [j for j in active if not klast[j] and stats[j].breakdown]
                 if stuck:
-                    events = self.plane.observe_breakdown(
-                        worst[0],
+                    events = self.escalator.promote(
+                        "breakdown",
                         worst[1],
                         max(stats[j].iterations for j in stuck),
                         max(stats[j].restarts for j in stuck),
@@ -933,7 +885,7 @@ def gmres_solve(
     maxiter: int = 300,
     ortho: str = "cgs2",
     escalation: "EscalationConfig | bool" = NO_ESCALATION,
-    control: "ControlConfig | str | None" = None,
+    budget: float | None = None,
 ) -> tuple[np.ndarray, SolverStats]:
     """One-shot convenience wrapper around :class:`GMRESIRSolver`."""
     solver = GMRESIRSolver(
@@ -944,7 +896,7 @@ def gmres_solve(
         restart=restart,
         ortho=ortho,
         escalation=escalation,
-        control=control,
+        budget=budget,
     )
     rhs = problem.b if b is None else b
     return solver.solve(rhs, tol=tol, maxiter=maxiter)

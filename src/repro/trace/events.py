@@ -91,34 +91,21 @@ def promotions_to_timeline(
     ``promotions`` is any iterable of precision-event records exposing
     ``iteration``, ``reason``, ``from_low`` and ``to_low`` (what
     :class:`repro.solvers.gmres_ir.SolverStats` collects — duck-typed
-    here so the trace layer keeps no solver import).  Per-ingredient
-    events additionally expose ``ingredient``, ``level`` and
-    ``direction``; the marker name then attributes the move, e.g.
-    ``"promote[stall] smoother@L0 fp32->fp64"`` or
-    ``"demote[recovered] smoother@L0 fp64->fp32"``.  Whole-policy
-    records (no ingredient attribute, or ``"policy"``) keep the
-    historical ``"promote[reason] fp32->fp64"`` form.  The time axis is
-    the inner-iteration count, matching the convergence-history plots
-    these markers annotate; the exporters render zero-width spans as
-    instant events.
+    here so the trace layer keeps no solver import); each marker reads
+    ``"promote[reason] fp32->fp64"``.  The time axis is the
+    inner-iteration count, matching the convergence-history plots these
+    markers annotate; the exporters render zero-width spans as instant
+    events.
     """
     tl = Timeline()
     for p in promotions:
         t = float(p.iteration)
-        direction = getattr(p, "direction", "promote")
-        ingredient = getattr(p, "ingredient", "policy")
-        level = getattr(p, "level", None)
-        where = ""
-        if ingredient != "policy":
-            where = f" {ingredient}"
-            if level is not None:
-                where += f"@L{level}"
         tl.add(
             TraceEvent(
                 rank=rank,
                 stream=stream,
                 name=(
-                    f"{direction}[{p.reason}]{where} "
+                    f"promote[{p.reason}] "
                     f"{p.from_low.short_name}->{p.to_low.short_name}"
                 ),
                 start=t,

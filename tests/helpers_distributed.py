@@ -74,10 +74,9 @@ RUNG_TOLS = {
 
 #: The measured fp32 stall.  On the 16^3 problem with the seed-7 normal
 #: RHS, ``tol=1e-11`` and ``restart=STALL_RESTART``, an ``fp32:fp64``
-#: ladder under this detector promotes once with ``control="policy"``
-#: (a stall, fp32 -> fp64, at iteration 8 of 29) and three times with
-#: ``control="per-ingredient"`` (ortho, smoother and spmv at L0).  At
-#: the default ``stall_ratio=0.5``, or at 1e-3, nothing fires.
+#: ladder under this detector promotes once (a stall, fp32 -> fp64, at
+#: iteration 8 of 29).  At the default ``stall_ratio=0.5``, or at 1e-3,
+#: nothing fires.
 STALL_ESCALATION = EscalationConfig(stall_ratio=1e-4)
 STALL_RESTART = 8
 

@@ -188,8 +188,8 @@ class TestControlPlane:
         assert solver.eps_low == EPS64
 
     def test_mg_only_fp32_reads_the_mg_rung(self, problem16, request):
-        """Per-ingredient control, only the MG levels in fp32: the floor
-        is fp32's, so cycle 1 still ends early."""
+        """Only the MG levels in fp32: the floor is fp32's, so cycle 1
+        still ends early."""
         policy = PrecisionPolicy(mg_levels=("fp32",))
         b = rhs(problem16, 0)
 
@@ -199,7 +199,6 @@ class TestControlPlane:
                 SerialComm(),
                 policy=policy,
                 restart=RESTART,
-                control="per-ingredient",
             )
             assert solver.policy.matrix is Precision.DOUBLE
             assert solver.policy.krylov_basis is Precision.DOUBLE

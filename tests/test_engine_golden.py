@@ -12,11 +12,11 @@ cases of both files were re-captured at the commit after ``8d163fa``,
 which retired the fp16 rung: they now run
 ``PrecisionPolicy.from_ladder("fp32:fp64")`` with
 ``EscalationConfig(stall_ratio=1e-4)``, so ``solve`` still records a
-rung change (one stall promotion fp32 -> fp64 under ``"policy"``,
-three per-ingredient ones); every other record is byte-identical to
-the file before it.  The two ``floor-*`` cases (restart 30, whose
-first cycle ends at the fp32 cycle's attainable accuracy) were added
-when that stop landed, with every earlier record left byte-identical.
+rung change (one stall promotion fp32 -> fp64); every other record is
+byte-identical to the file before it.  The two ``floor-*`` cases
+(restart 30, whose first cycle ends at the fp32 cycle's attainable
+accuracy) were added when that stop landed, with every earlier record
+left byte-identical.
 Every serial case of both files was re-captured at the commit after
 ``c054b8e``, which compiled the V-cycle below 64 unknowns into one
 dense map (``MGLevel.coarse_map``): its ``gemv`` rounds differently
@@ -27,7 +27,13 @@ iteration count, cycle length and event held except the SciPy file's
 rank) and ``floor-ladder-policy`` (its fp64 coarse levels round into an
 fp32 fine level) are byte-identical.  The ``spmd2-overlap`` record left
 with the overlapped SPMD schedule; its digests equalled
-``spmd2-sequential``'s in both files.
+``spmd2-sequential``'s in both files.  The four ``budget-*`` records
+(a roundoff budget seeds the rungs: ``matrix=fp64``,
+``mg=fp64:fp32:fp32:fp32``, transfers ``fp64:fp64:fp32``; escalation
+on, no event fires) were captured before the per-ingredient control
+plane was deleted and are byte-identical after it.  The eight
+``ladder-per-ingredient-*`` records left with that plane; apart from
+their event lists they equalled their ``ladder-policy-*`` twins.
 
 Every case records, for ``solve`` and for a 4-column ``solve_panel``
 (column 0 all-zero, column 2 converging a restart cycle early, so
@@ -89,7 +95,7 @@ def golden_path(backend: str) -> Path:
 
 
 #: Short cycles: more restart boundaries per solve (where deflation,
-#: the control plane, cancellation and the checkpoint live), and the
+#: escalation, cancellation and the checkpoint live), and the
 #: stencil column of the panel converges a whole cycle early.
 RESTART = 8
 TOL = 1e-11
@@ -102,12 +108,7 @@ LADDER_ESCALATION = EscalationConfig(stall_ratio=1e-4)
 POLICIES = {
     "double": (DOUBLE_POLICY, {}),
     "mixed": (MIXED_DS_POLICY, {}),
-    "ladder-policy": (
-        LADDER, {"control": "policy", "escalation": LADDER_ESCALATION}
-    ),
-    "ladder-per-ingredient": (
-        LADDER, {"control": "per-ingredient", "escalation": LADDER_ESCALATION}
-    ),
+    "ladder-policy": (LADDER, {"escalation": LADDER_ESCALATION}),
 }
 SERIAL_CASES = [
     f"{policy}-{fmt}-{fusion}"
@@ -116,6 +117,16 @@ SERIAL_CASES = [
     for fusion in ("fused", "unfused")
 ]
 SPMD_CASES = ["spmd2-sequential"]
+#: A roundoff budget seeds every rung, the grid transfers apart from
+#: the levels (restart ``RESTART``), in every format and fusion.
+BUDGET_POLICIES = {
+    "budget": (LADDER, {"budget": 1e-5, "escalation": EscalationConfig()}),
+}
+BUDGET_CASES = [
+    f"budget-{fmt}-{fusion}"
+    for fmt in ("csr", "ell")
+    for fusion in ("fused", "unfused")
+]
 #: Restart-30 records (ELL, fused) whose first cycle ends at the fp32
 #: cycle's attainable accuracy (``gmres_ir.ATTAINABLE_FACTOR``); the
 #: ``RESTART`` cycles above stop short of that floor every time.
@@ -158,8 +169,10 @@ def _record(x: np.ndarray, st) -> dict:
                 e.from_low.short_name,
                 e.to_low.short_name,
                 e.ingredient,
-                e.level,
-                e.direction,
+                # The MG level and direction columns of the record
+                # format: every event is a whole-policy promotion.
+                None,
+                "promote",
                 float(e.relres).hex(),
             ]
             for e in st.promotions
@@ -194,7 +207,7 @@ def _solve_and_panel(make_solver, b, B, solve_kw=None, panel_kw=None) -> dict:
 
 def run_serial(case: str, prob) -> dict:
     policy_name, fmt, fusion = case.rsplit("-", 2)
-    policy, kw = POLICIES[policy_name]
+    policy, kw = {**POLICIES, **BUDGET_POLICIES}[policy_name]
     b, B = _rhs(prob, 7)
 
     def make():
@@ -312,6 +325,7 @@ def capture() -> dict:
     cases.update({c: run_spmd2(c) for c in SPMD_CASES})
     cases.update({c: run_exit(c, prob) for c in EXIT_CASES})
     cases.update({c: run_floor(c, prob) for c in FLOOR_CASES})
+    cases.update({c: run_serial(c, prob) for c in BUDGET_CASES})
     return {"fingerprint": fingerprint(), "cases": cases}
 
 
@@ -383,7 +397,8 @@ def test_serial_grid_matches_parent(case, problem16, golden):
 )
 @pytest.mark.parametrize("parity_class", ["scipy"], indirect=True)
 @pytest.mark.parametrize(
-    "case", [c for c in SERIAL_CASES if "-ell-" in c and "double" not in c]
+    "case",
+    [c for c in SERIAL_CASES + BUDGET_CASES if "-ell-" in c and "double" not in c],
 )
 def test_index_free_products_match_parent(case, problem16, golden, monkeypatch):
     """The SciPy class's fp32 ELL products forced through the diagonal
@@ -401,6 +416,14 @@ def test_index_free_products_match_parent(case, problem16, golden, monkeypatch):
     monkeypatch.setattr(scipy_backend, "dia_matvec", counting)
     _check(case, run_serial(case, problem16), golden)
     assert calls, "no product took the diagonal plan"
+
+
+@pytest.mark.parametrize("case", BUDGET_CASES)
+def test_budget_seeded_rungs_match_parent(case, problem16, golden):
+    got = run_serial(case, problem16)
+    for _, rec in _records(got):
+        assert rec["events"] == []
+    _check(case, got, golden)
 
 
 @pytest.mark.parametrize("case", SPMD_CASES)

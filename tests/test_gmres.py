@@ -317,11 +317,7 @@ class TestFormatParity:
             ),
             pytest.param(2, LADDER, None, dict(escalation=STALL), id="escalation"),
             pytest.param(
-                2,
-                LADDER,
-                None,
-                dict(control="per-ingredient", escalation=STALL),
-                id="per-ingredient",
+                2, LADDER, None, dict(budget=1e-5, escalation=STALL), id="budget"
             ),
             pytest.param(
                 2,

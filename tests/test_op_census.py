@@ -87,11 +87,11 @@ GRID = {
         SerialComm(),
         mg_config=MGConfig(nlevels=4, sweep="symmetric", fused_restrict=False),
     ),
-    "per-ingredient": lambda p: _solve(
+    "budget": lambda p: _solve(
         p,
         SerialComm(),
         policy=LADDER,
-        control="per-ingredient",
+        budget=1e-5,
         escalation=EscalationConfig(stall_ratio=1e-6),
     ),
     "mgs": lambda p: _solve(p, SerialComm(), ortho="mgs"),

@@ -1,29 +1,35 @@
-"""The per-ingredient precision control plane (PR 4).
+"""Precision control: the escalator, the roundoff budget, the transfers.
 
-Covers the controller algebra, the plane's observation protocol (the
-forced-stall fixture: smoother-only promotion, hysteresis-guarded
-de-escalation, the SpMV controller never moving), the whole-policy
-compatibility mode (bitwise-identical to the explicit escalator, on
-the measured fp32 stall), the Carson-style roundoff-budget chooser, the
-transfer-scheduled multigrid hierarchy, the live-schedule byte model,
-and the config/CLI wiring.
+Covers the whole-policy :class:`~repro.fp.ladder.Escalator` (its rule
+driven synthetically, then inside the solver in both kernel parity
+classes: stall, floor, breakdown and fault each promote, and a promoted
+solver stays promoted), the Carson-style roundoff-budget chooser that
+seeds the initial rungs, the transfer-scheduled multigrid hierarchy
+those rungs reach, the byte model's transfer charge, and the
+config/CLI wiring.  That a bare ``escalation=`` solve is bitwise the
+whole-policy escalator it replaced is pinned by the engine golden's
+``ladder-policy-*`` records.
 """
 
 import numpy as np
 import pytest
-from helpers_distributed import STALL_ESCALATION, STALL_RESTART, defect_panel_pooled
+from helpers_distributed import (
+    BOTH_CLASSES,
+    STALL_ESCALATION,
+    STALL_RESTART,
+    defect_panel_pooled,
+)
 
+from repro.backends.registry import registry
 from repro.fp import (
-    ControlConfig,
+    MIXED_DS_POLICY,
+    NO_ESCALATION,
     EscalationConfig,
-    IngredientController,
-    IngredientSchedule,
-    NO_CONTROL,
+    Escalator,
     Precision,
-    PrecisionControlPlane,
     PrecisionEvent,
     PrecisionPolicy,
-    prev_rung,
+    format_ladder,
 )
 from repro.fp.budget import (
     choose_plane,
@@ -33,402 +39,252 @@ from repro.fp.budget import (
 )
 from repro.geometry import Subdomain
 from repro.parallel import SerialComm
+from repro.resilience import ResilienceConfig, parse_fault_spec
 from repro.solvers.gmres_ir import GMRESIRSolver
 from repro.stencil import generate_problem
 
-#: A policy whose only fp32 ingredient is the fine-level smoother —
-#: the forced-stall fixture: the smoother is the binding rung, the
-#: SpMV/ortho controllers sit one rung up and must never move.
+#: A policy whose only fp32 ingredient is the fine-level smoother.
 SMOOTHER_LOW_POLICY = PrecisionPolicy(mg_levels=("fp32", "fp64"))
 
 #: The solver-facing ladder; with ``STALL_ESCALATION`` and
 #: ``STALL_RESTART`` it stalls on the seed-7 fixture below.
 LADDER_POLICY = PrecisionPolicy.from_ladder("fp32:fp64")
 
+FP32, FP64 = Precision.SINGLE, Precision.DOUBLE
 
-def stall_solver(prob, control, **kwargs) -> GMRESIRSolver:
-    """The measured fp32 stall under ``control`` (a mode string)."""
+
+def stall_solver(prob, escalation=STALL_ESCALATION, **kwargs) -> GMRESIRSolver:
+    """The measured fp32 stall (``helpers_distributed.STALL_*``)."""
     return GMRESIRSolver(
         prob,
         SerialComm(),
         policy=LADDER_POLICY,
         restart=STALL_RESTART,
-        control=ControlConfig(mode=control, escalation=STALL_ESCALATION),
+        escalation=escalation,
         **kwargs,
     )
 
 
-def make_plane(
-    policy=SMOOTHER_LOW_POLICY, nlevels=4, **kwargs
-) -> PrecisionControlPlane:
-    cfg = ControlConfig(
-        mode="per-ingredient", escalation=EscalationConfig(), **kwargs
-    )
-    return PrecisionControlPlane(cfg, policy, nlevels)
+@pytest.fixture(scope="module")
+def stall_rhs(problem16):
+    return np.random.default_rng(7).standard_normal(problem16.nlocal)
 
 
-class TestControlConfig:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            ControlConfig(mode="per-kernel")
-        for mode in ("per-ingredient", "policy", "off"):
-            assert ControlConfig(mode=mode).mode == mode
+class TestEscalator:
+    """The rule, driven synthetically: one boundary per ``drive``."""
 
-    def test_demote_ratio_validation(self):
-        with pytest.raises(ValueError, match="demote_ratio"):
-            ControlConfig(demote_ratio=0.0)
-        with pytest.raises(ValueError, match="demote_ratio"):
-            ControlConfig(demote_ratio=1.5)
-        # A demote_ratio above stall_ratio is accepted (the effective
-        # recovery threshold is min(demote_ratio, stall_ratio)).
-        assert ControlConfig(demote_ratio=0.9).demote_ratio == 0.9
-
-    def test_aggressive_stall_ratio_still_constructs(self):
-        """EscalationConfig(stall_ratio < demote_ratio) was valid on
-        the PR 2 escalator and must stay constructible through the
-        plane wrap (the coupling is enforced at judgement time)."""
-        cfg = ControlConfig(
-            mode="policy", escalation=EscalationConfig(stall_ratio=0.2)
-        )
-        assert cfg.escalation.stall_ratio == 0.2
-
-    def test_recovery_under_aggressive_stall_ratio(self):
-        """With stall_ratio below demote_ratio the effective recovery
-        threshold tightens to stall_ratio (min rule): any cycle strong
-        enough to reach the recovery branch feeds the streak, and the
-        plane still works end to end."""
-        cfg = ControlConfig(
-            mode="per-ingredient",
-            escalation=EscalationConfig(stall_ratio=0.1),
-            hysteresis=1,
-        )
-        plane = PrecisionControlPlane(cfg, SMOOTHER_LOW_POLICY, 4)
-        plane.observe_restart(1.0, 1.0, 0, 0)
-        plane.cycle_completed()
-        plane.observe_restart(0.5, 0.5, 30, 1)  # stall: promote smoother
-        assert plane.rung("smoother", 0) is Precision.DOUBLE
-        plane.cycle_completed()
-        # 0.04 <= 0.1 * 0.5: strong enough for the min() threshold.
-        events = plane.observe_restart(0.04, 0.5, 60, 2)
-        assert [e.direction for e in events] == ["demote"]
-        assert plane.rung("smoother", 0) is Precision.SINGLE
-
-    def test_hysteresis_and_budget_validation(self):
-        with pytest.raises(ValueError, match="hysteresis"):
-            ControlConfig(hysteresis=0)
-        with pytest.raises(ValueError, match="budget"):
-            ControlConfig(budget=-1e-4)
-
-    def test_active(self):
-        assert ControlConfig(mode="per-ingredient").active
-        assert not NO_CONTROL.active
-        assert not ControlConfig(
-            mode="per-ingredient", escalation=EscalationConfig(enabled=False)
-        ).active
-
-
-class TestIngredientController:
-    def test_promote_demote_are_explicit_noops_at_the_ends(self):
-        ctl = IngredientController(
-            "spmv", 0, Precision.DOUBLE, Precision.DOUBLE
-        )
-        assert not ctl.promote()  # top of the ladder
-        assert ctl.rung is Precision.DOUBLE
-        assert not ctl.demote()  # already at the floor
-        assert ctl.moves == 0
-
-    def test_demote_stops_at_floor(self):
-        ctl = IngredientController(
-            "smoother", 1, Precision.SINGLE, Precision.SINGLE
-        )
-        assert ctl.promote()
-        assert ctl.rung is Precision.DOUBLE
-        assert ctl.demote()
-        assert ctl.rung is Precision.SINGLE
-        assert not ctl.demote()  # floor reached
-
-    def test_rejects_bad_ingredient_and_sub_floor_start(self):
-        with pytest.raises(ValueError, match="ingredient"):
-            IngredientController("qr", 0, Precision.SINGLE, Precision.SINGLE)
-        with pytest.raises(ValueError, match="floor"):
-            IngredientController(
-                "spmv", 0, Precision.SINGLE, Precision.DOUBLE
-            )
-
-    def test_prev_rung_fixpoint(self):
-        assert prev_rung(Precision.SINGLE) is Precision.SINGLE
-        assert prev_rung("fp64") is Precision.SINGLE
-
-
-class TestPlaneSeeding:
-    def test_controllers_match_policy(self):
-        plane = make_plane(LADDER_POLICY.with_mg_schedule("fp32:fp32:fp64"))
-        assert plane.rung("spmv") is Precision.SINGLE
-        assert plane.rung("ortho") is Precision.SINGLE
-        assert plane.smoother_schedule() == (
-            Precision.SINGLE,
-            Precision.SINGLE,
-            Precision.DOUBLE,
-            Precision.DOUBLE,
-        )
-        # Transfers seed at the coarser side of each boundary — the
-        # dtype the coarse-defect buffer has always had.
-        assert plane.transfer_schedule() == (
-            Precision.SINGLE,
-            Precision.DOUBLE,
-            Precision.DOUBLE,
-        )
-
-    def test_live_policy_round_trips_the_seed(self):
-        plane = make_plane(LADDER_POLICY)
-        live = plane.live_policy()
-        assert live.matrix is LADDER_POLICY.matrix
-        assert live.mg_levels == LADDER_POLICY.mg_schedule(4)
-        assert live.krylov_basis is LADDER_POLICY.krylov_basis
-        assert live.least_squares is Precision.DOUBLE  # pinned
-
-    def test_policy_mode_has_no_controllers(self):
-        cfg = ControlConfig(mode="policy")
-        plane = PrecisionControlPlane(cfg, LADDER_POLICY, 4)
-        assert not plane.controllers
-        assert plane.rung("smoother", 0) is Precision.SINGLE
-        assert plane.transfer_schedule() is None
-        assert plane.snapshot() is LADDER_POLICY
-
-    def test_explicit_rungs_require_per_ingredient(self):
-        with pytest.raises(ValueError, match="per-ingredient"):
-            PrecisionControlPlane(
-                ControlConfig(mode="policy"),
-                LADDER_POLICY,
-                4,
-                rungs={("spmv", 0): Precision.SINGLE},
-            )
-
-    def test_snapshot_duck_types_the_policy_interface(self):
-        snap = make_plane(LADDER_POLICY).snapshot()
-        assert isinstance(snap, IngredientSchedule)
-        assert snap.matrix is Precision.SINGLE
-        assert snap.krylov_basis is Precision.SINGLE
-        assert snap.mg_level(0) is Precision.SINGLE
-        assert snap.mg_level(9) is Precision.DOUBLE  # last entry extends
-        assert snap.transfer_level(0) is Precision.DOUBLE
-        assert "spmv=fp32" in snap.describe()
-
-
-class TestForcedStallFixture:
-    """The satellite acceptance fixture, driven synthetically.
-
-    The smoother's fine level is the only fp32 ingredient.  A stall
-    must promote it — and nothing else; sustained recovery must demote
-    it after the hysteresis window; the SpMV controller must never
-    move.
-    """
-
-    def drive(self, plane, rho, relres=None, it=0, rs=0):
-        events = plane.observe_restart(
-            rho, relres if relres is not None else rho, it, rs
-        )
-        plane.cycle_completed()
+    def drive(self, esc, rho, relres=None, it=0, rs=0):
+        events = esc.observe_restart(rho, relres if relres is not None else rho, it, rs)
+        esc.cycle_completed()
         return events
 
-    def test_stall_promotes_smoother_only_then_demotes(self):
-        plane = make_plane(hysteresis=2)
-        spmv = plane.controllers[("spmv", 0)]
-        assert self.drive(plane, 1.0) == []  # no history yet
+    def test_stall_promotes_every_fp32_ingredient_at_once(self):
+        esc = Escalator(EscalationConfig(), SMOOTHER_LOW_POLICY, (FP32, FP64, FP32))
+        assert esc.low is FP32
+        assert self.drive(esc, 1.0) == []  # no history yet
+        assert self.drive(esc, 0.4) == []  # progress: 0.4 <= 0.5 * 1.0
+        # Stagnation: 0.3 > stall_ratio * 0.4.
+        events = self.drive(esc, 0.3, it=30, rs=2)
+        assert events == [PrecisionEvent(30, 2, 0.3, "stall", FP32, FP64)]
+        assert events[0].ingredient == "policy"
+        assert esc.policy.is_uniform_double
+        assert esc.transfers == (FP64, FP64, FP64)
+        assert esc.low is FP64
 
-        # Stagnation: 0.9 > stall_ratio * 1.0.
-        events = self.drive(plane, 0.9, it=30, rs=1)
-        assert [e.ingredient for e in events] == ["smoother"]
-        (ev,) = events
-        assert ev.level == 0 and ev.direction == "promote"
-        assert ev.reason == "stall"
-        assert ev.from_low is Precision.SINGLE
-        assert ev.to_low is Precision.DOUBLE
-        assert plane.rung("smoother", 0) is Precision.DOUBLE
-        # Untouched: the rest of the plane.
-        assert plane.rung("smoother", 1) is Precision.DOUBLE
-        assert plane.rung("spmv") is Precision.DOUBLE
-        assert spmv.moves == 0
+    def test_coupled_transfers_stay_coupled(self):
+        """``transfers=None`` couples each boundary to the coarser
+        level's rung: only the policy binds, and a promotion leaves the
+        coupling as it was."""
+        esc = Escalator(EscalationConfig(), LADDER_POLICY)
+        assert esc.low is FP32
+        (ev,) = esc.promote("stall", 0.5, 8, 1)
+        assert (ev.from_low, ev.to_low) == (FP32, FP64)
+        assert esc.policy.is_uniform_double and esc.transfers is None
 
-        # Recovery: two consecutive strong-reduction cycles (the
-        # hysteresis window), with plenty of residual headroom.
-        assert self.drive(plane, 0.2, relres=0.2) == []  # streak 1
-        events = self.drive(plane, 0.04, relres=0.2, it=90, rs=3)
-        assert [e.direction for e in events] == ["demote"]
-        (ev,) = events
-        assert ev.ingredient == "smoother" and ev.level == 0
-        assert ev.reason == "recovered"
-        assert ev.from_low is Precision.DOUBLE
-        assert ev.to_low is Precision.SINGLE
-        assert plane.rung("smoother", 0) is Precision.SINGLE
-        # The acceptance clause: the SpMV controller never moved.
-        assert spmv.moves == 0
-        assert spmv.rung is Precision.DOUBLE
+    def test_stall_ratio_bounds(self):
+        """Any ratio in (0, 1] constructs, the aggressive 1e-4 of the
+        stall fixture included; above 1 a shrinking residual would
+        read as a stall."""
+        assert EscalationConfig(stall_ratio=1e-4).stall_ratio == 1e-4
+        assert EscalationConfig(stall_ratio=1.0).stall_ratio == 1.0
+        with pytest.raises(ValueError, match="stall_ratio"):
+            EscalationConfig(stall_ratio=1.5)
 
-    def test_weak_progress_resets_the_streak(self):
-        plane = make_plane(hysteresis=2)
-        self.drive(plane, 1.0)
-        self.drive(plane, 0.9)  # promote smoother L0
-        self.drive(plane, 0.2, relres=0.2)  # streak 1
-        # Progress, but above demote_ratio: streak resets.
-        self.drive(plane, 0.09, relres=0.2)
-        assert plane.controllers[("smoother", 0)].good_cycles == 0
-        assert plane.rung("smoother", 0) is Precision.DOUBLE
+    def test_floor_reason_at_the_rung_roundoff(self):
+        esc = Escalator(EscalationConfig(), SMOOTHER_LOW_POLICY)
+        self.drive(esc, 1.0)
+        events = self.drive(esc, 0.9, relres=1e-7)  # <= 4 * eps(fp32)
+        assert [e.reason for e in events] == ["floor"]
 
-    def test_no_demotion_without_residual_headroom(self):
-        """Near the fp32 floor, demoting back would re-stall: hold."""
-        plane = make_plane(hysteresis=1)
-        self.drive(plane, 1.0)
-        self.drive(plane, 0.9)  # promote
-        # 1e-6 <= demote_headroom * floor_factor * eps(fp32) ~ 4.8e-6.
-        events = self.drive(plane, 0.2, relres=1e-6)
-        assert events == []
-        assert plane.rung("smoother", 0) is Precision.DOUBLE
+    def test_a_transfer_rung_binds(self):
+        """An fp32 transfer under an all-fp64 policy still promotes,
+        and its roundoff classifies the floor."""
+        esc = Escalator(EscalationConfig(), PrecisionPolicy(), (FP64, FP32))
+        assert esc.low is FP32
+        self.drive(esc, 1.0)
+        (ev,) = self.drive(esc, 0.9, relres=1e-7)
+        assert (ev.reason, ev.from_low, ev.to_low) == ("floor", FP32, FP64)
+        assert esc.transfers == (FP64, FP64)
 
-    def test_floor_reason_when_at_roundoff_floor(self):
-        plane = make_plane()
-        self.drive(plane, 1.0)
-        events = self.drive(plane, 0.9, relres=1e-7)  # <= 4 * eps(fp32)
-        assert events and events[0].reason == "floor"
+    @pytest.mark.parametrize("reason", ["breakdown", "fault"])
+    def test_breakdown_and_fault_promote_without_a_stall_window(self, reason):
+        esc = Escalator(EscalationConfig(), LADDER_POLICY)
+        (ev,) = esc.promote(reason, 0.5, 10, 1)
+        assert (ev.reason, ev.from_low, ev.to_low) == (reason, FP32, FP64)
+        assert esc.promote(reason, 0.5, 11, 1) == []  # top of the ladder
 
-    def test_breakdown_promotes_binding_rung(self):
-        plane = make_plane()
-        events = plane.observe_breakdown(1.0, 0.5, 10, 1)
-        assert [(e.ingredient, e.level) for e in events] == [("smoother", 0)]
-        assert events[0].reason == "breakdown"
+    def test_min_cycles_gives_a_free_pass(self):
+        esc = Escalator(EscalationConfig(min_cycles=2), LADDER_POLICY)
+        self.drive(esc, 1.0)
+        assert self.drive(esc, 0.9) == []  # one cycle: not judged yet
+        assert self.drive(esc, 0.9)
 
-    def test_mixed_live_schedule_models_fewer_bytes(self):
-        """Acceptance: after the smoother's round trip (stall
-        promotion, then recovery demotion) the live schedule models
-        strictly fewer bytes than the whole-policy promotion, which
-        never demotes."""
-        from repro.perf.scaling import ScalingModel
+    def test_disabled_never_moves(self):
+        esc = Escalator(NO_ESCALATION, LADDER_POLICY, (FP32,))
+        self.drive(esc, 1.0)
+        assert self.drive(esc, 1.0) == []
+        assert esc.promote("breakdown", 1.0, 30, 1) == []
+        assert esc.policy is LADDER_POLICY and esc.transfers == (FP32,)
 
-        plane = make_plane()
-        self.drive(plane, 1.0)
-        self.drive(plane, 0.9)  # smoother L0 promoted, rest untouched
-        self.drive(plane, 0.2, relres=0.2)
-        assert self.drive(plane, 0.04, relres=0.2)  # demoted again
-        model = ScalingModel()
-        mixed = model.cycle_traffic_bytes(plane.snapshot())["total"]
-        whole = model.cycle_traffic_bytes(
-            SMOOTHER_LOW_POLICY.promote()
-        )["total"]
-        assert mixed < whole
-
-    def test_off_mode_never_moves(self):
-        plane = PrecisionControlPlane(NO_CONTROL, LADDER_POLICY, 4)
-        assert plane.observe_restart(1.0, 1.0, 0, 0) == []
-        plane.cycle_completed()
-        assert plane.observe_restart(1.0, 1.0, 30, 1) == []
-        assert plane.observe_breakdown(1.0, 1.0, 30, 1) == []
-
-    def test_reset_observation_forgets_history_keeps_rungs(self):
-        plane = make_plane()
-        self.drive(plane, 1.0)
-        self.drive(plane, 0.9)  # promote
-        plane.reset_observation()
-        assert plane.rung("smoother", 0) is Precision.DOUBLE  # kept
+    def test_reset_forgets_history_keeps_rungs(self):
+        esc = Escalator(EscalationConfig(), SMOOTHER_LOW_POLICY)
+        self.drive(esc, 1.0)
+        self.drive(esc, 0.9)  # promote
+        esc.reset()
+        assert esc.policy.is_uniform_double  # kept
         # No history: the first post-reset stall check gets a free pass.
-        assert self.drive(plane, 0.9) == []
+        assert self.drive(esc, 0.9) == []
 
 
-class TestPolicyModeBitwise:
-    """`--precision-control policy` must reproduce the whole-policy
-    escalator driven by a bare ``escalation=`` bit for bit."""
+@BOTH_CLASSES
+class TestEscalationInSolver:
+    """Each promotion path through :class:`GMRESIRSolver`, per class."""
 
-    @pytest.fixture(scope="class")
-    def hard_problem(self):
-        prob = generate_problem(Subdomain.serial(16, 16, 16))
-        b = np.random.default_rng(7).standard_normal(prob.nlocal)
-        return prob, b
+    def test_stall_promotes_once_and_stays_promoted(self, problem16, stall_rhs):
+        solver = stall_solver(problem16)
+        _, st = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        assert st.converged
+        assert st.promotions == [
+            PrecisionEvent(8, 1, st.promotions[0].relres, "stall", FP32, FP64)
+        ]
+        promoted = solver.policy
+        assert promoted.is_uniform_double
+        # A rung stays up across solves: nothing left to promote.
+        _, st2 = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        assert st2.converged and st2.promotions == []
+        assert solver.policy is promoted
 
-    def test_policy_mode_matches_legacy_escalation_bitwise(
-        self, hard_problem
-    ):
-        prob, b = hard_problem
-        legacy = GMRESIRSolver(
-            prob,
-            SerialComm(),
-            policy=LADDER_POLICY,
-            restart=STALL_RESTART,
-            escalation=STALL_ESCALATION,
+    def test_floor_reason(self, problem16, stall_rhs):
+        """The same stall, classified against a floor factor the
+        residual sits under: the event reads ``"floor"``."""
+        solver = stall_solver(
+            problem16, EscalationConfig(stall_ratio=1e-4, floor_factor=1e7)
         )
-        x_legacy, st_legacy = legacy.solve(b, tol=1e-11, maxiter=300)
-        explicit = stall_solver(prob, "policy")
-        x_policy, st_policy = explicit.solve(b, tol=1e-11, maxiter=300)
-        assert np.array_equal(x_legacy, x_policy)  # bitwise
-        assert st_legacy.final_relres == st_policy.final_relres
-        events = [
-            (p.iteration, p.restart, p.reason, p.from_low, p.to_low)
-            for p in st_policy.promotions
-        ]
-        assert events == [
-            (p.iteration, p.restart, p.reason, p.from_low, p.to_low)
-            for p in st_legacy.promotions
-        ]
-        assert events == [(8, 1, "stall", Precision.SINGLE, Precision.DOUBLE)]
-        assert st_policy.promotions[0].ingredient == "policy"
+        _, st = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        assert st.converged
+        assert [(e.iteration, e.reason) for e in st.promotions] == [(8, "floor")]
 
+    @pytest.mark.parametrize("escalation", [True, False])
+    def test_breakdown_promotes_and_retries(self, problem16, stall_rhs, escalation):
+        """The first Arnoldi step is forced to break down (zero norm):
+        the empty cycle promotes and the column goes on at fp64; with
+        escalation off it halts there instead."""
+        solver = stall_solver(problem16, escalation)
+        fused, calls = solver._ortho_fused, []
+
+        def breaks_once(*args, **kwargs):
+            h, local = fused(*args, **kwargs)
+            calls.append(1)
+            return (h, 0.0) if len(calls) == 1 else (h, local)
+
+        solver._ortho_fused = breaks_once
+        _, st = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        if not escalation:
+            assert not st.converged and st.breakdown and st.cycle_lengths == [0]
+            return
+        assert st.converged and not st.breakdown
+        assert st.cycle_lengths[0] == 0
+        assert [(e.reason, e.from_low, e.to_low) for e in st.promotions] == [
+            ("breakdown", FP32, FP64)
+        ]
+
+    def test_fault_replay_promotes(self, problem16):
+        """A detected SpMV corruption replays the cycle one rung up."""
+        injector = parse_fault_spec("spmv:bitflip;seed=1").injector()
+        injector.cover()
+        solver = GMRESIRSolver(
+            problem16,
+            SerialComm(),
+            MIXED_DS_POLICY,
+            escalation=True,
+            resilience=ResilienceConfig(),
+        )
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            _, st = solver.solve(problem16.b, tol=1e-8, maxiter=400)
+        finally:
+            registry.set_wrapper(None)
+        assert st.converged
+        assert st.resilience.detected == st.resilience.replays == 1
+        assert [(e.reason, e.from_low, e.to_low) for e in st.promotions] == [
+            ("fault", FP32, FP64)
+        ]
+        assert solver.policy.is_uniform_double
+
+    def test_escalation_off_keeps_the_seeded_rungs(self, problem16, stall_rhs):
+        """A budget seeds the rungs whether or not they may climb: with
+        escalation off the seeded schedule holds for the whole solve."""
+        solver = stall_solver(problem16, False, budget=1e-5)
+        seeded = solver.policy
+        assert seeded.mg_level(0) is FP64 and seeded.mg_level(3) is FP32
+        assert format_ladder(solver.M.transfer_schedule) == "fp64:fp64:fp32"
+        _, st = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        assert st.converged and st.promotions == []
+        assert solver.policy is seeded
+        assert format_ladder(solver.M.transfer_schedule) == "fp64:fp64:fp32"
+
+    def test_budget_transfers_reach_the_hierarchy_and_promote(
+        self, problem16, stall_rhs
+    ):
+        solver = stall_solver(problem16, budget=1e-5)
+        assert solver.M.transfer_schedule == solver.escalator.transfers
+        assert format_ladder(solver.escalator.transfers) == "fp64:fp64:fp32"
+        _, st = solver.solve(stall_rhs, tol=1e-11, maxiter=300)
+        assert st.converged
+        assert [(e.iteration, e.reason, e.ingredient) for e in st.promotions] == [
+            (8, "stall", "policy")
+        ]
+        assert solver.M.transfer_schedule == (FP64,) * 3
+
+
+class TestEvents:
     def test_promotion_alias_still_importable(self):
         from repro.solvers.gmres_ir import Promotion
 
         assert Promotion is PrecisionEvent
 
-
-class TestPerIngredientSolver:
-    @pytest.fixture(scope="class")
-    def hard_problem(self):
-        prob = generate_problem(Subdomain.serial(16, 16, 16))
-        b = np.random.default_rng(7).standard_normal(prob.nlocal)
-        return prob, b
-
-    def test_converges_with_attributed_events(self, hard_problem):
-        prob, b = hard_problem
-        solver = stall_solver(prob, "per-ingredient")
-        x, st = solver.solve(b, tol=1e-11, maxiter=300)
-        assert st.converged and st.final_relres <= 1e-11
-        # Every event is attributed to a real ingredient.
-        for ev in st.promotions:
-            assert ev.ingredient in ("smoother", "transfer", "spmv", "ortho")
-            assert ev.level is not None
-        # Only the binding fp32 rung promoted: the fp64 coarse smoother
-        # levels and transfers never moved.
-        touched = [(e.ingredient, e.level) for e in st.promotions]
-        assert touched == [("ortho", 0), ("smoother", 0), ("spmv", 0)]
-        assert {(e.iteration, e.reason) for e in st.promotions} == {(8, "stall")}
-        # The solver's bound policy tracks the live plane.
-        assert solver.policy == solver.plane.live_policy()
-
-    def test_transfer_schedule_reaches_the_hierarchy(self, hard_problem):
-        prob, _ = hard_problem
-        solver = stall_solver(prob, "per-ingredient")
-        assert solver.M.transfer_schedule == solver.plane.transfer_schedule()
-
-    def test_control_rejects_bad_types(self, hard_problem):
-        prob, _ = hard_problem
-        with pytest.raises(TypeError, match="control"):
-            GMRESIRSolver(prob, SerialComm(), control=42)
-
-    def test_summary_counts_demotions(self):
+    def test_summary_counts_promotions(self):
         from repro.solvers.gmres_ir import SolverStats
 
         st = SolverStats()
-        st.promotions.append(
-            PrecisionEvent(
-                1, 1, 0.5, "stall", Precision.SINGLE, Precision.DOUBLE,
-                ingredient="smoother", level=0,
-            )
-        )
-        st.promotions.append(
-            PrecisionEvent(
-                9, 3, 0.1, "recovered", Precision.DOUBLE, Precision.SINGLE,
-                ingredient="smoother", level=0, direction="demote",
-            )
-        )
-        assert len(st.demotions) == 1
+        st.promotions.append(PrecisionEvent(1, 1, 0.5, "stall", FP32, FP64))
         assert "1 promotion(s)" in st.summary()
-        assert "1 demotion(s)" in st.summary()
+
+
+
+class TestTimelineMarkers:
+    def test_whole_policy_markers_keep_historical_form(self):
+        from repro.trace import promotions_to_timeline
+
+        ev = PrecisionEvent(5, 1, 0.3, "floor", FP32, FP64)
+        tl = promotions_to_timeline([ev])
+        assert tl.events[0].name == "promote[floor] fp32->fp64"
+
+    def test_describe_attributes_the_move(self):
+        ev = PrecisionEvent(5, 1, 0.3, "stall", FP32, FP64)
+        assert ev.describe() == (
+            "iter 5: promote policy fp32->fp64 (stall, relres=3.00e-01)"
+        )
 
 
 class TestBudgetChooser:
@@ -484,61 +340,64 @@ class TestBudgetChooser:
         with pytest.raises(ValueError, match="budget"):
             choose_plane(A, 4, budget=0.0)
 
+    @pytest.mark.parametrize("budget", [0.0, -1e-5])
+    def test_solver_rejects_a_non_positive_budget(self, problem16, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            GMRESIRSolver(
+                problem16, SerialComm(), policy=LADDER_POLICY, budget=budget
+            )
+
     def test_budget_seeded_solver_converges(self):
         prob = generate_problem(Subdomain.serial(16, 16, 16))
         b = np.random.default_rng(11).standard_normal(prob.nlocal)
         solver = GMRESIRSolver(
-            prob,
-            SerialComm(),
-            policy=LADDER_POLICY,
-            control=ControlConfig(mode="per-ingredient", budget=1e-5),
+            prob, SerialComm(), policy=LADDER_POLICY, budget=1e-5
         )
         # The chooser overrode the flat ladder: fine smoother above
         # fp32 (kappa forbids it), coarse levels allowed down to fp32.
-        assert solver.plane.rung("smoother", 0) is Precision.DOUBLE
-        assert solver.plane.rung("smoother", 3) is Precision.SINGLE
+        assert solver.policy.mg_level(0) is Precision.DOUBLE
+        assert solver.policy.mg_level(3) is Precision.SINGLE
         x, st = solver.solve(b, tol=1e-11, maxiter=300)
         assert st.converged
 
-    def test_budget_rungs_below_the_ladder_can_still_escalate(
-        self, monkeypatch
-    ):
+    def test_seed_replaces_every_ingredient_rung(self, A):
+        """16^3, budget 1e-5: the seeded policy and the transfer rungs,
+        which differ from the next level's smoother rung at L1."""
+        policy, transfers = choose_plane(A, 4, budget=1e-5).seed(LADDER_POLICY)
+        assert policy.describe() == (
+            "matrix=fp64 mg=fp64:fp32:fp32:fp32 basis=fp64 ortho=fp64 "
+            "lsq=fp64 outer=fp64"
+        )
+        assert format_ladder(transfers) == "fp64:fp64:fp32"
+        # A one-level hierarchy has no transfer to seed.
+        assert choose_plane(A, 1, budget=1e-5).seed(LADDER_POLICY)[1] is None
+
+    def test_budget_rungs_below_the_ladder_can_still_escalate(self):
         """A budget may seed fp32 rungs under an fp64 ladder; the
-        detector must then be enabled (unless escalation=False) or a
+        escalator must then be enabled (unless escalation=False) or a
         solve stalling at the fp32 floor could never climb out."""
         from repro.core import BenchmarkConfig
-        from repro.core.config import PRECISION_CONTROL_ENV
 
-        monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
         cfg = BenchmarkConfig(
             precision_ladder="fp64",
-            precision_control="per-ingredient",
             precision_budget=1.0,  # loose: everything drops to fp32
         )
-        cc = cfg.control_config()
-        assert cc.escalation.enabled and cc.active
+        assert cfg.escalation_config().enabled
         prob = generate_problem(Subdomain.serial(16, 16, 16))
         b = np.random.default_rng(7).standard_normal(prob.nlocal)
         solver = GMRESIRSolver(
-            prob, SerialComm(), policy=cfg.mixed_policy(), control=cc
+            prob,
+            SerialComm(),
+            policy=cfg.mixed_policy(),
+            escalation=cfg.escalation_config(),
+            budget=cfg.precision_budget,
         )
         assert cfg.mixed_policy().is_uniform_double
-        assert solver.plane.rung("smoother", 0) is Precision.SINGLE
+        assert solver.policy.mg_level(0) is Precision.SINGLE
         _, st = solver.solve(b, tol=1e-11, maxiter=200)
         assert st.converged
         # escalation=False still pins everything.
-        pinned = cfg.with_updates(escalation=False).control_config()
-        assert not pinned.active
-
-    def test_from_budget_requires_budget(self):
-        prob = generate_problem(Subdomain.serial(16, 16, 16))
-        with pytest.raises(ValueError, match="budget"):
-            PrecisionControlPlane.from_budget(
-                ControlConfig(mode="per-ingredient"),
-                LADDER_POLICY,
-                4,
-                prob.A,
-            )
+        assert not cfg.with_updates(escalation=False).escalation_config().enabled
 
 
 class TestTransferScheduledHierarchy:
@@ -609,21 +468,9 @@ class TestLiveScheduleByteModel:
         from repro.perf.scaling import ScalingModel
 
         model = ScalingModel()
-        base = IngredientSchedule(
-            matrix=Precision.SINGLE,
-            ortho=Precision.SINGLE,
-            smoother_levels=(Precision.SINGLE,) * 4,
-            transfer_levels=(Precision.SINGLE,) * 3,
-        )
-        wide_transfer = IngredientSchedule(
-            matrix=Precision.SINGLE,
-            ortho=Precision.SINGLE,
-            smoother_levels=(Precision.SINGLE,) * 4,
-            transfer_levels=(Precision.DOUBLE,) * 3,
-        )
-        assert model.mg_vcycle_bytes(wide_transfer) > model.mg_vcycle_bytes(
-            base
-        )
+        base = model.mg_vcycle_bytes(MIXED_DS_POLICY, transfers=(FP32,) * 3)
+        wide = model.mg_vcycle_bytes(MIXED_DS_POLICY, transfers=(FP64,) * 3)
+        assert wide > base == model.mg_vcycle_bytes(MIXED_DS_POLICY)
 
     def test_plain_policy_charging_unchanged(self):
         """A PrecisionPolicy has no transfer axis: charged as before
@@ -647,57 +494,32 @@ class TestLiveScheduleByteModel:
         fused = ScalingModel(local_dims=(16, 16, 16), restart=30)
         assert fused.cycle_traffic_bytes(MIXED_DS_POLICY)["total"] < total
 
-    def test_snapshot_matches_equivalent_policy(self):
-        """A seeded (unmoved) plane's snapshot models, per motif, at
-        most the whole-policy charge (transfers ride the coarse rung,
-        everything else identically)."""
+    def test_budget_seed_models_fewer_bytes_than_double(self, problem16):
+        """The 16^3, 1e-5 seed (fp32 coarse levels and coarsest
+        transfer, the rest fp64) streams less than uniform double but
+        more than the flat ladder it overrides."""
+        from repro.fp import DOUBLE_POLICY
+        from repro.perf.scaling import ScalingModel
+
+        seeded, transfers = choose_plane(problem16.A, 4, budget=1e-5).seed(
+            LADDER_POLICY
+        )
+        model = ScalingModel()
+        total = model.cycle_traffic_bytes(seeded, transfers=transfers)["total"]
+        assert total < model.cycle_traffic_bytes(DOUBLE_POLICY)["total"]
+        assert total > model.cycle_traffic_bytes(LADDER_POLICY)["total"]
+
+    def test_budget_transfers_move_only_the_mg_charge(self):
+        """A seeded transfer is charged at its own rung: the V-cycle's
+        bytes move, every other motif is the policy's."""
         from repro.perf.scaling import ScalingModel
 
         model = ScalingModel()
-        plane = make_plane(LADDER_POLICY)
-        snap_bytes = model.cycle_traffic_bytes(plane.snapshot())
-        pol_bytes = model.cycle_traffic_bytes(
-            PrecisionPolicy.from_ladder("fp32:fp64")
-        )
-        assert snap_bytes["spmv"] == pol_bytes["spmv"]
-        assert snap_bytes["ortho"] == pol_bytes["ortho"]
-        assert snap_bytes["halo"] == pol_bytes["halo"]
-
-
-class TestTimelineMarkers:
-    def test_markers_carry_ingredient_and_level(self):
-        from repro.trace import promotions_to_timeline
-
-        events = [
-            PrecisionEvent(
-                5, 1, 0.3, "stall", Precision.SINGLE, Precision.DOUBLE,
-                ingredient="smoother", level=2,
-            ),
-            PrecisionEvent(
-                9, 3, 0.1, "recovered", Precision.DOUBLE, Precision.SINGLE,
-                ingredient="smoother", level=2, direction="demote",
-            ),
-        ]
-        tl = promotions_to_timeline(events)
-        names = [e.name for e in tl.events]
-        assert names[0] == "promote[stall] smoother@L2 fp32->fp64"
-        assert names[1] == "demote[recovered] smoother@L2 fp64->fp32"
-
-    def test_whole_policy_markers_keep_historical_form(self):
-        from repro.trace import promotions_to_timeline
-
-        ev = PrecisionEvent(
-            5, 1, 0.3, "floor", Precision.SINGLE, Precision.DOUBLE
-        )
-        tl = promotions_to_timeline([ev])
-        assert tl.events[0].name == "promote[floor] fp32->fp64"
-
-    def test_describe_attributes_the_move(self):
-        ev = PrecisionEvent(
-            5, 1, 0.3, "stall", Precision.SINGLE, Precision.DOUBLE,
-            ingredient="transfer", level=1,
-        )
-        assert "transfer@L1" in ev.describe()
+        coupled = model.cycle_traffic_bytes(LADDER_POLICY)
+        wide = model.cycle_traffic_bytes(LADDER_POLICY, transfers=(FP64,) * 3)
+        for motif in ("spmv", "ortho", "halo"):
+            assert wide[motif] == coupled[motif]
+        assert wide["mg"] > coupled["mg"]
 
 
 class TestLadderStrictness:
@@ -722,67 +544,66 @@ class TestLadderStrictness:
 
 
 class TestConfigAndCLI:
-    def test_config_validates_mode_and_budget(self):
+    def test_config_validates_budget(self):
         from repro.core import BenchmarkConfig
 
-        with pytest.raises(ValueError, match="precision control"):
-            BenchmarkConfig(precision_control="per-kernel")
         with pytest.raises(ValueError, match="precision_budget"):
             BenchmarkConfig(precision_budget=0.0)
 
-    def test_auto_mode_follows_environment(self, monkeypatch):
+    def test_escalation_config_follows_the_budget(self):
         from repro.core import BenchmarkConfig
-        from repro.core.config import PRECISION_CONTROL_ENV
 
-        cfg = BenchmarkConfig()
-        monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
-        assert cfg.effective_precision_control == "policy"
-        monkeypatch.setenv(PRECISION_CONTROL_ENV, "per-ingredient")
-        assert cfg.effective_precision_control == "per-ingredient"
-        monkeypatch.setenv(PRECISION_CONTROL_ENV, "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            cfg.effective_precision_control
-
-    def test_explicit_mode_wins_over_environment(self, monkeypatch):
-        from repro.core import BenchmarkConfig
-        from repro.core.config import PRECISION_CONTROL_ENV
-
-        monkeypatch.setenv(PRECISION_CONTROL_ENV, "per-ingredient")
-        cfg = BenchmarkConfig(precision_control="off")
-        assert cfg.effective_precision_control == "off"
-
-    def test_control_config_carries_detector_and_budget(self, monkeypatch):
-        from repro.core import BenchmarkConfig
-        from repro.core.config import PRECISION_CONTROL_ENV
-
-        monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
-        cfg = BenchmarkConfig(
-            precision_ladder="fp32:fp64",
-            precision_control="per-ingredient",
-            precision_budget=1e-3,
-        )
-        cc = cfg.control_config()
-        assert cc.mode == "per-ingredient"
-        assert cc.escalation.enabled  # a budget's rungs may climb
-        assert cc.budget == 1e-3
+        assert not BenchmarkConfig().escalation_config().enabled
+        cfg = BenchmarkConfig(precision_ladder="fp32:fp64", precision_budget=1e-3)
+        assert cfg.escalation_config().enabled  # a budget's rungs may climb
 
     def test_cli_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            [
-                "run",
-                "--precision-control", "per-ingredient",
-                "--precision-budget", "1e-4",
-            ]
-        )
-        assert args.precision_control == "per-ingredient"
+        args = build_parser().parse_args(["run", "--precision-budget", "1e-4"])
         assert args.precision_budget == 1e-4
 
-    def test_report_records_control_mode(self, monkeypatch):
-        from repro.core import BenchmarkConfig
-        from repro.core.config import PRECISION_CONTROL_ENV
+    def test_report_records_the_budget(self):
+        from repro.core import BenchmarkConfig, run_benchmark
+        from repro.core.report import result_to_dict
 
-        monkeypatch.delenv(PRECISION_CONTROL_ENV, raising=False)
-        cfg = BenchmarkConfig(precision_control="per-ingredient")
-        assert cfg.effective_precision_control == "per-ingredient"
+        cfg = BenchmarkConfig(
+            local_nx=16,
+            max_iters_per_solve=2,
+            validation_max_iters=20,
+            precision_budget=1e-5,
+        )
+        record = result_to_dict(run_benchmark(cfg))["config"]
+        assert record["precision_budget"] == 1e-5
+
+    def test_budget_seeds_the_mxp_phases_only(self, monkeypatch):
+        """A ``precision_budget`` (``run --precision-budget``) seeds the
+        mixed solvers' rungs, grid transfers included, in validation
+        and the timed phase, and never the double reference's."""
+        from repro.core import BenchmarkConfig, run_benchmark
+        from repro.mg import MultigridPreconditioner
+
+        built = []
+        real = MultigridPreconditioner.build.__func__
+
+        def spy(cls, *args, **kwargs):
+            transfers = kwargs.get("transfer_precision")
+            built.append(
+                (
+                    format_ladder(kwargs["precision"]),
+                    format_ladder(transfers) if transfers else None,
+                )
+            )
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MultigridPreconditioner, "build", classmethod(spy))
+        cfg = BenchmarkConfig(
+            local_nx=16,
+            max_iters_per_solve=2,
+            validation_max_iters=20,
+            precision_budget=1e-5,
+        )
+        run_benchmark(cfg)
+        seeded = ("fp64:fp32:fp32:fp32", "fp64:fp64:fp32")
+        double = ("fp64:fp64:fp64:fp64", None)
+        assert sorted(built) == sorted([double, double, seeded, seeded])

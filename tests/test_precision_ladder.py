@@ -349,22 +349,21 @@ class TestConfigAndCLI:
         pol = cfg.mixed_policy()
         assert pol.matrix is Precision.SINGLE
         assert pol.mg_levels == (Precision.SINGLE, Precision.DOUBLE)
-        assert not cfg.control_config().active
+        assert not cfg.escalation_config().enabled
 
     def test_config_without_ladder_keeps_classic_policy(self):
         cfg = repro.core.BenchmarkConfig()
         assert cfg.mixed_policy() == MIXED_DS_POLICY
-        assert not cfg.control_config().active
+        assert not cfg.escalation_config().enabled
 
     def test_config_escalation_off(self):
         """``escalation=False`` pins what a budget would seed."""
         cfg = repro.core.BenchmarkConfig(
             precision_ladder="fp32:fp64",
-            precision_control="per-ingredient",
             precision_budget=1e-4,
             escalation=False,
         )
-        assert not cfg.control_config().active
+        assert not cfg.escalation_config().enabled
 
     def test_shared_precond_replaced_on_promotion(self, comm):
         """A caller-supplied preconditioner on the old rung must not

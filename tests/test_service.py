@@ -43,10 +43,13 @@ def make_service(**kw) -> SolverService:
     return SolverService(**kw)
 
 
-def solo_solve(problem, b, ladder=None, tol=0.0, maxiter=20, fmt="ell"):
+def solo_solve(
+    problem, b, ladder=None, tol=0.0, maxiter=20, fmt="ell", budget=None
+):
     """The reference solo solve a coalesced request must match bitwise
     (identical construction knobs; cache/arena/coalescing must all be
-    arithmetic-invisible per the PR 6 panel contract)."""
+    arithmetic-invisible per the PR 6 panel contract).  A ``budget``
+    seeds the rungs and lets them climb, as the service does."""
     policy = PrecisionPolicy.from_ladder(ladder) if ladder else DOUBLE_POLICY
     solver = GMRESIRSolver(
         problem,
@@ -56,6 +59,8 @@ def solo_solve(problem, b, ladder=None, tol=0.0, maxiter=20, fmt="ell"):
         restart=10,
         ortho="cgs2",
         matrix_format=fmt,
+        escalation=budget is not None,
+        budget=budget,
     )
     return solver.solve(b, tol=tol, maxiter=maxiter)
 
@@ -111,6 +116,73 @@ class TestCoalescedParity:
         assert svc.metrics.matrix_passes > 0
         assert svc.metrics.rhs_columns == nclients * svc.metrics.matrix_passes
         assert svc.metrics.panel_matrix_reuse == nclients
+
+    def test_budget_requests_bitwise_equal_solo(self, problem16):
+        """A roundoff budget reaches the coalesced panel: each request
+        is bitwise the solo solver seeded from the same budget."""
+        nclients, budget = 4, 1e-5
+
+        async def drive():
+            async with make_service() as svc:
+                fp = svc.register_operator(problem16)
+                return await asyncio.gather(
+                    *(
+                        svc.solve(
+                            SolveRequest(
+                                operator=fp,
+                                b=rhs(problem16.b, j),
+                                ladder=LADDER,
+                                budget=budget,
+                                tol=0.0,
+                                maxiter=20,
+                            )
+                        )
+                        for j in range(nclients)
+                    )
+                ), svc
+
+        responses, svc = asyncio.run(drive())
+        assert svc.metrics.batches == 1
+        for j, resp in enumerate(responses):
+            b = rhs(problem16.b, j)
+            x_solo, s_solo = solo_solve(problem16, b, ladder=LADDER, budget=budget)
+            assert np.array_equal(resp.x, x_solo), f"client {j} diverged"
+            assert resp.stats.iterations == s_solo.iterations
+            assert resp.stats.promotions == s_solo.promotions
+            # The budget moved the arithmetic off the bare ladder's.
+            x_ladder, _ = solo_solve(problem16, b, ladder=LADDER)
+            assert not np.array_equal(resp.x, x_ladder)
+
+    def test_budget_and_bare_ladder_never_share_a_panel(self, problem16):
+        """A budget is part of the coalescing key: on one ladder, budget
+        and bare requests solve in separate panels, each bitwise solo."""
+        budgets = [1e-5, None, 1e-5, None]
+
+        async def drive():
+            async with make_service() as svc:
+                fp = svc.register_operator(problem16)
+                reqs = [
+                    SolveRequest(
+                        operator=fp,
+                        b=rhs(problem16.b, j),
+                        ladder=LADDER,
+                        budget=budget,
+                        tol=0.0,
+                        maxiter=10,
+                    )
+                    for j, budget in enumerate(budgets)
+                ]
+                assert reqs[0].key() != reqs[1].key() and reqs[0].key() == reqs[2].key()
+                return await asyncio.gather(*(svc.solve(q) for q in reqs)), svc
+
+        resps, svc = asyncio.run(drive())
+        assert svc.metrics.batches == 2
+        assert sorted(svc.metrics.widths) == [2, 2]
+        for j, (resp, budget) in enumerate(zip(resps, budgets, strict=True)):
+            x_solo, _ = solo_solve(
+                problem16, rhs(problem16.b, j), ladder=LADDER, maxiter=10, budget=budget
+            )
+            assert np.array_equal(resp.x, x_solo), f"client {j} diverged"
 
     @pytest.mark.parametrize("fmt", ["csr", "ell"])
     def test_incompatible_knobs_split_into_separate_batches(self, problem16, fmt):
